@@ -413,6 +413,12 @@ mod tests {
         pool.run(|_| {
             std::thread::sleep(std::time::Duration::from_millis(5));
         });
+        // `run` returns when the jobs release its wait group, a moment
+        // before each worker books the job's time: allow them that moment.
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while pool.busy_ns_total() < 2 * 4_000_000 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
         assert!(pool.busy_ns_total() >= 2 * 4_000_000);
     }
 

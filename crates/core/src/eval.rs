@@ -153,9 +153,6 @@ struct IdbState {
     /// fused dedup + set-difference pass. `None` until the first
     /// iteration, or always under `index_reuse = false`.
     full_index: Option<PersistentIndex>,
-    /// Pre-sizing hint for the next streaming pass's scratch table
-    /// (roughly the last iteration's `|∆R|`).
-    scratch_hint: usize,
 }
 
 /// The shared (read-only) tier of the join cache: a borrow of the
@@ -853,7 +850,7 @@ impl EvalRun<'_, '_> {
                         let mut conc = ConcurrentMonoMap::new(
                             shape.funcs[0],
                             shape.group_positions.len(),
-                            rel.len().max(1024),
+                            rel.len(),
                         )?;
                         for r in 0..rel.len() {
                             group.clear();
@@ -862,7 +859,6 @@ impl EvalRun<'_, '_> {
                         }
                         // Seeds are pre-existing facts, not this run's ∆.
                         let _ = conc.take_improved();
-                        conc.maybe_rehash();
                         MonoEval::Conc(conc)
                     } else {
                         let mut seq = MonotonicAgg::new(shape.funcs[0])?;
@@ -894,7 +890,6 @@ impl EvalRun<'_, '_> {
                     })
                 }
             };
-            let scratch_hint = self.catalog.rel(rel_id).len().max(1024);
             states.push(IdbState {
                 rel_id,
                 delta,
@@ -907,7 +902,6 @@ impl EvalRun<'_, '_> {
                     .map(|sq| vec![None; sq.joins.len()])
                     .collect(),
                 full_index: index_carry.remove(&rel_id),
-                scratch_hint,
             });
         }
 
@@ -1115,6 +1109,7 @@ impl EvalRun<'_, '_> {
                 let MonoEval::Conc(map) = &ms.mono else {
                     unreachable!("the fused-agg gate constructs the concurrent map")
                 };
+                let doublings_before = map.table_doublings();
                 let sink = AggSink::new(AggTarget::Mono(map), sampler);
                 let out = eval_idb(
                     self.ctx,
@@ -1132,6 +1127,7 @@ impl EvalRun<'_, '_> {
                 // the analyze interval is booked under `phase.analyze`
                 // only — the per-phase breakdown stays disjoint.
                 stats.phase.pipeline += t_pipe.elapsed();
+                stats.sink_table_doublings += map.table_doublings() - doublings_before;
                 self.note_sink_stats(sink.sampler(), rel_id, stats);
                 (out, sink.considered())
             };
@@ -1153,7 +1149,6 @@ impl EvalRun<'_, '_> {
                 unreachable!("the fused-agg gate constructs the concurrent map")
             };
             let improved = map.take_improved();
-            map.maybe_rehash();
             let g = ms.group_positions.len();
             let mut delta = Relation::new(Schema::with_arity(idb.delta_name.clone(), idb.arity));
             let mut out_row = vec![0 as Value; idb.arity];
@@ -1288,7 +1283,6 @@ impl EvalRun<'_, '_> {
                 stats.phase.index += t_index.elapsed();
             }
         }
-        let hint = states[idx].scratch_hint;
         // OOF-FA: sample the would-be Rt while it streams through the
         // sink; the statistics pass below consumes the reservoir.
         let sampler =
@@ -1299,11 +1293,11 @@ impl EvalRun<'_, '_> {
         let t_pipe = Instant::now();
         let evaluated = {
             let base = self.catalog.rel(rel_id).view();
-            let mut sink = DeltaSink::new(&full_index, base, hint);
+            let mut sink = DeltaSink::new(&full_index, base, 0);
             if let Some(s) = &sampler {
                 sink = sink.with_sampler(s);
             }
-            eval_idb(
+            let out = eval_idb(
                 self.ctx,
                 self.cfg,
                 &self.catalog,
@@ -1314,8 +1308,9 @@ impl EvalRun<'_, '_> {
                 jcache,
                 &SinkMode::Delta(&sink),
                 seeded,
-            )
-            .map(|out| {
+            );
+            stats.sink_table_doublings += sink.table_doublings();
+            out.map(|out| {
                 (
                     out,
                     sink.considered(),
@@ -1348,7 +1343,6 @@ impl EvalRun<'_, '_> {
                 }
             }
         }
-        let fresh_rows = fresh.first().map_or(0, Vec::len);
         let skipped = considered - sink_fresh - overflow.len();
         stats.queries_issued += out.queries + 1;
         stats.wcoj_runs += out.wcoj.runs;
@@ -1375,10 +1369,6 @@ impl EvalRun<'_, '_> {
         rel.append_columns(fresh);
         let delta = DeltaBuf::Range(state.old_len, rel.len());
         stats.phase.merge += t_merge.elapsed();
-        // Next iteration's scratch sizing: follow |∆R| up immediately but
-        // decay slowly, so one small delta after a burst does not shrink
-        // the bucket array back under the workload's scale.
-        state.scratch_hint = (fresh_rows * 2).max(state.scratch_hint / 2).max(1024);
 
         // Maintain the index over the merged rows (incremental).
         let t_index = Instant::now();
@@ -1919,7 +1909,7 @@ impl EvalRun<'_, '_> {
                     .map_or(0, |id| self.catalog.rel(id).len());
                 let support = supports
                     .entry(idb.rel.clone())
-                    .or_insert_with(|| SupportTable::new(idb.arity, rel_len.max(64)));
+                    .or_insert_with(|| SupportTable::new(idb.arity, rel_len));
                 for sq in &idb.subqueries {
                     // Deduplicated views for base inputs; IDB inputs are
                     // sets already and fall back to the catalog.
@@ -2111,7 +2101,7 @@ impl EvalRun<'_, '_> {
         let t_pipe = Instant::now();
         let evaluated = {
             let base = self.catalog.rel(rel_id).view();
-            let sink = DeltaSink::new(&full_index, base, 1024);
+            let sink = DeltaSink::new(&full_index, base, 0);
             let mut fresh: Vec<Vec<Value>> = vec![Vec::new(); arity];
             let mut err = None;
             'eval: for stratum in members {
@@ -2157,6 +2147,7 @@ impl EvalRun<'_, '_> {
                     }
                 }
             }
+            stats.sink_table_doublings += sink.table_doublings();
             match err {
                 Some(e) => Err(e),
                 None => Ok((fresh, sink.take_overflow(), sink.considered())),
@@ -2544,7 +2535,7 @@ impl EvalRun<'_, '_> {
                 .ok_or_else(|| Error::exec(format!("unknown relation '{}'", idb.rel)))?;
             let support = supports
                 .entry(idb.rel.clone())
-                .or_insert_with(|| SupportTable::new(idb.arity, 64));
+                .or_insert_with(|| SupportTable::new(idb.arity, 0));
             let mut dc: FxHashMap<Vec<Value>, i64> = FxHashMap::default();
             for sq in &idb.subqueries {
                 for (p, scan) in sq.scans.iter().enumerate() {

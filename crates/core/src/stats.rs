@@ -190,6 +190,12 @@ pub struct EvalStats {
     /// in place of a full `Rt` re-scan (0 unless `--oof-fa` streams
     /// through an aggregation sink).
     pub sink_stat_samples: usize,
+    /// Bucket-directory doublings of the fused sinks' hash tables (the
+    /// scratch table of every `DeltaSink` pass plus the monotonic map of
+    /// every recursive aggregation pass), summed at flush: how many times
+    /// a pass outgrew the capacity its table started with. The tables
+    /// double in flight, so this costs allocation, never chain length.
+    pub sink_table_doublings: usize,
     /// Hash-index build/append accounting (rebuild vs. incremental).
     pub index: IndexStats,
     /// Peak engine-estimated heap bytes (relations + operator tables).
@@ -271,6 +277,7 @@ impl EvalStats {
         self.agg_rows_folded_at_source += other.agg_rows_folded_at_source;
         self.agg_groups_improved += other.agg_groups_improved;
         self.sink_stat_samples += other.sink_stat_samples;
+        self.sink_table_doublings += other.sink_table_doublings;
         self.index.merge(&other.index);
         self.peak_bytes = self.peak_bytes.max(other.peak_bytes);
         self.io_bytes += other.io_bytes;
@@ -343,6 +350,7 @@ mod tests {
         let mut acc = EvalStats {
             iterations: 3,
             peak_bytes: 100,
+            sink_table_doublings: 2,
             total: Duration::from_secs(1),
             ..Default::default()
         };
@@ -352,6 +360,7 @@ mod tests {
         let mut other = EvalStats {
             iterations: 4,
             peak_bytes: 80,
+            sink_table_doublings: 5,
             total: Duration::from_secs(2),
             ..Default::default()
         };
@@ -361,6 +370,7 @@ mod tests {
         other.strata.push(StratumStats::default());
         acc.merge(&other);
         assert_eq!(acc.iterations, 7);
+        assert_eq!(acc.sink_table_doublings, 7);
         assert_eq!(acc.total, Duration::from_secs(3));
         assert_eq!(acc.peak_bytes, 100, "peaks take the max");
         assert_eq!(acc.index.cache_hits, 3);

@@ -10,7 +10,8 @@
 //!
 //! Both shapes also exist as *sink-side* concurrent states for the fused
 //! streaming pipeline (group-at-source): [`ConcurrentMonoMap`] is a
-//! latch-free CAS-on-best map whose dirty list yields the iteration's ∆
+//! latch-free CAS-on-best map — a per-group payload on the growable
+//! [`GrowChainTable`] — whose dirty list yields the iteration's ∆
 //! directly, and [`GroupSink`] holds sharded group-by partials that
 //! operator workers fold rows into at the probe site, merged once at
 //! flush. With either, the pre-aggregation `Rt` is never materialized.
@@ -24,16 +25,15 @@
 //! instead of wrapping silently (and the `i128` accumulator saturates at
 //! its own bounds as belt-and-braces).
 
-use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicI64, AtomicU32, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 use recstep_common::hash::{hash_row, FxHashMap};
 use recstep_common::Value;
 use recstep_storage::RelView;
 
+use crate::chain::{GrowChainTable, Slot, SlotChunks};
 use crate::expr::{AggFunc, Expr};
-use crate::key::bucket_of;
 use crate::ExecCtx;
 
 /// Saturating narrowing from the `i128` accumulator domain back to the
@@ -284,92 +284,56 @@ impl MonotonicAgg {
     }
 }
 
-/// Chain-next sentinel: empty bucket / end of chain (`node + 1` addressing).
-const NIL: u32 = 0;
-/// Dirty-list sentinel: the node is clean (not queued for the next ∆).
-const NOT_DIRTY: u32 = u32::MAX;
-/// Pre-planned chunk slots, mirroring [`crate::chain::GrowChainTable`].
-const MONO_CHUNKS: usize = 32;
-
-/// One lazily allocated shard of [`ConcurrentMonoMap`] node storage.
-/// Groups are stored inline (`group_arity` values per node) next to the
-/// CAS-able best value and the dirty-list link.
-struct MonoChunk {
-    next: Vec<AtomicU32>,
-    keys: Vec<AtomicU64>,
-    best: Vec<AtomicI64>,
-    dirty: Vec<AtomicU32>,
-    groups: Vec<AtomicI64>,
-}
-
-impl MonoChunk {
-    fn new(cap: usize, group_arity: usize) -> Self {
-        let mut next = Vec::with_capacity(cap);
-        next.resize_with(cap, || AtomicU32::new(NIL));
-        let mut keys = Vec::with_capacity(cap);
-        keys.resize_with(cap, || AtomicU64::new(0));
-        let mut best = Vec::with_capacity(cap);
-        best.resize_with(cap, || AtomicI64::new(0));
-        let mut dirty = Vec::with_capacity(cap);
-        dirty.resize_with(cap, || AtomicU32::new(NOT_DIRTY));
-        let mut groups = Vec::with_capacity(cap * group_arity);
-        groups.resize_with(cap * group_arity, || AtomicI64::new(0));
-        MonoChunk {
-            next,
-            keys,
-            best,
-            dirty,
-            groups,
-        }
-    }
-}
+/// Dirty-stack link of a clean group (not queued for the next ∆) — the
+/// default of a fresh payload cell.
+const NOT_DIRTY: u32 = 0;
+/// Dirty-stack terminator (links to groups are `slot + 1`).
+const DIRTY_END: u32 = u32::MAX;
 
 /// A concurrent monotonic-aggregate map: the sink-side twin of
 /// [`MonotonicAgg`] for the fused streaming pipeline (group-at-source).
 ///
-/// Layout and insert protocol follow [`crate::chain::GrowChainTable`]
-/// (fixed bucket array, `fetch_add` slot allocator over doubling chunks,
-/// Treiber-style publish with duplicate re-scan on a lost CAS), with two
-/// additions:
+/// Group keys are the rows of a [`GrowChainTable`] — the one growable
+/// latch-free table both fused sinks and the view support counts sit on —
+/// so the map inherits its properties wholesale: inserts, chunk growth and
+/// bucket-directory doubling all proceed concurrently, no group is ever
+/// moved, and chain walks stay O(1) however many groups an iteration
+/// creates (there is no rehash step, quiescent or otherwise). The map adds
+/// only two slot-indexed payloads ([`SlotChunks`]) per group:
 ///
-/// * each node carries one **CAS-on-best** `AtomicI64` — an existing
-///   group absorbs a candidate with a compare-exchange loop that only
-///   ever installs strict improvements, so concurrent candidates for one
-///   group resolve to the true MIN/MAX without a latch;
-/// * improved or newly created nodes self-register on a latch-free
-///   **dirty list** (one Treiber stack threaded through per-node links,
-///   claimed by a `NOT_DIRTY → queued` CAS so each group appears at most
-///   once). [`ConcurrentMonoMap::take_improved`] drains that list at the
-///   quiescent end of an iteration — it *is* ∆R, with each group's final
-///   (best) value, no pre-aggregation `Rt` ever materialized.
-///
-/// The bucket array is fixed while workers insert (same trade-off as the
-/// scratch table), but the map persists across iterations and
-/// [`ConcurrentMonoMap::maybe_rehash`] regrows it at flush time — a
-/// quiescent point — so chains track the group count of the workload.
+/// * one **CAS-on-best** `AtomicI64` — initialised by the creating insert
+///   *before* the group is published, after which an existing group
+///   absorbs a candidate with a compare-exchange loop that only ever
+///   installs strict improvements, so concurrent candidates for one group
+///   resolve to the true MIN/MAX without a latch;
+/// * one link of the latch-free **dirty stack** — improved or newly
+///   created groups self-register on a Treiber stack threaded through the
+///   payload cells, claimed by a `NOT_DIRTY → queued` CAS so each group
+///   appears at most once. [`ConcurrentMonoMap::take_improved`] drains
+///   that stack at the quiescent end of an iteration — it *is* ∆R, with
+///   each group's final (best) value, no pre-aggregation `Rt` ever
+///   materialized.
 pub struct ConcurrentMonoMap {
     func: AggFunc,
     group_arity: usize,
-    heads: Vec<AtomicU32>,
-    mask: usize,
-    base: usize,
-    chunks: Vec<OnceLock<MonoChunk>>,
-    alloc: AtomicUsize,
-    /// Head of the dirty Treiber stack (`node + 1`, 0 = empty).
+    groups: GrowChainTable,
+    /// Current best value per group slot (CAS-on-best).
+    best: SlotChunks<AtomicI64>,
+    /// Dirty-stack link per group slot, or [`NOT_DIRTY`].
+    dirty: SlotChunks<AtomicU32>,
+    /// Head of the dirty Treiber stack (`slot + 1`, [`DIRTY_END`] = empty).
     dirty_head: AtomicU32,
-    /// Published (reachable) nodes — the number of groups.
+    /// Published (reachable) groups.
     live: AtomicUsize,
 }
 
 impl ConcurrentMonoMap {
-    /// New concurrent monotonic map. Like [`MonotonicAgg::new`], only
-    /// `MIN` and `MAX` converge under recursion; other functions are
-    /// rejected.
-    pub fn new(
-        func: AggFunc,
-        group_arity: usize,
-        groups_hint: usize,
-    ) -> recstep_common::Result<Self> {
+    /// New concurrent monotonic map with room for `capacity` groups
+    /// before its first growth step — an allocation hint only: the
+    /// backing table grows in flight and lookup cost does not depend on
+    /// it. Like [`MonotonicAgg::new`], only `MIN` and `MAX` converge under
+    /// recursion; other functions are rejected.
+    pub fn new(func: AggFunc, group_arity: usize, capacity: usize) -> recstep_common::Result<Self> {
         match func {
             AggFunc::Min | AggFunc::Max => {}
             other => {
@@ -379,21 +343,14 @@ impl ConcurrentMonoMap {
                 )))
             }
         }
-        let base = crate::util::next_pow2_at_least(groups_hint, 64);
-        let n_buckets = crate::util::next_pow2_at_least(groups_hint.saturating_mul(2), 4096);
-        let mut heads = Vec::with_capacity(n_buckets);
-        heads.resize_with(n_buckets, || AtomicU32::new(NIL));
-        let mut chunks = Vec::with_capacity(MONO_CHUNKS);
-        chunks.resize_with(MONO_CHUNKS, OnceLock::new);
+        let group_arity = group_arity.max(1);
         Ok(ConcurrentMonoMap {
             func,
-            group_arity: group_arity.max(1),
-            heads,
-            mask: n_buckets - 1,
-            base,
-            chunks,
-            alloc: AtomicUsize::new(0),
-            dirty_head: AtomicU32::new(0),
+            group_arity,
+            groups: GrowChainTable::new(group_arity, capacity, capacity.saturating_mul(2)),
+            best: SlotChunks::new(capacity),
+            dirty: SlotChunks::new(capacity),
+            dirty_head: AtomicU32::new(DIRTY_END),
             live: AtomicUsize::new(0),
         })
     }
@@ -418,58 +375,27 @@ impl ConcurrentMonoMap {
         self.len() == 0
     }
 
-    /// Chunk and in-chunk offset of node slot `idx`, allocating the chunk
-    /// on first touch (chunk `k` covers `base·(2^k − 1) .. base·(2^(k+1) − 1)`).
-    #[inline]
-    fn locate(&self, idx: usize) -> (&MonoChunk, usize) {
-        let q = idx / self.base + 1;
-        let k = (usize::BITS - 1 - q.leading_zeros()) as usize;
-        let off = idx - ((1usize << k) - 1) * self.base;
-        let chunk = self.chunks[k].get_or_init(|| MonoChunk::new(self.base << k, self.group_arity));
-        (chunk, off)
+    /// Times the backing table's bucket directory has doubled.
+    pub fn table_doublings(&self) -> usize {
+        self.groups.doublings()
     }
 
-    #[inline]
-    fn group_eq(&self, chunk: &MonoChunk, off: usize, group: &[Value]) -> bool {
-        let at = off * self.group_arity;
-        group
-            .iter()
-            .enumerate()
-            .all(|(c, &v)| chunk.groups[at + c].load(Ordering::Relaxed) == v)
-    }
-
-    /// Walk the chain from `cur` (stopping before `until`) for an equal
-    /// group; chains are prepend-only, so bounding by a previously
-    /// observed head restricts the scan to newly published nodes.
-    fn find_in_chain(&self, mut cur: u32, until: u32, key: u64, group: &[Value]) -> Option<usize> {
-        while cur != until && cur != NIL {
-            let idx = (cur - 1) as usize;
-            let (chunk, off) = self.locate(idx);
-            if chunk.keys[off].load(Ordering::Relaxed) == key && self.group_eq(chunk, off, group) {
-                return Some(idx);
-            }
-            cur = chunk.next[off].load(Ordering::Relaxed);
-        }
-        None
-    }
-
-    /// Queue `idx` for the next [`Self::take_improved`] drain. Idempotent:
-    /// the `NOT_DIRTY → queued` claim admits each node at most once.
-    fn mark_dirty(&self, idx: usize) {
-        let (chunk, off) = self.locate(idx);
-        if chunk.dirty[off]
-            .compare_exchange(NOT_DIRTY, 0, Ordering::AcqRel, Ordering::Relaxed)
+    /// Queue `slot` for the next [`Self::take_improved`] drain. Idempotent:
+    /// the `NOT_DIRTY → queued` claim admits each group at most once.
+    fn mark_dirty(&self, slot: u32) {
+        let link = self.dirty.get(slot);
+        if link
+            .compare_exchange(NOT_DIRTY, DIRTY_END, Ordering::AcqRel, Ordering::Relaxed)
             .is_err()
         {
             return; // already queued
         }
-        let node = (idx + 1) as u32;
         let mut head = self.dirty_head.load(Ordering::Acquire);
         loop {
-            chunk.dirty[off].store(head, Ordering::Relaxed);
+            link.store(head, Ordering::Relaxed);
             match self.dirty_head.compare_exchange_weak(
                 head,
-                node,
+                slot + 1,
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
@@ -479,11 +405,10 @@ impl ConcurrentMonoMap {
         }
     }
 
-    /// CAS-on-best: install `v` iff it strictly improves node `idx`.
+    /// CAS-on-best: install `v` iff it strictly improves group `slot`.
     /// Returns `true` when this call improved the group.
-    fn cas_best(&self, idx: usize, v: Value) -> bool {
-        let (chunk, off) = self.locate(idx);
-        let cell = &chunk.best[off];
+    fn cas_best(&self, slot: u32, v: Value) -> bool {
+        let cell = self.best.get(slot);
         let mut cur = cell.load(Ordering::Relaxed);
         loop {
             let better = match self.func {
@@ -496,7 +421,7 @@ impl ConcurrentMonoMap {
             }
             match cell.compare_exchange_weak(cur, v, Ordering::Relaxed, Ordering::Relaxed) {
                 Ok(_) => {
-                    self.mark_dirty(idx);
+                    self.mark_dirty(slot);
                     return true;
                 }
                 Err(actual) => cur = actual,
@@ -510,42 +435,16 @@ impl ConcurrentMonoMap {
     /// [`Self::take_improved`] regardless of which caller wins a race.
     pub fn absorb(&self, group: &[Value], v: Value) -> bool {
         debug_assert_eq!(group.len(), self.group_arity);
-        let key = hash_row(group);
-        let bucket = &self.heads[bucket_of(key, self.mask)];
-        let mut head = bucket.load(Ordering::Acquire);
-        if let Some(existing) = self.find_in_chain(head, NIL, key, group) {
-            return self.cas_best(existing, v);
-        }
-        // Reserve a slot and fill it privately (Relaxed: unpublished).
-        let idx = self.alloc.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            idx < u32::MAX as usize - 1,
-            "ConcurrentMonoMap supports < 2^32-1 groups"
-        );
-        let (chunk, off) = self.locate(idx);
-        chunk.keys[off].store(key, Ordering::Relaxed);
-        chunk.best[off].store(v, Ordering::Relaxed);
-        let at = off * self.group_arity;
-        for (c, &g) in group.iter().enumerate() {
-            chunk.groups[at + c].store(g, Ordering::Relaxed);
-        }
-        let node = (idx + 1) as u32;
-        loop {
-            chunk.next[off].store(head, Ordering::Relaxed);
-            match bucket.compare_exchange_weak(head, node, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => {
-                    self.live.fetch_add(1, Ordering::Relaxed);
-                    self.mark_dirty(idx);
-                    return true;
-                }
-                Err(actual) => {
-                    // Lost a race: scan only the newly published prefix for
-                    // an equal group; our reserved slot leaks if one won.
-                    if let Some(existing) = self.find_in_chain(actual, head, key, group) {
-                        return self.cas_best(existing, v);
-                    }
-                    head = actual;
-                }
+        let created = |slot| self.best.get(slot).store(v, Ordering::Relaxed);
+        match self
+            .groups
+            .insert_or_find_slot(hash_row(group), group, created)
+        {
+            Slot::Found(slot) => self.cas_best(slot, v),
+            Slot::Inserted(slot) => {
+                self.live.fetch_add(1, Ordering::Relaxed);
+                self.mark_dirty(slot);
+                true
             }
         }
     }
@@ -560,99 +459,45 @@ impl ConcurrentMonoMap {
 
     /// Current best value of a group.
     pub fn get(&self, group: &[Value]) -> Option<Value> {
-        let key = hash_row(group);
-        let head = self.heads[bucket_of(key, self.mask)].load(Ordering::Acquire);
-        self.find_in_chain(head, NIL, key, group).map(|idx| {
-            let (chunk, off) = self.locate(idx);
-            chunk.best[off].load(Ordering::Relaxed)
-        })
+        self.groups
+            .find_row(hash_row(group), group)
+            .map(|slot| self.best.get(slot).load(Ordering::Relaxed))
     }
 
-    /// Drain the dirty list: the groups created or strictly improved since
+    /// Drain the dirty stack: the groups created or strictly improved since
     /// the previous drain, each with its current (final) best value —
     /// exactly ∆R of the iteration, flattened row-major as
     /// `[group ‖ value]` rows. Requires quiescence (`&mut`): call between
     /// parallel absorb phases.
     pub fn take_improved(&mut self) -> Vec<Value> {
-        let width = self.group_arity + 1;
         let mut out = Vec::new();
-        let mut cur = self.dirty_head.swap(0, Ordering::Relaxed);
-        while cur != 0 {
-            let idx = (cur - 1) as usize;
-            let (chunk, off) = self.locate(idx);
-            let at = off * self.group_arity;
-            out.reserve(width);
-            for c in 0..self.group_arity {
-                out.push(chunk.groups[at + c].load(Ordering::Relaxed));
-            }
-            out.push(chunk.best[off].load(Ordering::Relaxed));
-            cur = chunk.dirty[off].swap(NOT_DIRTY, Ordering::Relaxed);
+        let mut cur = self.dirty_head.swap(DIRTY_END, Ordering::Relaxed);
+        while cur != DIRTY_END {
+            let slot = cur - 1;
+            out.extend((0..self.group_arity).map(|c| self.groups.value(slot, c)));
+            out.push(self.best.get(slot).load(Ordering::Relaxed));
+            cur = self.dirty.get(slot).swap(NOT_DIRTY, Ordering::Relaxed);
         }
         out
     }
 
-    /// Regrow the bucket array to track the group count (no-op while the
-    /// load factor is ≤ 1). Quiescent-only, like [`Self::take_improved`]:
-    /// relinking swaps no values and moves no node.
-    pub fn maybe_rehash(&mut self) {
-        let live = self.live.load(Ordering::Relaxed);
-        if live <= self.heads.len() {
-            return;
-        }
-        let n_buckets = crate::util::next_pow2_at_least(live.saturating_mul(2), 4096);
-        let old_heads = std::mem::replace(&mut self.heads, {
-            let mut heads = Vec::with_capacity(n_buckets);
-            heads.resize_with(n_buckets, || AtomicU32::new(NIL));
-            heads
-        });
-        self.mask = n_buckets - 1;
-        for head in &old_heads {
-            let mut cur = head.load(Ordering::Relaxed);
-            while cur != NIL {
-                let idx = (cur - 1) as usize;
-                let (chunk, off) = self.locate(idx);
-                let next = chunk.next[off].load(Ordering::Relaxed);
-                let key = chunk.keys[off].load(Ordering::Relaxed);
-                let bucket = &self.heads[bucket_of(key, self.mask)];
-                chunk.next[off].store(bucket.load(Ordering::Relaxed), Ordering::Relaxed);
-                bucket.store(cur, Ordering::Relaxed);
-                cur = next;
-            }
-        }
-    }
-
-    /// Materialize as `[group columns ‖ value]` (live nodes only — slots
+    /// Materialize as `[group columns ‖ value]` (live groups only — slots
     /// lost to insert races are unreachable and skipped).
     pub fn to_columns(&self, group_arity: usize) -> Vec<Vec<Value>> {
         debug_assert_eq!(group_arity, self.group_arity);
-        let n = self.len();
-        let mut cols = vec![Vec::with_capacity(n); group_arity + 1];
-        for head in &self.heads {
-            let mut cur = head.load(Ordering::Acquire);
-            while cur != NIL {
-                let idx = (cur - 1) as usize;
-                let (chunk, off) = self.locate(idx);
-                let at = off * self.group_arity;
-                for (c, col) in cols.iter_mut().enumerate().take(group_arity) {
-                    col.push(chunk.groups[at + c].load(Ordering::Relaxed));
-                }
-                cols[group_arity].push(chunk.best[off].load(Ordering::Relaxed));
-                cur = chunk.next[off].load(Ordering::Relaxed);
+        let mut cols = vec![Vec::with_capacity(self.len()); group_arity + 1];
+        self.groups.for_each_slot(|slot| {
+            for (c, col) in cols.iter_mut().enumerate().take(group_arity) {
+                col.push(self.groups.value(slot, c));
             }
-        }
+            cols[group_arity].push(self.best.get(slot).load(Ordering::Relaxed));
+        });
         cols
     }
 
     /// Approximate heap footprint in bytes (allocated chunks only).
     pub fn heap_bytes(&self) -> usize {
-        let per_node = 4 + 8 + 8 + 4 + self.group_arity * 8;
-        let mut bytes = self.heads.capacity() * 4;
-        for (k, chunk) in self.chunks.iter().enumerate() {
-            if chunk.get().is_some() {
-                bytes += (self.base << k) * per_node;
-            }
-        }
-        bytes
+        self.groups.heap_bytes() + self.best.heap_bytes() + self.dirty.heap_bytes()
     }
 }
 
@@ -1022,7 +867,7 @@ mod tests {
     #[test]
     fn concurrent_mono_to_columns_matches_sequential() {
         let mut seq = MonotonicAgg::new(AggFunc::Max).unwrap();
-        let mut conc = ConcurrentMonoMap::new(AggFunc::Max, 2, 4).unwrap();
+        let conc = ConcurrentMonoMap::new(AggFunc::Max, 2, 4).unwrap();
         for i in 0..500i64 {
             let group = [i % 17, i % 5];
             seq.absorb(&group, i * 3 % 101);
@@ -1038,8 +883,6 @@ mod tests {
         };
         assert_eq!(rows(&seq.to_columns(2)), rows(&conc.to_columns(2)));
         assert!(conc.heap_bytes() > 0);
-        conc.maybe_rehash();
-        assert_eq!(rows(&seq.to_columns(2)), rows(&conc.to_columns(2)));
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //! * [`sink`] — the fused streaming delta pipeline: a [`sink::DeltaSink`]
 //!   probed at the operators' emit sites fuses dedup + set difference into
 //!   the join itself, so the UNION-ALL intermediate `Rt` never materializes
-//!   (duplicates are dropped at the probe site, backed by the grow-capable
-//!   [`chain::GrowChainTable`]);
+//!   (duplicates are dropped at the probe site, backed by
+//!   [`chain::GrowChainTable`], whose nodes and bucket directory both grow
+//!   in flight);
 //! * [`setdiff`] — one-phase (OPSD) and two-phase (TPSD) set difference and
 //!   the dynamic choice (DSD) driven by the Appendix A cost model;
 //! * [`agg`] — hash group-by aggregation (MIN/MAX/SUM/COUNT/AVG) and the

@@ -16,9 +16,10 @@
 //!    of the IDB — UNION ALL dedups at source).
 //!
 //! Only CAS winners — exactly `∆R` — are buffered; duplicates are never
-//! pushed into a column buffer, never merged, never re-scanned. The
-//! scratch table is grow-capable because join output cardinality is
-//! unknown up front (see [`GrowChainTable`]).
+//! pushed into a column buffer, never merged, never re-scanned. Join
+//! output cardinality is unknown up front, so the scratch table grows —
+//! nodes and bucket directory both — while the offers are in flight (see
+//! [`GrowChainTable`]).
 //!
 //! ## Compact-key escapes
 //!
@@ -84,9 +85,11 @@ pub struct DeltaSink<'a> {
 
 impl<'a> DeltaSink<'a> {
     /// Sink probing `index` (whole-tuple keys over `base`, which must be
-    /// the relation the index covers). `fresh_hint` pre-sizes the scratch
-    /// table — an estimate of `|∆R|`, not a cap.
-    pub fn new(index: &'a PersistentIndex, base: RelView<'a>, fresh_hint: usize) -> Self {
+    /// the relation the index covers). `capacity` is the scratch table's
+    /// initial capacity in rows — an allocation hint, not a cap and not a
+    /// tuning knob: the table grows in flight and its chain length does
+    /// not depend on it, so callers with no estimate of `|∆R|` pass 0.
+    pub fn new(index: &'a PersistentIndex, base: RelView<'a>, capacity: usize) -> Self {
         assert_eq!(
             index.rows(),
             base.len(),
@@ -106,14 +109,13 @@ impl<'a> DeltaSink<'a> {
             index.mode().clone()
         };
         let exact = mode.exact();
-        let hint = fresh_hint.max(64);
         DeltaSink {
             index,
             base,
             mode,
             exact,
             arity,
-            scratch: GrowChainTable::new(arity, hint, hint.saturating_mul(2)),
+            scratch: GrowChainTable::new(arity, capacity, capacity.saturating_mul(2)),
             overflow: Mutex::new(Vec::new()),
             considered: AtomicUsize::new(0),
             sampler: None,
@@ -169,9 +171,16 @@ impl<'a> DeltaSink<'a> {
         self.considered.load(Ordering::Relaxed)
     }
 
-    /// Approximate scratch-table heap footprint.
+    /// Approximate scratch-table heap footprint: node chunks plus the
+    /// bucket directory (sentinels included).
     pub fn scratch_bytes(&self) -> usize {
         self.scratch.heap_bytes()
+    }
+
+    /// Times the scratch table's bucket directory doubled during this
+    /// pass — how far `|∆R|` outran the initial capacity.
+    pub fn table_doublings(&self) -> usize {
+        self.scratch.doublings()
     }
 
     /// Drain the compact-key escapes (row-major). May contain duplicates
@@ -355,7 +364,9 @@ mod tests {
         sink.note_considered(4);
         assert_eq!(sink.considered(), 4);
         assert!(sink.take_overflow().is_empty());
-        assert!(sink.scratch_bytes() > 0);
+        // Node chunk 0 (64 rows of 2 values) plus the 64-entry directory.
+        assert!(sink.scratch_bytes() >= 64 * (4 + 8 + 16) + 64 * 4);
+        assert_eq!(sink.table_doublings(), 0);
     }
 
     #[test]

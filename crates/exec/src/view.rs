@@ -19,7 +19,7 @@
 use recstep_common::hash::mix64;
 use recstep_common::Value;
 
-use crate::chain::GrowChainTable;
+use crate::chain::{GrowChainTable, Slot};
 
 /// Whole-row hash key for the backing chain table.
 #[inline]
@@ -39,13 +39,14 @@ pub struct SupportTable {
 }
 
 impl SupportTable {
-    /// Table for derived tuples of `arity` columns, pre-sized for
-    /// `hint` distinct tuples.
-    pub fn new(arity: usize, hint: usize) -> Self {
-        let hint = hint.max(64);
+    /// Table for derived tuples of `arity` columns with room for
+    /// `capacity` distinct tuples before its first growth step. The
+    /// backing table grows in flight, so `capacity` is an allocation hint
+    /// only — it does not affect lookup cost.
+    pub fn new(arity: usize, capacity: usize) -> Self {
         SupportTable {
-            rows: GrowChainTable::new(arity, hint, hint.saturating_mul(2)),
-            counts: Vec::with_capacity(hint),
+            rows: GrowChainTable::new(arity, capacity, capacity.saturating_mul(2)),
+            counts: Vec::with_capacity(capacity),
             distinct: 0,
         }
     }
@@ -62,19 +63,12 @@ impl SupportTable {
     /// count. Rows are created on first touch (even by a negative delta —
     /// the caller asserts non-negativity at settle time, not here).
     pub fn add(&mut self, row: &[Value], delta: i64) -> i64 {
-        let key = row_key(row);
-        let slot = match self.rows.find_row(key, row) {
-            Some(slot) => slot as usize,
-            None => {
-                let slot = self
-                    .rows
-                    .insert_unique_row_slot(key, row)
-                    .expect("sequential writer: absent row inserts cleanly")
-                    as usize;
-                if slot >= self.counts.len() {
-                    self.counts.resize(slot + 1, 0);
-                }
-                slot
+        let slot = match self.rows.insert_or_find_slot(row_key(row), row, |_| {}) {
+            Slot::Found(slot) => slot as usize,
+            Slot::Inserted(slot) => {
+                // Sequential writer: slot ids are dense insertion indexes.
+                self.counts.resize(slot as usize + 1, 0);
+                slot as usize
             }
         };
         let before = self.counts[slot];

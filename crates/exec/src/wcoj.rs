@@ -155,8 +155,11 @@ impl<'a> ScanTrie<'a> {
                 masks,
                 mins,
             } => {
+                // `min + off` is a value the layout was built from, so the
+                // sum is exact modulo 2^64 even when `off` exceeds
+                // `i64::MAX` — no need to widen on every search step.
                 let off = (keys[pos] >> shifts[depth]) & masks[depth];
-                ((mins[depth] as i128) + off as i128) as Value
+                mins[depth].wrapping_add(off as Value)
             }
             TrieOrd::Raw => self.view.get(self.rows[pos] as usize, self.cols[depth]),
         }
@@ -557,6 +560,22 @@ mod tests {
         assert_eq!(t.equal_range(ones.clone(), 1, 2), 1..3);
         assert!(t.equal_range(ones, 1, 7).is_empty());
         assert!(t.equal_range(0..t.len(), 0, 0).is_empty());
+    }
+
+    #[test]
+    fn packed_values_are_exact_when_offsets_pass_i64_max() {
+        // One full-range column packs into exactly 64 bits; offsets from
+        // the minimum then exceed i64::MAX and must still decode exactly.
+        let vals = [Value::MAX, -1, Value::MIN, 0, Value::MAX - 1];
+        let rows: Vec<Vec<Value>> = vals.iter().map(|&v| vec![v]).collect();
+        let rel = Relation::from_rows(Schema::with_arity("u", 1), &rows);
+        let t = ScanTrie::build(rel.view(), &[0]);
+        assert!(matches!(t.ord, TrieOrd::Packed { .. }));
+        let mut expect = vals.to_vec();
+        expect.sort_unstable();
+        let got: Vec<Value> = (0..t.len()).map(|p| t.value_at(p, 0)).collect();
+        assert_eq!(got, expect);
+        assert_eq!(t.equal_range(0..t.len(), 0, Value::MAX), 4..5);
     }
 
     #[test]

@@ -15,6 +15,15 @@ use std::collections::{BTreeMap, BTreeSet};
 
 type Pair = (i64, i64);
 
+/// `items` in a seed-determined order (Fisher–Yates over splitmix draws).
+fn shuffled(mut items: Vec<usize>, seed: u64) -> Vec<usize> {
+    for i in (1..items.len()).rev() {
+        let j = recstep_common::hash::mix64(seed ^ i as u64) as usize % (i + 1);
+        items.swap(i, j);
+    }
+    items
+}
+
 fn rel_of(pairs: &[Pair]) -> Relation {
     let mut r = Relation::new(Schema::with_arity("t", 2));
     for &(a, b) in pairs {
@@ -231,99 +240,150 @@ proptest! {
 
     #[test]
     fn grow_chain_concurrent_inserts_match_sequential_membership(
-        rows in proptest::collection::vec((0i64..24, 0i64..24), 0..400),
+        distinct in 4200usize..6000,
+        copies in 2usize..5,
+        seed in 0u64..u64::MAX,
     ) {
-        // The fused pipeline's scratch table: concurrent reserve + insert
-        // (fetch_add slot allocator, chunked storage, duplicate races)
-        // must yield exactly the membership of a sequential
-        // build-from-scratch, with one winner per distinct row.
+        // The fused pipeline's scratch table, driven well past its initial
+        // capacity: 8 workers race duplicate-heavy inserts while the node
+        // chunks grow and the 64-bucket directory doubles at least six
+        // times under them. The outcome must be exactly that of a
+        // sequential build: one winner per distinct row, the same
+        // membership, and — sequentially — dense slot ids.
         use recstep_common::hash::hash_row;
         use recstep_common::sched::ThreadPool;
-        use recstep_exec::chain::GrowChainTable;
+        use recstep_exec::chain::{GrowChainTable, Slot};
         use std::sync::atomic::{AtomicUsize, Ordering};
 
-        // Tiny hints force chunk growth and long chains under contention.
+        let row_of = |d: usize| [d as i64 % 97, d as i64];
+        let offers = shuffled((0..distinct * copies).map(|i| i % distinct).collect(), seed);
+
         let concurrent = GrowChainTable::new(2, 4, 16);
         let winners = AtomicUsize::new(0);
-        let pool = ThreadPool::new(4);
-        pool.parallel_for(rows.len(), 7, |range, _| {
+        let pool = ThreadPool::new(8);
+        pool.parallel_for(offers.len(), 16, |range, _| {
             for i in range {
-                let row = [rows[i].0, rows[i].1];
+                let row = row_of(offers[i]);
                 if concurrent.insert_unique_row(hash_row(&row), &row) {
                     winners.fetch_add(1, Ordering::Relaxed);
                 }
             }
         });
+        prop_assert_eq!(winners.load(Ordering::Relaxed), distinct);
+        prop_assert!(concurrent.doublings() >= 6, "{} doublings", concurrent.doublings());
+        prop_assert!(concurrent.buckets() >= concurrent.slots_reserved() / 2);
 
+        // Sequential model: first offers take the next dense slot, repeat
+        // offers find the slot the first one got.
         let sequential = GrowChainTable::new(2, 4, 16);
-        for &(a, b) in &rows {
-            let _ = sequential.insert_unique_row(hash_row(&[a, b]), &[a, b]);
-        }
-        let distinct: BTreeSet<Pair> = rows.iter().copied().collect();
-        prop_assert_eq!(winners.load(Ordering::Relaxed), distinct.len());
-        for a in 0..24i64 {
-            for b in 0..24i64 {
-                let row = [a, b];
-                let key = hash_row(&row);
-                prop_assert_eq!(
-                    concurrent.contains_row(key, &row),
-                    sequential.contains_row(key, &row),
-                    "membership diverges at ({}, {})", a, b
-                );
+        let mut slot_of = vec![None; distinct];
+        let mut next_slot = 0u32;
+        for &d in &offers {
+            let row = row_of(d);
+            let got = sequential.insert_or_find_slot(hash_row(&row), &row, |_| {});
+            match slot_of[d] {
+                None => {
+                    prop_assert_eq!(got, Slot::Inserted(next_slot));
+                    slot_of[d] = Some(next_slot);
+                    next_slot += 1;
+                }
+                Some(slot) => prop_assert_eq!(got, Slot::Found(slot)),
             }
         }
+        prop_assert_eq!(sequential.slots_reserved(), distinct);
+
+        // Same membership, and the two lookups agree with each other,
+        // over stored rows and over rows never offered.
+        for d in 0..distinct + 200 {
+            let row = row_of(d);
+            let key = hash_row(&row);
+            let found = concurrent.find_row(key, &row);
+            prop_assert_eq!(found.is_some(), d < distinct, "row {}", d);
+            prop_assert_eq!(concurrent.contains_row(key, &row), found.is_some());
+            prop_assert_eq!(sequential.find_row(key, &row), slot_of.get(d).copied().flatten());
+            if let Some(slot) = found {
+                prop_assert_eq!(concurrent.value(slot, 1), d as i64);
+            }
+        }
+        let mut reachable = 0usize;
+        concurrent.for_each_slot(|_| reachable += 1);
+        prop_assert_eq!(reachable, distinct);
     }
 
     #[test]
     fn concurrent_mono_map_matches_sequential_monotonic_agg(
-        rows in proptest::collection::vec((0i64..16, -50i64..50), 1..400),
-        threads in 2usize..5,
+        groups in 4200usize..6000,
+        copies in 2usize..5,
+        seed in 0u64..u64::MAX,
     ) {
-        // The aggregation sink's concurrent map: CAS-on-best absorbs
-        // racing across OS threads (random interleavings via
-        // `thread::scope`, mirroring the GrowChainTable proptest above)
-        // must converge to exactly the map a sequential MonotonicAgg
-        // build produces — same groups, same best values — and the dirty
-        // list must report each group exactly once with its final value.
+        // The aggregation sink's concurrent map on the same growable
+        // table: 8 OS threads race CAS-on-best absorbs while the group
+        // table doubles at least six times. It must converge to exactly
+        // the map a sequential MonotonicAgg build produces — same groups,
+        // same MIN per group — and each drain of the dirty list must
+        // report exactly the groups created or improved since the last
+        // one, once each, with their final values.
+        use recstep_common::hash::mix64;
         use recstep_exec::agg::{ConcurrentMonoMap, MonotonicAgg};
         use recstep_exec::expr::AggFunc;
 
-        // Tiny hint forces chunk growth and long chains under contention.
-        let mut concurrent = ConcurrentMonoMap::new(AggFunc::Min, 1, 2).unwrap();
-        let shared = &concurrent;
-        std::thread::scope(|scope| {
-            for chunk in rows.chunks(rows.len().div_ceil(threads)) {
-                scope.spawn(move || {
-                    for &(g, v) in chunk {
-                        shared.absorb(&[g], v);
-                    }
-                });
-            }
-        });
+        let value_of = |i: usize| (mix64(seed ^ i as u64) % 1000) as i64;
+        // Round 1 creates `groups` groups; round 2 revisits most of them
+        // with fresh candidates (some improve, some do not) and creates
+        // 300 more.
+        let round1: Vec<(i64, i64)> =
+            shuffled((0..groups * copies).collect(), seed)
+                .into_iter()
+                .map(|i| ((i % groups) as i64, value_of(i)))
+                .collect();
+        let round2: Vec<(i64, i64)> =
+            shuffled((0..groups * 2).collect(), !seed)
+                .into_iter()
+                .map(|i| ((i % (groups + 300)) as i64 + 150, value_of(i + groups * copies)))
+                .collect();
 
+        let mut concurrent = ConcurrentMonoMap::new(AggFunc::Min, 1, 2).unwrap();
         let mut sequential = MonotonicAgg::new(AggFunc::Min).unwrap();
-        for &(g, v) in &rows {
-            sequential.absorb(&[g], v);
+        for round in [&round1, &round2] {
+            let shared = &concurrent;
+            std::thread::scope(|scope| {
+                for chunk in round.chunks(round.len().div_ceil(8)) {
+                    scope.spawn(move || {
+                        for &(g, v) in chunk {
+                            shared.absorb(&[g], v);
+                        }
+                    });
+                }
+            });
+            let mut changed = BTreeSet::new();
+            for &(g, v) in round {
+                if sequential.absorb(&[g], v) {
+                    changed.insert(g);
+                }
+            }
+            prop_assert_eq!(concurrent.len(), sequential.len());
+            let mut improved: Vec<(i64, i64)> = concurrent
+                .take_improved()
+                .chunks(2)
+                .map(|r| (r[0], r[1]))
+                .collect();
+            improved.sort_unstable();
+            let expect: Vec<(i64, i64)> = changed
+                .iter()
+                .map(|&g| (g, sequential.get(&[g]).unwrap()))
+                .collect();
+            prop_assert_eq!(improved, expect);
+            prop_assert!(concurrent.take_improved().is_empty());
         }
-        prop_assert_eq!(concurrent.len(), sequential.len());
-        for g in 0..16i64 {
+        prop_assert!(concurrent.table_doublings() >= 6);
+        for g in 0..(groups + 600) as i64 {
             prop_assert_eq!(
                 concurrent.get(&[g]),
                 sequential.get(&[g]),
                 "best value diverges for group {}", g
             );
         }
-        // ∆ = every group exactly once (all were new), final values only.
-        let mut improved: Vec<(i64, i64)> = concurrent
-            .take_improved()
-            .chunks(2)
-            .map(|r| (r[0], r[1]))
-            .collect();
-        improved.sort_unstable();
-        prop_assert_eq!(improved.len(), sequential.len());
-        for (g, v) in improved {
-            prop_assert_eq!(sequential.get(&[g]), Some(v));
-        }
-        prop_assert!(concurrent.take_improved().is_empty());
+        let cols = concurrent.to_columns(1);
+        prop_assert_eq!(cols[0].len(), sequential.len());
     }
 }

@@ -432,6 +432,10 @@ fn main() -> ExitCode {
                     stats_out.sink_stat_samples
                 );
                 println!(
+                    "sink tables: {} directory doublings",
+                    stats_out.sink_table_doublings
+                );
+                println!(
                     "worst-case optimal joins: {} runs, {} rows emitted",
                     stats_out.wcoj_runs, stats_out.wcoj_rows_emitted
                 );

@@ -227,6 +227,20 @@ mod tests {
     use super::*;
     use crate::relation::Schema;
 
+    /// The `disk::before_rename` failpoint is process-global, and the test
+    /// harness runs this module's tests on parallel threads: every test
+    /// that reaches `commit_all` holds this lock, so none of them can run
+    /// while another has the failpoint armed.
+    static COMMIT_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serialise_commits() -> std::sync::MutexGuard<'static, ()> {
+        // A poisoned lock means another commit test panicked, possibly
+        // with the failpoint armed: disarm it rather than fail them all.
+        let guard = COMMIT_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        recstep_common::fail::remove("disk::before_rename");
+        guard
+    }
+
     fn rel(n: usize) -> Relation {
         let mut r = Relation::new(Schema::new("t", &["a", "b"]));
         for i in 0..n {
@@ -256,6 +270,7 @@ mod tests {
 
     #[test]
     fn eost_pends_until_commit_all() {
+        let _serial = serialise_commits();
         let mut dm = DiskManager::new(CommitMode::Eost).unwrap();
         let r = rel(4);
         dm.note_dirty(&r).unwrap();
@@ -297,6 +312,7 @@ mod tests {
     #[test]
     fn aborted_commit_leaves_previous_file_intact() {
         use recstep_common::fail;
+        let _serial = serialise_commits();
         let mut dm = DiskManager::new(CommitMode::Eost).unwrap();
         let mut r = rel(3);
         dm.note_dirty(&r).unwrap();

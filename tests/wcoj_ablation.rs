@@ -107,6 +107,55 @@ fn triangle_wcoj_matches_binary_chain_across_graphs() {
 }
 
 #[test]
+fn triangle_output_far_past_the_sink_capacity_grows_the_table_in_flight() {
+    let _serial = serial();
+    // The sink cannot count triangles before it sees them, so its scratch
+    // table starts at its floor capacity (64 rows) and has to double
+    // under the walk. A complete digraph on 18 nodes closes
+    // 18 * 17 * 16 = 4896 triangles — over 75x that capacity.
+    let edges: Vec<(Value, Value)> = (0..18)
+        .flat_map(|a| (0..18).filter(move |&b| b != a).map(move |b| (a, b)))
+        .collect();
+    let (on, on_stats) = run(
+        recstep::programs::TRIANGLE,
+        "triangle",
+        &edges,
+        Config::default(),
+    );
+    assert_eq!(on.len(), 18 * 17 * 16);
+    assert!(on.len() >= 50 * 64);
+    assert!(on_stats.wcoj_runs > 0);
+    assert_eq!(on_stats.wcoj_rows_emitted, on.len());
+    assert!(
+        on_stats.sink_table_doublings >= 5,
+        "4896 fresh rows from 64 buckets at load factor 2: {} doublings",
+        on_stats.sink_table_doublings
+    );
+    let (binary, binary_stats) = run(
+        recstep::programs::TRIANGLE,
+        "triangle",
+        &edges,
+        Config::default().wcoj(false),
+    );
+    assert_eq!(on, binary, "diverges from --no-wcoj");
+    assert!(
+        binary_stats.sink_table_doublings > 0,
+        "same sink, same growth"
+    );
+    let (materialized, materialized_stats) = run(
+        recstep::programs::TRIANGLE,
+        "triangle",
+        &edges,
+        Config::default().fused_pipeline(false),
+    );
+    assert_eq!(on, materialized, "diverges from --no-fused-pipeline");
+    assert_eq!(
+        materialized_stats.sink_table_doublings, 0,
+        "the materializing path has no sink table"
+    );
+}
+
+#[test]
 fn residual_predicates_filter_wcoj_bindings() {
     let _serial = serial();
     let edges: Vec<(Value, Value)> = gnp(60, 0.08, 7)
