@@ -284,6 +284,31 @@ impl Transaction<'_> {
         Ok(())
     }
 
+    /// Stage column-major data for a relation: `cols` holds `arity`
+    /// equally long columns, moved in as they are (no row-major detour,
+    /// and no copy when nothing else is staged for the relation).
+    pub fn load_columns(&mut self, name: &str, arity: usize, cols: Vec<Vec<Value>>) -> Result<()> {
+        if cols.len() != arity {
+            return Err(Error::exec(format!(
+                "{} columns do not match declared arity {arity} for '{name}'",
+                cols.len()
+            )));
+        }
+        let rows = cols.first().map_or(0, Vec::len);
+        if cols.iter().any(|c| c.len() != rows) {
+            return Err(Error::exec(format!("ragged columns for '{name}'")));
+        }
+        let staged = self.staged_entry(name, arity)?;
+        for (dst, mut src) in staged.cols.iter_mut().zip(cols) {
+            if dst.is_empty() {
+                *dst = src;
+            } else {
+                dst.append(&mut src);
+            }
+        }
+        Ok(())
+    }
+
     /// Stage a binary edge relation.
     pub fn load_edges(&mut self, name: &str, edges: &[(Value, Value)]) -> Result<()> {
         let staged = self.staged_entry(name, 2)?;
@@ -439,6 +464,28 @@ mod tests {
         assert!(
             db.catalog.version(id) > v0,
             "writes must invalidate version-keyed caches"
+        );
+    }
+
+    #[test]
+    fn staged_columns_move_in_and_append_after_rows() {
+        let mut db = Database::new().unwrap();
+        let mut tx = db.transaction();
+        tx.load_columns("arc", 2, vec![vec![1, 2], vec![10, 20]])
+            .unwrap();
+        tx.load_rows("arc", 2, [vec![3, 30]].iter().map(Vec::as_slice))
+            .unwrap();
+        tx.load_columns("arc", 2, vec![vec![4], vec![40]]).unwrap();
+        // Wrong column count and ragged columns fail at staging.
+        assert!(tx.load_columns("arc", 2, vec![vec![5]]).is_err());
+        assert!(tx
+            .load_columns("arc", 2, vec![vec![5, 6], vec![50]])
+            .is_err());
+        tx.commit().unwrap();
+        let arc = db.relation("arc").unwrap();
+        assert_eq!(
+            arc.as_pairs().unwrap(),
+            vec![(1, 10), (2, 20), (3, 30), (4, 40)]
         );
     }
 

@@ -49,7 +49,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use recstep_common::hash::{FxHashMap, FxHashSet};
-use recstep_common::lang::Expr;
+use recstep_common::lang::{AggFunc, Expr};
 use recstep_common::sched::CancelToken;
 use recstep_common::{Error, Result, Value};
 use recstep_datalog::plan::{
@@ -64,7 +64,7 @@ use recstep_exec::join::{
     anti_join_prebuilt_sink, anti_join_sink, cross_join_sink, hash_join_prebuilt_sink,
     hash_join_sink, project_filter, project_filter_sink, JoinSpec,
 };
-use recstep_exec::key::{bounds_of, KeyMode};
+use recstep_exec::key::{bounds_of, KeyLayout, KeyMode};
 use recstep_exec::setdiff::{set_difference, DsdState};
 use recstep_exec::sink::{AggSink, AggTarget, DeltaSink, SinkMode, SinkSampler};
 use recstep_exec::view::SupportTable;
@@ -847,11 +847,12 @@ impl EvalRun<'_, '_> {
                     // Seed from facts already in R (earlier strata).
                     let mut group = Vec::with_capacity(shape.group_positions.len());
                     let mono = if self.fused_agg_applies() {
-                        let mut conc = ConcurrentMonoMap::new(
-                            shape.funcs[0],
-                            shape.group_positions.len(),
-                            rel.len(),
-                        )?;
+                        let (func, g) = (shape.funcs[0], shape.group_positions.len());
+                        let mut conc =
+                            match self.agg_window(stratum, idb, &shape.group_positions, rel) {
+                                Some(layout) => ConcurrentMonoMap::with_window(func, g, layout)?,
+                                None => ConcurrentMonoMap::new(func, g, rel.len())?,
+                            };
                         for r in 0..rel.len() {
                             group.clear();
                             group.extend(shape.group_positions.iter().map(|&p| rel.col(p)[r]));
@@ -1060,6 +1061,53 @@ impl EvalRun<'_, '_> {
         self.cfg.fused_agg && self.cfg.uie && self.cfg.eost
     }
 
+    /// Direct-addressed window for the group key of aggregated IDB `idb`
+    /// stored in `rel` (see [`ConcurrentMonoMap::with_window`]): the union
+    /// of the cached min/max bounds of every subquery's group-column
+    /// sources — scan columns of the flattened `[scan0 ‖ scan1 ‖ …]`
+    /// layout, skipping IDBs derived in this stratum, whose bounds are
+    /// still moving — and of the rows already in R. Keys from skipped or
+    /// computed sources that land outside it escape to the hashed table,
+    /// so the window decides speed, never results.
+    fn agg_window(
+        &self,
+        stratum: &CompiledStratum,
+        idb: &CompiledIdb,
+        group_positions: &[usize],
+        rel: &Relation,
+    ) -> Option<KeyLayout> {
+        if group_positions.is_empty() {
+            return None;
+        }
+        let mut bounds: Vec<Option<(Value, Value)>> =
+            group_positions.iter().map(|&p| rel.col_bounds(p)).collect();
+        let mut expected_groups = rel.len();
+        for sq in &idb.subqueries {
+            for (b, expr) in bounds.iter_mut().zip(&sq.head_exprs) {
+                let source = match *expr {
+                    Expr::Const(k) => Some((k, k)),
+                    Expr::Col(c) => {
+                        let (scan, col) = scan_of_column(sq, c);
+                        let spec = &sq.scans[scan];
+                        let frozen = spec.version == AtomVersion::Base
+                            && stratum.idbs.iter().all(|i| i.rel != spec.rel);
+                        let id = self.catalog.lookup(&spec.rel).filter(|_| frozen);
+                        id.map(|id| self.catalog.rel(id)).and_then(|src| {
+                            expected_groups += src.len();
+                            src.col_bounds(col)
+                        })
+                    }
+                    _ => None,
+                };
+                if let Some((lo, hi)) = source {
+                    *b = Some(b.map_or((lo, hi), |(a, z)| (a.min(lo), z.max(hi))));
+                }
+            }
+        }
+        let bounds: Vec<(Value, Value)> = bounds.into_iter().collect::<Option<_>>()?;
+        ConcurrentMonoMap::window_for(&bounds, expected_groups)
+    }
+
     /// Run the OOF-FA statistics pass from a sink's reservoir sample
     /// instead of a materialized `Rt` (no-op without a sampler).
     fn note_sink_stats(
@@ -1128,6 +1176,7 @@ impl EvalRun<'_, '_> {
                 // only — the per-phase breakdown stays disjoint.
                 stats.phase.pipeline += t_pipe.elapsed();
                 stats.sink_table_doublings += map.table_doublings() - doublings_before;
+                stats.agg_dense_sinks += usize::from(map.has_window());
                 self.note_sink_stats(sink.sampler(), rel_id, stats);
                 (out, sink.considered())
             };
@@ -1164,7 +1213,9 @@ impl EvalRun<'_, '_> {
             return Ok(DeltaBuf::Owned(delta));
         }
 
-        // --- Non-recursive group-by head: sharded partials at the sink. ---
+        // --- Non-recursive group-by head: a single MIN/MAX folds into the
+        // CAS-on-best map (windowed when its keys pack compactly), any
+        // other aggregate list into sharded partials at the sink. ---
         let Some(AggKind::Plain {
             group_positions,
             agg_positions,
@@ -1174,9 +1225,25 @@ impl EvalRun<'_, '_> {
             unreachable!("caller dispatches only aggregated IDBs")
         };
         let (group_positions, agg_positions) = (group_positions.clone(), agg_positions.clone());
-        let gsink = GroupSink::new(funcs.clone(), group_positions.len());
+        let g = group_positions.len();
+        let mono = match funcs[..] {
+            [func @ (AggFunc::Min | AggFunc::Max)] if g > 0 => Some(
+                match self.agg_window(stratum, idb, &group_positions, self.catalog.rel(rel_id)) {
+                    Some(layout) => ConcurrentMonoMap::with_window(func, g, layout)?,
+                    None => ConcurrentMonoMap::new(func, g, 0)?,
+                },
+            ),
+            _ => None,
+        };
+        let gsink = GroupSink::new(funcs.clone(), g);
+        let target = match &mono {
+            Some(map) => AggTarget::Mono(map),
+            None => AggTarget::Group(&gsink),
+        };
+        stats.agg_dense_sinks +=
+            usize::from(mono.as_ref().is_some_and(ConcurrentMonoMap::has_window));
         let (out, considered) = {
-            let sink = AggSink::new(AggTarget::Group(&gsink), sampler);
+            let sink = AggSink::new(target, sampler);
             let out = eval_idb(
                 self.ctx,
                 self.cfg,
@@ -1203,10 +1270,12 @@ impl EvalRun<'_, '_> {
         if self.cfg.oof == OofMode::None {
             freeze_choices(&self.catalog, stratum, idb, states, idx);
         }
-        // --- Flush: merge the shard partials straight into head layout. ---
+        // --- Flush: the groups straight into head layout. ---
         let t_agg = Instant::now();
-        let g = group_positions.len();
-        let mut grouped = gsink.into_columns();
+        let mut grouped = match mono {
+            Some(map) => map.to_columns(g),
+            None => gsink.into_columns(),
+        };
         let rows = grouped.first().map_or(0, Vec::len);
         let mut cols = vec![Vec::new(); idb.arity];
         for (gi, &pos) in group_positions.iter().enumerate() {
@@ -2648,6 +2717,18 @@ fn freeze_choices(
             }
         }
     }
+}
+
+/// The scan of `sq` holding column `c` of the flattened layout, and the
+/// column's position within that scan.
+fn scan_of_column(sq: &SubQuery, mut c: usize) -> (usize, usize) {
+    for (i, scan) in sq.scans.iter().enumerate() {
+        if c < scan.arity {
+            return (i, c);
+        }
+        c -= scan.arity;
+    }
+    unreachable!("flattened column beyond the subquery's width")
 }
 
 fn scan_rows(

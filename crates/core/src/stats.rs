@@ -178,6 +178,10 @@ pub struct EvalStats {
     /// whose produced rows were folded into concurrent aggregate state at
     /// the probe site instead of materializing a pre-aggregation `Rt`.
     pub agg_sink_runs: usize,
+    /// Those aggregation passes whose `MIN`/`MAX` map had a
+    /// direct-addressed window over compact group keys (keys outside it
+    /// still escape to the hashed table in the same pass).
+    pub agg_dense_sinks: usize,
     /// Candidate rows the aggregation sink folded at source (rows the
     /// materializing path would have buffered into `Rt`, merged, and
     /// re-scanned by the group-by pass).
@@ -274,6 +278,7 @@ impl EvalStats {
         self.wcoj_runs += other.wcoj_runs;
         self.wcoj_rows_emitted += other.wcoj_rows_emitted;
         self.agg_sink_runs += other.agg_sink_runs;
+        self.agg_dense_sinks += other.agg_dense_sinks;
         self.agg_rows_folded_at_source += other.agg_rows_folded_at_source;
         self.agg_groups_improved += other.agg_groups_improved;
         self.sink_stat_samples += other.sink_stat_samples;
@@ -351,6 +356,7 @@ mod tests {
             iterations: 3,
             peak_bytes: 100,
             sink_table_doublings: 2,
+            agg_dense_sinks: 1,
             total: Duration::from_secs(1),
             ..Default::default()
         };
@@ -371,6 +377,7 @@ mod tests {
         acc.merge(&other);
         assert_eq!(acc.iterations, 7);
         assert_eq!(acc.sink_table_doublings, 7);
+        assert_eq!(acc.agg_dense_sinks, 1);
         assert_eq!(acc.total, Duration::from_secs(3));
         assert_eq!(acc.peak_bytes, 100, "peaks take the max");
         assert_eq!(acc.index.cache_hits, 3);

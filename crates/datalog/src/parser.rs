@@ -22,7 +22,7 @@
 //! a head term position parses as aggregation.
 
 use recstep_common::lang::{AggFunc, CmpOp};
-use recstep_common::{Error, Result, Value};
+use recstep_common::{Error, Result};
 
 use crate::ast::{AExpr, Atom, BodyTerm, HeadTerm, Literal, Program, Rule};
 use crate::lexer::{lex, Spanned, Tok};
@@ -305,20 +305,6 @@ impl Parser {
     }
 }
 
-/// Parse a single value row file format helper: whitespace-separated
-/// integers, one fact per line (used by examples to load EDBs).
-pub fn parse_fact_line(line: &str) -> Option<Vec<Value>> {
-    let trimmed = line.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with("//") {
-        return None;
-    }
-    trimmed
-        .split([' ', '\t', ','])
-        .filter(|s| !s.is_empty())
-        .map(|s| s.parse::<Value>().ok())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,14 +406,5 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn fact_line_parsing() {
-        assert_eq!(parse_fact_line("1 2\t3"), Some(vec![1, 2, 3]));
-        assert_eq!(parse_fact_line("4,5"), Some(vec![4, 5]));
-        assert_eq!(parse_fact_line("# comment"), None);
-        assert_eq!(parse_fact_line(""), None);
-        assert_eq!(parse_fact_line("x y"), None);
     }
 }

@@ -11,10 +11,13 @@
 //! Both shapes also exist as *sink-side* concurrent states for the fused
 //! streaming pipeline (group-at-source): [`ConcurrentMonoMap`] is a
 //! latch-free CAS-on-best map — a per-group payload on the growable
-//! [`GrowChainTable`] — whose dirty list yields the iteration's ∆
-//! directly, and [`GroupSink`] holds sharded group-by partials that
-//! operator workers fold rows into at the probe site, merged once at
-//! flush. With either, the pre-aggregation `Rt` is never materialized.
+//! [`GrowChainTable`], fronted by a direct-addressed window when the group
+//! keys pack compactly — whose dirty list yields the iteration's ∆
+//! directly (it also serves non-recursive single-`MIN`/`MAX` heads), and
+//! [`GroupSink`] holds sharded group-by partials for every other
+//! group-by, which operator workers fold rows into at the probe site,
+//! merged once at flush. With either, the pre-aggregation `Rt` is never
+//! materialized.
 //!
 //! ## Overflow
 //!
@@ -34,6 +37,7 @@ use recstep_storage::RelView;
 
 use crate::chain::{GrowChainTable, Slot, SlotChunks};
 use crate::expr::{AggFunc, Expr};
+use crate::key::KeyLayout;
 use crate::ExecCtx;
 
 /// Saturating narrowing from the `i128` accumulator domain back to the
@@ -284,11 +288,38 @@ impl MonotonicAgg {
     }
 }
 
-/// Dirty-stack link of a clean group (not queued for the next ∆) — the
-/// default of a fresh payload cell.
+/// Dirty-stack link of a clean group (existing, not queued for the next
+/// ∆) — the default of a fresh payload cell.
 const NOT_DIRTY: u32 = 0;
-/// Dirty-stack terminator (links to groups are `slot + 1`).
+/// Dirty-stack terminator (stack entries are `id + 1`).
 const DIRTY_END: u32 = u32::MAX;
+/// Link of a window cell no candidate has reached: its group does not
+/// exist. Never a stack entry (table slots stay below 2^30, window ids
+/// below `IN_WINDOW + 2^WINDOW_MAX_BITS`).
+const ABSENT: u32 = u32::MAX - 1;
+/// Dirty-stack id tag: the low bits name a window cell, not a table slot.
+const IN_WINDOW: u32 = 1 << 31;
+
+/// Widest direct-addressed window, in packed key bits (2^22 cells of 16
+/// bytes: 64 MiB).
+pub const WINDOW_MAX_BITS: u32 = 22;
+/// Windows up to this many bits are taken whatever the expected group
+/// count (a few pages).
+const WINDOW_FLOOR_BITS: u32 = 12;
+
+/// One direct-addressed group: its best value and its dirty-stack link
+/// ([`ABSENT`] until the group's first candidate arrives).
+struct WindowCell {
+    best: AtomicI64,
+    link: AtomicU32,
+}
+
+/// The direct-addressed part of a [`ConcurrentMonoMap`]: one cell per
+/// packed key of `layout`.
+struct Window {
+    layout: KeyLayout,
+    cells: Box<[WindowCell]>,
+}
 
 /// A concurrent monotonic-aggregate map: the sink-side twin of
 /// [`MonotonicAgg`] for the fused streaming pipeline (group-at-source).
@@ -313,6 +344,20 @@ const DIRTY_END: u32 = u32::MAX;
 ///   that stack at the quiescent end of an iteration — it *is* ∆R, with
 ///   each group's final (best) value, no pre-aggregation `Rt` ever
 ///   materialized.
+///
+/// ## The direct-addressed window
+///
+/// Built with [`ConcurrentMonoMap::with_window`], the map also owns a flat
+/// array of cells indexed by a compact key ([`KeyLayout::try_pack`], the
+/// §5 CCK) — the same `(best, link)` pair per group, found without a hash,
+/// a chain walk or a stored key. Keys the layout cannot pack *escape* to
+/// the table above, so the window is purely an access path: which keys it
+/// covers changes speed, never results. A cell's best starts at the
+/// function's identity and its link at "absent"; the candidate whose
+/// `absent → queued` CAS wins creates the group, so "absent" is never
+/// encoded as a value (`i64::MAX` is a legal `MIN`). Window cells and
+/// table slots share the one dirty stack (window ids carry a tag bit), so
+/// a drain stays O(∆) whatever the window's size.
 pub struct ConcurrentMonoMap {
     func: AggFunc,
     group_arity: usize,
@@ -321,7 +366,9 @@ pub struct ConcurrentMonoMap {
     best: SlotChunks<AtomicI64>,
     /// Dirty-stack link per group slot, or [`NOT_DIRTY`].
     dirty: SlotChunks<AtomicU32>,
-    /// Head of the dirty Treiber stack (`slot + 1`, [`DIRTY_END`] = empty).
+    /// Direct-addressed cells for keys the window's layout packs.
+    window: Option<Window>,
+    /// Head of the dirty Treiber stack (`id + 1`, [`DIRTY_END`] = empty).
     dirty_head: AtomicU32,
     /// Published (reachable) groups.
     live: AtomicUsize,
@@ -350,9 +397,59 @@ impl ConcurrentMonoMap {
             groups: GrowChainTable::new(group_arity, capacity, capacity.saturating_mul(2)),
             best: SlotChunks::new(capacity),
             dirty: SlotChunks::new(capacity),
+            window: None,
             dirty_head: AtomicU32::new(DIRTY_END),
             live: AtomicUsize::new(0),
         })
+    }
+
+    /// [`ConcurrentMonoMap::new`] plus a direct-addressed window over the
+    /// keys `layout` packs (one cell per packed value; see the type docs);
+    /// the escape table starts at its minimum size. Panics when the
+    /// layout's width differs from `group_arity` or it packs more than
+    /// [`WINDOW_MAX_BITS`] bits — [`ConcurrentMonoMap::window_for`] never
+    /// proposes such a layout.
+    pub fn with_window(
+        func: AggFunc,
+        group_arity: usize,
+        layout: KeyLayout,
+    ) -> recstep_common::Result<Self> {
+        let mut map = Self::new(func, group_arity, 0)?;
+        assert_eq!(layout.width(), group_arity, "window layout width");
+        assert!(layout.total_bits() <= WINDOW_MAX_BITS, "window too wide");
+        let identity = match func {
+            AggFunc::Min => Value::MAX,
+            _ => Value::MIN,
+        };
+        let cells = (0..1usize << layout.total_bits())
+            .map(|_| WindowCell {
+                best: AtomicI64::new(identity),
+                link: AtomicU32::new(ABSENT),
+            })
+            .collect();
+        map.window = Some(Window { layout, cells });
+        Ok(map)
+    }
+
+    /// The window layout worth building for group keys within `bounds`
+    /// (per key column) when about `expected_groups` groups will exist:
+    /// `None` when the packed key needs more than [`WINDOW_MAX_BITS`]
+    /// bits, or when the window would be sparse — more than twice the
+    /// expected groups, past a floor of `2^12` cells.
+    pub fn window_for(bounds: &[(Value, Value)], expected_groups: usize) -> Option<KeyLayout> {
+        let layout = KeyLayout::from_bounds(bounds)?;
+        let bits = layout.total_bits();
+        if bits > WINDOW_MAX_BITS {
+            return None;
+        }
+        let dense =
+            bits <= WINDOW_FLOOR_BITS || 1usize << bits <= expected_groups.saturating_mul(2);
+        dense.then_some(layout)
+    }
+
+    /// True when the map has a direct-addressed window.
+    pub fn has_window(&self) -> bool {
+        self.window.is_some()
     }
 
     /// Aggregate function in effect.
@@ -380,35 +477,37 @@ impl ConcurrentMonoMap {
         self.groups.doublings()
     }
 
-    /// Queue `slot` for the next [`Self::take_improved`] drain. Idempotent:
-    /// the `NOT_DIRTY → queued` claim admits each group at most once.
-    fn mark_dirty(&self, slot: u32) {
-        let link = self.dirty.get(slot);
+    /// Queue group `id` (a table slot, or a window cell tagged
+    /// [`IN_WINDOW`]) whose dirty-stack link is `link`, claiming it by a
+    /// `from → queued` CAS. Returns `false` — queueing nothing — when the
+    /// link is not `from` (already queued, or for a window cell absent),
+    /// so each group is queued at most once per drain.
+    fn queue(&self, id: u32, link: &AtomicU32, from: u32) -> bool {
         if link
-            .compare_exchange(NOT_DIRTY, DIRTY_END, Ordering::AcqRel, Ordering::Relaxed)
+            .compare_exchange(from, DIRTY_END, Ordering::AcqRel, Ordering::Relaxed)
             .is_err()
         {
-            return; // already queued
+            return false;
         }
         let mut head = self.dirty_head.load(Ordering::Acquire);
         loop {
             link.store(head, Ordering::Relaxed);
             match self.dirty_head.compare_exchange_weak(
                 head,
-                slot + 1,
+                id + 1,
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
-                Ok(_) => return,
+                Ok(_) => return true,
                 Err(actual) => head = actual,
             }
         }
     }
 
-    /// CAS-on-best: install `v` iff it strictly improves group `slot`.
-    /// Returns `true` when this call improved the group.
-    fn cas_best(&self, slot: u32, v: Value) -> bool {
-        let cell = self.best.get(slot);
+    /// CAS-on-best: install `v` iff it strictly improves `cell`. Returns
+    /// `true` when this call improved it.
+    #[inline]
+    fn cas_best(&self, cell: &AtomicI64, v: Value) -> bool {
         let mut cur = cell.load(Ordering::Relaxed);
         loop {
             let better = match self.func {
@@ -420,10 +519,7 @@ impl ConcurrentMonoMap {
                 return false;
             }
             match cell.compare_exchange_weak(cur, v, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => {
-                    self.mark_dirty(slot);
-                    return true;
-                }
+                Ok(_) => return true,
                 Err(actual) => cur = actual,
             }
         }
@@ -435,18 +531,50 @@ impl ConcurrentMonoMap {
     /// [`Self::take_improved`] regardless of which caller wins a race.
     pub fn absorb(&self, group: &[Value], v: Value) -> bool {
         debug_assert_eq!(group.len(), self.group_arity);
+        if let Some(w) = &self.window {
+            if let Some(key) = w.layout.try_pack(group) {
+                return self.absorb_cell(w, key as u32, v);
+            }
+        }
         let created = |slot| self.best.get(slot).store(v, Ordering::Relaxed);
         match self
             .groups
             .insert_or_find_slot(hash_row(group), group, created)
         {
-            Slot::Found(slot) => self.cas_best(slot, v),
+            Slot::Found(slot) => {
+                let improved = self.cas_best(self.best.get(slot), v);
+                if improved {
+                    self.queue(slot, self.dirty.get(slot), NOT_DIRTY);
+                }
+                improved
+            }
             Slot::Inserted(slot) => {
                 self.live.fetch_add(1, Ordering::Relaxed);
-                self.mark_dirty(slot);
+                self.queue(slot, self.dirty.get(slot), NOT_DIRTY);
                 true
             }
         }
+    }
+
+    /// [`Self::absorb`] into window cell `key`: fold `v` into the cell's
+    /// best first, then create the group if nobody has — the best starts
+    /// at the function's identity, so the folded value is right whichever
+    /// candidate wins the `ABSENT → queued` claim. That claim's release
+    /// pairs with the `Acquire` link load in [`Self::get`], so a reader
+    /// that sees the group also sees its creator's value.
+    #[inline]
+    fn absorb_cell(&self, w: &Window, key: u32, v: Value) -> bool {
+        let cell = &w.cells[key as usize];
+        let id = IN_WINDOW | key;
+        let improved = self.cas_best(&cell.best, v);
+        if cell.link.load(Ordering::Acquire) == ABSENT && self.queue(id, &cell.link, ABSENT) {
+            self.live.fetch_add(1, Ordering::Relaxed);
+            return true;
+        }
+        if improved {
+            self.queue(id, &cell.link, NOT_DIRTY);
+        }
+        improved
     }
 
     /// Absorb one pre-aggregation row laid out `[group ‖ value]` (the
@@ -459,6 +587,13 @@ impl ConcurrentMonoMap {
 
     /// Current best value of a group.
     pub fn get(&self, group: &[Value]) -> Option<Value> {
+        if let Some(w) = &self.window {
+            if let Some(key) = w.layout.try_pack(group) {
+                let cell = &w.cells[key as usize];
+                return (cell.link.load(Ordering::Acquire) != ABSENT)
+                    .then(|| cell.best.load(Ordering::Relaxed));
+            }
+        }
         self.groups
             .find_row(hash_row(group), group)
             .map(|slot| self.best.get(slot).load(Ordering::Relaxed))
@@ -468,15 +603,27 @@ impl ConcurrentMonoMap {
     /// the previous drain, each with its current (final) best value —
     /// exactly ∆R of the iteration, flattened row-major as
     /// `[group ‖ value]` rows. Requires quiescence (`&mut`): call between
-    /// parallel absorb phases.
+    /// parallel absorb phases. Costs O(∆), window or not.
     pub fn take_improved(&mut self) -> Vec<Value> {
         let mut out = Vec::new();
+        let mut key = Vec::with_capacity(self.group_arity);
         let mut cur = self.dirty_head.swap(DIRTY_END, Ordering::Relaxed);
         while cur != DIRTY_END {
-            let slot = cur - 1;
-            out.extend((0..self.group_arity).map(|c| self.groups.value(slot, c)));
-            out.push(self.best.get(slot).load(Ordering::Relaxed));
-            cur = self.dirty.get(slot).swap(NOT_DIRTY, Ordering::Relaxed);
+            let id = cur - 1;
+            let (best, link) = match &self.window {
+                Some(w) if id & IN_WINDOW != 0 => {
+                    let cell = &w.cells[(id & !IN_WINDOW) as usize];
+                    w.layout.unpack(u64::from(id & !IN_WINDOW), &mut key);
+                    out.extend_from_slice(&key);
+                    (&cell.best, &cell.link)
+                }
+                _ => {
+                    out.extend((0..self.group_arity).map(|c| self.groups.value(id, c)));
+                    (self.best.get(id), self.dirty.get(id))
+                }
+            };
+            out.push(best.load(Ordering::Relaxed));
+            cur = link.swap(NOT_DIRTY, Ordering::Relaxed);
         }
         out
     }
@@ -486,6 +633,19 @@ impl ConcurrentMonoMap {
     pub fn to_columns(&self, group_arity: usize) -> Vec<Vec<Value>> {
         debug_assert_eq!(group_arity, self.group_arity);
         let mut cols = vec![Vec::with_capacity(self.len()); group_arity + 1];
+        if let Some(w) = &self.window {
+            let mut key = Vec::with_capacity(group_arity);
+            for (k, cell) in w.cells.iter().enumerate() {
+                if cell.link.load(Ordering::Relaxed) == ABSENT {
+                    continue;
+                }
+                w.layout.unpack(k as u64, &mut key);
+                for (col, &v) in cols.iter_mut().zip(&key) {
+                    col.push(v);
+                }
+                cols[group_arity].push(cell.best.load(Ordering::Relaxed));
+            }
+        }
         self.groups.for_each_slot(|slot| {
             for (c, col) in cols.iter_mut().enumerate().take(group_arity) {
                 col.push(self.groups.value(slot, c));
@@ -495,9 +655,14 @@ impl ConcurrentMonoMap {
         cols
     }
 
-    /// Approximate heap footprint in bytes (allocated chunks only).
+    /// Approximate heap footprint in bytes (allocated chunks and the
+    /// window).
     pub fn heap_bytes(&self) -> usize {
-        self.groups.heap_bytes() + self.best.heap_bytes() + self.dirty.heap_bytes()
+        let window = self
+            .window
+            .as_ref()
+            .map_or(0, |w| w.cells.len() * std::mem::size_of::<WindowCell>());
+        self.groups.heap_bytes() + self.best.heap_bytes() + self.dirty.heap_bytes() + window
     }
 }
 
@@ -910,6 +1075,70 @@ mod tests {
         // Every group improved at least once → exactly 64 ∆ rows.
         let improved = m.take_improved();
         assert_eq!(improved.len(), 64 * 2);
+    }
+
+    #[test]
+    fn windowed_mono_shares_one_dirty_stack_with_its_escapes() {
+        // Window over keys 10..=25; 5 and 1000 escape to the table.
+        let layout = KeyLayout::from_bounds(&[(10, 25)]).unwrap();
+        let mut m = ConcurrentMonoMap::with_window(AggFunc::Min, 1, layout).unwrap();
+        assert!(m.has_window());
+        assert_eq!(m.get(&[12]), None);
+        // `i64::MAX` is a real MIN value, not "absent".
+        assert!(m.absorb(&[12], Value::MAX));
+        assert!(!m.absorb(&[12], Value::MAX));
+        assert_eq!(m.get(&[12]), Some(Value::MAX));
+        assert!(m.absorb(&[12], 7));
+        assert!(m.absorb(&[5], 3));
+        assert!(m.absorb(&[1000], Value::MIN));
+        assert!(!m.absorb(&[5], 4));
+        assert_eq!(m.len(), 3);
+        let rows = |flat: Vec<Value>| -> Vec<Vec<Value>> {
+            let mut rows: Vec<Vec<Value>> = flat.chunks(2).map(<[_]>::to_vec).collect();
+            rows.sort_unstable();
+            rows
+        };
+        assert_eq!(
+            rows(m.take_improved()),
+            vec![vec![5, 3], vec![12, 7], vec![1000, Value::MIN]]
+        );
+        assert!(m.take_improved().is_empty());
+        assert!(!m.absorb(&[12], 9));
+        assert!(m.absorb(&[25], 0));
+        assert_eq!(rows(m.take_improved()), vec![vec![25, 0]]);
+        let cols = m.to_columns(1);
+        let flat: Vec<Value> = (0..cols[0].len())
+            .flat_map(|r| [cols[0][r], cols[1][r]])
+            .collect();
+        assert_eq!(
+            rows(flat),
+            vec![vec![5, 3], vec![12, 7], vec![25, 0], vec![1000, Value::MIN]]
+        );
+        assert!(m.heap_bytes() >= 16 * 16);
+    }
+
+    #[test]
+    fn windowed_max_starts_below_every_value() {
+        let layout = KeyLayout::from_bounds(&[(0, 3), (-2, 2)]).unwrap();
+        let m = ConcurrentMonoMap::with_window(AggFunc::Max, 2, layout).unwrap();
+        assert!(m.absorb(&[1, -2], Value::MIN));
+        assert_eq!(m.get(&[1, -2]), Some(Value::MIN));
+        assert!(m.absorb(&[1, -2], -5));
+        assert_eq!(m.get(&[1, -2]), Some(-5));
+        assert_eq!(m.get(&[1, 2]), None);
+    }
+
+    #[test]
+    fn window_policy_rejects_wide_and_sparse_keys() {
+        // 2^18 cells for 200k groups: taken.
+        assert!(ConcurrentMonoMap::window_for(&[(0, 199_999)], 2_000_000).is_some());
+        // Small windows are always taken; offsets do not matter.
+        assert!(ConcurrentMonoMap::window_for(&[(1 << 40, (1 << 40) + 100)], 1).is_some());
+        // Sparse: 2^20 cells for 50 groups.
+        assert!(ConcurrentMonoMap::window_for(&[(0, 1 << 20)], 50).is_none());
+        // Too wide whatever the group count.
+        assert!(ConcurrentMonoMap::window_for(&[(0, 1 << 30)], usize::MAX).is_none());
+        assert!(ConcurrentMonoMap::window_for(&[(Value::MIN, Value::MAX)], usize::MAX).is_none());
     }
 
     #[test]

@@ -386,4 +386,117 @@ proptest! {
         let cols = concurrent.to_columns(1);
         prop_assert_eq!(cols[0].len(), sequential.len());
     }
+
+    #[test]
+    fn windowed_mono_map_matches_the_hashed_map(
+        groups in 300usize..900,
+        escapes in 20usize..80,
+        arity in 1usize..3,
+        shape in 0usize..3,
+        max in any::<bool>(),
+        seed in 0u64..u64::MAX,
+    ) {
+        // The direct-addressed window is an access path only: 8 OS threads
+        // race the same candidates into a windowed map and a plain hashed
+        // one, and both must equal a sequential MonotonicAgg — groups, best
+        // values, `len`, `to_columns`, and each drain's ∆. Keys inside the
+        // window and escaping it (below its minimum, above its span) mix in
+        // every round; `i64::MIN`/`i64::MAX` appear as values, where an
+        // "absent" sentinel would be wrong.
+        use recstep_common::hash::mix64;
+        use recstep_exec::agg::{ConcurrentMonoMap, MonotonicAgg};
+        use recstep_exec::key::KeyLayout;
+
+        let func = if max { AggFunc::Max } else { AggFunc::Min };
+        // Window minimum: zero, negative, or offset by 2^40.
+        let base: i64 = [0, -5_000, 1 << 40][shape];
+        let n = groups + escapes;
+        // Ids below `groups` pack into the window; the rest escape.
+        let key_of = |id: usize| -> Vec<i64> {
+            let j = (id - groups.min(id)) as i64;
+            let v = match id < groups {
+                true => id as i64,
+                false if j % 2 == 0 => -1 - j,
+                false => groups as i64 + 16 * j + (1 << 20),
+            };
+            match arity {
+                1 => vec![base + v],
+                _ => vec![base + v.rem_euclid(16), -v.div_euclid(16)],
+            }
+        };
+        let last = groups as i64 - 1;
+        let bounds = match arity {
+            1 => vec![(base, base + last)],
+            _ => vec![(base, base + 15), (-(last / 16), 0)],
+        };
+        let layout = KeyLayout::from_bounds(&bounds).unwrap();
+        let value_of = |i: usize| match mix64(seed ^ i as u64) % 64 {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            h => h as i64 - 32 + (mix64(!seed ^ i as u64) % 1000) as i64,
+        };
+        // Round 1 leaves every third id for round 2 to create.
+        let round1: Vec<(usize, i64)> = shuffled((0..n * 3).collect(), seed)
+            .into_iter()
+            .filter(|i| (i % n) % 3 != 0)
+            .map(|i| (i % n, value_of(i)))
+            .collect();
+        let round2: Vec<(usize, i64)> = shuffled((0..n * 2).collect(), !seed)
+            .into_iter()
+            .map(|i| (i % n, value_of(i + n * 3)))
+            .collect();
+
+        let mut windowed = ConcurrentMonoMap::with_window(func, arity, layout).unwrap();
+        let mut hashed = ConcurrentMonoMap::new(func, arity, 2).unwrap();
+        let mut sequential = MonotonicAgg::new(func).unwrap();
+        prop_assert!(windowed.has_window() && !hashed.has_window());
+        let drained = |flat: Vec<i64>| -> BTreeSet<Vec<i64>> {
+            flat.chunks(arity + 1).map(<[_]>::to_vec).collect()
+        };
+        for round in [&round1, &round2] {
+            let keyed: Vec<(Vec<i64>, i64)> =
+                round.iter().map(|&(id, v)| (key_of(id), v)).collect();
+            for map in [&windowed, &hashed] {
+                std::thread::scope(|scope| {
+                    for chunk in keyed.chunks(keyed.len().div_ceil(8)) {
+                        scope.spawn(move || {
+                            for (k, v) in chunk {
+                                map.absorb(k, *v);
+                            }
+                        });
+                    }
+                });
+            }
+            let mut changed = BTreeSet::new();
+            for (k, v) in &keyed {
+                if sequential.absorb(k, *v) {
+                    changed.insert(k.clone());
+                }
+            }
+            let expect: BTreeSet<Vec<i64>> = changed
+                .into_iter()
+                .map(|mut k| {
+                    k.push(sequential.get(&k).unwrap());
+                    k
+                })
+                .collect();
+            prop_assert_eq!(drained(windowed.take_improved()), expect);
+            prop_assert_eq!(drained(hashed.take_improved()), expect);
+            prop_assert!(windowed.take_improved().is_empty());
+            prop_assert_eq!(windowed.len(), sequential.len());
+            prop_assert_eq!(hashed.len(), sequential.len());
+        }
+        for id in 0..n {
+            let k = key_of(id);
+            prop_assert_eq!(windowed.get(&k), sequential.get(&k), "group {:?}", k);
+            prop_assert_eq!(hashed.get(&k), sequential.get(&k), "group {:?}", k);
+        }
+        let rows = |cols: Vec<Vec<i64>>| -> BTreeSet<Vec<i64>> {
+            (0..cols[0].len()).map(|r| cols.iter().map(|c| c[r]).collect()).collect()
+        };
+        let expect = rows(sequential.to_columns(arity));
+        prop_assert_eq!(expect.len(), n);
+        prop_assert_eq!(rows(windowed.to_columns(arity)), expect);
+        prop_assert_eq!(rows(hashed.to_columns(arity)), expect);
+    }
 }

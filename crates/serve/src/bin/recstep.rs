@@ -256,13 +256,7 @@ fn preload_facts_dir(db: &mut Database, dir: &Path) -> Result<Vec<(String, usize
         else {
             continue;
         };
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let Some(arity) = text
-            .lines()
-            .find_map(recstep::parser::parse_fact_line)
-            .map(|vals| vals.len())
-        else {
+        let Some(arity) = recstep::io::sniff_facts_arity(&path).map_err(|e| e.to_string())? else {
             continue;
         };
         let n = recstep::io::load_facts_file(db, &name, arity, &path).map_err(|e| e.to_string())?;
@@ -424,9 +418,10 @@ fn main() -> ExitCode {
                     stats_out.rt_merge_bytes
                 );
                 println!(
-                    "streaming aggregation: {} sink passes, {} rows folded at \
-                     source, {} groups improved, {} sampled stat rows",
+                    "streaming aggregation: {} sink passes ({} dense), {} rows \
+                     folded at source, {} groups improved, {} sampled stat rows",
                     stats_out.agg_sink_runs,
+                    stats_out.agg_dense_sinks,
                     stats_out.agg_rows_folded_at_source,
                     stats_out.agg_groups_improved,
                     stats_out.sink_stat_samples

@@ -21,6 +21,7 @@ use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard};
 
 use recstep::{Config, Database, Engine, EvalStats, OofMode, PbmeMode, Value};
+use recstep_baselines::naive::NaiveEngine;
 use recstep_bench::{pipeline_workload, run_agg_bench};
 use recstep_graphgen::gnp::gnp;
 
@@ -162,6 +163,117 @@ fn differential_cc_sssp_gtc_agree_across_agg_modes() {
         assert_eq!(fused, unfused, "sssp diverges on seed {seed}");
         if !fused.is_empty() {
             assert!(fstats.agg_sink_runs > 0);
+        }
+    }
+}
+
+/// Relations to load: `(name, arity, rows)`.
+type Loads = Vec<(&'static str, usize, Vec<Vec<Value>>)>;
+
+fn run_loads(src: &str, loads: &Loads, rels: &[&str], cfg: Config) -> (Vec<Rows>, EvalStats) {
+    let mut db = Database::new().unwrap();
+    for (name, arity, rows) in loads {
+        db.load_relation(name, *arity, rows).unwrap();
+    }
+    let stats = engine(cfg).prepare(src).unwrap().run(&mut db).unwrap();
+    let rows = rels
+        .iter()
+        .map(|r| db.relation(r).unwrap().to_vec().into_iter().collect())
+        .collect();
+    (rows, stats)
+}
+
+fn naive_loads(src: &str, loads: &Loads, rels: &[&str]) -> Vec<Rows> {
+    let mut naive = NaiveEngine::new();
+    for (name, _, rows) in loads {
+        naive.load(name, rows.iter().cloned());
+    }
+    naive.run_source(src).unwrap();
+    rels.iter()
+        .map(|r| naive.rows(r).unwrap().iter().cloned().collect())
+        .collect()
+}
+
+#[test]
+fn dense_windows_match_hashed_maps_and_naive_across_id_layouts() {
+    let _serial = serial();
+    // The MIN/MAX maps' direct-addressed window is chosen from the group
+    // sources' bounds; it must never change a result, only the path a key
+    // takes. Each program runs over the same graph under five namings of
+    // its nodes. "dense + far" adds one inline fact `far(s)` and a
+    // recursive rule deriving group `s + 2^40` from group `s`: no bounds
+    // cover a computed key, so the window is built from the graph and
+    // that group escapes it into the hashed table.
+    let graph: Vec<(Value, Value)> = gnp(40, 0.08, 3)
+        .into_iter()
+        .map(|(a, b)| (a as Value, b as Value))
+        .collect();
+    type Naming = fn(Value) -> Value;
+    let namings: [(&str, Naming, bool); 5] = [
+        ("dense", |v| v, false),
+        ("offset 2^40", |v| v + (1 << 40), false),
+        ("sparse", |v| v << 24, false),
+        ("negative", |v| -3 * v - 7, false),
+        ("dense + far", |v| v, true),
+    ];
+    let s = graph[0].0;
+    let cc: (&str, &[&str], String) = (
+        recstep::programs::CC,
+        &["cc3", "cc2", "cc"],
+        format!("cc3(x + 1099511627776, MIN(z)) :- cc3(x, z), far(x).\nfar({s})."),
+    );
+    let sssp: (&str, &[&str], String) = (
+        recstep::programs::SSSP,
+        &["sssp2", "sssp"],
+        "sssp2(x + 1099511627776, MIN(d)) :- sssp2(x, d), far(x).\nfar(0).".to_string(),
+    );
+    let plain: (&str, &[&str], String) = (
+        "m(x, MIN(y)) :- e(x, y).",
+        &["m"],
+        format!("m(x + 1099511627776, MIN(y)) :- m(x, y), far(x).\nfar({s})."),
+    );
+    for (layout, name, far) in namings {
+        let edges = |rel: &'static str| -> Loads {
+            let rows = graph.iter().map(|&(a, b)| vec![name(a), name(b)]).collect();
+            vec![(rel, 2, rows)]
+        };
+        let weighted: Loads = vec![
+            (
+                "arc",
+                3,
+                graph
+                    .iter()
+                    .map(|&(a, b)| vec![name(a), name(b), (a * 7 + b * 13) % 20 + 1])
+                    .collect(),
+            ),
+            // Two sources at the ends of the id range: SSSP's exit rule is
+            // a stratum of its own, and its keys are as sparse as the graph.
+            ("id", 1, vec![vec![name(0)], vec![name(39)]]),
+        ];
+        for ((base, rels, far_rules), loads) in
+            [(&cc, edges("arc")), (&sssp, weighted), (&plain, edges("e"))]
+        {
+            let src = if far {
+                format!("{base}\n{far_rules}\n")
+            } else {
+                base.to_string()
+            };
+            let (dense, stats) = run_loads(&src, &loads, rels, Config::default());
+            let (hashed, _) = run_loads(&src, &loads, rels, Config::default().fused_agg(false));
+            let oracle = naive_loads(&src, &loads, rels);
+            assert_eq!(dense, oracle, "{rels:?} over {layout} ids vs naive");
+            assert_eq!(hashed, oracle, "{rels:?} over {layout} ids, --no-fused-agg");
+            assert!(dense[0].len() > 1, "{rels:?} over {layout}: empty result");
+            if far {
+                assert!(dense[0].iter().any(|row| row[0] >= 1 << 40), "{rels:?}");
+            }
+            let windowed = layout != "sparse";
+            assert_eq!(
+                stats.agg_dense_sinks > 0,
+                windowed,
+                "{rels:?} over {layout} ids: {} dense sinks",
+                stats.agg_dense_sinks
+            );
         }
     }
 }
