@@ -7,7 +7,7 @@
 //! * [`naive`] — naïve bottom-up evaluation (full re-derivation every
 //!   iteration): the §3.2 baseline and the differential-testing oracle;
 //! * [`setbased`] — a compiled-loop-style semi-naïve evaluator over hashed
-//!   tuple sets, sequential or rayon-parallel — the Soufflé stand-in
+//!   tuple sets, single-threaded — the Soufflé stand-in
 //!   (BigDatalog's strategy is RecStep's generic configuration,
 //!   `Config::no_op()`, per DESIGN.md);
 //! * [`worklist`] — a Graspan-style edge-at-a-time CFL-reachability engine

@@ -10,15 +10,15 @@
 //!   (deltas are discovered during insertion, not by a separate query);
 //! * semi-naïve deltas as contiguous row ranges (`Old = [0, d0)`,
 //!   `∆ = [d0, d1)`, `Full = [0, len)`);
-//! * per-join hash indexes built on demand;
-//! * optional library parallelism (rayon) over the probe loops, with a
-//!   sequential merge — the shape of Soufflé's OpenMP loops.
+//! * per-join hash indexes built on demand.
+//!
+//! Soufflé's OpenMP parallelism over the outer loops is not reproduced:
+//! the probe loops run on one thread.
 //!
 //! The engine consumes the same compiled plans as RecStep, so any
 //! disagreement between the two is a bug in one of them — they share no
 //! evaluation code.
 
-use rayon::prelude::*;
 use recstep_common::hash::{FxHashMap, FxHashSet};
 use recstep_common::lang::{eval_all, Expr};
 use recstep_common::{Error, Result, Value};
@@ -121,21 +121,17 @@ impl RelData {
 }
 
 /// The set-based semi-naïve engine.
+#[derive(Default)]
 pub struct SetEngine {
-    parallel: bool,
     rels: FxHashMap<String, RelData>,
     /// Optional tuple budget for honest OOM reporting.
     pub tuple_budget: Option<usize>,
 }
 
 impl SetEngine {
-    /// `parallel = true` uses rayon for the probe loops.
-    pub fn new(parallel: bool) -> Self {
-        SetEngine {
-            parallel,
-            rels: FxHashMap::default(),
-            tuple_budget: None,
-        }
+    /// An engine with no relations and no tuple budget.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Load rows into an input relation.
@@ -436,11 +432,7 @@ impl SetEngine {
                         .collect(),
                 }
             };
-            acc = if self.parallel && acc.len() > 1024 {
-                acc.par_iter().flat_map_iter(probe).collect()
-            } else {
-                acc.iter().flat_map(probe).collect()
-            };
+            acc = acc.iter().flat_map(probe).collect();
             self.check_intermediate(acc.len())?;
         }
         // Residual predicates, negations, head projection.
@@ -475,11 +467,7 @@ impl SetEngine {
             }
             Some(sq.head_exprs.iter().map(|e: &Expr| e.eval(row)).collect())
         };
-        Ok(if self.parallel && acc.len() > 1024 {
-            acc.par_iter().filter_map(project).collect()
-        } else {
-            acc.iter().filter_map(project).collect()
-        })
+        Ok(acc.iter().filter_map(project).collect())
     }
 }
 
@@ -508,22 +496,19 @@ mod tests {
     }
 
     #[test]
-    fn tc_matches_naive_both_modes() {
+    fn tc_matches_naive() {
         let edges = rand_edges(25, 70, 2);
         let mut oracle = NaiveEngine::new();
         oracle.load_edges("arc", &edges);
         oracle.run_source(programs::TC).unwrap();
-        for parallel in [false, true] {
-            let mut e = SetEngine::new(parallel);
-            e.load_edges("arc", &edges);
-            let stats = e.run_source(programs::TC).unwrap();
-            assert_eq!(
-                set_of(e.rows("tc").unwrap()),
-                oracle.rows("tc").unwrap().iter().cloned().collect(),
-                "parallel={parallel}"
-            );
-            assert!(stats.iterations > 1);
-        }
+        let mut e = SetEngine::new();
+        e.load_edges("arc", &edges);
+        let stats = e.run_source(programs::TC).unwrap();
+        assert_eq!(
+            set_of(e.rows("tc").unwrap()),
+            oracle.rows("tc").unwrap().iter().cloned().collect()
+        );
+        assert!(stats.iterations > 1);
     }
 
     #[test]
@@ -532,7 +517,7 @@ mod tests {
         let mut oracle = NaiveEngine::new();
         oracle.load_edges("arc", &edges);
         oracle.run_source(programs::SG).unwrap();
-        let mut e = SetEngine::new(false);
+        let mut e = SetEngine::new();
         e.load_edges("arc", &edges);
         e.run_source(programs::SG).unwrap();
         assert_eq!(
@@ -545,7 +530,7 @@ mod tests {
         let load = rand_edges(15, 6, 9);
         let store = rand_edges(15, 6, 10);
         let mut oracle = NaiveEngine::new();
-        let mut e = SetEngine::new(true);
+        let mut e = SetEngine::new();
         for (name, data) in [
             ("addressOf", &addr),
             ("assign", &assign),
@@ -568,7 +553,7 @@ mod tests {
         let assign = rand_edges(10, 8, 21);
         let deref = rand_edges(10, 8, 22);
         let mut oracle = NaiveEngine::new();
-        let mut e = SetEngine::new(false);
+        let mut e = SetEngine::new();
         for (name, data) in [("assign", &assign), ("dereference", &deref)] {
             oracle.load_edges(name, data);
             e.load_edges(name, data);
@@ -590,7 +575,7 @@ mod tests {
         let mut oracle = NaiveEngine::new();
         oracle.load_edges("arc", &edges);
         oracle.run_source(programs::CC).unwrap();
-        let mut e = SetEngine::new(false);
+        let mut e = SetEngine::new();
         e.load_edges("arc", &edges);
         e.run_source(programs::CC).unwrap();
         assert_eq!(
@@ -609,7 +594,7 @@ mod tests {
         let mut oracle = NaiveEngine::new();
         oracle.load_edges("arc", &edges);
         oracle.run_source(programs::NTC).unwrap();
-        let mut e = SetEngine::new(false);
+        let mut e = SetEngine::new();
         e.load_edges("arc", &edges);
         e.run_source(programs::NTC).unwrap();
         assert_eq!(
@@ -620,7 +605,7 @@ mod tests {
 
     #[test]
     fn budget_aborts() {
-        let mut e = SetEngine::new(false);
+        let mut e = SetEngine::new();
         e.tuple_budget = Some(20);
         let edges: Vec<(Value, Value)> = (0..30).map(|i| (i, (i + 1) % 30)).collect();
         e.load_edges("arc", &edges);

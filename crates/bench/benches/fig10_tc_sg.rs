@@ -2,7 +2,7 @@
 //!
 //! System stand-ins (DESIGN.md §3): RecStep = this engine (PBME);
 //! BigDatalog = generic parallel configuration (`Config::no_op()`);
-//! Souffle = set-based semi-naïve with rayon; Bddbddb = the BDD engine
+//! Souffle = single-threaded set-based semi-naïve; Bddbddb = the BDD engine
 //! (TC only — SG is not a composition the BDD engine evaluates).
 
 use recstep::{Config, PbmeMode};
@@ -15,7 +15,7 @@ fn recstep_run(program: &str, rel: &str, edges: &[(i64, i64)], cfg: Config) -> O
 }
 
 fn setbased_run(program: &str, rel: &str, edges: &[(i64, i64)]) -> Outcome {
-    let mut e = SetEngine::new(true);
+    let mut e = SetEngine::new();
     e.tuple_budget = Some(budget_tuples());
     e.load_edges("arc", edges);
     measure(|| e.run_source(program).map(|_| e.row_count(rel)))

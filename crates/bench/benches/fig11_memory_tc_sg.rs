@@ -53,7 +53,7 @@ fn main() {
         ]);
         drop((prog, db));
         // Souffle-like.
-        let mut e = SetEngine::new(true);
+        let mut e = SetEngine::new();
         e.tuple_budget = Some(budget_tuples());
         e.load_edges("arc", &edges);
         mem::reset_peak();

@@ -48,7 +48,7 @@ fn main() {
             let rs = run_one(Config::default().pbme(PbmeMode::Off));
             let bigd = run_one(Config::no_op());
             let souffle = if workload == "REACH" {
-                let mut e = SetEngine::new(true);
+                let mut e = SetEngine::new();
                 e.tuple_budget = Some(budget_tuples());
                 e.load_edges("arc", &as_values(&raw));
                 e.load("id", [vec![src]]);

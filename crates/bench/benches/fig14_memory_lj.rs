@@ -51,7 +51,7 @@ fn main() {
         }
         // Souffle-like (REACH only).
         if workload == "REACH" {
-            let mut e = SetEngine::new(true);
+            let mut e = SetEngine::new();
             e.tuple_budget = Some(budget_tuples());
             e.load_edges("arc", &as_values(&raw));
             e.load("id", [vec![src]]);

@@ -39,7 +39,7 @@ fn main() {
             "pointsTo",
         );
         let souffle = {
-            let mut e = SetEngine::new(true);
+            let mut e = SetEngine::new();
             e.tuple_budget = Some(budget_tuples());
             e.load_edges("addressOf", &input.address_of);
             e.load_edges("assign", &input.assign);
@@ -95,7 +95,7 @@ fn main() {
                     "null",
                 );
                 let souffle = {
-                    let mut e = SetEngine::new(true);
+                    let mut e = SetEngine::new();
                     e.tuple_budget = Some(budget_tuples());
                     e.load_edges("arc", &input.arc);
                     e.load_edges("nullEdge", &input.null_edge);
@@ -124,7 +124,7 @@ fn main() {
                     "valueFlow",
                 );
                 let souffle = {
-                    let mut e = SetEngine::new(true);
+                    let mut e = SetEngine::new();
                     e.tuple_budget = Some(budget_tuples());
                     e.load_edges("assign", &input.assign);
                     e.load_edges("dereference", &input.dereference);

@@ -20,7 +20,8 @@ pub enum Error {
     Analysis(String),
     /// A runtime error inside the relational substrate.
     Exec(String),
-    /// An I/O error from the (simulated) persistent storage layer.
+    /// An I/O error: reading input files, writing outputs, or the WAL and
+    /// snapshots of the query service.
     Io(std::io::Error),
     /// The evaluation was cooperatively cancelled (request timeout or an
     /// explicit abort) at an iteration boundary; no partial state escaped.

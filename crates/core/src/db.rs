@@ -1,11 +1,11 @@
 //! The database: EDB facts plus derived relations, separated from the
 //! engine that computes over them.
 //!
-//! A [`Database`] owns a [`Catalog`] of columnar relations and the
-//! simulated persistent store backing them. It knows nothing about
-//! evaluation: programs are compiled by an [`crate::Engine`] into
-//! [`crate::PreparedProgram`]s, which run over any database — one program
-//! over many databases, many programs over one database, or both.
+//! A [`Database`] owns a [`Catalog`] of in-memory columnar relations. It
+//! knows nothing about evaluation: programs are compiled by an
+//! [`crate::Engine`] into [`crate::PreparedProgram`]s, which run over any
+//! database — one program over many databases, many programs over one
+//! database, or both.
 //!
 //! Results come back through the zero-copy [`RelHandle`] layer:
 //! [`Database::relation`] borrows the stored columns directly, and
@@ -23,7 +23,7 @@ use std::sync::Arc;
 use recstep_common::{Error, Result, Value};
 use recstep_exec::cache::IndexCache;
 use recstep_storage::wal::WalCommit;
-use recstep_storage::{Catalog, CommitMode, DiskManager, RelHandle, Schema};
+use recstep_storage::{Catalog, RelHandle, Schema};
 
 use crate::stats::EvalStats;
 
@@ -31,7 +31,6 @@ use crate::stats::EvalStats;
 /// programs that have run over it.
 pub struct Database {
     catalog: Catalog,
-    disk: DiskManager,
     cache: Arc<IndexCache>,
 }
 
@@ -42,11 +41,11 @@ const _: () = {
 };
 
 impl Database {
-    /// Create an empty database with a fresh simulated persistent store.
+    /// Create an empty database. It lives in memory only and touches no
+    /// file, so this never fails; the `Result` is kept for API stability.
     pub fn new() -> Result<Self> {
         Ok(Database {
             catalog: Catalog::new(),
-            disk: DiskManager::new(CommitMode::Eost)?,
             cache: Arc::new(IndexCache::new()),
         })
     }
@@ -192,9 +191,9 @@ impl Database {
         &self.cache
     }
 
-    /// Split borrow for evaluation: mutable catalog + mutable store.
-    pub(crate) fn eval_parts(&mut self) -> (&mut Catalog, &mut DiskManager) {
-        (&mut self.catalog, &mut self.disk)
+    /// Mutable catalog access for an exclusive evaluation.
+    pub(crate) fn catalog_mut(&mut self) -> &mut Catalog {
+        &mut self.catalog
     }
 }
 

@@ -70,7 +70,7 @@ use recstep_exec::sink::{AggSink, AggTarget, DeltaSink, SinkMode, SinkSampler};
 use recstep_exec::view::SupportTable;
 use recstep_exec::wcoj::{wcoj_sink, WcojSpec};
 use recstep_exec::ExecCtx;
-use recstep_storage::{DiskManager, RelId, RelView, Relation, RunCatalog, Schema};
+use recstep_storage::{RelId, RelView, Relation, RunCatalog, Schema};
 
 use crate::config::{Config, OofMode, PbmeMode};
 use crate::pbme::{detect, fits_budget, PbmePlan};
@@ -479,8 +479,8 @@ const SINK_SAMPLE_CAP: usize = 1024;
 /// One evaluation of a compiled program over one database.
 ///
 /// Borrows the engine side (`cfg`, `ctx`, `alpha`) immutably and the
-/// database side through a [`RunCatalog`]: exclusively (`&mut Catalog` +
-/// the simulated store) for classic runs, or as a frozen base plus
+/// database side through a [`RunCatalog`]: exclusively (`&mut Catalog`)
+/// for classic runs, or as a frozen base plus
 /// run-local overlay for shared-mode runs — which is what lets N
 /// evaluations proceed concurrently over one database. `cache` is the
 /// database's shared cross-run index cache (`None` under
@@ -490,12 +490,67 @@ pub(crate) struct EvalRun<'e, 'd> {
     pub(crate) ctx: &'e ExecCtx,
     pub(crate) alpha: f64,
     pub(crate) catalog: RunCatalog<'d>,
-    pub(crate) disk: Option<&'d mut DiskManager>,
     pub(crate) cache: Option<&'d IndexCache>,
     /// Cooperative cancellation, polled at iteration boundaries (the only
     /// points where aborting leaves no partial state). `None` for
     /// uncancellable runs.
     pub(crate) cancel: Option<&'e CancelToken>,
+    /// The run's §5.2 write-back, counted (start from the default).
+    pub(crate) io: IoLedger,
+}
+
+/// The I/O a QuickStep-style store would do for one run (paper §5.2),
+/// counted instead of written: evaluation is in-memory and persists
+/// nothing, but `io_bytes` / `io_flushes` still price the EOST ablation.
+///
+/// Without EOST every temporary is flushed as it is produced, and every
+/// state-changing query flushes the rows it appended past the table's
+/// high-water mark in this run. Under EOST every table the run wrote is
+/// flushed once, whole, at fixpoint. A flush costs 8 bytes per value;
+/// empty tables are never flushed.
+#[derive(Default)]
+pub(crate) struct IoLedger {
+    /// Rows of each written table flushed so far in this run; its keys
+    /// are the tables EOST commits.
+    high_water: FxHashMap<RelId, usize>,
+    /// Per-query totals.
+    bytes: u64,
+    flushes: u64,
+}
+
+impl IoLedger {
+    fn flush(&mut self, rows: usize, arity: usize) {
+        if rows > 0 {
+            self.bytes += (rows * arity * 8) as u64;
+            self.flushes += 1;
+        }
+    }
+
+    /// A temporary (`Rt`, `Rδ`, `∆R`) was produced.
+    fn temp(&mut self, view: RelView<'_>) {
+        self.flush(view.len(), view.arity());
+    }
+
+    /// A state-changing query wrote `rel` (relation `id`).
+    fn dirty(&mut self, id: RelId, rel: &Relation) {
+        let high_water = self.high_water.entry(id).or_default();
+        let from = *high_water;
+        *high_water = from.max(rel.len());
+        self.flush(rel.len().saturating_sub(from), rel.arity());
+    }
+
+    /// `(bytes, flushes)` of the run at fixpoint.
+    fn totals(&self, eost: bool, catalog: &RunCatalog<'_>) -> (u64, u64) {
+        if !eost {
+            return (self.bytes, self.flushes);
+        }
+        let mut commit = IoLedger::default();
+        for &id in self.high_water.keys() {
+            let rel = catalog.rel(id);
+            commit.flush(rel.len(), rel.arity());
+        }
+        (commit.bytes, commit.flushes)
+    }
 }
 
 impl EvalRun<'_, '_> {
@@ -668,18 +723,11 @@ impl EvalRun<'_, '_> {
         jcache.fold_into(&mut stats);
         drop(jcache);
 
-        // EOST: commit everything once at fixpoint (exclusive runs only;
-        // shared-mode results live in the run's overlay, not the store).
-        if let Some(disk) = self.disk.as_deref_mut() {
-            let t_io = Instant::now();
-            let catalog = self
-                .catalog
-                .as_exclusive()
-                .expect("store-backed runs own their catalog exclusively");
-            disk.commit_all(|name| catalog.lookup(name).map(|id| catalog.rel(id)))?;
-            stats.phase.io += t_io.elapsed();
-            stats.io_bytes = disk.bytes_written();
-            stats.io_flushes = disk.flushes();
+        // EOST: commit everything once at fixpoint. Only exclusive runs
+        // report it: shared-mode results live in the run's overlay and
+        // would never have reached the store.
+        if self.catalog.as_exclusive().is_some() {
+            (stats.io_bytes, stats.io_flushes) = self.io.totals(self.cfg.eost, &self.catalog);
         }
         stats.total = t0.elapsed();
         stats.busy =
@@ -790,12 +838,7 @@ impl EvalRun<'_, '_> {
             }
         }
         rel.append_columns(cols);
-        if let Some(disk) = self.disk.as_deref_mut() {
-            let t_io = Instant::now();
-            let rel = self.catalog.rel(idb_id);
-            disk.note_dirty(rel)?;
-            stats.phase.io += t_io.elapsed();
-        }
+        self.io.dirty(idb_id, self.catalog.rel(idb_id));
         stats.phase.pbme += t.elapsed();
         stats.iterations += 1;
         stats.strata.push(StratumStats {
@@ -1004,12 +1047,7 @@ impl EvalRun<'_, '_> {
                 // build side over this relation is stale even at equal
                 // length, so drop it before later strata can probe it.
                 jcache.invalidate(state.rel_id);
-                if let Some(disk) = self.disk.as_deref_mut() {
-                    let t_io = Instant::now();
-                    let rel = self.catalog.rel(state.rel_id);
-                    disk.note_dirty(rel)?;
-                    stats.phase.io += t_io.elapsed();
-                }
+                self.io.dirty(state.rel_id, self.catalog.rel(state.rel_id));
             }
         }
 
@@ -1291,12 +1329,7 @@ impl EvalRun<'_, '_> {
         state.old_len = rel.len();
         rel.append_columns(cols);
         let delta = DeltaBuf::Range(state.old_len, rel.len());
-        if let Some(disk) = self.disk.as_deref_mut() {
-            let rel = self.catalog.rel(state.rel_id);
-            let t_io = Instant::now();
-            disk.note_dirty(rel)?;
-            stats.phase.io += t_io.elapsed();
-        }
+        self.io.dirty(state.rel_id, self.catalog.rel(state.rel_id));
         Ok(delta)
     }
 
@@ -1463,12 +1496,9 @@ impl EvalRun<'_, '_> {
             .peak_bytes
             .max(self.catalog.heap_bytes() + index.heap_bytes() + scratch_bytes);
 
-        // EOST is a precondition of the fused gate, so temporaries never
-        // reach disk here; just note the relation dirty for the commit.
-        if let Some(disk) = self.disk.as_deref_mut() {
-            let rel = self.catalog.rel(state.rel_id);
-            disk.note_dirty(rel)?;
-        }
+        // EOST is a precondition of the fused gate, so no temporary is
+        // flushed here; just note the relation for the commit.
+        self.io.dirty(state.rel_id, self.catalog.rel(state.rel_id));
         Ok(delta)
     }
 
@@ -1523,15 +1553,7 @@ impl EvalRun<'_, '_> {
             freeze_choices(&self.catalog, stratum, idb, states, idx);
         }
 
-        // Non-UIE: the per-subquery temporaries were already flushed inside
-        // eval; the unified Rt temp is flushed here in per-query mode.
-        spill_temp(
-            self.cfg,
-            &mut self.disk,
-            &idb.rt_name,
-            RelView::over(&candidates),
-            stats,
-        )?;
+        self.io.temp(RelView::over(&candidates));
 
         // OOF-FA: full statistics on every updated table, every iteration.
         if self.cfg.oof == OofMode::Full {
@@ -1584,13 +1606,7 @@ impl EvalRun<'_, '_> {
                     }
                 }
                 stats.phase.aggregate += t_agg.elapsed();
-                spill_temp(
-                    self.cfg,
-                    &mut self.disk,
-                    &idb.delta_name,
-                    delta.view(),
-                    stats,
-                )?;
+                self.io.temp(delta.view());
                 stats.queries_issued += 1;
                 return Ok(DeltaBuf::Owned(delta));
             }
@@ -1631,19 +1647,8 @@ impl EvalRun<'_, '_> {
                 rel.append_columns(cols);
                 let delta = DeltaBuf::Range(state.old_len, rel.len());
                 let rel = self.catalog.rel(state.rel_id);
-                spill_temp(
-                    self.cfg,
-                    &mut self.disk,
-                    &idb.delta_name,
-                    delta.view(rel),
-                    stats,
-                )?;
-                if let Some(disk) = self.disk.as_deref_mut() {
-                    let rel = self.catalog.rel(state.rel_id);
-                    let t_io = Instant::now();
-                    disk.note_dirty(rel)?;
-                    stats.phase.io += t_io.elapsed();
-                }
+                self.io.temp(delta.view(rel));
+                self.io.dirty(state.rel_id, self.catalog.rel(state.rel_id));
                 stats.queries_issued += 1;
                 return Ok(delta);
             }
@@ -1716,19 +1721,8 @@ impl EvalRun<'_, '_> {
             stats.phase.index += t_index.elapsed();
 
             let rel = self.catalog.rel(state.rel_id);
-            spill_temp(
-                self.cfg,
-                &mut self.disk,
-                &idb.delta_name,
-                delta.view(rel),
-                stats,
-            )?;
-            if let Some(disk) = self.disk.as_deref_mut() {
-                let rel = self.catalog.rel(state.rel_id);
-                let t_io = Instant::now();
-                disk.note_dirty(rel)?;
-                stats.phase.io += t_io.elapsed();
-            }
+            self.io.temp(delta.view(rel));
+            self.io.dirty(state.rel_id, self.catalog.rel(state.rel_id));
             return Ok(delta);
         }
 
@@ -1752,13 +1746,7 @@ impl EvalRun<'_, '_> {
             .peak_bytes
             .max(self.catalog.heap_bytes() + dedup_out.table_bytes);
         let rdelta = dedup_out.cols;
-        spill_temp(
-            self.cfg,
-            &mut self.disk,
-            &idb.rdelta_name,
-            RelView::over(&rdelta),
-            stats,
-        )?;
+        self.io.temp(RelView::over(&rdelta));
 
         // --- ∆R ← Rδ − R ---
         let t_diff = Instant::now();
@@ -1786,19 +1774,8 @@ impl EvalRun<'_, '_> {
         let delta = DeltaBuf::Range(state.old_len, rel.len());
         stats.phase.merge += t_merge.elapsed();
         let rel = self.catalog.rel(state.rel_id);
-        spill_temp(
-            self.cfg,
-            &mut self.disk,
-            &idb.delta_name,
-            delta.view(rel),
-            stats,
-        )?;
-        if let Some(disk) = self.disk.as_deref_mut() {
-            let rel = self.catalog.rel(state.rel_id);
-            let t_io = Instant::now();
-            disk.note_dirty(rel)?;
-            stats.phase.io += t_io.elapsed();
-        }
+        self.io.temp(delta.view(rel));
+        self.io.dirty(state.rel_id, self.catalog.rel(state.rel_id));
         Ok(delta)
     }
 }
@@ -2674,29 +2651,6 @@ impl EvalRun<'_, '_> {
         stats.view.view_counting_strata += 1;
         Ok(())
     }
-}
-
-/// Flush a temporary table to the simulated store — skipped entirely when
-/// disk spilling is disabled (EOST pends all I/O until the final commit,
-/// and shared-mode runs have no store at all), so the hot loop pays
-/// neither the call nor the timer for it.
-fn spill_temp(
-    cfg: &Config,
-    disk: &mut Option<&mut DiskManager>,
-    name: &str,
-    view: RelView<'_>,
-    stats: &mut EvalStats,
-) -> Result<()> {
-    if cfg.eost {
-        return Ok(());
-    }
-    let Some(disk) = disk.as_deref_mut() else {
-        return Ok(());
-    };
-    let t = Instant::now();
-    disk.flush_temp(name, view)?;
-    stats.phase.io += t.elapsed();
-    Ok(())
 }
 
 /// Record first-iteration build-side choices (OOF-NA freezing).

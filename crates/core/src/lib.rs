@@ -42,21 +42,6 @@
 //! assert!(result.as_pairs().unwrap().contains(&(0, 3)));
 //! assert!(stats.iterations >= 1);
 //! ```
-//!
-//! ## Migrating from the old `RecStep` surface
-//!
-//! The former `RecStep` god-object (still available as a deprecated shim)
-//! fused all three roles and re-compiled the program on every
-//! `run_source` call. The mapping:
-//!
-//! | old (`RecStep`)                  | new                                            |
-//! |----------------------------------|------------------------------------------------|
-//! | `RecStep::new(config)`           | `Engine::builder()...build()` / [`Engine::from_config`] |
-//! | `engine.load_edges(...)`         | [`Database::load_edges`] (or a [`Transaction`]) |
-//! | `engine.run_source(src)` (N×)    | [`Engine::prepare`] once + [`PreparedProgram::run`] N× |
-//! | `engine.rows("tc")` (clones)     | `db.relation("tc")` → [`RelHandle`] (`iter_rows`, `as_pairs`, `try_decode`; `to_vec` to clone) |
-//! | `engine.row_count("tc")`         | [`Database::row_count`]                        |
-//! | `RecStep::explain(src)`          | [`PreparedProgram::explain_sql`]               |
 
 #![deny(missing_docs)]
 
@@ -68,7 +53,6 @@ mod eval;
 pub mod io;
 pub mod pbme;
 pub mod prepared;
-mod shim;
 pub mod stats;
 pub mod view;
 
@@ -77,8 +61,6 @@ pub use db::{Database, RunOutput, Transaction};
 pub use engine::{Engine, EngineBuilder};
 pub use prepared::PreparedProgram;
 pub use recstep_exec::cache::IndexCache;
-#[allow(deprecated)]
-pub use shim::RecStep;
 pub use stats::{EvalStats, IndexStats, PhaseTimes, StratumStats, ViewStats};
 pub use view::MaterializedView;
 

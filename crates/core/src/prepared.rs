@@ -13,9 +13,9 @@ use recstep_datalog::sqlgen;
 
 use crate::db::{Database, RunOutput};
 use crate::engine::Engine;
-use crate::eval::EvalRun;
+use crate::eval::{EvalRun, IoLedger};
 use crate::stats::EvalStats;
-use recstep_storage::{CommitMode, RunCatalog};
+use recstep_storage::RunCatalog;
 
 /// A compiled Datalog program bound to the engine that will evaluate it.
 pub struct PreparedProgram {
@@ -48,7 +48,18 @@ impl PreparedProgram {
     /// busy time, so per-run CPU attribution blurs — wall times and
     /// result counts stay exact.)
     pub fn run(&self, db: &mut Database) -> Result<EvalStats> {
-        run_compiled(&self.engine, db, &self.compiled)
+        let (cfg, ctx, alpha) = self.engine.parts();
+        let cache = db.index_cache().clone();
+        EvalRun {
+            cfg,
+            ctx,
+            alpha,
+            catalog: RunCatalog::Exclusive(db.catalog_mut()),
+            cache: cfg.shared_index_cache.then_some(&*cache),
+            cancel: None,
+            io: IoLedger::default(),
+        }
+        .run(&self.compiled)
     }
 
     /// Evaluate over a *shared* database to fixpoint, without mutating it.
@@ -63,9 +74,9 @@ impl PreparedProgram {
     /// account for it).
     ///
     /// Differences from [`PreparedProgram::run`]: results are read from
-    /// the returned [`RunOutput`] instead of the database, and nothing is
-    /// committed to the simulated persistent store (shared runs are
-    /// in-memory serving; `io_bytes`/`io_flushes` report 0).
+    /// the returned [`RunOutput`] instead of the database, and
+    /// `io_bytes`/`io_flushes` report 0 (a shared run derives nothing into
+    /// the database, so there is no §5.2 write-back to count).
     ///
     /// ```
     /// use recstep::{Database, Engine};
@@ -115,9 +126,9 @@ impl PreparedProgram {
             ctx,
             alpha,
             catalog: RunCatalog::shared(db.catalog()),
-            disk: None,
             cache: cfg.shared_index_cache.then(|| &**db.index_cache()),
             cancel,
+            io: IoLedger::default(),
         };
         let stats = run.run(&self.compiled)?;
         let catalog = run
@@ -130,7 +141,20 @@ impl PreparedProgram {
     /// Render the backend SQL this program executes (UIE form), stratum by
     /// stratum — the paper's Figure 4 view of any program.
     pub fn explain_sql(&self) -> String {
-        render_program_sql(&self.compiled)
+        let mut out = String::new();
+        for (si, stratum) in self.compiled.strata.iter().enumerate() {
+            let kind = if stratum.recursive {
+                "recursive"
+            } else {
+                "non-recursive"
+            };
+            out.push_str(&format!("-- stratum {si} ({kind})\n"));
+            for idb in &stratum.idbs {
+                out.push_str(&sqlgen::render_uie(idb));
+                out.push('\n');
+            }
+        }
+        out
     }
 
     /// The underlying compiled plan.
@@ -152,57 +176,6 @@ impl PreparedProgram {
     pub fn outputs(&self) -> &[String] {
         &self.compiled.outputs
     }
-}
-
-/// One evaluation of a compiled program over a database — the single
-/// place wiring engine policy (EOST commit mode, config, pool) to the
-/// database's catalog and store. Both [`PreparedProgram::run`] and the
-/// deprecated `RecStep` shim go through here.
-pub(crate) fn run_compiled(
-    engine: &Engine,
-    db: &mut Database,
-    compiled: &CompiledProgram,
-) -> Result<EvalStats> {
-    let (cfg, ctx, alpha) = engine.parts();
-    let cache = db.index_cache().clone();
-    let (catalog, disk) = db.eval_parts();
-    // EOST is an engine policy; the store belongs to the database.
-    disk.set_mode(if cfg.eost {
-        CommitMode::Eost
-    } else {
-        CommitMode::PerQuery
-    });
-    EvalRun {
-        cfg,
-        ctx,
-        alpha,
-        catalog: RunCatalog::Exclusive(catalog),
-        disk: Some(disk),
-        cache: cfg.shared_index_cache.then_some(&*cache),
-        cancel: None,
-    }
-    .run(compiled)
-}
-
-/// Shared SQL rendering for `explain_sql` and the deprecated
-/// `RecStep::explain`.
-pub(crate) fn render_program_sql(compiled: &CompiledProgram) -> String {
-    let mut out = String::new();
-    for (si, stratum) in compiled.strata.iter().enumerate() {
-        out.push_str(&format!(
-            "-- stratum {si} ({})\n",
-            if stratum.recursive {
-                "recursive"
-            } else {
-                "non-recursive"
-            }
-        ));
-        for idb in &stratum.idbs {
-            out.push_str(&sqlgen::render_uie(idb));
-            out.push('\n');
-        }
-    }
-    out
 }
 
 #[cfg(test)]

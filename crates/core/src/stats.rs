@@ -25,7 +25,9 @@ pub struct PhaseTimes {
     pub analyze: Duration,
     /// Persistent-index maintenance (incremental appends, rehashes).
     pub index: Duration,
-    /// Simulated persistent-storage I/O.
+    /// Persistent-storage I/O. Always zero: evaluation is in-memory and
+    /// writes no file (the I/O the paper's §5.2 store would do is counted
+    /// in [`EvalStats::io_bytes`] instead). Kept for report compatibility.
     pub io: Duration,
     /// Bit-matrix evaluation.
     pub pbme: Duration,
@@ -204,9 +206,11 @@ pub struct EvalStats {
     pub index: IndexStats,
     /// Peak engine-estimated heap bytes (relations + operator tables).
     pub peak_bytes: usize,
-    /// Bytes written to (simulated) persistent storage.
+    /// Bytes a per-query-commit store (paper §5.2) would have written in
+    /// this run — counted, not written. Zero for shared-mode runs.
     pub io_bytes: u64,
-    /// Flush operations against persistent storage.
+    /// Flushes that store would have performed in this run (one per
+    /// non-empty derived table under EOST).
     pub io_flushes: u64,
     /// Worker busy-time over the run (for CPU-utilization reporting).
     pub busy: Duration,

@@ -43,7 +43,7 @@ use recstep_storage::{Catalog, RunCatalog};
 
 use crate::config::{Config, PbmeMode};
 use crate::db::{Database, RunOutput};
-use crate::eval::{EvalRun, RefreshDeltas};
+use crate::eval::{EvalRun, IoLedger, RefreshDeltas};
 use crate::prepared::PreparedProgram;
 use crate::stats::{EvalStats, ViewStats};
 
@@ -155,9 +155,9 @@ impl MaterializedView {
             ctx,
             alpha,
             catalog: RunCatalog::shared(db.catalog()),
-            disk: None,
             cache: self.cfg.shared_index_cache.then(|| &**db.index_cache()),
             cancel,
+            io: IoLedger::default(),
         };
         let stats = if self.incremental {
             run.run_carry(compiled, &mut self.indexes)?
@@ -174,9 +174,9 @@ impl MaterializedView {
                 ctx,
                 alpha,
                 catalog: RunCatalog::shared_with(db.catalog(), mem::take(&mut self.out)),
-                disk: None,
                 cache: None,
                 cancel: None,
+                io: IoLedger::default(),
             };
             let res = run.init_supports(compiled, &mut self.supports);
             self.out = run
@@ -317,9 +317,9 @@ impl MaterializedView {
             ctx,
             alpha,
             catalog: RunCatalog::shared_with(db.catalog(), mem::take(&mut self.out)),
-            disk: None,
             cache: None,
             cancel: None,
+            io: IoLedger::default(),
         };
         let res = run.run_refresh(compiled, &mut deltas, &mut self.supports, &mut self.indexes);
         self.out = run

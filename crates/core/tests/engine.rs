@@ -682,6 +682,31 @@ fn eost_defers_io_relative_to_per_query() {
 }
 
 #[test]
+fn io_counters_describe_each_run_not_the_database_lifetime() {
+    // TC over a 4-arc chain derives 10 pairs = 160 bytes. EOST flushes
+    // `tc` once at fixpoint; per-query mode also flushes every temporary
+    // and every append. Re-running over the same database must report the
+    // same run, not a running total or nothing.
+    let chain: Vec<(Value, Value)> = (0..4).map(|i| (i, i + 1)).collect();
+    for (eost, expected) in [(true, (160, 1)), (false, (544, 13))] {
+        let mut db = Database::new().unwrap();
+        db.load_edges("arc", &chain).unwrap();
+        let tc = engine(Config::default().eost(eost).pbme(PbmeMode::Off))
+            .prepare(recstep::programs::TC)
+            .unwrap();
+        for run in 0..3 {
+            let stats = tc.run(&mut db).unwrap();
+            assert_eq!(
+                (stats.io_bytes, stats.io_flushes),
+                expected,
+                "eost={eost} run {run}"
+            );
+            assert_eq!(db.row_count("tc"), 10);
+        }
+    }
+}
+
+#[test]
 fn dsd_switches_algorithms_during_tc() {
     // A long chain makes |R| grow while |Rδ| stays small → β grows and DSD
     // must eventually pick TPSD; OPSD runs at least once at the start.

@@ -456,15 +456,14 @@ fn main() -> ExitCode {
                 );
                 println!("peak bytes (engine estimate): {}", stats_out.peak_bytes);
                 println!(
-                    "io: {} bytes in {} flushes",
+                    "io (counted, not written): {} bytes in {} flushes",
                     stats_out.io_bytes, stats_out.io_flushes
                 );
                 println!("pbme: {}", stats_out.strata.iter().any(|s| s.pbme));
                 let p = &stats_out.phase;
                 println!(
                     "phase: pipeline {:?} / eval {:?} / dedup {:?} / setdiff {:?} / \
-                     aggregate {:?} / merge {:?} / analyze {:?} / index {:?} / io {:?} / \
-                     pbme {:?}",
+                     aggregate {:?} / merge {:?} / analyze {:?} / index {:?} / pbme {:?}",
                     p.pipeline,
                     p.eval,
                     p.dedup,
@@ -473,7 +472,6 @@ fn main() -> ExitCode {
                     p.merge,
                     p.analyze,
                     p.index,
-                    p.io,
                     p.pbme
                 );
                 println!("total: {:?}", stats_out.total);

@@ -12,20 +12,16 @@
 //!   and the OOF optimization).
 //! * [`stats`] — the statistics themselves and the three collection levels
 //!   (size-only, selective join-input sizes, full min/max/sum/avg).
-//! * [`disk`] — a simulated persistent store: per-query commit flushes dirty
-//!   bytes after every state-changing query (default RDBMS transaction
-//!   semantics) while EOST pends all I/O until fixpoint (paper §5.2).
-
+//! * [`handle`] — zero-copy, read-only result handles over stored relations.
 //! * [`overlay`] — run-scoped catalog access: exclusive mutation for
 //!   classic runs, or a copy-on-write overlay over a frozen base catalog
 //!   so N concurrent evaluations can share one database.
-
 //! * [`wal`] — crash-safe durability for the query service: an
 //!   append-only checksummed write-ahead log of `/facts` commits plus
-//!   atomic full-database snapshots with a manifest commit point.
+//!   atomic full-database snapshots with a manifest commit point. This is
+//!   the only code that writes files; evaluation itself is in-memory.
 
 pub mod catalog;
-pub mod disk;
 pub mod handle;
 pub mod overlay;
 pub mod relation;
@@ -33,7 +29,6 @@ pub mod stats;
 pub mod wal;
 
 pub use catalog::{Catalog, RelId};
-pub use disk::{CommitMode, DiskManager};
 pub use handle::{RelHandle, RowDecode, RowIter, RowRef};
 pub use overlay::RunCatalog;
 pub use relation::{ColAgg, RelView, Relation, Schema};

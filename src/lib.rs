@@ -3,8 +3,7 @@
 //! re-exports the public crates so examples can use one import root.
 //!
 //! The engine's public API is the Engine / Database / PreparedProgram
-//! triple (see `recstep`'s crate docs for the full story and migration
-//! notes from the old `RecStep` object):
+//! triple (see `recstep`'s crate docs for the full story):
 //!
 //! ```
 //! use recstep::{Database, Engine};

@@ -35,13 +35,8 @@ fn naive_rows(loads: &[(&str, &[(Value, Value)])], src: &str, rel: &str) -> Rows
     e.rows(rel).unwrap().iter().cloned().collect()
 }
 
-fn setbased_rows(
-    parallel: bool,
-    loads: &[(&str, &[(Value, Value)])],
-    src: &str,
-    rel: &str,
-) -> Rows {
-    let mut e = SetEngine::new(parallel);
+fn setbased_rows(loads: &[(&str, &[(Value, Value)])], src: &str, rel: &str) -> Rows {
+    let mut e = SetEngine::new();
     for (name, data) in loads {
         e.load_edges(name, data);
     }
@@ -62,10 +57,7 @@ fn tc_all_engines_agree_on_gnp() {
         recstep_rows(Config::no_op(), loads, recstep::programs::TC, "tc"),
         oracle
     );
-    assert_eq!(
-        setbased_rows(true, loads, recstep::programs::TC, "tc"),
-        oracle
-    );
+    assert_eq!(setbased_rows(loads, recstep::programs::TC, "tc"), oracle);
     // Worklist.
     let mut w = WorklistEngine::new(grammars::tc());
     w.load("arc", &edges).unwrap();
@@ -98,10 +90,7 @@ fn sg_engines_agree_on_rmat() {
             oracle
         );
     }
-    assert_eq!(
-        setbased_rows(false, loads, recstep::programs::SG, "sg"),
-        oracle
-    );
+    assert_eq!(setbased_rows(loads, recstep::programs::SG, "sg"), oracle);
 }
 
 #[test]
@@ -124,7 +113,7 @@ fn andersen_engines_agree_on_generated_input() {
         oracle
     );
     assert_eq!(
-        setbased_rows(true, loads, recstep::programs::ANDERSEN, "pointsTo"),
+        setbased_rows(loads, recstep::programs::ANDERSEN, "pointsTo"),
         oracle
     );
     let mut w = WorklistEngine::new(grammars::andersen());
@@ -156,7 +145,7 @@ fn cspa_engines_agree_on_generated_input() {
             "recstep {rel}"
         );
         assert_eq!(
-            setbased_rows(false, loads, recstep::programs::CSPA, rel),
+            setbased_rows(loads, recstep::programs::CSPA, rel),
             oracle,
             "set {rel}"
         );
@@ -196,7 +185,7 @@ fn csda_engines_agree_on_generated_chains() {
         oracle
     );
     assert_eq!(
-        setbased_rows(false, loads, recstep::programs::CSDA, "null"),
+        setbased_rows(loads, recstep::programs::CSDA, "null"),
         oracle
     );
     let mut w = WorklistEngine::new(grammars::csda());
@@ -223,10 +212,7 @@ fn cc_and_sssp_agree_with_oracle_on_weighted_rmat() {
         recstep_rows(Config::default(), loads, recstep::programs::CC, "cc3"),
         oracle
     );
-    assert_eq!(
-        setbased_rows(false, loads, recstep::programs::CC, "cc3"),
-        oracle
-    );
+    assert_eq!(setbased_rows(loads, recstep::programs::CC, "cc3"), oracle);
 
     // SSSP (ternary relation: load directly).
     let weighted = with_weights(&raw, 20, 5);
@@ -286,8 +272,5 @@ fn negation_program_agrees() {
         recstep_rows(Config::default(), loads, recstep::programs::NTC, "ntc"),
         oracle
     );
-    assert_eq!(
-        setbased_rows(false, loads, recstep::programs::NTC, "ntc"),
-        oracle
-    );
+    assert_eq!(setbased_rows(loads, recstep::programs::NTC, "ntc"), oracle);
 }

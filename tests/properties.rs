@@ -36,7 +36,7 @@ proptest! {
             db.relation("tc").unwrap().to_vec().into_iter().collect();
         prop_assert_eq!(&got, &expect);
 
-        let mut s = SetEngine::new(false);
+        let mut s = SetEngine::new();
         s.load_edges("arc", &edges);
         s.run_source(recstep::programs::TC).unwrap();
         let got: BTreeSet<Vec<Value>> = s.rows("tc").unwrap().iter().cloned().collect();
