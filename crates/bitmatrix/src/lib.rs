@@ -6,9 +6,13 @@
 //! bit matrix, "naturally merging the join and deduplication into one single
 //! stage". This crate implements:
 //!
-//! * [`matrix::BitMatrix`] — the atomic bit matrix;
-//! * [`tc`] — Algorithm 2: zero-coordination row-partitioned transitive
-//!   closure;
+//! * [`matrix::BitMatrix`] — the bit matrix: an atomic test-and-set for
+//!   writes that may land in any row (seeding, Algorithm 3), whole-row
+//!   load/store for a row's sole owner;
+//! * [`tc`] — Algorithm 2: zero-coordination transitive closure. Workers
+//!   take rows in morsels; the owner of a row closes it in a private
+//!   buffer with plain test-and-set and publishes it once, so the hot loop
+//!   runs no atomic instruction;
 //! * [`sg`] — Algorithm 3: same-generation with the `Varc` vector index,
 //!   plus the coordinated variant of Figure 7 (work re-balancing through a
 //!   global pool once a thread's local δ exceeds a threshold).

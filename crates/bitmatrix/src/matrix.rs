@@ -1,10 +1,19 @@
 //! The `n × n` atomic bit matrix.
 //!
-//! Bits are packed 64 per word, row-major. Writes use `fetch_or` so rows can
-//! be updated from any thread (Algorithm 3's δ is not tied to row
-//! partitions); reads are relaxed loads. [`BitMatrix::set`] reports whether
-//! the bit was newly set, which is exactly the duplicate test fused into the
-//! join ("merging the join and deduplication into one single stage").
+//! Bits are packed 64 per word, row-major. Two ways to write:
+//!
+//! * [`BitMatrix::set`] is a `fetch_or` that reports whether the bit was
+//!   newly set — the duplicate test fused into the join ("merging the join
+//!   and deduplication into one single stage"). Seeding and Algorithm 3
+//!   use it, because their writes land in arbitrary rows.
+//! * [`BitMatrix::load_row`] / [`BitMatrix::store_row`] move a whole row
+//!   between the matrix and a private `u64` buffer. Algorithm 2 closes each
+//!   row in such a buffer with plain test-and-set and publishes it with one
+//!   relaxed store per word; this is only sound while the caller is the
+//!   row's sole writer.
+//!
+//! Reads are relaxed loads; a reader ordered after the writers (the
+//! thread pool's join) sees every bit.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -54,6 +63,41 @@ impl BitMatrix {
         let mask = 1u64 << (j % 64);
         let prev = self.bits[word].fetch_or(mask, Ordering::Relaxed);
         prev & mask == 0
+    }
+
+    /// Number of `u64` words per row.
+    #[inline]
+    pub fn words_per_row(&self) -> usize {
+        self.words_per_row
+    }
+
+    /// Copy row `i`'s words into `out` (`out.len() == words_per_row()`).
+    pub fn load_row(&self, i: usize, out: &mut [u64]) {
+        debug_assert_eq!(out.len(), self.words_per_row);
+        let row = &self.bits[i * self.words_per_row..][..self.words_per_row];
+        for (o, w) in out.iter_mut().zip(row) {
+            *o = w.load(Ordering::Relaxed);
+        }
+    }
+
+    /// Overwrite row `i` with `words` (`words.len() == words_per_row()`),
+    /// one relaxed store per word. The caller must be the row's only writer
+    /// until the stores are published (e.g. by the thread pool's join);
+    /// bits past column `n` must be 0.
+    pub fn store_row(&self, i: usize, words: &[u64]) {
+        debug_assert_eq!(words.len(), self.words_per_row);
+        let row = &self.bits[i * self.words_per_row..][..self.words_per_row];
+        for (w, &v) in row.iter().zip(words) {
+            w.store(v, Ordering::Relaxed);
+        }
+    }
+
+    /// Number of set bits in row `i`.
+    pub fn row_count(&self, i: usize) -> usize {
+        self.bits[i * self.words_per_row..][..self.words_per_row]
+            .iter()
+            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
+            .sum()
     }
 
     /// Read bit `(i, j)`.
@@ -144,6 +188,23 @@ mod tests {
         assert_eq!(BitMatrix::bytes_for(65), 2 * 65 * 8);
         let m = BitMatrix::new(65);
         assert_eq!(m.heap_bytes(), BitMatrix::bytes_for(65));
+    }
+
+    #[test]
+    fn rows_load_store_and_count() {
+        let m = BitMatrix::new(130);
+        assert_eq!(m.words_per_row(), 3);
+        m.set(4, 1);
+        let mut buf = vec![0u64; 3];
+        m.load_row(4, &mut buf);
+        assert_eq!(buf, vec![0b10, 0, 0]);
+        buf[0] |= 1;
+        buf[2] |= 1 << 1; // column 129
+        m.store_row(4, &buf);
+        assert_eq!(m.row_ones(4).collect::<Vec<_>>(), vec![0, 1, 129]);
+        assert_eq!(m.row_count(4), 3);
+        assert_eq!(m.row_count(3), 0);
+        assert_eq!(m.count_ones(), 3);
     }
 
     #[test]

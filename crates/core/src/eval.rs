@@ -73,7 +73,7 @@ use recstep_exec::ExecCtx;
 use recstep_storage::{RelId, RelView, Relation, RunCatalog, Schema};
 
 use crate::config::{Config, OofMode, PbmeMode};
-use crate::pbme::{detect, fits_budget, PbmePlan};
+use crate::pbme::{detect, fits_budget, matrix_columns, PbmePlan};
 use crate::stats::{EvalStats, StratumStats};
 
 /// ∆R of one iteration.
@@ -826,18 +826,10 @@ impl EvalRun<'_, '_> {
         stats.pbme_matrix_bytes = stats.pbme_matrix_bytes.max(matrix.heap_bytes());
         stats.coord_orders_posted += coord_posted;
         // Materialize the closure back into the stored relation.
+        let (cols, aggs) = matrix_columns(&self.ctx.pool, &matrix, transpose_out);
         let rel = self.catalog.rel_mut(idb_id);
         rel.clear();
-        let ones = matrix.count_ones();
-        let mut cols = vec![Vec::with_capacity(ones), Vec::with_capacity(ones)];
-        for i in 0..matrix.n() {
-            for j in matrix.row_ones(i) {
-                let (a, b) = if transpose_out { (j, i) } else { (i, j) };
-                cols[0].push(a as Value);
-                cols[1].push(b as Value);
-            }
-        }
-        rel.append_columns(cols);
+        rel.append_columns_with_aggs(cols, &aggs);
         self.io.dirty(idb_id, self.catalog.rel(idb_id));
         stats.phase.pbme += t.elapsed();
         stats.iterations += 1;

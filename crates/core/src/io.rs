@@ -28,7 +28,7 @@
 //! and moves the concatenated columns into the relation.
 
 use std::fs;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::ops::Range;
 use std::path::Path;
 
@@ -288,7 +288,14 @@ fn parse_facts(
         .collect())
 }
 
-/// Write a relation as CSV to `path`. Returns the number of rows written.
+/// Bytes of CSV text gathered before each write to the output file.
+const WRITE_BLOCK: usize = 1 << 20;
+
+/// Write a relation as CSV to `path`: one row per line, values in decimal
+/// separated by `,`. Returns the number of rows written.
+///
+/// Walks the column slices, formats each value into one reusable buffer
+/// and writes it in blocks of about 1 MiB.
 pub fn write_relation_csv(db: &Database, name: &str, path: &Path) -> Result<usize> {
     let rel = db
         .relation(name)
@@ -296,18 +303,60 @@ pub fn write_relation_csv(db: &Database, name: &str, path: &Path) -> Result<usiz
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
-    let mut w = BufWriter::new(fs::File::create(path)?);
-    for row in rel.iter_rows() {
-        for c in 0..row.len() {
+    let cols: Vec<&[Value]> = (0..rel.arity()).map(|c| rel.col(c)).collect();
+    let mut file = fs::File::create(path)?;
+    let mut buf = Vec::with_capacity(WRITE_BLOCK + 32 * cols.len().max(1));
+    for r in 0..rel.len() {
+        for (c, col) in cols.iter().enumerate() {
             if c > 0 {
-                w.write_all(b",")?;
+                buf.push(b',');
             }
-            write!(w, "{}", row.get(c))?;
+            push_decimal(&mut buf, col[r]);
         }
-        w.write_all(b"\n")?;
+        buf.push(b'\n');
+        if buf.len() >= WRITE_BLOCK {
+            file.write_all(&buf)?;
+            buf.clear();
+        }
     }
-    w.flush()?;
+    file.write_all(&buf)?;
     Ok(rel.len())
+}
+
+/// `"00"`, `"01"`, …, `"99"`: two decimal digits per lookup.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Append `v` in decimal, as `Display` would (`i64::MIN` included).
+fn push_decimal(buf: &mut Vec<u8>, v: Value) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut u = v.unsigned_abs();
+    while u >= 100 {
+        let pair = (u % 100) as usize * 2;
+        u /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if u >= 10 {
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[u as usize * 2..u as usize * 2 + 2]);
+    } else {
+        at -= 1;
+        digits[at] = b'0' + u as u8;
+    }
+    if v < 0 {
+        buf.push(b'-');
+    }
+    buf.extend_from_slice(&digits[at..]);
 }
 
 /// Run the full `.datalog` file workflow over an already-prepared program:
@@ -371,6 +420,70 @@ mod tests {
         assert_eq!(written, 3);
         let text = fs::read_to_string(dir.join("out/arc.csv")).unwrap();
         assert_eq!(text, "0,1\n1,2\n2,3\n");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn csv_writer_matches_display_and_round_trips() {
+        let dir = tmpdir("csv");
+        let edge = [0, 7, -1, 9, 10, 99, 100, -100, 12_345, -987_654_321];
+        let extremes = [Value::MIN, Value::MAX, Value::MIN + 1, Value::MAX - 1];
+        let values: Vec<Value> = edge
+            .iter()
+            .chain(&extremes)
+            .copied()
+            .chain((0..18).map(|p| 10i64.pow(p)))
+            .chain((1..19).map(|p| -(10i64.pow(p)) + 1))
+            .collect();
+        let mut db = Database::new().unwrap();
+        for arity in [1usize, 2, 3] {
+            let name = format!("r{arity}");
+            let cols: Vec<Vec<Value>> = (0..arity)
+                .map(|c| {
+                    values
+                        .iter()
+                        .cycle()
+                        .skip(c * 5)
+                        .take(values.len())
+                        .copied()
+                        .collect()
+                })
+                .collect();
+            let mut tx = db.transaction();
+            tx.load_columns(&name, arity, cols.clone()).unwrap();
+            tx.commit().unwrap();
+            let path = dir.join(format!("{name}.csv"));
+            assert_eq!(write_relation_csv(&db, &name, &path).unwrap(), values.len());
+            // The formatting `write!` per value produced.
+            let mut expect = String::new();
+            for r in 0..values.len() {
+                let row: Vec<String> = cols.iter().map(|c| c[r].to_string()).collect();
+                expect.push_str(&row.join(","));
+                expect.push('\n');
+            }
+            assert_eq!(fs::read_to_string(&path).unwrap(), expect, "arity {arity}");
+            let back = format!("{name}_back");
+            assert_eq!(
+                load_facts_file(&mut db, &back, arity, &path).unwrap(),
+                values.len()
+            );
+            let loaded = db.relation(&back).unwrap();
+            for (c, col) in cols.iter().enumerate() {
+                assert_eq!(loaded.col(c), col.as_slice(), "arity {arity} col {c}");
+            }
+        }
+        // Rows spanning several write blocks.
+        let big: Vec<Value> = (0..WRITE_BLOCK as Value / 4)
+            .map(|i| i * 7919 - 1)
+            .collect();
+        let mut tx = db.transaction();
+        tx.load_columns("big", 1, vec![big.clone()]).unwrap();
+        tx.commit().unwrap();
+        let path = dir.join("big.csv");
+        write_relation_csv(&db, "big", &path).unwrap();
+        let text = fs::read_to_string(&path).unwrap();
+        assert!(text.len() > 2 * WRITE_BLOCK);
+        assert!(text.lines().map(|l| l.parse::<Value>().unwrap()).eq(big));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -8,9 +8,22 @@
 //! decide to build the bit-matrix data structure only if the memory
 //! available can fit both the bit matrix, as well as any additional index
 //! data structures used during evaluation."
+//!
+//! `matrix_columns` turns the closed matrix back into the IDB's two
+//! columns, row-parallel: per-row popcounts give every block of rows its
+//! offset, and each block fills its own disjoint slice of both columns.
 
+use std::sync::Mutex;
+
+use recstep_bitmatrix::BitMatrix;
 use recstep_common::lang::Expr;
+use recstep_common::sched::ThreadPool;
+use recstep_common::Value;
 use recstep_datalog::{AtomVersion, CompiledStratum};
+use recstep_storage::ColAgg;
+
+/// Matrix rows per block of the parallel matrix → column fill.
+const FILL_ROWS: usize = 64;
 
 /// A stratum PBME can take over.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -139,6 +152,100 @@ pub fn fits_budget(n: usize, edge_count: usize, budget_bytes: usize) -> bool {
     matrix.saturating_add(index) <= budget_bytes
 }
 
+/// One block's share of the output columns.
+struct FillBlock<'a> {
+    rows: &'a mut [Value],
+    cols: &'a mut [Value],
+    /// Aggregates of the column indices written, once filled.
+    col_agg: Option<ColAgg>,
+}
+
+/// The set bits of `m` as two columns in row-major order — `(i, j)`, or
+/// `(j, i)` when `transpose` — with each column's aggregates, so the
+/// relation they are appended to need not scan them again.
+pub(crate) fn matrix_columns(
+    pool: &ThreadPool,
+    m: &BitMatrix,
+    transpose: bool,
+) -> (Vec<Vec<Value>>, Vec<ColAgg>) {
+    let n = m.n();
+    let counts: Vec<usize> = (0..n).map(|i| m.row_count(i)).collect();
+    let total: usize = counts.iter().sum();
+    // Zeroed lazily by the allocator: the parallel fill, not this thread,
+    // touches the pages first.
+    let mut row_vals: Vec<Value> = vec![0; total];
+    let mut col_vals: Vec<Value> = vec![0; total];
+    let mut blocks = Vec::with_capacity(n.div_ceil(FILL_ROWS));
+    let (mut rows_left, mut cols_left) = (&mut row_vals[..], &mut col_vals[..]);
+    for chunk in counts.chunks(FILL_ROWS) {
+        let len = chunk.iter().sum();
+        let (rows, rest) = std::mem::take(&mut rows_left).split_at_mut(len);
+        rows_left = rest;
+        let (cols, rest) = std::mem::take(&mut cols_left).split_at_mut(len);
+        cols_left = rest;
+        blocks.push(Mutex::new(FillBlock {
+            rows,
+            cols,
+            col_agg: None,
+        }));
+    }
+    pool.parallel_for(blocks.len(), 1, |range, _| {
+        let mut words = vec![0u64; m.words_per_row()];
+        for b in range {
+            let mut guard = blocks[b].lock().expect("fill block lock");
+            let block = &mut *guard;
+            let mut k = 0;
+            let (mut min, mut max, mut sum) = (Value::MAX, Value::MIN, 0 as Value);
+            for i in b * FILL_ROWS..((b + 1) * FILL_ROWS).min(n) {
+                m.load_row(i, &mut words);
+                for (w, &word) in words.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let j = (w * 64) as Value + Value::from(bits.trailing_zeros());
+                        block.rows[k] = i as Value;
+                        block.cols[k] = j;
+                        min = min.min(j);
+                        max = max.max(j);
+                        sum = sum.wrapping_add(j);
+                        k += 1;
+                        bits &= bits - 1;
+                    }
+                }
+            }
+            debug_assert_eq!(k, block.rows.len());
+            block.col_agg = (k > 0).then_some(ColAgg { min, max, sum });
+        }
+    });
+    let col_agg = blocks
+        .into_iter()
+        .filter_map(|b| b.into_inner().expect("fill block lock").col_agg)
+        .reduce(|mut acc, a| {
+            acc.merge(&a);
+            acc
+        });
+    // No aggregates for an empty matrix: the relation ignores them then.
+    let mut aggs = Vec::with_capacity(2);
+    if let Some(col_agg) = col_agg {
+        let first = counts.iter().position(|&c| c > 0).expect("a set bit");
+        let last = counts.iter().rposition(|&c| c > 0).expect("a set bit");
+        let row_sum = counts.iter().enumerate().fold(0 as Value, |s, (i, &c)| {
+            s.wrapping_add((i as Value).wrapping_mul(c as Value))
+        });
+        aggs.push(ColAgg {
+            min: first as Value,
+            max: last as Value,
+            sum: row_sum,
+        });
+        aggs.push(col_agg);
+    }
+    let mut data = vec![row_vals, col_vals];
+    if transpose {
+        data.reverse();
+        aggs.reverse();
+    }
+    (data, aggs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,6 +313,51 @@ mod tests {
         for s in &strata {
             assert_eq!(detect(s), None);
         }
+    }
+
+    #[test]
+    fn matrix_columns_are_row_major_with_exact_aggs() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        // Bits fall in the band `lo..hi` of rows and of columns, so some
+        // matrices have empty leading and trailing rows and columns.
+        for (n, lo, hi) in [
+            (1usize, 0, 1),
+            (63, 0, 63),
+            (64, 10, 50),
+            (65, 1, 64),
+            (200, 70, 140),
+        ] {
+            let m = BitMatrix::new(n);
+            for _ in 0..n * 3 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let (i, j) = ((state >> 40) as usize, (state >> 16) as usize);
+                m.set(lo + i % (hi - lo), lo + j % (hi - lo));
+            }
+            let mut want: Vec<(Value, Value)> = Vec::new();
+            for i in 0..n {
+                want.extend(m.row_ones(i).map(|j| (i as Value, j as Value)));
+            }
+            for threads in [1, 3] {
+                let pool = ThreadPool::new(threads);
+                for transpose in [false, true] {
+                    let (data, aggs) = matrix_columns(&pool, &m, transpose);
+                    let got: Vec<(Value, Value)> = data[0]
+                        .iter()
+                        .zip(&data[1])
+                        .map(|(&a, &b)| if transpose { (b, a) } else { (a, b) })
+                        .collect();
+                    assert_eq!(got, want, "n {n} x{threads} transpose {transpose}");
+                    for c in 0..2 {
+                        assert_eq!(Some(aggs[c]), ColAgg::of(&data[c]), "n {n} col {c}");
+                    }
+                }
+            }
+        }
+        let pool = ThreadPool::new(2);
+        let (data, aggs) = matrix_columns(&pool, &BitMatrix::new(70), false);
+        assert!(data.iter().all(Vec::is_empty) && aggs.is_empty());
     }
 
     #[test]

@@ -809,3 +809,58 @@ fn symbolic_loading_roundtrips_through_dictionary() {
     assert_eq!(dict.resolve(paris), Some("paris"));
     assert_eq!(dict.len(), 4);
 }
+
+/// PBME writes its closure back row-major — `(x, y)` order for TC and SG,
+/// `(y, x)` for the mirrored TC rule, whose matrix is the transpose — and
+/// hands the relation exact column statistics. Checked at one and four
+/// threads over enough vertices for several row morsels and fill blocks.
+#[test]
+fn pbme_results_are_row_major_with_exact_column_stats() {
+    let n = 200u64;
+    let mirrored = "tc(x, y) :- arc(x, y).\ntc(x, y) :- arc(x, z), tc(z, y).";
+    let cases = [
+        ("tc", recstep::programs::TC, random_edges(n, 260, 21), false),
+        ("tc", mirrored, random_edges(n, 260, 22), true),
+        ("sg", recstep::programs::SG, random_edges(n, 220, 23), false),
+    ];
+    for (rel, src, edges, by_y) in &cases {
+        let (reference, _) = run_on_edges(Config::default().pbme(PbmeMode::Off), edges, src);
+        let expect = rel_pairs(&reference, rel);
+        assert!(expect.len() > 2 * n as usize, "{rel}: too small to test");
+        for threads in [1, 4] {
+            let mut db = Database::new().unwrap();
+            db.load_edges("arc", edges).unwrap();
+            let cfg = Config::default().pbme(PbmeMode::Force).threads(threads);
+            let stats = Engine::from_config(cfg)
+                .unwrap()
+                .prepare(src)
+                .unwrap()
+                .run(&mut db)
+                .unwrap();
+            assert!(stats.strata.iter().any(|s| s.pbme), "PBME must have run");
+            let handle = db.relation(rel).unwrap();
+            let pairs = handle.as_pairs().unwrap();
+            let key = |&(x, y): &(Value, Value)| if *by_y { (y, x) } else { (x, y) };
+            assert!(
+                pairs.windows(2).all(|w| key(&w[0]) < key(&w[1])),
+                "{rel} by_y={by_y} x{threads}: not in row-major order"
+            );
+            assert_eq!(pairs.iter().copied().collect::<BTreeSet<_>>(), expect);
+            let view = handle.view();
+            for c in 0..2 {
+                let col = handle.col(c);
+                let (min, max) = (*col.iter().min().unwrap(), *col.iter().max().unwrap());
+                let sum = col.iter().fold(0 as Value, |s, &v| s.wrapping_add(v));
+                let agg = view
+                    .cached_agg(c)
+                    .expect("stored relations keep aggregates");
+                assert_eq!(
+                    (agg.min, agg.max, agg.sum),
+                    (min, max, sum),
+                    "{rel} col {c}"
+                );
+                assert_eq!(view.cached_bounds(c), Some((min, max)), "{rel} col {c}");
+            }
+        }
+    }
+}

@@ -52,13 +52,24 @@ pub struct ColAgg {
 }
 
 impl ColAgg {
+    /// Aggregates of `col` by a full scan, or `None` when it is empty.
+    pub fn of(col: &[Value]) -> Option<ColAgg> {
+        let (&first, rest) = col.split_first()?;
+        let mut agg = ColAgg::seed(first);
+        for &v in rest {
+            agg.absorb(v);
+        }
+        Some(agg)
+    }
+
     fn absorb(&mut self, v: Value) {
         self.min = self.min.min(v);
         self.max = self.max.max(v);
         self.sum = self.sum.wrapping_add(v);
     }
 
-    fn merge(&mut self, other: &ColAgg) {
+    /// Fold in the aggregates of another non-empty set of values.
+    pub fn merge(&mut self, other: &ColAgg) {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         self.sum = self.sum.wrapping_add(other.sum);
@@ -160,37 +171,47 @@ impl Relation {
     ///
     /// Panics if `data` has the wrong arity or ragged column lengths.
     pub fn append_columns(&mut self, data: Vec<Vec<Value>>) {
+        // One pass over only the *new* values keeps the aggregates
+        // incremental: cost is proportional to what is appended, never to
+        // what is stored.
+        let aggs: Vec<ColAgg> = data.iter().filter_map(|c| ColAgg::of(c)).collect();
+        self.append_with_aggs(data, &aggs);
+    }
+
+    /// [`Relation::append_columns`] for a producer that already knows the
+    /// new values' aggregates: `aggs[c]` must equal `ColAgg::of(&data[c])`
+    /// (checked in debug builds), and is ignored when `data` holds no rows.
+    /// Skips the scan `append_columns` makes.
+    ///
+    /// Panics if `data` has the wrong arity or ragged column lengths, or if
+    /// it holds rows and `aggs` is not one entry per column.
+    pub fn append_columns_with_aggs(&mut self, data: Vec<Vec<Value>>, aggs: &[ColAgg]) {
+        debug_assert!(
+            data.iter()
+                .zip(aggs)
+                .all(|(c, a)| c.is_empty() || ColAgg::of(c) == Some(*a)),
+            "stale aggregates handed to {}",
+            self.schema.name
+        );
+        self.append_with_aggs(data, aggs);
+    }
+
+    fn append_with_aggs(&mut self, data: Vec<Vec<Value>>, aggs: &[ColAgg]) {
         assert_eq!(
             data.len(),
             self.arity(),
             "column-count mismatch for {}",
             self.schema.name
         );
-        if let Some(first) = data.first() {
-            let n = first.len();
-            assert!(
-                data.iter().all(|c| c.len() == n),
-                "ragged columns for {}",
-                self.schema.name
-            );
-        }
-        let adding = data.first().is_some_and(|c| !c.is_empty());
-        if adding {
-            let seed = self.aggs.is_empty();
-            if seed {
-                self.aggs = data.iter().map(|c| ColAgg::seed(c[0])).collect();
-            }
-            // One pass over only the *new* values keeps the aggregates
-            // incremental: cost is proportional to what is appended, never
-            // to what is stored. The seed row is already folded in by
-            // `ColAgg::seed`, so skip it here (absorbing it twice would
-            // double-count it into the sum).
-            let skip = usize::from(seed);
-            for (agg, new) in self.aggs.iter_mut().zip(&data) {
-                for &v in &new[skip..] {
-                    agg.absorb(v);
-                }
-            }
+        let n = data.first().map_or(0, Vec::len);
+        assert!(
+            data.iter().all(|c| c.len() == n),
+            "ragged columns for {}",
+            self.schema.name
+        );
+        if n > 0 {
+            assert_eq!(aggs.len(), data.len(), "one ColAgg per column");
+            self.fold_aggs(aggs);
         }
         for (col, mut new) in self.cols.iter_mut().zip(data) {
             if col.is_empty() {
@@ -201,17 +222,22 @@ impl Relation {
         }
     }
 
+    /// Fold the aggregates of newly appended, non-empty columns in.
+    fn fold_aggs(&mut self, new: &[ColAgg]) {
+        if self.aggs.is_empty() {
+            self.aggs = new.to_vec();
+        } else {
+            for (agg, n) in self.aggs.iter_mut().zip(new) {
+                agg.merge(n);
+            }
+        }
+    }
+
     /// Append all rows of another relation (must have equal arity).
     pub fn append_relation(&mut self, other: &Relation) {
         assert_eq!(other.arity(), self.arity());
         if !other.is_empty() {
-            if self.aggs.is_empty() {
-                self.aggs = other.aggs.clone();
-            } else {
-                for (agg, oa) in self.aggs.iter_mut().zip(&other.aggs) {
-                    agg.merge(oa);
-                }
-            }
+            self.fold_aggs(&other.aggs);
         }
         for (col, new) in self.cols.iter_mut().zip(&other.cols) {
             col.extend_from_slice(new);
@@ -258,18 +284,7 @@ impl Relation {
             }
             col.truncate(w);
         }
-        self.aggs = self
-            .cols
-            .iter()
-            .filter(|c| !c.is_empty())
-            .map(|c| {
-                let mut agg = ColAgg::seed(c[0]);
-                for &v in &c[1..] {
-                    agg.absorb(v);
-                }
-                agg
-            })
-            .collect();
+        self.aggs = self.cols.iter().filter_map(|c| ColAgg::of(c)).collect();
         removed
     }
 
@@ -593,6 +608,40 @@ mod tests {
         // Re-seeding after clear starts fresh (no stale bounds).
         r.push_row(&[2, 2]);
         assert_eq!(r.col_bounds(0), Some((2, 2)));
+    }
+
+    #[test]
+    fn handed_over_aggs_equal_a_rescan() {
+        let a = vec![4, -9, Value::MAX, 0];
+        let b = vec![Value::MIN, 2, 2, 7];
+        let aggs = [ColAgg::of(&a).unwrap(), ColAgg::of(&b).unwrap()];
+        assert_eq!(
+            aggs[0],
+            ColAgg {
+                min: -9,
+                max: Value::MAX,
+                sum: Value::MAX.wrapping_sub(5),
+            }
+        );
+        let mut scanned = Relation::new(Schema::with_arity("s", 2));
+        let mut handed = Relation::new(Schema::with_arity("h", 2));
+        for r in [&mut scanned, &mut handed] {
+            r.push_row(&[1, 1]);
+        }
+        scanned.append_columns(vec![a.clone(), b.clone()]);
+        handed.append_columns_with_aggs(vec![a, b], &aggs);
+        assert_eq!(handed.to_rows(), scanned.to_rows());
+        for c in 0..2 {
+            assert_eq!(handed.col_agg(c), scanned.col_agg(c));
+            assert_eq!(handed.col_agg(c).copied(), ColAgg::of(handed.col(c)));
+        }
+        // Into an empty relation, and an empty append that ignores `aggs`.
+        let mut fresh = Relation::new(Schema::with_arity("f", 1));
+        fresh.append_columns_with_aggs(vec![vec![]], &[]);
+        assert_eq!(fresh.col_agg(0), None);
+        let col = vec![3, 4];
+        fresh.append_columns_with_aggs(vec![col.clone()], &[ColAgg::of(&col).unwrap()]);
+        assert_eq!(fresh.col_agg(0).copied(), ColAgg::of(&col));
     }
 
     #[test]
