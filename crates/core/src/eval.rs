@@ -27,13 +27,29 @@
 //!       R  ← R ⊎ ∆R               // one shard append; ∆R is a row range
 //! ```
 //!
-//! The materializing path stays alive behind `--no-fused-pipeline`, for
-//! ablations and for configurations that genuinely need a materialized
-//! `Rt` (OOF-FA statistics, per-query temp spills, aggregation, IIE).
+//! One step function ([`EvalRun::step_idb`]) runs that line for every
+//! IDB: it picks one of three sinks, evaluates every subquery into it
+//! once, books the statistics the sinks share (queries, WCOJ tallies,
+//! considered tuples, OOF-NA plan freezing, OOF-FA `analyze(Rt)`), and
+//! only the ∆R tail depends on the sink:
 //!
-//! Two further engine-level specializations: recursive aggregates replace
-//! dedup + set difference by a monotonic absorb (∆ = strictly improved
-//! groups), and TC/SG-shaped strata can be handed to PBME (§5.3).
+//! * **Delta** — non-aggregated heads under `fused_pipeline`,
+//!   `index_reuse`, `uie` and `eost`: the ∆ stream above. The view
+//!   maintenance seed pass runs the same stream
+//!   ([`EvalRun::stream_delta`]).
+//! * **Agg** — aggregated heads under `fused_agg`, `uie` and `eost`: rows
+//!   fold into aggregate state at the probe site (a monotonic MIN/MAX map
+//!   whose dirty list is ∆R, or group-by partials).
+//! * **Materialize** — everything else: `Rt` is buffered, then grouped
+//!   (the monotonic absorb or a group-by pass), absorbed against the
+//!   persistent full-R index (`--no-fused-pipeline`), or deduplicated and
+//!   set-differenced against `R` (`--no-index-reuse`). `--no-uie` stages
+//!   per-subquery temporaries and `--no-eost` prices per-query flushes of
+//!   the temporaries, so both keep `Rt` materialized.
+//!
+//! OOF-FA streams: the Delta and Agg sinks sample the would-be `Rt` into a
+//! reservoir that stands in for it. TC/SG-shaped strata can instead be
+//! handed to PBME (§5.3).
 //!
 //! The loop is deliberately free of engine-object state: one [`EvalRun`]
 //! borrows the engine's immutable configuration and execution context
@@ -472,6 +488,35 @@ struct MonoState {
     agg_position: usize,
 }
 
+/// The state one pass of a plain (non-recursive) group-by head folds
+/// into under the aggregation sink.
+enum PlainAgg {
+    /// A single MIN/MAX: the CAS-on-best map.
+    Best(ConcurrentMonoMap),
+    /// Any other aggregate list: sharded partials.
+    Group(GroupSink),
+}
+
+impl PlainAgg {
+    /// The flushed groups, `[group ‖ aggregates]` column-major.
+    fn into_columns(self) -> Vec<Vec<Value>> {
+        match self {
+            PlainAgg::Best(map) => map.to_columns(map.group_arity()),
+            PlainAgg::Group(groups) => groups.into_columns(),
+        }
+    }
+}
+
+/// What one ∆-stream pass ([`EvalRun::stream_delta`]) yields.
+struct Streamed {
+    /// The evaluation's output; its columns are the fresh rows (∆R).
+    out: EvalOut,
+    /// Rows offered to the sink (`|Rt|` without `Rt` ever existing).
+    considered: usize,
+    /// The sink's scratch-table footprint.
+    scratch_bytes: usize,
+}
+
 /// Reservoir size for sink-sampled OOF-FA statistics (rows held, not rows
 /// counted — exact cardinalities come from the sink's counters).
 const SINK_SAMPLE_CAP: usize = 1024;
@@ -879,32 +924,32 @@ impl EvalRun<'_, '_> {
                             shape.funcs.len()
                         )));
                     }
-                    // Seed from facts already in R (earlier strata).
-                    let mut group = Vec::with_capacity(shape.group_positions.len());
-                    let mono = if self.fused_agg_applies() {
-                        let (func, g) = (shape.funcs[0], shape.group_positions.len());
-                        let mut conc =
+                    let (func, g) = (shape.funcs[0], shape.group_positions.len());
+                    let mut mono = if self.fused_agg_applies() {
+                        MonoEval::Conc(
                             match self.agg_window(stratum, idb, &shape.group_positions, rel) {
                                 Some(layout) => ConcurrentMonoMap::with_window(func, g, layout)?,
                                 None => ConcurrentMonoMap::new(func, g, rel.len())?,
-                            };
-                        for r in 0..rel.len() {
-                            group.clear();
-                            group.extend(shape.group_positions.iter().map(|&p| rel.col(p)[r]));
-                            conc.absorb(&group, rel.col(shape.agg_positions[0])[r]);
-                        }
-                        // Seeds are pre-existing facts, not this run's ∆.
-                        let _ = conc.take_improved();
-                        MonoEval::Conc(conc)
+                            },
+                        )
                     } else {
-                        let mut seq = MonotonicAgg::new(shape.funcs[0])?;
-                        for r in 0..rel.len() {
-                            group.clear();
-                            group.extend(shape.group_positions.iter().map(|&p| rel.col(p)[r]));
-                            seq.absorb(&group, rel.col(shape.agg_positions[0])[r]);
-                        }
-                        MonoEval::Seq(seq)
+                        MonoEval::Seq(MonotonicAgg::new(func)?)
                     };
+                    // Seed from facts already in R (earlier strata).
+                    let mut group = Vec::with_capacity(g);
+                    for r in 0..rel.len() {
+                        group.clear();
+                        group.extend(shape.group_positions.iter().map(|&p| rel.col(p)[r]));
+                        let v = rel.col(shape.agg_positions[0])[r];
+                        match &mut mono {
+                            MonoEval::Seq(m) => m.absorb(&group, v),
+                            MonoEval::Conc(m) => m.absorb(&group, v),
+                        };
+                    }
+                    if let MonoEval::Conc(m) = &mut mono {
+                        // Seeds are pre-existing facts, not this run's ∆.
+                        let _ = m.take_improved();
+                    }
                     Some(AggKind::Mono(MonoState {
                         mono,
                         group_positions: shape.group_positions.clone(),
@@ -1024,14 +1069,13 @@ impl EvalRun<'_, '_> {
         // Monotonic aggregated IDBs: rebuild stored relation from the map.
         for (i, idb) in stratum.idbs.iter().enumerate() {
             let state = &states[i];
-            if let Some(AggKind::Mono(mono_state)) = &state.agg {
-                let g = mono_state.group_positions.len();
-                let flat = mono_state.mono.to_columns(g);
-                let mut cols = vec![Vec::new(); idb.arity];
-                for (gi, &pos) in mono_state.group_positions.iter().enumerate() {
-                    cols[pos] = flat[gi].clone();
-                }
-                cols[mono_state.agg_position] = flat[g].clone();
+            if let Some(AggKind::Mono(ms)) = &state.agg {
+                let cols = head_columns(
+                    idb.arity,
+                    &ms.group_positions,
+                    &[ms.agg_position],
+                    ms.mono.to_columns(ms.group_positions.len()),
+                );
                 let rel = self.catalog.rel_mut(state.rel_id);
                 rel.clear();
                 rel.append_columns(cols);
@@ -1060,16 +1104,15 @@ impl EvalRun<'_, '_> {
         Ok(())
     }
 
-    /// Whether the fused streaming pipeline evaluates this IDB: the paths
-    /// excluded here genuinely need a materialized `Rt` (per-query commit
-    /// mode spills it, IIE stages per-subquery temporaries) or have no
-    /// full-R index to probe (`index_reuse` off). OOF-FA is *not*
-    /// excluded: a [`SinkSampler`] attached to the delta sink mirrors
-    /// every offered row, and the statistics pass reads the reservoir in
-    /// place of an `Rt` re-scan — same as the aggregated path.
-    /// Non-recursive strata stream too — their single pass dedups across
-    /// rules at source the same way. Aggregated heads stream through
-    /// their own group-at-source sink instead (see
+    /// Whether the ∆ stream (the Delta sink) evaluates this IDB. Excluded
+    /// are the ablation arms that keep `Rt` materialized: `--no-uie` stages
+    /// per-subquery temporaries, `--no-eost` prices a flush of every
+    /// temporary, and `--no-index-reuse` has no full-R index to probe.
+    /// OOF-FA is *not* excluded: a [`SinkSampler`] attached to the sink
+    /// mirrors every offered row, and the statistics pass reads the
+    /// reservoir in place of an `Rt` re-scan. Non-recursive strata stream
+    /// too — their single pass dedups across rules at source the same
+    /// way. Aggregated heads take the Agg sink instead (see
     /// [`Self::fused_agg_applies`]).
     fn fused_applies(&self, state: &IdbState) -> bool {
         self.cfg.fused_pipeline
@@ -1079,14 +1122,15 @@ impl EvalRun<'_, '_> {
             && state.agg.is_none()
     }
 
-    /// Whether group-at-source streaming evaluates aggregated IDBs: every
-    /// produced row is folded into a concurrent aggregate state at the
-    /// probe site, so neither a materialized pre-aggregation `Rt` nor a
-    /// full-R probe index is involved. Requires UIE (per-subquery temp
-    /// staging would re-materialize the stream) and EOST (per-query commit
-    /// mode spills the temporaries the sink no longer produces). OOF-FA is
-    /// *not* excluded: the sink samples the statistics `analyze(Rt)` needs
-    /// (reservoir + exact counts) while rows stream through.
+    /// Whether group-at-source streaming (the Agg sink) evaluates
+    /// aggregated IDBs: every produced row is folded into a concurrent
+    /// aggregate state at the probe site, so neither a materialized
+    /// pre-aggregation `Rt` nor a full-R probe index is involved. Requires
+    /// UIE (per-subquery temp staging would re-materialize the stream) and
+    /// EOST (`--no-eost` prices a flush of the temporaries the sink no
+    /// longer produces). OOF-FA is *not* excluded: the sink samples the
+    /// statistics `analyze(Rt)` needs (reservoir + exact counts) while
+    /// rows stream through.
     fn fused_agg_applies(&self) -> bool {
         self.cfg.fused_agg && self.cfg.uie && self.cfg.eost
     }
@@ -1138,365 +1182,175 @@ impl EvalRun<'_, '_> {
         ConcurrentMonoMap::window_for(&bounds, expected_groups)
     }
 
-    /// Run the OOF-FA statistics pass from a sink's reservoir sample
-    /// instead of a materialized `Rt` (no-op without a sampler).
-    fn note_sink_stats(
+    /// OOF-FA: full statistics of the would-be `Rt` — a streaming sink's
+    /// reservoir when there is one, else the materialized `rt` — and of
+    /// the updated relation, booked under `phase.analyze`.
+    fn analyze_rt(
         &mut self,
-        sampler: Option<&SinkSampler>,
         rel_id: RelId,
+        sampler: Option<&SinkSampler>,
+        rt: &[Vec<Value>],
         stats: &mut EvalStats,
     ) {
-        let Some(s) = sampler else { return };
         let t_an = Instant::now();
-        let cols = s.columns();
+        let sample;
+        let rt = match sampler {
+            Some(s) => {
+                stats.sink_stat_samples += s.sampled();
+                sample = s.columns();
+                &sample
+            }
+            None => rt,
+        };
         let _ = recstep_storage::stats::analyze_view(
-            RelView::over(&cols),
+            RelView::over(rt),
             recstep_storage::StatsLevel::Full,
         );
         self.catalog.analyze_full(rel_id);
-        stats.sink_stat_samples += s.sampled();
         stats.phase.analyze += t_an.elapsed();
     }
 
-    /// One group-at-source streaming step for an aggregated IDB: every
-    /// subquery's final operator folds each produced row into a concurrent
-    /// aggregate state (`AggSink`) at the probe site, so the
-    /// pre-aggregation `Rt` is never buffered, merged, or re-scanned — the
-    /// sink's flush yields ∆R (monotonic heads: the strictly improved
-    /// groups off the dirty list; plain group-by heads: the merged shard
-    /// partials) directly.
-    fn step_idb_agg_fused(
-        &mut self,
-        stratum: &CompiledStratum,
-        idb: &CompiledIdb,
-        idx: usize,
-        states: &mut [IdbState],
-        jcache: &mut JoinCache<'_>,
-        stats: &mut EvalStats,
-    ) -> Result<DeltaBuf> {
-        let sampler =
-            (self.cfg.oof == OofMode::Full).then(|| SinkSampler::new(idb.arity, SINK_SAMPLE_CAP));
-        let rel_id = states[idx].rel_id;
-        let t_pipe = Instant::now();
-        if matches!(states[idx].agg, Some(AggKind::Mono(_))) {
-            // --- Recursive monotonic head: CAS-on-best at the probe site. ---
-            let (out, considered) = {
-                let Some(AggKind::Mono(ms)) = &states[idx].agg else {
-                    unreachable!("checked above")
-                };
-                let MonoEval::Conc(map) = &ms.mono else {
-                    unreachable!("the fused-agg gate constructs the concurrent map")
-                };
-                let doublings_before = map.table_doublings();
-                let sink = AggSink::new(AggTarget::Mono(map), sampler);
-                let out = eval_idb(
-                    self.ctx,
-                    self.cfg,
-                    &self.catalog,
-                    stratum,
-                    idb,
-                    states,
-                    idx,
-                    jcache,
-                    &SinkMode::Agg(&sink),
-                    false,
-                )?;
-                // Close the pipeline timer before the statistics pass so
-                // the analyze interval is booked under `phase.analyze`
-                // only — the per-phase breakdown stays disjoint.
-                stats.phase.pipeline += t_pipe.elapsed();
-                stats.sink_table_doublings += map.table_doublings() - doublings_before;
-                stats.agg_dense_sinks += usize::from(map.has_window());
-                self.note_sink_stats(sink.sampler(), rel_id, stats);
-                (out, sink.considered())
-            };
-            stats.queries_issued += out.queries + 1;
-            stats.wcoj_runs += out.wcoj.runs;
-            stats.wcoj_rows_emitted += out.wcoj.rows;
-            stats.tuples_considered += considered;
-            stats.agg_sink_runs += 1;
-            stats.agg_rows_folded_at_source += considered;
-            if self.cfg.oof == OofMode::None {
-                freeze_choices(&self.catalog, stratum, idb, states, idx);
-            }
-            // --- Flush: the dirty list is ∆R, in head layout. ---
-            let t_agg = Instant::now();
-            let Some(AggKind::Mono(ms)) = &mut states[idx].agg else {
-                unreachable!("checked above")
-            };
-            let MonoEval::Conc(map) = &mut ms.mono else {
-                unreachable!("the fused-agg gate constructs the concurrent map")
-            };
-            let improved = map.take_improved();
-            let g = ms.group_positions.len();
-            let mut delta = Relation::new(Schema::with_arity(idb.delta_name.clone(), idb.arity));
-            let mut out_row = vec![0 as Value; idb.arity];
-            for row in improved.chunks(g + 1) {
-                for (gi, &pos) in ms.group_positions.iter().enumerate() {
-                    out_row[pos] = row[gi];
-                }
-                out_row[ms.agg_position] = row[g];
-                delta.push_row(&out_row);
-            }
-            stats.agg_groups_improved += delta.len();
-            stats.phase.aggregate += t_agg.elapsed();
-            return Ok(DeltaBuf::Owned(delta));
-        }
-
-        // --- Non-recursive group-by head: a single MIN/MAX folds into the
-        // CAS-on-best map (windowed when its keys pack compactly), any
-        // other aggregate list into sharded partials at the sink. ---
-        let Some(AggKind::Plain {
-            group_positions,
-            agg_positions,
-            funcs,
-        }) = &states[idx].agg
-        else {
-            unreachable!("caller dispatches only aggregated IDBs")
-        };
-        let (group_positions, agg_positions) = (group_positions.clone(), agg_positions.clone());
-        let g = group_positions.len();
-        let mono = match funcs[..] {
-            [func @ (AggFunc::Min | AggFunc::Max)] if g > 0 => Some(
-                match self.agg_window(stratum, idb, &group_positions, self.catalog.rel(rel_id)) {
-                    Some(layout) => ConcurrentMonoMap::with_window(func, g, layout)?,
-                    None => ConcurrentMonoMap::new(func, g, 0)?,
-                },
-            ),
-            _ => None,
-        };
-        let gsink = GroupSink::new(funcs.clone(), g);
-        let target = match &mono {
-            Some(map) => AggTarget::Mono(map),
-            None => AggTarget::Group(&gsink),
-        };
-        stats.agg_dense_sinks +=
-            usize::from(mono.as_ref().is_some_and(ConcurrentMonoMap::has_window));
-        let (out, considered) = {
-            let sink = AggSink::new(target, sampler);
-            let out = eval_idb(
-                self.ctx,
-                self.cfg,
-                &self.catalog,
-                stratum,
-                idb,
-                states,
-                idx,
-                jcache,
-                &SinkMode::Agg(&sink),
-                false,
-            )?;
-            // As above: keep the analyze interval out of `phase.pipeline`.
-            stats.phase.pipeline += t_pipe.elapsed();
-            self.note_sink_stats(sink.sampler(), rel_id, stats);
-            (out, sink.considered())
-        };
-        stats.queries_issued += out.queries + 1;
-        stats.wcoj_runs += out.wcoj.runs;
-        stats.wcoj_rows_emitted += out.wcoj.rows;
-        stats.tuples_considered += considered;
-        stats.agg_sink_runs += 1;
-        stats.agg_rows_folded_at_source += considered;
-        if self.cfg.oof == OofMode::None {
-            freeze_choices(&self.catalog, stratum, idb, states, idx);
-        }
-        // --- Flush: the groups straight into head layout. ---
-        let t_agg = Instant::now();
-        let mut grouped = match mono {
-            Some(map) => map.to_columns(g),
-            None => gsink.into_columns(),
-        };
-        let rows = grouped.first().map_or(0, Vec::len);
-        let mut cols = vec![Vec::new(); idb.arity];
-        for (gi, &pos) in group_positions.iter().enumerate() {
-            cols[pos] = std::mem::take(&mut grouped[gi]);
-        }
-        for (j, &pos) in agg_positions.iter().enumerate() {
-            cols[pos] = std::mem::take(&mut grouped[g + j]);
-        }
-        stats.agg_groups_improved += rows;
-        stats.phase.aggregate += t_agg.elapsed();
-        let state = &mut states[idx];
-        let rel = self.catalog.rel_mut(state.rel_id);
-        state.old_len = rel.len();
-        rel.append_columns(cols);
-        let delta = DeltaBuf::Range(state.old_len, rel.len());
-        self.io.dirty(state.rel_id, self.catalog.rel(state.rel_id));
-        Ok(delta)
+    /// Append the rows relation `rel_id` gained to its full-R `index`,
+    /// booked under `phase.index`.
+    fn sync_index(&self, rel_id: RelId, index: &mut PersistentIndex, stats: &mut EvalStats) {
+        let t_index = Instant::now();
+        let rel = self.catalog.rel(rel_id);
+        note_sync(index.append(self.ctx, rel.view()), rel.len(), stats);
+        stats.phase.index += t_index.elapsed();
     }
 
-    /// One fused streaming step: `∆R` comes straight out of rule
-    /// evaluation — each subquery's final operator probes the persistent
-    /// full-R index and the shared scratch table per produced row, so the
-    /// UNION-ALL intermediate is never buffered, merged or re-scanned.
-    #[allow(clippy::too_many_arguments)]
-    fn step_idb_fused(
-        &mut self,
-        stratum: &CompiledStratum,
-        idb: &CompiledIdb,
-        idx: usize,
-        states: &mut [IdbState],
-        jcache: &mut JoinCache<'_>,
+    /// Relation `rel_id`'s whole-tuple full-R index, built on first use or
+    /// synced with the relation (a carried index may trail it), booked
+    /// under `phase.index`.
+    fn full_index<'i>(
+        &self,
+        rel_id: RelId,
+        index: &'i mut Option<PersistentIndex>,
         stats: &mut EvalStats,
-        seeded: bool,
-    ) -> Result<DeltaBuf> {
-        if states[idx].full_index.is_none() {
-            let t_index = Instant::now();
-            let rel = self.catalog.rel(states[idx].rel_id);
-            stats.index.full_builds += 1;
-            stats.index.build_rows += rel.len();
-            states[idx].full_index = Some(PersistentIndex::build(
-                self.ctx,
-                rel.view(),
-                (0..idb.arity).collect(),
-            ));
-            stats.phase.index += t_index.elapsed();
-        }
-        // The sink borrows the index and the base view for the whole
-        // evaluation; take the index out of the state so `states` can be
-        // reborrowed immutably by the subquery evaluator.
-        let mut full_index = states[idx].full_index.take().expect("built above");
-        let rel_id = states[idx].rel_id;
-        // An index carried over from an earlier stratum may trail the
-        // relation (or follow a cleared one): sync it before probing.
-        {
-            let rel = self.catalog.rel(rel_id);
-            if full_index.rows() != rel.len() {
+    ) -> &'i mut PersistentIndex {
+        match index {
+            Some(index) => {
+                self.sync_index(rel_id, index, stats);
+                index
+            }
+            None => {
                 let t_index = Instant::now();
-                match full_index.append(self.ctx, rel.view()) {
-                    SyncAction::Appended(n) => {
-                        stats.index.full_appends += 1;
-                        stats.index.append_rows += n;
-                    }
-                    SyncAction::Reused => {}
-                    SyncAction::Rebuilt => {
-                        stats.index.full_builds += 1;
-                        stats.index.build_rows += rel.len();
-                    }
-                }
+                let rel = self.catalog.rel(rel_id);
+                note_sync(SyncAction::Rebuilt, rel.len(), stats);
+                let cols = (0..rel.arity()).collect();
+                let built = index.insert(PersistentIndex::build(self.ctx, rel.view(), cols));
                 stats.phase.index += t_index.elapsed();
+                built
             }
         }
-        // OOF-FA: sample the would-be Rt while it streams through the
-        // sink; the statistics pass below consumes the reservoir.
-        let sampler =
-            (self.cfg.oof == OofMode::Full).then(|| SinkSampler::new(idb.arity, SINK_SAMPLE_CAP));
-        // Index build/sync above is booked under `phase.index` (as on the
-        // materializing path); the pipeline timer covers only the
-        // streaming pass itself.
+    }
+
+    /// One ∆-stream pass over relation `rel_id`, shared by the Delta sink
+    /// of [`Self::step_idb`] and the view seed pass: `eval` streams every
+    /// produced row through a [`DeltaSink`] probing the full-R `index`
+    /// (built or synced first) and a shared scratch table, so only rows
+    /// new w.r.t. `R` and each other come out. The sink's compact-key
+    /// escapes are new w.r.t. `R` and the sink's winners (a tuple fits the
+    /// packed layout iff each value fits) and are deduplicated among
+    /// themselves here; every considered row not kept is booked as
+    /// skipped at source. On error `index` is left in place. The caller
+    /// books `tuples_considered` and merges the fresh rows
+    /// ([`Self::merge_delta`]), whose index `append` performs any one-time
+    /// hashed rebuild the escapes call for.
+    fn stream_delta(
+        &self,
+        rel_id: RelId,
+        index: &mut Option<PersistentIndex>,
+        sampler: Option<&SinkSampler>,
+        stats: &mut EvalStats,
+        eval: impl FnOnce(&Self, &SinkMode<'_>) -> Result<EvalOut>,
+    ) -> Result<Streamed> {
+        let index = self.full_index(rel_id, index, stats);
         let t_pipe = Instant::now();
-        let evaluated = {
-            let base = self.catalog.rel(rel_id).view();
-            let mut sink = DeltaSink::new(&full_index, base, 0);
-            if let Some(s) = &sampler {
-                sink = sink.with_sampler(s);
-            }
-            let out = eval_idb(
-                self.ctx,
-                self.cfg,
-                &self.catalog,
-                stratum,
-                idb,
-                states,
-                idx,
-                jcache,
-                &SinkMode::Delta(&sink),
-                seeded,
-            );
-            stats.sink_table_doublings += sink.table_doublings();
-            out.map(|out| {
-                (
-                    out,
-                    sink.considered(),
-                    sink.take_overflow(),
-                    sink.scratch_bytes(),
-                )
-            })
-        };
-        let (out, considered, overflow, scratch_bytes) = match evaluated {
-            Ok(v) => v,
-            Err(e) => {
-                states[idx].full_index = Some(full_index);
-                return Err(e);
-            }
-        };
-        states[idx].full_index = Some(full_index);
-        let mut fresh = out.cols;
-        let sink_fresh = fresh.first().map_or(0, Vec::len);
-        // Compact-key escapes equal no packed-fitting tuple (a tuple fits
-        // iff each value fits), so they are new w.r.t. R and the sink's
-        // winners — they only need dedup among themselves. The merge below
-        // triggers the index's one-time hashed rebuild via `append`.
+        let base = self.catalog.rel(rel_id).view();
+        let mut sink = DeltaSink::new(index, base, 0);
+        if let Some(s) = sampler {
+            sink = sink.with_sampler(s);
+        }
+        let out = eval(self, &SinkMode::Delta(&sink));
+        stats.sink_table_doublings += sink.table_doublings();
+        let mut out = out?;
+        let overflow = sink.take_overflow();
         if !overflow.is_empty() {
-            let mut seen: FxHashSet<Vec<Value>> = FxHashSet::default();
-            for row in &overflow {
-                if seen.insert(row.clone()) {
-                    for (col, &v) in fresh.iter_mut().zip(row) {
-                        col.push(v);
-                    }
+            let mut seen: FxHashSet<&[Value]> = FxHashSet::default();
+            for row in overflow.iter().filter(|row| seen.insert(row.as_slice())) {
+                for (col, &v) in out.cols.iter_mut().zip(row) {
+                    col.push(v);
                 }
             }
         }
-        let skipped = considered - sink_fresh - overflow.len();
-        stats.queries_issued += out.queries + 1;
-        stats.wcoj_runs += out.wcoj.runs;
-        stats.wcoj_rows_emitted += out.wcoj.rows;
-        stats.tuples_considered += considered;
+        let considered = sink.considered();
+        let skipped = considered - out.cols.first().map_or(0, Vec::len);
         stats.rt_rows_skipped_at_source += skipped;
-        stats.rt_bytes_never_materialized += skipped * idb.arity * 8;
-        stats.fused_runs += 1;
-        stats.pipeline_runs += 1;
+        stats.rt_bytes_never_materialized += skipped * base.arity() * 8;
         stats.index.scratch_builds += 1;
         stats.phase.pipeline += t_pipe.elapsed();
-        self.note_sink_stats(sampler.as_ref(), rel_id, stats);
-
-        // Record frozen choices on first iteration for OOF-NA.
-        if self.cfg.oof == OofMode::None {
-            freeze_choices(&self.catalog, stratum, idb, states, idx);
-        }
-
-        // --- R ← R ⊎ ∆R: one shard append; ∆R stays a row range. ---
-        let t_merge = Instant::now();
-        let state = &mut states[idx];
-        let rel = self.catalog.rel_mut(state.rel_id);
-        state.old_len = rel.len();
-        rel.append_columns(fresh);
-        let delta = DeltaBuf::Range(state.old_len, rel.len());
-        stats.phase.merge += t_merge.elapsed();
-
-        // Maintain the index over the merged rows (incremental).
-        let t_index = Instant::now();
-        let rel = self.catalog.rel(state.rel_id);
-        let index = state.full_index.as_mut().expect("restored above");
-        match index.append(self.ctx, rel.view()) {
-            SyncAction::Appended(n) => {
-                stats.index.full_appends += 1;
-                stats.index.append_rows += n;
-            }
-            SyncAction::Reused => {}
-            SyncAction::Rebuilt => {
-                stats.index.full_builds += 1;
-                stats.index.build_rows += rel.len();
-            }
-        }
-        stats.index.bytes_peak = stats
-            .index
-            .bytes_peak
-            .max(index.heap_bytes() + scratch_bytes);
-        stats.phase.index += t_index.elapsed();
-        stats.peak_bytes = stats
-            .peak_bytes
-            .max(self.catalog.heap_bytes() + index.heap_bytes() + scratch_bytes);
-
-        // EOST is a precondition of the fused gate, so no temporary is
-        // flushed here; just note the relation for the commit.
-        self.io.dirty(state.rel_id, self.catalog.rel(state.rel_id));
-        Ok(delta)
+        Ok(Streamed {
+            out,
+            considered,
+            scratch_bytes: sink.scratch_bytes(),
+        })
     }
 
-    /// One Algorithm 1 step (lines 8–13) for one IDB. Returns the freshly
-    /// computed ∆R (staged by the caller so peers keep reading the previous
-    /// iteration's delta until the pass completes).
+    /// `R ← R ⊎ ∆R` for relation `rel_id` (`phase.merge`); a full-R
+    /// `index` then appends the merged rows. Returns ∆R as the appended
+    /// row range of `R`.
+    fn merge_delta(
+        &mut self,
+        rel_id: RelId,
+        fresh: Vec<Vec<Value>>,
+        index: Option<&mut PersistentIndex>,
+        stats: &mut EvalStats,
+    ) -> (usize, usize) {
+        let t_merge = Instant::now();
+        let rel = self.catalog.rel_mut(rel_id);
+        let start = rel.len();
+        rel.append_columns(fresh);
+        let end = rel.len();
+        stats.phase.merge += t_merge.elapsed();
+        if let Some(index) = index {
+            self.sync_index(rel_id, index, stats);
+        }
+        self.io.dirty(rel_id, self.catalog.rel(rel_id));
+        (start, end)
+    }
+
+    /// Group a materialized `Rt` (`[group ‖ aggregate arguments]` layout)
+    /// by its first `g` columns, one aggregate per function.
+    fn group_rt(&self, rt: &[Vec<Value>], g: usize, funcs: &[AggFunc]) -> Vec<Vec<Value>> {
+        let group_exprs: Vec<Expr> = (0..g).map(Expr::Col).collect();
+        let aggs: Vec<AggCol> = funcs
+            .iter()
+            .enumerate()
+            .map(|(j, &func)| AggCol {
+                func,
+                expr: Expr::Col(g + j),
+            })
+            .collect();
+        recstep_exec::agg::group_aggregate(self.ctx, RelView::over(rt), &group_exprs, &aggs)
+    }
+
+    /// One Algorithm 1 step (lines 8–13) for one IDB: `Rt ← uieval` into
+    /// the sink the gates pick, the statistics every sink shares, then that
+    /// sink's ∆R tail.
+    ///
+    /// * `Delta` ([`Self::fused_applies`]): ∆R streams straight out of the
+    ///   operators ([`Self::stream_delta`]) and is merged as one append.
+    /// * `Agg` ([`Self::fused_agg_applies`]): every row folds into
+    ///   aggregate state at the probe site; ∆R is the flush — the strictly
+    ///   improved groups of a monotonic head, or every group of a plain
+    ///   group-by head.
+    /// * `Materialize`: `Rt` is buffered, then grouped (monotonic absorb
+    ///   or plain group-by), absorbed against the persistent full-R index,
+    ///   or deduplicated and set-differenced against `R`.
+    ///
+    /// Returns the freshly computed ∆R (staged by the caller so peers keep
+    /// reading the previous iteration's delta until the pass completes).
     #[allow(clippy::too_many_arguments)]
     fn step_idb(
         &mut self,
@@ -1508,98 +1362,193 @@ impl EvalRun<'_, '_> {
         stats: &mut EvalStats,
         seeded: bool,
     ) -> Result<DeltaBuf> {
-        if self.fused_applies(&states[idx]) {
-            return self.step_idb_fused(stratum, idb, idx, states, jcache, stats, seeded);
-        }
-        if states[idx].agg.is_some() && self.fused_agg_applies() {
-            return self.step_idb_agg_fused(stratum, idb, idx, states, jcache, stats);
-        }
-
-        // --- Rt ← uieval(rules(R, s)) ---
+        let rel_id = states[idx].rel_id;
+        let delta_sink = self.fused_applies(&states[idx]);
+        let agg_sink = states[idx].agg.is_some() && self.fused_agg_applies();
+        // OOF-FA: a streaming sink samples the would-be `Rt` for the
+        // statistics pass.
+        let sampler = (self.cfg.oof == OofMode::Full && (delta_sink || agg_sink))
+            .then(|| SinkSampler::new(idb.arity, SINK_SAMPLE_CAP));
         let t_eval = Instant::now();
-        let out = eval_idb(
-            self.ctx,
-            self.cfg,
-            &self.catalog,
-            stratum,
-            idb,
-            states,
-            idx,
-            jcache,
-            &SinkMode::Materialize,
-            seeded,
-        )?;
-        let (candidates, queries) = (out.cols, out.queries);
-        stats.phase.eval += t_eval.elapsed();
-        stats.queries_issued += queries;
+        // A plain group-by head folds one pass into fresh state: a single
+        // MIN/MAX into the CAS-on-best map (windowed when its keys pack
+        // compactly), any other aggregate list into sharded partials.
+        let plain = match &states[idx].agg {
+            Some(AggKind::Plain {
+                group_positions,
+                funcs,
+                ..
+            }) if agg_sink => {
+                let g = group_positions.len();
+                Some(match funcs[..] {
+                    [func @ (AggFunc::Min | AggFunc::Max)] if g > 0 => {
+                        let rel = self.catalog.rel(rel_id);
+                        PlainAgg::Best(match self.agg_window(stratum, idb, group_positions, rel) {
+                            Some(layout) => ConcurrentMonoMap::with_window(func, g, layout)?,
+                            None => ConcurrentMonoMap::new(func, g, 0)?,
+                        })
+                    }
+                    _ => PlainAgg::Group(GroupSink::new(funcs.clone(), g)),
+                })
+            }
+            _ => None,
+        };
+        let mut full_index = if delta_sink {
+            states[idx].full_index.take()
+        } else {
+            None
+        };
+
+        // --- Rt ← uieval(rules(R, s)), into the chosen sink. ---
+        let mut eval = |this: &Self, sink: &SinkMode<'_>| {
+            eval_idb(
+                this.ctx,
+                this.cfg,
+                &this.catalog,
+                stratum,
+                idb,
+                states,
+                idx,
+                jcache,
+                sink,
+                seeded,
+            )
+        };
+        let mut scratch_bytes = 0;
+        let (out, considered) = if delta_sink {
+            let streamed =
+                self.stream_delta(rel_id, &mut full_index, sampler.as_ref(), stats, eval);
+            states[idx].full_index = full_index;
+            let streamed = streamed?;
+            scratch_bytes = streamed.scratch_bytes;
+            (streamed.out, streamed.considered)
+        } else if agg_sink {
+            let mono = match &states[idx].agg {
+                Some(AggKind::Mono(ms)) => {
+                    let MonoEval::Conc(map) = &ms.mono else {
+                        unreachable!("the fused-agg gate constructs the concurrent map")
+                    };
+                    Some(map)
+                }
+                _ => None,
+            };
+            let target = match (&plain, mono) {
+                (Some(PlainAgg::Best(map)), _) | (None, Some(map)) => AggTarget::Mono(map),
+                (Some(PlainAgg::Group(groups)), _) => AggTarget::Group(groups),
+                (None, None) => unreachable!("the fused-agg gate admits aggregated heads only"),
+            };
+            if let AggTarget::Mono(map) = &target {
+                stats.agg_dense_sinks += usize::from(map.has_window());
+            }
+            let doublings = mono.map_or(0, ConcurrentMonoMap::table_doublings);
+            let sink = AggSink::new(target, sampler.as_ref());
+            let out = eval(self, &SinkMode::Agg(&sink))?;
+            stats.phase.pipeline += t_eval.elapsed();
+            if let Some(map) = mono {
+                stats.sink_table_doublings += map.table_doublings() - doublings;
+            }
+            (out, sink.considered())
+        } else {
+            let out = eval(self, &SinkMode::Materialize)?;
+            stats.phase.eval += t_eval.elapsed();
+            let produced = out.cols.first().map_or(0, Vec::len);
+            (out, produced)
+        };
+
+        // --- Statistics every sink shares. ---
+        stats.queries_issued += out.queries + 1;
         stats.wcoj_runs += out.wcoj.runs;
         stats.wcoj_rows_emitted += out.wcoj.rows;
-        let produced = candidates.first().map_or(0, Vec::len);
-        stats.tuples_considered += produced;
-        // The whole UNION-ALL intermediate was buffered and merged — the
-        // cost the streaming pipeline eliminates.
-        stats.rt_merge_bytes += produced * idb.arity * 8;
-
-        // Record frozen choices on first iteration for OOF-NA.
+        stats.tuples_considered += considered;
         if self.cfg.oof == OofMode::None {
             freeze_choices(&self.catalog, stratum, idb, states, idx);
         }
-
-        self.io.temp(RelView::over(&candidates));
-
-        // OOF-FA: full statistics on every updated table, every iteration.
         if self.cfg.oof == OofMode::Full {
-            let t_an = Instant::now();
-            let _ = recstep_storage::stats::analyze_view(
-                RelView::over(&candidates),
-                recstep_storage::StatsLevel::Full,
-            );
-            let id = states[idx].rel_id;
-            self.catalog.analyze_full(id);
-            stats.phase.analyze += t_an.elapsed();
+            self.analyze_rt(rel_id, sampler.as_ref(), &out.cols, stats);
         }
 
+        // --- The sink's ∆R tail. ---
         let state = &mut states[idx];
-        match &mut state.agg {
-            Some(AggKind::Mono(mono_state)) => {
-                // --- Recursive aggregation path: group, then absorb. ---
-                let MonoEval::Seq(mono) = &mut mono_state.mono else {
+        if delta_sink {
+            // R ← R ⊎ ∆R: one shard append; ∆R stays a row range.
+            stats.fused_runs += 1;
+            stats.pipeline_runs += 1;
+            let index = state.full_index.as_mut().expect("the ∆ stream built it");
+            let (start, end) = self.merge_delta(rel_id, out.cols, Some(&mut *index), stats);
+            let bytes = index.heap_bytes() + scratch_bytes;
+            stats.index.bytes_peak = stats.index.bytes_peak.max(bytes);
+            stats.peak_bytes = stats.peak_bytes.max(self.catalog.heap_bytes() + bytes);
+            state.old_len = start;
+            return Ok(DeltaBuf::Range(start, end));
+        }
+        if agg_sink {
+            stats.agg_sink_runs += 1;
+            stats.agg_rows_folded_at_source += considered;
+            let t_agg = Instant::now();
+            return Ok(match (plain, &mut state.agg) {
+                // Monotonic head: the dirty list is ∆R.
+                (None, Some(AggKind::Mono(ms))) => {
+                    let MonoEval::Conc(map) = &mut ms.mono else {
+                        unreachable!("the fused-agg gate constructs the concurrent map")
+                    };
+                    let improved = map.take_improved();
+                    let delta = mono_delta(idb, ms, &improved);
+                    stats.agg_groups_improved += delta.len();
+                    stats.phase.aggregate += t_agg.elapsed();
+                    DeltaBuf::Owned(delta)
+                }
+                // Plain group-by head: the groups straight into head layout.
+                (
+                    Some(plain),
+                    Some(AggKind::Plain {
+                        group_positions,
+                        agg_positions,
+                        ..
+                    }),
+                ) => {
+                    let cols = head_columns(
+                        idb.arity,
+                        group_positions,
+                        agg_positions,
+                        plain.into_columns(),
+                    );
+                    stats.agg_groups_improved += cols.first().map_or(0, Vec::len);
+                    stats.phase.aggregate += t_agg.elapsed();
+                    let (start, end) = self.merge_delta(rel_id, cols, None, stats);
+                    state.old_len = start;
+                    DeltaBuf::Range(start, end)
+                }
+                _ => unreachable!("the fused-agg gate admits aggregated heads only"),
+            });
+        }
+
+        // Materialized `Rt`: the whole UNION-ALL intermediate was buffered
+        // and merged — the cost the streaming sinks eliminate.
+        let rt = out.cols;
+        stats.rt_merge_bytes += considered * idb.arity * 8;
+        self.io.temp(RelView::over(&rt));
+        let delta = match &mut state.agg {
+            Some(AggKind::Mono(ms)) => {
+                // --- Recursive aggregation: group, then absorb. ---
+                let t_agg = Instant::now();
+                let MonoEval::Seq(mono) = &mut ms.mono else {
                     unreachable!("the fused-agg gate constructs the sequential map")
                 };
-                let t_agg = Instant::now();
-                let g = mono_state.group_positions.len();
-                let group_exprs: Vec<Expr> = (0..g).map(Expr::Col).collect();
-                let aggs = vec![AggCol {
-                    func: mono.func(),
-                    expr: Expr::Col(g),
-                }];
-                let grouped = recstep_exec::agg::group_aggregate(
-                    self.ctx,
-                    RelView::over(&candidates),
-                    &group_exprs,
-                    &aggs,
-                );
-                let mut delta =
-                    Relation::new(Schema::with_arity(idb.delta_name.clone(), idb.arity));
-                let rows = grouped.first().map_or(0, Vec::len);
+                let g = ms.group_positions.len();
+                let grouped = self.group_rt(&rt, g, &[mono.func()]);
+                let mut improved = Vec::new();
                 let mut group = Vec::with_capacity(g);
-                let mut out_row = vec![0 as Value; idb.arity];
-                #[allow(clippy::needless_range_loop)]
-                for r in 0..rows {
+                for r in 0..grouped.first().map_or(0, Vec::len) {
                     group.clear();
-                    group.extend((0..g).map(|c| grouped[c][r]));
-                    let v = grouped[g][r];
-                    if mono.absorb(&group, v) {
-                        for (gi, &pos) in mono_state.group_positions.iter().enumerate() {
-                            out_row[pos] = group[gi];
-                        }
-                        out_row[mono_state.agg_position] = v;
-                        delta.push_row(&out_row);
+                    group.extend(grouped[..g].iter().map(|col| col[r]));
+                    if mono.absorb(&group, grouped[g][r]) {
+                        improved.extend_from_slice(&group);
+                        improved.push(grouped[g][r]);
                     }
                 }
+                let delta = mono_delta(idb, ms, &improved);
                 stats.phase.aggregate += t_agg.elapsed();
                 self.io.temp(delta.view());
-                stats.queries_issued += 1;
                 return Ok(DeltaBuf::Owned(delta));
             }
             Some(AggKind::Plain {
@@ -1609,166 +1558,82 @@ impl EvalRun<'_, '_> {
             }) => {
                 // --- Non-recursive aggregation: one group-by pass. ---
                 let t_agg = Instant::now();
-                let g = group_positions.len();
-                let group_exprs: Vec<Expr> = (0..g).map(Expr::Col).collect();
-                let aggs: Vec<AggCol> = funcs
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &func)| AggCol {
-                        func,
-                        expr: Expr::Col(g + j),
-                    })
-                    .collect();
-                let grouped = recstep_exec::agg::group_aggregate(
-                    self.ctx,
-                    RelView::over(&candidates),
-                    &group_exprs,
-                    &aggs,
-                );
-                let rows = grouped.first().map_or(0, Vec::len);
-                let mut cols = vec![Vec::with_capacity(rows); idb.arity];
-                for (gi, &pos) in group_positions.iter().enumerate() {
-                    cols[pos] = grouped[gi].clone();
-                }
-                for (j, &pos) in agg_positions.iter().enumerate() {
-                    cols[pos] = grouped[g + j].clone();
-                }
+                let grouped = self.group_rt(&rt, group_positions.len(), funcs);
+                let cols = head_columns(idb.arity, group_positions, agg_positions, grouped);
                 stats.phase.aggregate += t_agg.elapsed();
-                let rel = self.catalog.rel_mut(state.rel_id);
-                state.old_len = rel.len();
-                rel.append_columns(cols);
-                let delta = DeltaBuf::Range(state.old_len, rel.len());
-                let rel = self.catalog.rel(state.rel_id);
-                self.io.temp(delta.view(rel));
-                self.io.dirty(state.rel_id, self.catalog.rel(state.rel_id));
+                self.merge_delta(rel_id, cols, None, stats)
+            }
+            None if self.cfg.index_reuse && stratum.recursive => {
+                // --- Fused Rδ ← dedup(Rt), ∆R ← Rδ − R against the
+                // persistent full-R index: one pass over Rt, the table is
+                // built once for the stratum and appended after every
+                // merge. One query replaces the dedup INSERT and the
+                // difference query of the rebuild path. ---
+                let index = self.full_index(rel_id, &mut state.full_index, stats);
+                let t_fused = Instant::now();
+                let rel = self.catalog.rel(rel_id);
+                let outcome = index.absorb(self.ctx, RelView::over(&rt), rel.view());
+                if outcome.rebuilt {
+                    // Compact-key invalidation: a candidate escaped the
+                    // packed layout; the index fell back to hashed and
+                    // rebuilt once.
+                    note_sync(SyncAction::Rebuilt, rel.len(), stats);
+                }
+                stats.index.scratch_builds += 1;
+                let bytes = index.heap_bytes() + outcome.scratch_bytes;
+                stats.index.bytes_peak = stats.index.bytes_peak.max(bytes);
+                stats.peak_bytes = stats.peak_bytes.max(self.catalog.heap_bytes() + bytes);
+                drop(rt);
+                stats.phase.dedup += t_fused.elapsed();
+                stats.fused_runs += 1;
+                let range = self.merge_delta(rel_id, outcome.fresh, Some(&mut *index), stats);
+                stats.index.bytes_peak = stats.index.bytes_peak.max(index.heap_bytes());
+                range
+            }
+            None => {
+                // --- Rδ ← dedup(Rt) ---
+                let t_dedup = Instant::now();
+                let budget_rows = self.cfg.mem_budget_bytes / (idb.arity.max(1) * 16);
+                // Conservative distinct approximation for table sizing,
+                // every OOF mode: min(memory, |Rt|) (paper §5.1).
+                let distinct_hint = considered.min(budget_rows);
+                let dedup_out =
+                    deduplicate(self.ctx, RelView::over(&rt), self.cfg.dedup, distinct_hint);
+                drop(rt);
+                stats.phase.dedup += t_dedup.elapsed();
                 stats.queries_issued += 1;
-                return Ok(delta);
-            }
-            None => {}
-        }
+                stats.index.scratch_builds += dedup_out.tables_built;
+                stats.peak_bytes = stats
+                    .peak_bytes
+                    .max(self.catalog.heap_bytes() + dedup_out.table_bytes);
+                let rdelta = dedup_out.cols;
+                self.io.temp(RelView::over(&rdelta));
 
-        if self.cfg.index_reuse && stratum.recursive {
-            // --- Fused Rδ ← dedup(Rt), ∆R ← Rδ − R against the persistent
-            // full-R index: one pass over Rt, the full-R table is built
-            // once for the stratum and appended after every merge. ---
-            let t_fused = Instant::now();
-            if state.full_index.is_none() {
-                let rel = self.catalog.rel(state.rel_id);
-                stats.index.full_builds += 1;
-                stats.index.build_rows += rel.len();
-                state.full_index = Some(PersistentIndex::build(
+                // --- ∆R ← Rδ − R ---
+                let t_diff = Instant::now();
+                let full = self.catalog.rel(rel_id).view();
+                let builds_before = state.dsd.tables_built;
+                let (diff, algo) = set_difference(
                     self.ctx,
-                    rel.view(),
-                    (0..idb.arity).collect(),
-                ));
+                    RelView::over(&rdelta),
+                    full,
+                    self.cfg.setdiff,
+                    &mut state.dsd,
+                );
+                stats.phase.setdiff += t_diff.elapsed();
+                stats.note_setdiff(algo);
+                // Every set-difference table is rebuilt from scratch on
+                // this path; that per-iteration rebuild is what
+                // `index_reuse` eliminates.
+                stats.index.full_builds += state.dsd.tables_built - builds_before;
+                self.merge_delta(rel_id, diff, None, stats)
             }
-            let rel = self.catalog.rel(state.rel_id);
-            let index = state.full_index.as_mut().expect("built above");
-            let outcome = index.absorb(self.ctx, RelView::over(&candidates), rel.view());
-            if outcome.rebuilt {
-                // Compact-key invalidation: a candidate escaped the packed
-                // layout; the index fell back to hashed and rebuilt once.
-                stats.index.full_builds += 1;
-                stats.index.build_rows += rel.len();
-            }
-            stats.index.scratch_builds += 1;
-            stats.index.bytes_peak = stats
-                .index
-                .bytes_peak
-                .max(index.heap_bytes() + outcome.scratch_bytes);
-            stats.peak_bytes = stats
-                .peak_bytes
-                .max(self.catalog.heap_bytes() + index.heap_bytes() + outcome.scratch_bytes);
-            drop(candidates);
-            stats.phase.dedup += t_fused.elapsed();
-            stats.fused_runs += 1;
-            // One fused query replaces the dedup INSERT and the difference
-            // query of the rebuild path.
-            stats.queries_issued += 1;
-
-            // --- R ← R ⊎ ∆R: one shard append, ∆R stays a row range. ---
-            let t_merge = Instant::now();
-            let rel = self.catalog.rel_mut(state.rel_id);
-            state.old_len = rel.len();
-            rel.append_columns(outcome.fresh);
-            let delta = DeltaBuf::Range(state.old_len, rel.len());
-            stats.phase.merge += t_merge.elapsed();
-
-            // Maintain the index over the merged rows (incremental).
-            let t_index = Instant::now();
-            let rel = self.catalog.rel(state.rel_id);
-            let index = state.full_index.as_mut().expect("built above");
-            match index.append(self.ctx, rel.view()) {
-                SyncAction::Appended(n) => {
-                    stats.index.full_appends += 1;
-                    stats.index.append_rows += n;
-                }
-                SyncAction::Reused => {}
-                SyncAction::Rebuilt => {
-                    stats.index.full_builds += 1;
-                    stats.index.build_rows += rel.len();
-                }
-            }
-            stats.index.bytes_peak = stats.index.bytes_peak.max(index.heap_bytes());
-            stats.phase.index += t_index.elapsed();
-
-            let rel = self.catalog.rel(state.rel_id);
-            self.io.temp(delta.view(rel));
-            self.io.dirty(state.rel_id, self.catalog.rel(state.rel_id));
-            return Ok(delta);
-        }
-
-        // --- Rδ ← dedup(Rt) ---
-        let t_dedup = Instant::now();
-        let budget_rows = self.cfg.mem_budget_bytes / (idb.arity.max(1) * 16);
-        // Conservative distinct approximation for table sizing, every OOF
-        // mode: min(memory, |Rt|) (paper §5.1).
-        let distinct_hint = produced.min(budget_rows);
-        let dedup_out = deduplicate(
-            self.ctx,
-            RelView::over(&candidates),
-            self.cfg.dedup,
-            distinct_hint,
-        );
-        drop(candidates);
-        stats.phase.dedup += t_dedup.elapsed();
-        stats.queries_issued += 1;
-        stats.index.scratch_builds += dedup_out.tables_built;
-        stats.peak_bytes = stats
-            .peak_bytes
-            .max(self.catalog.heap_bytes() + dedup_out.table_bytes);
-        let rdelta = dedup_out.cols;
-        self.io.temp(RelView::over(&rdelta));
-
-        // --- ∆R ← Rδ − R ---
-        let t_diff = Instant::now();
-        let full = self.catalog.rel(state.rel_id).view();
-        let builds_before = state.dsd.tables_built;
-        let (diff, algo) = set_difference(
-            self.ctx,
-            RelView::over(&rdelta),
-            full,
-            self.cfg.setdiff,
-            &mut state.dsd,
-        );
-        stats.phase.setdiff += t_diff.elapsed();
-        stats.note_setdiff(algo);
-        // Every set-difference table is rebuilt from scratch on this path;
-        // that per-iteration rebuild is what `index_reuse` eliminates.
-        stats.index.full_builds += state.dsd.tables_built - builds_before;
-        stats.queries_issued += 1;
-
-        // --- R ← R ⊎ ∆R: one shard append, ∆R stays a row range. ---
-        let t_merge = Instant::now();
-        let rel = self.catalog.rel_mut(state.rel_id);
-        state.old_len = rel.len();
-        rel.append_columns(diff);
-        let delta = DeltaBuf::Range(state.old_len, rel.len());
-        stats.phase.merge += t_merge.elapsed();
-        let rel = self.catalog.rel(state.rel_id);
-        self.io.temp(delta.view(rel));
-        self.io.dirty(state.rel_id, self.catalog.rel(state.rel_id));
-        Ok(delta)
+        };
+        let (start, end) = delta;
+        state.old_len = start;
+        self.io
+            .temp(self.catalog.rel(rel_id).range_view(start, end));
+        Ok(DeltaBuf::Range(start, end))
     }
 }
 
@@ -1800,18 +1665,13 @@ impl RefreshDeltas {
     }
 }
 
-fn cols_from_rows(arity: usize, rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
-    let mut cols = vec![Vec::with_capacity(rows.len()); arity];
-    for row in rows {
-        for (c, &v) in row.iter().enumerate() {
-            cols[c].push(v);
-        }
-    }
-    cols
-}
-
-fn cols_from_iter<'r>(arity: usize, rows: impl Iterator<Item = &'r Vec<Value>>) -> Vec<Vec<Value>> {
-    let mut cols = vec![Vec::new(); arity];
+/// Column-major copy of `rows` (each of `arity` values).
+fn cols_from_rows<'r>(
+    arity: usize,
+    rows: impl IntoIterator<Item = &'r Vec<Value>>,
+) -> Vec<Vec<Value>> {
+    let rows = rows.into_iter();
+    let mut cols = vec![Vec::with_capacity(rows.size_hint().0); arity];
     for row in rows {
         for (c, &v) in row.iter().enumerate() {
             cols[c].push(v);
@@ -1961,7 +1821,7 @@ impl EvalRun<'_, '_> {
                         })?;
                         let set: FxHashSet<Vec<Value>> =
                             self.catalog.rel(id).to_rows().into_iter().collect();
-                        dedup_cols.push((p, cols_from_iter(scan.arity, set.iter())));
+                        dedup_cols.push((p, cols_from_rows(scan.arity, set.iter())));
                     }
                     let ovr: ScanOverrides<'_> = dedup_cols
                         .iter()
@@ -2087,20 +1947,19 @@ impl EvalRun<'_, '_> {
         Ok(stats)
     }
 
-    /// Stream maintenance derivations for one cluster IDB through a
-    /// [`DeltaSink`] against its carried full-R index and append the
-    /// winners. With `positions`, each member rule runs once per changed
-    /// scan position — that position pinned to the new tuples, everything
-    /// else at current full views (an over-approximation the sink
-    /// dedups). Without, every rule of the *non-recursive* member strata
-    /// re-runs once in full (DRed re-derivation; the recursive rules
-    /// re-run in the fixpoint that follows).
-    #[allow(clippy::too_many_arguments)]
+    /// Stream maintenance derivations for one cluster IDB through the
+    /// ∆ stream ([`Self::stream_delta`]) against its carried full-R index
+    /// and append the winners. With `positions`, each member rule runs
+    /// once per changed scan position — that position pinned to the new
+    /// tuples, everything else at current full views (an
+    /// over-approximation the sink dedups). Without, every rule of the
+    /// *non-recursive* member strata re-runs once in full (DRed
+    /// re-derivation; the recursive rules re-run in the fixpoint that
+    /// follows). Returns the number of rows appended.
     fn seed_idb(
         &mut self,
         members: &[&CompiledStratum],
         rel_name: &str,
-        arity: usize,
         positions: Option<&FxHashMap<String, Vec<Vec<Value>>>>,
         index_carry: &mut FxHashMap<RelId, PersistentIndex>,
         stats: &mut EvalStats,
@@ -2109,40 +1968,15 @@ impl EvalRun<'_, '_> {
             .catalog
             .lookup(rel_name)
             .ok_or_else(|| Error::exec(format!("unknown relation '{rel_name}'")))?;
-        let mut full_index = match index_carry.remove(&rel_id) {
-            Some(index) => index,
-            None => {
-                let rel = self.catalog.rel(rel_id);
-                stats.index.full_builds += 1;
-                stats.index.build_rows += rel.len();
-                PersistentIndex::build(self.ctx, rel.view(), (0..arity).collect())
-            }
-        };
-        {
-            let rel = self.catalog.rel(rel_id);
-            if full_index.rows() != rel.len() {
-                let t_index = Instant::now();
-                match full_index.append(self.ctx, rel.view()) {
-                    SyncAction::Appended(n) => {
-                        stats.index.full_appends += 1;
-                        stats.index.append_rows += n;
-                    }
-                    SyncAction::Reused => {}
-                    SyncAction::Rebuilt => {
-                        stats.index.full_builds += 1;
-                        stats.index.build_rows += rel.len();
-                    }
-                }
-                stats.phase.index += t_index.elapsed();
-            }
-        }
-        let t_pipe = Instant::now();
-        let evaluated = {
-            let base = self.catalog.rel(rel_id).view();
-            let sink = DeltaSink::new(&full_index, base, 0);
-            let mut fresh: Vec<Vec<Value>> = vec![Vec::new(); arity];
-            let mut err = None;
-            'eval: for stratum in members {
+        let mut index = index_carry.remove(&rel_id);
+        let arity = self.catalog.rel(rel_id).arity();
+        let streamed = self.stream_delta(rel_id, &mut index, None, stats, |this, sink| {
+            let mut fresh = EvalOut {
+                cols: vec![Vec::new(); arity],
+                queries: 0,
+                wcoj: WcojTally::default(),
+            };
+            for stratum in members {
                 if positions.is_none() && stratum.recursive {
                     continue;
                 }
@@ -2166,73 +2000,25 @@ impl EvalRun<'_, '_> {
                             None => calls.push(ScanOverrides::default()),
                         }
                         for ovr in &calls {
-                            match self.eval_maintenance(stratum, sq, ovr, &SinkMode::Delta(&sink)) {
-                                Ok(cols) => {
-                                    for (dst, mut src) in fresh.iter_mut().zip(cols) {
-                                        if dst.is_empty() {
-                                            *dst = src;
-                                        } else {
-                                            dst.append(&mut src);
-                                        }
-                                    }
-                                }
-                                Err(e) => {
-                                    err = Some(e);
-                                    break 'eval;
-                                }
-                            }
+                            append_cols(
+                                &mut fresh.cols,
+                                this.eval_maintenance(stratum, sq, ovr, sink)?,
+                            );
                         }
                     }
                 }
             }
-            stats.sink_table_doublings += sink.table_doublings();
-            match err {
-                Some(e) => Err(e),
-                None => Ok((fresh, sink.take_overflow(), sink.considered())),
-            }
-        };
-        let (mut fresh, overflow, considered) = match evaluated {
-            Ok(v) => v,
-            Err(e) => {
-                index_carry.insert(rel_id, full_index);
-                return Err(e);
-            }
-        };
-        // Compact-key escapes are new w.r.t. R and the sink's winners;
-        // they only need dedup among themselves (as on the fused path).
-        if !overflow.is_empty() {
-            let mut seen: FxHashSet<Vec<Value>> = FxHashSet::default();
-            for row in &overflow {
-                if seen.insert(row.clone()) {
-                    for (col, &v) in fresh.iter_mut().zip(row) {
-                        col.push(v);
-                    }
-                }
-            }
+            Ok(fresh)
+        });
+        let seeded = streamed.map(|streamed| {
+            stats.tuples_considered += streamed.considered;
+            let (start, end) = self.merge_delta(rel_id, streamed.out.cols, index.as_mut(), stats);
+            end - start
+        });
+        if let Some(index) = index {
+            index_carry.insert(rel_id, index);
         }
-        let fresh_rows = fresh.first().map_or(0, Vec::len);
-        stats.tuples_considered += considered;
-        stats.index.scratch_builds += 1;
-        stats.phase.pipeline += t_pipe.elapsed();
-        if fresh_rows > 0 {
-            self.catalog.rel_mut(rel_id).append_columns(fresh);
-            let t_index = Instant::now();
-            let rel = self.catalog.rel(rel_id);
-            match full_index.append(self.ctx, rel.view()) {
-                SyncAction::Appended(n) => {
-                    stats.index.full_appends += 1;
-                    stats.index.append_rows += n;
-                }
-                SyncAction::Reused => {}
-                SyncAction::Rebuilt => {
-                    stats.index.full_builds += 1;
-                    stats.index.build_rows += rel.len();
-                }
-            }
-            stats.phase.index += t_index.elapsed();
-        }
-        index_carry.insert(rel_id, full_index);
-        Ok(fresh_rows)
+        seeded
     }
 
     /// Insert-only maintenance of a recursive cluster: ∆-seed every rule
@@ -2279,14 +2065,7 @@ impl EvalRun<'_, '_> {
             starts.insert(id, self.catalog.rel(id).len());
         }
         for idb in &rec.idbs {
-            let seeded = self.seed_idb(
-                members,
-                &idb.rel,
-                idb.arity,
-                Some(&plus_cols),
-                index_carry,
-                stats,
-            )?;
+            let seeded = self.seed_idb(members, &idb.rel, Some(&plus_cols), index_carry, stats)?;
             stats.view.view_tuples_seeded += seeded as u64;
         }
         self.run_stratum(
@@ -2372,7 +2151,7 @@ impl EvalRun<'_, '_> {
                                 set.insert(row.clone());
                             }
                         }
-                        old_cols.insert(rel.to_string(), cols_from_iter(scan.arity, set.iter()));
+                        old_cols.insert(rel.to_string(), cols_from_rows(scan.arity, set.iter()));
                     }
                 }
             }
@@ -2457,7 +2236,7 @@ impl EvalRun<'_, '_> {
             starts.insert(rel_id, self.catalog.rel(rel_id).len());
         }
         for idb in &rec.idbs {
-            self.seed_idb(members, &idb.rel, idb.arity, None, index_carry, stats)?;
+            self.seed_idb(members, &idb.rel, None, index_carry, stats)?;
         }
         self.run_stratum(rec, index_carry, jcache, stats, StratumEntry::Scratch)?;
         stats.view.view_dred_strata += 1;
@@ -2560,9 +2339,9 @@ impl EvalRun<'_, '_> {
                     }
                     if is_base {
                         new_cols
-                            .insert(rel.to_string(), cols_from_iter(scan.arity, new_set.iter()));
+                            .insert(rel.to_string(), cols_from_rows(scan.arity, new_set.iter()));
                     }
-                    old_cols.insert(rel.to_string(), cols_from_iter(scan.arity, old_set.iter()));
+                    old_cols.insert(rel.to_string(), cols_from_rows(scan.arity, old_set.iter()));
                 }
             }
         }
@@ -2645,6 +2424,64 @@ impl EvalRun<'_, '_> {
     }
 }
 
+/// Book one full-R index build, append or rebuild under
+/// [`EvalStats::index`] (`rows`: the relation's length, which a build or
+/// rebuild inserts).
+fn note_sync(action: SyncAction, rows: usize, stats: &mut EvalStats) {
+    match action {
+        SyncAction::Reused => {}
+        SyncAction::Appended(n) => {
+            stats.index.full_appends += 1;
+            stats.index.append_rows += n;
+        }
+        SyncAction::Rebuilt => {
+            stats.index.full_builds += 1;
+            stats.index.build_rows += rows;
+        }
+    }
+}
+
+/// ∆R of a monotonic head in head layout: one row per improved group of
+/// `improved`, flattened as `[group ‖ best]` rows.
+fn mono_delta(idb: &CompiledIdb, ms: &MonoState, improved: &[Value]) -> Relation {
+    let g = ms.group_positions.len();
+    let mut delta = Relation::new(Schema::with_arity(idb.delta_name.clone(), idb.arity));
+    let mut out_row = vec![0 as Value; idb.arity];
+    for row in improved.chunks(g + 1) {
+        for (&pos, &v) in ms.group_positions.iter().zip(row) {
+            out_row[pos] = v;
+        }
+        out_row[ms.agg_position] = row[g];
+        delta.push_row(&out_row);
+    }
+    delta
+}
+
+/// Place grouped columns (`[group ‖ aggregates]`) at their head positions.
+fn head_columns(
+    arity: usize,
+    group_positions: &[usize],
+    agg_positions: &[usize],
+    grouped: Vec<Vec<Value>>,
+) -> Vec<Vec<Value>> {
+    let mut cols = vec![Vec::new(); arity];
+    for (&pos, col) in group_positions.iter().chain(agg_positions).zip(grouped) {
+        cols[pos] = col;
+    }
+    cols
+}
+
+/// Append column-major rows `src` to `dst` (moving the first batch).
+fn append_cols(dst: &mut [Vec<Value>], src: Vec<Vec<Value>>) {
+    for (dst, mut src) in dst.iter_mut().zip(src) {
+        if dst.is_empty() {
+            *dst = src;
+        } else {
+            dst.append(&mut src);
+        }
+    }
+}
+
 /// Record first-iteration build-side choices (OOF-NA freezing).
 fn freeze_choices(
     catalog: &RunCatalog<'_>,
@@ -2715,7 +2552,7 @@ fn estimate_left_rows(
 
 /// Worst-case-optimal-join accounting carried out of subquery evaluation
 /// (folded into [`EvalStats::wcoj_runs`] / [`EvalStats::wcoj_rows_emitted`]
-/// by the step functions).
+/// by [`EvalRun::step_idb`]).
 #[derive(Default, Clone, Copy)]
 struct WcojTally {
     /// Subqueries dispatched to the generic join.
@@ -2785,13 +2622,7 @@ fn eval_idb(
         if cfg.uie {
             // One unified query: results land in a single output buffer.
             // The first subquery's columns are moved, not copied.
-            for (dst, mut src) in unioned.iter_mut().zip(cols) {
-                if dst.is_empty() {
-                    *dst = src;
-                } else {
-                    dst.append(&mut src);
-                }
-            }
+            append_cols(&mut unioned, cols);
         } else {
             // Individual evaluation: materialize a per-subquery temp table,
             // then merge — the extra query + copy of Figure 4 (left).

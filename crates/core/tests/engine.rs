@@ -864,3 +864,34 @@ fn pbme_results_are_row_major_with_exact_column_stats() {
         }
     }
 }
+
+/// Derived values past a relation's packed key layout escape the fused
+/// sink's compact keys; escapes that duplicate each other are deduped
+/// after the pass and must still count as skipped, so every considered
+/// tuple is either kept or skipped at source.
+#[test]
+fn escaped_duplicates_count_as_skipped_at_source() {
+    let far: Value = 1 << 40;
+    for threads in [1, 2] {
+        let mut db = Database::new().unwrap();
+        db.load_edges("a", &[(0, 1), (0, 2)]).unwrap();
+        db.load_edges("b", &[(1, far), (2, far)]).unwrap();
+        let cfg = Config::default().pbme(PbmeMode::Off).threads(threads);
+        let stats = Engine::from_config(cfg)
+            .unwrap()
+            .prepare("r(x, y) :- a(x, y).\nr(x, y) :- r(x, z), b(z, y).")
+            .unwrap()
+            .run(&mut db)
+            .unwrap();
+        let rows = db.row_count("r");
+        let skipped = stats.rt_rows_skipped_at_source;
+        assert_eq!(rows, 3, "x{threads}");
+        assert_eq!(stats.tuples_considered, rows + skipped, "x{threads}");
+        assert_eq!(skipped, 1, "x{threads}");
+        assert_eq!(
+            stats.rt_bytes_never_materialized,
+            skipped * 2 * 8,
+            "x{threads}"
+        );
+    }
+}

@@ -33,9 +33,10 @@
 //!
 //! [`SinkMode`] is the switch operators consume: `Materialize` preserves
 //! the UNION-ALL contract (every row is buffered), `Delta` streams rows
-//! through a sink. The materializing mode stays available behind
-//! `--no-fused-pipeline` for ablations and for per-query temp-table
-//! spills; OOF-FA statistics no longer force it — an attached
+//! through a sink, `Agg` folds them into aggregate state. The
+//! materializing mode serves the ablation arms that keep `Rt`
+//! (`--no-fused-pipeline`, `--no-uie`, `--no-eost`, `--no-index-reuse`);
+//! OOF-FA statistics no longer force it — an attached
 //! [`SinkSampler`] ([`DeltaSink::with_sampler`]) mirrors every offered
 //! row into a reservoir the statistics pass consumes in place of an `Rt`
 //! re-scan.
@@ -289,14 +290,14 @@ pub enum AggTarget<'a> {
 /// statistics OOF-FA would otherwise re-scan `Rt` for.
 pub struct AggSink<'a> {
     target: AggTarget<'a>,
-    sampler: Option<SinkSampler>,
+    sampler: Option<&'a SinkSampler>,
     considered: AtomicUsize,
 }
 
 impl<'a> AggSink<'a> {
     /// Sink folding rows into `target`, sampling for statistics when
     /// `sampler` is given (the OOF-FA path).
-    pub fn new(target: AggTarget<'a>, sampler: Option<SinkSampler>) -> Self {
+    pub fn new(target: AggTarget<'a>, sampler: Option<&'a SinkSampler>) -> Self {
         AggSink {
             target,
             sampler,
@@ -316,7 +317,7 @@ impl<'a> AggSink<'a> {
             }
             AggTarget::Group(g) => g.absorb_row(row),
         }
-        if let Some(s) = &self.sampler {
+        if let Some(s) = self.sampler {
             s.offer(row);
         }
     }
@@ -333,11 +334,6 @@ impl<'a> AggSink<'a> {
     /// path, folded at source instead of being buffered.
     pub fn considered(&self) -> usize {
         self.considered.load(Ordering::Relaxed)
-    }
-
-    /// The statistics sampler, when sampling was requested.
-    pub fn sampler(&self) -> Option<&SinkSampler> {
-        self.sampler.as_ref()
     }
 }
 
@@ -471,14 +467,15 @@ mod tests {
         use crate::agg::ConcurrentMonoMap;
         use crate::expr::AggFunc;
         let mut map = ConcurrentMonoMap::new(AggFunc::Min, 1, 8).unwrap();
+        let sampler = SinkSampler::new(2, 4);
         {
-            let sink = AggSink::new(AggTarget::Mono(&map), Some(SinkSampler::new(2, 4)));
+            let sink = AggSink::new(AggTarget::Mono(&map), Some(&sampler));
             sink.offer(&[1, 10]);
             sink.offer(&[1, 7]);
             sink.offer(&[2, 3]);
             sink.note_considered(3);
             assert_eq!(sink.considered(), 3);
-            assert_eq!(sink.sampler().unwrap().seen(), 3);
+            assert_eq!(sampler.seen(), 3);
         }
         assert_eq!(map.get(&[1]), Some(7));
         assert_eq!(map.take_improved().len(), 2 * 2);
@@ -493,7 +490,6 @@ mod tests {
         sink.offer(&[5, 0]);
         sink.offer(&[5, 0]);
         sink.offer(&[6, 0]);
-        assert!(sink.sampler().is_none());
         assert_eq!(group.groups(), 2);
     }
 
