@@ -61,8 +61,9 @@
 //! cross-run [`IndexCache`] (built once across runs, evicted under
 //! memory pressure); everything mutable stays run-local.
 
+use std::mem;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use recstep_common::hash::{FxHashMap, FxHashSet};
 use recstep_common::lang::{AggFunc, Expr};
@@ -598,7 +599,7 @@ impl IoLedger {
     }
 }
 
-impl EvalRun<'_, '_> {
+impl<'d> EvalRun<'_, 'd> {
     /// Evaluate a compiled program to fixpoint (Algorithm 1).
     pub(crate) fn run(&mut self, prog: &CompiledProgram) -> Result<EvalStats> {
         self.run_impl(prog, None)
@@ -656,10 +657,7 @@ impl EvalRun<'_, '_> {
         // a handful of inline facts, and a scan allocates nothing, unlike
         // materializing a row set of a possibly bulk-loaded relation.
         for (name, vals) in &prog.facts {
-            let id = self
-                .catalog
-                .lookup(name)
-                .ok_or_else(|| Error::exec(format!("fact for unknown relation '{name}'")))?;
+            let id = rel_id(&self.catalog, name)?;
             let rel = self.catalog.rel(id);
             let present =
                 (0..rel.len()).any(|r| (0..rel.arity()).all(|c| rel.col(c)[r] == vals[c]));
@@ -668,23 +666,7 @@ impl EvalRun<'_, '_> {
             }
         }
 
-        // Relations this run derives: their build-side indexes grow, so
-        // only everything else is eligible for the shared cross-run tier.
-        let mutable_ids: FxHashSet<RelId> = prog
-            .relations
-            .iter()
-            .filter(|d| d.is_idb)
-            .filter_map(|d| self.catalog.lookup(&d.name))
-            .collect();
-        // Join build-side tables persist across the whole run (relations
-        // are append-only between IDB resets, and syncs rebuild
-        // defensively on shrink), with frozen relations served from the
-        // database's shared cross-run cache.
-        let mut jcache = JoinCache::new(
-            self.cfg.index_reuse,
-            self.cache.map(|c| (c, self.cfg.index_cache_budget_bytes)),
-            mutable_ids,
-        );
+        let mut jcache = self.join_cache(prog);
 
         // Full-R indexes survive their stratum: stratification evaluates
         // every IDB in exactly one stratum, so a carried index only ever
@@ -722,8 +704,7 @@ impl EvalRun<'_, '_> {
         // itself; hand them over instead of publishing.
         if let Some(out) = carry_out {
             for (rel_id, index) in index_carry.drain() {
-                let name = self.catalog.rel(rel_id).schema().name.clone();
-                out.insert(name, index);
+                out.insert(self.catalog.rel(rel_id).schema().name.clone(), index);
             }
         }
         // Publish the final full-R indexes of this run's IDB results into
@@ -774,11 +755,31 @@ impl EvalRun<'_, '_> {
         if self.catalog.as_exclusive().is_some() {
             (stats.io_bytes, stats.io_flushes) = self.io.totals(self.cfg.eost, &self.catalog);
         }
+        Ok(self.close(stats, t0, busy0))
+    }
+
+    /// The run's join cache. Build-side tables persist across the whole
+    /// run (relations are append-only between IDB resets, and syncs
+    /// rebuild defensively on shrink); relations `prog` does not derive
+    /// are frozen and served from the database's shared cross-run cache.
+    fn join_cache(&self, prog: &CompiledProgram) -> JoinCache<'d> {
+        let mutable_ids: FxHashSet<RelId> = prog
+            .relations
+            .iter()
+            .filter(|d| d.is_idb)
+            .filter_map(|d| self.catalog.lookup(&d.name))
+            .collect();
+        let shared = self.cache.map(|c| (c, self.cfg.index_cache_budget_bytes));
+        JoinCache::new(self.cfg.index_reuse, shared, mutable_ids)
+    }
+
+    /// Close a run's statistics: wall time since `t0`, pool busy time
+    /// since `busy0`, and the catalog's peak footprint.
+    fn close(&self, mut stats: EvalStats, t0: Instant, busy0: u64) -> EvalStats {
         stats.total = t0.elapsed();
-        stats.busy =
-            std::time::Duration::from_nanos(self.ctx.pool.busy_ns_total().saturating_sub(busy0));
+        stats.busy = Duration::from_nanos(self.ctx.pool.busy_ns_total().saturating_sub(busy0));
         stats.peak_bytes = stats.peak_bytes.max(self.catalog.heap_bytes());
-        Ok(stats)
+        stats
     }
 
     /// Attempt PBME on a TC/SG-shaped stratum. Returns false (fall back to
@@ -1652,17 +1653,86 @@ pub(crate) struct RefreshDeltas {
 }
 
 impl RefreshDeltas {
-    fn has_plus(&self, rel: &str) -> bool {
-        self.plus.get(rel).is_some_and(|v| !v.is_empty())
+    /// Publish relation `rel`'s net changes to the strata downstream.
+    fn publish(&mut self, rel: &str, plus: Vec<Vec<Value>>, minus: Vec<Vec<Value>>) {
+        for (side, rows) in [(&mut self.plus, plus), (&mut self.minus, minus)] {
+            if !rows.is_empty() {
+                side.entry(rel.to_string()).or_default().extend(rows);
+            }
+        }
     }
+}
 
-    fn has_minus(&self, rel: &str) -> bool {
-        self.minus.get(rel).is_some_and(|v| !v.is_empty())
-    }
+/// Column-major row sets by relation name: ∆ batches, or set-semantic
+/// copies of maintenance inputs.
+type Batches = FxHashMap<String, Vec<Vec<Value>>>;
 
-    fn changed(&self, rel: &str) -> bool {
-        self.has_plus(rel) || self.has_minus(rel)
+/// How a changed stratum is maintained.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Strategy {
+    /// A non-recursive stratum: exact per-derivation support counts.
+    Counting,
+    /// A recursive cluster whose inputs only gained tuples.
+    Seeded,
+    /// A recursive cluster whose inputs lost tuples.
+    Dred,
+}
+
+/// What one maintained stratum's passes read, built by
+/// [`EvalRun::maintenance_inputs`]. Inputs are the body relations outside
+/// the stratum's own IDBs; OLD/NEW copies are set-semantic (stored base
+/// relations may hold duplicate rows, which would inflate counts), and
+/// OLD = NEW ∖ plus ∪ minus — the deltas are effective set deltas.
+struct Inputs {
+    strategy: Strategy,
+    /// The changed inputs' inserted and deleted rows.
+    plus: Batches,
+    minus: Batches,
+    /// Pre-refresh copies: of changed inputs (DRed), or of base and
+    /// changed derived inputs (counting).
+    old: Batches,
+    /// Post-refresh copies of base inputs (counting and support init);
+    /// derived inputs are sets already and read the catalog.
+    new: Batches,
+    /// DRed: each cluster IDB's rows before the refresh.
+    alive: FxHashMap<String, FxHashSet<Vec<Value>>>,
+}
+
+impl Inputs {
+    /// The copy body position `q` reads while position `p` is pinned
+    /// (`None`: no pin); `None` reads the catalog. Counting's finite
+    /// differencing reads NEW before the pin and OLD after it, DRed's
+    /// over-deletion OLD everywhere, and unpinned passes read NEW.
+    fn side(&self, rel: &str, q: usize, p: Option<usize>) -> Option<&Vec<Vec<Value>>> {
+        let copies = match (self.strategy, p) {
+            (Strategy::Counting, Some(p)) if q > p => &self.old,
+            (Strategy::Dred, Some(_)) => &self.old,
+            _ => &self.new,
+        };
+        copies.get(rel)
     }
+}
+
+/// One pinned-rule pass ([`EvalRun::pinned_pass`]).
+struct Pass<'b> {
+    /// Its rules: every IDB's in these strata, or only `rel`'s.
+    strata: &'b [&'b CompiledStratum],
+    rel: Option<&'b str>,
+    /// `(batches, sign)`: each body position whose relation has a batch
+    /// is pinned to it once per entry, its derivations carrying `sign`.
+    /// Empty: every non-recursive rule runs once, unpinned (recursive
+    /// ones re-run in the fixpoint that follows).
+    pins: &'b [(&'b Batches, i64)],
+    /// What every other position reads ([`Inputs::side`]).
+    inputs: &'b Inputs,
+}
+
+/// What a refresh carries across the strata it maintains.
+struct Refresh<'c> {
+    /// Full-R indexes by relation, carried between refreshes.
+    indexes: FxHashMap<RelId, PersistentIndex>,
+    jcache: JoinCache<'c>,
+    stats: EvalStats,
 }
 
 /// Column-major copy of `rows` (each of `arity` values).
@@ -1680,48 +1750,31 @@ fn cols_from_rows<'r>(
     cols
 }
 
-/// IDBs derived (at least partly) by a recursive stratum. Strata are
-/// rule-level SCCs, so a predicate like TC's `tc` spans a non-recursive
-/// stratum (`tc ← arc`) *and* the recursive one — everything here must be
-/// maintained by the recursive machinery, never by counting.
-fn recursive_idb_names(prog: &CompiledProgram) -> FxHashSet<&str> {
-    prog.strata
-        .iter()
-        .filter(|s| s.recursive)
-        .flat_map(|s| s.idbs.iter().map(|i| i.rel.as_str()))
-        .collect()
-}
-
-/// Every relation the program derives (its IDBs), by name.
-fn derived_names(prog: &CompiledProgram) -> FxHashSet<&str> {
-    prog.relations
-        .iter()
-        .filter(|d| d.is_idb)
-        .map(|d| d.name.as_str())
-        .collect()
-}
-
-/// Whether any of the cluster's rules reads a changed non-cluster input.
-fn cluster_changed(
-    members: &[&CompiledStratum],
-    cluster_idbs: &FxHashSet<&str>,
-    deltas: &RefreshDeltas,
-) -> (bool, bool) {
-    let (mut plus, mut minus) = (false, false);
-    for stratum in members {
-        for idb in &stratum.idbs {
-            for sq in &idb.subqueries {
-                for scan in &sq.scans {
-                    if cluster_idbs.contains(scan.rel.as_str()) {
-                        continue;
-                    }
-                    plus |= deltas.has_plus(&scan.rel);
-                    minus |= deltas.has_minus(&scan.rel);
-                }
-            }
+/// What a refresh maintains, in evaluation order, each unit ending with
+/// its maintained stratum. Strata are rule-level SCCs, so TC's `tc` spans
+/// `tc ← arc` and the recursive stratum: a recursive stratum's unit takes
+/// in the (earlier) non-recursive strata deriving its IDBs, and every
+/// other non-recursive stratum stands alone.
+fn maintenance_units(prog: &CompiledProgram) -> Vec<Vec<&CompiledStratum>> {
+    let mut units: Vec<Vec<&CompiledStratum>> = Vec::new();
+    for stratum in &prog.strata {
+        let mut unit = Vec::new();
+        if stratum.recursive {
+            let shares = |s: &CompiledStratum| {
+                s.idbs
+                    .iter()
+                    .any(|i| stratum.idbs.iter().any(|own| own.rel == i.rel))
+            };
+            unit.extend(
+                units
+                    .extract_if(.., |u| !u[0].recursive && shares(u[0]))
+                    .flatten(),
+            );
         }
+        unit.push(stratum);
+        units.push(unit);
     }
-    (plus, minus)
+    units
 }
 
 /// Invoke `f` with each row of a column-major materialized result.
@@ -1738,7 +1791,8 @@ fn each_row(cols: &[Vec<Value>], mut f: impl FnMut(&[Value])) {
 
 /// Incremental view maintenance: the refresh driver behind
 /// [`crate::view::MaterializedView`]. A refresh walks the strata in
-/// order, maintaining each against the deltas accumulated so far:
+/// order, maintaining each changed one against the deltas accumulated so
+/// far with one of three strategies — one skeleton, three shapes:
 ///
 /// * **counting** for IDBs derived only in non-recursive strata — exact
 ///   per-derivation support counts ([`SupportTable`]) decide when a
@@ -1750,6 +1804,12 @@ fn each_row(cols: &[Vec<Value>], mut f: impl FnMut(&[Value])) {
 /// * **DRed** when a recursive cluster sees deletions — over-delete
 ///   everything with a derivation through a deleted tuple, retract,
 ///   re-derive by a monotone fixpoint from the survivors.
+///
+/// Each builds its inputs once ([`Self::maintenance_inputs`],
+/// `phase.dedup`), evaluates its rules through one pinned-rule pass
+/// ([`Self::pinned_pass`], `phase.eval`), and ends in the shared tails:
+/// [`Self::retract`], [`Self::merge_delta`] and
+/// [`RefreshDeltas::publish`] (`phase.merge`).
 impl EvalRun<'_, '_> {
     /// Evaluate one subquery as a maintenance pass: overridden positions
     /// read the given views, everything else the catalog's full
@@ -1781,57 +1841,215 @@ impl EvalRun<'_, '_> {
         )
     }
 
+    /// Relation `rel`'s rows as a set: every set-semantic copy
+    /// maintenance reads is built from one.
+    fn row_set(&self, rel: &str) -> Result<FxHashSet<Vec<Value>>> {
+        let id = rel_id(&self.catalog, rel)?;
+        Ok(self.catalog.rel(id).to_rows().into_iter().collect())
+    }
+
+    /// Build what the passes maintaining `unit` (see
+    /// [`maintenance_units`]) read, in one walk over its rule bodies: the
+    /// changed inputs' ∆ batches, the strategy they call for, and the
+    /// set-semantic copies that strategy reads. `deltas` is `None` for
+    /// support initialization (NEW copies of base inputs). Returns `None`
+    /// when no input changed. Booked under `phase.dedup`.
+    fn maintenance_inputs(
+        &self,
+        prog: &CompiledProgram,
+        unit: &[&CompiledStratum],
+        deltas: Option<&RefreshDeltas>,
+        stats: &mut EvalStats,
+    ) -> Result<Option<Inputs>> {
+        let t_dedup = Instant::now();
+        let maintained = unit[unit.len() - 1];
+        let own: FxHashSet<&str> = maintained.idbs.iter().map(|i| i.rel.as_str()).collect();
+        let mut scanned: Vec<(&str, usize)> = Vec::new();
+        let rules = unit
+            .iter()
+            .flat_map(|s| &s.idbs)
+            .flat_map(|i| &i.subqueries);
+        for scan in rules.flat_map(|sq| &sq.scans) {
+            let rel = scan.rel.as_str();
+            if !own.contains(rel) && !scanned.iter().any(|&(r, _)| r == rel) {
+                scanned.push((rel, scan.arity));
+            }
+        }
+        let rows_of = |rel: &str| deltas.map(|d| (d.plus.get(rel), d.minus.get(rel)));
+        let (mut plus, mut minus) = (Batches::default(), Batches::default());
+        for &(rel, arity) in &scanned {
+            let (ins, del) = rows_of(rel).unwrap_or_default();
+            for (rows, batches) in [(ins, &mut plus), (del, &mut minus)] {
+                if let Some(rows) = rows.filter(|rows| !rows.is_empty()) {
+                    batches.insert(rel.to_string(), cols_from_rows(arity, rows));
+                }
+            }
+        }
+        if deltas.is_some() && plus.is_empty() && minus.is_empty() {
+            return Ok(None);
+        }
+        let strategy = if !maintained.recursive {
+            Strategy::Counting
+        } else if minus.is_empty() {
+            Strategy::Seeded
+        } else {
+            Strategy::Dred
+        };
+        let (mut old, mut new) = (Batches::default(), Batches::default());
+        for &(rel, arity) in &scanned {
+            let base = !prog.relations.iter().any(|d| d.is_idb && d.name == rel);
+            let changed = plus.contains_key(rel) || minus.contains_key(rel);
+            let (want_old, want_new) = match strategy {
+                Strategy::Seeded => (false, false),
+                Strategy::Dred => (changed, false),
+                Strategy::Counting => (deltas.is_some() && (base || changed), base),
+            };
+            if !want_old && !want_new {
+                continue;
+            }
+            let mut set = self.row_set(rel)?;
+            if want_new {
+                new.insert(rel.to_string(), cols_from_rows(arity, set.iter()));
+            }
+            if want_old {
+                let (ins, del) = rows_of(rel).unwrap_or_default();
+                for row in ins.into_iter().flatten() {
+                    set.remove(row);
+                }
+                for row in del.into_iter().flatten() {
+                    set.insert(row.clone());
+                }
+                old.insert(rel.to_string(), cols_from_rows(arity, set.iter()));
+            }
+        }
+        let mut alive = FxHashMap::default();
+        if strategy == Strategy::Dred {
+            for idb in &maintained.idbs {
+                alive.insert(idb.rel.clone(), self.row_set(&idb.rel)?);
+            }
+        }
+        stats.phase.dedup += t_dedup.elapsed();
+        Ok(Some(Inputs {
+            strategy,
+            plus,
+            minus,
+            old,
+            new,
+            alive,
+        }))
+    }
+
+    /// The one rule-evaluation pass of maintenance: each rule of `pass`
+    /// (deduplicated by rule — maintenance reads full views, so a
+    /// recursive rule's ∆ rewritings are one rule here; non-recursive
+    /// strata have one subquery per rule) is evaluated into `sink` once
+    /// per pinned body position `p`, every other position `q` reading
+    /// [`Inputs::side`]. `emit` receives each evaluation's rows with
+    /// their IDB and the pin's sign. The interval is booked in `booked`
+    /// (`phase.eval`) — `None` inside a ∆ stream, whose
+    /// `phase.pipeline` covers it.
+    fn pinned_pass(
+        &self,
+        pass: Pass<'_>,
+        sink: &SinkMode<'_>,
+        booked: Option<&mut Duration>,
+        mut emit: impl FnMut(&CompiledIdb, i64, Vec<Vec<Value>>),
+    ) -> Result<()> {
+        let t_eval = Instant::now();
+        for &stratum in pass.strata {
+            if pass.pins.is_empty() && stratum.recursive {
+                continue;
+            }
+            for idb in stratum
+                .idbs
+                .iter()
+                .filter(|i| pass.rel.is_none_or(|r| i.rel == r))
+            {
+                let mut seen_rules = FxHashSet::default();
+                for sq in idb
+                    .subqueries
+                    .iter()
+                    .filter(|sq| seen_rules.insert(sq.rule_idx))
+                {
+                    let unpinned = pass.pins.is_empty().then_some((None, 1));
+                    let pinned = sq.scans.iter().enumerate().flat_map(|(p, scan)| {
+                        pass.pins.iter().filter_map(move |&(batches, sign)| {
+                            Some((Some((p, batches.get(&scan.rel)?)), sign))
+                        })
+                    });
+                    for (pin, sign) in unpinned.into_iter().chain(pinned) {
+                        let p = pin.map(|(p, _)| p);
+                        let mut ovr = ScanOverrides::default();
+                        for (q, scan) in sq.scans.iter().enumerate() {
+                            let cols = match pin {
+                                Some((p, batch)) if p == q => Some(batch),
+                                _ => pass.inputs.side(&scan.rel, q, p),
+                            };
+                            if let Some(cols) = cols {
+                                ovr.insert(q, RelView::over(cols));
+                            }
+                        }
+                        emit(idb, sign, self.eval_maintenance(stratum, sq, &ovr, sink)?);
+                    }
+                }
+            }
+        }
+        if let Some(booked) = booked {
+            *booked += t_eval.elapsed();
+        }
+        Ok(())
+    }
+
+    /// Retract `rows` (possibly none) from relation `rel_id`, whose
+    /// contents change this refresh: row ids move, and an equal-sized
+    /// delete + append would fool a length-based sync, so cached build
+    /// sides over it and its carried full-R index are dropped. Booked
+    /// under `phase.merge`.
+    fn retract(&mut self, rel_id: RelId, rows: &[Vec<Value>], rs: &mut Refresh<'_>) {
+        let t_merge = Instant::now();
+        self.catalog.rel_mut(rel_id).delete_rows(rows);
+        rs.jcache.invalidate(rel_id);
+        rs.indexes.remove(&rel_id);
+        rs.stats.view.view_tuples_retracted += rows.len() as u64;
+        rs.stats.phase.merge += t_merge.elapsed();
+    }
+
     /// Initialize support counts for every counting-maintained IDB of a
-    /// freshly evaluated program: each rule re-runs once over
-    /// *set-semantic* views of its inputs (stored base relations may hold
-    /// duplicate rows, which must not inflate counts), contributing one
+    /// freshly evaluated program: each rule runs once, unpinned, over
+    /// set-semantic NEW copies of its base inputs, contributing one
     /// support per derivation row.
     pub(crate) fn init_supports(
         &mut self,
         prog: &CompiledProgram,
         supports: &mut FxHashMap<String, SupportTable>,
     ) -> Result<()> {
-        let rec_names = recursive_idb_names(prog);
-        let derived = derived_names(prog);
-        for stratum in &prog.strata {
+        // Part of building a view, not of any run's statistics.
+        let mut stats = EvalStats::default();
+        for unit in maintenance_units(prog) {
+            let stratum = unit[unit.len() - 1];
             if stratum.recursive {
                 continue;
             }
+            let Some(inputs) = self.maintenance_inputs(prog, &unit, None, &mut stats)? else {
+                continue;
+            };
             for idb in &stratum.idbs {
-                if rec_names.contains(idb.rel.as_str()) {
-                    continue;
-                }
-                let rel_len = self
-                    .catalog
-                    .lookup(&idb.rel)
-                    .map_or(0, |id| self.catalog.rel(id).len());
+                let rel_len = self.catalog.rel(rel_id(&self.catalog, &idb.rel)?).len();
                 let support = supports
                     .entry(idb.rel.clone())
                     .or_insert_with(|| SupportTable::new(idb.arity, rel_len));
-                for sq in &idb.subqueries {
-                    // Deduplicated views for base inputs; IDB inputs are
-                    // sets already and fall back to the catalog.
-                    let mut dedup_cols: Vec<(usize, Vec<Vec<Value>>)> = Vec::new();
-                    for (p, scan) in sq.scans.iter().enumerate() {
-                        if derived.contains(scan.rel.as_str()) {
-                            continue;
-                        }
-                        let id = self.catalog.lookup(&scan.rel).ok_or_else(|| {
-                            Error::exec(format!("unknown relation '{}'", scan.rel))
-                        })?;
-                        let set: FxHashSet<Vec<Value>> =
-                            self.catalog.rel(id).to_rows().into_iter().collect();
-                        dedup_cols.push((p, cols_from_rows(scan.arity, set.iter())));
-                    }
-                    let ovr: ScanOverrides<'_> = dedup_cols
-                        .iter()
-                        .map(|(p, cols)| (*p, RelView::over(cols)))
-                        .collect();
-                    let out = self.eval_maintenance(stratum, sq, &ovr, &SinkMode::Materialize)?;
+                let pass = Pass {
+                    strata: &unit,
+                    rel: Some(&idb.rel),
+                    pins: &[],
+                    inputs: &inputs,
+                };
+                let booked = Some(&mut stats.phase.eval);
+                self.pinned_pass(pass, &SinkMode::Materialize, booked, |_, _, out| {
                     each_row(&out, |row| {
                         support.add(row, 1);
-                    });
-                }
+                    })
+                })?;
             }
         }
         Ok(())
@@ -1852,241 +2070,116 @@ impl EvalRun<'_, '_> {
     ) -> Result<EvalStats> {
         let t0 = Instant::now();
         let busy0 = self.ctx.pool.busy_ns_total();
-        let mut stats = EvalStats::default();
-        stats.view.view_refreshes = 1;
+        let mut rs = Refresh {
+            indexes: carry
+                .drain()
+                .filter_map(|(name, index)| Some((self.catalog.lookup(&name)?, index)))
+                .collect(),
+            jcache: self.join_cache(prog),
+            stats: EvalStats::default(),
+        };
+        rs.stats.view.view_refreshes = 1;
 
-        let mut index_carry: FxHashMap<RelId, PersistentIndex> = FxHashMap::default();
-        for (name, index) in carry.drain() {
-            if let Some(id) = self.catalog.lookup(&name) {
-                index_carry.insert(id, index);
-            }
-        }
-        let mutable_ids: FxHashSet<RelId> = prog
-            .relations
-            .iter()
-            .filter(|d| d.is_idb)
-            .filter_map(|d| self.catalog.lookup(&d.name))
-            .collect();
-        let mut jcache = JoinCache::new(
-            self.cfg.index_reuse,
-            self.cache.map(|c| (c, self.cfg.index_cache_budget_bytes)),
-            mutable_ids,
-        );
-
-        let rec_names = recursive_idb_names(prog);
-        for (si, stratum) in prog.strata.iter().enumerate() {
-            if stratum.recursive {
-                let cluster_idbs: FxHashSet<&str> =
-                    stratum.idbs.iter().map(|i| i.rel.as_str()).collect();
-                let mut members: Vec<&CompiledStratum> = prog.strata[..si]
-                    .iter()
-                    .filter(|s| {
-                        !s.recursive && s.idbs.iter().any(|i| cluster_idbs.contains(i.rel.as_str()))
-                    })
-                    .collect();
-                members.push(stratum);
-                let (any_plus, any_minus) = cluster_changed(&members, &cluster_idbs, deltas);
-                if !any_plus && !any_minus {
-                    continue;
-                }
-                if any_minus {
-                    self.refresh_cluster_dred(
-                        &members,
-                        stratum,
-                        deltas,
-                        &mut index_carry,
-                        &mut jcache,
-                        &mut stats,
-                    )?;
-                } else {
-                    self.refresh_cluster_seeded(
-                        &members,
-                        stratum,
-                        deltas,
-                        &mut index_carry,
-                        &mut jcache,
-                        &mut stats,
-                    )?;
-                }
-            } else {
-                if stratum
-                    .idbs
-                    .iter()
-                    .any(|i| rec_names.contains(i.rel.as_str()))
-                {
-                    // Deferred: maintained with its recursive cluster.
-                    continue;
-                }
-                let cluster_idbs: FxHashSet<&str> =
-                    stratum.idbs.iter().map(|i| i.rel.as_str()).collect();
-                let (any_plus, any_minus) = cluster_changed(&[stratum], &cluster_idbs, deltas);
-                if !any_plus && !any_minus {
-                    continue;
-                }
-                self.refresh_stratum_counting(
-                    prog,
-                    stratum,
-                    deltas,
-                    supports,
-                    &mut index_carry,
-                    &mut jcache,
-                    &mut stats,
-                )?;
-            }
-        }
-
-        for (rel_id, index) in index_carry.drain() {
-            let name = self.catalog.rel(rel_id).schema().name.clone();
-            carry.insert(name, index);
-        }
-        jcache.fold_into(&mut stats);
-        stats.total = t0.elapsed();
-        stats.busy =
-            std::time::Duration::from_nanos(self.ctx.pool.busy_ns_total().saturating_sub(busy0));
-        stats.peak_bytes = stats.peak_bytes.max(self.catalog.heap_bytes());
-        Ok(stats)
-    }
-
-    /// Stream maintenance derivations for one cluster IDB through the
-    /// ∆ stream ([`Self::stream_delta`]) against its carried full-R index
-    /// and append the winners. With `positions`, each member rule runs
-    /// once per changed scan position — that position pinned to the new
-    /// tuples, everything else at current full views (an
-    /// over-approximation the sink dedups). Without, every rule of the
-    /// *non-recursive* member strata re-runs once in full (DRed
-    /// re-derivation; the recursive rules re-run in the fixpoint that
-    /// follows). Returns the number of rows appended.
-    fn seed_idb(
-        &mut self,
-        members: &[&CompiledStratum],
-        rel_name: &str,
-        positions: Option<&FxHashMap<String, Vec<Vec<Value>>>>,
-        index_carry: &mut FxHashMap<RelId, PersistentIndex>,
-        stats: &mut EvalStats,
-    ) -> Result<usize> {
-        let rel_id = self
-            .catalog
-            .lookup(rel_name)
-            .ok_or_else(|| Error::exec(format!("unknown relation '{rel_name}'")))?;
-        let mut index = index_carry.remove(&rel_id);
-        let arity = self.catalog.rel(rel_id).arity();
-        let streamed = self.stream_delta(rel_id, &mut index, None, stats, |this, sink| {
-            let mut fresh = EvalOut {
-                cols: vec![Vec::new(); arity],
-                queries: 0,
-                wcoj: WcojTally::default(),
+        for unit in maintenance_units(prog) {
+            let Some(inputs) = self.maintenance_inputs(prog, &unit, Some(deltas), &mut rs.stats)?
+            else {
+                continue;
             };
-            for stratum in members {
-                if positions.is_none() && stratum.recursive {
-                    continue;
+            match inputs.strategy {
+                // Insert-only: ∆-seed every rule against the new tuples,
+                // then re-enter the fixpoint with ∆ = the fresh rows only.
+                Strategy::Seeded => {
+                    let pins = [(&inputs.plus, 1)];
+                    self.refixpoint(&unit, &pins, &inputs, FxHashMap::default(), deltas, &mut rs)?
                 }
-                for idb in stratum.idbs.iter().filter(|i| i.rel == rel_name) {
-                    let mut seen_rules = FxHashSet::default();
-                    for sq in &idb.subqueries {
-                        if !seen_rules.insert(sq.rule_idx) {
-                            continue;
-                        }
-                        let mut calls: Vec<ScanOverrides<'_>> = Vec::new();
-                        match positions {
-                            Some(plus_cols) => {
-                                for (p, scan) in sq.scans.iter().enumerate() {
-                                    if let Some(cols) = plus_cols.get(&scan.rel) {
-                                        let mut ovr = ScanOverrides::default();
-                                        ovr.insert(p, RelView::over(cols));
-                                        calls.push(ovr);
-                                    }
-                                }
-                            }
-                            None => calls.push(ScanOverrides::default()),
-                        }
-                        for ovr in &calls {
-                            append_cols(
-                                &mut fresh.cols,
-                                this.eval_maintenance(stratum, sq, ovr, sink)?,
-                            );
-                        }
-                    }
+                Strategy::Dred => self.refresh_dred(&unit, inputs, deltas, &mut rs)?,
+                Strategy::Counting => {
+                    self.refresh_counting(&unit, &inputs, deltas, supports, &mut rs)?
                 }
             }
-            Ok(fresh)
-        });
-        let seeded = streamed.map(|streamed| {
-            stats.tuples_considered += streamed.considered;
-            let (start, end) = self.merge_delta(rel_id, streamed.out.cols, index.as_mut(), stats);
-            end - start
-        });
-        if let Some(index) = index {
-            index_carry.insert(rel_id, index);
         }
-        seeded
+
+        for (rel_id, index) in rs.indexes.drain() {
+            carry.insert(self.catalog.rel(rel_id).schema().name.clone(), index);
+        }
+        rs.jcache.fold_into(&mut rs.stats);
+        Ok(self.close(rs.stats, t0, busy0))
     }
 
-    /// Insert-only maintenance of a recursive cluster: ∆-seed every rule
-    /// against the new tuples, then re-enter the fixpoint with ∆ = the
-    /// fresh rows only.
-    fn refresh_cluster_seeded(
+    /// The recursive strategies' shared tail: stream `pins`' derivations
+    /// for every IDB of the cluster `unit` maintains, each through its
+    /// own ∆ stream ([`Self::stream_delta`]) against its carried full-R
+    /// index, and append the winners (the sink dedups what positions
+    /// reading current full views over-approximate); then re-run the
+    /// cluster's fixpoint — re-entered with ∆ = the fresh rows when
+    /// ∆-seeding, from scratch after DRed's retraction — and publish each
+    /// IDB's net change: the rows it gained that were not among its
+    /// `dead` rows, and the `dead` rows not re-derived.
+    fn refixpoint(
         &mut self,
-        members: &[&CompiledStratum],
-        rec: &CompiledStratum,
+        unit: &[&CompiledStratum],
+        pins: &[(&Batches, i64)],
+        inputs: &Inputs,
+        mut dead: FxHashMap<String, FxHashSet<Vec<Value>>>,
         deltas: &mut RefreshDeltas,
-        index_carry: &mut FxHashMap<RelId, PersistentIndex>,
-        jcache: &mut JoinCache<'_>,
-        stats: &mut EvalStats,
+        rs: &mut Refresh<'_>,
     ) -> Result<()> {
-        let cluster_idbs: FxHashSet<&str> = rec.idbs.iter().map(|i| i.rel.as_str()).collect();
-        // Insert columns for every changed non-cluster input.
-        let mut plus_cols: FxHashMap<String, Vec<Vec<Value>>> = FxHashMap::default();
-        for stratum in members {
-            for idb in &stratum.idbs {
-                for sq in &idb.subqueries {
-                    for scan in &sq.scans {
-                        if cluster_idbs.contains(scan.rel.as_str())
-                            || plus_cols.contains_key(&scan.rel)
-                        {
-                            continue;
-                        }
-                        if let Some(rows) = deltas.plus.get(&scan.rel) {
-                            if !rows.is_empty() {
-                                plus_cols
-                                    .insert(scan.rel.clone(), cols_from_rows(scan.arity, rows));
-                            }
-                        }
-                    }
-                }
+        let rec = unit[unit.len() - 1];
+        let mut starts = FxHashMap::default();
+        let mut seeded = 0;
+        for idb in &rec.idbs {
+            let rel_id = rel_id(&self.catalog, &idb.rel)?;
+            starts.insert(rel_id, self.catalog.rel(rel_id).len());
+            let pass = Pass {
+                strata: unit,
+                rel: Some(&idb.rel),
+                pins,
+                inputs,
+            };
+            let mut index = rs.indexes.remove(&rel_id);
+            let streamed =
+                self.stream_delta(rel_id, &mut index, None, &mut rs.stats, |this, sink| {
+                    let mut fresh = EvalOut {
+                        cols: vec![Vec::new(); idb.arity],
+                        queries: 0,
+                        wcoj: WcojTally::default(),
+                    };
+                    this.pinned_pass(pass, sink, None, |_, _, out| {
+                        append_cols(&mut fresh.cols, out)
+                    })?;
+                    Ok(fresh)
+                });
+            let appended = streamed.map(|streamed| {
+                rs.stats.tuples_considered += streamed.considered;
+                let merged =
+                    self.merge_delta(rel_id, streamed.out.cols, index.as_mut(), &mut rs.stats);
+                merged.1 - merged.0
+            });
+            if let Some(index) = index {
+                rs.indexes.insert(rel_id, index);
             }
+            seeded += appended?;
         }
-        // Fixpoint entry points, recorded before any seed appends.
-        let mut starts: FxHashMap<RelId, usize> = FxHashMap::default();
-        for idb in &rec.idbs {
-            let id = self
-                .catalog
-                .lookup(&idb.rel)
-                .ok_or_else(|| Error::exec(format!("unknown relation '{}'", idb.rel)))?;
-            starts.insert(id, self.catalog.rel(id).len());
-        }
-        for idb in &rec.idbs {
-            let seeded = self.seed_idb(members, &idb.rel, Some(&plus_cols), index_carry, stats)?;
-            stats.view.view_tuples_seeded += seeded as u64;
-        }
-        self.run_stratum(
-            rec,
-            index_carry,
-            jcache,
-            stats,
-            StratumEntry::Seeded(starts.clone()),
-        )?;
-        stats.view.view_seeded_strata += 1;
-        // Net new tuples feed downstream strata.
+        let view = &mut rs.stats.view;
+        let entry = if inputs.strategy == Strategy::Seeded {
+            view.view_tuples_seeded += seeded as u64;
+            view.view_seeded_strata += 1;
+            StratumEntry::Seeded(starts.clone())
+        } else {
+            view.view_dred_strata += 1;
+            StratumEntry::Scratch
+        };
+        self.run_stratum(rec, &mut rs.indexes, &mut rs.jcache, &mut rs.stats, entry)?;
+        let t_merge = Instant::now();
         for (rel_id, start) in starts {
             let rel = self.catalog.rel(rel_id);
-            if rel.len() > start {
-                let name = rel.schema().name.clone();
-                let out = deltas.plus.entry(name).or_default();
-                for r in start..rel.len() {
-                    out.push((0..rel.arity()).map(|c| rel.col(c)[r]).collect());
-                }
-            }
+            let name = rel.schema().name.clone();
+            let mut dead = dead.remove(&name).unwrap_or_default();
+            let added = rel.range_view(start, rel.len()).to_rows();
+            let plus = added.into_iter().filter(|r| !dead.remove(r)).collect();
+            deltas.publish(&name, plus, dead.into_iter().collect());
         }
+        rs.stats.phase.merge += t_merge.elapsed();
         Ok(())
     }
 
@@ -2094,186 +2187,53 @@ impl EvalRun<'_, '_> {
     /// over-delete everything with a derivation through a deleted tuple
     /// (worklist to transitive closure), retract, then re-derive by a
     /// monotone fixpoint from the survivors over the post-commit base —
-    /// which also absorbs any same-commit inserts.
-    #[allow(clippy::too_many_arguments)]
-    fn refresh_cluster_dred(
+    /// which also absorbs any same-commit inserts. A physically deleted
+    /// tuple that was re-derived is no downstream change at all.
+    fn refresh_dred(
         &mut self,
-        members: &[&CompiledStratum],
-        rec: &CompiledStratum,
+        unit: &[&CompiledStratum],
+        mut inputs: Inputs,
         deltas: &mut RefreshDeltas,
-        index_carry: &mut FxHashMap<RelId, PersistentIndex>,
-        jcache: &mut JoinCache<'_>,
-        stats: &mut EvalStats,
+        rs: &mut Refresh<'_>,
     ) -> Result<()> {
-        let cluster_idbs: FxHashSet<&str> = rec.idbs.iter().map(|i| i.rel.as_str()).collect();
-        // Membership and tombstones per cluster IDB (pre-delete values).
-        let mut alive: FxHashMap<String, FxHashSet<Vec<Value>>> = FxHashMap::default();
+        // Tombstones per cluster IDB; the worklist starts from the deleted
+        // input tuples, every other position reading OLD copies or the
+        // (pre-delete) catalog.
         let mut dead: FxHashMap<String, FxHashSet<Vec<Value>>> = FxHashMap::default();
-        for idb in &rec.idbs {
-            let id = self
-                .catalog
-                .lookup(&idb.rel)
-                .ok_or_else(|| Error::exec(format!("unknown relation '{}'", idb.rel)))?;
-            alive.insert(
-                idb.rel.clone(),
-                self.catalog.rel(id).to_rows().into_iter().collect(),
-            );
-            dead.insert(idb.rel.clone(), FxHashSet::default());
-        }
-        // Pre-commit (OLD) columns for changed non-cluster inputs; the
-        // unchanged ones read the catalog as-is — duplicate stored rows
-        // cost nothing here, hits are membership-filtered, not counted.
-        let mut old_cols: FxHashMap<String, Vec<Vec<Value>>> = FxHashMap::default();
-        for stratum in members {
-            for idb in &stratum.idbs {
-                for sq in &idb.subqueries {
-                    for scan in &sq.scans {
-                        let rel = scan.rel.as_str();
-                        if cluster_idbs.contains(rel)
-                            || old_cols.contains_key(rel)
-                            || !deltas.changed(rel)
-                        {
-                            continue;
-                        }
-                        let id = self
-                            .catalog
-                            .lookup(rel)
-                            .ok_or_else(|| Error::exec(format!("unknown relation '{rel}'")))?;
-                        let mut set: FxHashSet<Vec<Value>> =
-                            self.catalog.rel(id).to_rows().into_iter().collect();
-                        if let Some(rows) = deltas.plus.get(rel) {
-                            for row in rows {
-                                set.remove(row);
-                            }
-                        }
-                        if let Some(rows) = deltas.minus.get(rel) {
-                            for row in rows {
-                                set.insert(row.clone());
-                            }
-                        }
-                        old_cols.insert(rel.to_string(), cols_from_rows(scan.arity, set.iter()));
-                    }
-                }
-            }
-        }
-        // Worklist seed: the deleted tuples of every changed input.
-        let mut pending: FxHashMap<String, Vec<Vec<Value>>> = FxHashMap::default();
-        for stratum in members {
-            for idb in &stratum.idbs {
-                for sq in &idb.subqueries {
-                    for scan in &sq.scans {
-                        if cluster_idbs.contains(scan.rel.as_str())
-                            || pending.contains_key(&scan.rel)
-                        {
-                            continue;
-                        }
-                        if let Some(rows) = deltas.minus.get(&scan.rel) {
-                            if !rows.is_empty() {
-                                pending.insert(scan.rel.clone(), rows.clone());
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let mut pending = mem::take(&mut inputs.minus);
         while !pending.is_empty() {
-            let mut pend_cols: FxHashMap<String, Vec<Vec<Value>>> = FxHashMap::default();
-            for (name, rows) in &pending {
-                pend_cols.insert(name.clone(), cols_from_rows(rows[0].len(), rows));
-            }
-            let mut next: FxHashMap<String, Vec<Vec<Value>>> = FxHashMap::default();
-            for stratum in members {
-                for idb in &stratum.idbs {
-                    let mut seen_rules = FxHashSet::default();
-                    for sq in &idb.subqueries {
-                        if !seen_rules.insert(sq.rule_idx) {
-                            continue;
-                        }
-                        for (p, scan) in sq.scans.iter().enumerate() {
-                            let Some(batch) = pend_cols.get(&scan.rel) else {
-                                continue;
-                            };
-                            let mut ovr = ScanOverrides::default();
-                            ovr.insert(p, RelView::over(batch));
-                            for (q, qscan) in sq.scans.iter().enumerate() {
-                                if q == p {
-                                    continue;
-                                }
-                                if let Some(cols) = old_cols.get(&qscan.rel) {
-                                    ovr.insert(q, RelView::over(cols));
-                                }
-                            }
-                            let out =
-                                self.eval_maintenance(stratum, sq, &ovr, &SinkMode::Materialize)?;
-                            if out.first().map_or(0, Vec::len) == 0 {
-                                continue;
-                            }
-                            let alive_set = alive.get(&idb.rel).expect("cluster idb");
-                            let dead_set = dead.get_mut(&idb.rel).expect("cluster idb");
-                            each_row(&out, |row| {
-                                if alive_set.contains(row) && !dead_set.contains(row) {
-                                    dead_set.insert(row.to_vec());
-                                    next.entry(idb.rel.clone()).or_default().push(row.to_vec());
-                                }
-                            });
+            let mut next = Batches::default();
+            let pass = Pass {
+                strata: unit,
+                rel: None,
+                pins: &[(&pending, 1)],
+                inputs: &inputs,
+            };
+            let booked = Some(&mut rs.stats.phase.eval);
+            self.pinned_pass(pass, &SinkMode::Materialize, booked, |idb, _, out| {
+                let alive = &inputs.alive[&idb.rel];
+                let dead = dead.entry(idb.rel.clone()).or_default();
+                each_row(&out, |row| {
+                    if alive.contains(row) && !dead.contains(row) {
+                        dead.insert(row.to_vec());
+                        let cols = next
+                            .entry(idb.rel.clone())
+                            .or_insert_with(|| vec![vec![]; idb.arity]);
+                        for (col, &v) in cols.iter_mut().zip(row) {
+                            col.push(v);
                         }
                     }
-                }
-            }
+                });
+            })?;
             pending = next;
         }
-        // Physical retraction, then re-derivation.
-        let mut starts: FxHashMap<RelId, usize> = FxHashMap::default();
-        for idb in &rec.idbs {
-            let rel_id = self.catalog.lookup(&idb.rel).expect("cluster idb exists");
-            let dead_set = dead.get(&idb.rel).expect("cluster idb");
-            if !dead_set.is_empty() {
-                let rows: Vec<Vec<Value>> = dead_set.iter().cloned().collect();
-                self.catalog.rel_mut(rel_id).delete_rows(&rows);
-                jcache.invalidate(rel_id);
-            }
-            stats.view.view_tuples_retracted += dead_set.len() as u64;
-            starts.insert(rel_id, self.catalog.rel(rel_id).len());
-        }
-        for idb in &rec.idbs {
-            self.seed_idb(members, &idb.rel, None, index_carry, stats)?;
-        }
-        self.run_stratum(rec, index_carry, jcache, stats, StratumEntry::Scratch)?;
-        stats.view.view_dred_strata += 1;
-        // Net downstream changes: a physically deleted tuple that was
-        // re-derived is no change at all.
-        for idb in &rec.idbs {
-            let rel_id = self.catalog.lookup(&idb.rel).expect("cluster idb exists");
-            let start = starts[&rel_id];
-            let rel = self.catalog.rel(rel_id);
-            let dead_set = dead.remove(&idb.rel).unwrap_or_default();
-            let mut added: Vec<Vec<Value>> = Vec::with_capacity(rel.len() - start);
-            for r in start..rel.len() {
-                added.push((0..rel.arity()).map(|c| rel.col(c)[r]).collect());
-            }
-            let added_set: FxHashSet<&Vec<Value>> = added.iter().collect();
-            let minus: Vec<Vec<Value>> = dead_set
-                .iter()
-                .filter(|r| !added_set.contains(*r))
-                .cloned()
-                .collect();
-            drop(added_set);
-            let plus: Vec<Vec<Value>> = added
-                .into_iter()
-                .filter(|r| !dead_set.contains(r))
-                .collect();
-            if !minus.is_empty() {
-                deltas
-                    .minus
-                    .entry(idb.rel.clone())
-                    .or_default()
-                    .extend(minus);
-            }
-            if !plus.is_empty() {
-                deltas.plus.entry(idb.rel.clone()).or_default().extend(plus);
+        for (rel, rows) in &dead {
+            let rows: Vec<Vec<Value>> = rows.iter().cloned().collect();
+            if !rows.is_empty() {
+                self.retract(rel_id(&self.catalog, rel)?, &rows, rs);
             }
         }
-        Ok(())
+        self.refixpoint(unit, &[], &inputs, dead, deltas, rs)
     }
 
     /// Counting maintenance of a non-recursive stratum: finite
@@ -2281,145 +2241,57 @@ impl EvalRun<'_, '_> {
     /// `p` pinned to the change, earlier positions at NEW, later at OLD
     /// views — all set-semantic), and the settled support counts decide
     /// which tuples materialize or retract.
-    #[allow(clippy::too_many_arguments)]
-    fn refresh_stratum_counting(
+    fn refresh_counting(
         &mut self,
-        prog: &CompiledProgram,
-        stratum: &CompiledStratum,
+        unit: &[&CompiledStratum],
+        inputs: &Inputs,
         deltas: &mut RefreshDeltas,
         supports: &mut FxHashMap<String, SupportTable>,
-        index_carry: &mut FxHashMap<RelId, PersistentIndex>,
-        jcache: &mut JoinCache<'_>,
-        stats: &mut EvalStats,
+        rs: &mut Refresh<'_>,
     ) -> Result<()> {
-        let derived = derived_names(prog);
-        // Set-semantic OLD / NEW columns per input relation. Base inputs
-        // materialize deduplicated (stored relations may hold duplicate
-        // rows, which would inflate counts); IDB inputs are sets already,
-        // so NEW reads the catalog directly and OLD materializes only
-        // when the relation changed this refresh. For every input,
-        // OLD = NEW ∖ plus ∪ minus — the deltas are effective set deltas.
-        let mut old_cols: FxHashMap<String, Vec<Vec<Value>>> = FxHashMap::default();
-        let mut new_cols: FxHashMap<String, Vec<Vec<Value>>> = FxHashMap::default();
-        let mut plus_cols: FxHashMap<String, Vec<Vec<Value>>> = FxHashMap::default();
-        let mut minus_cols: FxHashMap<String, Vec<Vec<Value>>> = FxHashMap::default();
-        for idb in &stratum.idbs {
-            for sq in &idb.subqueries {
-                for scan in &sq.scans {
-                    let rel = scan.rel.as_str();
-                    if old_cols.contains_key(rel) {
-                        continue;
-                    }
-                    let is_base = !derived.contains(rel);
-                    if !is_base && !deltas.changed(rel) {
-                        continue; // catalog serves both OLD and NEW
-                    }
-                    let id = self
-                        .catalog
-                        .lookup(rel)
-                        .ok_or_else(|| Error::exec(format!("unknown relation '{rel}'")))?;
-                    let new_set: FxHashSet<Vec<Value>> =
-                        self.catalog.rel(id).to_rows().into_iter().collect();
-                    let mut old_set = new_set.clone();
-                    if let Some(rows) = deltas.plus.get(rel) {
-                        if !rows.is_empty() {
-                            plus_cols.insert(rel.to_string(), cols_from_rows(scan.arity, rows));
-                            for row in rows {
-                                old_set.remove(row);
-                            }
-                        }
-                    }
-                    if let Some(rows) = deltas.minus.get(rel) {
-                        if !rows.is_empty() {
-                            minus_cols.insert(rel.to_string(), cols_from_rows(scan.arity, rows));
-                            for row in rows {
-                                old_set.insert(row.clone());
-                            }
-                        }
-                    }
-                    if is_base {
-                        new_cols
-                            .insert(rel.to_string(), cols_from_rows(scan.arity, new_set.iter()));
-                    }
-                    old_cols.insert(rel.to_string(), cols_from_rows(scan.arity, old_set.iter()));
-                }
-            }
-        }
-        for idb in &stratum.idbs {
-            let rel_id = self
-                .catalog
-                .lookup(&idb.rel)
-                .ok_or_else(|| Error::exec(format!("unknown relation '{}'", idb.rel)))?;
+        for idb in &unit[unit.len() - 1].idbs {
+            let rel_id = rel_id(&self.catalog, &idb.rel)?;
+            let mut dc: FxHashMap<Vec<Value>, i64> = FxHashMap::default();
+            let pass = Pass {
+                strata: unit,
+                rel: Some(&idb.rel),
+                pins: &[(&inputs.minus, -1), (&inputs.plus, 1)],
+                inputs,
+            };
+            let booked = Some(&mut rs.stats.phase.eval);
+            self.pinned_pass(pass, &SinkMode::Materialize, booked, |_, sign, out| {
+                each_row(&out, |row| *dc.entry(row.to_vec()).or_insert(0) += sign)
+            })?;
+            let t_merge = Instant::now();
             let support = supports
                 .entry(idb.rel.clone())
                 .or_insert_with(|| SupportTable::new(idb.arity, 0));
-            let mut dc: FxHashMap<Vec<Value>, i64> = FxHashMap::default();
-            for sq in &idb.subqueries {
-                for (p, scan) in sq.scans.iter().enumerate() {
-                    for (sign, delta_map) in [(-1i64, &minus_cols), (1i64, &plus_cols)] {
-                        let Some(delta_view) = delta_map.get(scan.rel.as_str()) else {
-                            continue;
-                        };
-                        let mut ovr = ScanOverrides::default();
-                        ovr.insert(p, RelView::over(delta_view));
-                        for (q, qscan) in sq.scans.iter().enumerate() {
-                            if q == p {
-                                continue;
-                            }
-                            let side = if q < p { &new_cols } else { &old_cols };
-                            if let Some(cols) = side.get(qscan.rel.as_str()) {
-                                ovr.insert(q, RelView::over(cols));
-                            }
-                        }
-                        let out =
-                            self.eval_maintenance(stratum, sq, &ovr, &SinkMode::Materialize)?;
-                        each_row(&out, |row| *dc.entry(row.to_vec()).or_insert(0) += sign);
-                    }
-                }
-            }
             let mut dels: Vec<Vec<Value>> = Vec::new();
             let mut adds: Vec<Vec<Value>> = Vec::new();
-            for (row, d) in dc {
-                if d == 0 {
-                    continue;
-                }
-                let before = support.count(&row);
+            for (row, d) in dc.into_iter().filter(|&(_, d)| d != 0) {
                 let after = support.add(&row, d);
                 debug_assert!(after >= 0, "support count went negative for {row:?}");
-                if before > 0 && after <= 0 {
-                    dels.push(row);
-                } else if before <= 0 && after > 0 {
-                    adds.push(row);
+                match (after - d > 0, after > 0) {
+                    (true, false) => dels.push(row),
+                    (false, true) => adds.push(row),
+                    _ => {}
                 }
             }
-            if !dels.is_empty() {
-                self.catalog.rel_mut(rel_id).delete_rows(&dels);
-                stats.view.view_tuples_retracted += dels.len() as u64;
+            rs.stats.phase.merge += t_merge.elapsed();
+            if dels.is_empty() && adds.is_empty() {
+                continue;
             }
+            self.retract(rel_id, &dels, rs);
             if !adds.is_empty() {
                 let cols = cols_from_rows(idb.arity, &adds);
-                self.catalog.rel_mut(rel_id).append_columns(cols);
-                stats.view.view_tuples_seeded += adds.len() as u64;
+                self.merge_delta(rel_id, cols, None, &mut rs.stats);
+                rs.stats.view.view_tuples_seeded += adds.len() as u64;
             }
-            if !dels.is_empty() || !adds.is_empty() {
-                // Row ids moved (and an equal-sized delete+append would
-                // fool a length-based sync): the carried index and any
-                // cached build sides over this relation are stale.
-                index_carry.remove(&rel_id);
-                jcache.invalidate(rel_id);
-                if !dels.is_empty() {
-                    deltas
-                        .minus
-                        .entry(idb.rel.clone())
-                        .or_default()
-                        .extend(dels);
-                }
-                if !adds.is_empty() {
-                    deltas.plus.entry(idb.rel.clone()).or_default().extend(adds);
-                }
-            }
+            let t_merge = Instant::now();
+            deltas.publish(&idb.rel, adds, dels);
+            rs.stats.phase.merge += t_merge.elapsed();
         }
-        stats.view.view_counting_strata += 1;
+        rs.stats.view.view_counting_strata += 1;
         Ok(())
     }
 }
@@ -2522,11 +2394,7 @@ fn scan_rows(
     scan_idx: usize,
 ) -> usize {
     let scan = &sq.scans[scan_idx];
-    let state = stratum
-        .idbs
-        .iter()
-        .position(|i| i.rel == scan.rel)
-        .map(|p| &states[p]);
+    let state = find_state(stratum, states, &scan.rel);
     match scan.version {
         AtomVersion::Base | AtomVersion::Full => catalog
             .lookup(&scan.rel)
@@ -2644,16 +2512,15 @@ fn eval_idb(
     })
 }
 
-/// Evaluate one subquery to its head layout.
-///
-/// `sink` applies only to the subquery's *final* operator — the one
-/// projecting to the head layout; intermediate join results materialize
-/// as before (they feed the next join, not `Rt`).
 /// Per-scan-position view replacements for incremental-maintenance passes
 /// (see [`eval_subquery`]'s `overrides` parameter).
 type ScanOverrides<'v> = FxHashMap<usize, RelView<'v>>;
 
 /// Evaluate one subquery to its head layout.
+///
+/// `sink` applies only to the subquery's *final* operator — the one
+/// projecting to the head layout; intermediate join results materialize
+/// as before (they feed the next join, not `Rt`).
 ///
 /// With `overrides`, the subquery is evaluated as a *maintenance pass*:
 /// an overridden scan position reads the given view instead of its
@@ -2685,12 +2552,7 @@ fn eval_subquery<'a>(
         match overrides {
             Some(ovr) => match ovr.get(&i) {
                 Some(v) => Ok(*v),
-                None => {
-                    let id = catalog
-                        .lookup(&scan.rel)
-                        .ok_or_else(|| Error::exec(format!("unknown relation '{}'", scan.rel)))?;
-                    Ok(catalog.rel(id).view())
-                }
+                None => Ok(catalog.rel(rel_id(catalog, &scan.rel)?).view()),
             },
             None => resolve_view(catalog, stratum, states, &scan.rel, scan.version),
         }
@@ -2949,12 +2811,7 @@ fn resolve_view<'a>(
     version: AtomVersion,
 ) -> Result<RelView<'a>> {
     match version {
-        AtomVersion::Base | AtomVersion::Full => {
-            let id = catalog
-                .lookup(rel)
-                .ok_or_else(|| Error::exec(format!("unknown relation '{rel}'")))?;
-            Ok(catalog.rel(id).view())
-        }
+        AtomVersion::Base | AtomVersion::Full => Ok(catalog.rel(rel_id(catalog, rel)?).view()),
         AtomVersion::Delta => {
             let state = find_state(stratum, states, rel)
                 .ok_or_else(|| Error::exec(format!("no delta state for '{rel}'")))?;
@@ -2963,10 +2820,16 @@ fn resolve_view<'a>(
         AtomVersion::Old => {
             let state = find_state(stratum, states, rel)
                 .ok_or_else(|| Error::exec(format!("no old state for '{rel}'")))?;
-            let id = catalog
-                .lookup(rel)
-                .ok_or_else(|| Error::exec(format!("unknown relation '{rel}'")))?;
-            Ok(catalog.rel(id).prefix_view(state.old_len))
+            Ok(catalog
+                .rel(rel_id(catalog, rel)?)
+                .prefix_view(state.old_len))
         }
     }
+}
+
+/// Relation `name`'s id in `catalog`.
+fn rel_id(catalog: &RunCatalog<'_>, name: &str) -> Result<RelId> {
+    catalog
+        .lookup(name)
+        .ok_or_else(|| Error::exec(format!("unknown relation '{name}'")))
 }

@@ -113,7 +113,8 @@ pub struct ViewStats {
     /// Refreshes answered by a full from-scratch recompute instead
     /// (ineligible program shape, ineligible commit, or a failed refresh).
     pub view_fallbacks: u64,
-    /// Fresh tuples appended by seeding and rederivation passes.
+    /// Fresh tuples appended by ∆-seeding passes and by counting
+    /// maintenance (DRed's rederivation is not counted).
     pub view_tuples_seeded: u64,
     /// Tuples retracted by counting and DRed maintenance.
     pub view_tuples_retracted: u64,

@@ -227,6 +227,33 @@ fn every_step_path_keeps_its_rows_and_counters() {
     );
 }
 
+/// A refresh books its maintenance work under its phases, each interval
+/// once: the phase sum is positive and within the refresh's wall time,
+/// and rule passes outside a ∆ stream (counting, DRed) show up under
+/// `phase.eval`.
+fn assert_refresh_time_booked(s: &EvalStats) {
+    let p = &s.phase;
+    let booked = p.eval
+        + p.pipeline
+        + p.dedup
+        + p.setdiff
+        + p.aggregate
+        + p.merge
+        + p.analyze
+        + p.index
+        + p.io
+        + p.pbme;
+    assert!(booked > Duration::ZERO, "refresh booked no phase");
+    assert!(
+        booked <= s.total,
+        "phases {booked:?} exceed the refresh's {:?}",
+        s.total
+    );
+    if s.view.view_counting_strata + s.view.view_dred_strata > 0 {
+        assert!(p.eval > Duration::ZERO, "maintenance passes booked no eval");
+    }
+}
+
 const VIEW_PROGRAM: &str = "tc(x, y) :- arc(x, y).\n\
                             tc(x, y) :- tc(x, z), arc(z, y).\n\
                             hop(x, y) :- tc(x, z), brc(z, y).";
@@ -307,8 +334,10 @@ fn view_refresh_paths_keep_their_counters() {
                 "view diverged on {rel}"
             );
         }
-        assert_index_time_booked(prog.engine().config(), view.stats(), "view refresh");
-        observed.push(view_counters(view.stats()));
+        let stats = view.stats();
+        assert_index_time_booked(prog.engine().config(), stats, "view refresh");
+        assert_refresh_time_booked(stats);
+        observed.push(view_counters(stats));
     }
     assert_eq!(observed, VIEW_PINS, "refresh counters differ from the pins");
 }

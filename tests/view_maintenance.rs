@@ -7,7 +7,8 @@
 //!    non-recursive tails) and random insert/delete sequences, a standing
 //!    [`MaterializedView`] equals a from-scratch `run_shared` after every
 //!    commit (proptest; case count tunable via `RECSTEP_PROPTEST_CASES`
-//!    for the CI fast mode).
+//!    for the CI fast mode) — and, under fixed commit scripts, for nine
+//!    more shapes that reach every maintenance strategy.
 //! 2. **Failure isolation**: a refresh that errors or panics (injected at
 //!    the `view::refresh` failpoint, grammar
 //!    `RECSTEP_FAILPOINTS="view::refresh=panic"`) never serves a
@@ -198,6 +199,145 @@ proptest! {
         // The pool exercises real maintenance, not perpetual fallbacks.
         prop_assert_eq!(view.view_stats().view_fallbacks, 0);
     }
+}
+
+/// Maintenance shapes the proptest pool leaves out. `(source, base
+/// relations, derived relations)`.
+const SHAPES: [(&str, &[&str], &[&str]); 9] = [
+    // One base atom at two counting positions.
+    ("two(x, y) :- arc(x, z), arc(z, y).", &["arc"], &["two"]),
+    // A three-atom counting body.
+    (
+        "three(x, y) :- arc(x, a), brc(a, b), arc(b, y).",
+        &["arc", "brc"],
+        &["three"],
+    ),
+    // A counting stratum reading a non-linear IDB twice.
+    (
+        "h(x, y) :- arc(x, y).\nh(x, y) :- h(x, z), h(z, y).\n\
+         g(x, y) :- h(x, z), h(z, y), brc(y, x).",
+        &["arc", "brc"],
+        &["h", "g"],
+    ),
+    // A cluster whose non-recursive member joins two base relations.
+    (
+        "p(x, y) :- arc(x, z), brc(z, y).\np(x, y) :- p(x, z), arc(z, y).",
+        &["arc", "brc"],
+        &["p"],
+    ),
+    // A non-linear cluster with a two-base seed rule.
+    (
+        "p(x, y) :- arc(x, y), brc(x, y).\np(x, y) :- p(x, z), p(z, y), arc(z, y).",
+        &["arc", "brc"],
+        &["p"],
+    ),
+    // A TC cluster with a tail reading `tc` twice.
+    (
+        "tc(x, y) :- arc(x, y).\ntc(x, y) :- tc(x, z), arc(z, y).\n\
+         t2(x, y) :- tc(x, z), tc(z, y).",
+        &["arc"],
+        &["tc", "t2"],
+    ),
+    // A cyclic (worst-case-optimal join) body in a counting stratum.
+    (
+        "tri(x, y, z) :- arc(x, y), arc(y, z), arc(z, x).",
+        &["arc"],
+        &["tri"],
+    ),
+    // A cyclic body in a recursive stratum.
+    (
+        "r(x, y) :- arc(x, y).\nr(x, z) :- r(x, y), arc(y, z), brc(z, x).",
+        &["arc", "brc"],
+        &["r"],
+    ),
+    // Same generation with a cyclic tail.
+    (
+        "sg(x, y) :- arc(p, x), arc(p, y), x != y.\nsg(x, y) :- arc(a, x), sg(a, b), arc(b, y).\n\
+         cyc(x, y) :- sg(x, y), arc(y, z), brc(z, x).",
+        &["arc", "brc"],
+        &["sg", "cyc"],
+    ),
+];
+
+/// A fixed linear congruential generator for the commit scripts.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((self.0 >> 33) % n as u64) as usize
+    }
+
+    /// `count` `(relation pick, row)` pairs over the domain `0..7`.
+    fn rows(&mut self, count: usize) -> Vec<(usize, Vec<Value>)> {
+        (0..count)
+            .map(|_| {
+                (
+                    self.below(8),
+                    vec![self.below(7) as Value, self.below(7) as Value],
+                )
+            })
+            .collect()
+    }
+}
+
+/// Fixed commit scripts over a 7-value domain: after every commit of
+/// mixed inserts and deletes, each shape's view equals a from-scratch
+/// run, at one and two threads, and the scripts reach all three
+/// maintenance strategies.
+#[test]
+fn maintenance_shapes_equal_scratch_after_fixed_commits() {
+    let _serial = serial();
+    let (mut seeded, mut counting, mut dred) = (0, 0, 0);
+    for threads in [1, 2] {
+        let engine = recstep::Engine::builder().threads(threads).build().unwrap();
+        for (si, &(src, rels, idbs)) in SHAPES.iter().enumerate() {
+            let mut rng = Lcg(0x9e37_79b9_7f4a_7c15 ^ si as u64);
+            let prog = Arc::new(engine.prepare(src).unwrap());
+            let mut db = Database::new().unwrap();
+            // Every base relation starts non-empty; deletes pick loaded
+            // rows, so most of them take effect.
+            let mut loaded: Vec<(usize, Vec<Value>)> =
+                (0..rels.len()).map(|i| (i, vec![0, 1])).collect();
+            loaded.extend(rng.rows(14));
+            apply_commit(&mut db, &group(rels, loaded.clone()), &[]);
+            let mut view = MaterializedView::create(Arc::clone(&prog), &db).unwrap();
+            assert!(view.incremental(), "shape {si} is maintainable");
+            for commit in 0..5 {
+                let (n_ins, n_del) = (1 + rng.below(3), rng.below(3));
+                let ins = rng.rows(n_ins);
+                let del: Vec<_> = (0..n_del)
+                    .map(|_| loaded[rng.below(loaded.len())].clone())
+                    .collect();
+                loaded.extend(ins.iter().cloned());
+                let (inserts, deletes) = (group(rels, ins), group(rels, del));
+                apply_commit(&mut db, &inserts, &deletes);
+                view.refresh(&db, &inserts, &deletes).unwrap();
+                let v = &view.stats().view;
+                seeded += v.view_seeded_strata;
+                counting += v.view_counting_strata;
+                dred += v.view_dred_strata;
+                let scratch = prog.run_shared(&db).unwrap();
+                let out = view.output();
+                for rel in idbs {
+                    assert_eq!(
+                        rows_sorted(&out, rel),
+                        rows_sorted(&scratch, rel),
+                        "shape {si} at {threads} threads diverged on '{rel}' after commit \
+                         {commit} (+{inserts:?} -{deletes:?})"
+                    );
+                }
+            }
+            assert_eq!(view.view_stats().view_fallbacks, 0, "shape {si}");
+        }
+    }
+    assert!(
+        seeded > 0 && counting > 0 && dred > 0,
+        "seeded {seeded}, counting {counting}, DRed {dred}"
+    );
 }
 
 #[test]
