@@ -2,13 +2,17 @@
 //! (the paper's architecture — dedup + ∆ = Rδ − R as queries) vs. two
 //! incremental designs kept across iterations — the sequential
 //! Soufflé-style hash set, and the engine's parallel persistent CCK-GSCHT
-//! index (`index_reuse`, the production path). Run on a TC-like delta
-//! stream.
+//! index (`index_reuse`, the production path) probed by a `DeltaSink`, as
+//! the ∆ stream and the `--no-fused-pipeline` drain do. Run on a TC-like
+//! delta stream.
 
 use recstep_bench::*;
 use recstep_exec::dedup::IncrementalSet;
+use recstep_exec::expr::Expr;
 use recstep_exec::index::PersistentIndex;
+use recstep_exec::join::project_filter_sink;
 use recstep_exec::setdiff::{set_difference, DsdState, SetDiffStrategy};
+use recstep_exec::sink::{DeltaSink, SinkMode};
 use recstep_exec::ExecCtx;
 use recstep_storage::{Relation, Schema};
 use std::time::Instant;
@@ -61,16 +65,26 @@ fn main() {
     }
     let incremental = t0.elapsed();
 
-    // Persistent CCK-GSCHT index: the engine's fused absorb + append.
+    // Persistent CCK-GSCHT index: the engine's sink drain + append.
     let t0 = Instant::now();
+    let identity = [Expr::Col(0), Expr::Col(1)];
     let mut pfull = Relation::new(Schema::with_arity("r", 2));
     let mut pidx = PersistentIndex::build(&ctx, pfull.view(), vec![0, 1]);
     let mut pidx_total = 0usize;
     for i in 0..iters {
         let b = mk_batch(i);
-        let out = pidx.absorb(&ctx, b.view(), pfull.view());
-        pidx_total += out.fresh.first().map_or(0, Vec::len);
-        pfull.append_columns(out.fresh);
+        let sink = DeltaSink::new(&pidx, pfull.view(), b.len());
+        let mut fresh =
+            project_filter_sink(&ctx, b.view(), &identity, &[], &SinkMode::Delta(&sink));
+        // Compact-key escapes: new, and distinct within a batch.
+        for row in sink.take_overflow() {
+            for (col, v) in fresh.iter_mut().zip(row) {
+                col.push(v);
+            }
+        }
+        drop(sink);
+        pidx_total += fresh.first().map_or(0, Vec::len);
+        pfull.append_columns(fresh);
         pidx.append(&ctx, pfull.view());
     }
     let persistent = t0.elapsed();

@@ -62,8 +62,8 @@ pub struct Config {
     /// site. Applies to non-aggregated IDBs when `index_reuse`, `uie` and
     /// `eost` are on; under OOF-FA a reservoir sampler attached to the
     /// sink stands in for the `Rt` the statistics pass would otherwise
-    /// re-scan. Off = keep the two-phase materialize-then-absorb pipeline
-    /// (for ablations).
+    /// re-scan. Off = buffer `Rt` first, then drain it through the same
+    /// sink in a second pass (for ablations).
     pub fused_pipeline: bool,
     /// Group-at-source streaming aggregation: aggregated heads (recursive
     /// MIN/MAX and non-recursive group-by) stream every produced row into
@@ -105,9 +105,6 @@ pub struct Config {
     pub mem_budget_bytes: usize,
     /// Morsel size for parallel operators.
     pub grain: usize,
-    /// Run the offline α calibration for the DSD cost model at engine
-    /// construction (Appendix A Eq. 7); otherwise use the default α = 2.
-    pub calibrate_dsd: bool,
     /// Maintain standing materialized views over prepared programs: the
     /// query service keeps a completed run's IDB relations and full-`R`
     /// indexes alive and answers version-bumped queries by incremental
@@ -145,7 +142,6 @@ impl Default for Config {
             pbme_coordination: None,
             mem_budget_bytes: 8 << 30,
             grain: 4096,
-            calibrate_dsd: false,
             incremental_views: true,
             wcoj: true,
         }
@@ -232,7 +228,7 @@ impl Config {
     }
 
     /// Toggle the fused streaming delta pipeline (off = materialize `Rt`
-    /// and absorb it in a second pass).
+    /// and drain it through the same sink in a second pass).
     pub fn fused_pipeline(mut self, on: bool) -> Self {
         self.fused_pipeline = on;
         self
@@ -278,12 +274,6 @@ impl Config {
     /// Set the memory budget in bytes.
     pub fn mem_budget(mut self, bytes: usize) -> Self {
         self.mem_budget_bytes = bytes;
-        self
-    }
-
-    /// Enable DSD α calibration at startup.
-    pub fn calibrate_dsd(mut self, on: bool) -> Self {
-        self.calibrate_dsd = on;
         self
     }
 

@@ -25,7 +25,7 @@ use recstep_common::Result;
 use recstep_datalog::plan::CompiledProgram;
 use recstep_datalog::{analyze::analyze, parser::parse, plan::compile};
 use recstep_exec::dedup::DedupImpl;
-use recstep_exec::setdiff::{calibrate_alpha, SetDiffStrategy};
+use recstep_exec::setdiff::SetDiffStrategy;
 use recstep_exec::ExecCtx;
 
 use crate::config::{Config, OofMode, PbmeMode};
@@ -34,9 +34,6 @@ use crate::prepared::PreparedProgram;
 pub(crate) struct EngineInner {
     pub(crate) cfg: Config,
     pub(crate) ctx: ExecCtx,
-    /// DSD cost-model constant (Appendix A Eq. 7), calibrated at build
-    /// time when the configuration asks for it.
-    pub(crate) alpha: f64,
 }
 
 /// The immutable RecStep engine: configuration + worker pool + planner.
@@ -104,8 +101,8 @@ impl Engine {
         PreparedProgram::new(self.clone(), compiled)
     }
 
-    pub(crate) fn parts(&self) -> (&Config, &ExecCtx, f64) {
-        (&self.inner.cfg, &self.inner.ctx, self.inner.alpha)
+    pub(crate) fn parts(&self) -> (&Config, &ExecCtx) {
+        (&self.inner.cfg, &self.inner.ctx)
     }
 }
 
@@ -212,31 +209,14 @@ impl EngineBuilder {
         self
     }
 
-    /// Morsel size for parallel operators.
-    pub fn grain(mut self, rows: usize) -> Self {
-        self.cfg.grain = rows;
-        self
-    }
-
-    /// Run the offline α calibration for the DSD cost model at build time.
-    pub fn calibrate_dsd(mut self, on: bool) -> Self {
-        self.cfg.calibrate_dsd = on;
-        self
-    }
-
-    /// Spawn the worker pool, calibrate if requested, freeze the engine.
+    /// Spawn the worker pool and freeze the engine.
     pub fn build(self) -> Result<Engine> {
         let cfg = self.cfg;
         let pool = Arc::new(ThreadPool::new(cfg.effective_threads()));
         let mut ctx = ExecCtx::new(pool);
         ctx.grain = cfg.grain.max(1);
-        let alpha = if cfg.calibrate_dsd {
-            calibrate_alpha(&ctx, 2, 2)
-        } else {
-            2.0
-        };
         Ok(Engine {
-            inner: Arc::new(EngineInner { cfg, ctx, alpha }),
+            inner: Arc::new(EngineInner { cfg, ctx }),
         })
     }
 }
@@ -259,14 +239,12 @@ mod tests {
             .eost(false)
             .pbme(PbmeMode::Off)
             .mem_budget(123)
-            .grain(17)
             .build()
             .unwrap();
         assert!(!e.config().uie);
         assert!(!e.config().eost);
         assert_eq!(e.config().pbme, PbmeMode::Off);
         assert_eq!(e.config().mem_budget_bytes, 123);
-        assert_eq!(e.config().grain, 17);
         assert_eq!(e.pool().threads(), 2);
     }
 

@@ -40,12 +40,15 @@
 //! * **Agg** — aggregated heads under `fused_agg`, `uie` and `eost`: rows
 //!   fold into aggregate state at the probe site (a monotonic MIN/MAX map
 //!   whose dirty list is ∆R, or group-by partials).
-//! * **Materialize** — everything else: `Rt` is buffered, then grouped
-//!   (the monotonic absorb or a group-by pass), absorbed against the
-//!   persistent full-R index (`--no-fused-pipeline`), or deduplicated and
-//!   set-differenced against `R` (`--no-index-reuse`). `--no-uie` stages
-//!   per-subquery temporaries and `--no-eost` prices per-query flushes of
-//!   the temporaries, so both keep `Rt` materialized.
+//! * **Materialize** — everything else: `Rt` is buffered, then handed to
+//!   the table the streaming path would have fed — grouped and absorbed
+//!   into the head's monotonic map (`--no-fused-agg`), or drained through
+//!   a [`DeltaSink`] against the persistent full-R index
+//!   (`--no-fused-pipeline`) — or grouped by a plain group-by pass, or
+//!   deduplicated and set-differenced against `R` (`--no-index-reuse`).
+//!   `--no-uie` stages per-subquery temporaries and `--no-eost` prices
+//!   per-query flushes of the temporaries, so both keep `Rt`
+//!   materialized.
 //!
 //! OOF-FA streams: the Delta and Agg sinks sample the would-be `Rt` into a
 //! reservoir that stands in for it. TC/SG-shaped strata can instead be
@@ -72,7 +75,7 @@ use recstep_common::{Error, Result, Value};
 use recstep_datalog::plan::{
     AtomVersion, CompiledIdb, CompiledProgram, CompiledStratum, ScanSpec, SubQuery,
 };
-use recstep_exec::agg::{AggCol, ConcurrentMonoMap, GroupSink, MonotonicAgg};
+use recstep_exec::agg::{AggCol, ConcurrentMonoMap, GroupSink};
 use recstep_exec::cache::{CacheKey, IndexCache};
 use recstep_exec::chain::ChainTable;
 use recstep_exec::dedup::deduplicate;
@@ -455,36 +458,12 @@ enum AggKind {
     },
 }
 
-/// The monotonic-aggregate map backing a recursive aggregated IDB: which
-/// variant a run uses is decided once by the `fused_agg` gate.
-enum MonoEval {
-    /// Sequential map fed by a per-iteration group-by over a materialized
-    /// pre-aggregation `Rt` (the `--no-fused-agg` ablation path).
-    Seq(MonotonicAgg),
-    /// Concurrent CAS-on-best map fed directly by operator workers at the
-    /// probe site (group-at-source streaming): its dirty-list drain *is*
-    /// the iteration's ∆.
-    Conc(ConcurrentMonoMap),
-}
-
-impl MonoEval {
-    fn heap_bytes(&self) -> usize {
-        match self {
-            MonoEval::Seq(m) => m.heap_bytes(),
-            MonoEval::Conc(m) => m.heap_bytes(),
-        }
-    }
-
-    fn to_columns(&self, group_arity: usize) -> Vec<Vec<Value>> {
-        match self {
-            MonoEval::Seq(m) => m.to_columns(group_arity),
-            MonoEval::Conc(m) => m.to_columns(group_arity),
-        }
-    }
-}
-
+/// A recursive MIN/MAX head's state: one concurrent CAS-on-best map
+/// (windowed when its keys pack compactly), fed at the probe site by the
+/// aggregation sink or by the groups of a materialized `Rt`; its
+/// dirty-list drain is the iteration's ∆.
 struct MonoState {
-    mono: MonoEval,
+    map: ConcurrentMonoMap,
     group_positions: Vec<usize>,
     agg_position: usize,
 }
@@ -522,9 +501,13 @@ struct Streamed {
 /// counted — exact cardinalities come from the sink's counters).
 const SINK_SAMPLE_CAP: usize = 1024;
 
+/// The DSD cost model's build/probe cost ratio α (Appendix A Eq. 7);
+/// `recstep_exec::setdiff::calibrate_alpha` measures it offline.
+const DSD_ALPHA: f64 = 2.0;
+
 /// One evaluation of a compiled program over one database.
 ///
-/// Borrows the engine side (`cfg`, `ctx`, `alpha`) immutably and the
+/// Borrows the engine side (`cfg`, `ctx`) immutably and the
 /// database side through a [`RunCatalog`]: exclusively (`&mut Catalog`)
 /// for classic runs, or as a frozen base plus
 /// run-local overlay for shared-mode runs — which is what lets N
@@ -534,7 +517,6 @@ const SINK_SAMPLE_CAP: usize = 1024;
 pub(crate) struct EvalRun<'e, 'd> {
     pub(crate) cfg: &'e Config,
     pub(crate) ctx: &'e ExecCtx,
-    pub(crate) alpha: f64,
     pub(crate) catalog: RunCatalog<'d>,
     pub(crate) cache: Option<&'d IndexCache>,
     /// Cooperative cancellation, polled at iteration boundaries (the only
@@ -926,33 +908,21 @@ impl<'d> EvalRun<'_, 'd> {
                         )));
                     }
                     let (func, g) = (shape.funcs[0], shape.group_positions.len());
-                    let mut mono = if self.fused_agg_applies() {
-                        MonoEval::Conc(
-                            match self.agg_window(stratum, idb, &shape.group_positions, rel) {
-                                Some(layout) => ConcurrentMonoMap::with_window(func, g, layout)?,
-                                None => ConcurrentMonoMap::new(func, g, rel.len())?,
-                            },
-                        )
-                    } else {
-                        MonoEval::Seq(MonotonicAgg::new(func)?)
+                    let mut map = match self.agg_window(stratum, idb, &shape.group_positions, rel) {
+                        Some(layout) => ConcurrentMonoMap::with_window(func, g, layout)?,
+                        None => ConcurrentMonoMap::new(func, g, rel.len())?,
                     };
                     // Seed from facts already in R (earlier strata).
                     let mut group = Vec::with_capacity(g);
                     for r in 0..rel.len() {
                         group.clear();
                         group.extend(shape.group_positions.iter().map(|&p| rel.col(p)[r]));
-                        let v = rel.col(shape.agg_positions[0])[r];
-                        match &mut mono {
-                            MonoEval::Seq(m) => m.absorb(&group, v),
-                            MonoEval::Conc(m) => m.absorb(&group, v),
-                        };
+                        map.absorb(&group, rel.col(shape.agg_positions[0])[r]);
                     }
-                    if let MonoEval::Conc(m) = &mut mono {
-                        // Seeds are pre-existing facts, not this run's ∆.
-                        let _ = m.take_improved();
-                    }
+                    // Seeds are pre-existing facts, not this run's ∆.
+                    let _ = map.take_improved();
                     Some(AggKind::Mono(MonoState {
-                        mono,
+                        map,
                         group_positions: shape.group_positions.clone(),
                         agg_position: shape.agg_positions[0],
                     }))
@@ -976,7 +946,7 @@ impl<'d> EvalRun<'_, 'd> {
                 rel_id,
                 delta,
                 old_len: start,
-                dsd: DsdState::new(self.alpha),
+                dsd: DsdState::new(DSD_ALPHA),
                 agg,
                 frozen: idb
                     .subqueries
@@ -1032,7 +1002,7 @@ impl<'d> EvalRun<'_, 'd> {
                         s.delta.heap_bytes()
                             + s.full_index.as_ref().map_or(0, PersistentIndex::heap_bytes)
                             + match &s.agg {
-                                Some(AggKind::Mono(m)) => m.mono.heap_bytes(),
+                                Some(AggKind::Mono(m)) => m.map.heap_bytes(),
                                 _ => 0,
                             }
                     })
@@ -1075,7 +1045,7 @@ impl<'d> EvalRun<'_, 'd> {
                     idb.arity,
                     &ms.group_positions,
                     &[ms.agg_position],
-                    ms.mono.to_columns(ms.group_positions.len()),
+                    ms.map.to_columns(ms.group_positions.len()),
                 );
                 let rel = self.catalog.rel_mut(state.rel_id);
                 rel.clear();
@@ -1247,13 +1217,9 @@ impl<'d> EvalRun<'_, 'd> {
     }
 
     /// One ∆-stream pass over relation `rel_id`, shared by the Delta sink
-    /// of [`Self::step_idb`] and the view seed pass: `eval` streams every
-    /// produced row through a [`DeltaSink`] probing the full-R `index`
-    /// (built or synced first) and a shared scratch table, so only rows
-    /// new w.r.t. `R` and each other come out. The sink's compact-key
-    /// escapes are new w.r.t. `R` and the sink's winners (a tuple fits the
-    /// packed layout iff each value fits) and are deduplicated among
-    /// themselves here; every considered row not kept is booked as
+    /// of [`Self::step_idb`] and the view seed pass: [`Self::sink_pass`]
+    /// against the full-R `index` (built or synced first), booked under
+    /// `phase.pipeline`; every considered row not kept is booked as
     /// skipped at source. On error `index` is left in place. The caller
     /// books `tuples_considered` and merges the fresh rows
     /// ([`Self::merge_delta`]), whose index `append` performs any one-time
@@ -1268,8 +1234,30 @@ impl<'d> EvalRun<'_, 'd> {
     ) -> Result<Streamed> {
         let index = self.full_index(rel_id, index, stats);
         let t_pipe = Instant::now();
-        let base = self.catalog.rel(rel_id).view();
-        let mut sink = DeltaSink::new(index, base, 0);
+        let streamed = self.sink_pass(rel_id, index, 0, sampler, stats, eval)?;
+        let skipped = streamed.considered - streamed.out.cols.first().map_or(0, Vec::len);
+        stats.rt_rows_skipped_at_source += skipped;
+        stats.rt_bytes_never_materialized += skipped * self.catalog.rel(rel_id).arity() * 8;
+        stats.phase.pipeline += t_pipe.elapsed();
+        Ok(streamed)
+    }
+
+    /// `eval` streams every produced row through a [`DeltaSink`] probing
+    /// relation `rel_id`'s synced full-R `index` and a shared scratch table
+    /// presized for `capacity` rows, so only rows new w.r.t. `R` and each
+    /// other come out. The sink's compact-key escapes are new w.r.t. `R`
+    /// and the sink's winners (a tuple fits the packed layout iff each
+    /// value fits) and are deduplicated among themselves here.
+    fn sink_pass(
+        &self,
+        rel_id: RelId,
+        index: &PersistentIndex,
+        capacity: usize,
+        sampler: Option<&SinkSampler>,
+        stats: &mut EvalStats,
+        eval: impl FnOnce(&Self, &SinkMode<'_>) -> Result<EvalOut>,
+    ) -> Result<Streamed> {
+        let mut sink = DeltaSink::new(index, self.catalog.rel(rel_id).view(), capacity);
         if let Some(s) = sampler {
             sink = sink.with_sampler(s);
         }
@@ -1285,15 +1273,10 @@ impl<'d> EvalRun<'_, 'd> {
                 }
             }
         }
-        let considered = sink.considered();
-        let skipped = considered - out.cols.first().map_or(0, Vec::len);
-        stats.rt_rows_skipped_at_source += skipped;
-        stats.rt_bytes_never_materialized += skipped * base.arity() * 8;
         stats.index.scratch_builds += 1;
-        stats.phase.pipeline += t_pipe.elapsed();
         Ok(Streamed {
             out,
-            considered,
+            considered: sink.considered(),
             scratch_bytes: sink.scratch_bytes(),
         })
     }
@@ -1346,9 +1329,12 @@ impl<'d> EvalRun<'_, 'd> {
     ///   aggregate state at the probe site; ∆R is the flush — the strictly
     ///   improved groups of a monotonic head, or every group of a plain
     ///   group-by head.
-    /// * `Materialize`: `Rt` is buffered, then grouped (monotonic absorb
-    ///   or plain group-by), absorbed against the persistent full-R index,
-    ///   or deduplicated and set-differenced against `R`.
+    /// * `Materialize`: `Rt` is buffered, then handed to the table the
+    ///   streaming sink would have fed — grouped and absorbed into the
+    ///   monotonic map, or drained through a [`DeltaSink`] against the
+    ///   persistent full-R index, sharing that sink's ∆R tail — or grouped
+    ///   by a plain group-by pass, or deduplicated and set-differenced
+    ///   against `R`.
     ///
     /// Returns the freshly computed ∆R (staged by the caller so peers keep
     /// reading the previous iteration's delta until the pass completes).
@@ -1425,12 +1411,7 @@ impl<'d> EvalRun<'_, 'd> {
             (streamed.out, streamed.considered)
         } else if agg_sink {
             let mono = match &states[idx].agg {
-                Some(AggKind::Mono(ms)) => {
-                    let MonoEval::Conc(map) = &ms.mono else {
-                        unreachable!("the fused-agg gate constructs the concurrent map")
-                    };
-                    Some(map)
-                }
+                Some(AggKind::Mono(ms)) => Some(&ms.map),
                 _ => None,
             };
             let target = match (&plain, mono) {
@@ -1470,84 +1451,40 @@ impl<'d> EvalRun<'_, 'd> {
 
         // --- The sink's ∆R tail. ---
         let state = &mut states[idx];
-        if delta_sink {
-            // R ← R ⊎ ∆R: one shard append; ∆R stays a row range.
-            stats.fused_runs += 1;
-            stats.pipeline_runs += 1;
-            let index = state.full_index.as_mut().expect("the ∆ stream built it");
-            let (start, end) = self.merge_delta(rel_id, out.cols, Some(&mut *index), stats);
-            let bytes = index.heap_bytes() + scratch_bytes;
-            stats.index.bytes_peak = stats.index.bytes_peak.max(bytes);
-            stats.peak_bytes = stats.peak_bytes.max(self.catalog.heap_bytes() + bytes);
-            state.old_len = start;
-            return Ok(DeltaBuf::Range(start, end));
+        let materialized = !delta_sink && !agg_sink;
+        // ∆R under the Delta sink, `Rt` when materialized, empty under Agg.
+        let mut rows = out.cols;
+        if materialized {
+            // The whole UNION-ALL intermediate was buffered and merged —
+            // the cost the streaming sinks eliminate.
+            stats.rt_merge_bytes += considered * idb.arity * 8;
+            self.io.temp(RelView::over(&rows));
         }
         if agg_sink {
             stats.agg_sink_runs += 1;
             stats.agg_rows_folded_at_source += considered;
-            let t_agg = Instant::now();
-            return Ok(match (plain, &mut state.agg) {
-                // Monotonic head: the dirty list is ∆R.
-                (None, Some(AggKind::Mono(ms))) => {
-                    let MonoEval::Conc(map) = &mut ms.mono else {
-                        unreachable!("the fused-agg gate constructs the concurrent map")
-                    };
-                    let improved = map.take_improved();
-                    let delta = mono_delta(idb, ms, &improved);
-                    stats.agg_groups_improved += delta.len();
-                    stats.phase.aggregate += t_agg.elapsed();
-                    DeltaBuf::Owned(delta)
-                }
-                // Plain group-by head: the groups straight into head layout.
-                (
-                    Some(plain),
-                    Some(AggKind::Plain {
-                        group_positions,
-                        agg_positions,
-                        ..
-                    }),
-                ) => {
-                    let cols = head_columns(
-                        idb.arity,
-                        group_positions,
-                        agg_positions,
-                        plain.into_columns(),
-                    );
-                    stats.agg_groups_improved += cols.first().map_or(0, Vec::len);
-                    stats.phase.aggregate += t_agg.elapsed();
-                    let (start, end) = self.merge_delta(rel_id, cols, None, stats);
-                    state.old_len = start;
-                    DeltaBuf::Range(start, end)
-                }
-                _ => unreachable!("the fused-agg gate admits aggregated heads only"),
-            });
         }
-
-        // Materialized `Rt`: the whole UNION-ALL intermediate was buffered
-        // and merged — the cost the streaming sinks eliminate.
-        let rt = out.cols;
-        stats.rt_merge_bytes += considered * idb.arity * 8;
-        self.io.temp(RelView::over(&rt));
-        let delta = match &mut state.agg {
+        let t_agg = Instant::now();
+        let (start, end) = match &mut state.agg {
             Some(AggKind::Mono(ms)) => {
-                // --- Recursive aggregation: group, then absorb. ---
-                let t_agg = Instant::now();
-                let MonoEval::Seq(mono) = &mut ms.mono else {
-                    unreachable!("the fused-agg gate constructs the sequential map")
-                };
-                let g = ms.group_positions.len();
-                let grouped = self.group_rt(&rt, g, &[mono.func()]);
-                let mut improved = Vec::new();
-                let mut group = Vec::with_capacity(g);
-                for r in 0..grouped.first().map_or(0, Vec::len) {
-                    group.clear();
-                    group.extend(grouped[..g].iter().map(|col| col[r]));
-                    if mono.absorb(&group, grouped[g][r]) {
-                        improved.extend_from_slice(&group);
-                        improved.push(grouped[g][r]);
+                if materialized {
+                    // `--no-fused-agg`: group `Rt` in a second pass, then
+                    // fold the groups into the map the sink would have fed.
+                    let g = ms.group_positions.len();
+                    let grouped = self.group_rt(&rows, g, &[ms.map.func()]);
+                    let mut group = Vec::with_capacity(g);
+                    for r in 0..grouped[g].len() {
+                        group.clear();
+                        group.extend(grouped[..g].iter().map(|col| col[r]));
+                        ms.map.absorb(&group, grouped[g][r]);
                     }
                 }
+                // The dirty list is ∆R.
+                let improved = ms.map.take_improved();
                 let delta = mono_delta(idb, ms, &improved);
+                if agg_sink {
+                    stats.agg_groups_improved += delta.len();
+                }
                 stats.phase.aggregate += t_agg.elapsed();
                 self.io.temp(delta.view());
                 return Ok(DeltaBuf::Owned(delta));
@@ -1557,38 +1494,51 @@ impl<'d> EvalRun<'_, 'd> {
                 agg_positions,
                 funcs,
             }) => {
-                // --- Non-recursive aggregation: one group-by pass. ---
-                let t_agg = Instant::now();
-                let grouped = self.group_rt(&rt, group_positions.len(), funcs);
+                // The sink's groups, or one group-by pass over `Rt`.
+                let grouped = match plain {
+                    Some(plain) => plain.into_columns(),
+                    None => self.group_rt(&rows, group_positions.len(), funcs),
+                };
                 let cols = head_columns(idb.arity, group_positions, agg_positions, grouped);
+                if agg_sink {
+                    stats.agg_groups_improved += cols.first().map_or(0, Vec::len);
+                }
                 stats.phase.aggregate += t_agg.elapsed();
                 self.merge_delta(rel_id, cols, None, stats)
             }
-            None if self.cfg.index_reuse && stratum.recursive => {
-                // --- Fused Rδ ← dedup(Rt), ∆R ← Rδ − R against the
-                // persistent full-R index: one pass over Rt, the table is
-                // built once for the stratum and appended after every
-                // merge. One query replaces the dedup INSERT and the
-                // difference query of the rebuild path. ---
-                let index = self.full_index(rel_id, &mut state.full_index, stats);
-                let t_fused = Instant::now();
-                let rel = self.catalog.rel(rel_id);
-                let outcome = index.absorb(self.ctx, RelView::over(&rt), rel.view());
-                if outcome.rebuilt {
-                    // Compact-key invalidation: a candidate escaped the
-                    // packed layout; the index fell back to hashed and
-                    // rebuilt once.
-                    note_sync(SyncAction::Rebuilt, rel.len(), stats);
+            None if delta_sink || self.cfg.index_reuse && stratum.recursive => {
+                if delta_sink {
+                    stats.pipeline_runs += 1;
+                } else {
+                    // --- `--no-fused-pipeline`: Rδ ← dedup(Rt) and
+                    // ∆R ← Rδ − R in one pass, draining `Rt` through the
+                    // ∆ stream's sink against the persistent full-R index
+                    // (built once for the stratum, appended after every
+                    // merge). One query replaces the dedup INSERT and the
+                    // difference query of the rebuild path. ---
+                    let index = self.full_index(rel_id, &mut state.full_index, stats);
+                    let t_dedup = Instant::now();
+                    let identity: Vec<Expr> = (0..idb.arity).map(Expr::Col).collect();
+                    let rt = RelView::over(&rows);
+                    let drained =
+                        self.sink_pass(rel_id, index, considered, None, stats, |this, sink| {
+                            Ok(EvalOut {
+                                cols: project_filter_sink(this.ctx, rt, &identity, &[], sink),
+                                queries: 0,
+                                wcoj: WcojTally::default(),
+                            })
+                        })?;
+                    stats.phase.dedup += t_dedup.elapsed();
+                    rows = drained.out.cols;
+                    scratch_bytes = drained.scratch_bytes;
                 }
-                stats.index.scratch_builds += 1;
-                let bytes = index.heap_bytes() + outcome.scratch_bytes;
+                // R ← R ⊎ ∆R: one shard append; the index appends it too.
+                stats.fused_runs += 1;
+                let index = state.full_index.as_mut().expect("the sink pass built it");
+                let range = self.merge_delta(rel_id, rows, Some(&mut *index), stats);
+                let bytes = index.heap_bytes() + scratch_bytes;
                 stats.index.bytes_peak = stats.index.bytes_peak.max(bytes);
                 stats.peak_bytes = stats.peak_bytes.max(self.catalog.heap_bytes() + bytes);
-                drop(rt);
-                stats.phase.dedup += t_fused.elapsed();
-                stats.fused_runs += 1;
-                let range = self.merge_delta(rel_id, outcome.fresh, Some(&mut *index), stats);
-                stats.index.bytes_peak = stats.index.bytes_peak.max(index.heap_bytes());
                 range
             }
             None => {
@@ -1598,9 +1548,13 @@ impl<'d> EvalRun<'_, 'd> {
                 // Conservative distinct approximation for table sizing,
                 // every OOF mode: min(memory, |Rt|) (paper §5.1).
                 let distinct_hint = considered.min(budget_rows);
-                let dedup_out =
-                    deduplicate(self.ctx, RelView::over(&rt), self.cfg.dedup, distinct_hint);
-                drop(rt);
+                let dedup_out = deduplicate(
+                    self.ctx,
+                    RelView::over(&rows),
+                    self.cfg.dedup,
+                    distinct_hint,
+                );
+                drop(rows);
                 stats.phase.dedup += t_dedup.elapsed();
                 stats.queries_issued += 1;
                 stats.index.scratch_builds += dedup_out.tables_built;
@@ -1630,7 +1584,6 @@ impl<'d> EvalRun<'_, 'd> {
                 self.merge_delta(rel_id, diff, None, stats)
             }
         };
-        let (start, end) = delta;
         state.old_len = start;
         self.io
             .temp(self.catalog.rel(rel_id).range_view(start, end));

@@ -48,12 +48,11 @@ impl PreparedProgram {
     /// busy time, so per-run CPU attribution blurs — wall times and
     /// result counts stay exact.)
     pub fn run(&self, db: &mut Database) -> Result<EvalStats> {
-        let (cfg, ctx, alpha) = self.engine.parts();
+        let (cfg, ctx) = self.engine.parts();
         let cache = db.index_cache().clone();
         EvalRun {
             cfg,
             ctx,
-            alpha,
             catalog: RunCatalog::Exclusive(db.catalog_mut()),
             cache: cfg.shared_index_cache.then_some(&*cache),
             cancel: None,
@@ -120,11 +119,10 @@ impl PreparedProgram {
         db: &Database,
         cancel: Option<&recstep_common::sched::CancelToken>,
     ) -> Result<RunOutput> {
-        let (cfg, ctx, alpha) = self.engine.parts();
+        let (cfg, ctx) = self.engine.parts();
         let mut run = EvalRun {
             cfg,
             ctx,
-            alpha,
             catalog: RunCatalog::shared(db.catalog()),
             cache: cfg.shared_index_cache.then(|| &**db.index_cache()),
             cancel,

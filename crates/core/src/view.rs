@@ -149,11 +149,10 @@ impl MaterializedView {
         self.supports.clear();
         self.snapshots.clear();
         let compiled = self.prog.compiled();
-        let (_, ctx, alpha) = self.prog.engine().parts();
+        let (_, ctx) = self.prog.engine().parts();
         let mut run = EvalRun {
             cfg: &self.cfg,
             ctx,
-            alpha,
             catalog: RunCatalog::shared(db.catalog()),
             cache: self.cfg.shared_index_cache.then(|| &**db.index_cache()),
             cancel,
@@ -172,7 +171,6 @@ impl MaterializedView {
             let mut run = EvalRun {
                 cfg: &self.cfg,
                 ctx,
-                alpha,
                 catalog: RunCatalog::shared_with(db.catalog(), mem::take(&mut self.out)),
                 cache: None,
                 cancel: None,
@@ -311,11 +309,10 @@ impl MaterializedView {
             return Ok(());
         }
 
-        let (_, ctx, alpha) = self.prog.engine().parts();
+        let (_, ctx) = self.prog.engine().parts();
         let mut run = EvalRun {
             cfg: &self.cfg,
             ctx,
-            alpha,
             catalog: RunCatalog::shared_with(db.catalog(), mem::take(&mut self.out)),
             cache: None,
             cancel: None,

@@ -579,10 +579,6 @@ fn every_ablation_config_produces_identical_results() {
                 .pbme(PbmeMode::Force)
                 .pbme_coordination(Some(16)),
         ),
-        (
-            "calibrated",
-            Config::default().pbme(PbmeMode::Off).calibrate_dsd(true),
-        ),
     ];
     for (name, cfg) in configs {
         let (db, _) = run_on_edges(cfg, &edges, recstep::programs::TC);

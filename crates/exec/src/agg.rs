@@ -6,17 +6,19 @@
 //! semantics the paper inherits from the recursive-aggregate literature
 //! [Lefebvre 92]: the IDB keeps one tuple per group holding the current best
 //! value, and the ∆ of an iteration is the set of *strictly improved*
-//! groups — which is exactly what [`MonotonicAgg::absorb`] reports.
+//! groups — which is exactly what [`ConcurrentMonoMap::take_improved`]
+//! drains.
 //!
-//! Both shapes also exist as *sink-side* concurrent states for the fused
-//! streaming pipeline (group-at-source): [`ConcurrentMonoMap`] is a
-//! latch-free CAS-on-best map — a per-group payload on the growable
-//! [`GrowChainTable`], fronted by a direct-addressed window when the group
-//! keys pack compactly — whose dirty list yields the iteration's ∆
-//! directly (it also serves non-recursive single-`MIN`/`MAX` heads), and
-//! [`GroupSink`] holds sharded group-by partials for every other
-//! group-by, which operator workers fold rows into at the probe site,
-//! merged once at flush. With either, the pre-aggregation `Rt` is never
+//! [`ConcurrentMonoMap`] is a latch-free CAS-on-best map — a per-group
+//! payload on the growable [`GrowChainTable`], fronted by a
+//! direct-addressed window when the group keys pack compactly — and the
+//! one table behind every recursive `MIN`/`MAX` head: operator workers
+//! fold rows into it at the probe site (group-at-source), or the
+//! `--no-fused-agg` arm absorbs the groups of a materialized `Rt` into it
+//! after a [`group_aggregate`] pass. It also serves non-recursive
+//! single-`MIN`/`MAX` heads under the streaming sink, and [`GroupSink`]
+//! holds sharded group-by partials for every other streamed group-by,
+//! merged once at flush. Streamed, the pre-aggregation `Rt` is never
 //! materialized.
 //!
 //! ## Overflow
@@ -199,95 +201,6 @@ pub fn group_aggregate(
     cols
 }
 
-/// A monotonic aggregate relation for recursive aggregation: one current
-/// best value per group, with strict-improvement deltas.
-#[derive(Clone, Debug)]
-pub struct MonotonicAgg {
-    func: AggFunc,
-    map: FxHashMap<Box<[Value]>, Value>,
-}
-
-impl MonotonicAgg {
-    /// New monotonic relation. Only `MIN` and `MAX` converge under
-    /// recursion (the paper assumes programs are given convergent — §3.3);
-    /// other functions are rejected.
-    pub fn new(func: AggFunc) -> recstep_common::Result<Self> {
-        match func {
-            AggFunc::Min | AggFunc::Max => Ok(MonotonicAgg {
-                func,
-                map: FxHashMap::default(),
-            }),
-            other => Err(recstep_common::Error::analysis(format!(
-                "recursive aggregation requires MIN or MAX, got {}",
-                other.sql()
-            ))),
-        }
-    }
-
-    /// Aggregate function in effect.
-    pub fn func(&self) -> AggFunc {
-        self.func
-    }
-
-    /// Absorb a candidate `(group, value)`; returns `true` iff the group is
-    /// new or strictly improved (i.e. the tuple belongs in ∆).
-    pub fn absorb(&mut self, group: &[Value], v: Value) -> bool {
-        match self.map.get_mut(group) {
-            Some(cur) => {
-                let better = match self.func {
-                    AggFunc::Min => v < *cur,
-                    AggFunc::Max => v > *cur,
-                    _ => unreachable!(),
-                };
-                if better {
-                    *cur = v;
-                }
-                better
-            }
-            None => {
-                self.map.insert(group.to_vec().into_boxed_slice(), v);
-                true
-            }
-        }
-    }
-
-    /// Current best value of a group.
-    pub fn get(&self, group: &[Value]) -> Option<Value> {
-        self.map.get(group).copied()
-    }
-
-    /// Number of groups.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no group has been absorbed.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Materialize as `[group columns ‖ value]` (group arity inferred from
-    /// the first entry; empty map → `arity` columns of nothing).
-    pub fn to_columns(&self, group_arity: usize) -> Vec<Vec<Value>> {
-        let mut cols = vec![Vec::with_capacity(self.map.len()); group_arity + 1];
-        for (key, &v) in &self.map {
-            debug_assert_eq!(key.len(), group_arity);
-            for (c, &k) in key.iter().enumerate() {
-                cols[c].push(k);
-            }
-            cols[group_arity].push(v);
-        }
-        cols
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn heap_bytes(&self) -> usize {
-        // Entry overhead ≈ key box + value + hashmap slot.
-        self.map.len() * (std::mem::size_of::<Value>() * 2 + 32)
-            + self.map.capacity() * std::mem::size_of::<usize>()
-    }
-}
-
 /// Dirty-stack link of a clean group (existing, not queued for the next
 /// ∆) — the default of a fresh payload cell.
 const NOT_DIRTY: u32 = 0;
@@ -321,8 +234,26 @@ struct Window {
     cells: Box<[WindowCell]>,
 }
 
-/// A concurrent monotonic-aggregate map: the sink-side twin of
-/// [`MonotonicAgg`] for the fused streaming pipeline (group-at-source).
+impl Window {
+    /// One absent cell per packed key of `layout`, its best at `func`'s
+    /// identity.
+    fn new(func: AggFunc, layout: KeyLayout) -> Self {
+        let identity = match func {
+            AggFunc::Min => Value::MAX,
+            _ => Value::MIN,
+        };
+        let cells = (0..1usize << layout.total_bits())
+            .map(|_| WindowCell {
+                best: AtomicI64::new(identity),
+                link: AtomicU32::new(ABSENT),
+            })
+            .collect();
+        Window { layout, cells }
+    }
+}
+
+/// A concurrent monotonic-aggregate map for recursive aggregation: one
+/// current best value per group, with strict-improvement deltas.
 ///
 /// Group keys are the rows of a [`GrowChainTable`] — the one growable
 /// latch-free table both fused sinks and the view support counts sit on —
@@ -378,8 +309,10 @@ impl ConcurrentMonoMap {
     /// New concurrent monotonic map with room for `capacity` groups
     /// before its first growth step — an allocation hint only: the
     /// backing table grows in flight and lookup cost does not depend on
-    /// it. Like [`MonotonicAgg::new`], only `MIN` and `MAX` converge under
-    /// recursion; other functions are rejected.
+    /// it. Only `MIN` and `MAX` converge under recursion (the paper assumes
+    /// programs are given convergent — §3.3); other functions are rejected.
+    /// An ungrouped head (`group_arity == 0`) has one group, kept in a
+    /// one-cell window.
     pub fn new(func: AggFunc, group_arity: usize, capacity: usize) -> recstep_common::Result<Self> {
         match func {
             AggFunc::Min | AggFunc::Max => {}
@@ -390,14 +323,18 @@ impl ConcurrentMonoMap {
                 )))
             }
         }
-        let group_arity = group_arity.max(1);
+        let width = group_arity.max(1);
+        let window = (group_arity == 0).then(|| {
+            let layout = KeyLayout::from_bounds(&[]).expect("a zero-width layout packs");
+            Window::new(func, layout)
+        });
         Ok(ConcurrentMonoMap {
             func,
             group_arity,
-            groups: GrowChainTable::new(group_arity, capacity, capacity.saturating_mul(2)),
+            groups: GrowChainTable::new(width, capacity, capacity.saturating_mul(2)),
             best: SlotChunks::new(capacity),
             dirty: SlotChunks::new(capacity),
-            window: None,
+            window,
             dirty_head: AtomicU32::new(DIRTY_END),
             live: AtomicUsize::new(0),
         })
@@ -417,17 +354,7 @@ impl ConcurrentMonoMap {
         let mut map = Self::new(func, group_arity, 0)?;
         assert_eq!(layout.width(), group_arity, "window layout width");
         assert!(layout.total_bits() <= WINDOW_MAX_BITS, "window too wide");
-        let identity = match func {
-            AggFunc::Min => Value::MAX,
-            _ => Value::MIN,
-        };
-        let cells = (0..1usize << layout.total_bits())
-            .map(|_| WindowCell {
-                best: AtomicI64::new(identity),
-                link: AtomicU32::new(ABSENT),
-            })
-            .collect();
-        map.window = Some(Window { layout, cells });
+        map.window = Some(Window::new(func, layout));
         Ok(map)
     }
 
@@ -903,45 +830,44 @@ mod tests {
     }
 
     #[test]
-    fn monotonic_min_absorbs_improvements_only() {
-        let mut m = MonotonicAgg::new(AggFunc::Min).unwrap();
-        assert!(m.absorb(&[1], 10)); // new
-        assert!(!m.absorb(&[1], 10)); // equal → not improved
-        assert!(!m.absorb(&[1], 12)); // worse
-        assert!(m.absorb(&[1], 3)); // better
-        assert_eq!(m.get(&[1]), Some(3));
-        assert_eq!(m.len(), 1);
-    }
-
-    #[test]
     fn monotonic_max() {
-        let mut m = MonotonicAgg::new(AggFunc::Max).unwrap();
+        let m = ConcurrentMonoMap::new(AggFunc::Max, 1, 8).unwrap();
         assert!(m.absorb(&[7], 1));
         assert!(m.absorb(&[7], 5));
+        assert!(!m.absorb(&[7], 5), "equal is no improvement");
         assert!(!m.absorb(&[7], 2));
         assert_eq!(m.get(&[7]), Some(5));
     }
 
     #[test]
-    fn monotonic_rejects_non_extremal_functions() {
-        assert!(MonotonicAgg::new(AggFunc::Sum).is_err());
-        assert!(MonotonicAgg::new(AggFunc::Count).is_err());
-        assert!(MonotonicAgg::new(AggFunc::Avg).is_err());
-    }
-
-    #[test]
     fn monotonic_to_columns() {
-        let mut m = MonotonicAgg::new(AggFunc::Min).unwrap();
+        let m = ConcurrentMonoMap::new(AggFunc::Min, 2, 8).unwrap();
         m.absorb(&[1, 2], 9);
         m.absorb(&[3, 4], 8);
+        m.absorb(&[1, 2], 10);
         let cols = m.to_columns(2);
         assert_eq!(cols.len(), 3);
-        let mut rows: Vec<Vec<Value>> = (0..2)
+        let mut rows: Vec<Vec<Value>> = (0..cols[0].len())
             .map(|r| cols.iter().map(|c| c[r]).collect())
             .collect();
         rows.sort_unstable();
         assert_eq!(rows, vec![vec![1, 2, 9], vec![3, 4, 8]]);
         assert!(m.heap_bytes() > 0);
+    }
+
+    #[test]
+    fn ungrouped_mono_keeps_its_one_group_in_a_window() {
+        // `best(MIN(d))`: no group columns, so rows are `[value]`.
+        let mut m = ConcurrentMonoMap::new(AggFunc::Min, 0, 0).unwrap();
+        assert!(m.has_window());
+        assert_eq!(m.get(&[]), None);
+        assert!(m.absorb_row(&[7]));
+        assert!(!m.absorb_row(&[9]));
+        assert!(m.absorb_row(&[3]));
+        assert_eq!((m.len(), m.get(&[])), (1, Some(3)));
+        assert_eq!(m.take_improved(), vec![3]);
+        assert!(m.take_improved().is_empty());
+        assert_eq!(m.to_columns(0), vec![vec![3]]);
     }
 
     #[test]
@@ -1031,22 +957,29 @@ mod tests {
 
     #[test]
     fn concurrent_mono_to_columns_matches_sequential() {
-        let mut seq = MonotonicAgg::new(AggFunc::Max).unwrap();
+        use std::collections::BTreeMap;
+        let mut seq: BTreeMap<Vec<Value>, Value> = BTreeMap::new();
         let conc = ConcurrentMonoMap::new(AggFunc::Max, 2, 4).unwrap();
         for i in 0..500i64 {
             let group = [i % 17, i % 5];
-            seq.absorb(&group, i * 3 % 101);
+            let best = seq.entry(group.to_vec()).or_insert(Value::MIN);
+            *best = (*best).max(i * 3 % 101);
             conc.absorb(&group, i * 3 % 101);
         }
         assert_eq!(seq.len(), conc.len());
-        let rows = |cols: &[Vec<Value>]| -> Vec<Vec<Value>> {
-            let mut rows: Vec<Vec<Value>> = (0..cols[0].len())
-                .map(|r| cols.iter().map(|c| c[r]).collect())
-                .collect();
-            rows.sort_unstable();
-            rows
-        };
-        assert_eq!(rows(&seq.to_columns(2)), rows(&conc.to_columns(2)));
+        let cols = conc.to_columns(2);
+        let mut rows: Vec<Vec<Value>> = (0..cols[0].len())
+            .map(|r| cols.iter().map(|c| c[r]).collect())
+            .collect();
+        rows.sort_unstable();
+        let expect: Vec<Vec<Value>> = seq
+            .into_iter()
+            .map(|(mut group, best)| {
+                group.push(best);
+                group
+            })
+            .collect();
+        assert_eq!(rows, expect);
         assert!(conc.heap_bytes() > 0);
     }
 

@@ -29,15 +29,13 @@
 //!
 //! ## Fused dedup + set-difference
 //!
-//! [`PersistentIndex::absorb`] replaces the per-iteration
-//! `dedup(Rt)`/`Rδ − R` pipeline with one pass over the candidates: each
-//! candidate row computes its key once, probes the persistent full-R index
-//! (set membership in `R`), and — when absent — races an `insert_unique`
-//! into a scratch table sized to `|Rt|` (dedup *within* the candidates).
-//! CAS winners are exactly `∆R`. The scratch table is transient by design:
-//! winners' final row ids in `R` are only known after the merge, so staging
-//! them in the persistent table would leave dead node slots behind; instead
-//! the caller appends `∆R` to `R` and then calls
+//! The full-`R` index is what a [`crate::sink::DeltaSink`] probes: every
+//! candidate row computes its key once, probes this index (set membership
+//! in `R`), and — when absent — races an insert into the sink's transient
+//! scratch table (dedup *within* the candidates). The scratch table stays
+//! transient by design: winners' final row ids in `R` are only known after
+//! the merge, so staging them here would leave dead node slots behind;
+//! instead the caller appends `∆R` to `R` and then calls
 //! [`PersistentIndex::append`], which inserts the new rows under their
 //! stable ids. Per-iteration work is `O(|Rt|)` — never `O(|R|)` — and the
 //! full-R table is built exactly once per stratum.
@@ -49,7 +47,7 @@ use recstep_storage::RelView;
 
 use crate::chain::ChainTable;
 use crate::key::{bounds_of, KeyMode};
-use crate::util::{parallel_fill, parallel_produce};
+use crate::util::parallel_fill;
 use crate::ExecCtx;
 
 /// What a synchronization step ([`PersistentIndex::append`] /
@@ -63,17 +61,6 @@ pub enum SyncAction {
     /// The index was rebuilt from scratch (first build, compact-key
     /// invalidation, or a shrunk relation).
     Rebuilt,
-}
-
-/// Outcome of one fused dedup + set-difference pass.
-pub struct AbsorbOutcome {
-    /// `∆R`: candidate rows neither present in the base relation nor
-    /// duplicated within the candidates (column-major, candidate arity).
-    pub fresh: Vec<Vec<Value>>,
-    /// Bytes the transient scratch table occupied.
-    pub scratch_bytes: usize,
-    /// Whether compact-key invalidation forced a hashed rebuild first.
-    pub rebuilt: bool,
 }
 
 /// A growable hash index pinned to a relation's stable row ids.
@@ -218,76 +205,6 @@ impl PersistentIndex {
         SyncAction::Appended(added)
     }
 
-    /// Fused FAST-DEDUP + set difference: return candidate rows that are
-    /// new with respect to `base` *and* distinct within `cand`, in one
-    /// parallel pass.
-    ///
-    /// `base` must be the relation this index covers (`base.len() ==
-    /// self.rows()`), with key columns spanning the full tuple so key
-    /// equality means tuple equality. The caller merges the returned rows
-    /// into `base` and then calls [`PersistentIndex::append`].
-    pub fn absorb(&mut self, ctx: &ExecCtx, cand: RelView<'_>, base: RelView<'_>) -> AbsorbOutcome {
-        assert_eq!(
-            base.len(),
-            self.rows,
-            "index out of sync with its base relation"
-        );
-        let arity = cand.arity();
-        let m = cand.len();
-        if m == 0 {
-            return AbsorbOutcome {
-                fresh: vec![Vec::new(); arity],
-                scratch_bytes: 0,
-                rebuilt: false,
-            };
-        }
-        let mut rebuilt = false;
-        if self.rows == 0 {
-            // Deferred mode choice from the first candidates (the table is
-            // still empty, so this is free).
-            self.mode = KeyMode::for_view(cand, &self.cols);
-        } else if let Some(b) = bounds_of(cand, &self.cols) {
-            if !self.mode_admits(&b) {
-                self.rebuild_hashed(ctx, base);
-                rebuilt = true;
-            }
-        }
-        let scratch = ChainTable::with_capacity(m, m * 2);
-        let mode = &self.mode;
-        let cols = &self.cols;
-        let table = &self.table;
-        let exact = mode.exact();
-        let in_base = |node: u32, r: usize| -> bool {
-            exact
-                || cols
-                    .iter()
-                    .all(|&c| base.get(node as usize, c) == cand.get(r, c))
-        };
-        let cand_eq = |a: u32, b: u32| -> bool {
-            cols.iter()
-                .all(|&c| cand.get(a as usize, c) == cand.get(b as usize, c))
-        };
-        let fresh = parallel_produce(&ctx.pool, m, ctx.grain, arity, |range, buf| {
-            let mut key_scratch = Vec::new();
-            for r in range {
-                let key = mode.key_of(cand, r, cols, &mut key_scratch);
-                if table.iter_key(key).any(|node| in_base(node, r)) {
-                    continue; // already in R
-                }
-                if scratch.insert_unique(r as u32, key, cand_eq) {
-                    for c in 0..arity {
-                        buf.push_at(c, cand.get(r, c));
-                    }
-                }
-            }
-        });
-        AbsorbOutcome {
-            fresh,
-            scratch_bytes: scratch.heap_bytes(),
-            rebuilt,
-        }
-    }
-
     /// Prepare the index for probing with keys drawn from `probe`'s key
     /// columns: synchronize with `base`, then verify the probe values are
     /// representable under the current key mode — packed layouts that do
@@ -417,6 +334,7 @@ impl PersistentIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::DeltaSink;
     use recstep_storage::{Relation, Schema};
     use std::collections::HashSet;
 
@@ -424,44 +342,51 @@ mod tests {
         ExecCtx::with_threads(4)
     }
 
-    fn rows_of(cols: &[Vec<Value>]) -> HashSet<Vec<Value>> {
-        (0..cols.first().map_or(0, Vec::len))
-            .map(|r| cols.iter().map(|c| c[r]).collect())
-            .collect()
+    fn rows_of(rel: &Relation) -> HashSet<Vec<Value>> {
+        rel.to_rows().into_iter().collect()
+    }
+
+    /// One fused dedup + set-difference pass the way the engine runs it:
+    /// offer `cand` to a [`DeltaSink`] probing `idx` over `base`, then fold
+    /// in the compact-key escapes, deduplicated among themselves. Returns
+    /// `∆R`, ready to merge into `base`.
+    fn drain(idx: &PersistentIndex, base: &Relation, cand: &[Vec<Value>]) -> Relation {
+        let sink = DeltaSink::new(idx, base.view(), cand.len());
+        let mut fresh: Vec<Vec<Value>> = cand.iter().filter(|r| sink.offer(r)).cloned().collect();
+        for row in sink.take_overflow() {
+            if !fresh.contains(&row) {
+                fresh.push(row);
+            }
+        }
+        Relation::from_rows(Schema::with_arity("d", base.arity()), &fresh)
     }
 
     #[test]
-    fn absorb_filters_base_members_and_candidate_duplicates() {
+    fn delta_sink_filters_base_members_and_candidate_duplicates() {
         let ctx = ctx();
-        let mut base = Relation::new(Schema::with_arity("r", 2));
-        base.push_row(&[0, 0]);
-        base.push_row(&[9, 90]);
+        let mut base = Relation::from_rows(Schema::with_arity("r", 2), &[vec![0, 0], vec![9, 90]]);
         let mut idx = PersistentIndex::build(&ctx, base.view(), vec![0, 1]);
         assert!(idx.mode().exact());
         // In-bounds candidates: one already in R, one duplicated, two new.
-        let cand = Relation::from_rows(
-            Schema::with_arity("rt", 2),
-            &[vec![9, 90], vec![3, 30], vec![3, 30], vec![4, 40]],
-        );
-        let out = idx.absorb(&ctx, cand.view(), base.view());
+        let cand = [vec![9, 90], vec![3, 30], vec![3, 30], vec![4, 40]];
+        let delta = drain(&idx, &base, &cand);
         assert_eq!(
-            rows_of(&out.fresh),
+            rows_of(&delta),
             [vec![3, 30], vec![4, 40]].into_iter().collect()
         );
-        assert!(!out.rebuilt);
         // Merge + append keeps the index usable next iteration.
-        let mut delta = Relation::new(Schema::with_arity("d", 2));
-        delta.append_columns(out.fresh);
         base.append_relation(&delta);
         assert_eq!(idx.append(&ctx, base.view()), SyncAction::Appended(2));
-        let again = idx.absorb(&ctx, cand.view(), base.view());
-        assert!(again.fresh[0].is_empty(), "everything is in R now");
+        assert!(
+            drain(&idx, &base, &cand).is_empty(),
+            "everything is in R now"
+        );
     }
 
     #[test]
     fn fixpoint_loop_builds_once_and_appends() {
-        // A 6-node path graph TC by hand: the full-R index must absorb
-        // every iteration without ever rebuilding.
+        // A 6-node path graph TC by hand: the full-R index must serve
+        // every iteration's sink without ever rebuilding.
         let ctx = ctx();
         let edges: Vec<(Value, Value)> = (0..5).map(|i| (i, i + 1)).collect();
         let mut r = Relation::new(Schema::with_arity("tc", 2));
@@ -471,31 +396,24 @@ mod tests {
         while !delta.is_empty() {
             iterations += 1;
             // Rt = delta ⋈ edges plus (first iteration) the edges.
-            let mut cand = Relation::new(Schema::with_arity("rt", 2));
+            let mut cand = Vec::new();
             if iterations == 1 {
-                for &(a, b) in &edges {
-                    cand.push_row(&[a, b]);
-                }
+                cand.extend(edges.iter().map(|&(a, b)| vec![a, b]));
             }
             for &(a, b) in &delta {
                 for &(c, d) in &edges {
                     if b == c {
-                        cand.push_row(&[a, d]);
+                        cand.push(vec![a, d]);
                     }
                 }
             }
-            let out = idx.absorb(&ctx, cand.view(), r.view());
-            assert!(!out.rebuilt, "path-graph bounds never escape");
-            delta = (0..out.fresh[0].len())
-                .map(|i| (out.fresh[0][i], out.fresh[1][i]))
-                .collect();
-            let mut d = Relation::new(Schema::with_arity("d", 2));
-            d.append_columns(out.fresh);
-            r.append_relation(&d);
+            let fresh = drain(&idx, &r, &cand);
+            delta = fresh.to_rows().iter().map(|row| (row[0], row[1])).collect();
+            r.append_relation(&fresh);
             match idx.append(&ctx, r.view()) {
                 SyncAction::Appended(n) => assert_eq!(n, delta.len()),
                 SyncAction::Reused => assert!(delta.is_empty()),
-                SyncAction::Rebuilt => panic!("unexpected rebuild"),
+                SyncAction::Rebuilt => panic!("path-graph bounds never escape"),
             }
         }
         assert_eq!(iterations, 5); // last productive pass empties ∆R's successor
@@ -505,31 +423,22 @@ mod tests {
     #[test]
     fn escaping_values_fall_back_to_hashed_once() {
         let ctx = ctx();
-        let mut base = Relation::new(Schema::with_arity("r", 2));
-        base.push_row(&[1, 2]);
+        let mut base = Relation::from_rows(Schema::with_arity("r", 2), &[vec![1, 2]]);
         let mut idx = PersistentIndex::build(&ctx, base.view(), vec![0, 1]);
         assert!(idx.mode().exact(), "small values pack");
-        // A candidate outside any packed layout forces the fallback.
-        let cand = Relation::from_rows(
-            Schema::with_arity("rt", 2),
-            &[vec![Value::MIN, Value::MAX], vec![1, 2]],
-        );
-        let out = idx.absorb(&ctx, cand.view(), base.view());
-        assert!(out.rebuilt);
+        // A candidate outside any packed layout escapes the sink; merging
+        // it forces the one hashed rebuild.
+        let wide = vec![Value::MIN, Value::MAX];
+        let delta = drain(&idx, &base, &[wide.clone(), vec![1, 2], wide.clone()]);
+        assert_eq!(rows_of(&delta), [wide].into_iter().collect());
+        base.append_relation(&delta);
+        assert_eq!(idx.append(&ctx, base.view()), SyncAction::Rebuilt);
         assert!(!idx.mode().exact());
-        assert_eq!(
-            rows_of(&out.fresh),
-            [vec![Value::MIN, Value::MAX]].into_iter().collect()
-        );
         // Hashed mode is sticky: no second rebuild.
-        let mut d = Relation::new(Schema::with_arity("d", 2));
-        d.append_columns(out.fresh);
-        base.append_relation(&d);
-        idx.append(&ctx, base.view());
-        let cand2 = Relation::from_rows(Schema::with_arity("rt", 2), &[vec![Value::MAX, 0]]);
-        let out2 = idx.absorb(&ctx, cand2.view(), base.view());
-        assert!(!out2.rebuilt);
-        assert_eq!(out2.fresh[0].len(), 1);
+        let delta = drain(&idx, &base, &[vec![Value::MAX, 0], vec![1, 2]]);
+        assert_eq!(delta.len(), 1);
+        base.append_relation(&delta);
+        assert_eq!(idx.append(&ctx, base.view()), SyncAction::Appended(1));
     }
 
     #[test]

@@ -128,26 +128,15 @@ pub fn hash_join_sink(
 
 /// Hash equi-join probing an already-built table over the build side
 /// (chosen by `spec.build_left`) — the reuse path for persistent join
-/// indexes kept across fixpoint iterations.
+/// indexes kept across fixpoint iterations — with an output sink: in
+/// `Delta` mode each probe match immediately probes the full-`R` index and
+/// races into the scratch table, so duplicate join outputs are never
+/// buffered.
 ///
 /// `table` must map node `i` to build-side row `i` for every build-side
 /// row, with keys produced by `mode` over the build-side key columns, and
 /// `mode` must be able to represent the probe side's key values (packed
 /// layouts are verified with `KeyLayout::covers` before reuse).
-pub fn hash_join_prebuilt(
-    ctx: &ExecCtx,
-    left: RelView<'_>,
-    right: RelView<'_>,
-    spec: &JoinSpec<'_>,
-    table: &ChainTable,
-    mode: &KeyMode,
-) -> Vec<Vec<Value>> {
-    hash_join_prebuilt_sink(ctx, left, right, spec, table, mode, &SinkMode::Materialize)
-}
-
-/// [`hash_join_prebuilt`] with an output sink: in `Delta` mode each probe
-/// match immediately probes the full-`R` index and races into the scratch
-/// table, so duplicate join outputs are never buffered.
 pub fn hash_join_prebuilt_sink(
     ctx: &ExecCtx,
     left: RelView<'_>,
@@ -272,33 +261,8 @@ pub fn anti_join_sink(
 
 /// Anti join probing an already-built table over `right` (node `i` = right
 /// row `i`, keys by `mode` over `right_keys`) — the reuse path for
-/// persistent negation indexes. Same prerequisites as
-/// [`hash_join_prebuilt`].
-#[allow(clippy::too_many_arguments)]
-pub fn anti_join_prebuilt(
-    ctx: &ExecCtx,
-    left: RelView<'_>,
-    right: RelView<'_>,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    output: &[Expr],
-    table: &ChainTable,
-    mode: &KeyMode,
-) -> Vec<Vec<Value>> {
-    anti_join_prebuilt_sink(
-        ctx,
-        left,
-        right,
-        left_keys,
-        right_keys,
-        output,
-        table,
-        mode,
-        &SinkMode::Materialize,
-    )
-}
-
-/// [`anti_join_prebuilt`] with an output sink.
+/// persistent negation indexes — with an output sink. Same prerequisites
+/// as [`hash_join_prebuilt_sink`].
 #[allow(clippy::too_many_arguments)]
 pub fn anti_join_prebuilt_sink(
     ctx: &ExecCtx,

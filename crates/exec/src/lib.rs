@@ -14,10 +14,9 @@
 //! * [`dedup`] — FAST-DEDUP: parallel insert-if-absent over the chain table,
 //!   plus the incremental-index alternative studied as an ablation;
 //! * [`index`] — persistent CCK-GSCHT indexes pinned to a relation's stable
-//!   row ids: built once, grown incrementally across fixpoint iterations,
-//!   with the fused dedup + set-difference pass (`absorb`), plus the
-//!   immutable [`index::SharedIndex`] snapshot form used for cross-run
-//!   sharing;
+//!   row ids: built once, grown incrementally across fixpoint iterations
+//!   (the full-`R` side a [`sink::DeltaSink`] probes), plus the immutable
+//!   [`index::SharedIndex`] snapshot form used for cross-run sharing;
 //! * [`cache`] — the shared cross-run index cache: `Arc`-shared,
 //!   version-keyed, build-once (`OnceLock` publish), with spill-aware
 //!   coldest-first eviction scored by `bytes / rebuild_cost`;
@@ -33,7 +32,8 @@
 //! * [`setdiff`] — one-phase (OPSD) and two-phase (TPSD) set difference and
 //!   the dynamic choice (DSD) driven by the Appendix A cost model;
 //! * [`agg`] — hash group-by aggregation (MIN/MAX/SUM/COUNT/AVG) and the
-//!   monotonic aggregate map behind recursive aggregation (CC, SSSP);
+//!   concurrent monotonic aggregate map behind recursive aggregation (CC,
+//!   SSSP);
 //! * [`util`] — morsel-driven production helpers shared by the operators;
 //! * [`view`] — the support-count side table ([`view::SupportTable`],
 //!   `GrowChainTable`-backed) behind counting-based incremental view

@@ -35,11 +35,14 @@
 //! the UNION-ALL contract (every row is buffered), `Delta` streams rows
 //! through a sink, `Agg` folds them into aggregate state. The
 //! materializing mode serves the ablation arms that keep `Rt`
-//! (`--no-fused-pipeline`, `--no-uie`, `--no-eost`, `--no-index-reuse`);
-//! OOF-FA statistics no longer force it — an attached
-//! [`SinkSampler`] ([`DeltaSink::with_sampler`]) mirrors every offered
-//! row into a reservoir the statistics pass consumes in place of an `Rt`
-//! re-scan.
+//! (`--no-fused-pipeline`, `--no-fused-agg`, `--no-uie`, `--no-eost`,
+//! `--no-index-reuse`). The two fusion arms then hand the buffered `Rt` to
+//! the default path's own table — a [`DeltaSink`] presized to `|Rt|`, or
+//! the head's [`ConcurrentMonoMap`] after a group-by pass — so they differ
+//! from the default only in the buffering. OOF-FA statistics no longer
+//! force materializing — an attached [`SinkSampler`]
+//! ([`DeltaSink::with_sampler`]) mirrors every offered row into a
+//! reservoir the statistics pass consumes in place of an `Rt` re-scan.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -24,6 +24,23 @@ fn shuffled(mut items: Vec<usize>, seed: u64) -> Vec<usize> {
     items
 }
 
+/// The sequential oracle of the concurrent MIN/MAX maps: fold `(group,
+/// v)` into `best`, reporting whether the group was created or strictly
+/// improved.
+fn fold_best(best: &mut BTreeMap<Vec<i64>, i64>, func: AggFunc, group: &[i64], v: i64) -> bool {
+    match best.get_mut(group) {
+        Some(cur) if (func == AggFunc::Min && v < *cur) || (func == AggFunc::Max && v > *cur) => {
+            *cur = v;
+            true
+        }
+        Some(_) => false,
+        None => {
+            best.insert(group.to_vec(), v);
+            true
+        }
+    }
+}
+
 fn rel_of(pairs: &[Pair]) -> Relation {
     let mut r = Relation::new(Schema::with_arity("t", 2));
     for &(a, b) in pairs {
@@ -319,13 +336,12 @@ proptest! {
         // The aggregation sink's concurrent map on the same growable
         // table: 8 OS threads race CAS-on-best absorbs while the group
         // table doubles at least six times. It must converge to exactly
-        // the map a sequential MonotonicAgg build produces — same groups,
+        // the map a sequential MIN fold produces — same groups,
         // same MIN per group — and each drain of the dirty list must
         // report exactly the groups created or improved since the last
         // one, once each, with their final values.
         use recstep_common::hash::mix64;
-        use recstep_exec::agg::{ConcurrentMonoMap, MonotonicAgg};
-        use recstep_exec::expr::AggFunc;
+        use recstep_exec::agg::ConcurrentMonoMap;
 
         let value_of = |i: usize| (mix64(seed ^ i as u64) % 1000) as i64;
         // Round 1 creates `groups` groups; round 2 revisits most of them
@@ -343,7 +359,7 @@ proptest! {
                 .collect();
 
         let mut concurrent = ConcurrentMonoMap::new(AggFunc::Min, 1, 2).unwrap();
-        let mut sequential = MonotonicAgg::new(AggFunc::Min).unwrap();
+        let mut sequential = BTreeMap::new();
         for round in [&round1, &round2] {
             let shared = &concurrent;
             std::thread::scope(|scope| {
@@ -357,7 +373,7 @@ proptest! {
             });
             let mut changed = BTreeSet::new();
             for &(g, v) in round {
-                if sequential.absorb(&[g], v) {
+                if fold_best(&mut sequential, AggFunc::Min, &[g], v) {
                     changed.insert(g);
                 }
             }
@@ -370,7 +386,7 @@ proptest! {
             improved.sort_unstable();
             let expect: Vec<(i64, i64)> = changed
                 .iter()
-                .map(|&g| (g, sequential.get(&[g]).unwrap()))
+                .map(|&g| (g, sequential[[g].as_slice()]))
                 .collect();
             prop_assert_eq!(improved, expect);
             prop_assert!(concurrent.take_improved().is_empty());
@@ -379,7 +395,7 @@ proptest! {
         for g in 0..(groups + 600) as i64 {
             prop_assert_eq!(
                 concurrent.get(&[g]),
-                sequential.get(&[g]),
+                sequential.get([g].as_slice()).copied(),
                 "best value diverges for group {}", g
             );
         }
@@ -398,13 +414,13 @@ proptest! {
     ) {
         // The direct-addressed window is an access path only: 8 OS threads
         // race the same candidates into a windowed map and a plain hashed
-        // one, and both must equal a sequential MonotonicAgg — groups, best
+        // one, and both must equal a sequential MIN/MAX fold — groups, best
         // values, `len`, `to_columns`, and each drain's ∆. Keys inside the
         // window and escaping it (below its minimum, above its span) mix in
         // every round; `i64::MIN`/`i64::MAX` appear as values, where an
         // "absent" sentinel would be wrong.
         use recstep_common::hash::mix64;
-        use recstep_exec::agg::{ConcurrentMonoMap, MonotonicAgg};
+        use recstep_exec::agg::ConcurrentMonoMap;
         use recstep_exec::key::KeyLayout;
 
         let func = if max { AggFunc::Max } else { AggFunc::Min };
@@ -448,7 +464,7 @@ proptest! {
 
         let mut windowed = ConcurrentMonoMap::with_window(func, arity, layout).unwrap();
         let mut hashed = ConcurrentMonoMap::new(func, arity, 2).unwrap();
-        let mut sequential = MonotonicAgg::new(func).unwrap();
+        let mut sequential = BTreeMap::new();
         prop_assert!(windowed.has_window() && !hashed.has_window());
         let drained = |flat: Vec<i64>| -> BTreeSet<Vec<i64>> {
             flat.chunks(arity + 1).map(<[_]>::to_vec).collect()
@@ -469,14 +485,14 @@ proptest! {
             }
             let mut changed = BTreeSet::new();
             for (k, v) in &keyed {
-                if sequential.absorb(k, *v) {
+                if fold_best(&mut sequential, func, k, *v) {
                     changed.insert(k.clone());
                 }
             }
             let expect: BTreeSet<Vec<i64>> = changed
                 .into_iter()
                 .map(|mut k| {
-                    k.push(sequential.get(&k).unwrap());
+                    k.push(sequential[&k]);
                     k
                 })
                 .collect();
@@ -488,13 +504,19 @@ proptest! {
         }
         for id in 0..n {
             let k = key_of(id);
-            prop_assert_eq!(windowed.get(&k), sequential.get(&k), "group {:?}", k);
-            prop_assert_eq!(hashed.get(&k), sequential.get(&k), "group {:?}", k);
+            prop_assert_eq!(windowed.get(&k), sequential.get(&k).copied(), "group {:?}", k);
+            prop_assert_eq!(hashed.get(&k), sequential.get(&k).copied(), "group {:?}", k);
         }
         let rows = |cols: Vec<Vec<i64>>| -> BTreeSet<Vec<i64>> {
             (0..cols[0].len()).map(|r| cols.iter().map(|c| c[r]).collect()).collect()
         };
-        let expect = rows(sequential.to_columns(arity));
+        let expect: BTreeSet<Vec<i64>> = sequential
+            .into_iter()
+            .map(|(mut k, best)| {
+                k.push(best);
+                k
+            })
+            .collect();
         prop_assert_eq!(expect.len(), n);
         prop_assert_eq!(rows(windowed.to_columns(arity)), expect);
         prop_assert_eq!(rows(hashed.to_columns(arity)), expect);

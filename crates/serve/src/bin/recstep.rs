@@ -364,7 +364,7 @@ fn main() -> ExitCode {
             if engine.config().fused_pipeline {
                 "on (dedup/set-difference at the join probe; Rt never materialized)"
             } else {
-                "off (materialize Rt, absorb in a second pass)"
+                "off (materialize Rt, drain it through the sink in a second pass)"
             }
         );
         println!(

@@ -195,15 +195,18 @@ fn naive_loads(src: &str, loads: &Loads, rels: &[&str]) -> Vec<Rows> {
 }
 
 #[test]
-fn dense_windows_match_hashed_maps_and_naive_across_id_layouts() {
+fn dense_windows_match_naive_across_id_layouts_streamed_or_materialized() {
     let _serial = serial();
     // The MIN/MAX maps' direct-addressed window is chosen from the group
     // sources' bounds; it must never change a result, only the path a key
     // takes. Each program runs over the same graph under five namings of
-    // its nodes. "dense + far" adds one inline fact `far(s)` and a
-    // recursive rule deriving group `s + 2^40` from group `s`: no bounds
-    // cover a computed key, so the window is built from the graph and
-    // that group escapes it into the hashed table.
+    // its nodes, streamed at source and under `--no-fused-agg` (recursive
+    // heads fold the grouped `Rt` into the same windowed map; the plain
+    // head takes the group-by pass), both against naive. "dense + far"
+    // adds one inline fact `far(s)` and a recursive rule deriving group
+    // `s + 2^40` from group `s`: no bounds cover a computed key, so the
+    // window is built from the graph and that group escapes it into the
+    // hashed table.
     let graph: Vec<(Value, Value)> = gnp(40, 0.08, 3)
         .into_iter()
         .map(|(a, b)| (a as Value, b as Value))
@@ -259,10 +262,13 @@ fn dense_windows_match_hashed_maps_and_naive_across_id_layouts() {
                 base.to_string()
             };
             let (dense, stats) = run_loads(&src, &loads, rels, Config::default());
-            let (hashed, _) = run_loads(&src, &loads, rels, Config::default().fused_agg(false));
+            let (unfused, _) = run_loads(&src, &loads, rels, Config::default().fused_agg(false));
             let oracle = naive_loads(&src, &loads, rels);
             assert_eq!(dense, oracle, "{rels:?} over {layout} ids vs naive");
-            assert_eq!(hashed, oracle, "{rels:?} over {layout} ids, --no-fused-agg");
+            assert_eq!(
+                unfused, oracle,
+                "{rels:?} over {layout} ids, --no-fused-agg"
+            );
             assert!(dense[0].len() > 1, "{rels:?} over {layout}: empty result");
             if far {
                 assert!(dense[0].iter().any(|row| row[0] >= 1 << 40), "{rels:?}");
@@ -275,6 +281,23 @@ fn dense_windows_match_hashed_maps_and_naive_across_id_layouts() {
                 stats.agg_dense_sinks
             );
         }
+    }
+}
+
+#[test]
+fn ungrouped_recursive_min_matches_naive_streamed_or_materialized() {
+    let _serial = serial();
+    // `m(MIN(z))` has no group columns: its one group lives in a one-cell
+    // window, fed at source or from the grouped `Rt`. The recursive rule
+    // offers a candidate (4) that does not improve the group.
+    let src = "m(MIN(y)) :- arc(x, y).\nm(MIN(z)) :- m(y), arc(y, z).";
+    let arcs = [[5, 3], [3, 1], [1, 0], [0, -7], [-7, 4]];
+    let loads: Loads = vec![("arc", 2, arcs.iter().map(|a| a.to_vec()).collect())];
+    let oracle = naive_loads(src, &loads, &["m"]);
+    assert_eq!(oracle[0], BTreeSet::from([vec![-7]]));
+    for cfg in [Config::default(), Config::default().fused_agg(false)] {
+        let (rows, _) = run_loads(src, &loads, &["m"], cfg);
+        assert_eq!(rows, oracle);
     }
 }
 

@@ -18,6 +18,7 @@ use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard};
 
 use recstep::{Config, Database, DedupImpl, Engine, EvalStats, PbmeMode, Value};
+use recstep_baselines::naive::NaiveEngine;
 use recstep_bench::{pipeline_workload, run_agg_bench, run_pipeline_bench};
 use recstep_graphgen::gnp::gnp;
 
@@ -217,8 +218,11 @@ fn negation_and_aggregation_unaffected_by_fusing() {
 #[test]
 fn wide_values_overflow_the_packed_sink_without_losing_rows() {
     let _serial = serial();
-    // Values escaping any packed layout exercise the overflow path and the
-    // one-time hashed index rebuild mid-fixpoint.
+    // Keys escaping the packed layout exercise the overflow path and the
+    // one-time hashed index rebuild mid-fixpoint. Wide ids in `arc` alone
+    // would not: `tc`'s bounds cover every arc value after the first
+    // iteration, so the layout is sized for them. The shifted rule
+    // computes keys ≥ 2^40 after the full-R index packed the small ones.
     let wide: Value = 1 << 40;
     let edges: Vec<(Value, Value)> = vec![
         (0, 1),
@@ -228,20 +232,48 @@ fn wide_values_overflow_the_packed_sink_without_losing_rows() {
         (wide + 1, 3),
         (3, 4),
     ];
-    let (on, stats) = run(
-        recstep::programs::TC,
-        "tc",
-        &edges,
-        Config::default().fused_pipeline(true),
+    let program = format!(
+        "{}\ntc(x + {wide}, y) :- tc(x, y), far(x).\nfar(1).\n",
+        recstep::programs::TC
     );
-    let (off, _) = run(
-        recstep::programs::TC,
-        "tc",
-        &edges,
-        Config::default().fused_pipeline(false),
-    );
-    assert_eq!(on, off, "overflow handling diverges");
-    assert_eq!(stats.rt_merge_bytes, 0);
+    let small = [(0, 1), (1, 2), (2, 3)];
+    // Full-R builds of `tc`: over wide arcs the first build is hashed for
+    // good; over small ones it packs, and the escapes force one rebuild.
+    for (edges, builds) in [(&edges[..], 1), (&small[..], 2)] {
+        let (on, stats) = run(&program, "tc", edges, Config::default());
+        let (off, off_stats) = run(
+            &program,
+            "tc",
+            edges,
+            Config::default().fused_pipeline(false),
+        );
+        // Independent oracle: the unfused arm drains `Rt` through the same
+        // sink, so it cannot vouch for the overflow path on its own.
+        let mut naive = NaiveEngine::new();
+        naive.load("arc", edges.iter().map(|&(a, b)| vec![a, b]));
+        naive.run_source(&program).unwrap();
+        let oracle: BTreeSet<Vec<Value>> = naive.rows("tc").unwrap().iter().cloned().collect();
+        assert!(
+            oracle.contains(&vec![wide + 1, 2]),
+            "the shifted rule fires"
+        );
+        assert_eq!(on, oracle, "fused overflow handling diverges from naive");
+        assert_eq!(off, oracle, "drained overflow handling diverges from naive");
+        assert_eq!(stats.rt_merge_bytes, 0);
+        assert_eq!(off_stats.rt_rows_skipped_at_source, 0);
+        assert_eq!(
+            stats.index.full_builds,
+            builds,
+            "fused, {} arcs",
+            edges.len()
+        );
+        assert_eq!(
+            off_stats.index.full_builds,
+            builds,
+            "drained, {} arcs",
+            edges.len()
+        );
+    }
 }
 
 #[test]
