@@ -1,11 +1,18 @@
-//! Shared harness for the per-figure benchmark targets.
+//! Shared harness for the benchmark targets.
 //!
 //! Every table and figure of the paper's evaluation section has a bench
 //! target (`cargo bench -p recstep-bench --bench figNN_*`) that prints the
 //! same rows/series the paper reports. Absolute numbers differ (laptop vs.
 //! the paper's 2×10-core Xeon; scaled datasets), but the *shape* — who
 //! wins, by what factor, where crossovers fall — is the reproduction
-//! target; EXPERIMENTS.md records both.
+//! target.
+//!
+//! The on/off record `BENCH_pipeline.json` is built here too: one
+//! [`Ablation`] row per technique, each measured by one on/off loop with
+//! its workload, threads, repeats and gate defined once
+//! ([`pipeline_ablation`], [`agg_ablation`], [`wcoj_ablation`],
+//! [`ivm_ablations`]). The gate tests call [`assert_gate`] on them; the
+//! `pipeline_smoke` bench is the record's only writer ([`render`]).
 //!
 //! Dataset sizes default to laptop scale; set `RECSTEP_SCALE=<divisor>`
 //! (smaller divisor = closer to the paper's sizes, 1 = paper scale) to
@@ -14,7 +21,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use recstep::{Config, Database, Engine, MaterializedView, PreparedProgram, Value};
+use recstep::{
+    programs, Config, Database, Engine, EvalStats, MaterializedView, PbmeMode, PreparedProgram,
+    Value,
+};
 use recstep_common::sched::ThreadPool;
 
 /// Divisor applied to the paper's dataset sizes (default laptop scale).
@@ -128,226 +138,201 @@ pub fn run_recstep(
     measure(|| prog.run(&mut db).map(|_| db.row_count(rel)))
 }
 
-/// One fused-vs-unfused measurement of the streaming delta pipeline (the
-/// record behind `BENCH_pipeline.json`, so the perf trajectory of the hot
-/// path is recorded run over run).
+/// One row of the on/off record `BENCH_pipeline.json`: a workload measured
+/// with one technique on and off, best wall time per arm.
 #[derive(Clone, Debug)]
-pub struct PipelineBench {
+pub struct Ablation {
+    /// Row name (`pipeline`, `agg`, `wcoj`, `ivm.tc_insert`, ...).
+    pub name: &'static str,
     /// Workload label.
     pub workload: String,
     /// Input edges.
     pub edges: usize,
-    /// Output (closure) rows — identical across modes by assertion.
+    /// Output rows — identical across arms by assertion.
     pub rows: usize,
-    /// Fixpoint iterations of the fused run.
-    pub iterations: usize,
-    /// Candidate tuples evaluated per run (equal across modes).
-    pub tuples: usize,
-    /// Best wall seconds with the fused pipeline on.
-    pub fused_secs: f64,
-    /// Best wall seconds with `--no-fused-pipeline`.
-    pub unfused_secs: f64,
-    /// Peak engine-estimated bytes, fused.
-    pub fused_peak_bytes: usize,
-    /// Peak engine-estimated bytes, unfused.
-    pub unfused_peak_bytes: usize,
-    /// Candidate rows the fused run dropped at the probe site.
-    pub rt_rows_skipped_at_source: usize,
-    /// Bytes never materialized thanks to those drops.
-    pub rt_bytes_never_materialized: usize,
-    /// `Rt` bytes the unfused run materialized and merged.
-    pub unfused_rt_merge_bytes: usize,
-    /// Shared-cache misses of the first fused run over a fresh database
-    /// (indexes built and published).
-    pub cache_misses: usize,
-    /// Shared-cache hits of a *second* fused run over the same database —
-    /// the cross-run reuse this cache exists for.
-    pub cache_hits: usize,
-    /// Entries evicted across the two cache-measurement runs.
-    pub cache_evictions: usize,
-    /// Cache resident bytes after the second run.
-    pub cache_bytes: usize,
-    /// Group-at-source streaming aggregation measurement (the `"agg"`
-    /// block of `BENCH_pipeline.json`), when the caller ran one.
-    pub agg: Option<AggBench>,
+    /// Best wall seconds with the technique on.
+    pub on_secs: f64,
+    /// Best wall seconds with the technique off.
+    pub off_secs: f64,
+    /// The least [`Ablation::speedup`] the row must show, if gated.
+    pub gate: Option<f64>,
+    /// Named integer counters read from the measured runs.
+    pub counters: Vec<(&'static str, usize)>,
 }
 
-/// One fused-vs-unfused measurement of group-at-source streaming
-/// aggregation: connected components (recursive `MIN` + a non-recursive
-/// group-by tail) with `fused_agg` on vs. `--no-fused-agg`.
-#[derive(Clone, Debug)]
-pub struct AggBench {
-    /// Workload label.
-    pub workload: String,
-    /// Input edges.
-    pub edges: usize,
-    /// Output (`cc3`) rows — identical across modes by assertion.
-    pub rows: usize,
-    /// Fixpoint iterations of the fused run.
-    pub iterations: usize,
-    /// Best wall seconds with group-at-source streaming on.
-    pub fused_secs: f64,
-    /// Best wall seconds with `--no-fused-agg`.
-    pub unfused_secs: f64,
-    /// Candidate rows the fused run folded into aggregate state at the
-    /// probe site (what the unfused run buffered into `Rt`).
-    pub rows_folded_at_source: usize,
-    /// Groups the aggregation sinks emitted as ∆ across the fused run.
-    pub groups_improved: usize,
-}
-
-impl AggBench {
-    /// Fused speedup over unfused (wall-clock ratio).
+impl Ablation {
+    /// Off over on (wall-clock ratio).
     pub fn speedup(&self) -> f64 {
-        self.unfused_secs / self.fused_secs.max(1e-9)
+        self.off_secs / self.on_secs.max(1e-9)
     }
 
-    /// Render as the single-line JSON block [`splice_json_block`] takes
-    /// (also embedded by [`PipelineBench::to_json`]).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"workload\": \"{}\", \"edges\": {}, \"rows\": {}, \
-             \"iterations\": {}, \"fused\": {:.6}, \"unfused\": {:.6}, \
-             \"rows_folded_at_source\": {}, \"groups_improved\": {}, \
-             \"speedup\": {:.3}}}",
+    /// Whether the row clears its gate (an ungated row always does).
+    pub fn passed(&self) -> bool {
+        self.gate.is_none_or(|g| self.speedup() >= g)
+    }
+
+    fn to_json(&self) -> String {
+        let mut json = format!(
+            "{{\"name\": \"{}\", \"workload\": \"{}\", \"edges\": {}, \"rows\": {}, \
+             \"on_secs\": {:.6}, \"off_secs\": {:.6}, \"speedup\": {:.3}, \"gate\": {}, \
+             \"passed\": {}",
+            self.name,
             self.workload,
             self.edges,
             self.rows,
-            self.iterations,
-            self.fused_secs,
-            self.unfused_secs,
-            self.rows_folded_at_source,
-            self.groups_improved,
+            self.on_secs,
+            self.off_secs,
             self.speedup(),
-        )
+            self.gate.map_or("null".into(), |g| g.to_string()),
+            self.passed(),
+        );
+        if let Some(&(_, tuples)) = self.counters.iter().find(|(k, _)| *k == "tuples") {
+            for (arm, secs) in [("on", self.on_secs), ("off", self.off_secs)] {
+                let rate = tuples as f64 / secs.max(1e-9);
+                json += &format!(", \"{arm}_tuples_per_sec\": {rate:.1}");
+            }
+        }
+        for (key, n) in &self.counters {
+            json += &format!(", \"{key}\": {n}");
+        }
+        json + "}"
     }
 }
 
-/// Run connected components with group-at-source streaming aggregation on
-/// and off, best-of-`repeats` wall time per mode (interleaved), asserting
-/// both modes compute the identical relation and that the fused mode
-/// really folded at source.
-pub fn run_agg_bench(
-    workload: &str,
+/// Panic when `row` misses its gate, unless `RECSTEP_SKIP_SPEEDUP_GATE` is
+/// set (for heavily loaded machines — CI leaves every gate enforced).
+pub fn assert_gate(row: &Ablation) {
+    if row.passed() {
+        return;
+    }
+    let msg = format!(
+        "{} on {}: the technique must be ≥ {}× faster on than off, measured {:.2}× \
+         ({:.4}s on vs {:.4}s off)",
+        row.name,
+        row.workload,
+        row.gate.expect("only a gated row can miss"),
+        row.speedup(),
+        row.on_secs,
+        row.off_secs,
+    );
+    if std::env::var_os("RECSTEP_SKIP_SPEEDUP_GATE").is_some() {
+        eprintln!("RECSTEP_SKIP_SPEEDUP_GATE set, not asserting: {msg}");
+    } else {
+        panic!("{msg}");
+    }
+}
+
+/// Render the whole record: the ablation rows plus the service smoke's
+/// counters.
+pub fn render(rows: &[Ablation], serve: &[(&str, i64)]) -> String {
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| format!("    {}", r.to_json()))
+        .collect();
+    let serve: Vec<String> = serve.iter().map(|(k, n)| format!("\"{k}\": {n}")).collect();
+    format!(
+        "{{\n  \"rows\": [\n{}\n  ],\n  \"serve\": {{{}}}\n}}\n",
+        rows.join(",\n"),
+        serve.join(", ")
+    )
+}
+
+/// Where the record goes: `RECSTEP_BENCH_OUT`, else `BENCH_pipeline.json`
+/// at the workspace root (cargo runs benches from the package directory,
+/// two levels below it).
+pub fn record_path() -> std::path::PathBuf {
+    std::env::var_os("RECSTEP_BENCH_OUT").map_or_else(
+        || {
+            let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .ancestors()
+                .nth(2);
+            root.expect("crates/bench sits two levels below the workspace root")
+                .join("BENCH_pipeline.json")
+        },
+        Into::into,
+    )
+}
+
+/// Best wall time and that run's statistics per arm, as [`run_ablation`]
+/// measured them.
+#[derive(Debug, Default)]
+struct OnOff {
+    edges: usize,
+    rows: usize,
+    on_secs: f64,
+    off_secs: f64,
+    on: EvalStats,
+    off: EvalStats,
+}
+
+impl OnOff {
+    fn row(
+        &self,
+        name: &'static str,
+        workload: &str,
+        gate: Option<f64>,
+        counters: Vec<(&'static str, usize)>,
+    ) -> Ablation {
+        Ablation {
+            name,
+            workload: workload.to_string(),
+            edges: self.edges,
+            rows: self.rows,
+            on_secs: self.on_secs,
+            off_secs: self.off_secs,
+            gate,
+            counters,
+        }
+    }
+}
+
+/// Run `program` over `edges` under `on` and `off`, best-of-`repeats` wall
+/// time per arm (interleaved to even out machine noise), and assert both
+/// arms compute the same number of `out_rel` rows. PBME is off in both
+/// arms: every ablation measures the tuple path.
+fn run_ablation(
+    program: &str,
+    out_rel: &str,
     edges: &[(Value, Value)],
+    on: Config,
+    off: Config,
     threads: usize,
     repeats: usize,
-) -> AggBench {
-    let cfg = |fused: bool| {
-        Config::default()
-            .threads(threads)
-            .pbme(recstep::PbmeMode::Off)
-            .fused_agg(fused)
-    };
-    let run_once = |fused: bool| {
-        let prog = prepared(cfg(fused), recstep::programs::CC);
-        let mut db = db_with_edges(&[("arc", edges)]);
-        let t0 = Instant::now();
-        let stats = prog.run(&mut db).expect("CC completes");
-        (t0.elapsed().as_secs_f64(), stats, db.row_count("cc3"))
-    };
-    let mut best: [Option<(f64, recstep::EvalStats, usize)>; 2] = [None, None];
+) -> OnOff {
+    let arms = [on, off].map(|cfg| cfg.threads(threads).pbme(PbmeMode::Off));
+    let mut best: [Option<(f64, EvalStats, usize)>; 2] = [None, None];
     for _ in 0..repeats.max(1) {
-        for (slot, fused) in [(0, true), (1, false)] {
-            let (secs, stats, rows) = run_once(fused);
-            let better = best[slot].as_ref().is_none_or(|(b, _, _)| secs < *b);
-            if better {
-                best[slot] = Some((secs, stats, rows));
+        for (slot, cfg) in arms.iter().enumerate() {
+            let prog = prepared(cfg.clone(), program);
+            let mut db = db_with_edges(&[("arc", edges)]);
+            let t0 = Instant::now();
+            let stats = prog.run(&mut db).expect("ablation run completes");
+            let secs = t0.elapsed().as_secs_f64();
+            if best[slot].as_ref().is_none_or(|(b, _, _)| secs < *b) {
+                best[slot] = Some((secs, stats, db.row_count(out_rel)));
             }
         }
     }
-    let (fused_secs, fused_stats, fused_rows) = best[0].take().expect("ran");
-    let (unfused_secs, unfused_stats, unfused_rows) = best[1].take().expect("ran");
-    assert_eq!(
-        fused_rows, unfused_rows,
-        "fused and unfused aggregation must agree on the components"
-    );
-    assert_eq!(
-        fused_stats.rt_merge_bytes, 0,
-        "fused aggregation must not materialize the pre-aggregation Rt"
-    );
-    assert!(
-        fused_stats.agg_rows_folded_at_source > 0,
-        "CC must fold candidate rows at source"
-    );
-    assert_eq!(
-        unfused_stats.agg_sink_runs, 0,
-        "--no-fused-agg must keep the materializing aggregation path"
-    );
-    AggBench {
-        workload: workload.to_string(),
+    let [(on_secs, on, rows), (off_secs, off, off_rows)] = best.map(|b| b.expect("ran"));
+    assert_eq!(rows, off_rows, "both arms must agree on '{out_rel}'");
+    OnOff {
         edges: edges.len(),
-        rows: fused_rows,
-        iterations: fused_stats.iterations,
-        fused_secs,
-        unfused_secs,
-        rows_folded_at_source: fused_stats.agg_rows_folded_at_source,
-        groups_improved: fused_stats.agg_groups_improved,
+        rows,
+        on_secs,
+        off_secs,
+        on,
+        off,
     }
 }
 
-impl PipelineBench {
-    /// Candidate tuples per second, fused.
-    pub fn fused_tuples_per_sec(&self) -> f64 {
-        self.tuples as f64 / self.fused_secs.max(1e-9)
-    }
-
-    /// Candidate tuples per second, unfused.
-    pub fn unfused_tuples_per_sec(&self) -> f64 {
-        self.tuples as f64 / self.unfused_secs.max(1e-9)
-    }
-
-    /// Fused speedup over unfused (wall-clock ratio).
-    pub fn speedup(&self) -> f64 {
-        self.unfused_secs / self.fused_secs.max(1e-9)
-    }
-
-    /// Render as a small JSON document.
-    pub fn to_json(&self) -> String {
-        let mut json = self.to_json_base();
-        if let Some(a) = &self.agg {
-            let block = format!(",\n  \"agg\": {}", a.to_json());
-            let at = json.rfind("\n}").expect("base document closes");
-            json.insert_str(at, &block);
-        }
-        json
-    }
-
-    fn to_json_base(&self) -> String {
-        format!(
-            "{{\n  \"workload\": \"{}\",\n  \"edges\": {},\n  \"rows\": {},\n  \
-             \"iterations\": {},\n  \"tuples\": {},\n  \
-             \"fused\": {{\"secs\": {:.6}, \"tuples_per_sec\": {:.1}, \"peak_bytes\": {}}},\n  \
-             \"unfused\": {{\"secs\": {:.6}, \"tuples_per_sec\": {:.1}, \"peak_bytes\": {}}},\n  \
-             \"rt_rows_skipped_at_source\": {},\n  \"rt_bytes_never_materialized\": {},\n  \
-             \"unfused_rt_merge_bytes\": {},\n  \
-             \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-             \"resident_bytes\": {}}},\n  \"speedup\": {:.3}\n}}\n",
-            self.workload,
-            self.edges,
-            self.rows,
-            self.iterations,
-            self.tuples,
-            self.fused_secs,
-            self.fused_tuples_per_sec(),
-            self.fused_peak_bytes,
-            self.unfused_secs,
-            self.unfused_tuples_per_sec(),
-            self.unfused_peak_bytes,
-            self.rt_rows_skipped_at_source,
-            self.rt_bytes_never_materialized,
-            self.unfused_rt_merge_bytes,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.cache_bytes,
-            self.speedup(),
-        )
-    }
-
-    /// Write the JSON record to `path`.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+/// The gate protocol: measure best-of-`repeats`, and on a miss re-measure
+/// once best-of-5 (wall-clock ratios are noise-prone) and keep that.
+fn gated(repeats: usize, measure: impl Fn(usize) -> Ablation) -> Ablation {
+    let row = measure(repeats);
+    if row.passed() {
+        row
+    } else {
+        measure(5)
     }
 }
 
@@ -361,10 +346,7 @@ pub fn pipeline_workload(
     path_len: u32,
     seed: u64,
 ) -> Vec<(Value, Value)> {
-    let mut edges: Vec<(Value, Value)> = recstep_graphgen::gnp::gnp(cluster_n, cluster_p, seed)
-        .into_iter()
-        .map(|(a, b)| (a as Value, b as Value))
-        .collect();
+    let mut edges = gnp_edges(cluster_n, cluster_p, seed);
     let base = cluster_n as Value;
     for i in 0..path_len as Value {
         edges.push((base + i, base + i + 1));
@@ -372,149 +354,227 @@ pub fn pipeline_workload(
     edges
 }
 
-/// Run transitive closure fused and unfused over `edges`, best-of-`repeats`
-/// wall time per mode (interleaved to even out machine noise), and assert
-/// both modes compute the identical relation.
-pub fn run_pipeline_bench(
-    workload: &str,
-    edges: &[(Value, Value)],
-    threads: usize,
-    repeats: usize,
-) -> PipelineBench {
-    // PBME off: the point is the tuple pipeline, not the bit-matrix path.
-    let cfg = |fused: bool| {
-        Config::default()
-            .threads(threads)
-            .pbme(recstep::PbmeMode::Off)
-            .fused_pipeline(fused)
-    };
-    let run_once = |fused: bool| {
-        let prog = prepared(cfg(fused), recstep::programs::TC);
-        let mut db = db_with_edges(&[("arc", edges)]);
-        let t0 = Instant::now();
-        let stats = prog.run(&mut db).expect("TC completes");
-        (t0.elapsed().as_secs_f64(), stats, db.row_count("tc"))
-    };
-    let mut best: [Option<(f64, recstep::EvalStats, usize)>; 2] = [None, None];
-    for _ in 0..repeats.max(1) {
-        for (slot, fused) in [(0, true), (1, false)] {
-            let (secs, stats, rows) = run_once(fused);
-            let better = best[slot].as_ref().is_none_or(|(b, _, _)| secs < *b);
-            if better {
-                best[slot] = Some((secs, stats, rows));
-            }
-        }
-    }
-    let (fused_secs, fused_stats, fused_rows) = best[0].take().expect("ran");
-    let (unfused_secs, unfused_stats, unfused_rows) = best[1].take().expect("ran");
-    assert_eq!(
-        fused_rows, unfused_rows,
-        "fused and unfused runs must agree on the closure"
-    );
-    assert_eq!(
-        fused_stats.tuples_considered, unfused_stats.tuples_considered,
-        "both modes evaluate the same candidate stream"
-    );
-    assert_eq!(fused_stats.rt_merge_bytes, 0, "fused run must not merge Rt");
-    // Cross-run cache measurement (untimed): two fused runs over *one*
-    // database — the second run's shared-cache hits witness the cross-run
-    // index reuse the database-owned cache exists for.
-    let (cache_first, cache_second) = {
-        let prog = prepared(cfg(true), recstep::programs::TC);
-        let mut db = db_with_edges(&[("arc", edges)]);
-        let first = prog.run(&mut db).expect("TC completes");
-        let second = prog.run(&mut db).expect("TC completes");
-        (first, second)
-    };
-    PipelineBench {
-        workload: workload.to_string(),
-        edges: edges.len(),
-        rows: fused_rows,
-        iterations: fused_stats.iterations,
-        tuples: fused_stats.tuples_considered,
-        fused_secs,
-        unfused_secs,
-        fused_peak_bytes: fused_stats.peak_bytes,
-        unfused_peak_bytes: unfused_stats.peak_bytes,
-        rt_rows_skipped_at_source: fused_stats.rt_rows_skipped_at_source,
-        rt_bytes_never_materialized: fused_stats.rt_bytes_never_materialized,
-        unfused_rt_merge_bytes: unfused_stats.rt_merge_bytes,
-        cache_misses: cache_first.index.cache_misses,
-        cache_hits: cache_second.index.cache_hits,
-        cache_evictions: cache_first.index.cache_evictions + cache_second.index.cache_evictions,
-        cache_bytes: cache_second.index.cache_bytes,
-        agg: None,
-    }
+fn gnp_edges(n: u32, p: f64, seed: u64) -> Vec<(Value, Value)> {
+    recstep_graphgen::gnp::gnp(n, p, seed)
+        .into_iter()
+        .map(|(a, b)| (a as Value, b as Value))
+        .collect()
 }
 
-/// One scratch-rerun vs incremental-refresh measurement over a standing
-/// [`MaterializedView`] (a sub-block of the `"ivm"` record in
-/// `BENCH_pipeline.json`).
-#[derive(Clone, Debug)]
-pub struct IvmBench {
-    /// Workload label.
-    pub workload: String,
-    /// Base edges before the delta applies.
-    pub edges: usize,
-    /// Rows inserted into (or deleted from) the base relation.
-    pub delta_rows: usize,
-    /// Output rows after the delta — identical across modes by assertion.
-    pub rows: usize,
-    /// Best wall seconds of a from-scratch shared run over the
-    /// post-delta database (what the service paid per version bump
-    /// before standing views).
-    pub scratch_secs: f64,
-    /// Best wall seconds of `MaterializedView::refresh` absorbing the
-    /// same delta.
-    pub refresh_secs: f64,
+/// Fused streaming delta pipeline vs `--no-fused-pipeline`: TC over a
+/// 150-node cluster plus a 40-edge path (≥ 40 iterations), two threads.
+/// Two further untimed fused runs over one database record the shared
+/// index cache: the second run's hits are the cross-run reuse it exists
+/// for.
+pub fn pipeline_ablation() -> Ablation {
+    let edges = pipeline_workload(150, 0.16, 40, 11);
+    let cache = {
+        let prog = prepared(
+            Config::default().threads(2).pbme(PbmeMode::Off),
+            programs::TC,
+        );
+        let mut db = db_with_edges(&[("arc", &edges)]);
+        [(); 2].map(|()| prog.run(&mut db).expect("TC completes"))
+    };
+    gated(3, |repeats| {
+        let m = run_ablation(
+            programs::TC,
+            "tc",
+            &edges,
+            Config::default(),
+            Config::default().fused_pipeline(false),
+            2,
+            repeats,
+        );
+        assert_eq!(
+            m.on.tuples_considered, m.off.tuples_considered,
+            "both modes evaluate the same candidate stream"
+        );
+        assert_eq!(m.on.rt_merge_bytes, 0, "fused run must not merge Rt");
+        pipeline_row(&m, &cache)
+    })
 }
 
-impl IvmBench {
-    /// Scratch-rerun over incremental-refresh (wall-clock ratio).
-    pub fn speedup(&self) -> f64 {
-        self.scratch_secs / self.refresh_secs.max(1e-9)
-    }
-
-    /// Render as a single-line JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"workload\": \"{}\", \"edges\": {}, \"delta_rows\": {}, \"rows\": {}, \
-             \"scratch_secs\": {:.6}, \"refresh_secs\": {:.6}, \"speedup\": {:.3}}}",
-            self.workload,
-            self.edges,
-            self.delta_rows,
-            self.rows,
-            self.scratch_secs,
-            self.refresh_secs,
-            self.speedup(),
-        )
-    }
+fn pipeline_row(m: &OnOff, cache: &[EvalStats; 2]) -> Ablation {
+    let [first, second] = [&cache[0].index, &cache[1].index];
+    m.row(
+        "pipeline",
+        "tc-cluster150-path40",
+        Some(1.3),
+        vec![
+            ("iterations", m.on.iterations),
+            ("tuples", m.on.tuples_considered),
+            ("on_peak_bytes", m.on.peak_bytes),
+            ("off_peak_bytes", m.off.peak_bytes),
+            ("rt_rows_skipped_at_source", m.on.rt_rows_skipped_at_source),
+            (
+                "rt_bytes_never_materialized",
+                m.on.rt_bytes_never_materialized,
+            ),
+            ("off_rt_merge_bytes", m.off.rt_merge_bytes),
+            ("cache_misses", first.cache_misses),
+            ("cache_hits", second.cache_hits),
+            (
+                "cache_evictions",
+                first.cache_evictions + second.cache_evictions,
+            ),
+            ("cache_resident_bytes", second.cache_bytes),
+        ],
+    )
 }
 
-/// Measure incremental view maintenance against the scratch rerun it
-/// replaces: stand a view over `base`, commit `delta` (inserts, or
-/// whole-tuple deletes with `delete = true`), and time
-/// [`MaterializedView::refresh`] vs a shared run over a fresh database
-/// already holding the post-delta facts. Best-of-`repeats` per mode,
-/// interleaved; asserts the maintained result matches scratch every
-/// repeat.
-#[allow(clippy::too_many_arguments)]
-pub fn run_ivm_bench(
-    workload: &str,
+/// Group-at-source streaming aggregation vs `--no-fused-agg`: connected
+/// components (recursive `MIN` plus a group-by tail) over a 100-node
+/// cluster plus a 400-edge path — the per-iteration group-by setup the
+/// sink eliminates is what the long path amplifies — two threads.
+pub fn agg_ablation() -> Ablation {
+    let edges = pipeline_workload(100, 0.25, 400, 11);
+    gated(3, |repeats| {
+        let m = run_ablation(
+            programs::CC,
+            "cc3",
+            &edges,
+            Config::default(),
+            Config::default().fused_agg(false),
+            2,
+            repeats,
+        );
+        assert_eq!(
+            m.on.rt_merge_bytes, 0,
+            "fused aggregation must not materialize the pre-aggregation Rt"
+        );
+        assert!(
+            m.on.agg_rows_folded_at_source > 0,
+            "CC must fold candidate rows at source"
+        );
+        assert_eq!(
+            m.off.agg_sink_runs, 0,
+            "--no-fused-agg must keep the materializing aggregation path"
+        );
+        agg_row(&m)
+    })
+}
+
+fn agg_row(m: &OnOff) -> Ablation {
+    m.row(
+        "agg",
+        "cc-cluster100-path400",
+        Some(1.1),
+        vec![
+            ("iterations", m.on.iterations),
+            ("rows_folded_at_source", m.on.agg_rows_folded_at_source),
+            ("groups_improved", m.on.agg_groups_improved),
+        ],
+    )
+}
+
+/// Worst-case optimal join vs `--no-wcoj`: triangle enumeration, serially
+/// (the gate is about the operator, not morsel scaling), over a
+/// G(500, 0.03) background that contributes the triangles plus one hub
+/// with 1000 in-spokes and 1000 out-spokes. Every in×out spoke pair is a
+/// 2-path through the hub that never closes, so the binary plan
+/// materializes and discards a ~500k-row intermediate the generic join
+/// never touches — the degree-skew regime where worst-case optimal joins
+/// beat any binary plan.
+pub fn wcoj_ablation() -> Ablation {
+    let (n, k) = (500, 1000);
+    let mut edges = gnp_edges(n, 0.03, 3);
+    let hub = n as Value;
+    // In-spokes stay distinct (capped at the background's vertex count):
+    // duplicate input rows would inflate the binary chain's intermediate
+    // beyond what the graph shape justifies.
+    edges.extend((0..k.min(n)).map(|i| (i as Value, hub)));
+    edges.extend((0..k).map(|i| (hub, (n + 1 + i) as Value)));
+    gated(3, |repeats| {
+        let m = run_ablation(
+            programs::TRIANGLE,
+            "triangle",
+            &edges,
+            Config::default(),
+            Config::default().wcoj(false),
+            1,
+            repeats,
+        );
+        assert!(
+            m.on.wcoj_runs > 0,
+            "the cyclic body must dispatch to the generic join"
+        );
+        assert_eq!(
+            m.off.wcoj_runs, 0,
+            "--no-wcoj must keep the binary join chain"
+        );
+        wcoj_row(&m)
+    })
+}
+
+fn wcoj_row(m: &OnOff) -> Ablation {
+    m.row(
+        "wcoj",
+        "triangle-skew-gnp500-hub1000",
+        Some(2.0),
+        vec![("wcoj_rows_emitted", m.on.wcoj_rows_emitted)],
+    )
+}
+
+/// An incremental view maintenance row: name, workload label, whether the
+/// commit deletes the delta (DRed) rather than inserting it (∆-seeded
+/// re-entry), and gate.
+type IvmSpec = (&'static str, &'static str, bool, Option<f64>);
+
+const IVM: [IvmSpec; 3] = [
+    (
+        "ivm.tc_insert",
+        "tc-cluster150-path40-ins1pct",
+        false,
+        Some(10.0),
+    ),
+    // DRed over-deletion honestly costs more than a scratch rerun on
+    // small graphs, and the record keeps saying so: no gate.
+    ("ivm.tc_delete", "tc-cluster150-path40-del1pct", true, None),
+    ("ivm.sg_insert", "sg-gnp40-ins", false, None),
+];
+
+/// Incremental view maintenance vs the scratch rerun it replaces, two
+/// threads: TC over the pipeline workload with every 100th edge held out
+/// and then committed (inserted, or deleted from the full graph), and SG
+/// over G(40, 0.10) with every 40th edge held out and inserted.
+pub fn ivm_ablations() -> [Ablation; 3] {
+    let hold_out = |edges: Vec<(Value, Value)>, every: usize| {
+        let delta: Vec<(Value, Value)> = edges.iter().copied().step_by(every).collect();
+        let held: std::collections::BTreeSet<_> = delta.iter().copied().collect();
+        let base: Vec<_> = edges.into_iter().filter(|e| !held.contains(e)).collect();
+        (base, delta)
+    };
+    let (tc_base, tc_delta) = hold_out(pipeline_workload(150, 0.16, 40, 11), 100);
+    let (sg_base, sg_delta) = hold_out(gnp_edges(40, 0.10, 3), 40);
+    [
+        gated(5, |r| {
+            run_ivm_bench(IVM[0], programs::TC, "tc", &tc_base, &tc_delta, r)
+        }),
+        gated(3, |r| {
+            run_ivm_bench(IVM[1], programs::TC, "tc", &tc_base, &tc_delta, r)
+        }),
+        gated(3, |r| {
+            run_ivm_bench(IVM[2], programs::SG, "sg", &sg_base, &sg_delta, r)
+        }),
+    ]
+}
+
+/// Stand a view over `base` (plus `delta` when the spec deletes it), commit
+/// `delta`, and time [`MaterializedView::refresh`] (the "on" arm) vs a
+/// shared run over a fresh database already holding the post-commit facts
+/// (the "off" arm: what the service paid per version bump before standing
+/// views). Best-of-`repeats` per arm, interleaved; asserts the maintained
+/// result matches scratch every repeat.
+fn run_ivm_bench(
+    (name, workload, delete, gate): IvmSpec,
     src: &str,
-    edge_rel: &str,
     out_rel: &str,
     base: &[(Value, Value)],
     delta: &[(Value, Value)],
-    delete: bool,
-    threads: usize,
     repeats: usize,
-) -> IvmBench {
-    // PBME off: maintenance re-enters the tuple pipeline, so the scratch
-    // side must run the same engine for an honest wall-clock ratio.
-    let cfg = Config::default()
-        .threads(threads)
-        .pbme(recstep::PbmeMode::Off);
+) -> Ablation {
+    let cfg = Config::default().threads(2).pbme(PbmeMode::Off);
     let prog = Arc::new(recstep_engine(cfg).prepare(src).expect("program compiles"));
     assert!(
         MaterializedView::eligible(&prog),
@@ -522,14 +582,14 @@ pub fn run_ivm_bench(
     );
     let mut with_delta: Vec<(Value, Value)> = base.to_vec();
     with_delta.extend_from_slice(delta);
-    // The view starts pre-delta and the commit moves it to post-delta.
+    // The view starts pre-commit and the commit moves it to post-commit.
     let (initial, finale) = if delete {
         (with_delta.as_slice(), base)
     } else {
         (base, with_delta.as_slice())
     };
     let rows: Vec<Vec<Value>> = delta.iter().map(|&(a, b)| vec![a, b]).collect();
-    let commit: Vec<(String, Vec<Vec<Value>>)> = vec![(edge_rel.to_string(), rows)];
+    let commit: Vec<(String, Vec<Vec<Value>>)> = vec![("arc".to_string(), rows)];
     let empty: Vec<(String, Vec<Vec<Value>>)> = Vec::new();
     let (ins, del) = if delete {
         (&empty, &commit)
@@ -537,11 +597,14 @@ pub fn run_ivm_bench(
         (&commit, &empty)
     };
 
-    let mut best_refresh = f64::MAX;
-    let mut best_scratch = f64::MAX;
-    let mut rows_witness = 0usize;
+    let mut m = OnOff {
+        edges: initial.len(),
+        on_secs: f64::MAX,
+        off_secs: f64::MAX,
+        ..OnOff::default()
+    };
     for _ in 0..repeats.max(1) {
-        let mut db = db_with_edges(&[(edge_rel, initial)]);
+        let mut db = db_with_edges(&[("arc", initial)]);
         let mut view =
             MaterializedView::create(Arc::clone(&prog), &db).expect("view creation completes");
         assert!(view.incremental(), "bench view must maintain incrementally");
@@ -557,233 +620,20 @@ pub fn run_ivm_bench(
         tx.commit().expect("commit delta");
         let t0 = Instant::now();
         view.refresh(&db, ins, del).expect("refresh completes");
-        best_refresh = best_refresh.min(t0.elapsed().as_secs_f64());
+        m.on_secs = m.on_secs.min(t0.elapsed().as_secs_f64());
         let maintained = view.output().row_count(out_rel);
 
-        let scratch_db = db_with_edges(&[(edge_rel, finale)]);
+        let scratch_db = db_with_edges(&[("arc", finale)]);
         let t0 = Instant::now();
         let out = prog.run_shared(&scratch_db).expect("scratch run completes");
-        best_scratch = best_scratch.min(t0.elapsed().as_secs_f64());
-        let scratch = out.row_count(out_rel);
+        m.off_secs = m.off_secs.min(t0.elapsed().as_secs_f64());
+        m.rows = out.row_count(out_rel);
         assert_eq!(
-            maintained, scratch,
+            maintained, m.rows,
             "maintained '{out_rel}' diverged from scratch on {workload}"
         );
-        rows_witness = scratch;
     }
-    IvmBench {
-        workload: workload.to_string(),
-        edges: initial.len(),
-        delta_rows: delta.len(),
-        rows: rows_witness,
-        scratch_secs: best_scratch,
-        refresh_secs: best_refresh,
-    }
-}
-
-/// One generic-join-vs-binary-chain measurement of triangle enumeration:
-/// [`recstep::programs::TRIANGLE`] with the worst-case optimal join on
-/// vs. `--no-wcoj`. The same compiled program carries both plans — the
-/// flag picks at run time — so the two arms differ only in the operator
-/// walking the cyclic body.
-#[derive(Clone, Debug)]
-pub struct WcojBench {
-    /// Workload label.
-    pub workload: String,
-    /// Input edges.
-    pub edges: usize,
-    /// Output (`triangle`) rows — identical across modes by assertion.
-    pub triangles: usize,
-    /// Rows the WCOJ leaf enumeration emitted into its sink, pre-dedup
-    /// (one per distinct variable binding; the binary chain's 2-path
-    /// intermediate is what this number refuses to be).
-    pub wcoj_rows_emitted: usize,
-    /// Best wall seconds with the generic join on.
-    pub wcoj_secs: f64,
-    /// Best wall seconds with `--no-wcoj` (binary join chain).
-    pub binary_secs: f64,
-}
-
-impl WcojBench {
-    /// Generic-join speedup over the binary chain (wall-clock ratio).
-    pub fn speedup(&self) -> f64 {
-        self.binary_secs / self.wcoj_secs.max(1e-9)
-    }
-
-    /// Render as the single-line JSON block [`splice_json_block`] takes.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"workload\": \"{}\", \"edges\": {}, \"triangles\": {}, \
-             \"wcoj_rows_emitted\": {}, \"wcoj_secs\": {:.6}, \
-             \"binary_secs\": {:.6}, \"speedup\": {:.3}}}",
-            self.workload,
-            self.edges,
-            self.triangles,
-            self.wcoj_rows_emitted,
-            self.wcoj_secs,
-            self.binary_secs,
-            self.speedup(),
-        )
-    }
-}
-
-/// A G(n,p) workload for the cyclic-body benchmarks: moderate density,
-/// so the binary chain's 2-path intermediate dwarfs both the input and
-/// the triangle output (the regime the AGM bound says a worst-case
-/// optimal join must not touch).
-pub fn triangle_workload(n: u32, p: f64, seed: u64) -> Vec<(Value, Value)> {
-    recstep_graphgen::gnp::gnp(n, p, seed)
-        .into_iter()
-        .map(|(a, b)| (a as Value, b as Value))
-        .collect()
-}
-
-/// The skewed triangle workload the wcoj bench gate measures: a G(n,p)
-/// background (which contributes the actual triangles) plus one hub
-/// vertex with `k` in-spokes from the background vertices and `k`
-/// out-spokes to `k` fresh vertices. Every in×out spoke pair is a 2-path
-/// through the hub and none closes into a triangle, so a binary triangle
-/// plan materializes (and then discards) a `k²`-row intermediate the
-/// generic join never touches — the canonical degree-skew regime where
-/// worst-case optimal joins beat any binary plan asymptotically.
-pub fn skewed_triangle_workload(n: u32, p: f64, k: u32, seed: u64) -> Vec<(Value, Value)> {
-    let mut edges = triangle_workload(n, p, seed);
-    let hub = n as Value;
-    // In-spokes stay distinct (capped at the background's vertex count):
-    // duplicate input rows would inflate the binary chain's intermediate
-    // beyond what the graph shape justifies.
-    for i in 0..k.min(n) {
-        edges.push((i as Value, hub));
-    }
-    for i in 0..k {
-        edges.push((hub, (n + 1 + i) as Value));
-    }
-    edges
-}
-
-/// Run triangle enumeration with the generic join on and off,
-/// best-of-`repeats` wall time per mode (interleaved), asserting both
-/// modes compute the identical relation and that the flag really moved
-/// evaluation between the generic join and the binary chain.
-pub fn run_wcoj_bench(
-    workload: &str,
-    edges: &[(Value, Value)],
-    threads: usize,
-    repeats: usize,
-) -> WcojBench {
-    let cfg = |wcoj: bool| {
-        Config::default()
-            .threads(threads)
-            .pbme(recstep::PbmeMode::Off)
-            .wcoj(wcoj)
-    };
-    let run_once = |wcoj: bool| {
-        let prog = prepared(cfg(wcoj), recstep::programs::TRIANGLE);
-        let mut db = db_with_edges(&[("arc", edges)]);
-        let t0 = Instant::now();
-        let stats = prog.run(&mut db).expect("TRIANGLE completes");
-        (t0.elapsed().as_secs_f64(), stats, db.row_count("triangle"))
-    };
-    let mut best: [Option<(f64, recstep::EvalStats, usize)>; 2] = [None, None];
-    for _ in 0..repeats.max(1) {
-        for (slot, on) in [(0, true), (1, false)] {
-            let (secs, stats, rows) = run_once(on);
-            if best[slot].as_ref().is_none_or(|(b, _, _)| secs < *b) {
-                best[slot] = Some((secs, stats, rows));
-            }
-        }
-    }
-    let (wcoj_secs, wcoj_stats, wcoj_rows) = best[0].take().expect("ran");
-    let (binary_secs, binary_stats, binary_rows) = best[1].take().expect("ran");
-    assert_eq!(
-        wcoj_rows, binary_rows,
-        "generic join and binary chain must agree on the triangles"
-    );
-    assert!(
-        wcoj_stats.wcoj_runs > 0,
-        "the cyclic body must dispatch to the generic join"
-    );
-    assert_eq!(
-        binary_stats.wcoj_runs, 0,
-        "--no-wcoj must keep the binary join chain"
-    );
-    WcojBench {
-        workload: workload.to_string(),
-        edges: edges.len(),
-        triangles: wcoj_rows,
-        wcoj_rows_emitted: wcoj_stats.wcoj_rows_emitted,
-        wcoj_secs,
-        binary_secs,
-    }
-}
-
-/// The `"speedup"` floor a gated bench block must clear before
-/// [`splice_json_block`] records it — the same thresholds CI asserts
-/// over `BENCH_pipeline.json` (see `docs/benchmarks.md`), enforced at
-/// the recorder so a regressed measurement cannot land silently.
-fn speedup_gate(key: &str) -> Option<f64> {
-    match key {
-        "agg" => Some(1.1),
-        "wcoj" => Some(2.0),
-        _ => None,
-    }
-}
-
-/// Splice a `"key": <block>` member into the top level of the JSON
-/// document at `path` (a minimal document is created if absent, so
-/// recorders can run in any order), replacing any stale single-line block
-/// with the same key from a previous run. The block must be rendered on
-/// one line.
-///
-/// Gated keys (`"agg"`, `"wcoj"`) are refused — panicking instead of
-/// writing — when the block's `"speedup"` member falls below the CI
-/// gate; `RECSTEP_SKIP_SPEEDUP_GATE=1` records it anyway (for heavily
-/// loaded machines — CI leaves the gate enforced).
-pub fn splice_json_block(path: &std::path::Path, key: &str, block: &str) {
-    if std::env::var_os("RECSTEP_SKIP_SPEEDUP_GATE").is_none() {
-        if let Some(gate) = speedup_gate(key) {
-            let needle = "\"speedup\": ";
-            let sp = block
-                .rfind(needle)
-                .map(|at| &block[at + needle.len()..])
-                .and_then(|rest| {
-                    let end = rest
-                        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-                        .unwrap_or(rest.len());
-                    rest[..end].parse::<f64>().ok()
-                })
-                .unwrap_or_else(|| panic!("gated block \"{key}\" must carry \"speedup\""));
-            assert!(
-                sp >= gate,
-                "refusing to record \"{key}\" speedup {sp:.3} below its {gate:.1}x gate \
-                 (set RECSTEP_SKIP_SPEEDUP_GATE=1 to record anyway)"
-            );
-        }
-    }
-    let mut doc = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".into());
-    let needle = format!("\n  \"{key}\": ");
-    if let Some(at) = doc.find(&needle) {
-        if let Some(len) = doc[at + 1..].find('\n') {
-            let line_end = at + 1 + len;
-            // A middle member carries its own trailing comma — dropping
-            // the line alone keeps the document balanced; only for the
-            // last member must the *preceding* comma go with it.
-            let start = if !doc[..line_end].ends_with(',') && doc[..at].ends_with(',') {
-                at - 1
-            } else {
-                at
-            };
-            doc.replace_range(start..line_end, "");
-        }
-    }
-    let at = doc.rfind("\n}").expect("JSON document closes");
-    let lead = if doc[..at].trim_end().ends_with('{') {
-        "\n  "
-    } else {
-        ",\n  "
-    };
-    doc.insert_str(at, &format!("{lead}\"{key}\": {block}"));
-    std::fs::write(path, &doc).expect("write bench record");
+    m.row(name, workload, gate, vec![("delta_rows", delta.len())])
 }
 
 /// Per-run memory budget (scaled stand-in for the paper's 160 GB server).
@@ -905,6 +755,92 @@ mod tests {
         assert_eq!(d[0], 0);
         let short = downsample(&s[..5], 20);
         assert_eq!(short.len(), 5);
+    }
+
+    #[test]
+    fn a_sub_gate_row_renders_failed_and_fails_the_record() {
+        let row = wcoj_row(&OnOff {
+            on_secs: 0.1,
+            off_secs: 0.125,
+            ..OnOff::default()
+        });
+        assert!(!row.passed(), "1.25x is below the wcoj gate");
+        assert!(render(std::slice::from_ref(&row), &[]).contains("\"passed\": false"));
+        if std::env::var_os("RECSTEP_SKIP_SPEEDUP_GATE").is_none() {
+            let failed = std::panic::catch_unwind(|| assert_gate(&row));
+            assert!(failed.is_err(), "a sub-gate row must fail the record");
+        }
+    }
+
+    #[test]
+    fn an_ungated_row_never_fails_the_record() {
+        let (name, workload, _, gate) = IVM[1];
+        assert_eq!(name, "ivm.tc_delete");
+        let row = OnOff {
+            on_secs: 0.5,
+            off_secs: 0.1,
+            ..OnOff::default()
+        }
+        .row(name, workload, gate, vec![]);
+        assert!(row.passed(), "an ungated row passes at 0.2x");
+        assert!(render(std::slice::from_ref(&row), &[]).contains("\"passed\": true"));
+        assert_gate(&row);
+    }
+
+    #[test]
+    fn the_rendered_record_names_every_documented_key_and_gate() {
+        const DOC: &str = include_str!("../../../docs/benchmarks.md");
+        const WRITER: &str = include_str!("../benches/pipeline_smoke.rs");
+        let m = OnOff::default();
+        let mut rows = vec![
+            pipeline_row(&m, &Default::default()),
+            agg_row(&m),
+            wcoj_row(&m),
+        ];
+        // The IVM rows come out of the measuring function itself, over a
+        // three-edge chain.
+        rows.extend(
+            IVM.map(|spec| {
+                run_ivm_bench(spec, programs::TC, "tc", &[(0, 1), (1, 2)], &[(2, 3)], 1)
+            }),
+        );
+        let rendered = render(&rows, &[]);
+        // Key tables: `| `key` | ...` rows; the serve smoke's keys are
+        // checked against the writer's source, as it needs a live server.
+        let mut section = "";
+        let mut keys = 0;
+        for line in DOC.lines() {
+            if let Some(heading) = line.strip_prefix("## ") {
+                section = heading;
+            }
+            let Some(key) = line
+                .strip_prefix("| `")
+                .and_then(|rest| rest.split('`').next())
+            else {
+                continue;
+            };
+            let quoted = format!("\"{key}\"");
+            let source = if section.contains("`serve`") {
+                WRITER
+            } else {
+                rendered.as_str()
+            };
+            assert!(
+                source.contains(&quoted),
+                "documented key {quoted} is not written"
+            );
+            keys += 1;
+        }
+        assert!(keys >= 40, "parsed only {keys} documented keys");
+        // The gate table quotes every row's gate from the code.
+        for row in &rows {
+            let line = DOC
+                .lines()
+                .find(|l| l.starts_with(&format!("| `{}` |", row.name)) && l.contains(" vs. "))
+                .unwrap_or_else(|| panic!("row {} missing from the gate table", row.name));
+            let gate = row.gate.map_or("—".into(), |g| format!("≥ {g}×"));
+            assert!(line.ends_with(&format!("| {gate} |")), "{line} vs {gate}");
+        }
     }
 
     #[test]

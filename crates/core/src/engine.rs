@@ -8,14 +8,17 @@
 //! and cheap to clone (one `Arc`), so one engine can serve many programs
 //! and many databases, concurrently, from many threads.
 //!
-//! Construction goes through the fluent [`EngineBuilder`], which absorbs
-//! the old `Config` builder surface:
+//! Construction takes a [`Config`], whose builder methods set every
+//! toggle; [`Engine::builder`] is the shorthand for a thread count over
+//! the defaults:
 //!
 //! ```
-//! use recstep::Engine;
+//! use recstep::{Config, Engine};
 //!
-//! let engine = Engine::builder().threads(2).mem_budget(1 << 30).build().unwrap();
+//! let engine = Engine::from_config(Config::default().threads(2).mem_budget(1 << 30)).unwrap();
 //! assert_eq!(engine.config().effective_threads(), 2);
+//! let engine = Engine::builder().threads(2).build().unwrap();
+//! assert_eq!(engine.pool().threads(), 2);
 //! ```
 
 use std::sync::Arc;
@@ -24,11 +27,9 @@ use recstep_common::sched::ThreadPool;
 use recstep_common::Result;
 use recstep_datalog::plan::CompiledProgram;
 use recstep_datalog::{analyze::analyze, parser::parse, plan::compile};
-use recstep_exec::dedup::DedupImpl;
-use recstep_exec::setdiff::SetDiffStrategy;
 use recstep_exec::ExecCtx;
 
-use crate::config::{Config, OofMode, PbmeMode};
+use crate::config::Config;
 use crate::prepared::PreparedProgram;
 
 pub(crate) struct EngineInner {
@@ -106,14 +107,14 @@ impl Engine {
     }
 }
 
-/// Fluent engine construction; absorbs the old `Config` builder surface.
+/// Engine construction over a [`Config`] (set toggles on the `Config`).
 #[derive(Clone, Debug)]
 pub struct EngineBuilder {
     cfg: Config,
 }
 
 impl EngineBuilder {
-    /// Replace the whole configuration (keeps later fluent calls working).
+    /// Replace the whole configuration.
     pub fn config(mut self, cfg: Config) -> Self {
         self.cfg = cfg;
         self
@@ -122,90 +123,6 @@ impl EngineBuilder {
     /// Worker threads (0 = all available cores).
     pub fn threads(mut self, t: usize) -> Self {
         self.cfg.threads = t;
-        self
-    }
-
-    /// Toggle unified IDB evaluation (§5.1 UIE).
-    pub fn uie(mut self, on: bool) -> Self {
-        self.cfg.uie = on;
-        self
-    }
-
-    /// Statistics / re-optimization policy (§5.1 OOF).
-    pub fn oof(mut self, mode: OofMode) -> Self {
-        self.cfg.oof = mode;
-        self
-    }
-
-    /// Set-difference strategy (§5.1 DSD).
-    pub fn setdiff(mut self, s: SetDiffStrategy) -> Self {
-        self.cfg.setdiff = s;
-        self
-    }
-
-    /// Toggle evaluation as one single transaction (§5.2 EOST).
-    pub fn eost(mut self, on: bool) -> Self {
-        self.cfg.eost = on;
-        self
-    }
-
-    /// Deduplication implementation (§5.2 FAST-DEDUP = `Fast`).
-    pub fn dedup(mut self, d: DedupImpl) -> Self {
-        self.cfg.dedup = d;
-        self
-    }
-
-    /// Toggle persistent incremental indexes (off = per-iteration rebuild,
-    /// the paper's Algorithm 1 behaviour, kept for ablations).
-    pub fn index_reuse(mut self, on: bool) -> Self {
-        self.cfg.index_reuse = on;
-        self
-    }
-
-    /// Toggle group-at-source streaming aggregation (off = aggregated
-    /// heads group over a materialized pre-aggregation `Rt`).
-    pub fn fused_agg(mut self, on: bool) -> Self {
-        self.cfg.fused_agg = on;
-        self
-    }
-
-    /// Toggle the shared cross-run index cache (off = every run builds its
-    /// own frozen-relation indexes, the pre-cache per-run behavior).
-    pub fn shared_index_cache(mut self, on: bool) -> Self {
-        self.cfg.shared_index_cache = on;
-        self
-    }
-
-    /// Resident-byte budget of the shared index cache (publishes evict
-    /// coldest-first past it; the pre-OOM pressure path spills it).
-    pub fn index_cache_budget(mut self, bytes: usize) -> Self {
-        self.cfg.index_cache_budget_bytes = bytes;
-        self
-    }
-
-    /// Bit-matrix evaluation policy (§5.3 PBME).
-    pub fn pbme(mut self, mode: PbmeMode) -> Self {
-        self.cfg.pbme = mode;
-        self
-    }
-
-    /// Coordinated SG-PBME work-order threshold (`None` = no coordination).
-    pub fn pbme_coordination(mut self, threshold: Option<usize>) -> Self {
-        self.cfg.pbme_coordination = threshold;
-        self
-    }
-
-    /// Toggle standing materialized views over prepared programs
-    /// (incremental view maintenance; off = every query re-runs from
-    /// scratch, the `--no-incremental` ablation).
-    pub fn incremental_views(mut self, on: bool) -> Self {
-        self.cfg.incremental_views = on;
-        self
-    }
-
-    /// Memory budget in bytes (evaluations exceeding it abort with OOM).
-    pub fn mem_budget(mut self, bytes: usize) -> Self {
-        self.cfg.mem_budget_bytes = bytes;
         self
     }
 
@@ -230,17 +147,16 @@ impl Default for EngineBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{OofMode, PbmeMode};
 
     #[test]
     fn builder_mirrors_config_surface() {
-        let e = Engine::builder()
-            .threads(2)
+        let cfg = Config::default()
             .uie(false)
             .eost(false)
             .pbme(PbmeMode::Off)
-            .mem_budget(123)
-            .build()
-            .unwrap();
+            .mem_budget(123);
+        let e = Engine::builder().config(cfg).threads(2).build().unwrap();
         assert!(!e.config().uie);
         assert!(!e.config().eost);
         assert_eq!(e.config().pbme, PbmeMode::Off);

@@ -12,8 +12,9 @@
 //! ## The three-part API
 //!
 //! * [`Engine`] — immutable evaluation machinery (config + worker pool +
-//!   planner), built once via the fluent [`EngineBuilder`]; `Send + Sync`
-//!   and cheap to clone.
+//!   planner), built once from a [`Config`] ([`Engine::from_config`], or
+//!   [`Engine::builder`] for a thread count over the defaults); `Send +
+//!   Sync` and cheap to clone.
 //! * [`Database`] — the data: EDB facts loaded through batched `load_*`
 //!   calls or a [`Transaction`] bulk loader, IDB results read back through
 //!   zero-copy [`RelHandle`]s.

@@ -577,11 +577,8 @@ mod tests {
 
     #[test]
     fn no_incremental_ablation_disables_maintenance() {
-        let engine = Engine::builder()
-            .threads(1)
-            .incremental_views(false)
-            .build()
-            .unwrap();
+        let engine =
+            Engine::from_config(Config::default().threads(1).incremental_views(false)).unwrap();
         let prog = Arc::new(engine.prepare(TC).unwrap());
         let mut db = Database::new().unwrap();
         db.load_edges("arc", &[(0, 1), (1, 2)]).unwrap();

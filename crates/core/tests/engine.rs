@@ -640,12 +640,13 @@ fn rerun_is_idempotent() {
 #[test]
 fn memory_budget_reports_oom() {
     let edges = random_edges(200, 2000, 5);
-    let e = Engine::builder()
-        .threads(2)
-        .pbme(PbmeMode::Off)
-        .mem_budget(64 * 1024)
-        .build()
-        .unwrap();
+    let e = Engine::from_config(
+        Config::default()
+            .threads(2)
+            .pbme(PbmeMode::Off)
+            .mem_budget(64 * 1024),
+    )
+    .unwrap();
     let mut db = Database::new().unwrap();
     db.load_edges("arc", &edges).unwrap();
     let err = e

@@ -6,7 +6,7 @@
 //! cargo run --release --example program_analysis
 //! ```
 
-use recstep::{Database, Engine, PbmeMode};
+use recstep::{Config, Database, Engine, PbmeMode};
 use recstep_graphgen::program_analysis as pa;
 
 fn main() -> recstep::Result<()> {
@@ -49,7 +49,7 @@ fn main() -> recstep::Result<()> {
     // CSDA: ~chain-length iterations with tiny deltas — the opposite
     // regime (PBME off to exercise the tuple path the paper measures).
     let csda = pa::csda(50, 600, 3);
-    let tuple_engine = Engine::builder().pbme(PbmeMode::Off).build()?;
+    let tuple_engine = Engine::from_config(Config::default().pbme(PbmeMode::Off))?;
     let mut db = Database::new()?;
     db.load_edges("arc", &csda.arc)?;
     db.load_edges("nullEdge", &csda.null_edge)?;

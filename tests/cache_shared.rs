@@ -131,11 +131,8 @@ fn sequential_exclusive_runs_share_the_cache_too() {
 
 #[test]
 fn no_shared_index_cache_preserves_per_run_behavior() {
-    let engine = Engine::builder()
-        .threads(2)
-        .shared_index_cache(false)
-        .build()
-        .unwrap();
+    let engine =
+        Engine::from_config(Config::default().threads(2).shared_index_cache(false)).unwrap();
     let prog = engine.prepare(NONADJ).unwrap();
     let arcs: Vec<(Value, Value)> = (0..20).map(|i| (i, (i + 1) % 20)).collect();
     let mut db = db_nodes_arcs(20, &arcs);
@@ -186,12 +183,13 @@ fn pressure_spills_cache_and_later_runs_rebuild() {
     // Run 2: a tiny TC whose budget fits the catalog but *not* catalog +
     // resident cache. The pressure path must evict the (cold, unpinned)
     // snapshot instead of failing with OOM.
-    let tight = Engine::builder()
-        .threads(2)
-        .pbme(PbmeMode::Off)
-        .mem_budget(heap + cache_bytes / 2 + (256 << 10))
-        .build()
-        .unwrap();
+    let tight = Engine::from_config(
+        Config::default()
+            .threads(2)
+            .pbme(PbmeMode::Off)
+            .mem_budget(heap + cache_bytes / 2 + (256 << 10)),
+    )
+    .unwrap();
     let stats2 = tight.prepare(tc_src).unwrap().run(&mut db).unwrap();
     assert!(
         stats2.index.cache_evictions >= 1,
@@ -234,11 +232,7 @@ fn explicit_eviction_between_runs_is_survivable() {
 /// past "the most recent build".
 #[test]
 fn tight_index_cache_budget_thrashes_but_never_fails() {
-    let engine = Engine::builder()
-        .threads(2)
-        .index_cache_budget(1)
-        .build()
-        .unwrap();
+    let engine = Engine::from_config(Config::default().threads(2).index_cache_budget(1)).unwrap();
     let nonadj = engine.prepare(NONADJ).unwrap();
     let complement = engine
         .prepare("far(x, y) :- node(x), node(y), !near(x, y).")
