@@ -1,7 +1,7 @@
-//! The on/off record's only writer: measures the six ablation rows the
-//! gate tests assert (fused pipeline, streaming aggregation, WCOJ, and
-//! three incremental view maintenance rows) plus the query service smoke,
-//! and writes them as `BENCH_pipeline.json` at the workspace root
+//! The on/off record's only writer: measures the nine ablation rows (fused
+//! pipeline, streaming aggregation, WCOJ, three incremental view
+//! maintenance rows, and the paper-figure rows PBME, NO-OP and set-based)
+//! plus the query service smoke, and writes them as `BENCH_pipeline.json` at the workspace root
 //! (`RECSTEP_BENCH_OUT` overrides the path). A row below its gate is
 //! written as `"passed": false`, and then the bench fails.
 
@@ -20,6 +20,7 @@ fn main() {
     );
     let mut rows = vec![pipeline_ablation(), agg_ablation(), wcoj_ablation()];
     rows.extend(ivm_ablations());
+    rows.extend([pbme_ablation(), no_op_ablation(), setbased_ablation()]);
     row(&cells(&["row", "on", "off", "speedup", "gate", "passed"]));
     for r in &rows {
         row(&[
@@ -45,7 +46,7 @@ fn main() {
 fn serve_smoke() -> Vec<(&'static str, i64)> {
     // A small mixed database: a negation workload that exercises the
     // shared frozen-index cache, and a TC chain for a recursive fixpoint.
-    let n = (6400 / scale()).max(64) as i64;
+    let n = 128i64;
     let mut db = Database::new().expect("database");
     let nodes: Vec<Vec<i64>> = (1..=n).map(|v| vec![v]).collect();
     let blocked: Vec<Vec<i64>> = (1..=n).filter(|v| v % 2 == 1).map(|v| vec![v]).collect();

@@ -1,42 +1,20 @@
-//! Shared harness for the benchmark targets.
-//!
-//! Every table and figure of the paper's evaluation section has a bench
-//! target (`cargo bench -p recstep-bench --bench figNN_*`) that prints the
-//! same rows/series the paper reports. Absolute numbers differ (laptop vs.
-//! the paper's 2×10-core Xeon; scaled datasets), but the *shape* — who
-//! wins, by what factor, where crossovers fall — is the reproduction
-//! target.
-//!
-//! The on/off record `BENCH_pipeline.json` is built here too: one
-//! [`Ablation`] row per technique, each measured by one on/off loop with
-//! its workload, threads, repeats and gate defined once
+//! The on/off record `BENCH_pipeline.json`: one [`Ablation`] row per
+//! technique or paper claim, each measured by one on/off loop with its
+//! workload, threads, repeats and gate defined once
 //! ([`pipeline_ablation`], [`agg_ablation`], [`wcoj_ablation`],
-//! [`ivm_ablations`]). The gate tests call [`assert_gate`] on them; the
-//! `pipeline_smoke` bench is the record's only writer ([`render`]).
-//!
-//! Dataset sizes default to laptop scale; set `RECSTEP_SCALE=<divisor>`
-//! (smaller divisor = closer to the paper's sizes, 1 = paper scale) to
-//! grow them.
+//! [`ivm_ablations`], and the paper-figure rows [`pbme_ablation`],
+//! [`no_op_ablation`], [`setbased_ablation`]). The gate tests call
+//! [`assert_gate`] on them; the `pipeline_smoke` bench is the record's only
+//! writer ([`render`]).
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use recstep::{
     programs, Config, Database, Engine, EvalStats, MaterializedView, PbmeMode, PreparedProgram,
-    Value,
+    RelHandle, Value,
 };
-use recstep_common::sched::ThreadPool;
-
-/// Divisor applied to the paper's dataset sizes (default laptop scale).
-pub fn scale() -> u32 {
-    std::env::var("RECSTEP_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SCALE)
-}
-
-/// Default divisor: paper sizes / 50 keeps the whole suite in minutes.
-pub const DEFAULT_SCALE: u32 = 50;
+use recstep_baselines::setbased::SetEngine;
 
 /// Threads used by "full parallelism" runs.
 pub fn max_threads() -> usize {
@@ -46,96 +24,27 @@ pub fn max_threads() -> usize {
         .min(16)
 }
 
-/// Outcome of one measured run.
-#[derive(Clone, Debug)]
-pub enum Outcome {
-    /// Completed in the given wall time with a result-size witness.
-    Ok {
-        /// Wall time.
-        time: Duration,
-        /// Output tuples (sanity witness that engines agree).
-        rows: usize,
-    },
-    /// Ran out of its memory budget (the paper's OOM bars).
-    Oom,
-    /// The engine cannot express the workload (paper's missing bars,
-    /// e.g. Soufflé on recursive aggregation).
-    Unsupported,
+/// Named binary input relations.
+type Inputs<'a> = [(&'a str, &'a [(Value, Value)])];
+
+/// Compile `src` once (the prepared program keeps its engine alive, so the
+/// caller only holds one value).
+fn prepared(cfg: Config, src: &str) -> PreparedProgram {
+    Engine::from_config(cfg)
+        .expect("engine construction")
+        .prepare(src)
+        .expect("program compiles")
 }
 
-impl Outcome {
-    /// Seconds, if completed.
-    pub fn secs(&self) -> Option<f64> {
-        match self {
-            Outcome::Ok { time, .. } => Some(time.as_secs_f64()),
-            _ => None,
-        }
-    }
-
-    /// Output rows, if completed.
-    pub fn rows(&self) -> Option<usize> {
-        match self {
-            Outcome::Ok { rows, .. } => Some(*rows),
-            _ => None,
-        }
-    }
-
-    /// Render like the paper's bar labels.
-    pub fn cell(&self) -> String {
-        match self {
-            Outcome::Ok { time, .. } => format!("{:.3}s", time.as_secs_f64()),
-            Outcome::Oom => "OOM".into(),
-            Outcome::Unsupported => "-".into(),
-        }
-    }
-}
-
-/// Time a fallible engine run, mapping memory-budget errors to OOM.
-pub fn measure<F: FnOnce() -> recstep::Result<usize>>(f: F) -> Outcome {
-    let t0 = Instant::now();
-    match f() {
-        Ok(rows) => Outcome::Ok {
-            time: t0.elapsed(),
-            rows,
-        },
-        Err(e) if e.to_string().contains("out of memory") => Outcome::Oom,
-        Err(e) => panic!("benchmark run failed: {e}"),
-    }
-}
-
-/// Build an engine with the benchmark default memory budget.
-pub fn recstep_engine(cfg: Config) -> Engine {
-    Engine::from_config(cfg.mem_budget(budget_bytes())).expect("engine construction")
-}
-
-/// Compile `src` once on a budgeted engine (the prepared program keeps its
-/// engine alive, so the caller only holds one value).
-pub fn prepared(cfg: Config, src: &str) -> PreparedProgram {
-    recstep_engine(cfg).prepare(src).expect("program compiles")
-}
-
-/// Fresh database preloaded with binary edge relations (one transaction).
-pub fn db_with_edges(loads: &[(&str, &[(Value, Value)])]) -> Database {
+/// Fresh database preloaded with binary input relations (one transaction).
+fn db_with(inputs: &Inputs<'_>) -> Database {
     let mut db = Database::new().expect("database");
     let mut tx = db.transaction();
-    for (name, data) in loads {
+    for (name, data) in inputs {
         tx.load_edges(name, data).expect("stage edges");
     }
     tx.commit().expect("commit edges");
     db
-}
-
-/// The common bench shape: compile once, load edges, time exactly one run,
-/// and witness the result size of `rel`.
-pub fn run_recstep(
-    cfg: Config,
-    src: &str,
-    loads: &[(&str, &[(Value, Value)])],
-    rel: &str,
-) -> Outcome {
-    let prog = prepared(cfg, src);
-    let mut db = db_with_edges(loads);
-    measure(|| prog.run(&mut db).map(|_| db.row_count(rel)))
 }
 
 /// One row of the on/off record `BENCH_pipeline.json`: a workload measured
@@ -146,9 +55,9 @@ pub struct Ablation {
     pub name: &'static str,
     /// Workload label.
     pub workload: String,
-    /// Input edges.
+    /// Input rows, summed over the input relations.
     pub edges: usize,
-    /// Output rows — identical across arms by assertion.
+    /// Output rows — the same set in every run of both arms, by assertion.
     pub rows: usize,
     /// Best wall seconds with the technique on.
     pub on_secs: f64,
@@ -286,38 +195,96 @@ impl OnOff {
     }
 }
 
-/// Run `program` over `edges` under `on` and `off`, best-of-`repeats` wall
-/// time per arm (interleaved to even out machine noise), and assert both
-/// arms compute the same number of `out_rel` rows. PBME is off in both
-/// arms: every ablation measures the tuple path.
-fn run_ablation(
-    program: &str,
-    out_rel: &str,
-    edges: &[(Value, Value)],
-    on: Config,
-    off: Config,
-    threads: usize,
-    repeats: usize,
-) -> OnOff {
-    let arms = [on, off].map(|cfg| cfg.threads(threads).pbme(PbmeMode::Off));
-    let mut best: [Option<(f64, EvalStats, usize)>; 2] = [None, None];
-    for _ in 0..repeats.max(1) {
-        for (slot, cfg) in arms.iter().enumerate() {
-            let prog = prepared(cfg.clone(), program);
-            let mut db = db_with_edges(&[("arc", edges)]);
-            let t0 = Instant::now();
-            let stats = prog.run(&mut db).expect("ablation run completes");
-            let secs = t0.elapsed().as_secs_f64();
-            if best[slot].as_ref().is_none_or(|(b, _, _)| secs < *b) {
-                best[slot] = Some((secs, stats, db.row_count(out_rel)));
+/// A relation's rows, sorted (an absent relation has none).
+fn row_set(rel: Option<RelHandle<'_>>) -> Vec<Vec<Value>> {
+    let mut rows = rel.map_or_else(Vec::new, |r| r.to_vec());
+    rows.sort_unstable();
+    rows
+}
+
+/// The tuple path: the default configuration with PBME off, which the
+/// technique ablations measure in both arms.
+fn tuple_path() -> Config {
+    Config::default().pbme(PbmeMode::Off)
+}
+
+/// One arm of an ablation: the engine under a configuration, or the
+/// single-threaded set-based baseline (the Soufflé stand-in), which
+/// reports default [`EvalStats`].
+enum Arm {
+    Engine(Config),
+    SetBased,
+}
+
+impl Arm {
+    /// Evaluate `program` over `inputs` once: wall seconds, the engine's
+    /// statistics and `out_rel`'s rows, sorted.
+    fn run(
+        &self,
+        program: &str,
+        out_rel: &str,
+        inputs: &Inputs<'_>,
+        threads: usize,
+    ) -> (f64, EvalStats, Vec<Vec<Value>>) {
+        match self {
+            Arm::Engine(cfg) => {
+                let prog = prepared(cfg.clone().threads(threads), program);
+                let mut db = db_with(inputs);
+                let t0 = Instant::now();
+                let stats = prog.run(&mut db).expect("ablation run completes");
+                let secs = t0.elapsed().as_secs_f64();
+                (secs, stats, row_set(db.relation(out_rel)))
+            }
+            Arm::SetBased => {
+                let mut engine = SetEngine::new();
+                for (name, data) in inputs {
+                    engine.load_edges(name, data);
+                }
+                let t0 = Instant::now();
+                engine.run_source(program).expect("set-based run completes");
+                let secs = t0.elapsed().as_secs_f64();
+                let mut rows = engine.rows(out_rel).unwrap_or_default().to_vec();
+                rows.sort_unstable();
+                (secs, EvalStats::default(), rows)
             }
         }
     }
-    let [(on_secs, on, rows), (off_secs, off, off_rows)] = best.map(|b| b.expect("ran"));
-    assert_eq!(rows, off_rows, "both arms must agree on '{out_rel}'");
+}
+
+/// Run `program` over `inputs` under `arms` (on, then off), best-of-`repeats`
+/// wall time per arm (interleaved to even out machine noise), and assert
+/// every run computes the same set of `out_rel` rows.
+fn run_ablation(
+    program: &str,
+    out_rel: &str,
+    inputs: &Inputs<'_>,
+    arms: [Arm; 2],
+    threads: usize,
+    repeats: usize,
+) -> OnOff {
+    let mut best: [Option<(f64, EvalStats)>; 2] = [None, None];
+    let mut want: Option<Vec<Vec<Value>>> = None;
+    for _ in 0..repeats.max(1) {
+        for (slot, arm) in arms.iter().enumerate() {
+            let (secs, stats, rows) = arm.run(program, out_rel, inputs, threads);
+            match &want {
+                None => want = Some(rows),
+                Some(want) => assert!(
+                    *want == rows,
+                    "both arms must compute the same '{out_rel}' rows ({} vs {})",
+                    want.len(),
+                    rows.len()
+                ),
+            }
+            if best[slot].as_ref().is_none_or(|(b, _)| secs < *b) {
+                best[slot] = Some((secs, stats));
+            }
+        }
+    }
+    let [(on_secs, on), (off_secs, off)] = best.map(|b| b.expect("ran"));
     OnOff {
-        edges: edges.len(),
-        rows,
+        edges: inputs.iter().map(|(_, data)| data.len()).sum(),
+        rows: want.map_or(0, |rows| rows.len()),
         on_secs,
         off_secs,
         on,
@@ -369,20 +336,19 @@ fn gnp_edges(n: u32, p: f64, seed: u64) -> Vec<(Value, Value)> {
 pub fn pipeline_ablation() -> Ablation {
     let edges = pipeline_workload(150, 0.16, 40, 11);
     let cache = {
-        let prog = prepared(
-            Config::default().threads(2).pbme(PbmeMode::Off),
-            programs::TC,
-        );
-        let mut db = db_with_edges(&[("arc", &edges)]);
+        let prog = prepared(tuple_path().threads(2), programs::TC);
+        let mut db = db_with(&[("arc", &edges)]);
         [(); 2].map(|()| prog.run(&mut db).expect("TC completes"))
     };
     gated(3, |repeats| {
         let m = run_ablation(
             programs::TC,
             "tc",
-            &edges,
-            Config::default(),
-            Config::default().fused_pipeline(false),
+            &[("arc", &edges)],
+            [
+                Arm::Engine(tuple_path()),
+                Arm::Engine(tuple_path().fused_pipeline(false)),
+            ],
             2,
             repeats,
         );
@@ -433,9 +399,11 @@ pub fn agg_ablation() -> Ablation {
         let m = run_ablation(
             programs::CC,
             "cc3",
-            &edges,
-            Config::default(),
-            Config::default().fused_agg(false),
+            &[("arc", &edges)],
+            [
+                Arm::Engine(tuple_path()),
+                Arm::Engine(tuple_path().fused_agg(false)),
+            ],
             2,
             repeats,
         );
@@ -489,9 +457,11 @@ pub fn wcoj_ablation() -> Ablation {
         let m = run_ablation(
             programs::TRIANGLE,
             "triangle",
-            &edges,
-            Config::default(),
-            Config::default().wcoj(false),
+            &[("arc", &edges)],
+            [
+                Arm::Engine(tuple_path()),
+                Arm::Engine(tuple_path().wcoj(false)),
+            ],
             1,
             repeats,
         );
@@ -514,6 +484,113 @@ fn wcoj_row(m: &OnOff) -> Ablation {
         Some(2.0),
         vec![("wcoj_rows_emitted", m.on.wcoj_rows_emitted)],
     )
+}
+
+/// Paper Fig. 6: bit-matrix evaluation (PBME `Auto`) vs the tuple path
+/// on TC over G(200, 0.05), two threads. The claim is about memory as much
+/// as time, so the engine-estimated peak must fall too.
+pub fn pbme_ablation() -> Ablation {
+    let edges = gnp_edges(200, 0.05, 7);
+    gated(3, |repeats| {
+        let m = run_ablation(
+            programs::TC,
+            "tc",
+            &[("arc", &edges)],
+            [Arm::Engine(Config::default()), Arm::Engine(tuple_path())],
+            2,
+            repeats,
+        );
+        assert!(
+            m.on.pbme_matrix_bytes > 0,
+            "TC over G(200, 0.05) must take PBME"
+        );
+        assert_eq!(
+            m.off.pbme_matrix_bytes, 0,
+            "PBME off must keep the tuple path"
+        );
+        assert_peak_falls(&m, "pbme");
+        pbme_row(&m)
+    })
+}
+
+fn pbme_row(m: &OnOff) -> Ablation {
+    m.row(
+        "pbme",
+        "tc-gnp200-p0.05",
+        Some(2.0),
+        vec![
+            ("on_peak_bytes", m.on.peak_bytes),
+            ("off_peak_bytes", m.off.peak_bytes),
+            ("pbme_matrix_bytes", m.on.pbme_matrix_bytes),
+        ],
+    )
+}
+
+/// CSPA over `program_analysis::cspa(6, 12, 42)`, the mutually recursive
+/// program-analysis workload of the paper's Figs. 2/3 and 15: the default
+/// engine (the on arm) vs `off`, two threads.
+fn run_cspa(off: Arm, repeats: usize) -> OnOff {
+    let input = recstep_graphgen::program_analysis::cspa(6, 12, 42);
+    run_ablation(
+        programs::CSPA,
+        "valueFlow",
+        &[
+            ("assign", &input.assign),
+            ("dereference", &input.dereference),
+        ],
+        [Arm::Engine(Config::default()), off],
+        2,
+        repeats,
+    )
+}
+
+/// Paper Figs. 2/3: RecStep with every §5 technique vs RecStep-NO-OP
+/// (`Config::no_op()`, also the BigDatalog stand-in) on CSPA; faster and
+/// with a smaller engine-estimated peak.
+pub fn no_op_ablation() -> Ablation {
+    gated(3, |repeats| {
+        let m = run_cspa(Arm::Engine(Config::no_op()), repeats);
+        assert_peak_falls(&m, "no_op");
+        no_op_row(&m)
+    })
+}
+
+fn no_op_row(m: &OnOff) -> Ablation {
+    m.row(
+        "no_op",
+        "cspa-6x12",
+        Some(1.3),
+        vec![
+            ("iterations", m.on.iterations),
+            ("on_peak_bytes", m.on.peak_bytes),
+            ("off_peak_bytes", m.off.peak_bytes),
+        ],
+    )
+}
+
+/// Paper Fig. 15: RecStep (two threads) vs the single-threaded set-based
+/// engine, the Soufflé stand-in, on CSPA.
+pub fn setbased_ablation() -> Ablation {
+    gated(3, |repeats| setbased_row(&run_cspa(Arm::SetBased, repeats)))
+}
+
+fn setbased_row(m: &OnOff) -> Ablation {
+    m.row(
+        "setbased",
+        "cspa-6x12",
+        Some(2.0),
+        vec![("iterations", m.on.iterations)],
+    )
+}
+
+/// Assert the on arm's engine-estimated peak is below the off arm's.
+fn assert_peak_falls(m: &OnOff, name: &str) {
+    assert!(
+        m.on.peak_bytes < m.off.peak_bytes,
+        "{name}: peak bytes must fall with the technique on ({} on vs {} off)",
+        m.on.peak_bytes,
+        m.off.peak_bytes
+    );
 }
 
 /// An incremental view maintenance row: name, workload label, whether the
@@ -574,8 +651,7 @@ fn run_ivm_bench(
     delta: &[(Value, Value)],
     repeats: usize,
 ) -> Ablation {
-    let cfg = Config::default().threads(2).pbme(PbmeMode::Off);
-    let prog = Arc::new(recstep_engine(cfg).prepare(src).expect("program compiles"));
+    let prog = Arc::new(prepared(tuple_path().threads(2), src));
     assert!(
         MaterializedView::eligible(&prog),
         "IVM bench program must be maintainable"
@@ -604,7 +680,7 @@ fn run_ivm_bench(
         ..OnOff::default()
     };
     for _ in 0..repeats.max(1) {
-        let mut db = db_with_edges(&[("arc", initial)]);
+        let mut db = db_with(&[("arc", initial)]);
         let mut view =
             MaterializedView::create(Arc::clone(&prog), &db).expect("view creation completes");
         assert!(view.incremental(), "bench view must maintain incrementally");
@@ -621,45 +697,29 @@ fn run_ivm_bench(
         let t0 = Instant::now();
         view.refresh(&db, ins, del).expect("refresh completes");
         m.on_secs = m.on_secs.min(t0.elapsed().as_secs_f64());
-        let maintained = view.output().row_count(out_rel);
+        let output = view.output();
+        let maintained = row_set(output.relation(out_rel));
 
-        let scratch_db = db_with_edges(&[("arc", finale)]);
+        let scratch_db = db_with(&[("arc", finale)]);
         let t0 = Instant::now();
         let out = prog.run_shared(&scratch_db).expect("scratch run completes");
         m.off_secs = m.off_secs.min(t0.elapsed().as_secs_f64());
-        m.rows = out.row_count(out_rel);
-        assert_eq!(
-            maintained, m.rows,
-            "maintained '{out_rel}' diverged from scratch on {workload}"
+        let scratch = row_set(out.relation(out_rel));
+        assert!(
+            maintained == scratch,
+            "maintained '{out_rel}' diverged from scratch on {workload} ({} vs {} rows)",
+            maintained.len(),
+            scratch.len()
         );
+        m.rows = scratch.len();
     }
     m.row(name, workload, gate, vec![("delta_rows", delta.len())])
 }
 
-/// Per-run memory budget (scaled stand-in for the paper's 160 GB server).
-pub fn budget_bytes() -> usize {
-    std::env::var("RECSTEP_BUDGET_MB")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(3072)
-        * (1 << 20)
-}
-
-/// Tuple budget equivalent for the set-based baselines (≈ 48 B per binary
-/// tuple including index overhead).
-pub fn budget_tuples() -> usize {
-    budget_bytes() / 48
-}
-
-/// Print a figure/table header.
+/// Print a section header.
 pub fn header(id: &str, caption: &str) {
     println!();
     println!("## {id}: {caption}");
-    println!(
-        "   (scale divisor {}, budget {} MiB)",
-        scale(),
-        budget_bytes() >> 20
-    );
 }
 
 /// Print one aligned data row.
@@ -673,89 +733,9 @@ pub fn cells(strs: &[&str]) -> Vec<String> {
     strs.iter().map(|s| s.to_string()).collect()
 }
 
-/// Sample a pool's utilization over a run executed on another thread.
-/// Returns `(elapsed, utilization)` pairs plus the run's wall time.
-pub fn sample_utilization<F>(
-    pool: std::sync::Arc<ThreadPool>,
-    every: Duration,
-    run: F,
-) -> (Vec<(Duration, f64)>, Duration)
-where
-    F: FnOnce() + Send + 'static,
-{
-    let threads = pool.threads();
-    let handle = std::thread::spawn(run);
-    let t0 = Instant::now();
-    let mut series = Vec::new();
-    let mut last_busy = pool.busy_ns_total();
-    let mut last_t = t0;
-    while !handle.is_finished() {
-        std::thread::sleep(every);
-        let now = Instant::now();
-        let busy = pool.busy_ns_total();
-        let wall = now.duration_since(last_t).as_nanos() as f64 * threads as f64;
-        let util = ((busy.saturating_sub(last_busy)) as f64 / wall.max(1.0)).min(1.0);
-        series.push((now.duration_since(t0), util));
-        last_busy = busy;
-        last_t = now;
-    }
-    handle.join().expect("bench run panicked");
-    (series, t0.elapsed())
-}
-
-/// Downsample a series to at most `n` points for printing.
-pub fn downsample<T: Clone>(series: &[T], n: usize) -> Vec<T> {
-    if series.len() <= n || n == 0 {
-        return series.to_vec();
-    }
-    let step = series.len() as f64 / n as f64;
-    (0..n)
-        .map(|i| series[(i as f64 * step) as usize].clone())
-        .collect()
-}
-
-/// Deterministic source-vertex choice for REACH/SSSP (the paper averages
-/// over ten random sources; we fix them for reproducibility).
-pub fn source_vertices(n: u32, k: usize) -> Vec<Value> {
-    (0..k as u32)
-        .map(|i| ((i.wrapping_mul(2654435761)) % n.max(1)) as Value)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn outcome_cells() {
-        assert_eq!(Outcome::Oom.cell(), "OOM");
-        assert_eq!(Outcome::Unsupported.cell(), "-");
-        let ok = Outcome::Ok {
-            time: Duration::from_millis(1500),
-            rows: 3,
-        };
-        assert_eq!(ok.cell(), "1.500s");
-        assert!(ok.secs().unwrap() > 1.4);
-        assert_eq!(ok.rows(), Some(3));
-    }
-
-    #[test]
-    fn measure_maps_oom() {
-        let out = measure(|| Err(recstep::Error::exec("out of memory: 1 > 0")));
-        assert!(matches!(out, Outcome::Oom));
-        let ok = measure(|| Ok(7));
-        assert!(matches!(ok, Outcome::Ok { rows: 7, .. }));
-    }
-
-    #[test]
-    fn downsample_caps_length() {
-        let s: Vec<u32> = (0..1000).collect();
-        let d = downsample(&s, 20);
-        assert_eq!(d.len(), 20);
-        assert_eq!(d[0], 0);
-        let short = downsample(&s[..5], 20);
-        assert_eq!(short.len(), 5);
-    }
 
     #[test]
     fn a_sub_gate_row_renders_failed_and_fails_the_record() {
@@ -788,6 +768,26 @@ mod tests {
     }
 
     #[test]
+    fn a_set_based_arm_agrees_row_for_row_with_the_engine() {
+        let input = recstep_graphgen::program_analysis::cspa(2, 6, 1);
+        let m = run_ablation(
+            programs::CSPA,
+            "valueFlow",
+            &[
+                ("assign", &input.assign),
+                ("dereference", &input.dereference),
+            ],
+            [Arm::Engine(Config::default()), Arm::SetBased],
+            2,
+            1,
+        );
+        assert!(m.rows > 0, "CSPA derives valueFlow rows");
+        assert_eq!(m.edges, input.assign.len() + input.dereference.len());
+        assert!(m.on.iterations > 0);
+        assert_eq!(m.off.iterations, 0, "the set-based arm reports no stats");
+    }
+
+    #[test]
     fn the_rendered_record_names_every_documented_key_and_gate() {
         const DOC: &str = include_str!("../../../docs/benchmarks.md");
         const WRITER: &str = include_str!("../benches/pipeline_smoke.rs");
@@ -796,6 +796,9 @@ mod tests {
             pipeline_row(&m, &Default::default()),
             agg_row(&m),
             wcoj_row(&m),
+            pbme_row(&m),
+            no_op_row(&m),
+            setbased_row(&m),
         ];
         // The IVM rows come out of the measuring function itself, over a
         // three-edge chain.
@@ -804,6 +807,7 @@ mod tests {
                 run_ivm_bench(spec, programs::TC, "tc", &[(0, 1), (1, 2)], &[(2, 3)], 1)
             }),
         );
+        assert_eq!(rows.len(), 9, "one row per documented gate");
         let rendered = render(&rows, &[]);
         // Key tables: `| `key` | ...` rows; the serve smoke's keys are
         // checked against the writer's source, as it needs a live server.
@@ -841,12 +845,5 @@ mod tests {
             let gate = row.gate.map_or("—".into(), |g| format!("≥ {g}×"));
             assert!(line.ends_with(&format!("| {gate} |")), "{line} vs {gate}");
         }
-    }
-
-    #[test]
-    fn sources_are_in_range() {
-        let s = source_vertices(1000, 10);
-        assert_eq!(s.len(), 10);
-        assert!(s.iter().all(|&v| (0..1000).contains(&v)));
     }
 }

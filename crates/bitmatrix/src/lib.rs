@@ -13,19 +13,14 @@
 //!   take rows in morsels; the owner of a row closes it in a private
 //!   buffer with plain test-and-set and publishes it once, so the hot loop
 //!   runs no atomic instruction;
-//! * [`sg`] — Algorithm 3: same-generation with the `Varc` vector index,
-//!   plus the coordinated variant of Figure 7 (work re-balancing through a
-//!   global pool once a thread's local δ exceeds a threshold).
+//! * [`sg`] — Algorithm 3: same-generation with the `Varc` vector index.
 
 pub mod matrix;
 pub mod sg;
 pub mod tc;
 
 pub use matrix::BitMatrix;
-pub use sg::{
-    sg_closure, sg_closure_coordinated, sg_closure_coordinated_seeded, sg_closure_seeded,
-    CoordStats,
-};
+pub use sg::{sg_closure, sg_closure_seeded};
 pub use tc::{tc_closure, tc_closure_seeded};
 
 /// Adjacency-list index `Varc[x] = { y | arc(x, y) }` (paper Algorithm 3

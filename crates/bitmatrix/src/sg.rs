@@ -1,5 +1,4 @@
-//! Algorithm 3: parallel bit-matrix evaluation of same generation,
-//! plus the coordinated variant of Figure 7.
+//! Algorithm 3: parallel bit-matrix evaluation of same generation.
 //!
 //! ```text
 //! sg(x, y) :- arc(p, x), arc(p, y), x != y.
@@ -9,18 +8,14 @@
 //! Unlike TC, a pair `(a, b)` in δ produces pairs `(q, p)` in *arbitrary*
 //! rows (`q ∈ Varc[a]`, `p ∈ Varc[b]`), so newly produced work is not tied
 //! to the thread's row partition — the source of the data skew the paper
-//! discusses. [`sg_closure`] is the zero-coordination variant (each thread
-//! keeps everything it generates); [`sg_closure_coordinated`] re-balances by
-//! packing local δ overflow into work orders on a global pool.
+//! discusses. [`sg_closure`] runs with zero coordination: each thread
+//! keeps everything it generates.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
 use recstep_common::sched::ThreadPool;
 
 use crate::{AdjIndex, BitMatrix};
 
-/// Seed `Msg` and return the adjacency index shared by both variants.
+/// Seed `Msg` and return the adjacency index.
 /// With `seeds = None` the same-parent pairs of Algorithm 3 line 9 are
 /// generated; otherwise the provided pairs (e.g. an already-evaluated seed
 /// stratum) initialize the matrix.
@@ -97,7 +92,7 @@ pub fn sg_closure_seeded(
             row += ctx.threads;
         }
         // Work generated lands on the generating thread, wherever its row
-        // partition is — the skew the coordinated variant fixes.
+        // partition is.
         while let Some((a, b)) = stack.pop() {
             expand(&arc, &msg, a, b, &mut stack);
         }
@@ -105,126 +100,31 @@ pub fn sg_closure_seeded(
     msg
 }
 
-/// Instrumentation of the coordinated variant.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CoordStats {
-    /// Work orders posted to the global pool.
-    pub orders_posted: u64,
-    /// Work orders grabbed by idle threads.
-    pub orders_grabbed: u64,
-    /// Pairs shipped through the pool.
-    pub pairs_shipped: u64,
-}
-
-/// Same-generation closure with work re-balancing (Figure 7's
-/// SG-PBME-COORD): when a thread's local δ exceeds `threshold`, the
-/// overflow is packed as a work order and published to a global pool;
-/// idle threads grab orders. Termination is detected when every thread is
-/// idle and the pool is empty.
-pub fn sg_closure_coordinated(
-    pool: &ThreadPool,
-    n: usize,
-    edges: &[(u32, u32)],
-    threshold: usize,
-) -> (BitMatrix, CoordStats) {
-    sg_closure_coordinated_seeded(pool, n, edges, threshold, None)
-}
-
-/// Coordinated SG closure from explicit seed pairs (`None` = generate the
-/// same-parent seed of Algorithm 3).
-pub fn sg_closure_coordinated_seeded(
-    pool: &ThreadPool,
-    n: usize,
-    edges: &[(u32, u32)],
-    threshold: usize,
-    seeds: Option<&[(u32, u32)]>,
-) -> (BitMatrix, CoordStats) {
-    let threshold = threshold.max(1);
-    let (arc, msg) = seed(pool, n, edges, seeds);
-    let global: Mutex<Vec<Vec<(u32, u32)>>> = Mutex::new(Vec::new());
-    let idle = AtomicUsize::new(0);
-    let done = AtomicBool::new(false);
-    let posted = AtomicU64::new(0);
-    let grabbed = AtomicU64::new(0);
-    let shipped = AtomicU64::new(0);
-
-    pool.run(|ctx| {
-        let mut local: Vec<(u32, u32)> = Vec::new();
-        let mut row = ctx.worker;
-        while row < n {
-            for col in msg.row_ones(row) {
-                local.push((row as u32, col as u32));
-            }
-            row += ctx.threads;
-        }
-        loop {
-            if let Some((a, b)) = local.pop() {
-                expand(&arc, &msg, a, b, &mut local);
-                // Aggregate overflow into a work order (paper: "the δ is
-                // aggregated and packed as a work order").
-                if local.len() > threshold {
-                    let order: Vec<(u32, u32)> = local.split_off(local.len() / 2);
-                    shipped.fetch_add(order.len() as u64, Ordering::Relaxed);
-                    posted.fetch_add(1, Ordering::Relaxed);
-                    global.lock().push(order);
-                }
-                continue;
-            }
-            // Local queue drained: become idle and look for work orders.
-            idle.fetch_add(1, Ordering::SeqCst);
-            loop {
-                if done.load(Ordering::SeqCst) {
-                    return;
-                }
-                let mut pool_guard = global.lock();
-                if let Some(order) = pool_guard.pop() {
-                    // Leave idle state while still holding the lock so the
-                    // termination check below stays consistent.
-                    idle.fetch_sub(1, Ordering::SeqCst);
-                    drop(pool_guard);
-                    grabbed.fetch_add(1, Ordering::Relaxed);
-                    local = order;
-                    break;
-                }
-                if idle.load(Ordering::SeqCst) == ctx.threads {
-                    // Pool empty and everyone idle (checked under the pool
-                    // lock): nothing can be produced any more.
-                    done.store(true, Ordering::SeqCst);
-                    return;
-                }
-                drop(pool_guard);
-                std::thread::yield_now();
-            }
-        }
-    });
-    (
-        msg,
-        CoordStats {
-            orders_posted: posted.load(Ordering::Relaxed),
-            orders_grabbed: grabbed.load(Ordering::Relaxed),
-            pairs_shipped: shipped.load(Ordering::Relaxed),
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
 
-    /// Naïve fixpoint oracle for SG.
-    fn oracle_sg(n: usize, edges: &[(u32, u32)]) -> HashSet<(u32, u32)> {
+    /// Same-parent seed pairs, as Algorithm 3 line 9 generates them.
+    fn same_parent_pairs(n: usize, edges: &[(u32, u32)]) -> Vec<(u32, u32)> {
         let arc = AdjIndex::new(n, edges);
-        let mut sg: HashSet<(u32, u32)> = HashSet::new();
+        let mut pairs = Vec::new();
         for p in 0..n as u32 {
             for &x in arc.neighbors(p) {
                 for &y in arc.neighbors(p) {
                     if x != y {
-                        sg.insert((x, y));
+                        pairs.push((x, y));
                     }
                 }
             }
         }
+        pairs
+    }
+
+    /// Naïve fixpoint oracle for SG.
+    fn oracle_sg(n: usize, edges: &[(u32, u32)]) -> HashSet<(u32, u32)> {
+        let arc = AdjIndex::new(n, edges);
+        let mut sg: HashSet<(u32, u32)> = same_parent_pairs(n, edges).into_iter().collect();
         loop {
             let mut fresh = Vec::new();
             for &(a, b) in &sg {
@@ -281,11 +181,10 @@ mod tests {
             let expect = oracle_sg(n as usize, &edges);
             let pool = ThreadPool::new(4);
             let plain = sg_closure(&pool, n as usize, &edges);
-            assert_eq!(as_set(&plain), expect, "plain, seed {seed}");
-            let (coord, stats) = sg_closure_coordinated(&pool, n as usize, &edges, 8);
-            assert_eq!(as_set(&coord), expect, "coordinated, seed {seed}");
-            // Orders grabbed never exceeds orders posted.
-            assert!(stats.orders_grabbed <= stats.orders_posted);
+            assert_eq!(as_set(&plain), expect, "generated seed, seed {seed}");
+            let seeds = same_parent_pairs(n as usize, &edges);
+            let seeded = sg_closure_seeded(&pool, n as usize, &edges, Some(&seeds));
+            assert_eq!(as_set(&seeded), expect, "explicit seed, seed {seed}");
         }
     }
 
@@ -294,9 +193,8 @@ mod tests {
         let pool = ThreadPool::new(2);
         let msg = sg_closure(&pool, 5, &[]);
         assert_eq!(msg.count_ones(), 0);
-        let (msg, stats) = sg_closure_coordinated(&pool, 5, &[], 4);
+        let msg = sg_closure_seeded(&pool, 5, &[], Some(&[]));
         assert_eq!(msg.count_ones(), 0);
-        assert_eq!(stats.orders_posted, 0);
     }
 
     #[test]
@@ -304,25 +202,8 @@ mod tests {
         let edges = rand_edges(25, 80, 5);
         let pool = ThreadPool::new(1);
         let a = sg_closure(&pool, 25, &edges);
-        let (b, _) = sg_closure_coordinated(&pool, 25, &edges, 2);
+        let seeds = same_parent_pairs(25, &edges);
+        let b = sg_closure_seeded(&pool, 25, &edges, Some(&seeds));
         assert_eq!(as_set(&a), as_set(&b));
-    }
-
-    #[test]
-    fn skewed_graph_ships_work_orders() {
-        // A "hub" fanning out: one thread's partition generates nearly all
-        // work, forcing re-balancing through the pool.
-        let mut edges = Vec::new();
-        let fan = 48u32;
-        for i in 0..fan {
-            edges.push((0, 1 + i)); // shared parent -> dense sg seed rows
-            edges.push((1 + i, 1 + (i + 1) % fan));
-        }
-        let n = fan as usize + 1;
-        let expect = oracle_sg(n, &edges);
-        let pool = ThreadPool::new(4);
-        let (coord, stats) = sg_closure_coordinated(&pool, n, &edges, 4);
-        assert_eq!(as_set(&coord), expect);
-        assert!(stats.orders_posted > 0, "skew must trigger work orders");
     }
 }

@@ -6,8 +6,7 @@
 //!   strong 64-bit mixer for bucket addressing of compact concatenated keys;
 //! * [`sched`] — a persistent worker pool with per-worker busy-time
 //!   accounting (the source of the paper's CPU-utilization figures);
-//! * [`mem`] — a byte-counting global allocator shim and a sampler that
-//!   produces the memory-over-time series of Figures 3/6/11/14;
+//! * [`mem`] — byte-count formatting for harness output;
 //! * [`dict`] — dictionary encoding of symbolic domains into the dense
 //!   integer ids Datalog evaluation operates on (paper §5.2, footnote 2);
 //! * [`fail`] — failpoints: deterministic fault injection for crash-safety

@@ -1,157 +1,4 @@
-//! Memory accounting.
-//!
-//! The paper reports memory as a percentage of a 160 GB server sampled over
-//! time (Figures 3, 6, 11, 14). We reproduce the instrument with two layers:
-//!
-//! * [`CountingAlloc`] — a `GlobalAlloc` wrapper around the system allocator
-//!   that tracks live and peak bytes. Benchmark binaries and examples install
-//!   it with `#[global_allocator]`; library code only ever *reads* the
-//!   counters, so tests that don't install it simply see zeros.
-//! * [`MemSampler`] — a background thread recording `(elapsed, live_bytes)`
-//!   pairs at a fixed cadence, yielding the figures' time series.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-/// Byte-counting wrapper around the system allocator.
-///
-/// Install in a binary with:
-/// ```ignore
-/// #[global_allocator]
-/// static ALLOC: recstep_common::mem::CountingAlloc = recstep_common::mem::CountingAlloc;
-/// ```
-pub struct CountingAlloc;
-
-impl CountingAlloc {
-    #[inline]
-    fn on_alloc(size: usize) {
-        let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
-        PEAK.fetch_max(live, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn on_dealloc(size: usize) {
-        LIVE.fetch_sub(size, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: defers to the system allocator for every operation; the counters
-// are side tables that never influence the returned pointers.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            Self::on_alloc(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        Self::on_dealloc(layout.size());
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            Self::on_dealloc(layout.size());
-            Self::on_alloc(new_size);
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            Self::on_alloc(layout.size());
-        }
-        p
-    }
-}
-
-/// Live heap bytes (0 unless [`CountingAlloc`] is installed).
-pub fn live_bytes() -> usize {
-    LIVE.load(Ordering::Relaxed)
-}
-
-/// Peak heap bytes since process start or the last [`reset_peak`].
-pub fn peak_bytes() -> usize {
-    PEAK.load(Ordering::Relaxed)
-}
-
-/// Reset the peak-bytes watermark to the current live level.
-pub fn reset_peak() {
-    PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
-}
-
-/// One observation of the sampler.
-#[derive(Clone, Copy, Debug)]
-pub struct MemSample {
-    /// Time since the sampler started.
-    pub elapsed: Duration,
-    /// Live heap bytes at that instant.
-    pub live_bytes: usize,
-}
-
-/// Background sampler producing a memory-over-time series.
-pub struct MemSampler {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<Vec<MemSample>>>,
-}
-
-impl MemSampler {
-    /// Start sampling every `interval`.
-    pub fn start(interval: Duration) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("recstep-mem-sampler".into())
-            .spawn(move || {
-                let t0 = Instant::now();
-                let mut out = Vec::new();
-                while !stop2.load(Ordering::Relaxed) {
-                    out.push(MemSample {
-                        elapsed: t0.elapsed(),
-                        live_bytes: live_bytes(),
-                    });
-                    std::thread::sleep(interval);
-                }
-                out.push(MemSample {
-                    elapsed: t0.elapsed(),
-                    live_bytes: live_bytes(),
-                });
-                out
-            })
-            .expect("failed to spawn sampler");
-        MemSampler {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// Stop sampling and return the collected series.
-    pub fn finish(mut self) -> Vec<MemSample> {
-        self.stop.store(true, Ordering::Relaxed);
-        self.handle
-            .take()
-            .map(|h| h.join().unwrap_or_default())
-            .unwrap_or_default()
-    }
-}
-
-impl Drop for MemSampler {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
+//! Byte-count formatting for harness output.
 
 /// Pretty-print a byte count (e.g. `1.50 MiB`) for harness output.
 pub fn fmt_bytes(bytes: usize) -> String {
@@ -172,26 +19,6 @@ pub fn fmt_bytes(bytes: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_read_without_allocator_installed() {
-        // The test binary doesn't install CountingAlloc, so counters are
-        // whatever the default (0-based) state is; they must not panic.
-        let _ = live_bytes();
-        let _ = peak_bytes();
-        reset_peak();
-    }
-
-    #[test]
-    fn sampler_produces_monotone_timestamps() {
-        let s = MemSampler::start(Duration::from_millis(1));
-        std::thread::sleep(Duration::from_millis(10));
-        let series = s.finish();
-        assert!(series.len() >= 2);
-        for w in series.windows(2) {
-            assert!(w[1].elapsed >= w[0].elapsed);
-        }
-    }
 
     #[test]
     fn fmt_bytes_units() {

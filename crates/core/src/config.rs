@@ -97,9 +97,6 @@ pub struct Config {
     pub publish_idb_indexes: bool,
     /// Bit-matrix evaluation policy (§5.3 PBME).
     pub pbme: PbmeMode,
-    /// Work-order threshold for coordinated SG-PBME (Figure 7); `None` =
-    /// zero-coordination (the paper's default).
-    pub pbme_coordination: Option<usize>,
     /// Memory budget in bytes. Evaluations exceeding it abort with an
     /// out-of-memory error (how the harness reports OOM bars honestly).
     pub mem_budget_bytes: usize,
@@ -139,7 +136,6 @@ impl Default for Config {
             index_cache_budget_bytes: 2 << 30,
             publish_idb_indexes: false,
             pbme: PbmeMode::Auto,
-            pbme_coordination: None,
             mem_budget_bytes: 8 << 30,
             grain: 4096,
             incremental_views: true,
@@ -262,12 +258,6 @@ impl Config {
     /// Set the PBME mode.
     pub fn pbme(mut self, mode: PbmeMode) -> Self {
         self.pbme = mode;
-        self
-    }
-
-    /// Enable coordinated SG-PBME with the given work-order threshold.
-    pub fn pbme_coordination(mut self, threshold: Option<usize>) -> Self {
-        self.pbme_coordination = threshold;
         self
     }
 

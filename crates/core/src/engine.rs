@@ -1,12 +1,12 @@
 //! The engine: immutable evaluation machinery, shared freely.
 //!
 //! An [`Engine`] bundles what is constant across evaluations — the
-//! configuration (every paper-§5 optimization toggle), the worker pool,
-//! and the DSD cost-model calibration. It holds **no data and no program
-//! state**: facts live in a [`crate::Database`], compiled programs in
-//! [`crate::PreparedProgram`]s. That split makes the engine `Send + Sync`
-//! and cheap to clone (one `Arc`), so one engine can serve many programs
-//! and many databases, concurrently, from many threads.
+//! configuration (every paper-§5 optimization toggle) and the worker
+//! pool. It holds **no data and no program state**: facts live in a
+//! [`crate::Database`], compiled programs in [`crate::PreparedProgram`]s.
+//! That split makes the engine `Send + Sync` and cheap to clone (one
+//! `Arc`), so one engine can serve many programs and many databases,
+//! concurrently, from many threads.
 //!
 //! Construction takes a [`Config`], whose builder methods set every
 //! toggle; [`Engine::builder`] is the shorthand for a thread count over

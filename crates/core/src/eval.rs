@@ -501,8 +501,8 @@ struct Streamed {
 /// counted — exact cardinalities come from the sink's counters).
 const SINK_SAMPLE_CAP: usize = 1024;
 
-/// The DSD cost model's build/probe cost ratio α (Appendix A Eq. 7);
-/// `recstep_exec::setdiff::calibrate_alpha` measures it offline.
+/// The DSD cost model's build/probe cost ratio α (Appendix A Eq. 7): a
+/// build costs roughly twice a probe on chained tables.
 const DSD_ALPHA: f64 = 2.0;
 
 /// One evaluation of a compiled program over one database.
@@ -816,7 +816,6 @@ impl<'d> EvalRun<'_, 'd> {
                 })
                 .collect()
         };
-        let mut coord_posted = 0u64;
         let (matrix, transpose_out) = match plan {
             PbmePlan::Tc { mirrored, .. } => {
                 let edges = pairs(edge_rel, *mirrored);
@@ -829,30 +828,13 @@ impl<'d> EvalRun<'_, 'd> {
             PbmePlan::Sg { .. } => {
                 let edges = pairs(edge_rel, false);
                 let seeds = pairs(idb_rel, false);
-                let m = match self.cfg.pbme_coordination {
-                    Some(threshold) => {
-                        let (m, cs) = recstep_bitmatrix::sg_closure_coordinated_seeded(
-                            &self.ctx.pool,
-                            n,
-                            &edges,
-                            threshold,
-                            Some(&seeds),
-                        );
-                        coord_posted = cs.orders_posted;
-                        m
-                    }
-                    None => recstep_bitmatrix::sg_closure_seeded(
-                        &self.ctx.pool,
-                        n,
-                        &edges,
-                        Some(&seeds),
-                    ),
-                };
-                (m, false)
+                (
+                    recstep_bitmatrix::sg_closure_seeded(&self.ctx.pool, n, &edges, Some(&seeds)),
+                    false,
+                )
             }
         };
         stats.pbme_matrix_bytes = stats.pbme_matrix_bytes.max(matrix.heap_bytes());
-        stats.coord_orders_posted += coord_posted;
         // Materialize the closure back into the stored relation.
         let (cols, aggs) = matrix_columns(&self.ctx.pool, &matrix, transpose_out);
         let rel = self.catalog.rel_mut(idb_id);

@@ -46,7 +46,6 @@
 
 #![deny(missing_docs)]
 
-pub mod capabilities;
 pub mod config;
 pub mod db;
 pub mod engine;

@@ -217,8 +217,6 @@ pub struct EvalStats {
     pub busy: Duration,
     /// Bit-matrix bytes allocated, when PBME ran.
     pub pbme_matrix_bytes: usize,
-    /// Work orders posted by coordinated SG-PBME.
-    pub coord_orders_posted: u64,
     /// Incremental view maintenance accounting (all zero outside the
     /// query service's standing materialized views).
     pub view: ViewStats,
@@ -294,7 +292,6 @@ impl EvalStats {
         self.io_flushes += other.io_flushes;
         self.busy += other.busy;
         self.pbme_matrix_bytes = self.pbme_matrix_bytes.max(other.pbme_matrix_bytes);
-        self.coord_orders_posted += other.coord_orders_posted;
         self.view.merge(&other.view);
     }
 

@@ -573,35 +573,11 @@ fn every_ablation_config_produces_identical_results() {
         ),
         ("no-op", Config::no_op()),
         ("pbme", Config::default().pbme(PbmeMode::Force)),
-        (
-            "pbme-coord",
-            Config::default()
-                .pbme(PbmeMode::Force)
-                .pbme_coordination(Some(16)),
-        ),
     ];
     for (name, cfg) in configs {
         let (db, _) = run_on_edges(cfg, &edges, recstep::programs::TC);
         assert_eq!(rel_pairs(&db, "tc"), reference, "config {name}");
     }
-}
-
-#[test]
-fn sg_coordination_agrees_with_plain_pbme() {
-    let edges = random_edges(35, 120, 15);
-    let (plain, _) = run_on_edges(
-        Config::default().pbme(PbmeMode::Force),
-        &edges,
-        recstep::programs::SG,
-    );
-    let (coord, _) = run_on_edges(
-        Config::default()
-            .pbme(PbmeMode::Force)
-            .pbme_coordination(Some(8)),
-        &edges,
-        recstep::programs::SG,
-    );
-    assert_eq!(rel_pairs(&coord, "sg"), rel_pairs(&plain, "sg"));
 }
 
 #[test]

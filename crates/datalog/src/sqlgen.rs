@@ -1,10 +1,10 @@
 //! SQL rendering of compiled plans — the text RecStep would send to
 //! QuickStep, reproducing Figure 4's two translation styles.
 //!
-//! The engine itself executes logical plans directly (see DESIGN.md's
-//! substitution table); this module exists because the paper's interface to
-//! the backend *is* SQL, and the UIE-vs-IIE contrast (Figure 4) is clearest
-//! in that surface form.
+//! The engine itself executes logical plans directly over its own columnar
+//! substrate in place of QuickStep (see ARCHITECTURE.md's crate map); this
+//! module exists because the paper's interface to the backend *is* SQL,
+//! and the UIE-vs-IIE contrast (Figure 4) is clearest in that surface form.
 
 use recstep_common::lang::{Expr, Predicate};
 

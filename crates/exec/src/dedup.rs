@@ -134,58 +134,6 @@ pub fn deduplicate(
     }
 }
 
-/// A persistent dedup index kept across iterations — the "incremental"
-/// design alternative benchmarked in `appx_incremental` (not part of the
-/// paper's engine, which recomputes set difference per iteration).
-pub struct IncrementalSet {
-    seen: recstep_common::hash::FxHashSet<Box<[Value]>>,
-}
-
-impl IncrementalSet {
-    /// Empty set.
-    pub fn new() -> Self {
-        IncrementalSet {
-            seen: Default::default(),
-        }
-    }
-
-    /// Number of distinct rows absorbed so far.
-    pub fn len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// True when no row has been absorbed.
-    pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
-    }
-
-    /// Absorb all rows of `view`; return the rows never seen before
-    /// (column-major). Sequential by design — the point of the ablation is
-    /// comparing this simple design against the parallel per-iteration
-    /// dedup + set-difference pipeline.
-    pub fn absorb(&mut self, view: RelView<'_>) -> Vec<Vec<Value>> {
-        let arity = view.arity();
-        let mut cols = vec![Vec::new(); arity];
-        let mut row = Vec::with_capacity(arity);
-        for r in 0..view.len() {
-            view.copy_row(r, &mut row);
-            if !self.seen.contains(row.as_slice()) {
-                self.seen.insert(row.clone().into_boxed_slice());
-                for (c, &v) in cols.iter_mut().zip(&row) {
-                    c.push(v);
-                }
-            }
-        }
-        cols
-    }
-}
-
-impl Default for IncrementalSet {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,18 +201,6 @@ mod tests {
         let fast = deduplicate(&ctx, rel.view(), DedupImpl::Fast, rel.len());
         let gen = deduplicate(&ctx, rel.view(), DedupImpl::Generic, rel.len());
         assert!(gen.table_bytes > fast.table_bytes);
-    }
-
-    #[test]
-    fn incremental_set_absorbs_only_new_rows() {
-        let mut inc = IncrementalSet::new();
-        let a = Relation::from_rows(Schema::with_arity("a", 1), &[vec![1], vec![2], vec![1]]);
-        let fresh = inc.absorb(a.view());
-        assert_eq!(fresh[0].len(), 2);
-        let b = Relation::from_rows(Schema::with_arity("b", 1), &[vec![2], vec![3]]);
-        let fresh = inc.absorb(b.view());
-        assert_eq!(fresh[0], vec![3]);
-        assert_eq!(inc.len(), 3);
     }
 
     #[test]

@@ -11,11 +11,9 @@
 //!   operators, but never builds on `R`.
 //!
 //! **DSD** picks per iteration using the Appendix A cost model with
-//! `α = C_build/C_probe` (offline calibration, Eq. 7), `β = |R|/|Rδ|`, and
+//! `α = C_build/C_probe` (Eq. 7; fixed at 2), `β = |R|/|Rδ|`, and
 //! the previous iteration's `µ = |Rδ|/|r|` when the decision falls in the
 //! grey zone `β ∈ (1, 2α/(α−1))`.
-
-use std::time::Instant;
 
 use recstep_common::Value;
 use recstep_storage::RelView;
@@ -48,7 +46,7 @@ pub enum SetDiffStrategy {
 /// Mutable DSD state carried across iterations of one IDB.
 #[derive(Clone, Debug)]
 pub struct DsdState {
-    /// Calibrated build/probe cost ratio `α`.
+    /// Build/probe cost ratio `α`.
     pub alpha: f64,
     /// `µ = |Rδ|/|r|` observed at the previous iteration (∞ when the last
     /// intersection was empty; `None` before any TPSD ran).
@@ -72,8 +70,7 @@ impl DsdState {
 
 impl Default for DsdState {
     fn default() -> Self {
-        // A build costs roughly twice a probe on chained tables; the
-        // calibration in `calibrate_alpha` refines this.
+        // A build costs roughly twice a probe on chained tables.
         DsdState::new(2.0)
     }
 }
@@ -235,53 +232,6 @@ fn rows_eq(a: RelView<'_>, ar: usize, b: RelView<'_>, br: usize, arity: usize) -
     (0..arity).all(|c| a.get(ar, c) == b.get(br, c))
 }
 
-/// Offline calibration of `α = C_build/C_probe` (paper Eq. 7): run `runs`
-/// build+probe rounds over `pairs` synthetic table pairs and average the
-/// per-tuple cost ratio.
-pub fn calibrate_alpha(ctx: &ExecCtx, pairs: usize, runs: usize) -> f64 {
-    let mut ratios = Vec::new();
-    for i in 0..pairs.max(1) {
-        let build_n = 8_192 << i.min(2);
-        let probe_n = build_n * 4;
-        let build_rel = synth(build_n, 3);
-        let probe_rel = synth(probe_n, 5);
-        let cols = [0usize, 1usize];
-        let bv = RelView::over(&build_rel);
-        let pv = RelView::over(&probe_rel);
-        let mode = KeyMode::for_views(bv, &cols, pv, &cols);
-        for _ in 0..runs.max(1) {
-            let t0 = Instant::now();
-            let table = build_multi(ctx, bv, &mode, &cols);
-            let build_per_tuple = t0.elapsed().as_secs_f64() / build_n as f64;
-            let t1 = Instant::now();
-            let mut hits = 0usize;
-            let mut scratch = Vec::new();
-            for r in 0..pv.len() {
-                let key = mode.key_of(pv, r, &cols, &mut scratch);
-                hits += table.iter_key(key).count();
-            }
-            std::hint::black_box(hits);
-            let probe_per_tuple = t1.elapsed().as_secs_f64() / probe_n as f64;
-            if probe_per_tuple > 0.0 {
-                ratios.push(build_per_tuple / probe_per_tuple);
-            }
-        }
-    }
-    let mean = ratios.iter().sum::<f64>() / ratios.len().max(1) as f64;
-    // Clamp to a sane band: a degenerate measurement must not wedge DSD into
-    // one branch forever.
-    mean.clamp(1.1, 8.0)
-}
-
-fn synth(n: usize, stride: i64) -> Vec<Vec<Value>> {
-    let mut cols = vec![Vec::with_capacity(n), Vec::with_capacity(n)];
-    for i in 0..n as i64 {
-        cols[0].push((i * stride) % 10_007);
-        cols[1].push(i % 613);
-    }
-    cols
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,12 +383,5 @@ mod tests {
         );
         assert_eq!(algo, SetDiffAlgo::Tpsd);
         assert_eq!(out[0], vec![100_000]);
-    }
-
-    #[test]
-    fn calibration_returns_sane_alpha() {
-        let ctx = ctx();
-        let alpha = calibrate_alpha(&ctx, 1, 1);
-        assert!((1.1..=8.0).contains(&alpha), "alpha = {alpha}");
     }
 }

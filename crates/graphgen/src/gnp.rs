@@ -55,64 +55,6 @@ pub fn gnp(n: u32, p: f64, seed: u64) -> Vec<(u32, u32)> {
     edges
 }
 
-/// The paper's default `Gn` density.
-pub const DEFAULT_P: f64 = 0.001;
-
-/// Named `Gn-p` configuration (e.g. `G10K-0.01`).
-#[derive(Clone, Copy, Debug)]
-pub struct GnpSpec {
-    /// Display name (paper's dataset label).
-    pub name: &'static str,
-    /// Vertex count.
-    pub n: u32,
-    /// Edge probability.
-    pub p: f64,
-}
-
-/// The paper's TC/SG dataset list (Table 3), scaled by `scale` (vertex
-/// counts divided by `scale`; `scale = 1` reproduces the paper's sizes).
-pub fn paper_gnp_specs(scale: u32) -> Vec<GnpSpec> {
-    let s = scale.max(1);
-    let d = |n: u32| (n / s).max(16);
-    vec![
-        GnpSpec {
-            name: "G5K",
-            n: d(5_000),
-            p: DEFAULT_P,
-        },
-        GnpSpec {
-            name: "G10K",
-            n: d(10_000),
-            p: DEFAULT_P,
-        },
-        GnpSpec {
-            name: "G10K-0.01",
-            n: d(10_000),
-            p: 0.01,
-        },
-        GnpSpec {
-            name: "G10K-0.1",
-            n: d(10_000),
-            p: 0.1,
-        },
-        GnpSpec {
-            name: "G20K",
-            n: d(20_000),
-            p: DEFAULT_P,
-        },
-        GnpSpec {
-            name: "G40K",
-            n: d(40_000),
-            p: DEFAULT_P,
-        },
-        GnpSpec {
-            name: "G80K",
-            n: d(80_000),
-            p: DEFAULT_P,
-        },
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,15 +92,5 @@ mod tests {
         assert!(gnp(0, 0.5, 1).is_empty());
         let full = gnp(20, 1.0, 1);
         assert_eq!(full.len(), 20 * 19);
-    }
-
-    #[test]
-    fn paper_specs_scale_down() {
-        let full = paper_gnp_specs(1);
-        assert_eq!(full[0].n, 5_000);
-        assert_eq!(full.len(), 7);
-        let scaled = paper_gnp_specs(10);
-        assert_eq!(scaled[0].n, 500);
-        assert_eq!(scaled[3].p, 0.1);
     }
 }

@@ -1,20 +1,18 @@
-//! Workload generators for every dataset family of the paper (Table 3).
+//! Workload generators for the paper's synthetic dataset families
+//! (Table 3).
 //!
 //! * [`gnp`] — the `Gn-p` GTgraph-style uniform random graphs used for TC
-//!   and SG (`G5K` … `G80K`, p defaulting to 0.001);
-//! * [`rmat`] — RMAT graphs (`RMAT-1M` … `RMAT-128M`: n vertices, 10n
-//!   edges) used for REACH/CC/SSSP scaling;
-//! * [`realworld`] — scaled stand-ins for the livejournal / orkut / arabic /
-//!   twitter crawls (see DESIGN.md's substitution table);
-//! * [`program_analysis`] — synthetic inputs for Andersen's analysis
-//!   (datasets 1–7) and the CSPA/CSDA system-program graphs
-//!   (linux / postgresql / httpd stand-ins).
+//!   and SG;
+//! * [`rmat`] — RMAT graphs (n vertices, 10n edges in the paper) used for
+//!   REACH/CC/SSSP;
+//! * [`program_analysis`] — synthetic inputs for Andersen's analysis and
+//!   the CSPA/CSDA system-program graphs.
 //!
-//! All generators are deterministic given a seed.
+//! The paper's real-world crawls (livejournal, orkut, arabic, twitter) have
+//! no generator here. All generators are deterministic given a seed.
 
 pub mod gnp;
 pub mod program_analysis;
-pub mod realworld;
 pub mod rmat;
 
 use recstep_common::Value;

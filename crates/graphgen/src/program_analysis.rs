@@ -72,15 +72,6 @@ pub fn andersen(vars: u32, seed: u64) -> AndersenInput {
     }
 }
 
-/// The paper's seven Andersen datasets: variable counts grow from 1 to 7.
-/// `scale` divides the counts.
-pub fn paper_andersen_specs(scale: u32) -> Vec<(String, u32)> {
-    let s = scale.max(1);
-    (1..=7u32)
-        .map(|i| (format!("dataset {i}"), (6_000 * i / s).max(64)))
-        .collect()
-}
-
 /// Input relations for one CSPA run.
 #[derive(Clone, Debug, Default)]
 pub struct CspaInput {
@@ -167,52 +158,6 @@ pub fn csda(chains: u32, chain_len: u32, seed: u64) -> CsdaInput {
     CsdaInput { arc, null_edge }
 }
 
-/// The paper's three system programs as (name, CSPA spec, CSDA spec)
-/// stand-ins, ordered like Table 3; `scale` divides the sizes. Relative
-/// sizes follow the Graspan-reported graph sizes (linux ≫ postgresql >
-/// httpd).
-pub struct SystemProgramSpec {
-    /// Stand-in name.
-    pub name: &'static str,
-    /// CSPA clusters.
-    pub cspa_clusters: u32,
-    /// CSPA cluster size.
-    pub cspa_cluster_size: u32,
-    /// CSDA chains.
-    pub csda_chains: u32,
-    /// CSDA chain length (≈ fixpoint depth).
-    pub csda_chain_len: u32,
-}
-
-/// linux / postgresql / httpd stand-ins.
-pub fn paper_system_programs(scale: u32) -> Vec<SystemProgramSpec> {
-    let s = scale.max(1);
-    let d = |v: u32| (v / s).max(4);
-    vec![
-        SystemProgramSpec {
-            name: "linux-sim",
-            cspa_clusters: d(3_000),
-            cspa_cluster_size: 12,
-            csda_chains: d(1_200),
-            csda_chain_len: 1_000,
-        },
-        SystemProgramSpec {
-            name: "postgresql-sim",
-            cspa_clusters: d(1_200),
-            cspa_cluster_size: 12,
-            csda_chains: d(500),
-            csda_chain_len: 800,
-        },
-        SystemProgramSpec {
-            name: "httpd-sim",
-            cspa_clusters: d(500),
-            cspa_cluster_size: 12,
-            csda_chains: d(220),
-            csda_chain_len: 600,
-        },
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,15 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_andersen_sizes_grow() {
-        let specs = paper_andersen_specs(10);
-        assert_eq!(specs.len(), 7);
-        for w in specs.windows(2) {
-            assert!(w[0].1 < w[1].1);
-        }
-    }
-
-    #[test]
     fn cspa_clusters_are_local() {
         let input = cspa(10, 8, 5);
         assert!(!input.assign.is_empty());
@@ -278,14 +214,5 @@ mod tests {
                 "unexpected edge ({a},{b})"
             );
         }
-    }
-
-    #[test]
-    fn system_program_sizes_ordered() {
-        let specs = paper_system_programs(10);
-        assert_eq!(specs.len(), 3);
-        assert!(specs[0].cspa_clusters > specs[1].cspa_clusters);
-        assert!(specs[1].cspa_clusters > specs[2].cspa_clusters);
-        assert!(specs[0].csda_chain_len > specs[2].csda_chain_len);
     }
 }

@@ -45,46 +45,6 @@ pub fn rmat(n: u32, m: usize, seed: u64) -> Vec<(u32, u32)> {
     edges
 }
 
-/// The paper's RMAT family: `RMAT-{k}M` has `k` million vertices and `10k`
-/// million edges. `scale` divides the vertex counts (`scale = 1` is the
-/// paper's size).
-#[derive(Clone, Copy, Debug)]
-pub struct RmatSpec {
-    /// Display name (paper's dataset label).
-    pub name: &'static str,
-    /// Vertex count.
-    pub n: u32,
-    /// Edge count (10 × n).
-    pub m: usize,
-}
-
-/// RMAT-1M .. RMAT-128M, scaled down by `scale`.
-pub fn paper_rmat_specs(scale: u32) -> Vec<RmatSpec> {
-    let s = scale.max(1);
-    let names = [
-        "RMAT-1M",
-        "RMAT-2M",
-        "RMAT-4M",
-        "RMAT-8M",
-        "RMAT-16M",
-        "RMAT-32M",
-        "RMAT-64M",
-        "RMAT-128M",
-    ];
-    names
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            let n = ((1_000_000u64 << i) / s as u64).max(64) as u32;
-            RmatSpec {
-                name,
-                n,
-                m: n as usize * 10,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,16 +78,6 @@ mod tests {
             top_decile as f64 > 0.3 * total as f64,
             "top decile {top_decile} of {total}"
         );
-    }
-
-    #[test]
-    fn paper_specs_double_each_step() {
-        let specs = paper_rmat_specs(1000);
-        assert_eq!(specs.len(), 8);
-        assert_eq!(specs[0].n, 1000);
-        assert_eq!(specs[1].n, 2000);
-        assert_eq!(specs[7].n, 128_000);
-        assert!(specs.iter().all(|s| s.m == s.n as usize * 10));
     }
 
     #[test]

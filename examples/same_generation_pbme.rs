@@ -25,12 +25,6 @@ fn main() -> recstep::Result<()> {
             Config::default().pbme(PbmeMode::Off),
         ),
         ("PBME", Config::default().pbme(PbmeMode::Force)),
-        (
-            "PBME + coordination",
-            Config::default()
-                .pbme(PbmeMode::Force)
-                .pbme_coordination(Some(1024)),
-        ),
     ] {
         let engine = Engine::from_config(cfg.mem_budget(2 << 30))?;
         let sg = engine.prepare(recstep::programs::SG)?;
@@ -40,11 +34,10 @@ fn main() -> recstep::Result<()> {
         match sg.run(&mut db) {
             Ok(stats) => {
                 println!(
-                    "  {label:<26} {:>8.3}s  sg rows {:>9}  matrix {:>10}  work orders {}",
+                    "  {label:<26} {:>8.3}s  sg rows {:>9}  matrix {:>10}",
                     t0.elapsed().as_secs_f64(),
                     db.row_count("sg"),
                     recstep_common::mem::fmt_bytes(stats.pbme_matrix_bytes),
-                    stats.coord_orders_posted,
                 );
                 results.push(db.row_count("sg"));
             }
@@ -53,7 +46,7 @@ fn main() -> recstep::Result<()> {
     }
     assert!(
         results.windows(2).all(|w| w[0] == w[1]),
-        "all variants agree"
+        "both evaluations agree"
     );
     Ok(())
 }

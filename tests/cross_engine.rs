@@ -1,15 +1,13 @@
 //! Differential testing across every engine in the repository: RecStep (in
-//! multiple configurations), the set-based semi-naïve baseline, the
-//! worklist CFL engine, the BDD engine — all checked against the naïve
-//! oracle on generated workloads from every dataset family.
+//! multiple configurations) and the set-based semi-naïve baseline, both
+//! checked against the naïve oracle on generated workloads from every
+//! dataset family.
 
 use std::collections::BTreeSet;
 
 use recstep::{Config, Database, Engine, PbmeMode, Value};
-use recstep_baselines::bdd;
 use recstep_baselines::naive::NaiveEngine;
 use recstep_baselines::setbased::SetEngine;
-use recstep_baselines::worklist::{grammars, WorklistEngine};
 use recstep_graphgen::{as_values, gnp::gnp, program_analysis as pa, rmat::rmat, with_weights};
 
 type Rows = BTreeSet<Vec<Value>>;
@@ -58,21 +56,6 @@ fn tc_all_engines_agree_on_gnp() {
         oracle
     );
     assert_eq!(setbased_rows(loads, recstep::programs::TC, "tc"), oracle);
-    // Worklist.
-    let mut w = WorklistEngine::new(grammars::tc());
-    w.load("arc", &edges).unwrap();
-    w.run().unwrap();
-    let got: Rows = w
-        .edges_of("tc")
-        .unwrap()
-        .into_iter()
-        .map(|(a, b)| vec![a, b])
-        .collect();
-    assert_eq!(got, oracle);
-    // BDD.
-    let (pairs, _) = bdd::bdd_tc(&edges);
-    let got: Rows = pairs.into_iter().map(|(a, b)| vec![a, b]).collect();
-    assert_eq!(got, oracle);
 }
 
 #[test]
@@ -116,18 +99,6 @@ fn andersen_engines_agree_on_generated_input() {
         setbased_rows(loads, recstep::programs::ANDERSEN, "pointsTo"),
         oracle
     );
-    let mut w = WorklistEngine::new(grammars::andersen());
-    for (name, data) in loads {
-        w.load(name, data).unwrap();
-    }
-    w.run().unwrap();
-    let got: Rows = w
-        .edges_of("pointsTo")
-        .unwrap()
-        .into_iter()
-        .map(|(a, b)| vec![a, b])
-        .collect();
-    assert_eq!(got, oracle);
 }
 
 #[test]
@@ -149,18 +120,6 @@ fn cspa_engines_agree_on_generated_input() {
             oracle,
             "set {rel}"
         );
-        let mut w = WorklistEngine::new(grammars::cspa());
-        for (name, data) in loads {
-            w.load(name, data).unwrap();
-        }
-        w.run().unwrap();
-        let got: Rows = w
-            .edges_of(rel)
-            .unwrap()
-            .into_iter()
-            .map(|(a, b)| vec![a, b])
-            .collect();
-        assert_eq!(got, oracle, "worklist {rel}");
     }
 }
 
@@ -188,18 +147,6 @@ fn csda_engines_agree_on_generated_chains() {
         setbased_rows(loads, recstep::programs::CSDA, "null"),
         oracle
     );
-    let mut w = WorklistEngine::new(grammars::csda());
-    for (name, data) in loads {
-        w.load(name, data).unwrap();
-    }
-    w.run().unwrap();
-    let got: Rows = w
-        .edges_of("null")
-        .unwrap()
-        .into_iter()
-        .map(|(a, b)| vec![a, b])
-        .collect();
-    assert_eq!(got, oracle);
 }
 
 #[test]
@@ -235,15 +182,13 @@ fn cc_and_sssp_agree_with_oracle_on_weighted_rmat() {
 }
 
 #[test]
-fn reach_bdd_agrees() {
+fn reach_agrees_with_oracle() {
     let edges = as_values(&rmat(80, 240, 33));
     let mut oracle = NaiveEngine::new();
     oracle.load_edges("arc", &edges);
     oracle.load("id", [vec![7]]);
     oracle.run_source(recstep::programs::REACH).unwrap();
     let expect: BTreeSet<Value> = oracle.rows("reach").unwrap().iter().map(|r| r[0]).collect();
-    let got: BTreeSet<Value> = bdd::bdd_reach(&edges, &[7]).into_iter().collect();
-    assert_eq!(got, expect);
     let engine = Engine::from_config(Config::default().threads(4)).unwrap();
     let mut db = Database::new().unwrap();
     db.load_edges("arc", &edges).unwrap();
