@@ -106,7 +106,7 @@ pub struct Config {
     /// query service keeps a completed run's IDB relations and full-`R`
     /// indexes alive and answers version-bumped queries by incremental
     /// maintenance (∆-seeded semi-naive re-entry for insertions,
-    /// counting/DRed for deletions) instead of recompiling + rerunning
+    /// counting or Backward/Forward for deletions) instead of recompiling + rerunning
     /// from scratch. `--no-incremental` is the ablation switch.
     pub incremental_views: bool,
     /// Worst-case optimal multiway joins: subqueries whose body is a

@@ -64,7 +64,6 @@
 //! cross-run [`IndexCache`] (built once across runs, evicted under
 //! memory pressure); everything mutable stays run-local.
 
-use std::mem;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -95,6 +94,8 @@ use recstep_storage::{RelId, RelView, Relation, RunCatalog, Schema};
 use crate::config::{Config, OofMode, PbmeMode};
 use crate::pbme::{detect, fits_budget, matrix_columns, PbmePlan};
 use crate::stats::{EvalStats, StratumStats};
+
+mod bf;
 
 /// ∆R of one iteration.
 ///
@@ -1609,8 +1610,8 @@ enum Strategy {
     Counting,
     /// A recursive cluster whose inputs only gained tuples.
     Seeded,
-    /// A recursive cluster whose inputs lost tuples.
-    Dred,
+    /// A recursive cluster whose inputs lost tuples: Backward/Forward.
+    BackwardForward,
 }
 
 /// What one maintained stratum's passes read, built by
@@ -1623,25 +1624,21 @@ struct Inputs {
     /// The changed inputs' inserted and deleted rows.
     plus: Batches,
     minus: Batches,
-    /// Pre-refresh copies: of changed inputs (DRed), or of base and
-    /// changed derived inputs (counting).
+    /// Counting's pre-refresh copies of base and changed derived inputs.
     old: Batches,
     /// Post-refresh copies of base inputs (counting and support init);
     /// derived inputs are sets already and read the catalog.
     new: Batches,
-    /// DRed: each cluster IDB's rows before the refresh.
-    alive: FxHashMap<String, FxHashSet<Vec<Value>>>,
 }
 
 impl Inputs {
     /// The copy body position `q` reads while position `p` is pinned
     /// (`None`: no pin); `None` reads the catalog. Counting's finite
-    /// differencing reads NEW before the pin and OLD after it, DRed's
-    /// over-deletion OLD everywhere, and unpinned passes read NEW.
+    /// differencing reads NEW before the pin and OLD after it; every other
+    /// pass reads NEW.
     fn side(&self, rel: &str, q: usize, p: Option<usize>) -> Option<&Vec<Vec<Value>>> {
         let copies = match (self.strategy, p) {
             (Strategy::Counting, Some(p)) if q > p => &self.old,
-            (Strategy::Dred, Some(_)) => &self.old,
             _ => &self.new,
         };
         copies.get(rel)
@@ -1650,9 +1647,9 @@ impl Inputs {
 
 /// One pinned-rule pass ([`EvalRun::pinned_pass`]).
 struct Pass<'b> {
-    /// Its rules: every IDB's in these strata, or only `rel`'s.
+    /// Its rules: relation `rel`'s in these strata.
     strata: &'b [&'b CompiledStratum],
-    rel: Option<&'b str>,
+    rel: &'b str,
     /// `(batches, sign)`: each body position whose relation has a batch
     /// is pinned to it once per entry, its derivations carrying `sign`.
     /// Empty: every non-recursive rule runs once, unpinned (recursive
@@ -1736,13 +1733,15 @@ fn each_row(cols: &[Vec<Value>], mut f: impl FnMut(&[Value])) {
 ///   rule runs once per changed scan position through the fused
 ///   [`DeltaSink`], then the fixpoint re-enters with ∆ = the fresh rows
 ///   only ([`StratumEntry::Seeded`]);
-/// * **DRed** when a recursive cluster sees deletions — over-delete
-///   everything with a derivation through a deleted tuple, retract,
-///   re-derive by a monotone fixpoint from the survivors.
+/// * **Backward/Forward** ([`bf`]) when a recursive cluster sees
+///   deletions — each deletion candidate is checked for a surviving
+///   proof, only the unproved ones are retracted, and the fixpoint
+///   re-enters ∆-seeded from the commit's inserts alone.
 ///
 /// Each builds its inputs once ([`Self::maintenance_inputs`],
 /// `phase.dedup`), evaluates its rules through one pinned-rule pass
-/// ([`Self::pinned_pass`], `phase.eval`), and ends in the shared tails:
+/// ([`Self::pinned_pass`], `phase.eval`) — B/F's proof search is booked
+/// there too — and ends in the shared tails:
 /// [`Self::retract`], [`Self::merge_delta`] and
 /// [`RefreshDeltas::publish`] (`phase.merge`).
 impl EvalRun<'_, '_> {
@@ -1828,15 +1827,14 @@ impl EvalRun<'_, '_> {
         } else if minus.is_empty() {
             Strategy::Seeded
         } else {
-            Strategy::Dred
+            Strategy::BackwardForward
         };
         let (mut old, mut new) = (Batches::default(), Batches::default());
         for &(rel, arity) in &scanned {
             let base = !prog.relations.iter().any(|d| d.is_idb && d.name == rel);
             let changed = plus.contains_key(rel) || minus.contains_key(rel);
             let (want_old, want_new) = match strategy {
-                Strategy::Seeded => (false, false),
-                Strategy::Dred => (changed, false),
+                Strategy::Seeded | Strategy::BackwardForward => (false, false),
                 Strategy::Counting => (deltas.is_some() && (base || changed), base),
             };
             if !want_old && !want_new {
@@ -1857,12 +1855,6 @@ impl EvalRun<'_, '_> {
                 old.insert(rel.to_string(), cols_from_rows(arity, set.iter()));
             }
         }
-        let mut alive = FxHashMap::default();
-        if strategy == Strategy::Dred {
-            for idb in &maintained.idbs {
-                alive.insert(idb.rel.clone(), self.row_set(&idb.rel)?);
-            }
-        }
         stats.phase.dedup += t_dedup.elapsed();
         Ok(Some(Inputs {
             strategy,
@@ -1870,7 +1862,6 @@ impl EvalRun<'_, '_> {
             minus,
             old,
             new,
-            alive,
         }))
     }
 
@@ -1879,8 +1870,8 @@ impl EvalRun<'_, '_> {
     /// recursive rule's ∆ rewritings are one rule here; non-recursive
     /// strata have one subquery per rule) is evaluated into `sink` once
     /// per pinned body position `p`, every other position `q` reading
-    /// [`Inputs::side`]. `emit` receives each evaluation's rows with
-    /// their IDB and the pin's sign. The interval is booked in `booked`
+    /// [`Inputs::side`]. `emit` receives each evaluation's rows with the
+    /// pin's sign. The interval is booked in `booked`
     /// (`phase.eval`) — `None` inside a ∆ stream, whose
     /// `phase.pipeline` covers it.
     fn pinned_pass(
@@ -1888,18 +1879,14 @@ impl EvalRun<'_, '_> {
         pass: Pass<'_>,
         sink: &SinkMode<'_>,
         booked: Option<&mut Duration>,
-        mut emit: impl FnMut(&CompiledIdb, i64, Vec<Vec<Value>>),
+        mut emit: impl FnMut(i64, Vec<Vec<Value>>),
     ) -> Result<()> {
         let t_eval = Instant::now();
         for &stratum in pass.strata {
             if pass.pins.is_empty() && stratum.recursive {
                 continue;
             }
-            for idb in stratum
-                .idbs
-                .iter()
-                .filter(|i| pass.rel.is_none_or(|r| i.rel == r))
-            {
+            for idb in stratum.idbs.iter().filter(|i| i.rel == pass.rel) {
                 let mut seen_rules = FxHashSet::default();
                 for sq in idb
                     .subqueries
@@ -1924,7 +1911,7 @@ impl EvalRun<'_, '_> {
                                 ovr.insert(q, RelView::over(cols));
                             }
                         }
-                        emit(idb, sign, self.eval_maintenance(stratum, sq, &ovr, sink)?);
+                        emit(sign, self.eval_maintenance(stratum, sq, &ovr, sink)?);
                     }
                 }
             }
@@ -1975,12 +1962,12 @@ impl EvalRun<'_, '_> {
                     .or_insert_with(|| SupportTable::new(idb.arity, rel_len));
                 let pass = Pass {
                     strata: &unit,
-                    rel: Some(&idb.rel),
+                    rel: &idb.rel,
                     pins: &[],
                     inputs: &inputs,
                 };
                 let booked = Some(&mut stats.phase.eval);
-                self.pinned_pass(pass, &SinkMode::Materialize, booked, |_, _, out| {
+                self.pinned_pass(pass, &SinkMode::Materialize, booked, |_, out| {
                     each_row(&out, |row| {
                         support.add(row, 1);
                     })
@@ -2027,7 +2014,7 @@ impl EvalRun<'_, '_> {
                     let pins = [(&inputs.plus, 1)];
                     self.refixpoint(&unit, &pins, &inputs, FxHashMap::default(), deltas, &mut rs)?
                 }
-                Strategy::Dred => self.refresh_dred(&unit, inputs, deltas, &mut rs)?,
+                Strategy::BackwardForward => self.refresh_bf(&unit, &inputs, deltas, &mut rs)?,
                 Strategy::Counting => {
                     self.refresh_counting(&unit, &inputs, deltas, supports, &mut rs)?
                 }
@@ -2045,11 +2032,10 @@ impl EvalRun<'_, '_> {
     /// for every IDB of the cluster `unit` maintains, each through its
     /// own ∆ stream ([`Self::stream_delta`]) against its carried full-R
     /// index, and append the winners (the sink dedups what positions
-    /// reading current full views over-approximate); then re-run the
-    /// cluster's fixpoint — re-entered with ∆ = the fresh rows when
-    /// ∆-seeding, from scratch after DRed's retraction — and publish each
-    /// IDB's net change: the rows it gained that were not among its
-    /// `dead` rows, and the `dead` rows not re-derived.
+    /// reading current full views over-approximate); then re-enter the
+    /// cluster's fixpoint with ∆ = the fresh rows and publish each IDB's
+    /// net change: the rows it gained that were not among its `dead`
+    /// (B/F-retracted) rows, and the `dead` rows not re-derived.
     fn refixpoint(
         &mut self,
         unit: &[&CompiledStratum],
@@ -2067,7 +2053,7 @@ impl EvalRun<'_, '_> {
             starts.insert(rel_id, self.catalog.rel(rel_id).len());
             let pass = Pass {
                 strata: unit,
-                rel: Some(&idb.rel),
+                rel: &idb.rel,
                 pins,
                 inputs,
             };
@@ -2079,9 +2065,7 @@ impl EvalRun<'_, '_> {
                         queries: 0,
                         wcoj: WcojTally::default(),
                     };
-                    this.pinned_pass(pass, sink, None, |_, _, out| {
-                        append_cols(&mut fresh.cols, out)
-                    })?;
+                    this.pinned_pass(pass, sink, None, |_, out| append_cols(&mut fresh.cols, out))?;
                     Ok(fresh)
                 });
             let appended = streamed.map(|streamed| {
@@ -2096,14 +2080,13 @@ impl EvalRun<'_, '_> {
             seeded += appended?;
         }
         let view = &mut rs.stats.view;
-        let entry = if inputs.strategy == Strategy::Seeded {
-            view.view_tuples_seeded += seeded as u64;
+        view.view_tuples_seeded += seeded as u64;
+        if inputs.strategy == Strategy::Seeded {
             view.view_seeded_strata += 1;
-            StratumEntry::Seeded(starts.clone())
         } else {
-            view.view_dred_strata += 1;
-            StratumEntry::Scratch
-        };
+            view.view_bf_strata += 1;
+        }
+        let entry = StratumEntry::Seeded(starts.clone());
         self.run_stratum(rec, &mut rs.indexes, &mut rs.jcache, &mut rs.stats, entry)?;
         let t_merge = Instant::now();
         for (rel_id, start) in starts {
@@ -2118,57 +2101,46 @@ impl EvalRun<'_, '_> {
         Ok(())
     }
 
-    /// DRed maintenance of a recursive cluster that saw deletions:
-    /// over-delete everything with a derivation through a deleted tuple
-    /// (worklist to transitive closure), retract, then re-derive by a
-    /// monotone fixpoint from the survivors over the post-commit base —
-    /// which also absorbs any same-commit inserts. A physically deleted
-    /// tuple that was re-derived is no downstream change at all.
-    fn refresh_dred(
+    /// Backward/Forward maintenance of a recursive cluster that saw
+    /// deletions ([`bf`]): every deletion candidate is checked for a
+    /// surviving proof, and only the unproved ones are retracted. The
+    /// fixpoint then re-enters seeded from the commit's inserts only,
+    /// which also re-derives any retracted row a same-commit insert
+    /// proves again. The search is booked under `phase.eval`, the
+    /// retraction under `phase.merge`.
+    fn refresh_bf(
         &mut self,
         unit: &[&CompiledStratum],
-        mut inputs: Inputs,
+        inputs: &Inputs,
         deltas: &mut RefreshDeltas,
         rs: &mut Refresh<'_>,
     ) -> Result<()> {
-        // Tombstones per cluster IDB; the worklist starts from the deleted
-        // input tuples, every other position reading OLD copies or the
-        // (pre-delete) catalog.
-        let mut dead: FxHashMap<String, FxHashSet<Vec<Value>>> = FxHashMap::default();
-        let mut pending = mem::take(&mut inputs.minus);
-        while !pending.is_empty() {
-            let mut next = Batches::default();
-            let pass = Pass {
-                strata: unit,
-                rel: None,
-                pins: &[(&pending, 1)],
-                inputs: &inputs,
-            };
-            let booked = Some(&mut rs.stats.phase.eval);
-            self.pinned_pass(pass, &SinkMode::Materialize, booked, |idb, _, out| {
-                let alive = &inputs.alive[&idb.rel];
-                let dead = dead.entry(idb.rel.clone()).or_default();
-                each_row(&out, |row| {
-                    if alive.contains(row) && !dead.contains(row) {
-                        dead.insert(row.to_vec());
-                        let cols = next
-                            .entry(idb.rel.clone())
-                            .or_insert_with(|| vec![vec![]; idb.arity]);
-                        for (col, &v) in cols.iter_mut().zip(row) {
-                            col.push(v);
-                        }
-                    }
-                });
-            })?;
-            pending = next;
+        let rec = unit[unit.len() - 1];
+        let mut full = Vec::with_capacity(rec.idbs.len());
+        for idb in &rec.idbs {
+            let rel_id = rel_id(&self.catalog, &idb.rel)?;
+            let mut index = rs.indexes.remove(&rel_id);
+            self.full_index(rel_id, &mut index, &mut rs.stats);
+            full.push((rel_id, index.expect("full_index fills the slot")));
         }
-        for (rel, rows) in &dead {
-            let rows: Vec<Vec<Value>> = rows.iter().cloned().collect();
+        let t_eval = Instant::now();
+        let matcher = bf::Matcher::new(self.ctx, &self.catalog, unit, &full, &inputs.minus);
+        let dead = matcher.map(|m| {
+            let (dead, builds) = bf::BackwardForward::new(m).run();
+            rs.stats.index.join_builds += builds;
+            dead
+        });
+        rs.stats.phase.eval += t_eval.elapsed();
+        let ids: Vec<RelId> = full.iter().map(|&(rel_id, _)| rel_id).collect();
+        rs.indexes.extend(full);
+        let mut dead_sets = FxHashMap::default();
+        for ((rel_id, idb), rows) in ids.into_iter().zip(&rec.idbs).zip(dead?) {
             if !rows.is_empty() {
-                self.retract(rel_id(&self.catalog, rel)?, &rows, rs);
+                self.retract(rel_id, &rows, rs);
+                dead_sets.insert(idb.rel.clone(), rows.into_iter().collect());
             }
         }
-        self.refixpoint(unit, &[], &inputs, dead, deltas, rs)
+        self.refixpoint(unit, &[(&inputs.plus, 1)], inputs, dead_sets, deltas, rs)
     }
 
     /// Counting maintenance of a non-recursive stratum: finite
@@ -2189,12 +2161,12 @@ impl EvalRun<'_, '_> {
             let mut dc: FxHashMap<Vec<Value>, i64> = FxHashMap::default();
             let pass = Pass {
                 strata: unit,
-                rel: Some(&idb.rel),
+                rel: &idb.rel,
                 pins: &[(&inputs.minus, -1), (&inputs.plus, 1)],
                 inputs,
             };
             let booked = Some(&mut rs.stats.phase.eval);
-            self.pinned_pass(pass, &SinkMode::Materialize, booked, |_, sign, out| {
+            self.pinned_pass(pass, &SinkMode::Materialize, booked, |sign, out| {
                 each_row(&out, |row| *dc.entry(row.to_vec()).or_insert(0) += sign)
             })?;
             let t_merge = Instant::now();

@@ -97,7 +97,7 @@ pub struct StratumStats {
 /// Incremental view maintenance accounting: how a standing materialized
 /// view absorbed `/facts` commits — ∆-seeded semi-naive re-entries for
 /// insertions, support-count (counting) updates for non-recursive strata,
-/// DRed over-delete + rederive for recursive strata under deletions, and
+/// Backward/Forward proof checks for recursive strata under deletions, and
 /// full scratch recomputes when the program shape (aggregation, negation,
 /// inline facts) or a failed refresh forces the fallback.
 #[derive(Clone, Copy, Debug, Default)]
@@ -108,15 +108,18 @@ pub struct ViewStats {
     pub view_seeded_strata: u64,
     /// Non-recursive strata maintained by support counting.
     pub view_counting_strata: u64,
-    /// Recursive strata maintained by DRed over-delete + rederivation.
-    pub view_dred_strata: u64,
+    /// Recursive strata maintained by Backward/Forward under deletions:
+    /// deletion candidates checked for a surviving proof, the unproved
+    /// retracted, the fixpoint re-entered from the commit's inserts.
+    pub view_bf_strata: u64,
     /// Refreshes answered by a full from-scratch recompute instead
     /// (ineligible program shape, ineligible commit, or a failed refresh).
     pub view_fallbacks: u64,
-    /// Fresh tuples appended by ∆-seeding passes and by counting
-    /// maintenance (DRed's rederivation is not counted).
+    /// Fresh tuples appended by ∆-seeding passes (including the insert
+    /// seeds of a Backward/Forward stratum) and by counting maintenance;
+    /// the fixpoint re-entry's own ∆ rows are not counted.
     pub view_tuples_seeded: u64,
-    /// Tuples retracted by counting and DRed maintenance.
+    /// Tuples retracted by counting and Backward/Forward maintenance.
     pub view_tuples_retracted: u64,
 }
 
@@ -126,7 +129,7 @@ impl ViewStats {
         self.view_refreshes += other.view_refreshes;
         self.view_seeded_strata += other.view_seeded_strata;
         self.view_counting_strata += other.view_counting_strata;
-        self.view_dred_strata += other.view_dred_strata;
+        self.view_bf_strata += other.view_bf_strata;
         self.view_fallbacks += other.view_fallbacks;
         self.view_tuples_seeded += other.view_tuples_seeded;
         self.view_tuples_retracted += other.view_tuples_retracted;

@@ -15,9 +15,14 @@
 //!   maintenance: a [`SupportTable`] side table holds exact
 //!   per-derived-tuple support counts, and a tuple retracts exactly when
 //!   its last derivation disappears;
-//! * **deletions** reaching recursive strata fall back to DRed:
-//!   over-delete everything with a derivation through a deleted tuple,
-//!   then re-derive what the surviving database still supports.
+//! * **deletions** reaching recursive strata run Backward/Forward (Motik
+//!   et al., AAAI 2015): every tuple that loses a derivation is first
+//!   searched for a surviving proof — backward over the view minus what is
+//!   already deleted, down to surviving base facts, with proofs saturated
+//!   forward — and only the unproved ones are retracted; the fixpoint then
+//!   re-enters seeded from the commit's inserts. A delete inside a
+//!   strongly connected component retracts nothing and keeps the carried
+//!   full-R index.
 //!
 //! Views are owned by the query service (`recstep-serve`), which keeps a
 //! registry keyed by normalized program text next to its prepared-program
@@ -465,19 +470,21 @@ mod tests {
     }
 
     #[test]
-    fn tc_view_absorbs_deletes_via_dred() {
+    fn tc_view_absorbs_deletes_via_backward_forward() {
         let engine = Engine::builder().threads(2).build().unwrap();
         let prog = Arc::new(engine.prepare(TC).unwrap());
         let mut db = Database::new().unwrap();
         // A diamond plus a tail: deleting one diamond edge keeps paths
-        // alive through the other side (the classic DRed rederive case).
+        // alive through the other side, which B/F proves instead of
+        // deleting.
         db.load_edges("arc", &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
             .unwrap();
         let mut view = MaterializedView::create(Arc::clone(&prog), &db).unwrap();
         let (ins, del) = commit(&mut db, &[], &[("arc", &[(1, 3)])]);
         view.refresh(&db, &ins, &del).unwrap();
-        assert!(view.view_stats().view_dred_strata >= 1);
-        assert!(view.view_stats().view_tuples_retracted >= 1);
+        assert!(view.view_stats().view_bf_strata >= 1);
+        // Exactly the dead rows go: 1→3 and 1→4.
+        assert_eq!(view.view_stats().view_tuples_retracted, 2);
         assert_matches_scratch(&view, &db, &["tc"]);
         // 0→3 and 0→4 must survive through the 0→2→3 side.
         let rows = rows_sorted(&view.output(), "tc");
@@ -489,6 +496,110 @@ mod tests {
             !rows.contains(&vec![1, 3]) && !rows.contains(&vec![1, 4]),
             "{rows:?}"
         );
+    }
+
+    #[test]
+    fn cyclic_support_dies_with_its_last_proof() {
+        let engine = Engine::builder().threads(1).build().unwrap();
+        let prog = Arc::new(engine.prepare(TC).unwrap());
+        let mut db = Database::new().unwrap();
+        db.load_edges("arc", &[(0, 1), (1, 2), (2, 1)]).unwrap();
+        let mut view = MaterializedView::create(Arc::clone(&prog), &db).unwrap();
+        // tc(0,1) and tc(0,2) still "derive" each other through the 1⇄2
+        // cycle, but neither has a proof from a surviving arc.
+        let (ins, del) = commit(&mut db, &[], &[("arc", &[(0, 1)])]);
+        view.refresh(&db, &ins, &del).unwrap();
+        let rows = rows_sorted(&view.output(), "tc");
+        assert!(
+            !rows.contains(&vec![0, 1]) && !rows.contains(&vec![0, 2]),
+            "{rows:?}"
+        );
+        assert_eq!(view.view_stats().view_tuples_retracted, 2);
+        assert_matches_scratch(&view, &db, &["tc"]);
+    }
+
+    #[test]
+    fn delete_inside_a_component_retracts_nothing_and_keeps_the_index() {
+        let engine = Engine::builder().threads(2).build().unwrap();
+        let prog = Arc::new(engine.prepare(TC).unwrap());
+        let mut db = Database::new().unwrap();
+        // 0, 1 and 2 stay strongly connected without the 0→2 arc.
+        let scc = [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0), (2, 3)];
+        db.load_edges("arc", &scc).unwrap();
+        let mut view = MaterializedView::create(Arc::clone(&prog), &db).unwrap();
+        let (ins, del) = commit(&mut db, &[], &[("arc", &[(0, 2)])]);
+        view.refresh(&db, &ins, &del).unwrap();
+        assert_eq!(view.stats().view.view_bf_strata, 1);
+        assert_eq!(view.stats().view.view_tuples_retracted, 0);
+        assert_eq!(view.stats().index.full_builds, 0);
+        assert_matches_scratch(&view, &db, &["tc"]);
+        // Nothing was retracted, so the carried full-R index survives and
+        // the next refresh appends to it instead of rebuilding it (the
+        // insert stays inside the index's packed key bounds).
+        let (ins, del) = commit(&mut db, &[("arc", &[(3, 0)])], &[]);
+        view.refresh(&db, &ins, &del).unwrap();
+        assert_eq!(view.stats().index.full_builds, 0);
+        assert!(view.stats().index.full_appends >= 1);
+        assert_matches_scratch(&view, &db, &["tc"]);
+    }
+
+    #[test]
+    fn same_commit_insert_is_the_surviving_proof() {
+        let engine = Engine::builder().threads(1).build().unwrap();
+        let prog = Arc::new(engine.prepare(TC).unwrap());
+        let mut db = Database::new().unwrap();
+        db.load_edges("arc", &[(0, 1), (1, 2)]).unwrap();
+        let mut view = MaterializedView::create(Arc::clone(&prog), &db).unwrap();
+        // tc(0,2) loses its only proof (through 1→2) and gains one through
+        // the 0→2 arc inserted in the same commit: B/F proves it from the
+        // insert, so only tc(1,2) is retracted.
+        let (ins, del) = commit(&mut db, &[("arc", &[(0, 2)])], &[("arc", &[(1, 2)])]);
+        view.refresh(&db, &ins, &del).unwrap();
+        assert_eq!(view.stats().view.view_tuples_retracted, 1);
+        assert_eq!(
+            rows_sorted(&view.output(), "tc"),
+            vec![vec![0, 1], vec![0, 2]]
+        );
+        assert_matches_scratch(&view, &db, &["tc"]);
+    }
+
+    #[test]
+    fn deep_proofs_and_long_deletion_chains_fit_a_small_stack() {
+        // Single-source TC keeps the 5 000-arc path's view linear in its
+        // length. The shortcut 0→5000 is the first arc: deleting it sends
+        // the backward search 5 000 facts deep (tc(0,5000) ← tc(0,4999) ←
+        // … ← arc(0,1)); deleting the path's first arc then retracts all
+        // 5 000 rows through one deletion chain.
+        const N: Value = 5000;
+        let engine = Engine::builder().threads(2).build().unwrap();
+        let src = "tc(x, y) :- root(x), arc(x, y).
+tc(x, y) :- tc(x, z), arc(z, y).";
+        let prog = Arc::new(engine.prepare(src).unwrap());
+        let mut db = Database::new().unwrap();
+        let mut arcs = vec![(0, N)];
+        arcs.extend((0..N).map(|i| (i, i + 1)));
+        db.load_edges("arc", &arcs).unwrap();
+        let mut tx = db.transaction();
+        tx.load_rows("root", 1, [vec![0]].iter().map(Vec::as_slice))
+            .unwrap();
+        tx.commit().unwrap();
+        let mut view = MaterializedView::create(Arc::clone(&prog), &db).unwrap();
+        assert!(view.incremental());
+        for (gone, retracted) in [((0, N), 0), ((0, 1), N as u64)] {
+            let (ins, del) = commit(&mut db, &[], &[("arc", &[gone])]);
+            std::thread::scope(|s| {
+                std::thread::Builder::new()
+                    .stack_size(256 * 1024)
+                    .spawn_scoped(s, || view.refresh(&db, &ins, &del))
+                    .unwrap()
+                    .join()
+                    .expect("the refresh fits a 256 KiB stack")
+                    .unwrap();
+            });
+            assert_eq!(view.stats().view.view_tuples_retracted, retracted);
+            assert_matches_scratch(&view, &db, &["tc"]);
+        }
+        assert_eq!(view.output().row_count("tc"), 0);
     }
 
     #[test]
@@ -521,7 +632,7 @@ mod tests {
     fn nonrecursive_program_uses_counting() {
         let engine = Engine::builder().threads(1).build().unwrap();
         // Two-hop join: purely non-recursive, so deletes go through the
-        // support-count path rather than DRed.
+        // support-count path rather than Backward/Forward.
         let prog = Arc::new(
             engine
                 .prepare("hop2(x, y) :- arc(x, z), arc(z, y).")

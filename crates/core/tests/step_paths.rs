@@ -229,7 +229,7 @@ fn every_step_path_keeps_its_rows_and_counters() {
 
 /// A refresh books its maintenance work under its phases, each interval
 /// once: the phase sum is positive and within the refresh's wall time,
-/// and rule passes outside a ∆ stream (counting, DRed) show up under
+/// and rule passes outside a ∆ stream (counting, B/F) show up under
 /// `phase.eval`.
 fn assert_refresh_time_booked(s: &EvalStats) {
     let p = &s.phase;
@@ -249,7 +249,7 @@ fn assert_refresh_time_booked(s: &EvalStats) {
         "phases {booked:?} exceed the refresh's {:?}",
         s.total
     );
-    if s.view.view_counting_strata + s.view.view_dred_strata > 0 {
+    if s.view.view_counting_strata + s.view.view_bf_strata > 0 {
         assert!(p.eval > Duration::ZERO, "maintenance passes booked no eval");
     }
 }
@@ -259,7 +259,7 @@ const VIEW_PROGRAM: &str = "tc(x, y) :- arc(x, y).\n\
                             hop(x, y) :- tc(x, z), brc(z, y).";
 
 /// `view.{view_refreshes, view_seeded_strata, view_counting_strata,
-/// view_dred_strata, view_fallbacks, view_tuples_seeded,
+/// view_bf_strata, view_fallbacks, view_tuples_seeded,
 /// view_tuples_retracted}, tuples_considered, index.{full_builds,
 /// full_appends, build_rows, append_rows}`.
 fn view_counters(s: &EvalStats) -> [u64; 12] {
@@ -268,7 +268,7 @@ fn view_counters(s: &EvalStats) -> [u64; 12] {
         v.view_refreshes,
         v.view_seeded_strata,
         v.view_counting_strata,
-        v.view_dred_strata,
+        v.view_bf_strata,
         v.view_fallbacks,
         v.view_tuples_seeded,
         v.view_tuples_retracted,
@@ -281,11 +281,11 @@ fn view_counters(s: &EvalStats) -> [u64; 12] {
 }
 
 /// Recorded refresh counters: an `arc` insert (∆-seeded `tc`, counting
-/// `hop`), an `arc` delete (DRed `tc`, counting `hop`), and a `brc`
-/// insert (counting `hop` only).
+/// `hop`), an `arc` delete (Backward/Forward `tc`, counting `hop`), and a
+/// `brc` insert (counting `hop` only).
 const VIEW_PINS: [[u64; 12]; 3] = [
     [1, 1, 1, 0, 0, 29, 0, 360, 1, 6, 193, 160],
-    [1, 0, 1, 1, 0, 0, 356, 397, 2, 5, 102, 161],
+    [1, 0, 1, 1, 0, 0, 154, 0, 1, 0, 208, 0],
     [1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0],
 ];
 

@@ -706,7 +706,7 @@ impl ServerState {
                     "view_counting_strata",
                     json::int(l.view.view_counting_strata),
                 ),
-                ("view_dred_strata", json::int(l.view.view_dred_strata)),
+                ("view_bf_strata", json::int(l.view.view_bf_strata)),
                 ("view_fallbacks", json::int(l.view.view_fallbacks)),
                 ("total_us", json::int(l.total.as_micros())),
             ])

@@ -7,7 +7,7 @@
 //!    non-recursive tails) and random insert/delete sequences, a standing
 //!    [`MaterializedView`] equals a from-scratch `run_shared` after every
 //!    commit (proptest; case count tunable via `RECSTEP_PROPTEST_CASES`
-//!    for the CI fast mode) — and, under fixed commit scripts, for nine
+//!    for the CI fast mode) — and, under fixed commit scripts, for ten
 //!    more shapes that reach every maintenance strategy.
 //! 2. **Failure isolation**: a refresh that errors or panics (injected at
 //!    the `view::refresh` failpoint, grammar
@@ -45,8 +45,8 @@ const TC: &str = "tc(x, y) :- arc(x, y).\ntc(x, y) :- tc(x, z), arc(z, y).";
 
 /// The differential program pool: one entry per maintenance shape.
 /// `(source, base relations, derived relations)`.
-const PROGRAMS: [(&str, &[&str], &[&str]); 5] = [
-    // Linear recursion: seeded inserts, DRed deletes.
+const PROGRAMS: [(&str, &[&str], &[&str]); 6] = [
+    // Linear recursion: seeded inserts, Backward/Forward deletes.
     (TC, &["arc"], &["tc"]),
     // Non-linear recursion: both body atoms read the IDB.
     (
@@ -74,7 +74,13 @@ const PROGRAMS: [(&str, &[&str], &[&str]); 5] = [
         &["arc"],
         &["tc", "reach2"],
     ),
+    // Mutual recursion: two IDBs of one cluster prove each other.
+    (MUTUAL, &["arc", "brc"], &["a", "b"]),
 ];
+
+/// Two mutually recursive IDBs over two base relations.
+const MUTUAL: &str = "a(x, y) :- arc(x, y).\nb(x, y) :- a(x, z), brc(z, y).\n\
+                      a(x, y) :- b(x, z), arc(z, y).";
 
 fn cases(default: u32) -> u32 {
     std::env::var("RECSTEP_PROPTEST_CASES")
@@ -201,7 +207,7 @@ proptest! {
 
 /// Maintenance shapes the proptest pool leaves out. `(source, base
 /// relations, derived relations)`.
-const SHAPES: [(&str, &[&str], &[&str]); 9] = [
+const SHAPES: [(&str, &[&str], &[&str]); 10] = [
     // One base atom at two counting positions.
     ("two(x, y) :- arc(x, z), arc(z, y).", &["arc"], &["two"]),
     // A three-atom counting body.
@@ -255,6 +261,8 @@ const SHAPES: [(&str, &[&str], &[&str]); 9] = [
         &["arc", "brc"],
         &["sg", "cyc"],
     ),
+    // Mutual recursion: one cluster, two IDBs.
+    (MUTUAL, &["arc", "brc"], &["a", "b"]),
 ];
 
 /// A fixed linear congruential generator for the commit scripts.
@@ -289,7 +297,7 @@ impl Lcg {
 #[test]
 fn maintenance_shapes_equal_scratch_after_fixed_commits() {
     let _serial = serial();
-    let (mut seeded, mut counting, mut dred) = (0, 0, 0);
+    let (mut seeded, mut counting, mut bf) = (0, 0, 0);
     for threads in [1, 2] {
         let engine = recstep::Engine::builder().threads(threads).build().unwrap();
         for (si, &(src, rels, idbs)) in SHAPES.iter().enumerate() {
@@ -317,7 +325,7 @@ fn maintenance_shapes_equal_scratch_after_fixed_commits() {
                 let v = &view.stats().view;
                 seeded += v.view_seeded_strata;
                 counting += v.view_counting_strata;
-                dred += v.view_dred_strata;
+                bf += v.view_bf_strata;
                 let scratch = prog.run_shared(&db).unwrap();
                 let out = view.output();
                 for rel in idbs {
@@ -333,8 +341,8 @@ fn maintenance_shapes_equal_scratch_after_fixed_commits() {
         }
     }
     assert!(
-        seeded > 0 && counting > 0 && dred > 0,
-        "seeded {seeded}, counting {counting}, DRed {dred}"
+        seeded > 0 && counting > 0 && bf > 0,
+        "seeded {seeded}, counting {counting}, B/F {bf}"
     );
 }
 
