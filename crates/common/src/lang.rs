@@ -49,6 +49,18 @@ impl Expr {
         }
     }
 
+    /// Call `f` on every column index referenced.
+    pub fn for_each_col(&self, f: &mut impl FnMut(usize)) {
+        match self {
+            Expr::Col(i) => f(*i),
+            Expr::Const(_) => {}
+            Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) => {
+                a.for_each_col(f);
+                b.for_each_col(f);
+            }
+        }
+    }
+
     /// Convenience constructor: `a + b`.
     #[allow(clippy::should_implement_trait)]
     pub fn add(a: Expr, b: Expr) -> Expr {

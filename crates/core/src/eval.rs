@@ -85,7 +85,7 @@ use recstep_exec::join::{
 };
 use recstep_exec::key::{bounds_of, KeyLayout, KeyMode};
 use recstep_exec::setdiff::{set_difference, DsdState};
-use recstep_exec::sink::{AggSink, AggTarget, DeltaSink, SinkMode, SinkSampler};
+use recstep_exec::sink::{AggSink, AggTarget, DeltaSink, DistinctSink, SinkMode, SinkSampler};
 use recstep_exec::view::SupportTable;
 use recstep_exec::wcoj::{wcoj_sink, WcojSpec};
 use recstep_exec::ExecCtx;
@@ -957,6 +957,10 @@ impl<'d> EvalRun<'_, 'd> {
             // staged and swapped in only after the full pass. Row-range
             // deltas make this free — R is append-only until fixpoint, so
             // a previously staged range stays valid while R grows.
+            // Old moves with ∆ (a row-range ∆ starts where Old ends): a
+            // peer stepped later in the pass must not see an earlier IDB's
+            // Old grown over the ∆ it also reads as Delta, or every ∆×∆
+            // pair would be derived twice.
             let mut staged: Vec<Option<DeltaBuf>> = (0..stratum.idbs.len()).map(|_| None).collect();
             for (i, idb) in stratum.idbs.iter().enumerate() {
                 let delta = self.step_idb(stratum, idb, i, &mut states, jcache, stats, seeded)?;
@@ -966,7 +970,11 @@ impl<'d> EvalRun<'_, 'd> {
                 staged[i] = Some(delta);
             }
             for (state, new_delta) in states.iter_mut().zip(staged) {
-                state.delta = new_delta.expect("every idb staged a delta");
+                let new_delta = new_delta.expect("every idb staged a delta");
+                if let DeltaBuf::Range(start, _) = new_delta {
+                    state.old_len = start;
+                }
+                state.delta = new_delta;
             }
             // Memory budget check (how OOM is reported honestly). Persistent
             // indexes — including the shared cache's resident snapshots —
@@ -1422,8 +1430,10 @@ impl<'d> EvalRun<'_, 'd> {
 
         // --- Statistics every sink shares. ---
         stats.queries_issued += out.queries + 1;
-        stats.wcoj_runs += out.wcoj.runs;
-        stats.wcoj_rows_emitted += out.wcoj.rows;
+        stats.wcoj_runs += out.tally.wcoj_runs;
+        stats.wcoj_rows_emitted += out.tally.wcoj_rows;
+        stats.intermediate_rows_offered += out.tally.stage_offered;
+        stats.intermediate_rows_kept += out.tally.stage_kept;
         stats.tuples_considered += considered;
         if self.cfg.oof == OofMode::None {
             freeze_choices(&self.catalog, stratum, idb, states, idx);
@@ -1508,7 +1518,7 @@ impl<'d> EvalRun<'_, 'd> {
                             Ok(EvalOut {
                                 cols: project_filter_sink(this.ctx, rt, &identity, &[], sink),
                                 queries: 0,
-                                wcoj: WcojTally::default(),
+                                tally: Tally::default(),
                             })
                         })?;
                     stats.phase.dedup += t_dedup.elapsed();
@@ -1567,7 +1577,6 @@ impl<'d> EvalRun<'_, 'd> {
                 self.merge_delta(rel_id, diff, None, stats)
             }
         };
-        state.old_len = start;
         self.io
             .temp(self.catalog.rel(rel_id).range_view(start, end));
         Ok(DeltaBuf::Range(start, end))
@@ -1758,8 +1767,8 @@ impl EvalRun<'_, '_> {
         let frozen = vec![None; sq.joins.len()];
         let mut jcache = JoinCache::new(false, None, FxHashSet::default());
         // Maintenance passes are driven per changed scan position and not
-        // per evaluation run, so their generic-join accounting is dropped.
-        let mut wcoj = WcojTally::default();
+        // per evaluation run, so their operator accounting is dropped.
+        let mut tally = Tally::default();
         eval_subquery(
             self.ctx,
             self.cfg,
@@ -1771,7 +1780,7 @@ impl EvalRun<'_, '_> {
             &mut jcache,
             Some(overrides),
             sink,
-            &mut wcoj,
+            &mut tally,
         )
     }
 
@@ -2063,7 +2072,7 @@ impl EvalRun<'_, '_> {
                     let mut fresh = EvalOut {
                         cols: vec![Vec::new(); idb.arity],
                         queries: 0,
-                        wcoj: WcojTally::default(),
+                        tally: Tally::default(),
                     };
                     this.pinned_pass(pass, sink, None, |_, out| append_cols(&mut fresh.cols, out))?;
                     Ok(fresh)
@@ -2325,15 +2334,18 @@ fn estimate_left_rows(
         .unwrap_or(0)
 }
 
-/// Worst-case-optimal-join accounting carried out of subquery evaluation
-/// (folded into [`EvalStats::wcoj_runs`] / [`EvalStats::wcoj_rows_emitted`]
-/// by [`EvalRun::step_idb`]).
+/// Operator accounting carried out of subquery evaluation (folded into
+/// [`EvalStats`] by [`EvalRun::step_idb`]).
 #[derive(Default, Clone, Copy)]
-struct WcojTally {
+struct Tally {
     /// Subqueries dispatched to the generic join.
-    runs: usize,
+    wcoj_runs: usize,
     /// Rows its leaf enumeration emitted into the sink, pre-dedup.
-    rows: usize,
+    wcoj_rows: usize,
+    /// Rows the deduplicated chain stages were offered.
+    stage_offered: usize,
+    /// Rows they kept (materialized for the next join).
+    stage_kept: usize,
 }
 
 /// Output of [`eval_idb`].
@@ -2346,8 +2358,8 @@ struct EvalOut {
     cols: Vec<Vec<Value>>,
     /// Backend queries the evaluation cost (UIE batches them into one).
     queries: usize,
-    /// Generic-join accounting across the IDB's subqueries.
-    wcoj: WcojTally,
+    /// Operator accounting across the IDB's subqueries.
+    tally: Tally,
 }
 
 /// Evaluate all subqueries of one IDB.
@@ -2373,7 +2385,7 @@ fn eval_idb(
     let out_arity = idb.arity;
     let mut unioned: Vec<Vec<Value>> = vec![Vec::new(); out_arity];
     let mut queries = 0usize;
-    let mut wcoj = WcojTally::default();
+    let mut tally = Tally::default();
     for (si, sq) in idb.subqueries.iter().enumerate() {
         // Seeded re-entry: subqueries with no ∆ scan re-derive only what
         // the maintenance seed pass already streamed; skipping them is
@@ -2392,7 +2404,7 @@ fn eval_idb(
             jcache,
             None,
             sink,
-            &mut wcoj,
+            &mut tally,
         )?;
         if cfg.uie {
             // One unified query: results land in a single output buffer.
@@ -2415,7 +2427,7 @@ fn eval_idb(
     Ok(EvalOut {
         cols: unioned,
         queries,
-        wcoj,
+        tally,
     })
 }
 
@@ -2426,8 +2438,11 @@ type ScanOverrides<'v> = FxHashMap<usize, RelView<'v>>;
 /// Evaluate one subquery to its head layout.
 ///
 /// `sink` applies only to the subquery's *final* operator — the one
-/// projecting to the head layout; intermediate join results materialize
-/// as before (they feed the next join, not `Rt`).
+/// projecting to the head layout. Intermediate join results feed the next
+/// join, not `Rt`: under a `Delta` sink a step with a planner live set
+/// ([`recstep_datalog::plan::JoinStep::live`]) streams through a
+/// [`DistinctSink`] on those columns, so only one row per distinct live
+/// value materializes; every other intermediate is UNION ALL.
 ///
 /// With `overrides`, the subquery is evaluated as a *maintenance pass*:
 /// an overridden scan position reads the given view instead of its
@@ -2448,7 +2463,7 @@ fn eval_subquery<'a>(
     jcache: &mut JoinCache<'_>,
     overrides: Option<&ScanOverrides<'a>>,
     sink: &SinkMode<'_>,
-    wcoj: &mut WcojTally,
+    tally: &mut Tally,
 ) -> Result<Vec<Vec<Value>>> {
     debug_assert!(
         overrides.is_none() || !jcache.enabled,
@@ -2510,8 +2525,8 @@ fn eval_subquery<'a>(
                 residual: &sq.residual,
             };
             let (cols, emitted) = wcoj_sink(&capped, &views, &spec, sink);
-            wcoj.runs += 1;
-            wcoj.rows += emitted;
+            tally.wcoj_runs += 1;
+            tally.wcoj_rows += emitted;
             let rows = cols.first().map_or(0, Vec::len);
             let bytes = cols.iter().map(|c| c.len() * 8).sum::<usize>();
             if rows >= capped.row_cap || bytes > cfg.mem_budget_bytes {
@@ -2569,10 +2584,17 @@ fn eval_subquery<'a>(
             let mut capped = ctx.clone();
             capped.row_cap = (cfg.mem_budget_bytes / (output.len().max(1) * 8)).max(1);
             let ctx = &capped;
+            // Set semantics downstream (a `Delta` sink): keep one row per
+            // distinct live value; the cap then counts survivors only.
+            let distinct = match (&join.live, sink) {
+                (Some(live), SinkMode::Delta(_)) if !last => Some(DistinctSink::new(live)),
+                _ => None,
+            };
+            let distinct_mode = distinct.as_ref().map(SinkMode::Distinct);
             let stage_sink = if last && !has_neg {
                 sink
             } else {
-                &SinkMode::Materialize
+                distinct_mode.as_ref().unwrap_or(&SinkMode::Materialize)
             };
             if join.left_keys.is_empty() {
                 acc = cross_join_sink(ctx, left_view, right, &output, residual, stage_sink);
@@ -2625,6 +2647,10 @@ fn eval_subquery<'a>(
             // truncation: report out-of-memory rather than continuing with
             // partial results.
             let rows = acc.first().map_or(0, Vec::len);
+            if let Some(d) = &distinct {
+                tally.stage_offered += d.considered();
+                tally.stage_kept += rows;
+            }
             let bytes = acc.iter().map(|c| c.len() * 8).sum::<usize>();
             if rows >= ctx.row_cap || bytes > cfg.mem_budget_bytes {
                 return Err(Error::exec(format!(

@@ -151,6 +151,13 @@ pub struct EvalStats {
     pub queries_issued: usize,
     /// Tuples produced by rule evaluation before deduplication.
     pub tuples_considered: usize,
+    /// Rows the non-final joins of multi-atom chains offered to their
+    /// project-then-dedup stage (set-semantic passes only; the planner's
+    /// `JoinStep::live`).
+    pub intermediate_rows_offered: usize,
+    /// Those rows the stages kept, one per distinct live value: what the
+    /// next join actually read.
+    pub intermediate_rows_kept: usize,
     /// How often each set-difference algorithm ran.
     pub opsd_runs: usize,
     /// How often each set-difference algorithm ran.
@@ -274,6 +281,8 @@ impl EvalStats {
         self.iterations += other.iterations;
         self.queries_issued += other.queries_issued;
         self.tuples_considered += other.tuples_considered;
+        self.intermediate_rows_offered += other.intermediate_rows_offered;
+        self.intermediate_rows_kept += other.intermediate_rows_kept;
         self.opsd_runs += other.opsd_runs;
         self.tpsd_runs += other.tpsd_runs;
         self.fused_runs += other.fused_runs;

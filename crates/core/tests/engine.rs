@@ -868,3 +868,105 @@ fn escaped_duplicates_count_as_skipped_at_source() {
         );
     }
 }
+
+/// Multi-atom bodies, whose non-final joins the default engine dedups on
+/// their live columns: each program must derive the same rows under the
+/// default configuration, under `Config::no_op()` (UNION-ALL
+/// intermediates throughout) and under the naïve tuple-at-a-time oracle.
+const CHAIN_PROGRAMS: [(&str, &str); 8] = [
+    ("chain3", "r(x, y) :- a(x, z), b(z, w), c(w, y)."),
+    (
+        "chain4_recursive",
+        "p(x, y) :- a(x, y).\n\
+         p(x, y) :- p(x, z), b(z, w), c(w, v), p(v, y).",
+    ),
+    (
+        "middle_residual",
+        "r(x, y) :- a(x, z), b(z, w), c(w, y), x != w.",
+    ),
+    (
+        "middle_negation",
+        "n(x) :- c(x, x).\n\
+         r(x, y) :- a(x, z), b(z, w), c(w, v), a(v, y), !n(w).",
+    ),
+    (
+        "middle_arithmetic",
+        "r(x + w, y) :- a(x, z), b(z, w), c(w, y).",
+    ),
+    (
+        "middle_constant_and_repeat",
+        "r(x, y) :- a(x, z), t(z, 3, w, w), c(w, y).",
+    ),
+    ("cspa", recstep::programs::CSPA),
+    ("andersen", recstep::programs::ANDERSEN),
+];
+
+#[test]
+fn multi_atom_bodies_agree_with_no_op_and_naive() {
+    for seed in 1..=4u64 {
+        let mut rnd = lcg(seed * 7919);
+        let n = 10u64;
+        let mut binary = |m: usize| -> Vec<Vec<Value>> {
+            (0..m)
+                .map(|_| vec![(rnd() % n) as Value, (rnd() % n) as Value])
+                .collect()
+        };
+        let mut inputs: Vec<(&str, Vec<Vec<Value>>)> = [
+            "a",
+            "b",
+            "c",
+            "assign",
+            "dereference",
+            "addressOf",
+            "load",
+            "store",
+        ]
+        .into_iter()
+        .map(|name| (name, binary(24)))
+        .collect();
+        let mut rnd = lcg(seed * 104_729);
+        let t: Vec<Vec<Value>> = (0..150)
+            .map(|_| (0..4).map(|_| (rnd() % 5) as Value).collect())
+            .collect();
+        inputs.push(("t", t));
+
+        for (name, src) in CHAIN_PROGRAMS {
+            let mut oracle = recstep_baselines::naive::NaiveEngine::new();
+            for (rel, rows) in &inputs {
+                oracle.load(rel, rows.iter().cloned());
+            }
+            oracle.run_source(src).unwrap();
+            let mut deduped = 0;
+            for (arm, cfg) in [("default", Config::default()), ("no_op", Config::no_op())] {
+                let mut db = Database::new().unwrap();
+                let mut tx = db.transaction();
+                for (rel, rows) in &inputs {
+                    let arity = rows[0].len();
+                    tx.load_rows(rel, arity, rows.iter().map(Vec::as_slice))
+                        .unwrap();
+                }
+                tx.commit().unwrap();
+                let prog = engine(cfg).prepare(src).unwrap();
+                let stats = prog.run(&mut db).unwrap();
+                for idb in prog.compiled().idb_names() {
+                    let got: BTreeSet<Vec<Value>> = db
+                        .relation(idb)
+                        .map(|h| h.iter_rows().map(|r| r.to_vec()).collect())
+                        .unwrap_or_default();
+                    let want: BTreeSet<Vec<Value>> = oracle.rows(idb).cloned().unwrap_or_default();
+                    assert_eq!(got, want, "{name} / {arm} / seed {seed}: {idb} differs");
+                }
+                assert!(stats.intermediate_rows_kept <= stats.intermediate_rows_offered);
+                if arm == "no_op" {
+                    assert_eq!(stats.intermediate_rows_offered, 0, "{name}: no_op dedups");
+                } else {
+                    deduped += stats.intermediate_rows_offered;
+                }
+            }
+            assert!(
+                deduped > 0,
+                "{name} / seed {seed}: no chain stage was deduped"
+            );
+        }
+    }
+}

@@ -16,10 +16,19 @@ use recstep::{
 const NONLINEAR_TC: &str = "p(x, y) :- arc(x, y).\np(x, y) :- p(x, z), p(z, y).";
 const COUNT_SUM: &str = "deg(x, COUNT(y), SUM(y)) :- arc(x, y).";
 const MIN_GROUP: &str = "lo(x, MIN(y)) :- arc(x, y).";
+/// Two IDBs of one stratum where `b`, stepped after `a`, reads `a` after
+/// its ∆ occurrence: that scan must see `a`'s Old, not `a` grown by the
+/// ∆ the other subquery reads as Delta (which derived each ∆×∆ pair
+/// twice).
+const MUTUAL: &str = "a(x, y) :- arc(x, y).\n\
+                      a(x, y) :- b(x, z), arc(z, y).\n\
+                      b(x, y) :- a(x, y).\n\
+                      b(x, y) :- b(x, z), a(z, y).";
 
-const PROGRAMS: [(&str, &str); 7] = [
+const PROGRAMS: [(&str, &str); 8] = [
     ("tc", recstep::programs::TC),
     ("nonlinear_tc", NONLINEAR_TC),
+    ("mutual", MUTUAL),
     ("sg", recstep::programs::SG),
     ("cc", recstep::programs::CC),
     ("count_sum", COUNT_SUM),
@@ -123,14 +132,22 @@ const PINS: &[(&str, &str, [u64; 17])] = &[
     ("nonlinear_tc", "no_eost", [5, 11, 959, 4, 0, 0, 0, 0, 15344, 0, 1, 3, 92, 129, 5, 21680, 14]),
     ("nonlinear_tc", "oof_full", [5, 10, 959, 5, 5, 0, 0, 0, 0, 784, 1, 4, 46, 175, 5, 2800, 1]),
     ("nonlinear_tc", "oof_none", [5, 10, 959, 5, 5, 0, 0, 0, 0, 784, 1, 4, 46, 304, 5, 2800, 1]),
-    ("sg", "default", [6, 12, 2071, 6, 6, 0, 0, 0, 0, 1590, 1, 5, 48, 481, 6, 7696, 1]),
+    ("mutual", "default", [7, 26, 1439, 13, 13, 0, 0, 0, 0, 1089, 2, 9, 48, 350, 13, 5600, 2]),
+    ("mutual", "no_fused_pipeline", [7, 27, 1439, 12, 0, 0, 0, 0, 23024, 0, 2, 8, 94, 304, 13, 5600, 2]),
+    ("mutual", "no_fused_agg", [7, 26, 1439, 13, 13, 0, 0, 0, 0, 1089, 2, 9, 48, 350, 13, 5600, 2]),
+    ("mutual", "no_index_reuse", [7, 39, 1439, 0, 0, 0, 0, 0, 23024, 0, 11, 0, 0, 0, 11, 5600, 2]),
+    ("mutual", "no_uie", [7, 64, 1439, 12, 0, 0, 0, 0, 23024, 0, 2, 8, 94, 304, 13, 5600, 2]),
+    ("mutual", "no_eost", [7, 27, 1439, 12, 0, 0, 0, 0, 23024, 0, 2, 8, 94, 304, 13, 34960, 30]),
+    ("mutual", "oof_full", [7, 26, 1439, 13, 13, 0, 0, 0, 0, 1089, 2, 9, 48, 350, 13, 5600, 2]),
+    ("mutual", "oof_none", [7, 26, 1439, 13, 13, 0, 0, 0, 0, 1089, 2, 9, 96, 429, 13, 5600, 2]),
+    ("sg", "default", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1]),
     ("sg", "no_fused_pipeline", [6, 13, 2071, 5, 0, 0, 0, 0, 33136, 0, 1, 4, 134, 395, 6, 7696, 1]),
-    ("sg", "no_fused_agg", [6, 12, 2071, 6, 6, 0, 0, 0, 0, 1590, 1, 5, 48, 481, 6, 7696, 1]),
+    ("sg", "no_fused_agg", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1]),
     ("sg", "no_index_reuse", [6, 18, 2071, 0, 0, 0, 0, 0, 33136, 0, 6, 0, 0, 0, 6, 7696, 1]),
     ("sg", "no_uie", [6, 19, 2071, 5, 0, 0, 0, 0, 33136, 0, 1, 4, 134, 395, 6, 7696, 1]),
     ("sg", "no_eost", [6, 13, 2071, 5, 0, 0, 0, 0, 33136, 0, 1, 4, 134, 395, 6, 49904, 17]),
-    ("sg", "oof_full", [6, 12, 2071, 6, 6, 0, 0, 0, 0, 1590, 1, 5, 48, 481, 6, 7696, 1]),
-    ("sg", "oof_none", [6, 12, 2071, 6, 6, 0, 0, 0, 0, 1590, 1, 5, 48, 481, 6, 7696, 1]),
+    ("sg", "oof_full", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1]),
+    ("sg", "oof_none", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1]),
     ("cc", "default", [7, 14, 182, 1, 1, 6, 158, 67, 0, 17, 1, 1, 0, 7, 1, 824, 3]),
     ("cc", "no_fused_pipeline", [7, 15, 182, 0, 0, 6, 158, 67, 192, 0, 0, 0, 0, 0, 1, 824, 3]),
     ("cc", "no_fused_agg", [7, 14, 182, 1, 1, 0, 0, 0, 2528, 17, 1, 1, 0, 7, 1, 824, 3]),

@@ -52,6 +52,16 @@ pub struct JoinStep {
     pub left_keys: Vec<usize>,
     /// Key columns local to the joined scan (pairwise equal).
     pub right_keys: Vec<usize>,
+    /// Project-then-dedup set of a non-final step: the flattened columns
+    /// of this step's output that any later stage reads (a later join
+    /// key, the residual, a negation key or the head), ascending. Rows
+    /// equal on them are interchangeable for everything downstream, so a
+    /// set-semantic pass may keep one per distinct value. `None` on final
+    /// steps, on chains of fewer than three scans, on bodies with a WCOJ
+    /// plan, and where every variable bound so far is read later (the
+    /// intermediate is then already distinct). The layout stays the full
+    /// flattened one; columns outside the set hold some duplicate's values.
+    pub live: Option<Vec<usize>>,
 }
 
 /// A negated atom, applied as an anti join after the positive joins.
@@ -423,6 +433,7 @@ fn compile_subquery(
             joins.push(JoinStep {
                 left_keys,
                 right_keys,
+                live: None,
             });
         }
         // Bind this atom's fresh variables at their flattened positions.
@@ -494,6 +505,17 @@ fn compile_subquery(
     } else {
         None
     };
+    if wcoj.is_none() {
+        let vars: Vec<usize> = bind.into_values().collect();
+        set_live_columns(
+            &mut joins,
+            &scans,
+            &vars,
+            &residual,
+            &negations,
+            &head_exprs,
+        );
+    }
     Ok(SubQuery {
         rule_idx,
         delta_scan: delta_pos,
@@ -505,6 +527,50 @@ fn compile_subquery(
         width,
         wcoj,
     })
+}
+
+/// Give every non-final step of a chain of three or more scans its
+/// [`JoinStep::live`] set. `vars` holds each body variable's first
+/// flattened position, the only position later stages read:
+/// join keys, the residual, negation keys and the head all resolve a
+/// variable through it.
+fn set_live_columns(
+    joins: &mut [JoinStep],
+    scans: &[ScanSpec],
+    vars: &[usize],
+    residual: &[Predicate],
+    negations: &[NegSpec],
+    head_exprs: &[Expr],
+) {
+    if scans.len() < 3 {
+        return;
+    }
+    let mut width = scans[0].arity;
+    for ji in 0..joins.len() - 1 {
+        width += scans[ji + 1].arity;
+        // Columns of the prefix (scans 0..=ji+1) read past this step.
+        let mut read = vec![false; width];
+        let mut mark = |c: usize| {
+            if c < width {
+                read[c] = true;
+            }
+        };
+        joins[ji + 1..]
+            .iter()
+            .flat_map(|j| &j.left_keys)
+            .chain(negations.iter().flat_map(|n| &n.left_keys))
+            .for_each(|&c| mark(c));
+        residual
+            .iter()
+            .flat_map(|p| [&p.lhs, &p.rhs])
+            .chain(head_exprs)
+            .for_each(|e| e.for_each_col(&mut mark));
+        let live: Vec<usize> = (0..width).filter(|&c| read[c]).collect();
+        let bound = vars.iter().filter(|&&v| v < width).count();
+        if !live.is_empty() && live.len() < bound {
+            joins[ji].live = Some(live);
+        }
+    }
 }
 
 /// GYO reduction: is the join hypergraph (one hyperedge of variable ids
@@ -904,6 +970,100 @@ mod tests {
         assert_eq!(wp.level_scans[0].len(), 3, "y leads the order");
         // The pendant variable w is least shared: last level, one scan.
         assert_eq!(wp.level_scans[3].len(), 1);
+    }
+
+    /// Every subquery of `rel`'s IDB with its join chain's live sets.
+    fn live_sets(p: &CompiledProgram, rel: &str) -> Vec<Vec<Option<Vec<usize>>>> {
+        p.strata
+            .iter()
+            .flat_map(|s| &s.idbs)
+            .filter(|i| i.rel == rel)
+            .flat_map(|i| &i.subqueries)
+            .map(|sq| sq.joins.iter().map(|j| j.live.clone()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn three_atom_chains_dedup_their_intermediate_on_the_live_columns() {
+        let p = compiled(crate::programs::CSPA);
+        // valueAlias(x,y) :- valueFlow(z,x), memoryAlias(z,w), valueFlow(w,y):
+        // the (z,x,z,w) intermediate is read only at x (head) and w (the
+        // second join's key); one subquery per ∆ position, all alike. The
+        // two-atom valueAlias rule has one step and no live set.
+        let va = live_sets(&p, "valueAlias");
+        let three: Vec<_> = va.iter().filter(|j| j.len() == 2).collect();
+        assert_eq!(three.len(), 3);
+        for joins in three {
+            assert_eq!(joins, &vec![Some(vec![1, 3]), None]);
+        }
+        assert!(va.iter().filter(|j| j.len() == 1).all(|j| j[0].is_none()));
+        // memoryAlias(x,w) :- dereference(y,x), valueAlias(y,z), dereference(z,w).
+        let ma = live_sets(&p, "memoryAlias");
+        assert!(ma.contains(&vec![Some(vec![1, 3]), None]));
+
+        let p = compiled(crate::programs::ANDERSEN);
+        let pt = live_sets(&p, "pointsTo");
+        // load: pointsTo(y,w) :- load(y,x), pointsTo(x,z), pointsTo(z,w)
+        // reads y (head) and z (key); store: pointsTo(z,w) :- store(y,x),
+        // pointsTo(y,z), pointsTo(x,w) reads x (key) and z (head).
+        let three: Vec<_> = pt.iter().filter(|j| j.len() == 2).collect();
+        assert_eq!(
+            three,
+            vec![
+                &vec![Some(vec![0, 3]), None],
+                &vec![Some(vec![0, 3]), None],
+                &vec![Some(vec![1, 3]), None],
+                &vec![Some(vec![1, 3]), None],
+            ]
+        );
+    }
+
+    #[test]
+    fn two_atom_and_wcoj_bodies_carry_no_live_sets() {
+        for src in [
+            crate::programs::TC,
+            crate::programs::TRIANGLE,
+            crate::programs::CC,
+            crate::programs::NTC,
+        ] {
+            let p = compiled(src);
+            for idb in p.strata.iter().flat_map(|s| &s.idbs) {
+                for sq in &idb.subqueries {
+                    assert!(sq.joins.iter().all(|j| j.live.is_none()), "{src}");
+                }
+            }
+        }
+        // SG's base rule has two atoms; its recursive rule is a chain.
+        let p = compiled(crate::programs::SG);
+        assert_eq!(
+            live_sets(&p, "sg"),
+            vec![vec![None], vec![Some(vec![1, 3]), None]]
+        );
+    }
+
+    #[test]
+    fn live_sets_cover_every_later_reader_and_skip_distinct_prefixes() {
+        // Residual on a middle-only variable, arithmetic head, negation
+        // key: each keeps its column live past the first step.
+        let p = compiled(
+            "n(x) :- a(x, x).\n\
+             r(x, y) :- a(x, z), b(z, w), c(w, y), x != w.\n\
+             s(x, y) :- a(x, z), b3(z, w, q), c(w, y), !n(q).\n\
+             t(x + w, y) :- a(x, z), b(z, w), c(w, y).\n\
+             u(x, z, y) :- a(x, z), b(z, w), c(w, y).",
+        );
+        assert_eq!(live_sets(&p, "r"), vec![vec![Some(vec![0, 3]), None]]);
+        assert_eq!(live_sets(&p, "s"), vec![vec![Some(vec![0, 3, 4]), None]]);
+        assert_eq!(live_sets(&p, "t"), vec![vec![Some(vec![0, 3]), None]]);
+        // Every prefix variable (x, z, w) is read later: already distinct.
+        assert_eq!(live_sets(&p, "u"), vec![vec![None, None]]);
+        // Four atoms: both non-final steps dedup; constants and repeats in
+        // the middle atom are scan filters, not variables.
+        let p = compiled("r(x, y) :- a(x, z), b(z, 5, z, w), c(w, v), d(v, y).");
+        assert_eq!(
+            live_sets(&p, "r"),
+            vec![vec![Some(vec![0, 5]), Some(vec![0, 7]), None]]
+        );
     }
 
     #[test]

@@ -44,7 +44,10 @@ pub fn render_iie(idb: &CompiledIdb) -> String {
     out
 }
 
-/// Render one subquery as a `SELECT`.
+/// Render one subquery as a `SELECT`. A join step the planner dedups
+/// ([`crate::plan::JoinStep::live`]) closes a derived table: the scans
+/// joined so far become `SELECT DISTINCT` of the live columns, which the
+/// rest of the query reads as `s{step}.c{column}`.
 pub fn render_select(sq: &SubQuery) -> String {
     // Flattened column index -> "tN.cK".
     let mut col_names = Vec::with_capacity(sq.width);
@@ -53,43 +56,48 @@ pub fn render_select(sq: &SubQuery) -> String {
             col_names.push(format!("t{ti}.c{c}"));
         }
     }
-    let offsets: Vec<usize> = sq
-        .scans
-        .iter()
-        .scan(0usize, |acc, s| {
-            let off = *acc;
-            *acc += s.arity;
-            Some(off)
-        })
-        .collect();
-
-    let select_list: Vec<String> = sq
-        .head_exprs
-        .iter()
-        .enumerate()
-        .map(|(i, e)| format!("{} AS c{i}", render_expr(e, &col_names)))
-        .collect();
-
-    let from_list: Vec<String> = sq
-        .scans
-        .iter()
-        .enumerate()
-        .map(|(ti, s)| format!("{} AS t{ti}", table_name(&s.rel, s.version)))
-        .collect();
-
+    let scan_item = |ti: usize| {
+        let s = &sq.scans[ti];
+        format!("{} AS t{ti}", table_name(&s.rel, s.version))
+    };
+    // The FROM items and conditions since the last deduplicated stage,
+    // whose first scan is `first`.
+    let mut from_list = vec![scan_item(0)];
     let mut conds: Vec<String> = Vec::new();
+    let mut first = 0;
+    let filters_of = |scans: std::ops::Range<usize>, conds: &mut Vec<String>| {
+        for ti in scans {
+            for f in &sq.scans[ti].filters {
+                conds.push(render_pred_local(f, ti));
+            }
+        }
+    };
     for (ji, join) in sq.joins.iter().enumerate() {
         let right_scan = ji + 1;
+        from_list.push(scan_item(right_scan));
         for (lk, rk) in join.left_keys.iter().zip(&join.right_keys) {
             conds.push(format!("{} = t{right_scan}.c{rk}", col_names[*lk]));
         }
-    }
-    for (ti, scan) in sq.scans.iter().enumerate() {
-        for f in &scan.filters {
-            conds.push(render_pred_local(f, ti));
+        if let Some(live) = &join.live {
+            filters_of(first..right_scan + 1, &mut conds);
+            let cols: Vec<String> = live
+                .iter()
+                .map(|&c| format!("{} AS c{c}", col_names[c]))
+                .collect();
+            let inner = from_where(
+                format!("SELECT DISTINCT {}", cols.join(", ")),
+                &from_list,
+                &conds,
+            );
+            from_list = vec![format!("(\n{}\n) AS s{ji}", indent(&inner, 4))];
+            conds.clear();
+            for &c in live {
+                col_names[c] = format!("s{ji}.c{c}");
+            }
+            first = right_scan + 1;
         }
-        let _ = offsets[ti];
     }
+    filters_of(first..sq.scans.len(), &mut conds);
     for p in &sq.residual {
         conds.push(render_pred(p, &col_names));
     }
@@ -110,11 +118,22 @@ pub fn render_select(sq: &SubQuery) -> String {
         ));
     }
 
-    let mut sql = format!(
-        "SELECT {}\nFROM {}",
-        select_list.join(", "),
-        from_list.join(", ")
-    );
+    let select_list: Vec<String> = sq
+        .head_exprs
+        .iter()
+        .enumerate()
+        .map(|(i, e)| format!("{} AS c{i}", render_expr(e, &col_names)))
+        .collect();
+    from_where(
+        format!("SELECT {}", select_list.join(", ")),
+        &from_list,
+        &conds,
+    )
+}
+
+/// `select` followed by its `FROM` list and, if any, `WHERE` conditions.
+fn from_where(select: String, from_list: &[String], conds: &[String]) -> String {
+    let mut sql = format!("{select}\nFROM {}", from_list.join(", "));
     if !conds.is_empty() {
         sql.push_str(&format!("\nWHERE {}", conds.join(" AND ")));
     }
@@ -258,6 +277,29 @@ mod tests {
         let sql = render_select(&ntc.subqueries[0]);
         assert!(
             sql.contains("NOT EXISTS (SELECT 1 FROM tc AS n WHERE"),
+            "{sql}"
+        );
+    }
+
+    #[test]
+    fn deduped_stage_renders_as_select_distinct_of_its_live_columns() {
+        let p = compile(&analyze(parse(crate::programs::CSPA).unwrap()).unwrap()).unwrap();
+        let va = p
+            .strata
+            .iter()
+            .flat_map(|s| &s.idbs)
+            .find(|i| i.rel == "valueAlias")
+            .unwrap();
+        let sq = va.subqueries.iter().find(|s| s.scans.len() == 3).unwrap();
+        let sql = render_select(sq);
+        assert!(
+            sql.contains("SELECT DISTINCT t0.c1 AS c1, t1.c1 AS c3\n"),
+            "{sql}"
+        );
+        assert!(sql.contains("WHERE t0.c0 = t1.c0\n) AS s0, "), "{sql}");
+        assert!(sql.contains("WHERE s0.c3 = t2.c0"), "{sql}");
+        assert!(
+            sql.starts_with("SELECT s0.c1 AS c0, t2.c1 AS c1\n"),
             "{sql}"
         );
     }

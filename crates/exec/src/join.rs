@@ -22,60 +22,8 @@ use crate::chain::ChainTable;
 use crate::expr::{eval_all, Expr, Predicate};
 use crate::key::KeyMode;
 use crate::sink::SinkMode;
-use crate::util::{parallel_fill, parallel_produce, CapGate, ColBuf};
+use crate::util::{parallel_fill, parallel_produce, CapGate};
 use crate::ExecCtx;
-
-/// Emit one flattened row through the sink policy. Returns `true` when a
-/// row was materialized into `buf` (what counts against a producer's row
-/// cap); in `Delta` mode duplicates are dropped here, at the probe site.
-#[inline]
-fn emit_row(
-    sink: &SinkMode<'_>,
-    output: &[Expr],
-    row: &[Value],
-    buf: &mut ColBuf,
-    out_row: &mut Vec<Value>,
-    considered: &mut usize,
-) -> bool {
-    match sink {
-        SinkMode::Materialize => {
-            for (c, e) in output.iter().enumerate() {
-                buf.push_at(c, e.eval(row));
-            }
-            true
-        }
-        SinkMode::Delta(s) => {
-            out_row.clear();
-            out_row.extend(output.iter().map(|e| e.eval(row)));
-            *considered += 1;
-            if s.offer(out_row) {
-                buf.push_row(out_row);
-                true
-            } else {
-                false
-            }
-        }
-        SinkMode::Agg(s) => {
-            out_row.clear();
-            out_row.extend(output.iter().map(|e| e.eval(row)));
-            *considered += 1;
-            // Folded into the aggregation state at source; never buffered.
-            s.offer(out_row);
-            false
-        }
-    }
-}
-
-/// Publish a worker's per-morsel offered-row count (no-op when
-/// materializing).
-#[inline]
-fn flush_considered(sink: &SinkMode<'_>, considered: usize) {
-    match sink {
-        SinkMode::Delta(s) => s.note_considered(considered),
-        SinkMode::Agg(s) => s.note_considered(considered),
-        SinkMode::Materialize => {}
-    }
-}
 
 /// Specification of a binary equi-join.
 pub struct JoinSpec<'a> {
@@ -199,13 +147,13 @@ pub fn hash_join_prebuilt_sink(
                         row[la + c] = right.get(rr, c);
                     }
                     if eval_all(spec.residual, &row)
-                        && emit_row(sink, spec.output, &row, buf, &mut out_row, &mut considered)
+                        && sink.emit(spec.output, &row, buf, &mut out_row, &mut considered)
                     {
                         local += 1;
                     }
                 }
             }
-            flush_considered(sink, considered);
+            sink.note_considered(considered);
             gate.commit(local);
         },
     )
@@ -296,10 +244,10 @@ pub fn anti_join_prebuilt_sink(
             });
             if !hit {
                 left.copy_row(lr, &mut row);
-                emit_row(sink, output, &row, buf, &mut out_row, &mut considered);
+                sink.emit(output, &row, buf, &mut out_row, &mut considered);
             }
         }
-        flush_considered(sink, considered);
+        sink.note_considered(considered);
     })
 }
 
@@ -357,13 +305,13 @@ pub fn cross_join_sink(
                         row[la + c] = right.get(rr, c);
                     }
                     if eval_all(residual, &row)
-                        && emit_row(sink, output, &row, buf, &mut out_row, &mut considered)
+                        && sink.emit(output, &row, buf, &mut out_row, &mut considered)
                     {
                         local += 1;
                     }
                 }
             }
-            flush_considered(sink, considered);
+            sink.note_considered(considered);
             gate.commit(local);
         },
     )
@@ -395,10 +343,10 @@ pub fn project_filter_sink(
         for r in range {
             view.copy_row(r, &mut row);
             if eval_all(residual, &row) {
-                emit_row(sink, output, &row, buf, &mut out_row, &mut considered);
+                sink.emit(output, &row, buf, &mut out_row, &mut considered);
             }
         }
-        flush_considered(sink, considered);
+        sink.note_considered(considered);
     })
 }
 
@@ -684,6 +632,43 @@ mod tests {
         assert_eq!(fused[0].len(), oracle.len());
         // Every produced tuple was considered, duplicates included.
         assert_eq!(sink.considered(), materialized[0].len());
+    }
+
+    #[test]
+    fn distinct_sink_keeps_one_row_per_live_value_in_the_full_layout() {
+        use crate::sink::{DistinctSink, SinkMode};
+        // The first join of a(x,z), b(z,w), c(w,y) read only at x and w:
+        // many z per (x, w), one kept row each.
+        let ctx = ctx();
+        let mut l = Relation::new(Schema::with_arity("l", 2));
+        let mut r = Relation::new(Schema::with_arity("r", 2));
+        for i in 0..400i64 {
+            l.push_row(&[i % 7, i % 31]);
+            r.push_row(&[i % 31, i % 5]);
+        }
+        let spec = JoinSpec {
+            left_keys: &[1],
+            right_keys: &[0],
+            build_left: false,
+            output: &[Expr::Col(0), Expr::Col(1), Expr::Col(2), Expr::Col(3)],
+            residual: &[],
+        };
+        let all = hash_join(&ctx, l.view(), r.view(), &spec);
+        let live = [0, 3];
+        let sink = DistinctSink::new(&live);
+        let kept = hash_join_sink(&ctx, l.view(), r.view(), &spec, &SinkMode::Distinct(&sink));
+        let project = |cols: &[Vec<Value>]| -> HashSet<Vec<Value>> {
+            rows_of(cols)
+                .into_iter()
+                .map(|r| vec![r[0], r[3]])
+                .collect()
+        };
+        assert_eq!(project(&kept), project(&all));
+        assert_eq!(kept[0].len(), project(&all).len(), "one row per (x, w)");
+        assert!(kept[0].len() < all[0].len());
+        // Kept rows are real join rows, every column intact.
+        assert!(rows_of(&kept).is_subset(&rows_of(&all)));
+        assert_eq!(sink.considered(), all[0].len());
     }
 
     #[test]

@@ -31,12 +31,25 @@
 //! themselves; the caller folds the survivors into `∆R` and the
 //! subsequent index `append` performs the one-time hashed rebuild.
 //!
+//! ## Deduplicated chain stages
+//!
+//! A [`DeltaSink`] sees only the final operator of a subquery. The
+//! non-final joins of a chain of three or more atoms feed the next join,
+//! and only the columns a later stage reads matter there (the planner's
+//! `JoinStep::live`). When the subquery streams into a `DeltaSink` — set
+//! semantics all the way — each such stage offers its rows to a
+//! [`DistinctSink`] keyed on those columns, a [`GrowChainTable`] over no
+//! base index racing the same `insert_unique_row`, and only its winners
+//! materialize. A chain intermediate under a materializing sink stays
+//! Algorithm 1's UNION ALL: counting's signed pass needs its
+//! multiplicities and the ablation arms that keep `Rt` keep it too.
+//!
 //! [`SinkMode`] is the switch operators consume: `Materialize` preserves
 //! the UNION-ALL contract (every row is buffered), `Delta` streams rows
-//! through a sink, `Agg` folds them into aggregate state. The
-//! materializing mode serves the ablation arms that keep `Rt`
-//! (`--no-fused-pipeline`, `--no-fused-agg`, `--no-uie`, `--no-eost`,
-//! `--no-index-reuse`). The two fusion arms then hand the buffered `Rt` to
+//! through a sink, `Distinct` dedups a chain stage, `Agg` folds rows into
+//! aggregate state. The materializing mode serves the ablation arms that
+//! keep `Rt` (`--no-fused-pipeline`, `--no-fused-agg`, `--no-uie`,
+//! `--no-eost`, `--no-index-reuse`). The two fusion arms then hand the buffered `Rt` to
 //! the default path's own table — a [`DeltaSink`] presized to `|Rt|`, or
 //! the head's [`ConcurrentMonoMap`] after a group-by pass — so they differ
 //! from the default only in the buffering. OOF-FA statistics no longer
@@ -47,14 +60,16 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
-use recstep_common::hash::mix64;
+use recstep_common::hash::{hash_row, mix64};
 use recstep_common::Value;
 use recstep_storage::RelView;
 
 use crate::agg::{ConcurrentMonoMap, GroupSink};
 use crate::chain::GrowChainTable;
+use crate::expr::Expr;
 use crate::index::PersistentIndex;
 use crate::key::KeyMode;
+use crate::util::ColBuf;
 
 /// How a producing operator disposes of its output rows.
 pub enum SinkMode<'a> {
@@ -63,10 +78,86 @@ pub enum SinkMode<'a> {
     /// Stream rows through a fused dedup + set-difference sink; only
     /// fresh rows are buffered.
     Delta(&'a DeltaSink<'a>),
+    /// Deduplicate a chain stage's rows on the columns later stages read;
+    /// only the first row per distinct value is buffered.
+    Distinct(&'a DistinctSink<'a>),
     /// Stream rows into a concurrent aggregation state at the probe site
     /// (group-at-source): nothing is ever buffered — the sink's flush
     /// yields the aggregated result or ∆ directly.
     Agg(&'a AggSink<'a>),
+}
+
+impl SinkMode<'_> {
+    /// Emit one flattened `row` projected through `output`. Returns `true`
+    /// when a row was materialized into `buf` (what counts against a
+    /// producer's row cap); the streaming modes drop duplicates here, at
+    /// the probe site, and count every offer in `considered`. `out_row` is
+    /// the worker's scratch row.
+    #[inline]
+    pub fn emit(
+        &self,
+        output: &[Expr],
+        row: &[Value],
+        buf: &mut ColBuf,
+        out_row: &mut Vec<Value>,
+        considered: &mut usize,
+    ) -> bool {
+        match self {
+            SinkMode::Materialize => {
+                for (c, e) in output.iter().enumerate() {
+                    buf.push_at(c, e.eval(row));
+                }
+                true
+            }
+            SinkMode::Delta(s) => {
+                out_row.clear();
+                out_row.extend(output.iter().map(|e| e.eval(row)));
+                *considered += 1;
+                if s.offer(out_row) {
+                    buf.push_row(out_row);
+                    true
+                } else {
+                    false
+                }
+            }
+            SinkMode::Distinct(s) => {
+                out_row.clear();
+                out_row.extend(s.live.iter().map(|&c| output[c].eval(row)));
+                *considered += 1;
+                if s.offer(out_row) {
+                    for (c, e) in output.iter().enumerate() {
+                        buf.push_at(c, e.eval(row));
+                    }
+                    true
+                } else {
+                    false
+                }
+            }
+            SinkMode::Agg(s) => {
+                out_row.clear();
+                out_row.extend(output.iter().map(|e| e.eval(row)));
+                *considered += 1;
+                // Folded into the aggregation state at source; never buffered.
+                s.offer(out_row);
+                false
+            }
+        }
+    }
+
+    /// Publish a worker's per-morsel offered-row count (no-op when
+    /// materializing).
+    #[inline]
+    pub fn note_considered(&self, n: usize) {
+        let total = match self {
+            SinkMode::Materialize => return,
+            SinkMode::Delta(s) => &s.considered,
+            SinkMode::Distinct(s) => &s.considered,
+            SinkMode::Agg(s) => &s.considered,
+        };
+        if n > 0 {
+            total.fetch_add(n, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Shared per-iteration state of one fused streaming pass: the full-`R`
@@ -161,14 +252,6 @@ impl<'a> DeltaSink<'a> {
         self.scratch.insert_unique_row(key, row)
     }
 
-    /// Fold a worker's per-morsel count of offered rows into the shared
-    /// total (one atomic add per morsel keeps the hot path clean).
-    pub fn note_considered(&self, n: usize) {
-        if n > 0 {
-            self.considered.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Rows offered across all workers — `|Rt|` of the materializing
     /// path, without `Rt` ever existing.
     pub fn considered(&self) -> usize {
@@ -192,6 +275,41 @@ impl<'a> DeltaSink<'a> {
     pub fn take_overflow(&self) -> Vec<Vec<Value>> {
         let flat = std::mem::take(&mut *self.overflow.lock());
         flat.chunks(self.arity).map(<[Value]>::to_vec).collect()
+    }
+}
+
+/// Shared state of one deduplicated chain stage: a [`GrowChainTable`]
+/// over the stage's live columns, raced by every morsel worker with the
+/// same `insert_unique_row` a [`DeltaSink`] uses, but over no base index —
+/// the intermediate is new by construction, only its duplicates die.
+pub struct DistinctSink<'a> {
+    live: &'a [usize],
+    table: GrowChainTable,
+    considered: AtomicUsize,
+}
+
+impl<'a> DistinctSink<'a> {
+    /// Sink keeping one row per distinct value of the flattened columns
+    /// `live` (non-empty).
+    pub fn new(live: &'a [usize]) -> Self {
+        DistinctSink {
+            live,
+            table: GrowChainTable::new(live.len(), 0, 0),
+            considered: AtomicUsize::new(0),
+        }
+    }
+
+    /// Offer one row's live values (in `live` order). Returns `true` when
+    /// no equal one was offered before. Callable from any worker
+    /// concurrently.
+    #[inline]
+    pub fn offer(&self, key_row: &[Value]) -> bool {
+        self.table.insert_unique_row(hash_row(key_row), key_row)
+    }
+
+    /// Rows offered across all workers, duplicates included.
+    pub fn considered(&self) -> usize {
+        self.considered.load(Ordering::Relaxed)
     }
 }
 
@@ -325,14 +443,6 @@ impl<'a> AggSink<'a> {
         }
     }
 
-    /// Fold a worker's per-morsel count of offered rows into the shared
-    /// total (one atomic add per morsel keeps the hot path clean).
-    pub fn note_considered(&self, n: usize) {
-        if n > 0 {
-            self.considered.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Rows offered across all workers — `|Rt|` of the materializing
     /// path, folded at source instead of being buffered.
     pub fn considered(&self) -> usize {
@@ -360,7 +470,7 @@ mod tests {
         assert!(sink.offer(&[3, 30]), "fresh");
         assert!(!sink.offer(&[3, 30]), "duplicate candidate");
         assert!(sink.offer(&[4, 40]));
-        sink.note_considered(4);
+        SinkMode::Delta(&sink).note_considered(4);
         assert_eq!(sink.considered(), 4);
         assert!(sink.take_overflow().is_empty());
         // Node chunk 0 (64 rows of 2 values) plus the 64-entry directory.
@@ -476,7 +586,7 @@ mod tests {
             sink.offer(&[1, 10]);
             sink.offer(&[1, 7]);
             sink.offer(&[2, 3]);
-            sink.note_considered(3);
+            SinkMode::Agg(&sink).note_considered(3);
             assert_eq!(sink.considered(), 3);
             assert_eq!(sampler.seen(), 3);
         }

@@ -306,30 +306,14 @@ impl Walk<'_, '_> {
             return true;
         }
         self.emitted += 1;
-        match self.sink {
-            SinkMode::Materialize => {
-                for (c, e) in self.spec.output.iter().enumerate() {
-                    self.buf.push_at(c, e.eval(&self.row));
-                }
-                self.local += 1;
-            }
-            SinkMode::Delta(s) => {
-                self.out_row.clear();
-                self.out_row
-                    .extend(self.spec.output.iter().map(|e| e.eval(&self.row)));
-                self.considered += 1;
-                if s.offer(&self.out_row) {
-                    self.buf.push_row(&self.out_row);
-                    self.local += 1;
-                }
-            }
-            SinkMode::Agg(s) => {
-                self.out_row.clear();
-                self.out_row
-                    .extend(self.spec.output.iter().map(|e| e.eval(&self.row)));
-                self.considered += 1;
-                s.offer(&self.out_row);
-            }
+        if self.sink.emit(
+            self.spec.output,
+            &self.row,
+            self.buf,
+            &mut self.out_row,
+            &mut self.considered,
+        ) {
+            self.local += 1;
         }
         true
     }
@@ -405,11 +389,7 @@ pub fn wcoj_sink(
             }
             pos = run.end;
         }
-        match sink {
-            SinkMode::Delta(s) => s.note_considered(walk.considered),
-            SinkMode::Agg(s) => s.note_considered(walk.considered),
-            SinkMode::Materialize => {}
-        }
+        sink.note_considered(walk.considered);
         emitted.fetch_add(walk.emitted, Ordering::Relaxed);
         gate.commit(walk.local);
     });

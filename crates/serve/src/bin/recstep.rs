@@ -362,9 +362,11 @@ fn main() -> ExitCode {
         println!(
             "-- fused_pipeline: {}",
             if engine.config().fused_pipeline {
-                "on (dedup/set-difference at the join probe; Rt never materialized)"
+                "on (dedup/set-difference at the join probe; Rt never materialized; \
+                 SELECT DISTINCT chain stages deduped on the pipe)"
             } else {
-                "off (materialize Rt, drain it through the sink in a second pass)"
+                "off (materialize Rt, drain it through the sink in a second pass; \
+                 SELECT DISTINCT chain stages run as UNION ALL)"
             }
         );
         println!(
@@ -403,6 +405,10 @@ fn main() -> ExitCode {
                 println!("iterations: {}", stats_out.iterations);
                 println!("queries issued: {}", stats_out.queries_issued);
                 println!("tuples considered: {}", stats_out.tuples_considered);
+                println!(
+                    "chain intermediates: {} rows offered, {} kept",
+                    stats_out.intermediate_rows_offered, stats_out.intermediate_rows_kept
+                );
                 println!(
                     "set difference: {} OPSD / {} TPSD / {} fused ({} streaming)",
                     stats_out.opsd_runs,
