@@ -1432,6 +1432,7 @@ impl<'d> EvalRun<'_, 'd> {
         stats.queries_issued += out.queries + 1;
         stats.wcoj_runs += out.tally.wcoj_runs;
         stats.wcoj_rows_emitted += out.tally.wcoj_rows;
+        stats.wcoj_rows_direct += out.tally.wcoj_direct;
         stats.intermediate_rows_offered += out.tally.stage_offered;
         stats.intermediate_rows_kept += out.tally.stage_kept;
         stats.tuples_considered += considered;
@@ -1780,6 +1781,7 @@ impl EvalRun<'_, '_> {
             &mut jcache,
             Some(overrides),
             sink,
+            false,
             &mut tally,
         )
     }
@@ -2342,6 +2344,9 @@ struct Tally {
     wcoj_runs: usize,
     /// Rows its leaf enumeration emitted into the sink, pre-dedup.
     wcoj_rows: usize,
+    /// Of those, rows materialized without the sink because they were
+    /// provably distinct and new.
+    wcoj_direct: usize,
     /// Rows the deduplicated chain stages were offered.
     stage_offered: usize,
     /// Rows they kept (materialized for the next join).
@@ -2386,11 +2391,13 @@ fn eval_idb(
     let mut unioned: Vec<Vec<Value>> = vec![Vec::new(); out_arity];
     let mut queries = 0usize;
     let mut tally = Tally::default();
+    // Seeded re-entry: subqueries with no ∆ scan re-derive only what the
+    // maintenance seed pass already streamed; skipping them is what makes
+    // a small-delta refresh cost |∆|-ish, not |R|-ish.
+    let runs = |sq: &SubQuery| !seeded || sq.delta_scan.is_some();
+    let sole = idb.subqueries.iter().filter(|sq| runs(sq)).count() == 1;
     for (si, sq) in idb.subqueries.iter().enumerate() {
-        // Seeded re-entry: subqueries with no ∆ scan re-derive only what
-        // the maintenance seed pass already streamed; skipping them is
-        // what makes a small-delta refresh cost |∆|-ish, not |R|-ish.
-        if seeded && sq.delta_scan.is_none() {
+        if !runs(sq) {
             continue;
         }
         let cols = eval_subquery(
@@ -2404,6 +2411,7 @@ fn eval_idb(
             jcache,
             None,
             sink,
+            sole,
             &mut tally,
         )?;
         if cfg.uie {
@@ -2451,6 +2459,9 @@ type ScanOverrides<'v> = FxHashMap<usize, RelView<'v>>;
 /// ignored (maintenance passes carry no per-stratum delta state). The
 /// join cache must be disabled for such calls: a cached build side would
 /// serve the catalog's rows for an overridden position.
+///
+/// `sole` says this subquery is the only one feeding `sink` in this pass;
+/// maintenance passes never claim it.
 #[allow(clippy::too_many_arguments)]
 fn eval_subquery<'a>(
     ctx: &ExecCtx,
@@ -2463,6 +2474,7 @@ fn eval_subquery<'a>(
     jcache: &mut JoinCache<'_>,
     overrides: Option<&ScanOverrides<'a>>,
     sink: &SinkMode<'_>,
+    sole: bool,
     tally: &mut Tally,
 ) -> Result<Vec<Vec<Value>>> {
     debug_assert!(
@@ -2524,10 +2536,23 @@ fn eval_subquery<'a>(
                 output: &sq.head_exprs,
                 residual: &sq.residual,
             };
-            let (cols, emitted) = wcoj_sink(&capped, &views, &spec, sink);
+            // Distinct elimination: a head keeping every variable
+            // projects the walk's distinct bindings to distinct rows. When
+            // the sink has nothing to subtract, samples nothing and has
+            // no other producer, its table could only copy them: the rows
+            // materialize directly and are booked as considered.
+            let direct = sole
+                && wp.distinct_head
+                && matches!(sink, SinkMode::Delta(s) if s.filters_only_duplicates());
+            let walk_sink = if direct { &SinkMode::Materialize } else { sink };
+            let (cols, emitted) = wcoj_sink(&capped, &views, &spec, walk_sink);
             tally.wcoj_runs += 1;
             tally.wcoj_rows += emitted;
             let rows = cols.first().map_or(0, Vec::len);
+            if direct {
+                sink.note_considered(rows);
+                tally.wcoj_direct += rows;
+            }
             let bytes = cols.iter().map(|c| c.len() * 8).sum::<usize>();
             if rows >= capped.row_cap || bytes > cfg.mem_budget_bytes {
                 return Err(Error::exec(format!(

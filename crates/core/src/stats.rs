@@ -187,6 +187,10 @@ pub struct EvalStats {
     /// one per distinct variable binding, never one per intermediate
     /// row-combination.
     pub wcoj_rows_emitted: usize,
+    /// Of those, rows a WCOJ subquery materialized without the sink
+    /// because they were provably distinct: a head keeping every variable,
+    /// an empty `R`, no sampler and no other subquery feeding the IDB.
+    pub wcoj_rows_direct: usize,
     /// Group-at-source streaming aggregation passes: aggregated heads
     /// whose produced rows were folded into concurrent aggregate state at
     /// the probe site instead of materializing a pre-aggregation `Rt`.
@@ -292,6 +296,7 @@ impl EvalStats {
         self.rt_merge_bytes += other.rt_merge_bytes;
         self.wcoj_runs += other.wcoj_runs;
         self.wcoj_rows_emitted += other.wcoj_rows_emitted;
+        self.wcoj_rows_direct += other.wcoj_rows_direct;
         self.agg_sink_runs += other.agg_sink_runs;
         self.agg_dense_sinks += other.agg_dense_sinks;
         self.agg_rows_folded_at_source += other.agg_rows_folded_at_source;

@@ -105,6 +105,11 @@ pub struct WcojPlan {
     /// Per level: flattened-layout positions bound by this level's value
     /// (every occurrence of the variable across the body).
     pub level_slots: Vec<Vec<usize>>,
+    /// Every level's variable appears as a bare column in `head_exprs`.
+    /// The walk emits one row per distinct binding, so such a head
+    /// projects to distinct rows: a caller whose sink has nothing to
+    /// subtract and no other producer may skip its dedup table.
+    pub distinct_head: bool,
 }
 
 /// One subquery of the semi-naïve rewriting of one rule.
@@ -501,7 +506,7 @@ fn compile_subquery(
     }
 
     let wcoj = if negations.is_empty() {
-        wcoj_plan(&atoms, &scans)
+        wcoj_plan(&atoms, &scans, &head_exprs)
     } else {
         None
     };
@@ -629,7 +634,7 @@ pub fn hypergraph_is_cyclic(edges: &[Vec<usize>]) -> bool {
 /// body does not qualify (fewer than three atoms, any filtered scan —
 /// constants or atom-local repeats — or an acyclic hypergraph, where the
 /// binary chain is already optimal).
-fn wcoj_plan(atoms: &[&Atom<BodyTerm>], scans: &[ScanSpec]) -> Option<WcojPlan> {
+fn wcoj_plan(atoms: &[&Atom<BodyTerm>], scans: &[ScanSpec], head: &[Expr]) -> Option<WcojPlan> {
     if atoms.len() < 3 || scans.iter().any(|s| !s.filters.is_empty()) {
         return None;
     }
@@ -684,11 +689,16 @@ fn wcoj_plan(atoms: &[&Atom<BodyTerm>], scans: &[ScanSpec]) -> Option<WcojPlan> 
         scan_cols.push(by_level.into_iter().map(|(_, col)| col).collect());
         offset += scans[i].arity;
     }
+    let distinct_head = level_slots.iter().all(|slots| {
+        head.iter()
+            .any(|e| matches!(e, Expr::Col(c) if slots.contains(c)))
+    });
     Some(WcojPlan {
         levels: nvars,
         scan_cols,
         level_scans,
         level_slots,
+        distinct_head,
     })
 }
 
@@ -900,6 +910,32 @@ mod tests {
         assert_eq!(slots, (0..6).collect::<Vec<_>>());
         // The binary chain stays compiled alongside for the ablation arm.
         assert_eq!(sq.joins.len(), 2);
+    }
+
+    #[test]
+    fn distinct_head_needs_every_variable_as_a_bare_head_column() {
+        let distinct = |src: &str| {
+            let p = compiled(src);
+            let sq = &p.strata.last().unwrap().idbs[0].subqueries[0];
+            sq.wcoj
+                .as_ref()
+                .expect("cyclic body plans WCOJ")
+                .distinct_head
+        };
+        assert!(distinct(crate::programs::TRIANGLE));
+        assert!(distinct(
+            "t(x, y, z) :- arc(x, y), arc(y, z), arc(x, z), x != z."
+        ));
+        // Permuted head columns and extra computed columns keep it.
+        assert!(distinct(
+            "t(z, x + 1, y, x) :- arc(x, y), arc(y, z), arc(x, z)."
+        ));
+        // Dropping y: two bindings can project to one row.
+        assert!(!distinct("t(x, z) :- arc(x, y), arc(y, z), arc(x, z)."));
+        // y only inside an expression is not a bare column.
+        assert!(!distinct(
+            "t(x, y + 0, z) :- arc(x, y), arc(y, z), arc(x, z)."
+        ));
     }
 
     #[test]

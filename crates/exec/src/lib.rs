@@ -39,9 +39,9 @@
 //!   `GrowChainTable`-backed) behind counting-based incremental view
 //!   maintenance of non-recursive strata;
 //! * [`wcoj`] — the generic worst-case optimal multiway join: a
-//!   variable-ordered intersect over per-scan sorted compact-key tries
-//!   ([`wcoj::ScanTrie`]), sink-fused like every other producer, used by
-//!   the planner for cyclic rule bodies.
+//!   variable-ordered leapfrog intersection with galloping cursors over
+//!   per-scan sorted, decoded tries ([`wcoj::ScanTrie`]), sink-fused like
+//!   every other producer, used by the planner for cyclic rule bodies.
 
 #![deny(missing_docs)]
 

@@ -258,6 +258,15 @@ impl<'a> DeltaSink<'a> {
         self.considered.load(Ordering::Relaxed)
     }
 
+    /// True when the sink's only effect is dropping duplicates among its
+    /// offers: `R` is empty, so there is nothing to subtract, and no
+    /// sampler watches the offers. A producer that provably emits
+    /// distinct rows and is the sink's only producer may then materialize
+    /// them directly and book them with [`SinkMode::note_considered`].
+    pub fn filters_only_duplicates(&self) -> bool {
+        self.base.is_empty() && self.sampler.is_none()
+    }
+
     /// Approximate scratch-table heap footprint: node chunks plus the
     /// bucket directory (sentinels included).
     pub fn scratch_bytes(&self) -> usize {

@@ -437,8 +437,8 @@ fn main() -> ExitCode {
                     stats_out.sink_table_doublings
                 );
                 println!(
-                    "worst-case optimal joins: {} runs, {} rows emitted",
-                    stats_out.wcoj_runs, stats_out.wcoj_rows_emitted
+                    "worst-case optimal joins: {} runs, {} rows emitted, {} direct",
+                    stats_out.wcoj_runs, stats_out.wcoj_rows_emitted, stats_out.wcoj_rows_direct
                 );
                 println!(
                     "index tables: {} full builds / {} appends / {} scratch; \
