@@ -105,8 +105,9 @@ pub struct Config {
     /// Maintain standing materialized views over prepared programs: the
     /// query service keeps a completed run's IDB relations and full-`R`
     /// indexes alive and answers version-bumped queries by incremental
-    /// maintenance (∆-seeded semi-naive re-entry for insertions,
-    /// counting or Backward/Forward for deletions) instead of recompiling + rerunning
+    /// maintenance with two strategies, for recursive and non-recursive
+    /// strata alike (∆-seeded semi-naive re-entry for insertions,
+    /// Backward/Forward for deletions) instead of recompiling + rerunning
     /// from scratch. `--no-incremental` is the ablation switch.
     pub incremental_views: bool,
     /// Worst-case optimal multiway joins: subqueries whose body is a

@@ -86,7 +86,6 @@ use recstep_exec::join::{
 use recstep_exec::key::{bounds_of, KeyLayout, KeyMode};
 use recstep_exec::setdiff::{set_difference, DsdState};
 use recstep_exec::sink::{AggSink, AggTarget, DeltaSink, DistinctSink, SinkMode, SinkSampler};
-use recstep_exec::view::SupportTable;
 use recstep_exec::wcoj::{wcoj_sink, WcojSpec};
 use recstep_exec::ExecCtx;
 use recstep_storage::{RelId, RelView, Relation, RunCatalog, Schema};
@@ -1584,7 +1583,7 @@ impl<'d> EvalRun<'_, 'd> {
     }
 }
 
-/// The signed row deltas an incremental refresh maintains, keyed by
+/// The inserted and deleted rows an incremental refresh maintains, keyed by
 /// relation name.
 ///
 /// Seeded from the commit's *effective* base-relation deltas (set
@@ -1609,64 +1608,27 @@ impl RefreshDeltas {
     }
 }
 
-/// Column-major row sets by relation name: ∆ batches, or set-semantic
-/// copies of maintenance inputs.
+/// Column-major ∆ batches by relation name.
 type Batches = FxHashMap<String, Vec<Vec<Value>>>;
 
-/// How a changed stratum is maintained.
+/// How a changed unit is maintained.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Strategy {
-    /// A non-recursive stratum: exact per-derivation support counts.
-    Counting,
-    /// A recursive cluster whose inputs only gained tuples.
+    /// Its inputs only gained tuples.
     Seeded,
-    /// A recursive cluster whose inputs lost tuples: Backward/Forward.
+    /// Its inputs lost tuples: Backward/Forward.
     BackwardForward,
 }
 
-/// What one maintained stratum's passes read, built by
-/// [`EvalRun::maintenance_inputs`]. Inputs are the body relations outside
-/// the stratum's own IDBs; OLD/NEW copies are set-semantic (stored base
-/// relations may hold duplicate rows, which would inflate counts), and
-/// OLD = NEW ∖ plus ∪ minus — the deltas are effective set deltas.
+/// What the passes maintaining one unit read, built by
+/// [`EvalRun::maintenance_inputs`]: the effective ∆ of its inputs (the
+/// body relations outside the maintained stratum's own IDBs). Every
+/// position not pinned to a ∆ batch reads the catalog.
 struct Inputs {
     strategy: Strategy,
     /// The changed inputs' inserted and deleted rows.
     plus: Batches,
     minus: Batches,
-    /// Counting's pre-refresh copies of base and changed derived inputs.
-    old: Batches,
-    /// Post-refresh copies of base inputs (counting and support init);
-    /// derived inputs are sets already and read the catalog.
-    new: Batches,
-}
-
-impl Inputs {
-    /// The copy body position `q` reads while position `p` is pinned
-    /// (`None`: no pin); `None` reads the catalog. Counting's finite
-    /// differencing reads NEW before the pin and OLD after it; every other
-    /// pass reads NEW.
-    fn side(&self, rel: &str, q: usize, p: Option<usize>) -> Option<&Vec<Vec<Value>>> {
-        let copies = match (self.strategy, p) {
-            (Strategy::Counting, Some(p)) if q > p => &self.old,
-            _ => &self.new,
-        };
-        copies.get(rel)
-    }
-}
-
-/// One pinned-rule pass ([`EvalRun::pinned_pass`]).
-struct Pass<'b> {
-    /// Its rules: relation `rel`'s in these strata.
-    strata: &'b [&'b CompiledStratum],
-    rel: &'b str,
-    /// `(batches, sign)`: each body position whose relation has a batch
-    /// is pinned to it once per entry, its derivations carrying `sign`.
-    /// Empty: every non-recursive rule runs once, unpinned (recursive
-    /// ones re-run in the fixpoint that follows).
-    pins: &'b [(&'b Batches, i64)],
-    /// What every other position reads ([`Inputs::side`]).
-    inputs: &'b Inputs,
 }
 
 /// What a refresh carries across the strata it maintains.
@@ -1693,66 +1655,55 @@ fn cols_from_rows<'r>(
 }
 
 /// What a refresh maintains, in evaluation order, each unit ending with
-/// its maintained stratum. Strata are rule-level SCCs, so TC's `tc` spans
-/// `tc ← arc` and the recursive stratum: a recursive stratum's unit takes
-/// in the (earlier) non-recursive strata deriving its IDBs, and every
-/// other non-recursive stratum stands alone.
+/// its maintained stratum and holding every stratum that derives one of
+/// that stratum's IDBs. Strata are rule-level SCCs, so TC's `tc` spans
+/// `tc ← arc` and the recursive stratum, and an IDB that two
+/// non-recursive rules derive spans two strata: B/F must see both rules,
+/// or it retracts a tuple the other rule still derives. A stratum takes
+/// in the earlier non-recursive units that derive one of its IDBs; every
+/// reader of an IDB follows all the rules deriving it, so the merged unit
+/// still precedes them.
 fn maintenance_units(prog: &CompiledProgram) -> Vec<Vec<&CompiledStratum>> {
     let mut units: Vec<Vec<&CompiledStratum>> = Vec::new();
     for stratum in &prog.strata {
-        let mut unit = Vec::new();
-        if stratum.recursive {
-            let shares = |s: &CompiledStratum| {
-                s.idbs
-                    .iter()
-                    .any(|i| stratum.idbs.iter().any(|own| own.rel == i.rel))
-            };
-            unit.extend(
-                units
-                    .extract_if(.., |u| !u[0].recursive && shares(u[0]))
-                    .flatten(),
-            );
-        }
+        let shares = |s: &CompiledStratum| {
+            s.idbs
+                .iter()
+                .any(|i| stratum.idbs.iter().any(|own| own.rel == i.rel))
+        };
+        let mut unit: Vec<&CompiledStratum> = units
+            .extract_if(.., |u| {
+                let last = u[u.len() - 1];
+                !last.recursive && shares(last)
+            })
+            .flatten()
+            .collect();
         unit.push(stratum);
         units.push(unit);
     }
     units
 }
 
-/// Invoke `f` with each row of a column-major materialized result.
-fn each_row(cols: &[Vec<Value>], mut f: impl FnMut(&[Value])) {
-    let rows = cols.first().map_or(0, Vec::len);
-    let mut row = vec![0 as Value; cols.len()];
-    for r in 0..rows {
-        for (v, col) in row.iter_mut().zip(cols) {
-            *v = col[r];
-        }
-        f(&row);
-    }
-}
-
 /// Incremental view maintenance: the refresh driver behind
-/// [`crate::view::MaterializedView`]. A refresh walks the strata in
-/// order, maintaining each changed one against the deltas accumulated so
-/// far with one of three strategies — one skeleton, three shapes:
+/// [`crate::view::MaterializedView`]. A refresh walks the units of
+/// [`maintenance_units`] in order, maintaining each changed one against
+/// the deltas accumulated so far with one of two strategies — the same
+/// for recursive and non-recursive units:
 ///
-/// * **counting** for IDBs derived only in non-recursive strata — exact
-///   per-derivation support counts ([`SupportTable`]) decide when a
-///   tuple's first derivation appears or its last one disappears;
-/// * **∆-seeding** for insert-only changes to recursive clusters — every
-///   rule runs once per changed scan position through the fused
-///   [`DeltaSink`], then the fixpoint re-enters with ∆ = the fresh rows
-///   only ([`StratumEntry::Seeded`]);
-/// * **Backward/Forward** ([`bf`]) when a recursive cluster sees
-///   deletions — each deletion candidate is checked for a surviving
-///   proof, only the unproved ones are retracted, and the fixpoint
-///   re-enters ∆-seeded from the commit's inserts alone.
+/// * **∆-seeding** for insert-only changes — every rule runs once per
+///   changed scan position through the fused [`DeltaSink`], then a
+///   recursive stratum's fixpoint re-enters with ∆ = the fresh rows only
+///   ([`StratumEntry::Seeded`]);
+/// * **Backward/Forward** ([`bf`]) when an input lost tuples — each
+///   deletion candidate is checked for a surviving proof (one level deep
+///   for a non-recursive unit), only the unproved ones are retracted,
+///   and the unit is then ∆-seeded from the commit's inserts alone.
 ///
-/// Each builds its inputs once ([`Self::maintenance_inputs`],
-/// `phase.dedup`), evaluates its rules through one pinned-rule pass
-/// ([`Self::pinned_pass`], `phase.eval`) — B/F's proof search is booked
-/// there too — and ends in the shared tails:
-/// [`Self::retract`], [`Self::merge_delta`] and
+/// Each builds its ∆ batches once ([`Self::maintenance_inputs`],
+/// `phase.dedup`); B/F's proof search is booked under `phase.eval`. Both
+/// end in [`Self::refixpoint`]: the pinned pass ([`Self::pinned_pass`])
+/// inside a ∆ stream (`phase.pipeline`), the fixpoint re-entry, and the
+/// shared tails [`Self::retract`], [`Self::merge_delta`] and
 /// [`RefreshDeltas::publish`] (`phase.merge`).
 impl EvalRun<'_, '_> {
     /// Evaluate one subquery as a maintenance pass: overridden positions
@@ -1786,26 +1737,16 @@ impl EvalRun<'_, '_> {
         )
     }
 
-    /// Relation `rel`'s rows as a set: every set-semantic copy
-    /// maintenance reads is built from one.
-    fn row_set(&self, rel: &str) -> Result<FxHashSet<Vec<Value>>> {
-        let id = rel_id(&self.catalog, rel)?;
-        Ok(self.catalog.rel(id).to_rows().into_iter().collect())
-    }
-
-    /// Build what the passes maintaining `unit` (see
-    /// [`maintenance_units`]) read, in one walk over its rule bodies: the
-    /// changed inputs' ∆ batches, the strategy they call for, and the
-    /// set-semantic copies that strategy reads. `deltas` is `None` for
-    /// support initialization (NEW copies of base inputs). Returns `None`
-    /// when no input changed. Booked under `phase.dedup`.
+    /// Build the ∆ batches of the inputs of `unit` (see
+    /// [`maintenance_units`]) that changed, in one walk over its rule
+    /// bodies, and the strategy they call for. Returns `None` when no
+    /// input changed. Booked under `phase.dedup`.
     fn maintenance_inputs(
         &self,
-        prog: &CompiledProgram,
         unit: &[&CompiledStratum],
-        deltas: Option<&RefreshDeltas>,
+        deltas: &RefreshDeltas,
         stats: &mut EvalStats,
-    ) -> Result<Option<Inputs>> {
+    ) -> Option<Inputs> {
         let t_dedup = Instant::now();
         let maintained = unit[unit.len() - 1];
         let own: FxHashSet<&str> = maintained.idbs.iter().map(|i| i.rel.as_str()).collect();
@@ -1820,117 +1761,65 @@ impl EvalRun<'_, '_> {
                 scanned.push((rel, scan.arity));
             }
         }
-        let rows_of = |rel: &str| deltas.map(|d| (d.plus.get(rel), d.minus.get(rel)));
         let (mut plus, mut minus) = (Batches::default(), Batches::default());
         for &(rel, arity) in &scanned {
-            let (ins, del) = rows_of(rel).unwrap_or_default();
-            for (rows, batches) in [(ins, &mut plus), (del, &mut minus)] {
-                if let Some(rows) = rows.filter(|rows| !rows.is_empty()) {
+            for (side, batches) in [(&deltas.plus, &mut plus), (&deltas.minus, &mut minus)] {
+                if let Some(rows) = side.get(rel).filter(|rows| !rows.is_empty()) {
                     batches.insert(rel.to_string(), cols_from_rows(arity, rows));
                 }
             }
         }
-        if deltas.is_some() && plus.is_empty() && minus.is_empty() {
-            return Ok(None);
+        stats.phase.dedup += t_dedup.elapsed();
+        if plus.is_empty() && minus.is_empty() {
+            return None;
         }
-        let strategy = if !maintained.recursive {
-            Strategy::Counting
-        } else if minus.is_empty() {
+        let strategy = if minus.is_empty() {
             Strategy::Seeded
         } else {
             Strategy::BackwardForward
         };
-        let (mut old, mut new) = (Batches::default(), Batches::default());
-        for &(rel, arity) in &scanned {
-            let base = !prog.relations.iter().any(|d| d.is_idb && d.name == rel);
-            let changed = plus.contains_key(rel) || minus.contains_key(rel);
-            let (want_old, want_new) = match strategy {
-                Strategy::Seeded | Strategy::BackwardForward => (false, false),
-                Strategy::Counting => (deltas.is_some() && (base || changed), base),
-            };
-            if !want_old && !want_new {
-                continue;
-            }
-            let mut set = self.row_set(rel)?;
-            if want_new {
-                new.insert(rel.to_string(), cols_from_rows(arity, set.iter()));
-            }
-            if want_old {
-                let (ins, del) = rows_of(rel).unwrap_or_default();
-                for row in ins.into_iter().flatten() {
-                    set.remove(row);
-                }
-                for row in del.into_iter().flatten() {
-                    set.insert(row.clone());
-                }
-                old.insert(rel.to_string(), cols_from_rows(arity, set.iter()));
-            }
-        }
-        stats.phase.dedup += t_dedup.elapsed();
-        Ok(Some(Inputs {
+        Some(Inputs {
             strategy,
             plus,
             minus,
-            old,
-            new,
-        }))
+        })
     }
 
-    /// The one rule-evaluation pass of maintenance: each rule of `pass`
-    /// (deduplicated by rule — maintenance reads full views, so a
-    /// recursive rule's ∆ rewritings are one rule here; non-recursive
-    /// strata have one subquery per rule) is evaluated into `sink` once
-    /// per pinned body position `p`, every other position `q` reading
-    /// [`Inputs::side`]. `emit` receives each evaluation's rows with the
-    /// pin's sign. The interval is booked in `booked`
-    /// (`phase.eval`) — `None` inside a ∆ stream, whose
-    /// `phase.pipeline` covers it.
+    /// The one rule-evaluation pass of maintenance: each rule deriving
+    /// `idb` in the strata of `unit` (deduplicated by rule — maintenance
+    /// reads full views, so a recursive rule's ∆ rewritings are one rule
+    /// here; non-recursive strata have one subquery per rule) is evaluated
+    /// into `sink` once per body position whose relation has a batch in
+    /// `pins`, pinned to it, every other position reading the catalog.
+    /// Returns the rows of every evaluation, appended.
     fn pinned_pass(
         &self,
-        pass: Pass<'_>,
+        unit: &[&CompiledStratum],
+        idb: &CompiledIdb,
+        pins: &Batches,
         sink: &SinkMode<'_>,
-        booked: Option<&mut Duration>,
-        mut emit: impl FnMut(i64, Vec<Vec<Value>>),
-    ) -> Result<()> {
-        let t_eval = Instant::now();
-        for &stratum in pass.strata {
-            if pass.pins.is_empty() && stratum.recursive {
-                continue;
-            }
-            for idb in stratum.idbs.iter().filter(|i| i.rel == pass.rel) {
+    ) -> Result<Vec<Vec<Value>>> {
+        let mut out = vec![Vec::new(); idb.arity];
+        for &stratum in unit {
+            for rules in stratum.idbs.iter().filter(|i| i.rel == idb.rel) {
                 let mut seen_rules = FxHashSet::default();
-                for sq in idb
+                for sq in rules
                     .subqueries
                     .iter()
                     .filter(|sq| seen_rules.insert(sq.rule_idx))
                 {
-                    let unpinned = pass.pins.is_empty().then_some((None, 1));
-                    let pinned = sq.scans.iter().enumerate().flat_map(|(p, scan)| {
-                        pass.pins.iter().filter_map(move |&(batches, sign)| {
-                            Some((Some((p, batches.get(&scan.rel)?)), sign))
-                        })
-                    });
-                    for (pin, sign) in unpinned.into_iter().chain(pinned) {
-                        let p = pin.map(|(p, _)| p);
+                    for (p, scan) in sq.scans.iter().enumerate() {
+                        let Some(batch) = pins.get(&scan.rel) else {
+                            continue;
+                        };
                         let mut ovr = ScanOverrides::default();
-                        for (q, scan) in sq.scans.iter().enumerate() {
-                            let cols = match pin {
-                                Some((p, batch)) if p == q => Some(batch),
-                                _ => pass.inputs.side(&scan.rel, q, p),
-                            };
-                            if let Some(cols) = cols {
-                                ovr.insert(q, RelView::over(cols));
-                            }
-                        }
-                        emit(sign, self.eval_maintenance(stratum, sq, &ovr, sink)?);
+                        ovr.insert(p, RelView::over(batch));
+                        append_cols(&mut out, self.eval_maintenance(stratum, sq, &ovr, sink)?);
                     }
                 }
             }
         }
-        if let Some(booked) = booked {
-            *booked += t_eval.elapsed();
-        }
-        Ok(())
+        Ok(out)
     }
 
     /// Retract `rows` (possibly none) from relation `rel_id`, whose
@@ -1947,47 +1836,6 @@ impl EvalRun<'_, '_> {
         rs.stats.phase.merge += t_merge.elapsed();
     }
 
-    /// Initialize support counts for every counting-maintained IDB of a
-    /// freshly evaluated program: each rule runs once, unpinned, over
-    /// set-semantic NEW copies of its base inputs, contributing one
-    /// support per derivation row.
-    pub(crate) fn init_supports(
-        &mut self,
-        prog: &CompiledProgram,
-        supports: &mut FxHashMap<String, SupportTable>,
-    ) -> Result<()> {
-        // Part of building a view, not of any run's statistics.
-        let mut stats = EvalStats::default();
-        for unit in maintenance_units(prog) {
-            let stratum = unit[unit.len() - 1];
-            if stratum.recursive {
-                continue;
-            }
-            let Some(inputs) = self.maintenance_inputs(prog, &unit, None, &mut stats)? else {
-                continue;
-            };
-            for idb in &stratum.idbs {
-                let rel_len = self.catalog.rel(rel_id(&self.catalog, &idb.rel)?).len();
-                let support = supports
-                    .entry(idb.rel.clone())
-                    .or_insert_with(|| SupportTable::new(idb.arity, rel_len));
-                let pass = Pass {
-                    strata: &unit,
-                    rel: &idb.rel,
-                    pins: &[],
-                    inputs: &inputs,
-                };
-                let booked = Some(&mut stats.phase.eval);
-                self.pinned_pass(pass, &SinkMode::Materialize, booked, |_, out| {
-                    each_row(&out, |row| {
-                        support.add(row, 1);
-                    })
-                })?;
-            }
-        }
-        Ok(())
-    }
-
     /// Incrementally refresh a completed run's IDB relations after the
     /// given effective base deltas (the IVM tentpole). The catalog must
     /// carry the previous run's results (an overlay pre-seeded via
@@ -1998,7 +1846,6 @@ impl EvalRun<'_, '_> {
         &mut self,
         prog: &CompiledProgram,
         deltas: &mut RefreshDeltas,
-        supports: &mut FxHashMap<String, SupportTable>,
         carry: &mut FxHashMap<String, PersistentIndex>,
     ) -> Result<EvalStats> {
         let t0 = Instant::now();
@@ -2014,21 +1861,14 @@ impl EvalRun<'_, '_> {
         rs.stats.view.view_refreshes = 1;
 
         for unit in maintenance_units(prog) {
-            let Some(inputs) = self.maintenance_inputs(prog, &unit, Some(deltas), &mut rs.stats)?
-            else {
+            let Some(inputs) = self.maintenance_inputs(&unit, deltas, &mut rs.stats) else {
                 continue;
             };
             match inputs.strategy {
-                // Insert-only: ∆-seed every rule against the new tuples,
-                // then re-enter the fixpoint with ∆ = the fresh rows only.
                 Strategy::Seeded => {
-                    let pins = [(&inputs.plus, 1)];
-                    self.refixpoint(&unit, &pins, &inputs, FxHashMap::default(), deltas, &mut rs)?
+                    self.refixpoint(&unit, &inputs, FxHashMap::default(), deltas, &mut rs)?
                 }
                 Strategy::BackwardForward => self.refresh_bf(&unit, &inputs, deltas, &mut rs)?,
-                Strategy::Counting => {
-                    self.refresh_counting(&unit, &inputs, deltas, supports, &mut rs)?
-                }
             }
         }
 
@@ -2039,18 +1879,18 @@ impl EvalRun<'_, '_> {
         Ok(self.close(rs.stats, t0, busy0))
     }
 
-    /// The recursive strategies' shared tail: stream `pins`' derivations
-    /// for every IDB of the cluster `unit` maintains, each through its
-    /// own ∆ stream ([`Self::stream_delta`]) against its carried full-R
-    /// index, and append the winners (the sink dedups what positions
-    /// reading current full views over-approximate); then re-enter the
-    /// cluster's fixpoint with ∆ = the fresh rows and publish each IDB's
-    /// net change: the rows it gained that were not among its `dead`
-    /// (B/F-retracted) rows, and the `dead` rows not re-derived.
+    /// Both strategies' shared tail: stream the commit's inserts' (`plus`)
+    /// derivations for every IDB of the stratum `unit` maintains, each
+    /// through its own ∆ stream ([`Self::stream_delta`]) against its
+    /// carried full-R index, and append the winners (the sink dedups what
+    /// positions reading current full views over-approximate); then
+    /// re-enter a recursive stratum's fixpoint with ∆ = the fresh rows (a
+    /// non-recursive one is complete after the pass) and publish each
+    /// IDB's net change: the rows it gained that were not among its
+    /// `dead` (B/F-retracted) rows, and the `dead` rows not re-derived.
     fn refixpoint(
         &mut self,
         unit: &[&CompiledStratum],
-        pins: &[(&Batches, i64)],
         inputs: &Inputs,
         mut dead: FxHashMap<String, FxHashSet<Vec<Value>>>,
         deltas: &mut RefreshDeltas,
@@ -2062,22 +1902,14 @@ impl EvalRun<'_, '_> {
         for idb in &rec.idbs {
             let rel_id = rel_id(&self.catalog, &idb.rel)?;
             starts.insert(rel_id, self.catalog.rel(rel_id).len());
-            let pass = Pass {
-                strata: unit,
-                rel: &idb.rel,
-                pins,
-                inputs,
-            };
             let mut index = rs.indexes.remove(&rel_id);
             let streamed =
                 self.stream_delta(rel_id, &mut index, None, &mut rs.stats, |this, sink| {
-                    let mut fresh = EvalOut {
-                        cols: vec![Vec::new(); idb.arity],
+                    Ok(EvalOut {
+                        cols: this.pinned_pass(unit, idb, &inputs.plus, sink)?,
                         queries: 0,
                         tally: Tally::default(),
-                    };
-                    this.pinned_pass(pass, sink, None, |_, out| append_cols(&mut fresh.cols, out))?;
-                    Ok(fresh)
+                    })
                 });
             let appended = streamed.map(|streamed| {
                 rs.stats.tuples_considered += streamed.considered;
@@ -2097,8 +1929,10 @@ impl EvalRun<'_, '_> {
         } else {
             view.view_bf_strata += 1;
         }
-        let entry = StratumEntry::Seeded(starts.clone());
-        self.run_stratum(rec, &mut rs.indexes, &mut rs.jcache, &mut rs.stats, entry)?;
+        if rec.recursive {
+            let entry = StratumEntry::Seeded(starts.clone());
+            self.run_stratum(rec, &mut rs.indexes, &mut rs.jcache, &mut rs.stats, entry)?;
+        }
         let t_merge = Instant::now();
         for (rel_id, start) in starts {
             let rel = self.catalog.rel(rel_id);
@@ -2112,13 +1946,12 @@ impl EvalRun<'_, '_> {
         Ok(())
     }
 
-    /// Backward/Forward maintenance of a recursive cluster that saw
-    /// deletions ([`bf`]): every deletion candidate is checked for a
-    /// surviving proof, and only the unproved ones are retracted. The
-    /// fixpoint then re-enters seeded from the commit's inserts only,
-    /// which also re-derives any retracted row a same-commit insert
-    /// proves again. The search is booked under `phase.eval`, the
-    /// retraction under `phase.merge`.
+    /// Backward/Forward maintenance of a unit whose inputs lost tuples
+    /// ([`bf`]): every deletion candidate is checked for a surviving
+    /// proof, and only the unproved ones are retracted. The unit is then
+    /// ∆-seeded from the commit's inserts only, which also re-derives any
+    /// retracted row a same-commit insert proves again. The search is
+    /// booked under `phase.eval`, the retraction under `phase.merge`.
     fn refresh_bf(
         &mut self,
         unit: &[&CompiledStratum],
@@ -2151,66 +1984,7 @@ impl EvalRun<'_, '_> {
                 dead_sets.insert(idb.rel.clone(), rows.into_iter().collect());
             }
         }
-        self.refixpoint(unit, &[(&inputs.plus, 1)], inputs, dead_sets, deltas, rs)
-    }
-
-    /// Counting maintenance of a non-recursive stratum: finite
-    /// differencing accumulates signed per-derivation deltas (position
-    /// `p` pinned to the change, earlier positions at NEW, later at OLD
-    /// views — all set-semantic), and the settled support counts decide
-    /// which tuples materialize or retract.
-    fn refresh_counting(
-        &mut self,
-        unit: &[&CompiledStratum],
-        inputs: &Inputs,
-        deltas: &mut RefreshDeltas,
-        supports: &mut FxHashMap<String, SupportTable>,
-        rs: &mut Refresh<'_>,
-    ) -> Result<()> {
-        for idb in &unit[unit.len() - 1].idbs {
-            let rel_id = rel_id(&self.catalog, &idb.rel)?;
-            let mut dc: FxHashMap<Vec<Value>, i64> = FxHashMap::default();
-            let pass = Pass {
-                strata: unit,
-                rel: &idb.rel,
-                pins: &[(&inputs.minus, -1), (&inputs.plus, 1)],
-                inputs,
-            };
-            let booked = Some(&mut rs.stats.phase.eval);
-            self.pinned_pass(pass, &SinkMode::Materialize, booked, |sign, out| {
-                each_row(&out, |row| *dc.entry(row.to_vec()).or_insert(0) += sign)
-            })?;
-            let t_merge = Instant::now();
-            let support = supports
-                .entry(idb.rel.clone())
-                .or_insert_with(|| SupportTable::new(idb.arity, 0));
-            let mut dels: Vec<Vec<Value>> = Vec::new();
-            let mut adds: Vec<Vec<Value>> = Vec::new();
-            for (row, d) in dc.into_iter().filter(|&(_, d)| d != 0) {
-                let after = support.add(&row, d);
-                debug_assert!(after >= 0, "support count went negative for {row:?}");
-                match (after - d > 0, after > 0) {
-                    (true, false) => dels.push(row),
-                    (false, true) => adds.push(row),
-                    _ => {}
-                }
-            }
-            rs.stats.phase.merge += t_merge.elapsed();
-            if dels.is_empty() && adds.is_empty() {
-                continue;
-            }
-            self.retract(rel_id, &dels, rs);
-            if !adds.is_empty() {
-                let cols = cols_from_rows(idb.arity, &adds);
-                self.merge_delta(rel_id, cols, None, &mut rs.stats);
-                rs.stats.view.view_tuples_seeded += adds.len() as u64;
-            }
-            let t_merge = Instant::now();
-            deltas.publish(&idb.rel, adds, dels);
-            rs.stats.phase.merge += t_merge.elapsed();
-        }
-        rs.stats.view.view_counting_strata += 1;
-        Ok(())
+        self.refixpoint(unit, inputs, dead_sets, deltas, rs)
     }
 }
 

@@ -1,6 +1,8 @@
-//! Backward/Forward maintenance of a recursive cluster under deletions
-//! (Motik, Nenov, Piro and Horrocks, *Incremental Update of Datalog
-//! Materialisation: the Backward/Forward Algorithm*, AAAI 2015).
+//! Backward/Forward maintenance under deletions (Motik, Nenov, Piro and
+//! Horrocks, *Incremental Update of Datalog Materialisation: the
+//! Backward/Forward Algorithm*, AAAI 2015) — with ∆-seeding, one of the
+//! two maintenance strategies, and the one for every unit whose inputs
+//! lost tuples, recursive or not.
 //!
 //! A deleted input fact only *might* take the facts it supports with it:
 //! on a dense cluster almost every one of them keeps another proof.
@@ -20,12 +22,15 @@
 //! * only a candidate left unproved enters `D`, and its deletion
 //!   propagates to the heads it supports over `I ∖ D`.
 //!
-//! `I` is the cluster's materialization before the commit. Inputs (base
-//! relations and lower strata) are read after it, so a proof may use a
-//! same-commit insert; what is deleted anyway is re-derived by the
-//! insert-seeded re-entry that follows. Deletion propagation also matches
-//! the commit's deleted input rows, so an instance with two deleted atoms
-//! is found from either of them.
+//! The *cluster* is the IDBs of the maintained stratum, and `I` their
+//! materialization before the commit. Inputs (base relations and lower
+//! strata) are read after it, so a proof may use a same-commit insert;
+//! what is deleted anyway is re-derived by the insert-seeded re-entry
+//! that follows. Deletion propagation also matches the commit's deleted
+//! input rows, so an instance with two deleted atoms is found from either
+//! of them. A non-recursive unit's rules read inputs only, so its proof
+//! search is one level deep: a candidate is proved by any instance over
+//! surviving inputs of any rule deriving its IDB.
 //!
 //! One tuple-at-a-time [`Matcher`] over the compiled subqueries serves all
 //! three walks: head-bound (the backward search), and one atom bound over
@@ -170,9 +175,9 @@ pub(super) struct Matcher<'a> {
 
 impl<'a> Matcher<'a> {
     /// A matcher over the rules of `unit` (see `maintenance_units`) whose
-    /// heads are IDBs of its recursive stratum: `full[i]` is the synced
-    /// whole-tuple index of that stratum's `i`-th IDB, and `gone` the
-    /// commit's deleted input rows by relation.
+    /// heads are IDBs of its maintained stratum, recursive or not:
+    /// `full[i]` is the synced whole-tuple index of that stratum's `i`-th
+    /// IDB, and `gone` the commit's deleted input rows by relation.
     pub(super) fn new(
         ctx: &'a ExecCtx,
         catalog: &'a RunCatalog<'_>,

@@ -11,18 +11,17 @@
 //!   new tuples only, riding the fused `DeltaSink` path (every candidate
 //!   probes the carried full-R index, so dedup + set-difference cost is
 //!   proportional to the delta, not to R);
-//! * **deletions** of non-recursively-derived tuples run counting-based
-//!   maintenance: a [`SupportTable`] side table holds exact
-//!   per-derived-tuple support counts, and a tuple retracts exactly when
-//!   its last derivation disappears;
-//! * **deletions** reaching recursive strata run Backward/Forward (Motik
-//!   et al., AAAI 2015): every tuple that loses a derivation is first
-//!   searched for a surviving proof — backward over the view minus what is
-//!   already deleted, down to surviving base facts, with proofs saturated
-//!   forward — and only the unproved ones are retracted; the fixpoint then
-//!   re-enters seeded from the commit's inserts. A delete inside a
-//!   strongly connected component retracts nothing and keeps the carried
-//!   full-R index.
+//! * **deletions** run Backward/Forward (Motik et al., AAAI 2015): every
+//!   tuple that loses a derivation is first searched for a surviving
+//!   proof — backward over the view minus what is already deleted, down
+//!   to surviving base facts, with proofs saturated forward — and only the
+//!   unproved ones are retracted; the strata then re-enter seeded from the
+//!   commit's inserts. A delete inside a strongly connected component
+//!   retracts nothing and keeps the carried full-R index.
+//!
+//! The two strategies serve recursive and non-recursive strata alike: a
+//! non-recursive stratum's proof search is one level deep, and its seeded
+//! pass needs no fixpoint after it.
 //!
 //! Views are owned by the query service (`recstep-serve`), which keeps a
 //! registry keyed by normalized program text next to its prepared-program
@@ -43,7 +42,6 @@ use recstep_common::sched::CancelToken;
 use recstep_common::{Result, Value};
 use recstep_datalog::plan::CompiledProgram;
 use recstep_exec::index::PersistentIndex;
-use recstep_exec::view::SupportTable;
 use recstep_storage::{Catalog, RunCatalog};
 
 use crate::config::{Config, PbmeMode};
@@ -92,10 +90,8 @@ pub struct MaterializedView {
     /// A refresh errored mid-maintenance; contents are untrusted until
     /// the next (automatic) scratch rebuild.
     poisoned: bool,
-    /// Carried full-R indexes of the recursive IDBs, by relation name.
+    /// Carried full-R indexes of the maintained IDBs, by relation name.
     indexes: FxHashMap<String, PersistentIndex>,
-    /// Support counts of the counting-maintained IDBs, by relation name.
-    supports: FxHashMap<String, SupportTable>,
     /// Pre-commit set contents of every base input relation (effective
     /// deltas are computed against these, then they advance).
     snapshots: FxHashMap<String, FxHashSet<Vec<Value>>>,
@@ -139,7 +135,6 @@ impl MaterializedView {
             incremental,
             poisoned: false,
             indexes: FxHashMap::default(),
-            supports: FxHashMap::default(),
             snapshots: FxHashMap::default(),
         };
         view.rebuild(db, cancel)?;
@@ -151,7 +146,6 @@ impl MaterializedView {
     fn rebuild(&mut self, db: &Database, cancel: Option<&CancelToken>) -> Result<()> {
         self.poisoned = true; // cleared on success
         self.indexes.clear();
-        self.supports.clear();
         self.snapshots.clear();
         let compiled = self.prog.compiled();
         let (_, ctx) = self.prog.engine().parts();
@@ -173,20 +167,6 @@ impl MaterializedView {
             .into_overlay()
             .expect("view runs evaluate over an overlay");
         if self.incremental {
-            let mut run = EvalRun {
-                cfg: &self.cfg,
-                ctx,
-                catalog: RunCatalog::shared_with(db.catalog(), mem::take(&mut self.out)),
-                cache: None,
-                cancel: None,
-                io: IoLedger::default(),
-            };
-            let res = run.init_supports(compiled, &mut self.supports);
-            self.out = run
-                .catalog
-                .into_overlay()
-                .expect("support init evaluates over an overlay");
-            res?;
             for decl in &compiled.relations {
                 if decl.is_idb {
                     continue;
@@ -323,7 +303,7 @@ impl MaterializedView {
             cancel: None,
             io: IoLedger::default(),
         };
-        let res = run.run_refresh(compiled, &mut deltas, &mut self.supports, &mut self.indexes);
+        let res = run.run_refresh(compiled, &mut deltas, &mut self.indexes);
         self.out = run
             .catalog
             .into_overlay()
@@ -629,10 +609,10 @@ tc(x, y) :- tc(x, z), arc(z, y).";
     }
 
     #[test]
-    fn nonrecursive_program_uses_counting() {
+    fn nonrecursive_program_uses_backward_forward() {
         let engine = Engine::builder().threads(1).build().unwrap();
-        // Two-hop join: purely non-recursive, so deletes go through the
-        // support-count path rather than Backward/Forward.
+        // Two-hop join: purely non-recursive, so a delete's proof search
+        // is one level deep, down to the surviving arcs.
         let prog = Arc::new(
             engine
                 .prepare("hop2(x, y) :- arc(x, z), arc(z, y).")
@@ -647,13 +627,44 @@ tc(x, y) :- tc(x, z), arc(z, y).";
         // must keep it; deleting both must retract it.
         let (ins, del) = commit(&mut db, &[], &[("arc", &[(1, 2)])]);
         view.refresh(&db, &ins, &del).unwrap();
-        assert!(view.view_stats().view_counting_strata >= 1);
+        assert!(view.view_stats().view_bf_strata >= 1);
+        assert_eq!(view.stats().view.view_tuples_retracted, 0);
         assert_matches_scratch(&view, &db, &["hop2"]);
         assert!(rows_sorted(&view.output(), "hop2").contains(&vec![0, 2]));
         let (ins, del) = commit(&mut db, &[], &[("arc", &[(4, 2)])]);
         view.refresh(&db, &ins, &del).unwrap();
+        assert_eq!(view.stats().view.view_tuples_retracted, 1);
         assert!(!rows_sorted(&view.output(), "hop2").contains(&vec![0, 2]));
         assert_matches_scratch(&view, &db, &["hop2"]);
+    }
+
+    #[test]
+    fn a_tuple_another_rule_derives_survives_its_rules_delete() {
+        let engine = Engine::builder().threads(1).build().unwrap();
+        // Each non-recursive rule is a stratum of its own; B/F sees both
+        // rules of `u` only because one maintenance unit holds them.
+        let prog = Arc::new(
+            engine
+                .prepare("u(x, y) :- arc(x, y).\nu(x, y) :- arc(x, z), brc(z, y).")
+                .unwrap(),
+        );
+        let mut db = Database::new().unwrap();
+        db.load_edges("arc", &[(0, 1), (1, 2), (0, 2)]).unwrap();
+        db.load_edges("brc", &[(1, 2)]).unwrap();
+        let mut view = MaterializedView::create(Arc::clone(&prog), &db).unwrap();
+        // u(0,2) is arc(0,2), and arc(0,1) ⋈ brc(1,2) derives it too.
+        let (ins, del) = commit(&mut db, &[], &[("arc", &[(0, 2)])]);
+        view.refresh(&db, &ins, &del).unwrap();
+        assert!(rows_sorted(&view.output(), "u").contains(&vec![0, 2]));
+        assert_matches_scratch(&view, &db, &["u"]);
+        assert_eq!(view.stats().view.view_bf_strata, 1);
+        assert_eq!(view.stats().view.view_tuples_retracted, 0);
+        // With the join's brc row gone too, nothing derives it.
+        let (ins, del) = commit(&mut db, &[], &[("brc", &[(1, 2)])]);
+        view.refresh(&db, &ins, &del).unwrap();
+        assert_eq!(view.stats().view.view_tuples_retracted, 1);
+        assert!(!rows_sorted(&view.output(), "u").contains(&vec![0, 2]));
+        assert_matches_scratch(&view, &db, &["u"]);
     }
 
     #[test]

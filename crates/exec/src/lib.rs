@@ -35,13 +35,14 @@
 //!   concurrent monotonic aggregate map behind recursive aggregation (CC,
 //!   SSSP);
 //! * [`util`] — morsel-driven production helpers shared by the operators;
-//! * [`view`] — the support-count side table ([`view::SupportTable`],
-//!   `GrowChainTable`-backed) behind counting-based incremental view
-//!   maintenance of non-recursive strata;
 //! * [`wcoj`] — the generic worst-case optimal multiway join: a
 //!   variable-ordered leapfrog intersection with galloping cursors over
 //!   per-scan sorted, decoded tries ([`wcoj::ScanTrie`]), sink-fused like
 //!   every other producer, used by the planner for cyclic rule bodies.
+//!
+//! Incremental view maintenance has no operator of its own here: its two
+//! strategies (∆-seeding and Backward/Forward, in `recstep-core`) run on
+//! the [`sink::DeltaSink`] and the [`index::PersistentIndex`] above.
 
 #![deny(missing_docs)]
 
@@ -56,7 +57,6 @@ pub mod key;
 pub mod setdiff;
 pub mod sink;
 pub mod util;
-pub mod view;
 pub mod wcoj;
 
 use std::sync::Arc;

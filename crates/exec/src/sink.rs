@@ -41,8 +41,9 @@
 //! [`DistinctSink`] keyed on those columns, a [`GrowChainTable`] over no
 //! base index racing the same `insert_unique_row`, and only its winners
 //! materialize. A chain intermediate under a materializing sink stays
-//! Algorithm 1's UNION ALL: counting's signed pass needs its
-//! multiplicities and the ablation arms that keep `Rt` keep it too.
+//! Algorithm 1's UNION ALL, as the ablation arms that keep `Rt` expect.
+//! View maintenance needs no multiplicities: both of its strategies
+//! stream through a `DeltaSink`.
 //!
 //! [`SinkMode`] is the switch operators consume: `Materialize` preserves
 //! the UNION-ALL contract (every row is buffered), `Delta` streams rows

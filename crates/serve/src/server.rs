@@ -702,10 +702,6 @@ impl ServerState {
                 ("published", json::int(l.index.published)),
                 ("view_refreshes", json::int(l.view.view_refreshes)),
                 ("view_seeded_strata", json::int(l.view.view_seeded_strata)),
-                (
-                    "view_counting_strata",
-                    json::int(l.view.view_counting_strata),
-                ),
                 ("view_bf_strata", json::int(l.view.view_bf_strata)),
                 ("view_fallbacks", json::int(l.view.view_fallbacks)),
                 ("total_us", json::int(l.total.as_micros())),
