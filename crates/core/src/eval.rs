@@ -78,12 +78,13 @@ use recstep_exec::agg::{AggCol, ConcurrentMonoMap, GroupSink};
 use recstep_exec::cache::{CacheKey, IndexCache};
 use recstep_exec::chain::ChainTable;
 use recstep_exec::dedup::deduplicate;
-use recstep_exec::index::{PersistentIndex, SharedIndex, SyncAction};
+use recstep_exec::index::{OrderedIndex, PersistentIndex, SharedIndex, SyncAction};
 use recstep_exec::join::{
     anti_join_prebuilt_sink, anti_join_sink, cross_join_sink, hash_join_prebuilt_sink,
-    hash_join_sink, project_filter, project_filter_sink, JoinSpec,
+    hash_join_sink, index_anti_join_sink, index_join_sink, project_filter, project_filter_sink,
+    JoinSpec,
 };
-use recstep_exec::key::{bounds_of, KeyLayout, KeyMode};
+use recstep_exec::key::{KeyLayout, KeyMode};
 use recstep_exec::setdiff::{set_difference, DsdState};
 use recstep_exec::sink::{AggSink, AggTarget, DeltaSink, DistinctSink, SinkMode, SinkSampler};
 use recstep_exec::wcoj::{wcoj_sink, WcojSpec};
@@ -176,58 +177,65 @@ struct IdbState {
 }
 
 /// The shared (read-only) tier of the join cache: a borrow of the
-/// database-owned [`IndexCache`] plus this run's pinned snapshots and
-/// hit/miss accounting.
+/// database-owned [`IndexCache`] plus this run's hit/miss accounting.
 struct SharedTier<'c> {
     cache: &'c IndexCache,
     budget: usize,
-    /// Snapshots this run is actively probing. Holding the `Arc` pins the
-    /// entry against eviction (the cache skips entries with live
-    /// borrowers) and keeps it valid even if it *is* dropped from the map.
-    pins: FxHashMap<(RelId, Vec<usize>), Arc<SharedIndex>>,
     hits: usize,
     misses: usize,
     evictions: usize,
 }
 
-/// Per-run, two-tier cache of join/anti-join build-side tables.
+/// A frozen relation's key-ordered index as one run holds it.
+struct FrozenIndex {
+    index: Arc<SharedIndex>,
+    /// A pin of the shared cache's entry (its bytes are the cache's), not
+    /// this run's own build.
+    shared: bool,
+}
+
+/// Per-run cache of join/anti-join build sides, in two layouts.
 ///
 /// Keyed on `(relation, key columns)`; only unfiltered `Base`/`Full` scans
 /// of catalog relations are cacheable — their row ids are stable and
 /// append-only for a stratum's whole fixpoint.
 ///
-/// * **Shared tier** — relations *frozen for this run* (EDBs and anything
-///   the program never derives) are served from the database-owned
-///   [`IndexCache`]: built at most once across all runs over the database
-///   (first builder wins, concurrent racers block on the publish and
-///   reuse), pinned by this run while probing. Subject to spill-aware
-///   eviction; a dropped entry surfaces as a miss, i.e. a rebuild signal —
-///   never a dangling reference.
-/// * **Local tier** — mutable build sides (growing IDB `Full` views, and
-///   shared-tier fallbacks whose probe values escape the published packed
-///   layout) keep the PR-2 behavior: a run-private [`PersistentIndex`],
-///   built once and appended the rows each merge adds.
+/// * **Frozen relations** — those the program never derives (EDBs) — get
+///   a key-ordered [`SharedIndex`]. With the database-owned
+///   [`IndexCache`] it is served from there: built at most once across
+///   all runs over the database (first builder wins, concurrent racers
+///   block on the publish and reuse), pinned by this run while probing,
+///   subject to spill-aware eviction (a dropped entry surfaces as a miss,
+///   i.e. a rebuild signal — never a dangling reference). Without the
+///   cache (`--no-shared-index-cache`, or a relation with no durable
+///   version) the run builds the same index and keeps it to itself. Any
+///   probe may use it: values outside its bounds match nothing.
+/// * **Growing relations** — the program's IDBs — get a chained
+///   [`PersistentIndex`], built once and appended the rows each merge
+///   adds (rebuilt hashed, once, when probe values escape its packed
+///   layout).
 ///
-/// The cache now lives for the whole run (PR 2 dropped it at stratum end):
-/// relations are append-only between IDB resets, `sync_for_probe` rebuilds
-/// defensively on any shrink, and the two mid-run clear-and-refill sites
-/// (monotonic-aggregate rebuilds, PBME materialization) explicitly
-/// [`JoinCache::invalidate`] their relation — an equal-length refill
-/// reassigns row ids without tripping the length check, so invalidation
-/// there is what makes cross-stratum reuse sound. Counters fold into
-/// [`EvalStats`] at run end.
+/// The cache lives for the whole run: relations are append-only between
+/// IDB resets, syncs rebuild defensively on any shrink, and the two
+/// mid-run clear-and-refill sites (monotonic-aggregate rebuilds, PBME
+/// materialization) explicitly [`JoinCache::invalidate`] their relation —
+/// an equal-length refill reassigns row ids without tripping the length
+/// check, so invalidation there is what makes cross-stratum reuse sound.
+/// Counters fold into [`EvalStats`] at run end.
 struct JoinCache<'c> {
     enabled: bool,
     shared: Option<SharedTier<'c>>,
-    /// Relations this run derives (its IDBs): their build sides grow, so
-    /// they are never served from the shared tier.
+    /// Relations this run derives (its IDBs): their build sides grow.
     mutable_ids: FxHashSet<RelId>,
-    map: FxHashMap<(RelId, Vec<usize>), PersistentIndex>,
+    growing: FxHashMap<(RelId, Vec<usize>), PersistentIndex>,
+    frozen: FxHashMap<(RelId, Vec<usize>), FrozenIndex>,
     builds: usize,
     appends: usize,
     reuses: usize,
     build_rows: usize,
     append_rows: usize,
+    /// Joins that probed a frozen index with their other input.
+    frozen_probes: usize,
     maintain: std::time::Duration,
 }
 
@@ -242,25 +250,29 @@ impl<'c> JoinCache<'c> {
             shared: shared.map(|(cache, budget)| SharedTier {
                 cache,
                 budget,
-                pins: FxHashMap::default(),
                 hits: 0,
                 misses: 0,
                 evictions: 0,
             }),
             mutable_ids,
-            map: FxHashMap::default(),
+            growing: FxHashMap::default(),
+            frozen: FxHashMap::default(),
             builds: 0,
             appends: 0,
             reuses: 0,
             build_rows: 0,
             append_rows: 0,
+            frozen_probes: 0,
             maintain: std::time::Duration::ZERO,
         }
     }
 
-    /// Whether a scan's build side may be served from the cache.
-    fn cacheable(catalog: &RunCatalog<'_>, scan: &ScanSpec) -> Option<RelId> {
-        if scan.filters.is_empty() && matches!(scan.version, AtomVersion::Base | AtomVersion::Full)
+    /// The relation a scan's build side may be served from the cache
+    /// for, if any.
+    fn cacheable(&self, catalog: &RunCatalog<'_>, scan: &ScanSpec) -> Option<RelId> {
+        if self.enabled
+            && scan.filters.is_empty()
+            && matches!(scan.version, AtomVersion::Base | AtomVersion::Full)
         {
             catalog.lookup(&scan.rel)
         } else {
@@ -268,12 +280,99 @@ impl<'c> JoinCache<'c> {
         }
     }
 
-    /// A probe-ready `(table, key mode)` over `rel_id`'s current rows,
-    /// keyed on `cols`: served from the shared tier when the relation is
-    /// frozen for this run, otherwise built on first use and synchronized
+    /// Whether `rel_id` is frozen for this run (never derived by it).
+    fn is_frozen(&self, rel_id: RelId) -> bool {
+        !self.mutable_ids.contains(&rel_id)
+    }
+
+    /// A cacheable scan over a frozen relation: its id.
+    fn frozen_rel(&self, catalog: &RunCatalog<'_>, scan: &ScanSpec) -> Option<RelId> {
+        self.cacheable(catalog, scan)
+            .filter(|&id| self.is_frozen(id))
+    }
+
+    /// Whether this run holds an index under `key` over all `rows` of its
+    /// relation.
+    fn holds(&self, key: &(RelId, Vec<usize>), rows: usize) -> bool {
+        self.frozen.get(key).is_some_and(|f| f.index.rows() == rows)
+    }
+
+    /// Whether frozen `rel_id`'s index on `cols` exists already — held by
+    /// this run, or resident in the shared cache — so building on that
+    /// side costs nothing.
+    fn resident(&self, catalog: &RunCatalog<'_>, rel_id: RelId, cols: &[usize]) -> bool {
+        if self.holds(&(rel_id, cols.to_vec()), catalog.rel(rel_id).len()) {
+            return true;
+        }
+        match (&self.shared, catalog.shared_version(rel_id)) {
+            (Some(tier), Some(version)) => tier.cache.contains(&CacheKey {
+                rel: rel_id,
+                version,
+                cols: cols.to_vec(),
+            }),
+            _ => false,
+        }
+    }
+
+    /// The key-ordered index over frozen `rel_id`'s rows on `cols`: held
+    /// from an earlier probe, fetched (or built once) through the shared
+    /// cache, or built for this run alone without one.
+    fn frozen_index(
+        &mut self,
+        ctx: &ExecCtx,
+        catalog: &RunCatalog<'_>,
+        rel_id: RelId,
+        cols: &[usize],
+    ) -> &OrderedIndex {
+        let t0 = Instant::now();
+        let base = catalog.rel(rel_id).view();
+        let key = (rel_id, cols.to_vec());
+        if self.holds(&key, base.len()) {
+            self.reuses += 1;
+        } else {
+            let held = match (self.shared.as_mut(), catalog.shared_version(rel_id)) {
+                (Some(tier), Some(version)) => {
+                    let ckey = CacheKey {
+                        rel: rel_id,
+                        version,
+                        cols: cols.to_vec(),
+                    };
+                    let out = tier.cache.get_or_build(&ckey, tier.budget, || {
+                        SharedIndex::build(ctx, base, cols.to_vec())
+                    });
+                    if out.built {
+                        tier.misses += 1;
+                        self.builds += 1;
+                        self.build_rows += base.len();
+                    } else {
+                        tier.hits += 1;
+                    }
+                    tier.evictions += out.evicted;
+                    FrozenIndex {
+                        index: out.index,
+                        shared: true,
+                    }
+                }
+                _ => {
+                    self.builds += 1;
+                    self.build_rows += base.len();
+                    FrozenIndex {
+                        index: Arc::new(SharedIndex::build(ctx, base, cols.to_vec())),
+                        shared: false,
+                    }
+                }
+            };
+            self.frozen.insert(key.clone(), held);
+        }
+        self.maintain += t0.elapsed();
+        self.frozen[&key].index.index()
+    }
+
+    /// A probe-ready chained `(table, key mode)` over growing `rel_id`'s
+    /// current rows, keyed on `cols`: built on first use and synchronized
     /// incrementally, with the compact-key layout invalidated (hashed
     /// rebuild, once) when probe values escape it.
-    fn probe_ready(
+    fn growing_index(
         &mut self,
         ctx: &ExecCtx,
         catalog: &RunCatalog<'_>,
@@ -285,94 +384,19 @@ impl<'c> JoinCache<'c> {
         let t0 = Instant::now();
         let base = catalog.rel(rel_id).view();
         let key = (rel_id, cols.to_vec());
-        if !self.map.contains_key(&key) {
-            if let Some(tier) = self.shared.as_mut() {
-                if !self.mutable_ids.contains(&rel_id) && !base.is_empty() {
-                    if let Some(version) = catalog.shared_version(rel_id) {
-                        let pinned_ok = tier.pins.get(&key).is_some_and(|idx| {
-                            idx.rows() == base.len() && idx.admits_probe(probe, probe_cols)
-                        });
-                        // A snapshot only helps if its key mode admits
-                        // this probe, and the mode is knowable *before*
-                        // building (it derives from the frozen base's
-                        // bounds — exactly what `SharedIndex::build`
-                        // uses). An escaping probe therefore skips the
-                        // shared tier entirely: no useless snapshot is
-                        // published against the cache budget, and no
-                        // phantom hit is counted while every run pays a
-                        // local rebuild anyway.
-                        let admissible = pinned_ok
-                            || match KeyMode::for_view(base, cols) {
-                                KeyMode::Hashed => true,
-                                KeyMode::Packed(layout) => {
-                                    bounds_of(probe, probe_cols).is_none_or(|b| layout.covers(&b))
-                                }
-                            };
-                        if pinned_ok {
-                            self.reuses += 1;
-                        } else {
-                            // The pin (if any) is stale or does not admit
-                            // this probe: drop it *unconditionally* so the
-                            // fallthrough below can never serve a packed
-                            // snapshot to an escaping probe (packed keys
-                            // wrap out-of-range values, and exact mode
-                            // skips tuple re-verification — a stale pin
-                            // would mean wrong join results, not just
-                            // wasted work).
-                            tier.pins.remove(&key);
-                        }
-                        if !pinned_ok && admissible {
-                            let ckey = CacheKey {
-                                rel: rel_id,
-                                version,
-                                cols: cols.to_vec(),
-                            };
-                            let out = tier.cache.get_or_build(&ckey, tier.budget, || {
-                                SharedIndex::build(ctx, base, cols.to_vec())
-                            });
-                            if out.built {
-                                tier.misses += 1;
-                                self.builds += 1;
-                                self.build_rows += base.len();
-                            } else {
-                                tier.hits += 1;
-                            }
-                            tier.evictions += out.evicted;
-                            // Belt and braces: the deferred-mode corner
-                            // (snapshot built over rows that arrived
-                            // after an empty-view mode choice) re-checks
-                            // against the actual snapshot.
-                            if out.index.rows() == base.len()
-                                && out.index.admits_probe(probe, probe_cols)
-                            {
-                                tier.pins.insert(key.clone(), out.index);
-                            }
-                        }
-                        if let Some(idx) = tier.pins.get(&key) {
-                            self.maintain += t0.elapsed();
-                            return (idx.table(), idx.mode());
-                        }
-                    }
-                }
-            }
+        let fresh = !self.growing.contains_key(&key);
+        if fresh {
             self.builds += 1;
             self.build_rows += base.len();
-            self.map.insert(
+            self.growing.insert(
                 key.clone(),
                 PersistentIndex::build(ctx, base, cols.to_vec()),
             );
-            let index = self.map.get_mut(&key).expect("just inserted");
-            if let SyncAction::Rebuilt = index.sync_for_probe(ctx, base, probe, probe_cols) {
-                self.builds += 1;
-                self.build_rows += base.len();
-            }
-            self.maintain += t0.elapsed();
-            let index = self.map.get(&key).expect("just inserted");
-            return (index.table(), index.mode());
         }
-        let index = self.map.get_mut(&key).expect("checked above");
+        let index = self.growing.get_mut(&key).expect("present");
         match index.sync_for_probe(ctx, base, probe, probe_cols) {
-            SyncAction::Reused => self.reuses += 1,
+            SyncAction::Reused if !fresh => self.reuses += 1,
+            SyncAction::Reused => {}
             SyncAction::Appended(n) => {
                 self.appends += 1;
                 self.append_rows += n;
@@ -383,14 +407,23 @@ impl<'c> JoinCache<'c> {
             }
         }
         self.maintain += t0.elapsed();
-        let index = self.map.get(&key).expect("checked above");
+        let index = &self.growing[&key];
         (index.table(), index.mode())
     }
 
-    /// Heap bytes of the run-local tier (shared snapshots are accounted by
-    /// the database cache's resident total).
+    /// Heap bytes of the run's own indexes (shared snapshots are
+    /// accounted by the database cache's resident total).
     fn heap_bytes(&self) -> usize {
-        self.map.values().map(PersistentIndex::heap_bytes).sum()
+        self.growing
+            .values()
+            .map(PersistentIndex::heap_bytes)
+            .sum::<usize>()
+            + self
+                .frozen
+                .values()
+                .filter(|f| !f.shared)
+                .map(|f| f.index.heap_bytes())
+                .sum::<usize>()
     }
 
     /// Resident bytes of the shared tier's backing cache (0 without one).
@@ -407,10 +440,8 @@ impl<'c> JoinCache<'c> {
     /// row-id mappings. The append-only contract the cache relies on
     /// holds *between* these sites, not across them.
     fn invalidate(&mut self, rel_id: RelId) {
-        self.map.retain(|(id, _), _| *id != rel_id);
-        if let Some(tier) = self.shared.as_mut() {
-            tier.pins.retain(|(id, _), _| *id != rel_id);
-        }
+        self.growing.retain(|(id, _), _| *id != rel_id);
+        self.frozen.retain(|(id, _), _| *id != rel_id);
     }
 
     /// Memory-pressure spill: release this run's pins (mid-stratum drop —
@@ -419,7 +450,7 @@ impl<'c> JoinCache<'c> {
     fn spill_for_pressure(&mut self, target: usize) -> usize {
         match self.shared.as_mut() {
             Some(tier) => {
-                tier.pins.clear();
+                self.frozen.retain(|_, f| !f.shared);
                 let (evicted, freed) = tier.cache.evict_to_fit(target);
                 tier.evictions += evicted;
                 freed
@@ -436,6 +467,7 @@ impl<'c> JoinCache<'c> {
         stats.index.build_rows += self.build_rows;
         stats.index.append_rows += self.append_rows;
         stats.index.bytes_peak = stats.index.bytes_peak.max(self.heap_bytes());
+        stats.delta_probe_joins += self.frozen_probes;
         stats.phase.index += self.maintain;
         if let Some(tier) = &self.shared {
             stats.index.cache_hits += tier.hits;
@@ -711,14 +743,11 @@ impl<'d> EvalRun<'_, 'd> {
                         version,
                         cols: index.key_cols().to_vec(),
                     };
-                    // Freeze moves the already-built table. The nominal
-                    // per-row build cost stands in for the unmeasured
-                    // original build so eviction does not treat the entry
-                    // as free to rebuild.
-                    let cost = std::time::Duration::from_nanos(index.rows() as u64 * 25);
-                    let mut moved = Some(index);
+                    // Consumers probe the frozen result with a key-ordered
+                    // index; the chained one dies with the run.
+                    let base = self.catalog.rel(rel_id).view();
                     let out = cache.get_or_build(&key, self.cfg.index_cache_budget_bytes, || {
-                        moved.take().expect("first builder wins").freeze(cost)
+                        SharedIndex::build(self.ctx, base, key.cols.clone())
                     });
                     stats.index.cache_evictions += out.evicted;
                     if out.built {
@@ -1436,7 +1465,7 @@ impl<'d> EvalRun<'_, 'd> {
         stats.intermediate_rows_kept += out.tally.stage_kept;
         stats.tuples_considered += considered;
         if self.cfg.oof == OofMode::None {
-            freeze_choices(&self.catalog, stratum, idb, states, idx);
+            freeze_choices(&self.catalog, jcache, stratum, idb, states, idx);
         }
         if self.cfg.oof == OofMode::Full {
             self.analyze_rt(rel_id, sampler.as_ref(), &out.cols, stats);
@@ -2049,21 +2078,53 @@ fn append_cols(dst: &mut [Vec<Value>], src: Vec<Vec<Value>>) {
 /// Record first-iteration build-side choices (OOF-NA freezing).
 fn freeze_choices(
     catalog: &RunCatalog<'_>,
+    jcache: &JoinCache<'_>,
     stratum: &CompiledStratum,
     idb: &CompiledIdb,
     states: &mut [IdbState],
     idx: usize,
 ) {
-    // Sizes as of this iteration decide once and are kept.
+    // The direction rule, else sizes as of this iteration, decide once
+    // and are kept.
     for (si, sq) in idb.subqueries.iter().enumerate() {
-        for (ji, _) in sq.joins.iter().enumerate() {
+        for ji in 0..sq.joins.len() {
             if states[idx].frozen[si][ji].is_none() {
-                let left_rows = estimate_left_rows(catalog, stratum, states, sq, ji);
-                let right_rows = scan_rows(catalog, stratum, states, sq, ji + 1);
-                states[idx].frozen[si][ji] = Some(left_rows <= right_rows);
+                let choice =
+                    frozen_build_side(jcache, catalog, stratum, sq, ji).unwrap_or_else(|| {
+                        let left_rows = estimate_left_rows(catalog, stratum, states, sq, ji);
+                        left_rows <= scan_rows(catalog, stratum, states, sq, ji + 1)
+                    });
+                states[idx].frozen[si][ji] = Some(choice);
             }
         }
     }
+}
+
+/// The direction rule: the build side of join `ji` of `sq` when exactly
+/// one input is a cacheable frozen relation and building on it is free
+/// over the stratum — it is recursive (the index then serves every
+/// iteration, probed by each ∆) or the index is already resident. `None`
+/// leaves the choice to sizes.
+fn frozen_build_side(
+    jcache: &JoinCache<'_>,
+    catalog: &RunCatalog<'_>,
+    stratum: &CompiledStratum,
+    sq: &SubQuery,
+    ji: usize,
+) -> Option<bool> {
+    let join = &sq.joins[ji];
+    let left = if ji == 0 {
+        jcache.frozen_rel(catalog, &sq.scans[0])
+    } else {
+        None
+    };
+    let right = jcache.frozen_rel(catalog, &sq.scans[ji + 1]);
+    let (build_left, rel_id, cols) = match (left, right) {
+        (Some(id), None) => (true, id, &join.left_keys),
+        (None, Some(id)) => (false, id, &join.right_keys),
+        _ => return None,
+    };
+    (stratum.recursive || jcache.resident(catalog, rel_id, cols)).then_some(build_left)
 }
 
 /// The scan of `sq` holding column `c` of the flattened layout, and the
@@ -2398,11 +2459,16 @@ fn eval_subquery<'a>(
             if join.left_keys.is_empty() {
                 acc = cross_join_sink(ctx, left_view, right, &output, residual, stage_sink);
             } else {
-                // OOF: choose the build side from current sizes (Selective /
-                // Full) or the frozen first-iteration choice (None).
+                // OOF: the direction rule, else the build side from
+                // current sizes (Selective / Full), or the frozen
+                // first-iteration choice (None).
+                let by_cost = || {
+                    frozen_build_side(jcache, catalog, stratum, sq, ji)
+                        .unwrap_or(left_view.len() <= right.len())
+                };
                 let build_left = match cfg.oof {
-                    OofMode::None => frozen[ji].unwrap_or(left_view.len() <= right.len()),
-                    _ => left_view.len() <= right.len(),
+                    OofMode::None => frozen[ji].unwrap_or_else(by_cost),
+                    _ => by_cost(),
                 };
                 let spec = JoinSpec {
                     left_keys: &join.left_keys,
@@ -2411,30 +2477,35 @@ fn eval_subquery<'a>(
                     output: &output,
                     residual,
                 };
-                // Serve the build side from the per-stratum cache when it
-                // is an unfiltered catalog relation (EDBs and Full views
-                // of IDBs): built once, appended thereafter.
-                let cached = if !jcache.enabled {
-                    None
-                } else if build_left && left_is_first {
-                    JoinCache::cacheable(catalog, &sq.scans[0])
+                // Serve the build side from the run's cache when it is an
+                // unfiltered catalog relation (EDBs and Full views of
+                // IDBs): built once, appended thereafter if it grows.
+                let cached = if build_left && left_is_first {
+                    jcache.cacheable(catalog, &sq.scans[0])
                 } else if !build_left {
-                    JoinCache::cacheable(catalog, &sq.scans[ji + 1])
+                    jcache.cacheable(catalog, &sq.scans[ji + 1])
                 } else {
                     None
                 };
+                let (build_cols, probe_view, probe_cols) = if build_left {
+                    (&join.left_keys, right, &join.right_keys)
+                } else {
+                    (&join.right_keys, left_view, &join.left_keys)
+                };
                 acc = match cached {
                     Some(rel_id) if !left_view.is_empty() && !right.is_empty() => {
-                        let (build_cols, probe_view, probe_cols) = if build_left {
-                            (&join.left_keys, right, &join.right_keys)
+                        if jcache.is_frozen(rel_id) {
+                            jcache.frozen_probes += 1;
+                            let index = jcache.frozen_index(ctx, catalog, rel_id, build_cols);
+                            index_join_sink(ctx, probe_view, index, &spec, stage_sink)
                         } else {
-                            (&join.right_keys, left_view, &join.left_keys)
-                        };
-                        let (table, mode) = jcache
-                            .probe_ready(ctx, catalog, rel_id, build_cols, probe_view, probe_cols);
-                        hash_join_prebuilt_sink(
-                            ctx, left_view, right, &spec, table, mode, stage_sink,
-                        )
+                            let (table, mode) = jcache.growing_index(
+                                ctx, catalog, rel_id, build_cols, probe_view, probe_cols,
+                            );
+                            hash_join_prebuilt_sink(
+                                ctx, left_view, right, &spec, table, mode, stage_sink,
+                            )
+                        }
                     }
                     _ => hash_join_sink(ctx, left_view, right, &spec, stage_sink),
                 };
@@ -2488,8 +2559,14 @@ fn eval_subquery<'a>(
             None
         };
         acc = match cached {
+            Some(rel_id)
+                if !acc_view.is_empty() && !neg_view.is_empty() && jcache.is_frozen(rel_id) =>
+            {
+                let index = jcache.frozen_index(ctx, catalog, rel_id, &neg.right_keys);
+                index_anti_join_sink(ctx, acc_view, &neg.left_keys, index, &output, stage_sink)
+            }
             Some(rel_id) if !acc_view.is_empty() && !neg_view.is_empty() => {
-                let (table, mode) = jcache.probe_ready(
+                let (table, mode) = jcache.growing_index(
                     ctx,
                     catalog,
                     rel_id,

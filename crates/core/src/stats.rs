@@ -53,7 +53,9 @@ pub struct IndexStats {
     /// Transient Rt-sized dedup tables (the fused pass's scratch, or the
     /// rebuild path's per-iteration dedup table).
     pub scratch_builds: usize,
-    /// Join/anti-join build-side tables built into the per-stratum cache.
+    /// Join/anti-join build sides built into the run's cache: chained
+    /// indexes over growing relations, key-ordered ones over frozen
+    /// relations (the run's own, or shared-cache publishes it paid for).
     pub join_builds: usize,
     /// Incremental appends into cached join build-side tables.
     pub join_appends: usize,
@@ -72,8 +74,8 @@ pub struct IndexStats {
     /// Resident bytes of the shared cache when the run finished.
     pub cache_bytes: usize,
     /// Final IDB result indexes this run published into the shared cache
-    /// (`publish_idb_indexes`): full-`R` tables frozen at fixpoint for
-    /// later programs that join against the now-frozen results.
+    /// (`publish_idb_indexes`): key-ordered whole-tuple indexes over the
+    /// results, for later programs that join against them frozen.
     pub published: usize,
     /// Rows inserted by from-scratch builds (persistent indexes only).
     pub build_rows: usize,
@@ -176,6 +178,10 @@ pub struct EvalStats {
     /// by the non-streaming path. Zero under the fused pipeline — the
     /// acceptance signal that duplicates die at the probe site.
     pub rt_merge_bytes: usize,
+    /// Joins that probed a frozen relation's key-ordered index with their
+    /// other input (a ∆, an intermediate, or a smaller relation) — the
+    /// direction rule's cost choice, kept index and all.
+    pub delta_probe_joins: usize,
     /// Subquery evaluations dispatched to the generic worst-case optimal
     /// join (cyclic bodies walked as one variable-ordered intersection
     /// instead of a chain of binary joins).
@@ -291,6 +297,7 @@ impl EvalStats {
         self.rt_rows_skipped_at_source += other.rt_rows_skipped_at_source;
         self.rt_bytes_never_materialized += other.rt_bytes_never_materialized;
         self.rt_merge_bytes += other.rt_merge_bytes;
+        self.delta_probe_joins += other.delta_probe_joins;
         self.wcoj_runs += other.wcoj_runs;
         self.wcoj_rows_emitted += other.wcoj_rows_emitted;
         self.wcoj_rows_direct += other.wcoj_rows_direct;

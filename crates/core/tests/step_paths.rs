@@ -90,8 +90,8 @@ fn sorted_rows(rel: Option<RelHandle<'_>>) -> Vec<Vec<Value>> {
 /// pipeline_runs, agg_sink_runs, agg_rows_folded_at_source,
 /// agg_groups_improved, rt_merge_bytes, rt_rows_skipped_at_source,
 /// index.{full_builds, full_appends, build_rows, append_rows,
-/// scratch_builds}, io_bytes, io_flushes`.
-fn counters(s: &EvalStats) -> [u64; 17] {
+/// scratch_builds}, io_bytes, io_flushes, delta_probe_joins`.
+fn counters(s: &EvalStats) -> [u64; 18] {
     [
         s.iterations as u64,
         s.queries_issued as u64,
@@ -110,76 +110,77 @@ fn counters(s: &EvalStats) -> [u64; 17] {
         s.index.scratch_builds as u64,
         s.io_bytes,
         s.io_flushes,
+        s.delta_probe_joins as u64,
     ]
 }
 
 /// Recorded counters per `(program, configuration)`.
 #[rustfmt::skip]
-const PINS: &[(&str, &str, [u64; 17])] = &[
-    ("tc", "default", [7, 14, 353, 7, 7, 0, 0, 0, 0, 178, 1, 6, 48, 175, 7, 2800, 1]),
-    ("tc", "no_fused_pipeline", [7, 15, 353, 6, 0, 0, 0, 0, 5648, 0, 1, 5, 94, 129, 7, 2800, 1]),
-    ("tc", "no_fused_agg", [7, 14, 353, 7, 7, 0, 0, 0, 0, 178, 1, 6, 48, 175, 7, 2800, 1]),
-    ("tc", "no_index_reuse", [7, 21, 353, 0, 0, 0, 0, 0, 5648, 0, 7, 0, 0, 0, 6, 2800, 1]),
-    ("tc", "no_uie", [7, 22, 353, 6, 0, 0, 0, 0, 5648, 0, 1, 5, 94, 129, 7, 2800, 1]),
-    ("tc", "no_eost", [7, 15, 353, 6, 0, 0, 0, 0, 5648, 0, 1, 5, 94, 129, 7, 11984, 19]),
-    ("tc", "oof_full", [7, 14, 353, 7, 7, 0, 0, 0, 0, 178, 1, 6, 48, 175, 7, 2800, 1]),
-    ("tc", "oof_none", [7, 14, 353, 7, 7, 0, 0, 0, 0, 178, 1, 6, 0, 175, 7, 2800, 1]),
-    ("nonlinear_tc", "default", [5, 10, 959, 5, 5, 0, 0, 0, 0, 784, 1, 4, 46, 175, 5, 2800, 1]),
-    ("nonlinear_tc", "no_fused_pipeline", [5, 11, 959, 4, 0, 0, 0, 0, 15344, 0, 1, 3, 92, 129, 5, 2800, 1]),
-    ("nonlinear_tc", "no_fused_agg", [5, 10, 959, 5, 5, 0, 0, 0, 0, 784, 1, 4, 46, 175, 5, 2800, 1]),
-    ("nonlinear_tc", "no_index_reuse", [5, 15, 959, 0, 0, 0, 0, 0, 15344, 0, 5, 0, 0, 0, 5, 2800, 1]),
-    ("nonlinear_tc", "no_uie", [5, 24, 959, 4, 0, 0, 0, 0, 15344, 0, 1, 3, 92, 129, 5, 2800, 1]),
-    ("nonlinear_tc", "no_eost", [5, 11, 959, 4, 0, 0, 0, 0, 15344, 0, 1, 3, 92, 129, 5, 21680, 14]),
-    ("nonlinear_tc", "oof_full", [5, 10, 959, 5, 5, 0, 0, 0, 0, 784, 1, 4, 46, 175, 5, 2800, 1]),
-    ("nonlinear_tc", "oof_none", [5, 10, 959, 5, 5, 0, 0, 0, 0, 784, 1, 4, 46, 304, 5, 2800, 1]),
-    ("mutual", "default", [7, 26, 1439, 13, 13, 0, 0, 0, 0, 1089, 2, 9, 48, 350, 13, 5600, 2]),
-    ("mutual", "no_fused_pipeline", [7, 27, 1439, 12, 0, 0, 0, 0, 23024, 0, 2, 8, 94, 304, 13, 5600, 2]),
-    ("mutual", "no_fused_agg", [7, 26, 1439, 13, 13, 0, 0, 0, 0, 1089, 2, 9, 48, 350, 13, 5600, 2]),
-    ("mutual", "no_index_reuse", [7, 39, 1439, 0, 0, 0, 0, 0, 23024, 0, 11, 0, 0, 0, 11, 5600, 2]),
-    ("mutual", "no_uie", [7, 64, 1439, 12, 0, 0, 0, 0, 23024, 0, 2, 8, 94, 304, 13, 5600, 2]),
-    ("mutual", "no_eost", [7, 27, 1439, 12, 0, 0, 0, 0, 23024, 0, 2, 8, 94, 304, 13, 34960, 30]),
-    ("mutual", "oof_full", [7, 26, 1439, 13, 13, 0, 0, 0, 0, 1089, 2, 9, 48, 350, 13, 5600, 2]),
-    ("mutual", "oof_none", [7, 26, 1439, 13, 13, 0, 0, 0, 0, 1089, 2, 9, 96, 429, 13, 5600, 2]),
-    ("sg", "default", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1]),
-    ("sg", "no_fused_pipeline", [6, 13, 2071, 5, 0, 0, 0, 0, 33136, 0, 1, 4, 134, 395, 6, 7696, 1]),
-    ("sg", "no_fused_agg", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1]),
-    ("sg", "no_index_reuse", [6, 18, 2071, 0, 0, 0, 0, 0, 33136, 0, 6, 0, 0, 0, 6, 7696, 1]),
-    ("sg", "no_uie", [6, 19, 2071, 5, 0, 0, 0, 0, 33136, 0, 1, 4, 134, 395, 6, 7696, 1]),
-    ("sg", "no_eost", [6, 13, 2071, 5, 0, 0, 0, 0, 33136, 0, 1, 4, 134, 395, 6, 49904, 17]),
-    ("sg", "oof_full", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1]),
-    ("sg", "oof_none", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1]),
-    ("cc", "default", [7, 14, 182, 1, 1, 6, 158, 67, 0, 17, 1, 1, 0, 7, 1, 824, 3]),
-    ("cc", "no_fused_pipeline", [7, 15, 182, 0, 0, 6, 158, 67, 192, 0, 0, 0, 0, 0, 1, 824, 3]),
-    ("cc", "no_fused_agg", [7, 14, 182, 1, 1, 0, 0, 0, 2528, 17, 1, 1, 0, 7, 1, 824, 3]),
-    ("cc", "no_index_reuse", [7, 15, 182, 0, 0, 6, 158, 67, 192, 0, 0, 0, 0, 0, 1, 824, 3]),
-    ("cc", "no_uie", [7, 22, 182, 0, 0, 0, 0, 0, 2720, 0, 0, 0, 0, 0, 1, 824, 3]),
-    ("cc", "no_eost", [7, 15, 182, 0, 0, 0, 0, 0, 2720, 0, 0, 0, 0, 0, 1, 4728, 18]),
-    ("cc", "oof_full", [7, 14, 182, 1, 1, 6, 158, 67, 0, 17, 1, 1, 0, 7, 1, 824, 3]),
-    ("cc", "oof_none", [7, 14, 182, 1, 1, 6, 158, 67, 0, 17, 1, 1, 0, 7, 1, 824, 3]),
-    ("count_sum", "default", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 456, 1]),
-    ("count_sum", "no_fused_pipeline", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 456, 1]),
-    ("count_sum", "no_fused_agg", [1, 2, 48, 0, 0, 0, 0, 0, 1152, 0, 0, 0, 0, 0, 0, 456, 1]),
-    ("count_sum", "no_index_reuse", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 456, 1]),
-    ("count_sum", "no_uie", [1, 3, 48, 0, 0, 0, 0, 0, 1152, 0, 0, 0, 0, 0, 0, 456, 1]),
-    ("count_sum", "no_eost", [1, 2, 48, 0, 0, 0, 0, 0, 1152, 0, 0, 0, 0, 0, 0, 2064, 3]),
-    ("count_sum", "oof_full", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 456, 1]),
-    ("count_sum", "oof_none", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 456, 1]),
-    ("min_group", "default", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 304, 1]),
-    ("min_group", "no_fused_pipeline", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 304, 1]),
-    ("min_group", "no_fused_agg", [1, 2, 48, 0, 0, 0, 0, 0, 768, 0, 0, 0, 0, 0, 0, 304, 1]),
-    ("min_group", "no_index_reuse", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 304, 1]),
-    ("min_group", "no_uie", [1, 3, 48, 0, 0, 0, 0, 0, 768, 0, 0, 0, 0, 0, 0, 304, 1]),
-    ("min_group", "no_eost", [1, 2, 48, 0, 0, 0, 0, 0, 768, 0, 0, 0, 0, 0, 0, 1376, 3]),
-    ("min_group", "oof_full", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 304, 1]),
-    ("min_group", "oof_none", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 304, 1]),
-    ("ntc", "default", [10, 20, 850, 10, 10, 0, 0, 0, 0, 250, 3, 9, 223, 600, 10, 9408, 3]),
-    ("ntc", "no_fused_pipeline", [10, 24, 850, 6, 0, 0, 0, 0, 12832, 0, 2, 5, 269, 129, 10, 9408, 3]),
-    ("ntc", "no_fused_agg", [10, 20, 850, 10, 10, 0, 0, 0, 0, 250, 3, 9, 223, 600, 10, 9408, 3]),
-    ("ntc", "no_index_reuse", [10, 30, 850, 0, 0, 0, 0, 0, 12832, 0, 8, 0, 0, 0, 9, 9408, 3]),
-    ("ntc", "no_uie", [10, 34, 850, 6, 0, 0, 0, 0, 12832, 0, 2, 5, 269, 129, 10, 9408, 3]),
-    ("ntc", "no_eost", [10, 24, 850, 6, 0, 0, 0, 0, 12832, 0, 2, 5, 269, 129, 10, 39128, 31]),
-    ("ntc", "oof_full", [10, 20, 850, 10, 10, 0, 0, 0, 0, 250, 3, 9, 223, 600, 10, 9408, 3]),
-    ("ntc", "oof_none", [10, 20, 850, 10, 10, 0, 0, 0, 0, 250, 3, 9, 175, 600, 10, 9408, 3]),
+const PINS: &[(&str, &str, [u64; 18])] = &[
+    ("tc", "default", [7, 14, 353, 7, 7, 0, 0, 0, 0, 178, 1, 6, 48, 175, 7, 2800, 1, 6]),
+    ("tc", "no_fused_pipeline", [7, 15, 353, 6, 0, 0, 0, 0, 5648, 0, 1, 5, 94, 129, 7, 2800, 1, 6]),
+    ("tc", "no_fused_agg", [7, 14, 353, 7, 7, 0, 0, 0, 0, 178, 1, 6, 48, 175, 7, 2800, 1, 6]),
+    ("tc", "no_index_reuse", [7, 21, 353, 0, 0, 0, 0, 0, 5648, 0, 7, 0, 0, 0, 6, 2800, 1, 0]),
+    ("tc", "no_uie", [7, 22, 353, 6, 0, 0, 0, 0, 5648, 0, 1, 5, 94, 129, 7, 2800, 1, 6]),
+    ("tc", "no_eost", [7, 15, 353, 6, 0, 0, 0, 0, 5648, 0, 1, 5, 94, 129, 7, 11984, 19, 6]),
+    ("tc", "oof_full", [7, 14, 353, 7, 7, 0, 0, 0, 0, 178, 1, 6, 48, 175, 7, 2800, 1, 6]),
+    ("tc", "oof_none", [7, 14, 353, 7, 7, 0, 0, 0, 0, 178, 1, 6, 48, 175, 7, 2800, 1, 6]),
+    ("nonlinear_tc", "default", [5, 10, 959, 5, 5, 0, 0, 0, 0, 784, 1, 4, 46, 175, 5, 2800, 1, 0]),
+    ("nonlinear_tc", "no_fused_pipeline", [5, 11, 959, 4, 0, 0, 0, 0, 15344, 0, 1, 3, 92, 129, 5, 2800, 1, 0]),
+    ("nonlinear_tc", "no_fused_agg", [5, 10, 959, 5, 5, 0, 0, 0, 0, 784, 1, 4, 46, 175, 5, 2800, 1, 0]),
+    ("nonlinear_tc", "no_index_reuse", [5, 15, 959, 0, 0, 0, 0, 0, 15344, 0, 5, 0, 0, 0, 5, 2800, 1, 0]),
+    ("nonlinear_tc", "no_uie", [5, 24, 959, 4, 0, 0, 0, 0, 15344, 0, 1, 3, 92, 129, 5, 2800, 1, 0]),
+    ("nonlinear_tc", "no_eost", [5, 11, 959, 4, 0, 0, 0, 0, 15344, 0, 1, 3, 92, 129, 5, 21680, 14, 0]),
+    ("nonlinear_tc", "oof_full", [5, 10, 959, 5, 5, 0, 0, 0, 0, 784, 1, 4, 46, 175, 5, 2800, 1, 0]),
+    ("nonlinear_tc", "oof_none", [5, 10, 959, 5, 5, 0, 0, 0, 0, 784, 1, 4, 46, 304, 5, 2800, 1, 0]),
+    ("mutual", "default", [7, 26, 1439, 13, 13, 0, 0, 0, 0, 1089, 2, 9, 48, 350, 13, 5600, 2, 4]),
+    ("mutual", "no_fused_pipeline", [7, 27, 1439, 12, 0, 0, 0, 0, 23024, 0, 2, 8, 94, 304, 13, 5600, 2, 4]),
+    ("mutual", "no_fused_agg", [7, 26, 1439, 13, 13, 0, 0, 0, 0, 1089, 2, 9, 48, 350, 13, 5600, 2, 4]),
+    ("mutual", "no_index_reuse", [7, 39, 1439, 0, 0, 0, 0, 0, 23024, 0, 11, 0, 0, 0, 11, 5600, 2, 0]),
+    ("mutual", "no_uie", [7, 64, 1439, 12, 0, 0, 0, 0, 23024, 0, 2, 8, 94, 304, 13, 5600, 2, 4]),
+    ("mutual", "no_eost", [7, 27, 1439, 12, 0, 0, 0, 0, 23024, 0, 2, 8, 94, 304, 13, 34960, 30, 4]),
+    ("mutual", "oof_full", [7, 26, 1439, 13, 13, 0, 0, 0, 0, 1089, 2, 9, 48, 350, 13, 5600, 2, 4]),
+    ("mutual", "oof_none", [7, 26, 1439, 13, 13, 0, 0, 0, 0, 1089, 2, 9, 144, 429, 13, 5600, 2, 4]),
+    ("sg", "default", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1, 11]),
+    ("sg", "no_fused_pipeline", [6, 13, 2071, 5, 0, 0, 0, 0, 33136, 0, 1, 4, 134, 395, 6, 7696, 1, 11]),
+    ("sg", "no_fused_agg", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1, 11]),
+    ("sg", "no_index_reuse", [6, 18, 2071, 0, 0, 0, 0, 0, 33136, 0, 6, 0, 0, 0, 6, 7696, 1, 0]),
+    ("sg", "no_uie", [6, 19, 2071, 5, 0, 0, 0, 0, 33136, 0, 1, 4, 134, 395, 6, 7696, 1, 11]),
+    ("sg", "no_eost", [6, 13, 2071, 5, 0, 0, 0, 0, 33136, 0, 1, 4, 134, 395, 6, 49904, 17, 11]),
+    ("sg", "oof_full", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1, 11]),
+    ("sg", "oof_none", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1, 11]),
+    ("cc", "default", [7, 14, 182, 1, 1, 6, 158, 67, 0, 17, 1, 1, 48, 7, 1, 824, 3, 4]),
+    ("cc", "no_fused_pipeline", [7, 15, 182, 0, 0, 6, 158, 67, 192, 0, 0, 0, 48, 0, 1, 824, 3, 4]),
+    ("cc", "no_fused_agg", [7, 14, 182, 1, 1, 0, 0, 0, 2528, 17, 1, 1, 48, 7, 1, 824, 3, 4]),
+    ("cc", "no_index_reuse", [7, 15, 182, 0, 0, 6, 158, 67, 192, 0, 0, 0, 0, 0, 1, 824, 3, 0]),
+    ("cc", "no_uie", [7, 22, 182, 0, 0, 0, 0, 0, 2720, 0, 0, 0, 48, 0, 1, 824, 3, 4]),
+    ("cc", "no_eost", [7, 15, 182, 0, 0, 0, 0, 0, 2720, 0, 0, 0, 48, 0, 1, 4728, 18, 4]),
+    ("cc", "oof_full", [7, 14, 182, 1, 1, 6, 158, 67, 0, 17, 1, 1, 48, 7, 1, 824, 3, 4]),
+    ("cc", "oof_none", [7, 14, 182, 1, 1, 6, 158, 67, 0, 17, 1, 1, 48, 7, 1, 824, 3, 4]),
+    ("count_sum", "default", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 456, 1, 0]),
+    ("count_sum", "no_fused_pipeline", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 456, 1, 0]),
+    ("count_sum", "no_fused_agg", [1, 2, 48, 0, 0, 0, 0, 0, 1152, 0, 0, 0, 0, 0, 0, 456, 1, 0]),
+    ("count_sum", "no_index_reuse", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 456, 1, 0]),
+    ("count_sum", "no_uie", [1, 3, 48, 0, 0, 0, 0, 0, 1152, 0, 0, 0, 0, 0, 0, 456, 1, 0]),
+    ("count_sum", "no_eost", [1, 2, 48, 0, 0, 0, 0, 0, 1152, 0, 0, 0, 0, 0, 0, 2064, 3, 0]),
+    ("count_sum", "oof_full", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 456, 1, 0]),
+    ("count_sum", "oof_none", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 456, 1, 0]),
+    ("min_group", "default", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 304, 1, 0]),
+    ("min_group", "no_fused_pipeline", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 304, 1, 0]),
+    ("min_group", "no_fused_agg", [1, 2, 48, 0, 0, 0, 0, 0, 768, 0, 0, 0, 0, 0, 0, 304, 1, 0]),
+    ("min_group", "no_index_reuse", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 304, 1, 0]),
+    ("min_group", "no_uie", [1, 3, 48, 0, 0, 0, 0, 0, 768, 0, 0, 0, 0, 0, 0, 304, 1, 0]),
+    ("min_group", "no_eost", [1, 2, 48, 0, 0, 0, 0, 0, 768, 0, 0, 0, 0, 0, 0, 1376, 3, 0]),
+    ("min_group", "oof_full", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 304, 1, 0]),
+    ("min_group", "oof_none", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 304, 1, 0]),
+    ("ntc", "default", [10, 20, 850, 10, 10, 0, 0, 0, 0, 250, 3, 9, 223, 600, 10, 9408, 3, 6]),
+    ("ntc", "no_fused_pipeline", [10, 24, 850, 6, 0, 0, 0, 0, 12832, 0, 2, 5, 269, 129, 10, 9408, 3, 6]),
+    ("ntc", "no_fused_agg", [10, 20, 850, 10, 10, 0, 0, 0, 0, 250, 3, 9, 223, 600, 10, 9408, 3, 6]),
+    ("ntc", "no_index_reuse", [10, 30, 850, 0, 0, 0, 0, 0, 12832, 0, 8, 0, 0, 0, 9, 9408, 3, 0]),
+    ("ntc", "no_uie", [10, 34, 850, 6, 0, 0, 0, 0, 12832, 0, 2, 5, 269, 129, 10, 9408, 3, 6]),
+    ("ntc", "no_eost", [10, 24, 850, 6, 0, 0, 0, 0, 12832, 0, 2, 5, 269, 129, 10, 39128, 31, 6]),
+    ("ntc", "oof_full", [10, 20, 850, 10, 10, 0, 0, 0, 0, 250, 3, 9, 223, 600, 10, 9408, 3, 6]),
+    ("ntc", "oof_none", [10, 20, 850, 10, 10, 0, 0, 0, 0, 250, 3, 9, 223, 600, 10, 9408, 3, 6]),
 ];
 
 /// Full-R index work must show up in the phase breakdown: persistent
@@ -278,8 +279,8 @@ const VIEW_PROGRAM: &str = "tc(x, y) :- arc(x, y).\n\
 /// `view.{view_refreshes, view_seeded_strata, view_bf_strata,
 /// view_fallbacks, view_tuples_seeded, view_tuples_retracted},
 /// tuples_considered, index.{full_builds, full_appends, build_rows,
-/// append_rows}`.
-fn view_counters(s: &EvalStats) -> [u64; 11] {
+/// append_rows}, delta_probe_joins`.
+fn view_counters(s: &EvalStats) -> [u64; 12] {
     let v = &s.view;
     [
         v.view_refreshes,
@@ -293,16 +294,17 @@ fn view_counters(s: &EvalStats) -> [u64; 11] {
         s.index.full_appends as u64,
         s.index.build_rows as u64,
         s.index.append_rows as u64,
+        s.delta_probe_joins as u64,
     ]
 }
 
 /// Recorded refresh counters: an `arc` insert (∆-seeded `tc` and `hop`),
 /// an `arc` delete (Backward/Forward `tc` and `hop`), and a `brc` insert
 /// (∆-seeded `hop` only).
-const VIEW_PINS: [[u64; 11]; 3] = [
-    [1, 2, 0, 0, 29, 0, 371, 2, 6, 232, 160],
-    [1, 0, 2, 0, 0, 154, 0, 2, 0, 238, 0],
-    [1, 1, 0, 0, 1, 0, 1, 1, 0, 31, 0],
+const VIEW_PINS: [[u64; 12]; 3] = [
+    [1, 2, 0, 0, 29, 0, 371, 2, 6, 283, 160, 7],
+    [1, 0, 2, 0, 0, 154, 0, 2, 0, 238, 0, 0],
+    [1, 1, 0, 0, 1, 0, 1, 1, 0, 31, 0, 0],
 ];
 
 #[test]

@@ -220,6 +220,13 @@ pub const WINDOW_MAX_BITS: u32 = 22;
 /// count (a few pages).
 const WINDOW_FLOOR_BITS: u32 = 12;
 
+/// Bytes the hashed table spends per group of `group_arity` values: the
+/// node (link, order key, the values), the best value, the dirty link,
+/// and two directory cells at the table's load factor.
+fn hashed_group_bytes(group_arity: usize) -> usize {
+    4 + 8 + 8 * group_arity + 8 + 4 + 2 * 4
+}
+
 /// One direct-addressed group: its best value and its dirty-stack link
 /// ([`ABSENT`] until the group's first candidate arrives).
 struct WindowCell {
@@ -361,16 +368,18 @@ impl ConcurrentMonoMap {
     /// The window layout worth building for group keys within `bounds`
     /// (per key column) when about `expected_groups` groups will exist:
     /// `None` when the packed key needs more than [`WINDOW_MAX_BITS`]
-    /// bits, or when the window would be sparse — more than twice the
-    /// expected groups, past a floor of `2^12` cells.
+    /// bits, or when the window would be sparse — its cells taking more
+    /// than twice the bytes the hashed table would spend on the expected
+    /// groups, past a floor of `2^12` cells.
     pub fn window_for(bounds: &[(Value, Value)], expected_groups: usize) -> Option<KeyLayout> {
         let layout = KeyLayout::from_bounds(bounds)?;
         let bits = layout.total_bits();
         if bits > WINDOW_MAX_BITS {
             return None;
         }
-        let dense =
-            bits <= WINDOW_FLOOR_BITS || 1usize << bits <= expected_groups.saturating_mul(2);
+        let window_bytes = (1usize << bits) * std::mem::size_of::<WindowCell>();
+        let hashed_bytes = expected_groups.saturating_mul(hashed_group_bytes(bounds.len()));
+        let dense = bits <= WINDOW_FLOOR_BITS || window_bytes <= hashed_bytes.saturating_mul(2);
         dense.then_some(layout)
     }
 
@@ -1059,6 +1068,22 @@ mod tests {
         assert!(m.absorb(&[1, -2], -5));
         assert_eq!(m.get(&[1, -2]), Some(-5));
         assert_eq!(m.get(&[1, 2]), None);
+    }
+
+    #[test]
+    fn window_policy_judges_density_by_bytes() {
+        // CC over RMAT 200k/2M, `cc2`: 2^18 cells of 16 bytes (4 MiB) for
+        // 127 515 groups, ≈ 5 MiB hashed — taken, though the cells
+        // outnumber twice the groups by 3 %.
+        assert!(ConcurrentMonoMap::window_for(&[(0, 199_999)], 127_515).is_some());
+        // 2^20 cells (16 MiB) against 100 000 groups (≈ 4 MiB hashed):
+        // more than twice the hashed bytes, refused.
+        assert!(ConcurrentMonoMap::window_for(&[(0, (1 << 20) - 1)], 100_000).is_none());
+        // Wider group keys cost the hashed table more per group: the
+        // same 2^19 cells pay off for 90 000 two-column groups, not for
+        // 90 000 one-column groups.
+        assert!(ConcurrentMonoMap::window_for(&[(0, 511), (0, 1023)], 90_000).is_some());
+        assert!(ConcurrentMonoMap::window_for(&[(0, (1 << 19) - 1)], 90_000).is_none());
     }
 
     #[test]

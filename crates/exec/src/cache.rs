@@ -1,14 +1,21 @@
 //! The shared cross-run index cache with spill-aware eviction.
 //!
-//! PR 2/3 made CCK-GSCHT indexes persistent *within* a run: the full-`R`
-//! table is built once per stratum and join build sides are cached for the
-//! duration of a fixpoint. What still got rebuilt N times was everything
-//! *between* runs — every concurrent (or sequential) evaluation over one
-//! database re-built the same EDB and frozen-relation indexes from
-//! scratch. An [`IndexCache`] closes that gap: it is an `Arc`-shared,
-//! database-owned map from `(relation, catalog version, key columns)` to an
-//! immutable [`SharedIndex`] snapshot, so N runs over one database build
-//! each frozen index exactly once.
+//! Indexes are persistent *within* a run: the full-`R` table is built
+//! once per stratum and join build sides are kept for the duration of a
+//! fixpoint. What would still be rebuilt N times is everything *between*
+//! runs — every concurrent (or sequential) evaluation over one database
+//! re-building the same EDB and frozen-relation indexes from scratch. An
+//! [`IndexCache`] closes that gap: it is an `Arc`-shared, database-owned
+//! map from `(relation, catalog version, key columns)` to an immutable
+//! [`SharedIndex`] snapshot, so N runs over one database build each frozen
+//! index exactly once.
+//!
+//! Every cached index is key-ordered (an
+//! [`OrderedIndex`](crate::index::OrderedIndex): rows gathered in bucket
+//! order behind an offset array), never chained — a cached relation is
+//! frozen, so nothing is ever appended to it. Any probe can use any
+//! snapshot: values outside the snapshot's bounds match nothing, so there
+//! is no admissibility check and no per-run fallback.
 //!
 //! ## First builder wins
 //!
@@ -129,6 +136,13 @@ impl IndexCache {
         let idx = slot.cell.get()?.clone();
         slot.last_used.store(self.tick(), Ordering::Relaxed);
         Some(idx)
+    }
+
+    /// Whether an index under `key` is resident, without touching its
+    /// recency or pinning it.
+    pub fn contains(&self, key: &CacheKey) -> bool {
+        let map = self.map.lock().unwrap();
+        map.get(key).is_some_and(|slot| slot.cell.get().is_some())
     }
 
     /// The resident index under `key`, building it (exactly once across

@@ -1,4 +1,21 @@
-//! Persistent, incrementally maintained CCK-GSCHT indexes.
+//! Join and membership indexes in two layouts: chained where rows are
+//! appended, key-ordered where they never are.
+//!
+//! * [`PersistentIndex`] — a CCK-GSCHT chain table pinned to a growing
+//!   relation's row ids and appended to across fixpoint iterations: the
+//!   full-`R` table a [`crate::sink::DeltaSink`] probes, and join build
+//!   sides over relations the running program derives.
+//! * [`OrderedIndex`] — the build rows counting-sorted by bucket and
+//!   gathered column-wise behind an offset array, so one key's matches
+//!   are one contiguous run. Every build side that is never appended to
+//!   uses it: the per-call builds of [`crate::join::hash_join_sink`] and
+//!   [`crate::join::anti_join_sink`], and every index over a relation
+//!   frozen for the run — [`SharedIndex`] wraps it for the cross-run
+//!   [`crate::cache::IndexCache`], and a run without that cache keeps the
+//!   same layout to itself. Probe values outside the build side's bounds
+//!   match nothing, so a frozen index never rebuilds.
+//!
+//! The rest of this page is about the chained, persistent kind.
 //!
 //! Algorithm 1 rebuilds a fresh hash table for every dedup, set-difference
 //! and join build, at every IDB, at every iteration — even though stored
@@ -42,12 +59,14 @@
 
 use std::time::{Duration, Instant};
 
+use parking_lot::Mutex;
+use recstep_common::hash::hash_row;
 use recstep_common::Value;
 use recstep_storage::RelView;
 
 use crate::chain::ChainTable;
-use crate::key::{bounds_of, KeyMode};
-use crate::util::parallel_fill;
+use crate::key::{bounds_of, KeyLayout, KeyMode};
+use crate::util::{next_pow2_at_least, parallel_fill};
 use crate::ExecCtx;
 
 /// What a synchronization step ([`PersistentIndex::append`] /
@@ -229,7 +248,306 @@ impl PersistentIndex {
     }
 }
 
-/// An immutable, `Arc`-shareable snapshot of a [`PersistentIndex`].
+/// Most buckets a dense [`OrderedIndex`] spends per build row: a packed
+/// key span up to this multiple of the row count is addressed directly,
+/// one bucket per key; a wider span hashes. (The build also holds one
+/// histogram of that many buckets per worker.)
+const DENSE_BUCKETS_PER_ROW: u64 = 2;
+
+/// Widest packed key a dense [`OrderedIndex`] considers (2^40 buckets is
+/// already past any row count a `u32` offset can index).
+const DENSE_MAX_BITS: u32 = 40;
+
+/// How an [`OrderedIndex`] maps a key to its bucket.
+#[derive(Clone, Debug)]
+enum Buckets {
+    /// The packed key is the bucket: each key column's offset from the
+    /// build side's minimum sits at the given shift, so the all-minimum
+    /// key is bucket 0 and a bucket holds exactly one key — probes verify
+    /// nothing.
+    Dense(Vec<u32>),
+    /// `hash_row(key) & mask`: buckets mix keys, probes verify them.
+    Hashed(usize),
+}
+
+impl Buckets {
+    /// The dense layout when the packed span of `bounds` is within
+    /// [`DENSE_BUCKETS_PER_ROW`] buckets per row, else a power-of-two
+    /// hashed directory of at least `rows` buckets. Returns the bucket
+    /// count too.
+    fn choose(bounds: &[(Value, Value)], rows: usize) -> (Buckets, usize) {
+        if let Some(layout) = KeyLayout::from_bounds(bounds) {
+            if layout.total_bits() <= DENSE_MAX_BITS {
+                // The all-maximum key is the largest packed key: every
+                // slot is monotone in its value.
+                let top = layout
+                    .slots()
+                    .iter()
+                    .zip(bounds)
+                    .fold(0u64, |k, (s, &(lo, hi))| k | (hi.abs_diff(lo) << s.shift));
+                let span = top + 1;
+                if span <= DENSE_BUCKETS_PER_ROW * rows.max(16) as u64 {
+                    let shifts = layout.slots().iter().map(|s| s.shift).collect();
+                    return (Buckets::Dense(shifts), span as usize);
+                }
+            }
+        }
+        let count = next_pow2_at_least(rows, 1);
+        (Buckets::Hashed(count - 1), count)
+    }
+
+    /// Bucket of row `r`'s key columns `cols` in `view`, or `None` when a
+    /// value lies outside `bounds` (such a key matches no build row).
+    #[inline]
+    fn of(
+        &self,
+        bounds: &[(Value, Value)],
+        view: RelView<'_>,
+        r: usize,
+        cols: &[usize],
+        scratch: &mut Vec<Value>,
+    ) -> Option<usize> {
+        match self {
+            Buckets::Dense(shifts) => {
+                let mut key = 0u64;
+                for ((&c, &(lo, hi)), &shift) in cols.iter().zip(bounds).zip(shifts) {
+                    let v = view.get(r, c);
+                    if v < lo || v > hi {
+                        return None;
+                    }
+                    key |= v.abs_diff(lo) << shift;
+                }
+                Some(key as usize)
+            }
+            Buckets::Hashed(mask) => {
+                scratch.clear();
+                for (&c, &(lo, hi)) in cols.iter().zip(bounds) {
+                    let v = view.get(r, c);
+                    if v < lo || v > hi {
+                        return None;
+                    }
+                    scratch.push(v);
+                }
+                Some(hash_row(scratch) as usize & mask)
+            }
+        }
+    }
+}
+
+/// A column buffer the build's chunks write at slots they own exclusively.
+struct SlotWriter(*mut Value);
+
+// SAFETY: writers only ever touch disjoint slots (see `OrderedIndex::build`).
+unsafe impl Send for SlotWriter {}
+unsafe impl Sync for SlotWriter {}
+
+impl SlotWriter {
+    /// # Safety
+    /// `slot` is in bounds and written by no other thread.
+    #[inline]
+    unsafe fn write(&self, slot: usize, v: Value) {
+        *self.0.add(slot) = v;
+    }
+}
+
+/// A key-ordered index over a build side that is never appended to.
+///
+/// The build rows are counting-sorted by bucket in parallel and stored
+/// column-wise in that order behind an offset array, so one key's matches
+/// form one contiguous run of [`OrderedIndex::view`] (the HISA layout of
+/// *Optimizing Datalog for the GPU*): a probe computes one bucket and
+/// reads a run of adjacent rows instead of walking a pointer chain into
+/// the base relation. The bucket is the packed key itself when the key
+/// columns' packed span is within a small multiple of the row count, and
+/// `hash & mask` otherwise (then probes verify keys).
+///
+/// The index keeps the build side's per-key-column bounds, and a probe
+/// value outside them matches nothing — so unlike a packed
+/// [`PersistentIndex`], no probe can invalidate the layout, and nothing
+/// ever rebuilds it.
+pub struct OrderedIndex {
+    cols: Vec<usize>,
+    /// Per key column `(min, max)` over the build rows.
+    bounds: Vec<(Value, Value)>,
+    buckets: Buckets,
+    /// Bucket `b`'s rows are `offsets[b]..offsets[b + 1]` of `data`.
+    offsets: Vec<u32>,
+    /// Every column of the build rows, gathered in bucket order.
+    data: Vec<Vec<Value>>,
+}
+
+impl OrderedIndex {
+    /// Index all rows of `base` on key columns `cols`.
+    ///
+    /// A stable parallel counting sort over `T` static row chunks (`T` =
+    /// the pool's workers, or 1 for inputs within one morsel): each chunk
+    /// computes its rows' buckets and a private histogram, one prefix pass
+    /// turns the histograms into per-(bucket, chunk) write cursors, and
+    /// each chunk scatters its rows' columns straight to their slots. No
+    /// atomics — skewed keys cost no contention — and the order within a
+    /// bucket is row order, whatever the schedule.
+    pub fn build(ctx: &ExecCtx, base: RelView<'_>, cols: Vec<usize>) -> Self {
+        let n = base.len();
+        let arity = base.arity();
+        let Some(bounds) = bounds_of(base, &cols) else {
+            return OrderedIndex {
+                cols,
+                bounds: Vec::new(),
+                buckets: Buckets::Hashed(0),
+                offsets: vec![0, 0],
+                data: vec![Vec::new(); arity],
+            };
+        };
+        assert!(n <= u32::MAX as usize, "an index addresses rows by u32");
+        let (buckets, count) = Buckets::choose(&bounds, n);
+        let chunks = if n <= ctx.grain {
+            1
+        } else {
+            ctx.pool.threads()
+        };
+        let chunk = |t: usize| t * n / chunks..(t + 1) * n / chunks;
+        let on_chunks = |f: &(dyn Fn(usize) + Sync)| {
+            if chunks == 1 {
+                f(0);
+            } else {
+                ctx.pool.run(|w| f(w.worker));
+            }
+        };
+        // Pass 1: each chunk's row buckets and bucket sizes.
+        let parts: Vec<Mutex<(Vec<u32>, Vec<u32>)>> =
+            (0..chunks).map(|_| Mutex::default()).collect();
+        on_chunks(&|t| {
+            let mut scratch = Vec::new();
+            let mut row_bucket = Vec::with_capacity(chunk(t).len());
+            let mut sizes = vec![0u32; count];
+            for r in chunk(t) {
+                let b = buckets
+                    .of(&bounds, base, r, &cols, &mut scratch)
+                    .expect("build rows lie within their own bounds");
+                row_bucket.push(b as u32);
+                sizes[b] += 1;
+            }
+            *parts[t].lock() = (row_bucket, sizes);
+        });
+        let mut parts: Vec<(Vec<u32>, Vec<u32>)> =
+            parts.into_iter().map(Mutex::into_inner).collect();
+        // Bucket starts, and each chunk's sizes turned into its cursors:
+        // within a bucket, chunk t writes after chunks 0..t.
+        let mut offsets = Vec::with_capacity(count + 1);
+        let mut start = 0u32;
+        for b in 0..count {
+            offsets.push(start);
+            for (_, sizes) in &mut parts {
+                let size = sizes[b];
+                sizes[b] = start;
+                start += size;
+            }
+        }
+        offsets.push(start);
+        // Pass 2: every chunk scatters its rows' columns to their slots.
+        let mut data: Vec<Vec<Value>> = vec![vec![0 as Value; n]; arity];
+        let dst: Vec<SlotWriter> = data
+            .iter_mut()
+            .map(|c| SlotWriter(c.as_mut_ptr()))
+            .collect();
+        let parts: Vec<Mutex<(Vec<u32>, Vec<u32>)>> = parts.into_iter().map(Mutex::new).collect();
+        on_chunks(&|t| {
+            let (row_bucket, mut cursor) = std::mem::take(&mut *parts[t].lock());
+            for (r, &b) in chunk(t).zip(&row_bucket) {
+                let slot = cursor[b as usize] as usize;
+                cursor[b as usize] += 1;
+                for (c, out) in dst.iter().enumerate() {
+                    // SAFETY: the cursors hand every slot in `0..n` to
+                    // exactly one row, so no two writes alias, and `data`
+                    // outlives both passes.
+                    unsafe { out.write(slot, base.get(r, c)) };
+                }
+            }
+        });
+        OrderedIndex {
+            cols,
+            bounds,
+            buckets,
+            offsets,
+            data,
+        }
+    }
+
+    /// Rows indexed.
+    pub fn rows(&self) -> usize {
+        *self.offsets.last().expect("offsets end with the row count") as usize
+    }
+
+    /// True when the index holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.rows() == 0
+    }
+
+    /// Key columns the index is built on.
+    pub fn key_cols(&self) -> &[usize] {
+        &self.cols
+    }
+
+    /// True when buckets are the packed keys themselves (no probe-side
+    /// verification); false for hashed buckets.
+    pub fn dense(&self) -> bool {
+        matches!(self.buckets, Buckets::Dense(_))
+    }
+
+    /// The build rows in bucket order: [`OrderedIndex::matches`] yields
+    /// row positions of this view.
+    pub fn view(&self) -> RelView<'_> {
+        RelView::over(&self.data)
+    }
+
+    /// Positions in [`OrderedIndex::view`] of the rows whose key equals
+    /// row `r`'s `probe_cols` in `probe` — one contiguous run, filtered
+    /// by key comparison only under hashed buckets.
+    #[inline]
+    pub fn matches<'s>(
+        &'s self,
+        probe: RelView<'s>,
+        r: usize,
+        probe_cols: &'s [usize],
+        scratch: &mut Vec<Value>,
+    ) -> impl Iterator<Item = usize> + 's {
+        debug_assert_eq!(probe_cols.len(), self.cols.len());
+        let run = match self.buckets.of(&self.bounds, probe, r, probe_cols, scratch) {
+            Some(b) => self.offsets[b] as usize..self.offsets[b + 1] as usize,
+            None => 0..0,
+        };
+        let verify = !self.dense();
+        run.filter(move |&pos| {
+            !verify
+                || self
+                    .cols
+                    .iter()
+                    .zip(probe_cols)
+                    .all(|(&bc, &pc)| self.data[bc][pos] == probe.get(r, pc))
+        })
+    }
+
+    /// Whether any build row's key equals row `r`'s `probe_cols` in
+    /// `probe`.
+    #[inline]
+    pub fn contains(
+        &self,
+        probe: RelView<'_>,
+        r: usize,
+        probe_cols: &[usize],
+        scratch: &mut Vec<Value>,
+    ) -> bool {
+        self.matches(probe, r, probe_cols, scratch).next().is_some()
+    }
+
+    /// Heap footprint in bytes: the offsets and the gathered rows.
+    pub fn heap_bytes(&self) -> usize {
+        self.offsets.len() * 4 + self.data.iter().map(|c| c.len() * 8).sum::<usize>()
+    }
+}
+
+/// An immutable, `Arc`-shareable [`OrderedIndex`] over a frozen relation
+/// snapshot, with the build cost cache eviction weighs.
 ///
 /// A shared index is the read-only tier of index caching: it is built once
 /// over a *frozen* relation snapshot (EDBs, or IDB relations of already
@@ -237,24 +555,15 @@ impl PersistentIndex {
 /// probed concurrently by any number of evaluations. It is never
 /// synchronized — staleness is handled by the cache key (relation version),
 /// not by mutation — which is what makes `&SharedIndex` safe to hand to
-/// many threads at once.
-///
-/// Probe compatibility still matters: a packed CCK layout derived from the
-/// base relation's bounds may not cover a particular probe's values.
-/// Callers check [`SharedIndex::admits_probe`] and fall back to a run-local
-/// hashed [`PersistentIndex`] when it fails (the immutable snapshot cannot
-/// rebuild itself).
+/// many threads at once. Any probe may use it: values outside the
+/// snapshot's bounds simply match nothing.
 pub struct SharedIndex {
-    table: ChainTable,
-    mode: KeyMode,
-    cols: Vec<usize>,
-    rows: usize,
-    bytes: usize,
+    index: OrderedIndex,
     build_cost: Duration,
 }
 
-// Backing stores are atomics + plain data; sharing across threads is the
-// whole point.
+// Backing stores are plain data; sharing across threads is the whole
+// point.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SharedIndex>();
@@ -266,68 +575,37 @@ impl SharedIndex {
     /// of rebuilding.
     pub fn build(ctx: &ExecCtx, base: RelView<'_>, cols: Vec<usize>) -> Self {
         let t0 = Instant::now();
-        PersistentIndex::build(ctx, base, cols).freeze(t0.elapsed())
+        let index = OrderedIndex::build(ctx, base, cols);
+        SharedIndex {
+            index,
+            build_cost: t0.elapsed(),
+        }
     }
 
-    /// The underlying chain table (for prebuilt-table probes).
-    pub fn table(&self) -> &ChainTable {
-        &self.table
-    }
-
-    /// The key mode the snapshot was built with.
-    pub fn mode(&self) -> &KeyMode {
-        &self.mode
+    /// The key-ordered index itself.
+    pub fn index(&self) -> &OrderedIndex {
+        &self.index
     }
 
     /// Rows of the frozen base relation the snapshot covers.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.index.rows()
     }
 
     /// Key columns the index is built on.
     pub fn key_cols(&self) -> &[usize] {
-        &self.cols
+        self.index.key_cols()
     }
 
-    /// Approximate heap footprint in bytes (frozen at build time).
+    /// Heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
-        self.bytes
+        self.index.heap_bytes()
     }
 
     /// Wall-clock cost of the original build — the denominator of the
     /// cache's `bytes / rebuild_cost` eviction score.
     pub fn build_cost(&self) -> Duration {
         self.build_cost
-    }
-
-    /// Whether keys drawn from `probe`'s key columns are representable
-    /// under this snapshot's key mode. Hashed mode admits everything;
-    /// packed layouts admit probes whose bounds they cover. A `false`
-    /// answer means the caller needs a run-local hashed index instead.
-    pub fn admits_probe(&self, probe: RelView<'_>, probe_cols: &[usize]) -> bool {
-        match &self.mode {
-            KeyMode::Hashed => true,
-            KeyMode::Packed(layout) => match bounds_of(probe, probe_cols) {
-                Some(b) => layout.covers(&b),
-                None => true,
-            },
-        }
-    }
-}
-
-impl PersistentIndex {
-    /// Freeze this index into an immutable, shareable [`SharedIndex`],
-    /// recording `build_cost` for eviction scoring.
-    pub fn freeze(self, build_cost: Duration) -> SharedIndex {
-        let bytes = self.heap_bytes();
-        SharedIndex {
-            table: self.table,
-            mode: self.mode,
-            cols: self.cols,
-            rows: self.rows,
-            bytes,
-            build_cost,
-        }
     }
 }
 

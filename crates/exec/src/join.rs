@@ -7,6 +7,24 @@
 //! build-side choice (the knob OOF re-optimizes every iteration) is purely
 //! physical.
 //!
+//! Two build-side layouts serve the equi- and anti joins:
+//!
+//! * a key-ordered [`OrderedIndex`] — every build side that is never
+//!   appended to: [`hash_join_sink`] and [`anti_join_sink`] build one per
+//!   call, and [`index_join_sink`] / [`index_anti_join_sink`] probe one
+//!   the caller keeps (a frozen relation's, cached across iterations and
+//!   runs). One key's matches are one contiguous run of gathered rows,
+//!   and a probe value outside the build side's bounds matches nothing;
+//! * a chained [`PersistentIndex`](crate::index::PersistentIndex) table —
+//!   build sides over relations that grow during the run, appended after
+//!   every merge: [`hash_join_prebuilt_sink`] and
+//!   [`anti_join_prebuilt_sink`] probe it.
+//!
+//! Which input is the build side is the caller's choice (`build_left`):
+//! by size, or — in the engine — a frozen input whenever the stratum is
+//! recursive or that input's index is already resident (see
+//! `recstep-core`'s evaluation loop).
+//!
 //! Every producing operator additionally comes in a `*_sink` form taking a
 //! [`SinkMode`]: in `Delta` mode the worker offers each output row to a
 //! [`crate::sink::DeltaSink`] right at the probe site and buffers only
@@ -20,9 +38,10 @@ use recstep_storage::RelView;
 
 use crate::chain::ChainTable;
 use crate::expr::{eval_all, Expr, Predicate};
+use crate::index::OrderedIndex;
 use crate::key::KeyMode;
 use crate::sink::SinkMode;
-use crate::util::{parallel_fill, parallel_produce, CapGate};
+use crate::util::{parallel_produce, CapGate};
 use crate::ExecCtx;
 
 /// Specification of a binary equi-join.
@@ -64,19 +83,87 @@ pub fn hash_join_sink(
     if left.is_empty() || right.is_empty() {
         return vec![Vec::new(); spec.output.len()];
     }
-    let mode = KeyMode::for_views(left, spec.left_keys, right, spec.right_keys);
-    let (build, build_cols) = if spec.build_left {
-        (left, spec.left_keys)
+    let (build, build_cols, probe) = if spec.build_left {
+        (left, spec.left_keys, right)
     } else {
-        (right, spec.right_keys)
+        (right, spec.right_keys, left)
     };
-    let table = build_table(ctx, build, build_cols, &mode);
-    hash_join_prebuilt_sink(ctx, left, right, spec, &table, &mode, sink)
+    let index = OrderedIndex::build(ctx, build, build_cols.to_vec());
+    index_join_sink(ctx, probe, &index, spec, sink)
 }
 
-/// Hash equi-join probing an already-built table over the build side
-/// (chosen by `spec.build_left`) — the reuse path for persistent join
-/// indexes kept across fixpoint iterations — with an output sink: in
+/// Equi-join probing a key-ordered index over the build side with
+/// `probe`, the other input: `spec.build_left` says which side `index`
+/// holds, and its key columns must be that side's join keys. The build
+/// rows are read from the index's gathered copy, so the base relation is
+/// not needed.
+pub fn index_join_sink(
+    ctx: &ExecCtx,
+    probe: RelView<'_>,
+    index: &OrderedIndex,
+    spec: &JoinSpec<'_>,
+    sink: &SinkMode<'_>,
+) -> Vec<Vec<Value>> {
+    assert_eq!(spec.left_keys.len(), spec.right_keys.len());
+    let out_arity = spec.output.len();
+    if probe.is_empty() || index.is_empty() {
+        return vec![Vec::new(); out_arity];
+    }
+    let build = index.view();
+    let (left, right, probe_cols) = if spec.build_left {
+        debug_assert_eq!(index.key_cols(), spec.left_keys);
+        (build, probe, spec.right_keys)
+    } else {
+        debug_assert_eq!(index.key_cols(), spec.right_keys);
+        (probe, build, spec.left_keys)
+    };
+    let la = left.arity();
+    let width = la + right.arity();
+    let gate = CapGate::new(ctx.row_cap);
+    parallel_produce(
+        &ctx.pool,
+        probe.len(),
+        ctx.grain,
+        out_arity,
+        |range, buf| {
+            let Some(mut snapshot) = gate.start() else {
+                return;
+            };
+            let mut local = 0usize;
+            let mut considered = 0usize;
+            let mut scratch = Vec::new();
+            let mut out_row = Vec::new();
+            let mut row = vec![0 as Value; width];
+            for pr in range {
+                if gate.reached(&mut snapshot, &mut local) {
+                    break;
+                }
+                for br in index.matches(probe, pr, probe_cols, &mut scratch) {
+                    let (lr, rr) = if spec.build_left { (br, pr) } else { (pr, br) };
+                    #[allow(clippy::needless_range_loop)]
+                    for c in 0..la {
+                        row[c] = left.get(lr, c);
+                    }
+                    for c in 0..right.arity() {
+                        row[la + c] = right.get(rr, c);
+                    }
+                    if eval_all(spec.residual, &row)
+                        && sink.emit(spec.output, &row, buf, &mut out_row, &mut considered)
+                    {
+                        local += 1;
+                    }
+                }
+            }
+            sink.note_considered(considered);
+            gate.commit(local);
+        },
+    )
+}
+
+/// Hash equi-join probing an already-built chain table over the build side
+/// (chosen by `spec.build_left`) — the reuse path for the persistent join
+/// indexes of growing relations, appended across fixpoint iterations —
+/// with an output sink: in
 /// `Delta` mode each probe match immediately probes the full-`R` index and
 /// races into the scratch table, so duplicate join outputs are never
 /// buffered.
@@ -200,16 +287,46 @@ pub fn anti_join_sink(
         // Nothing to reject: pure projection.
         return project_filter_sink(ctx, left, output, &[], sink);
     }
-    let mode = KeyMode::for_views(left, left_keys, right, right_keys);
-    let table = build_table(ctx, right, right_keys, &mode);
-    anti_join_prebuilt_sink(
-        ctx, left, right, left_keys, right_keys, output, &table, &mode, sink,
-    )
+    let index = OrderedIndex::build(ctx, right, right_keys.to_vec());
+    index_anti_join_sink(ctx, left, left_keys, &index, output, sink)
 }
 
-/// Anti join probing an already-built table over `right` (node `i` = right
-/// row `i`, keys by `mode` over `right_keys`) — the reuse path for
-/// persistent negation indexes — with an output sink. Same prerequisites
+/// Anti join probing a key-ordered index over the negated relation
+/// (its key columns are the right-hand keys) — the reuse path for frozen
+/// negated relations — with an output sink.
+pub fn index_anti_join_sink(
+    ctx: &ExecCtx,
+    left: RelView<'_>,
+    left_keys: &[usize],
+    index: &OrderedIndex,
+    output: &[Expr],
+    sink: &SinkMode<'_>,
+) -> Vec<Vec<Value>> {
+    let out_arity = output.len();
+    if left.is_empty() {
+        return vec![Vec::new(); out_arity];
+    }
+    if index.is_empty() {
+        return project_filter_sink(ctx, left, output, &[], sink);
+    }
+    parallel_produce(&ctx.pool, left.len(), ctx.grain, out_arity, |range, buf| {
+        let mut scratch = Vec::new();
+        let mut out_row = Vec::new();
+        let mut considered = 0usize;
+        let mut row = Vec::new();
+        for lr in range {
+            if !index.contains(left, lr, left_keys, &mut scratch) {
+                left.copy_row(lr, &mut row);
+                sink.emit(output, &row, buf, &mut out_row, &mut considered);
+            }
+        }
+        sink.note_considered(considered);
+    })
+}
+
+/// Anti join probing an already-built chain table over `right` (node `i` =
+/// right row `i`, keys by `mode` over `right_keys`) — the reuse path for
+/// negated relations that grow during the run — with an output sink. Same prerequisites
 /// as [`hash_join_prebuilt_sink`].
 #[allow(clippy::too_many_arguments)]
 pub fn anti_join_prebuilt_sink(
@@ -348,26 +465,6 @@ pub fn project_filter_sink(
         }
         sink.note_considered(considered);
     })
-}
-
-fn build_table(
-    ctx: &ExecCtx,
-    build: RelView<'_>,
-    build_cols: &[usize],
-    mode: &KeyMode,
-) -> ChainTable {
-    let n = build.len();
-    let keys = parallel_fill(&ctx.pool, n, ctx.grain, 0u64, |r| {
-        let mut scratch = Vec::new();
-        mode.key_of(build, r, build_cols, &mut scratch)
-    });
-    let table = ChainTable::with_capacity(n, n * 2);
-    ctx.pool.parallel_for(n, ctx.grain, |range, _| {
-        for r in range {
-            table.insert_multi(r as u32, keys[r]);
-        }
-    });
-    table
 }
 
 #[inline]

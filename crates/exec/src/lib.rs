@@ -10,19 +10,29 @@
 //!   into one 64-bit word so "the key itself is used as the hash value"
 //!   (paper Figure 5);
 //! * [`chain`] — the pre-allocated, latch-free separate-chaining hash table
-//!   shared by deduplication and join builds (the paper's GSCHT);
+//!   behind deduplication, set difference and the indexes of growing
+//!   relations (the paper's GSCHT);
 //! * [`dedup`] — FAST-DEDUP: parallel insert-if-absent over the chain table,
 //!   plus the incremental-index alternative studied as an ablation;
-//! * [`index`] — persistent CCK-GSCHT indexes pinned to a relation's stable
-//!   row ids: built once, grown incrementally across fixpoint iterations
-//!   (the full-`R` side a [`sink::DeltaSink`] probes), plus the immutable
-//!   [`index::SharedIndex`] snapshot form used for cross-run sharing;
+//! * [`index`] — the two index layouts. Build sides that grow are
+//!   **chained**: a [`index::PersistentIndex`] is a CCK-GSCHT table pinned
+//!   to a relation's stable row ids, built once and appended across
+//!   fixpoint iterations (the full-`R` side a [`sink::DeltaSink`] probes,
+//!   and join build sides over relations the program derives). Build
+//!   sides that never grow are **key-ordered**: an [`index::OrderedIndex`]
+//!   counting-sorts the rows by bucket (the packed key when its span is
+//!   dense, else `hash & mask`) and gathers them behind an offset array,
+//!   so one key's matches are one contiguous run; a probe value outside
+//!   its bounds matches nothing. [`index::SharedIndex`] is its cross-run
+//!   form;
 //! * [`cache`] — the shared cross-run index cache: `Arc`-shared,
 //!   version-keyed, build-once (`OnceLock` publish), with spill-aware
 //!   coldest-first eviction scored by `bytes / rebuild_cost`;
 //! * [`join`] — parallel hash equi-join with residual predicates and
-//!   projection, cross join, and anti join (for stratified negation); every
-//!   producing operator also has a `*_sink` form feeding a [`sink::SinkMode`];
+//!   projection, cross join, and anti join (for stratified negation),
+//!   each over a key-ordered build side built per call or kept by the
+//!   caller, or over a growing relation's chained index; every producing
+//!   operator also has a `*_sink` form feeding a [`sink::SinkMode`];
 //! * [`sink`] — the fused streaming delta pipeline: a [`sink::DeltaSink`]
 //!   probed at the operators' emit sites fuses dedup + set difference into
 //!   the join itself, so the UNION-ALL intermediate `Rt` never materializes

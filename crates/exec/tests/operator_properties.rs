@@ -8,6 +8,7 @@ use recstep_common::lang::{CmpOp, Expr, Predicate};
 use recstep_exec::agg::{group_aggregate, AggCol};
 use recstep_exec::chain::ChainTable;
 use recstep_exec::expr::AggFunc;
+use recstep_exec::index::OrderedIndex;
 use recstep_exec::join::{anti_join, cross_join, hash_join, JoinSpec};
 use recstep_exec::ExecCtx;
 use recstep_storage::{Relation, Schema};
@@ -49,8 +50,76 @@ fn rel_of(pairs: &[Pair]) -> Relation {
     r
 }
 
+type Quad = (i64, i64, i64, i64);
+
+/// A four-column relation; `wide` spreads every value by 2^41, so no
+/// packed key span is dense and the index hashes.
+fn quad_rel(rows: &[Quad], wide: bool) -> Relation {
+    let scale = if wide { 1i64 << 41 } else { 1 };
+    let mut r = Relation::new(Schema::with_arity("q", 4));
+    for &(a, b, c, d) in rows {
+        r.push_row(&[a * scale, b * scale, c * scale, d * scale]);
+    }
+    r
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn ordered_index_probe_matches_nested_loop(
+        build in proptest::collection::vec((0i64..6, 0i64..4, 0i64..3, -2i64..3), 0..160),
+        probe in proptest::collection::vec((-1i64..8, -1i64..5, -2i64..4, 0i64..3), 0..80),
+        width in 1usize..4,
+        wide in any::<bool>(),
+        grain in 1usize..64,
+    ) {
+        // A small grain runs the counting sort's passes in parallel.
+        let mut ctx = ExecCtx::with_threads(3);
+        ctx.grain = grain;
+        let b = quad_rel(&build, wide);
+        let p = quad_rel(&probe, wide);
+        // Build keys are columns 0.., probe keys columns 1.. (probe
+        // values reach past the build side's bounds on both ends).
+        let build_cols: Vec<usize> = (0..width).collect();
+        let probe_cols: Vec<usize> = (1..=width).collect();
+        let index = OrderedIndex::build(&ctx, b.view(), build_cols.clone());
+        prop_assert_eq!(index.rows(), build.len());
+        if wide && !build.is_empty() {
+            prop_assert!(!index.dense(), "keys 2^41 apart hash");
+        }
+        if !wide && build.len() >= 64 {
+            prop_assert!(index.dense(), "spans within 2 buckets a row are dense");
+        }
+        let view = index.view();
+        let mut scratch = Vec::new();
+        let mut row = Vec::new();
+        for pr in 0..p.len() {
+            let mut got: Vec<Vec<i64>> = index
+                .matches(p.view(), pr, &probe_cols, &mut scratch)
+                .map(|pos| {
+                    view.copy_row(pos, &mut row);
+                    row.clone()
+                })
+                .collect();
+            got.sort_unstable();
+            let mut oracle: Vec<Vec<i64>> = (0..b.len())
+                .filter(|&br| {
+                    build_cols
+                        .iter()
+                        .zip(&probe_cols)
+                        .all(|(&bc, &pc)| b.col(bc)[br] == p.col(pc)[pr])
+                })
+                .map(|br| (0..4).map(|c| b.col(c)[br]).collect())
+                .collect();
+            oracle.sort_unstable();
+            prop_assert_eq!(
+                index.contains(p.view(), pr, &probe_cols, &mut scratch),
+                !oracle.is_empty()
+            );
+            prop_assert_eq!(got, oracle);
+        }
+    }
 
     #[test]
     fn hash_join_matches_nested_loop(

@@ -437,6 +437,10 @@ fn main() -> ExitCode {
                     stats_out.sink_table_doublings
                 );
                 println!(
+                    "∆-probe joins: {} (frozen key-ordered indexes probed)",
+                    stats_out.delta_probe_joins
+                );
+                println!(
                     "worst-case optimal joins: {} runs, {} rows emitted, {} direct",
                     stats_out.wcoj_runs, stats_out.wcoj_rows_emitted, stats_out.wcoj_rows_direct
                 );
