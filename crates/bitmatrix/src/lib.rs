@@ -7,12 +7,15 @@
 //! stage". This crate implements:
 //!
 //! * [`matrix::BitMatrix`] — the bit matrix: an atomic test-and-set for
-//!   writes that may land in any row (seeding, Algorithm 3), whole-row
-//!   load/store for a row's sole owner;
-//! * [`tc`] — Algorithm 2: zero-coordination transitive closure. Workers
-//!   take rows in morsels; the owner of a row closes it in a private
-//!   buffer with plain test-and-set and publishes it once, so the hot loop
-//!   runs no atomic instruction;
+//!   writes that may land in any row (Algorithm 3), whole-row load/store
+//!   for a row's sole owner;
+//! * [`tc`] — Algorithm 2 over the condensation: zero-coordination
+//!   transitive closure. An iterative Tarjan pass collapses the strongly
+//!   connected components of `arc` ([`Condensation`]); workers take rows
+//!   in morsels, and the owner of a row walks the components reachable
+//!   from its seeds' components in a private visited set, expands them
+//!   into a private buffer and publishes it once, so the hot loop runs no
+//!   atomic instruction;
 //! * [`sg`] — Algorithm 3: same-generation with the `Varc` vector index.
 
 pub mod matrix;
@@ -21,7 +24,7 @@ pub mod tc;
 
 pub use matrix::BitMatrix;
 pub use sg::{sg_closure, sg_closure_seeded};
-pub use tc::{tc_closure, tc_closure_seeded};
+pub use tc::{tc_closure, tc_closure_seeded, Condensation};
 
 /// Adjacency-list index `Varc[x] = { y | arc(x, y) }` (paper Algorithm 3
 /// line 4). Also serves as the `Marc` virtual bit matrix of Algorithm 2 —
@@ -50,6 +53,13 @@ impl AdjIndex {
             targets[cursor[s as usize] as usize] = t;
             cursor[s as usize] += 1;
         }
+        AdjIndex { offsets, targets }
+    }
+
+    /// Wrap a CSR built elsewhere: `targets[offsets[v]..offsets[v + 1]]`
+    /// are `v`'s neighbours.
+    pub(crate) fn from_parts(offsets: Vec<u32>, targets: Vec<u32>) -> Self {
+        debug_assert_eq!(offsets.last().copied(), Some(targets.len() as u32));
         AdjIndex { offsets, targets }
     }
 

@@ -4,13 +4,12 @@
 //!
 //! * [`BitMatrix::set`] is a `fetch_or` that reports whether the bit was
 //!   newly set — the duplicate test fused into the join ("merging the join
-//!   and deduplication into one single stage"). Seeding and Algorithm 3
-//!   use it, because their writes land in arbitrary rows.
+//!   and deduplication into one single stage"). Algorithm 3 uses it,
+//!   because its writes land in arbitrary rows.
 //! * [`BitMatrix::load_row`] / [`BitMatrix::store_row`] move a whole row
-//!   between the matrix and a private `u64` buffer. Algorithm 2 closes each
-//!   row in such a buffer with plain test-and-set and publishes it with one
-//!   relaxed store per word; this is only sound while the caller is the
-//!   row's sole writer.
+//!   between the matrix and a private `u64` buffer. Algorithm 2 builds each
+//!   row in such a buffer and publishes it with one relaxed store per
+//!   word; this is only sound while the caller is the row's sole writer.
 //!
 //! Reads are relaxed loads; a reader ordered after the writers (the
 //! thread pool's join) sees every bit.

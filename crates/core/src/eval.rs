@@ -67,6 +67,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use recstep_bitmatrix::Condensation;
 use recstep_common::hash::{FxHashMap, FxHashSet};
 use recstep_common::lang::{AggFunc, Expr};
 use recstep_common::sched::CancelToken;
@@ -829,7 +830,7 @@ impl<'d> EvalRun<'_, 'd> {
         };
         let n = (max_id + 1).max(1) as usize;
         if self.cfg.pbme == PbmeMode::Auto
-            && !fits_budget(n, edge_rel.len(), self.cfg.mem_budget_bytes)
+            && !fits_budget(n, edge_rel.len(), idb_rel.len(), self.cfg.mem_budget_bytes)
         {
             return Ok(false);
         }
@@ -849,10 +850,9 @@ impl<'d> EvalRun<'_, 'd> {
             PbmePlan::Tc { mirrored, .. } => {
                 let edges = pairs(edge_rel, *mirrored);
                 let seeds = pairs(idb_rel, *mirrored);
-                (
-                    recstep_bitmatrix::tc_closure_seeded(&self.ctx.pool, n, &seeds, &edges),
-                    *mirrored,
-                )
+                let condensed = Condensation::new(n, &edges);
+                stats.pbme_components += condensed.components();
+                (condensed.close(&self.ctx.pool, &seeds), *mirrored)
             }
             PbmePlan::Sg { .. } => {
                 let edges = pairs(edge_rel, false);

@@ -145,10 +145,12 @@ pub fn detect(stratum: &CompiledStratum) -> Option<PbmePlan> {
 }
 
 /// The paper's memory-fit condition: matrix bytes plus index bytes within
-/// the budget.
-pub fn fits_budget(n: usize, edge_count: usize, budget_bytes: usize) -> bool {
+/// the budget. The index term is the TC closure's bound (edge and seed
+/// CSRs, component ids, condensed CSR, member lists, masks), which also
+/// covers SG's adjacency index and seed list.
+pub fn fits_budget(n: usize, edge_count: usize, seed_count: usize, budget_bytes: usize) -> bool {
     let matrix = recstep_bitmatrix::BitMatrix::bytes_for(n);
-    let index = (n + 1) * 4 + edge_count * 4; // CSR adjacency
+    let index = recstep_bitmatrix::tc::index_bytes_for(n, edge_count, seed_count);
     matrix.saturating_add(index) <= budget_bytes
 }
 
@@ -362,8 +364,19 @@ mod tests {
 
     #[test]
     fn budget_check() {
-        // 1000 vertices → 125 KB matrix.
-        assert!(fits_budget(1000, 10_000, 1 << 20));
-        assert!(!fits_budget(100_000, 10_000, 1 << 20)); // 1.25 GB matrix
+        // 1000 vertices → 125 KB matrix; 100 000 vertices → 1.25 GB.
+        assert!(fits_budget(1000, 10_000, 10_000, 1 << 20));
+        assert!(!fits_budget(100_000, 10_000, 10_000, 1 << 20));
+        // At the boundary: 4 000 vertices, 32 000 edges and as many seeds
+        // (the `tc_gnp` shape) take a 2 016 000-byte matrix (63 words a
+        // row), and the index term counts the edge and seed CSRs
+        // (2 × 144 004), component ids (16 000), condensed CSR (144 004),
+        // member lists (32 004), mask offsets (16 000) and 62 masks of 63
+        // words (31 248).
+        let need = 2_016_000 + 3 * 144_004 + 16_000 + 32_004 + 16_000 + 31_248;
+        assert!(fits_budget(4000, 32_000, 32_000, need));
+        assert!(!fits_budget(4000, 32_000, 32_000, need - 1));
+        // Seeds count: one more seed no longer fits.
+        assert!(!fits_budget(4000, 32_000, 32_001, need));
     }
 }

@@ -234,6 +234,9 @@ pub struct EvalStats {
     pub busy: Duration,
     /// Bit-matrix bytes allocated, when PBME ran.
     pub pbme_matrix_bytes: usize,
+    /// Strongly connected components of `arc` that PBME's TC closure ran
+    /// Algorithm 2 over (0 when no TC stratum took PBME).
+    pub pbme_components: usize,
     /// Incremental view maintenance accounting (all zero outside the
     /// query service's standing materialized views).
     pub view: ViewStats,
@@ -313,6 +316,7 @@ impl EvalStats {
         self.io_flushes += other.io_flushes;
         self.busy += other.busy;
         self.pbme_matrix_bytes = self.pbme_matrix_bytes.max(other.pbme_matrix_bytes);
+        self.pbme_components += other.pbme_components;
         self.view.merge(&other.view);
     }
 

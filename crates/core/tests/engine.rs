@@ -115,6 +115,96 @@ fn mirrored_tc_rule_is_equivalent() {
     }
 }
 
+/// Planted strongly connected components: cycles of 70, 5, 2 and 1
+/// vertices (the 1-cycle a self-loop), a trivial vertex, and a 20-vertex
+/// tail chain, bridged into a DAG with a diamond. Returns the edges, the
+/// vertex count and the number of components.
+fn planted_scc_edges() -> (Vec<(Value, Value)>, usize, usize) {
+    let mut edges = Vec::new();
+    let mut cycle = |start: Value, len: Value| {
+        for i in 0..len {
+            edges.push((start + i, start + (i + 1) % len));
+        }
+    };
+    // 0..70, 70..75, 75..77, and a self-loop on 77.
+    cycle(0, 70);
+    cycle(70, 5);
+    cycle(75, 2);
+    cycle(77, 1);
+    // 78 is trivial; 79..99 is the tail chain.
+    for v in 79..98 {
+        edges.push((v, v + 1));
+    }
+    // Diamond 0..70 → {70..75, 75..77} → 77, then 77 → 78 → tail.
+    edges.extend([(3, 71), (40, 76), (72, 77), (75, 77), (77, 78), (78, 79)]);
+    // A bridge into the middle of the tail.
+    edges.push((74, 90));
+    (edges, 99, 4 + 1 + 20)
+}
+
+/// `(seeds ∪ edges) ∘ edges*` (or `edges* ∘ (seeds ∪ edges)` when
+/// `mirrored`): the TC of `edges` with `seeds` pre-loaded into `tc`.
+fn seeded_tc_oracle(
+    n: usize,
+    seeds: &[(Value, Value)],
+    edges: &[(Value, Value)],
+    mirrored: bool,
+) -> BTreeSet<(Value, Value)> {
+    let tc = tc_oracle(n, edges);
+    let reaches = |a: Value, b: Value| a == b || tc.contains(&(a, b));
+    let mut out = BTreeSet::new();
+    for &(s, t) in seeds.iter().chain(edges) {
+        for v in 0..n as Value {
+            if !mirrored && reaches(t, v) {
+                out.insert((s, v));
+            }
+            if mirrored && reaches(v, s) {
+                out.insert((v, t));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn pbme_closes_planted_components_like_the_tuple_path() {
+    let (edges, n, components) = planted_scc_edges();
+    let mirrored = "tc(x, y) :- arc(x, y).\ntc(x, y) :- arc(x, z), tc(z, y).";
+    // Seeds outside `arc`: from the tail's sink into the 5-cycle, from
+    // the big cycle onto the sink, from the trivial vertex into the middle
+    // of the big cycle, and a self-seed on the sink.
+    let seeds: Vec<(Value, Value)> = vec![(98, 72), (5, 98), (78, 35), (98, 98)];
+    for (what, rules, is_mirrored) in [
+        ("tc", recstep::programs::TC, false),
+        ("mirrored", mirrored, true),
+    ] {
+        for preload in [&[][..], &seeds[..]] {
+            let expect = seeded_tc_oracle(n, preload, &edges, is_mirrored);
+            if preload.is_empty() {
+                assert_eq!(expect, tc_oracle(n, &edges), "{what}");
+            }
+            // Pre-loaded `tc` rows are inline facts of the program.
+            let facts: String = preload
+                .iter()
+                .map(|(s, t)| format!("tc({s}, {t}).\n"))
+                .collect();
+            let src = format!("{facts}{rules}");
+            let run = |pbme| run_on_edges(Config::default().pbme(pbme), &edges, &src);
+            let (tuples, off) = run(PbmeMode::Off);
+            let (bits, force) = run(PbmeMode::Force);
+            let label = format!("{what}, {} seeds", preload.len());
+            assert_eq!(rel_pairs(&tuples, "tc"), expect, "{label}: tuple path");
+            assert_eq!(rel_pairs(&bits, "tc"), expect, "{label}: PBME");
+            assert!(
+                force.strata.iter().any(|s| s.pbme),
+                "{label}: PBME must have run"
+            );
+            assert_eq!(force.pbme_components, components, "{label}");
+            assert_eq!(off.pbme_components, 0, "{label}");
+        }
+    }
+}
+
 #[test]
 fn sg_all_engines_agree() {
     let edges = random_edges(30, 90, 3);

@@ -470,6 +470,7 @@ fn main() -> ExitCode {
                     stats_out.io_bytes, stats_out.io_flushes
                 );
                 println!("pbme: {}", stats_out.strata.iter().any(|s| s.pbme));
+                println!("pbme components: {}", stats_out.pbme_components);
                 let p = &stats_out.phase;
                 println!(
                     "phase: pipeline {:?} / eval {:?} / dedup {:?} / setdiff {:?} / \

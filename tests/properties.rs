@@ -56,6 +56,23 @@ proptest! {
     }
 
     #[test]
+    fn tc_pbme_agrees_with_tuples(edges in edges_strategy(70, 320)) {
+        // Up to 70 vertices and 320 edges: a giant component can pass 64
+        // members and close through its member mask.
+        let mirrored = "tc(x, y) :- arc(x, y).\ntc(x, y) :- arc(x, z), tc(z, y).";
+        for src in [recstep::programs::TC, mirrored] {
+            let run = |pbme| {
+                let engine = Engine::from_config(Config::default().threads(2).pbme(pbme)).unwrap();
+                let mut db = Database::new().unwrap();
+                db.load_edges("arc", &edges).unwrap();
+                engine.prepare(src).unwrap().run(&mut db).unwrap();
+                db.relation("tc").unwrap().to_vec().into_iter().collect::<BTreeSet<Vec<Value>>>()
+            };
+            prop_assert_eq!(run(PbmeMode::Off), run(PbmeMode::Force));
+        }
+    }
+
+    #[test]
     fn cc_monotonic_agg_agrees(edges in edges_strategy(14, 40)) {
         let mut oracle = NaiveEngine::new();
         oracle.load_edges("arc", &edges);
