@@ -75,7 +75,7 @@ use recstep_common::{Error, Result, Value};
 use recstep_datalog::plan::{
     AtomVersion, CompiledIdb, CompiledProgram, CompiledStratum, ScanSpec, SubQuery,
 };
-use recstep_exec::agg::{AggCol, ConcurrentMonoMap, GroupSink};
+use recstep_exec::agg::{AggCol, Bucket, ConcurrentMonoMap, GroupSink};
 use recstep_exec::cache::{CacheKey, IndexCache};
 use recstep_exec::chain::ChainTable;
 use recstep_exec::dedup::deduplicate;
@@ -494,11 +494,14 @@ enum AggKind {
 /// A recursive MIN/MAX head's state: one concurrent CAS-on-best map
 /// (windowed when its keys pack compactly), fed at the probe site by the
 /// aggregation sink or by the groups of a materialized `Rt`; its
-/// dirty-list drain is the iteration's ∆.
+/// dirty-list drain, cut to `bucket`, is the iteration's ∆.
 struct MonoState {
     map: ConcurrentMonoMap,
     group_positions: Vec<usize>,
     agg_position: usize,
+    /// [`Bucket::Lowest`] when the planner found the head safe to evaluate
+    /// in value order ([`recstep_datalog::plan::IdbAgg::value_order`]).
+    bucket: Bucket,
 }
 
 /// The state one pass of a plain (non-recursive) group-by head folds
@@ -931,11 +934,16 @@ impl<'d> EvalRun<'_, 'd> {
                         map.absorb(&group, rel.col(shape.agg_positions[0])[r]);
                     }
                     // Seeds are pre-existing facts, not this run's ∆.
-                    let _ = map.take_improved();
+                    let _ = map.take_improved(Bucket::Unbounded);
                     Some(AggKind::Mono(MonoState {
                         map,
                         group_positions: shape.group_positions.clone(),
                         agg_position: shape.agg_positions[0],
+                        bucket: if shape.value_order {
+                            Bucket::Lowest
+                        } else {
+                            Bucket::Unbounded
+                        },
                     }))
                 }
                 Some(shape) => {
@@ -1501,12 +1509,13 @@ impl<'d> EvalRun<'_, 'd> {
                         ms.map.absorb(&group, grouped[g][r]);
                     }
                 }
-                // The dirty list is ∆R.
-                let improved = ms.map.take_improved();
+                // The dirty list's bucket is ∆R; the rest stays pending.
+                let improved = ms.map.take_improved(ms.bucket);
                 let delta = mono_delta(idb, ms, &improved);
                 if agg_sink {
                     stats.agg_groups_improved += delta.len();
                 }
+                stats.agg_groups_deferred += ms.map.deferred();
                 stats.phase.aggregate += t_agg.elapsed();
                 self.io.temp(delta.view());
                 return Ok(DeltaBuf::Owned(delta));
@@ -2035,18 +2044,22 @@ fn note_sync(action: SyncAction, rows: usize, stats: &mut EvalStats) {
 }
 
 /// ∆R of a monotonic head in head layout: one row per improved group of
-/// `improved`, flattened as `[group ‖ best]` rows.
+/// `improved`, flattened as `[group ‖ best]` rows, built column by column
+/// and appended in one piece.
 fn mono_delta(idb: &CompiledIdb, ms: &MonoState, improved: &[Value]) -> Relation {
     let g = ms.group_positions.len();
-    let mut delta = Relation::new(Schema::with_arity(idb.delta_name.clone(), idb.arity));
-    let mut out_row = vec![0 as Value; idb.arity];
-    for row in improved.chunks(g + 1) {
-        for (&pos, &v) in ms.group_positions.iter().zip(row) {
-            out_row[pos] = v;
-        }
-        out_row[ms.agg_position] = row[g];
-        delta.push_row(&out_row);
+    let rows = improved.len() / (g + 1);
+    let mut cols: Vec<Vec<Value>> = (0..idb.arity).map(|_| Vec::with_capacity(rows)).collect();
+    for (i, &pos) in ms
+        .group_positions
+        .iter()
+        .chain([&ms.agg_position])
+        .enumerate()
+    {
+        cols[pos].extend(improved.iter().skip(i).step_by(g + 1));
     }
+    let mut delta = Relation::new(Schema::with_arity(idb.delta_name.clone(), idb.arity));
+    delta.append_columns(cols);
     delta
 }
 

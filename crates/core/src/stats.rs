@@ -210,6 +210,11 @@ pub struct EvalStats {
     /// monotonic (recursive MIN/MAX) heads, all result groups for one-shot
     /// group-by heads.
     pub agg_groups_improved: usize,
+    /// Improved groups of value-ordered recursive `MIN`/`MAX` heads that
+    /// the drain right after their improvement left pending for a later
+    /// iteration (the ∆ took only the lowest-valued bucket); 0 when every
+    /// drain took all its improved groups.
+    pub agg_groups_deferred: usize,
     /// Rows the sink-side reservoir handed to the OOF-FA statistics pass
     /// in place of a full `Rt` re-scan (0 unless `--oof-fa` streams
     /// through an aggregation sink).
@@ -308,6 +313,7 @@ impl EvalStats {
         self.agg_dense_sinks += other.agg_dense_sinks;
         self.agg_rows_folded_at_source += other.agg_rows_folded_at_source;
         self.agg_groups_improved += other.agg_groups_improved;
+        self.agg_groups_deferred += other.agg_groups_deferred;
         self.sink_stat_samples += other.sink_stat_samples;
         self.sink_table_doublings += other.sink_table_doublings;
         self.index.merge(&other.index);

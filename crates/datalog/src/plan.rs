@@ -147,6 +147,12 @@ pub struct IdbAgg {
     pub agg_positions: Vec<usize>,
     /// Aggregate function per entry of `agg_positions`.
     pub funcs: Vec<AggFunc>,
+    /// The head may be evaluated in value order: the backend drains only
+    /// the lowest bucket of improved groups per iteration. Set for a
+    /// recursive `MIN`/`MAX` head whose rules are linear and whose
+    /// aggregate is non-decreasing in the aggregated body variable, which
+    /// occurs nowhere else (PreM); false for every other head.
+    pub value_order: bool,
 }
 
 /// All subqueries evaluating one IDB within one stratum (the unit the
@@ -291,6 +297,16 @@ pub fn compile(analysis: &Analysis) -> Result<CompiledProgram> {
                 .map(|i| format!("{}_tmp_mDelta{}", idb.rel, i))
                 .collect();
         }
+        if let [idb] = &mut idbs[..] {
+            let rules: Vec<&Rule> = stratum
+                .rules
+                .iter()
+                .map(|&ri| &analysis.program.rules[ri])
+                .collect();
+            if let Some(agg) = &mut idb.agg {
+                agg.value_order = stratum.recursive && value_order_applies(&idb.rel, agg, &rules);
+            }
+        }
         strata.push(CompiledStratum {
             recursive: stratum.recursive,
             idbs,
@@ -334,7 +350,87 @@ fn agg_shape(rule: &Rule) -> Option<IdbAgg> {
         group_positions,
         agg_positions,
         funcs,
+        value_order: false,
     })
+}
+
+/// Whether the recursive `MIN`/`MAX` head `rel` (shape `agg`), the only
+/// IDB of a stratum with rules `rules`, reaches its fixpoint whatever
+/// order its improved groups are processed in — so an iteration may take
+/// only the lowest-valued bucket of them.
+///
+/// That holds when the aggregate commutes with every rule (PreM,
+/// *Scaling-Up Reasoning and Advanced Analytics on BigData*): each
+/// recursive rule reads `rel` once (linear; the analyzer already refuses
+/// non-linear and mutual recursion through an aggregate), and the
+/// variable `z` it binds
+/// at the aggregated column occurs nowhere else in the rule but in the
+/// head's aggregate term, which is non-decreasing in `z`
+/// ([`nondecreasing_in`]). A better value then only ever derives better
+/// candidates, so a value that is improved before it is processed never
+/// needed processing. CC's and SSSP's recursive rules qualify; a filter,
+/// a join key or a negation on `z`, an aggregate like `0 - z`, or a
+/// non-linear rule does not.
+fn value_order_applies(rel: &str, agg: &IdbAgg, rules: &[&Rule]) -> bool {
+    let (&[func], &[pos]) = (&agg.funcs[..], &agg.agg_positions[..]) else {
+        return false;
+    };
+    if !matches!(func, AggFunc::Min | AggFunc::Max) {
+        return false;
+    }
+    rules.iter().all(|rule| {
+        let mut reads = rule.positive_atoms().filter(|a| a.pred == rel);
+        let Some(atom) = reads.next() else {
+            return true; // an exit rule reads no pending value
+        };
+        if reads.next().is_some() {
+            return false;
+        }
+        let Some(BodyTerm::Var(z)) = atom.terms.get(pos) else {
+            return false;
+        };
+        let body_uses: usize = rule
+            .body
+            .iter()
+            .map(|lit| match lit {
+                Literal::Pos(a) | Literal::Neg(a) => a
+                    .terms
+                    .iter()
+                    .filter(|t| matches!(t, BodyTerm::Var(v) if v == z))
+                    .count(),
+                Literal::Cmp { lhs, rhs, .. } => {
+                    usize::from(mentions(lhs, z)) + usize::from(mentions(rhs, z))
+                }
+            })
+            .sum();
+        body_uses == 1
+            && rule.head.terms.iter().all(|t| match t {
+                HeadTerm::Plain(e) => !mentions(e, z),
+                HeadTerm::Agg { expr, .. } => nondecreasing_in(expr, z),
+            })
+    })
+}
+
+/// Whether `e` mentions variable `z`.
+fn mentions(e: &AExpr, z: &str) -> bool {
+    match e {
+        AExpr::Var(v) => v == z,
+        AExpr::Const(_) => false,
+        AExpr::Add(a, b) | AExpr::Sub(a, b) | AExpr::Mul(a, b) => mentions(a, z) || mentions(b, z),
+    }
+}
+
+/// Whether `e` is non-decreasing in `z` whatever the other variables
+/// hold: a sum of terms that are `z` or do not mention it, minus terms
+/// that do not mention it. A product mentioning `z` is refused (its sign
+/// is unknown).
+fn nondecreasing_in(e: &AExpr, z: &str) -> bool {
+    match e {
+        AExpr::Var(_) | AExpr::Const(_) => true,
+        AExpr::Add(a, b) => nondecreasing_in(a, z) && nondecreasing_in(b, z),
+        AExpr::Sub(a, b) => nondecreasing_in(a, z) && !mentions(b, z),
+        AExpr::Mul(..) => !mentions(e, z),
+    }
 }
 
 /// Translate an arithmetic expression with the variable→column binding.
@@ -1110,5 +1206,55 @@ mod tests {
             .iter()
             .any(|r| r.name == "arc" && !r.is_idb && r.arity == 2));
         assert!(p.relations.iter().any(|r| r.name == "tc" && r.is_idb));
+    }
+
+    /// The `value_order` flag of `rel`'s recursive stratum.
+    fn value_order(src: &str, rel: &str) -> bool {
+        let p = compiled(src);
+        let flags: Vec<bool> = p
+            .strata
+            .iter()
+            .filter(|s| s.recursive)
+            .flat_map(|s| &s.idbs)
+            .filter(|idb| idb.rel == rel)
+            .map(|idb| idb.agg.as_ref().is_some_and(|a| a.value_order))
+            .collect();
+        assert_eq!(flags.len(), 1, "{rel} in one recursive stratum");
+        flags[0]
+    }
+
+    #[test]
+    fn value_order_admits_monotone_linear_min_max_only() {
+        let exit = "cc(x, MIN(x)) :- arc(x, _).\n";
+        let admitted = [
+            "cc(x, MAX(x)) :- arc(x, _).\ncc(y, MAX(z)) :- cc(x, z), arc(x, y).".to_string(),
+            format!("{exit}cc(y, MIN(z + w - 1)) :- cc(x, z), w(x, y, w)."),
+            format!("{exit}cc(y, MIN(z + z)) :- cc(x, z), arc(x, y)."),
+            format!("{exit}cc(y, MIN(w * 2)) :- cc(x, z), w(x, y, w)."),
+            format!("{exit}cc(y, MIN(z)) :- cc(x, z), arc(x, y), x != y."),
+        ];
+        for src in &admitted {
+            assert!(value_order(src, "cc"), "refused: {src}");
+        }
+        assert!(value_order(crate::programs::CC, "cc3"));
+        assert!(value_order(crate::programs::SSSP, "sssp2"));
+        let refused = [
+            // A filter, a join key, a negation on the aggregated value.
+            format!("{exit}cc(y, MIN(z)) :- cc(x, z), arc(x, y), z > 3."),
+            format!("{exit}cc(y, MIN(z)) :- cc(x, z), arc(x, y), node(z)."),
+            format!("{exit}cc(y, MIN(z)) :- cc(x, z), arc(x, y), !node(z)."),
+            // Decreasing, or of unknown sign, in the value.
+            format!("{exit}cc(y, MIN(0 - z)) :- cc(x, z), arc(x, y)."),
+            format!("{exit}cc(y, MIN(z * 2)) :- cc(x, z), arc(x, y)."),
+            // The value in a group column or twice in the atom.
+            format!("{exit}cc(z, MIN(z)) :- cc(x, z), arc(x, y)."),
+            format!("{exit}cc(y, MIN(z)) :- cc(z, z), arc(z, y)."),
+        ];
+        for src in &refused {
+            assert!(!value_order(src, "cc"), "admitted: {src}");
+        }
+        // Non-recursive aggregates never are.
+        let p = compiled("m(x, MIN(y)) :- arc(x, y).");
+        assert!(!p.strata[0].idbs[0].agg.as_ref().unwrap().value_order);
     }
 }

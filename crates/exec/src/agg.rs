@@ -5,9 +5,13 @@
 //! end. Recursive aggregation (CC's and SSSP's `MIN`) follows the monotonic
 //! semantics the paper inherits from the recursive-aggregate literature
 //! [Lefebvre 92]: the IDB keeps one tuple per group holding the current best
-//! value, and the ∆ of an iteration is the set of *strictly improved*
-//! groups — which is exactly what [`ConcurrentMonoMap::take_improved`]
-//! drains.
+//! value, and the ∆ of an iteration is drawn from the *strictly improved*
+//! groups — which is what [`ConcurrentMonoMap::take_improved`] drains.
+//! Under [`Bucket::Lowest`] a drain hands back only the lowest-valued bucket
+//! of the improved groups (for `MAX`, the highest) and keeps the rest
+//! pending for a later round, so a long path is relaxed in value order
+//! (∆-stepping) instead of once per synchronous round (Bellman–Ford);
+//! [`Bucket::Unbounded`] hands back every improved group.
 //!
 //! [`ConcurrentMonoMap`] is a latch-free CAS-on-best map — a per-group
 //! payload on the growable [`GrowChainTable`], fronted by a
@@ -189,7 +193,9 @@ pub fn group_aggregate(
         }
     }
     // Phase 3: materialize.
-    let mut cols = vec![Vec::with_capacity(global.len()); out_arity];
+    let mut cols: Vec<Vec<Value>> = (0..out_arity)
+        .map(|_| Vec::with_capacity(global.len()))
+        .collect();
     for (key, states) in &global {
         for (c, &v) in key.iter().enumerate() {
             cols[c].push(v);
@@ -210,8 +216,244 @@ const DIRTY_END: u32 = u32::MAX;
 /// exist. Never a stack entry (table slots stay below 2^30, window ids
 /// below `IN_WINDOW + 2^WINDOW_MAX_BITS`).
 const ABSENT: u32 = u32::MAX - 1;
+/// Link of a group a drain left pending (in [`Pending`]) for a later
+/// round. Never a stack entry, like [`ABSENT`].
+const DEFERRED: u32 = u32::MAX - 2;
 /// Dirty-stack id tag: the low bits name a window cell, not a table slot.
 const IN_WINDOW: u32 = 1 << 31;
+/// Dirty-stack entry tag: the group was [`DEFERRED`] when it improved, so
+/// its pending entry went stale. Free in every entry (`id + 1` stays
+/// below 2^30 for slots and below 2^22 past [`IN_WINDOW`] for cells).
+const REQUEUED: u32 = 1 << 30;
+
+/// A [`Bucket::Lowest`] drain takes at least this many groups…
+const BUCKET_FLOOR: usize = 32;
+/// …or one in this many of the groups improved since the previous drain,
+/// if that is more.
+const BUCKET_DIVISOR: usize = 8;
+/// A chunk cut for a bucket of `need` is split exactly (one selection)
+/// up to `2 * need + CUT_SLACK` entries; a larger one is halved around a
+/// sampled median first, so the part a later round cuts again stays small.
+const CUT_SLACK: usize = 64;
+
+/// How much of the pending groups one [`ConcurrentMonoMap::take_improved`]
+/// hands back as ∆.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Bucket {
+    /// Every pending group: synchronous rounds (Bellman–Ford).
+    Unbounded,
+    /// The lowest-valued (for `MAX`, highest-valued) pending groups: with
+    /// `n` groups improved since the previous drain, the first
+    /// `T = max(BUCKET_FLOOR, ⌈n / BUCKET_DIVISOR⌉)` in value order plus
+    /// every group tied with the `T`-th. Which groups that is depends only
+    /// on the pending `(group, value)` pairs.
+    Lowest,
+}
+
+impl Bucket {
+    /// Groups to take when `improved` groups improved since the previous
+    /// drain (ties with the last one come on top).
+    fn size(self, improved: usize) -> usize {
+        match self {
+            Bucket::Unbounded => usize::MAX,
+            Bucket::Lowest => BUCKET_FLOOR.max(improved.div_ceil(BUCKET_DIVISOR)),
+        }
+    }
+}
+
+/// A pending entry of one group.
+#[derive(Clone, Copy)]
+struct Entry {
+    /// The group's value as an order key (bit-inverted for `MAX`, so
+    /// that lower always comes first).
+    key: Value,
+    /// The group's id (a table slot, or a window cell tagged
+    /// [`IN_WINDOW`]).
+    id: u32,
+    /// The drain that filed it.
+    drain: u32,
+}
+
+/// The pending entries whose keys lie in `[lo, lo of the chunk above)`,
+/// unordered.
+struct Chunk {
+    lo: Value,
+    entries: Vec<Entry>,
+}
+
+/// The groups drains have left for a later round, bucketed by value: a
+/// stack of key ranges, lowest range last, each an unordered [`Chunk`].
+/// An entry goes stale when its group improves again (the group re-enters
+/// at its new value) and is dropped when a drain next scans its chunk.
+/// A drain takes whole chunks from the bottom and cuts at most one, so a
+/// round costs O(∆ + bucket) plus the halvings of an oversized cut chunk
+/// (incremental quickselect), never a walk of the whole pending set.
+#[derive(Default)]
+struct Pending {
+    /// Key ranges, `lo` strictly descending.
+    chunks: Vec<Chunk>,
+    /// Entries whose group still holds the entry's value.
+    live: usize,
+    /// Entries, stale ones included.
+    stored: usize,
+    /// Groups the previous drain popped (a capacity hint).
+    last_batch: usize,
+    /// Drains so far.
+    drains: u32,
+    /// Groups the previous drain popped and left pending.
+    deferred: usize,
+}
+
+impl Pending {
+    /// File fresh entries (each live, one per group) into their chunks.
+    fn insert(&mut self, batch: Vec<Entry>) {
+        self.live += batch.len();
+        self.stored += batch.len();
+        if self.chunks.is_empty() {
+            self.chunks.push(Chunk {
+                lo: Value::MIN,
+                entries: batch,
+            });
+            return;
+        }
+        for &e in &batch {
+            let at = self.chunks.partition_point(|c| c.lo > e.key);
+            if at == self.chunks.len() {
+                self.chunks.push(Chunk {
+                    lo: Value::MIN,
+                    entries: Vec::with_capacity(batch.len()),
+                });
+            }
+            self.chunks[at].entries.push(e);
+        }
+    }
+
+    /// Remove and return the `need` lowest live entries plus every live
+    /// entry tied with the last of them (all of them when fewer are
+    /// live). `live(e)` tells a live entry from a stale one.
+    fn take(&mut self, mut need: usize, live: impl Fn(&Entry) -> bool) -> Vec<Entry> {
+        let mut out = Vec::with_capacity(need.min(self.live));
+        if need >= self.live {
+            for chunk in self.chunks.drain(..) {
+                out.extend(chunk.entries.into_iter().filter(&live));
+            }
+            (self.live, self.stored) = (0, 0);
+            return out;
+        }
+        while need > 0 {
+            let Chunk { lo, mut entries } = self.chunks.pop().expect("live entries remain");
+            let scanned = entries.len();
+            entries.retain(&live);
+            self.stored -= scanned - entries.len();
+            if entries.len() <= need {
+                need -= entries.len();
+                self.take_all(&mut out, entries);
+                continue;
+            }
+            // The cut falls inside this chunk: split it three ways around
+            // a pivot — the exact `need`-th key when the chunk is small,
+            // else a sampled median.
+            let pivot = if entries.len() <= 2 * need + CUT_SLACK {
+                entries
+                    .select_nth_unstable_by_key(need - 1, |e| e.key)
+                    .1
+                    .key
+            } else {
+                sampled_median(&entries)
+            };
+            let (lt, gt) = partition3(&mut entries, pivot);
+            let high = entries.split_off(gt);
+            if lt >= need {
+                // Everything wanted lies below the pivot: keep the rest as
+                // chunks of their own and cut the lower part next.
+                let eq = entries.split_off(lt);
+                self.push_chunk(pivot, eq.into_iter().chain(high).collect());
+                self.chunks.push(Chunk { lo, entries });
+                continue;
+            }
+            need = need.saturating_sub(entries.len());
+            self.take_all(&mut out, entries);
+            if !high.is_empty() {
+                // `pivot < MAX`: something lies above it.
+                self.push_chunk(pivot + 1, high);
+            }
+        }
+        out
+    }
+
+    /// Move `entries` (all live) to `out`.
+    fn take_all(&mut self, out: &mut Vec<Entry>, entries: Vec<Entry>) {
+        self.live -= entries.len();
+        self.stored -= entries.len();
+        if out.is_empty() {
+            *out = entries;
+        } else {
+            out.extend(entries);
+        }
+    }
+
+    /// Put back a non-empty chunk of live entries at the bottom.
+    fn push_chunk(&mut self, lo: Value, entries: Vec<Entry>) {
+        if !entries.is_empty() {
+            self.chunks.push(Chunk { lo, entries });
+        }
+    }
+
+    /// Drop every stale entry once they outnumber the live ones, so the
+    /// chunks far above the cut hold O(live) entries.
+    fn compact(&mut self, live: impl Fn(&Entry) -> bool) {
+        if self.stored <= 2 * self.live + 1024 {
+            return;
+        }
+        for chunk in &mut self.chunks {
+            chunk.entries.retain(&live);
+        }
+        self.chunks.retain(|c| !c.entries.is_empty());
+        self.stored = self.live;
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.chunks
+            .iter()
+            .map(|c| c.entries.capacity() * std::mem::size_of::<Entry>())
+            .sum()
+    }
+}
+
+/// Median key of up to nine entries spread evenly over `entries`.
+fn sampled_median(entries: &[Entry]) -> Value {
+    let step = (entries.len() / 9).max(1);
+    let mut sample: Vec<Value> = entries
+        .iter()
+        .step_by(step)
+        .take(9)
+        .map(|e| e.key)
+        .collect();
+    let mid = sample.len() / 2;
+    *sample.select_nth_unstable(mid).1
+}
+
+/// Dutch-flag partition of `entries` by key around `pivot`: returns
+/// `(lt, gt)` with keys below the pivot in `..lt`, equal in `lt..gt` and
+/// above in `gt..`.
+fn partition3(entries: &mut [Entry], pivot: Value) -> (usize, usize) {
+    let (mut lt, mut i, mut gt) = (0, 0, entries.len());
+    while i < gt {
+        match entries[i].key.cmp(&pivot) {
+            std::cmp::Ordering::Less => {
+                entries.swap(lt, i);
+                lt += 1;
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                gt -= 1;
+                entries.swap(i, gt);
+            }
+            std::cmp::Ordering::Equal => i += 1,
+        }
+    }
+    (lt, gt)
+}
 
 /// Widest direct-addressed window, in packed key bits (2^22 cells of 16
 /// bytes: 64 MiB).
@@ -277,11 +519,13 @@ impl Window {
 ///   resolve to the true MIN/MAX without a latch;
 /// * one link of the latch-free **dirty stack** — improved or newly
 ///   created groups self-register on a Treiber stack threaded through the
-///   payload cells, claimed by a `NOT_DIRTY → queued` CAS so each group
-///   appears at most once. [`ConcurrentMonoMap::take_improved`] drains
-///   that stack at the quiescent end of an iteration — it *is* ∆R, with
-///   each group's final (best) value, no pre-aggregation `Rt` ever
-///   materialized.
+///   payload cells, claimed by a `NOT_DIRTY → queued` (or `DEFERRED →
+///   queued`) CAS so each group appears at most once.
+///   [`ConcurrentMonoMap::take_improved`] drains that stack at the
+///   quiescent end of an iteration into the map's pending set and hands
+///   back a bucket of it as ∆R, each group at its final (best) value, no
+///   pre-aggregation `Rt` ever materialized. The rest stays pending
+///   (`DEFERRED`) for a later drain.
 ///
 /// ## The direct-addressed window
 ///
@@ -310,6 +554,9 @@ pub struct ConcurrentMonoMap {
     dirty_head: AtomicU32,
     /// Published (reachable) groups.
     live: AtomicUsize,
+    /// Improved groups no drain has handed back yet (boxed, so that the
+    /// maps the engine keeps inline stay small).
+    pending: Box<Pending>,
 }
 
 impl ConcurrentMonoMap {
@@ -344,6 +591,7 @@ impl ConcurrentMonoMap {
             window,
             dirty_head: AtomicU32::new(DIRTY_END),
             live: AtomicUsize::new(0),
+            pending: Box::default(),
         })
     }
 
@@ -417,7 +665,9 @@ impl ConcurrentMonoMap {
     /// [`IN_WINDOW`]) whose dirty-stack link is `link`, claiming it by a
     /// `from → queued` CAS. Returns `false` — queueing nothing — when the
     /// link is not `from` (already queued, or for a window cell absent),
-    /// so each group is queued at most once per drain.
+    /// so each group is queued at most once per drain. A group queued
+    /// from [`DEFERRED`] is tagged [`REQUEUED`]: its pending entry is
+    /// stale.
     fn queue(&self, id: u32, link: &AtomicU32, from: u32) -> bool {
         if link
             .compare_exchange(from, DIRTY_END, Ordering::AcqRel, Ordering::Relaxed)
@@ -425,12 +675,13 @@ impl ConcurrentMonoMap {
         {
             return false;
         }
+        let entry = (id + 1) | if from == DEFERRED { REQUEUED } else { 0 };
         let mut head = self.dirty_head.load(Ordering::Acquire);
         loop {
             link.store(head, Ordering::Relaxed);
             match self.dirty_head.compare_exchange_weak(
                 head,
-                id + 1,
+                entry,
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
@@ -438,6 +689,13 @@ impl ConcurrentMonoMap {
                 Err(actual) => head = actual,
             }
         }
+    }
+
+    /// Queue an existing group that just improved: clean, or pending from
+    /// an earlier drain (it re-enters at its new value).
+    #[inline]
+    fn requeue(&self, id: u32, link: &AtomicU32) {
+        let _ = self.queue(id, link, NOT_DIRTY) || self.queue(id, link, DEFERRED);
     }
 
     /// CAS-on-best: install `v` iff it strictly improves `cell`. Returns
@@ -480,7 +738,7 @@ impl ConcurrentMonoMap {
             Slot::Found(slot) => {
                 let improved = self.cas_best(self.best.get(slot), v);
                 if improved {
-                    self.queue(slot, self.dirty.get(slot), NOT_DIRTY);
+                    self.requeue(slot, self.dirty.get(slot));
                 }
                 improved
             }
@@ -508,7 +766,7 @@ impl ConcurrentMonoMap {
             return true;
         }
         if improved {
-            self.queue(id, &cell.link, NOT_DIRTY);
+            self.requeue(id, &cell.link);
         }
         improved
     }
@@ -535,40 +793,108 @@ impl ConcurrentMonoMap {
             .map(|slot| self.best.get(slot).load(Ordering::Relaxed))
     }
 
-    /// Drain the dirty stack: the groups created or strictly improved since
-    /// the previous drain, each with its current (final) best value —
-    /// exactly ∆R of the iteration, flattened row-major as
-    /// `[group ‖ value]` rows. Requires quiescence (`&mut`): call between
-    /// parallel absorb phases. Costs O(∆), window or not.
-    pub fn take_improved(&mut self) -> Vec<Value> {
-        let mut out = Vec::new();
-        let mut key = Vec::with_capacity(self.group_arity);
+    /// Best-value cell and dirty-stack link of group `id`.
+    fn cells(&self, id: u32) -> (&AtomicI64, &AtomicU32) {
+        match &self.window {
+            Some(w) if id & IN_WINDOW != 0 => {
+                let cell = &w.cells[(id & !IN_WINDOW) as usize];
+                (&cell.best, &cell.link)
+            }
+            _ => (self.best.get(id), self.dirty.get(id)),
+        }
+    }
+
+    /// Order key of value `v`: lower is drained first.
+    #[inline]
+    fn order_key(&self, v: Value) -> Value {
+        match self.func {
+            AggFunc::Max => !v,
+            _ => v,
+        }
+    }
+
+    /// Drain the dirty stack — the groups created or strictly improved
+    /// since the previous drain — into the pending set, and hand back
+    /// `bucket` of it as ∆R, each group at its current (final) best value,
+    /// flattened row-major as `[group ‖ value]` rows. Under
+    /// [`Bucket::Unbounded`] that is every improved group; under
+    /// [`Bucket::Lowest`] the lowest-valued ones, the rest staying pending
+    /// ([`Self::deferred`]) until a later drain takes them. A pending
+    /// group that improves again re-enters at its new value. Requires
+    /// quiescence (`&mut`): call between parallel absorb phases. Costs
+    /// O(∆ + bucket), window or not.
+    pub fn take_improved(&mut self, bucket: Bucket) -> Vec<Value> {
+        let mut pending = std::mem::take(&mut *self.pending);
+        pending.drains = pending.drains.wrapping_add(1);
+        let mut batch = Vec::with_capacity(pending.last_batch);
         let mut cur = self.dirty_head.swap(DIRTY_END, Ordering::Relaxed);
         while cur != DIRTY_END {
-            let id = cur - 1;
-            let (best, link) = match &self.window {
+            if cur & REQUEUED != 0 {
+                pending.live -= 1;
+            }
+            let id = (cur & !REQUEUED) - 1;
+            let (best, link) = self.cells(id);
+            batch.push(Entry {
+                key: self.order_key(best.load(Ordering::Relaxed)),
+                id,
+                drain: pending.drains,
+            });
+            cur = link.load(Ordering::Relaxed);
+            link.store(DEFERRED, Ordering::Relaxed);
+        }
+        pending.last_batch = batch.len();
+        let need = bucket.size(batch.len());
+        if pending.live == 0 {
+            // Only stale entries (if any) are left.
+            pending.chunks.clear();
+            pending.stored = 0;
+        }
+        let taken = if pending.live == 0 && batch.len() <= need {
+            pending.deferred = 0;
+            batch
+        } else {
+            // A pending entry is live while its group still holds its value.
+            let live =
+                |e: &Entry| self.order_key(self.cells(e.id).0.load(Ordering::Relaxed)) == e.key;
+            let improved = batch.len();
+            pending.insert(batch);
+            let taken = pending.take(need, live);
+            pending.deferred =
+                improved - taken.iter().filter(|e| e.drain == pending.drains).count();
+            pending.compact(live);
+            taken
+        };
+        *self.pending = pending;
+        let mut out = Vec::with_capacity(taken.len() * (self.group_arity + 1));
+        let mut key = Vec::with_capacity(self.group_arity);
+        for Entry { id, .. } in taken {
+            match &self.window {
                 Some(w) if id & IN_WINDOW != 0 => {
-                    let cell = &w.cells[(id & !IN_WINDOW) as usize];
                     w.layout.unpack(u64::from(id & !IN_WINDOW), &mut key);
                     out.extend_from_slice(&key);
-                    (&cell.best, &cell.link)
                 }
-                _ => {
-                    out.extend((0..self.group_arity).map(|c| self.groups.value(id, c)));
-                    (self.best.get(id), self.dirty.get(id))
-                }
-            };
+                _ => out.extend((0..self.group_arity).map(|c| self.groups.value(id, c))),
+            }
+            let (best, link) = self.cells(id);
             out.push(best.load(Ordering::Relaxed));
-            cur = link.swap(NOT_DIRTY, Ordering::Relaxed);
+            link.store(NOT_DIRTY, Ordering::Relaxed);
         }
         out
+    }
+
+    /// Groups that improved before the last [`Self::take_improved`] and
+    /// that it left pending for a later drain.
+    pub fn deferred(&self) -> usize {
+        self.pending.deferred
     }
 
     /// Materialize as `[group columns ‖ value]` (live groups only — slots
     /// lost to insert races are unreachable and skipped).
     pub fn to_columns(&self, group_arity: usize) -> Vec<Vec<Value>> {
         debug_assert_eq!(group_arity, self.group_arity);
-        let mut cols = vec![Vec::with_capacity(self.len()); group_arity + 1];
+        let mut cols: Vec<Vec<Value>> = (0..=group_arity)
+            .map(|_| Vec::with_capacity(self.len()))
+            .collect();
         if let Some(w) = &self.window {
             let mut key = Vec::with_capacity(group_arity);
             for (k, cell) in w.cells.iter().enumerate() {
@@ -598,7 +924,11 @@ impl ConcurrentMonoMap {
             .window
             .as_ref()
             .map_or(0, |w| w.cells.len() * std::mem::size_of::<WindowCell>());
-        self.groups.heap_bytes() + self.best.heap_bytes() + self.dirty.heap_bytes() + window
+        self.groups.heap_bytes()
+            + self.best.heap_bytes()
+            + self.dirty.heap_bytes()
+            + window
+            + self.pending.heap_bytes()
     }
 }
 
@@ -874,8 +1204,8 @@ mod tests {
         assert!(!m.absorb_row(&[9]));
         assert!(m.absorb_row(&[3]));
         assert_eq!((m.len(), m.get(&[])), (1, Some(3)));
-        assert_eq!(m.take_improved(), vec![3]);
-        assert!(m.take_improved().is_empty());
+        assert_eq!(m.take_improved(Bucket::Unbounded), vec![3]);
+        assert!(m.take_improved(Bucket::Unbounded).is_empty());
         assert_eq!(m.to_columns(0), vec![vec![3]]);
     }
 
@@ -945,16 +1275,19 @@ mod tests {
         assert_eq!(m.get(&[9]), None);
         assert_eq!(m.len(), 2);
         // One ∆ row per group, final values only.
-        let mut improved: Vec<Vec<Value>> =
-            m.take_improved().chunks(2).map(<[_]>::to_vec).collect();
+        let mut improved: Vec<Vec<Value>> = m
+            .take_improved(Bucket::Unbounded)
+            .chunks(2)
+            .map(<[_]>::to_vec)
+            .collect();
         improved.sort_unstable();
         assert_eq!(improved, vec![vec![1, 3], vec![2, 5]]);
         // Drained: nothing reported until the next improvement.
-        assert!(m.take_improved().is_empty());
+        assert!(m.take_improved(Bucket::Unbounded).is_empty());
         assert!(!m.absorb(&[1], 4));
-        assert!(m.take_improved().is_empty());
+        assert!(m.take_improved(Bucket::Unbounded).is_empty());
         assert!(m.absorb(&[1], 2));
-        assert_eq!(m.take_improved(), vec![1, 2]);
+        assert_eq!(m.take_improved(Bucket::Unbounded), vec![1, 2]);
     }
 
     #[test]
@@ -1015,7 +1348,7 @@ mod tests {
             assert_eq!(m.get(&[g]), Some(best), "group {g}");
         }
         // Every group improved at least once → exactly 64 ∆ rows.
-        let improved = m.take_improved();
+        let improved = m.take_improved(Bucket::Unbounded);
         assert_eq!(improved.len(), 64 * 2);
     }
 
@@ -1041,13 +1374,13 @@ mod tests {
             rows
         };
         assert_eq!(
-            rows(m.take_improved()),
+            rows(m.take_improved(Bucket::Unbounded)),
             vec![vec![5, 3], vec![12, 7], vec![1000, Value::MIN]]
         );
-        assert!(m.take_improved().is_empty());
+        assert!(m.take_improved(Bucket::Unbounded).is_empty());
         assert!(!m.absorb(&[12], 9));
         assert!(m.absorb(&[25], 0));
-        assert_eq!(rows(m.take_improved()), vec![vec![25, 0]]);
+        assert_eq!(rows(m.take_improved(Bucket::Unbounded)), vec![vec![25, 0]]);
         let cols = m.to_columns(1);
         let flat: Vec<Value> = (0..cols[0].len())
             .flat_map(|r| [cols[0][r], cols[1][r]])
@@ -1097,6 +1430,166 @@ mod tests {
         // Too wide whatever the group count.
         assert!(ConcurrentMonoMap::window_for(&[(0, 1 << 30)], usize::MAX).is_none());
         assert!(ConcurrentMonoMap::window_for(&[(Value::MIN, Value::MAX)], usize::MAX).is_none());
+    }
+
+    /// `(group, value)` rows of a drain, sorted.
+    fn drained_rows(flat: Vec<Value>) -> Vec<(Value, Value)> {
+        let mut rows: Vec<(Value, Value)> = flat.chunks(2).map(|r| (r[0], r[1])).collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    /// A one-column `func` map over groups `0..groups`, windowed or not.
+    fn bucket_map(func: AggFunc, windowed: bool, groups: Value) -> ConcurrentMonoMap {
+        if windowed {
+            let layout = KeyLayout::from_bounds(&[(0, groups / 2)]).unwrap();
+            ConcurrentMonoMap::with_window(func, 1, layout).unwrap()
+        } else {
+            ConcurrentMonoMap::new(func, 1, 4).unwrap()
+        }
+    }
+
+    /// Absorb `cands` into `m` from `threads` workers.
+    fn absorb_all(m: &ConcurrentMonoMap, cands: &[(Value, Value)], threads: usize) {
+        let pool = recstep_common::sched::ThreadPool::new(threads);
+        pool.parallel_for(cands.len(), 7, |range, _| {
+            for &(g, v) in &cands[range] {
+                m.absorb(&[g], v);
+            }
+        });
+    }
+
+    /// Deterministic pseudo-random candidates over `groups` groups, values
+    /// in `0..range` (many ties).
+    fn candidates(n: usize, groups: Value, range: Value, seed: u64) -> Vec<(Value, Value)> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (
+                    (x % groups as u64) as Value,
+                    ((x >> 20) % range as u64) as Value,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bucketed_drains_return_every_improved_group_at_its_final_value() {
+        for func in [AggFunc::Min, AggFunc::Max] {
+            for windowed in [false, true] {
+                let mut m = bucket_map(func, windowed, 3000);
+                let mut oracle: HashMap<Value, Value> = HashMap::new();
+                let mut last: HashMap<Value, Value> = HashMap::new();
+                for (round, seed) in [11u64, 12, 13].into_iter().enumerate() {
+                    let cands = candidates(20_000, 3000, 500, seed);
+                    absorb_all(&m, &cands, 8);
+                    for &(g, v) in &cands {
+                        let best = oracle.entry(g).or_insert(v);
+                        *best = if func == AggFunc::Min {
+                            v.min(*best)
+                        } else {
+                            v.max(*best)
+                        };
+                    }
+                    // One bucketed drain per round; pending groups improve
+                    // again in the next round.
+                    let rows = drained_rows(m.take_improved(Bucket::Lowest));
+                    assert!(!rows.is_empty() && m.deferred() > 0, "round {round}");
+                    for (g, v) in rows {
+                        last.insert(g, v);
+                    }
+                }
+                let mut drains = 0;
+                loop {
+                    let rows = drained_rows(m.take_improved(Bucket::Lowest));
+                    if rows.is_empty() {
+                        break;
+                    }
+                    drains += 1;
+                    assert_eq!(m.deferred(), 0, "nothing improved since");
+                    for (g, v) in rows {
+                        assert_eq!(v, oracle[&g], "group {g} drained at a stale value");
+                        assert!(last.insert(g, v) != Some(v), "group {g} drained twice");
+                    }
+                }
+                assert!(drains > 1, "{func:?}: one drain took everything");
+                assert_eq!(last, oracle, "{func:?} windowed {windowed}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_bucket_is_the_lowest_values_with_their_ties() {
+        for func in [AggFunc::Min, AggFunc::Max] {
+            for windowed in [false, true] {
+                let mut m = bucket_map(func, windowed, 1000);
+                // 1000 groups over 100 values: ten groups per value.
+                let cands: Vec<(Value, Value)> = (0..1000).map(|g| (g, (g * 37) % 100)).collect();
+                absorb_all(&m, &cands, 8);
+                let mut pending: Vec<(Value, Value)> = cands.clone();
+                let order = |&(_, v): &(Value, Value)| if func == AggFunc::Min { v } else { -v };
+                pending.sort_by_key(order);
+                // T = max(32, ⌈1000 / 8⌉) = 125: the 125th value's ten
+                // ties come along, so 130 groups.
+                let mut improved: usize = 1000;
+                while !pending.is_empty() {
+                    let rows = drained_rows(m.take_improved(Bucket::Lowest));
+                    let t = BUCKET_FLOOR.max(improved.div_ceil(BUCKET_DIVISOR));
+                    let cut = order(&pending[t.min(pending.len()) - 1]);
+                    let split = pending.partition_point(|p| order(p) <= cut);
+                    let mut expect: Vec<(Value, Value)> = pending.drain(..split).collect();
+                    expect.sort_unstable();
+                    assert_eq!(rows, expect, "{func:?} windowed {windowed}");
+                    assert_eq!(m.deferred(), if improved == 0 { 0 } else { pending.len() });
+                    improved = 0;
+                }
+                assert!(m.take_improved(Bucket::Lowest).is_empty());
+            }
+        }
+        // The first drain of a 1000-group MIN map: 130 groups, values 0..=12.
+        let mut m = bucket_map(AggFunc::Min, false, 1000);
+        absorb_all(
+            &m,
+            &(0..1000).map(|g| (g, (g * 37) % 100)).collect::<Vec<_>>(),
+            1,
+        );
+        let rows = drained_rows(m.take_improved(Bucket::Lowest));
+        assert_eq!(rows.len(), 130);
+        assert!(rows.iter().all(|&(_, v)| v <= 12));
+        assert_eq!(m.deferred(), 870);
+    }
+
+    #[test]
+    fn buckets_do_not_depend_on_the_thread_count() {
+        let drains = |threads: usize| -> Vec<Vec<(Value, Value)>> {
+            let mut m = bucket_map(AggFunc::Min, true, 4000);
+            let mut out = Vec::new();
+            for seed in [5u64, 6] {
+                absorb_all(&m, &candidates(30_000, 4000, 3000, seed), threads);
+                out.push(drained_rows(m.take_improved(Bucket::Lowest)));
+            }
+            loop {
+                let rows = drained_rows(m.take_improved(Bucket::Lowest));
+                if rows.is_empty() {
+                    return out;
+                }
+                out.push(rows);
+            }
+        };
+        let one = drains(1);
+        assert!(one.len() > 2);
+        assert_eq!(one, drains(8));
+    }
+
+    #[test]
+    fn unbounded_drain_takes_every_improved_group() {
+        let mut m = bucket_map(AggFunc::Min, false, 1000);
+        absorb_all(&m, &(0..1000).map(|g| (g, g % 7)).collect::<Vec<_>>(), 8);
+        assert_eq!(m.take_improved(Bucket::Unbounded).len(), 2 * 1000);
+        assert_eq!(m.deferred(), 0);
     }
 
     #[test]

@@ -601,7 +601,7 @@ mod tests {
             assert_eq!(sampler.seen(), 3);
         }
         assert_eq!(map.get(&[1]), Some(7));
-        assert_eq!(map.take_improved().len(), 2 * 2);
+        assert_eq!(map.take_improved(crate::agg::Bucket::Lowest).len(), 2 * 2);
     }
 
     #[test]

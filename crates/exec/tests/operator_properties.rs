@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use recstep_common::lang::{CmpOp, Expr, Predicate};
-use recstep_exec::agg::{group_aggregate, AggCol};
+use recstep_exec::agg::{group_aggregate, AggCol, Bucket};
 use recstep_exec::chain::ChainTable;
 use recstep_exec::expr::AggFunc;
 use recstep_exec::index::OrderedIndex;
@@ -448,7 +448,7 @@ proptest! {
             }
             prop_assert_eq!(concurrent.len(), sequential.len());
             let mut improved: Vec<(i64, i64)> = concurrent
-                .take_improved()
+                .take_improved(Bucket::Unbounded)
                 .chunks(2)
                 .map(|r| (r[0], r[1]))
                 .collect();
@@ -458,7 +458,7 @@ proptest! {
                 .map(|&g| (g, sequential[[g].as_slice()]))
                 .collect();
             prop_assert_eq!(improved, expect);
-            prop_assert!(concurrent.take_improved().is_empty());
+            prop_assert!(concurrent.take_improved(Bucket::Unbounded).is_empty());
         }
         prop_assert!(concurrent.table_doublings() >= 6);
         for g in 0..(groups + 600) as i64 {
@@ -565,9 +565,9 @@ proptest! {
                     k
                 })
                 .collect();
-            prop_assert_eq!(drained(windowed.take_improved()), expect);
-            prop_assert_eq!(drained(hashed.take_improved()), expect);
-            prop_assert!(windowed.take_improved().is_empty());
+            prop_assert_eq!(drained(windowed.take_improved(Bucket::Unbounded)), expect);
+            prop_assert_eq!(drained(hashed.take_improved(Bucket::Unbounded)), expect);
+            prop_assert!(windowed.take_improved(Bucket::Unbounded).is_empty());
             prop_assert_eq!(windowed.len(), sequential.len());
             prop_assert_eq!(hashed.len(), sequential.len());
         }

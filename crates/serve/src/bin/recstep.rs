@@ -433,6 +433,10 @@ fn main() -> ExitCode {
                     stats_out.sink_stat_samples
                 );
                 println!(
+                    "aggregation buckets: {} groups deferred",
+                    stats_out.agg_groups_deferred
+                );
+                println!(
                     "sink tables: {} directory doublings",
                     stats_out.sink_table_doublings
                 );

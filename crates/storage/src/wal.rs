@@ -657,6 +657,14 @@ mod tests {
 
     static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
+    /// Held by every test that passes a failpoint site (an append, a
+    /// reset, a snapshot write): the sites are process-global, so a site
+    /// one test arms must not fire inside another test running beside it.
+    fn fp_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn tmpdir() -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "recstep-wal-test-{}-{}",
@@ -681,6 +689,7 @@ mod tests {
 
     #[test]
     fn append_then_recover_roundtrips() {
+        let _fp = fp_lock();
         let dir = tmpdir();
         let (mut wal, recs, _) = Wal::recover(&dir, Durability::Commit).unwrap();
         assert!(recs.is_empty());
@@ -702,6 +711,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_and_survivors_kept() {
+        let _fp = fp_lock();
         let dir = tmpdir();
         let (mut wal, _, _) = Wal::recover(&dir, Durability::Commit).unwrap();
         wal.append(&commit(1, 10)).unwrap();
@@ -729,6 +739,7 @@ mod tests {
 
     #[test]
     fn corrupt_record_truncates_it_and_everything_after() {
+        let _fp = fp_lock();
         let dir = tmpdir();
         let (mut wal, _, _) = Wal::recover(&dir, Durability::Commit).unwrap();
         wal.append(&commit(1, 10)).unwrap();
@@ -751,6 +762,7 @@ mod tests {
 
     #[test]
     fn short_write_poisons_and_restart_recovers_the_prefix() {
+        let _fp = fp_lock();
         let dir = tmpdir();
         let (mut wal, _, _) = Wal::recover(&dir, Durability::Commit).unwrap();
         wal.append(&commit(1, 10)).unwrap();
@@ -771,6 +783,7 @@ mod tests {
 
     #[test]
     fn failed_append_leaves_no_partial_record() {
+        let _fp = fp_lock();
         let dir = tmpdir();
         let (mut wal, _, _) = Wal::recover(&dir, Durability::Commit).unwrap();
         wal.append(&commit(1, 10)).unwrap();
@@ -792,6 +805,7 @@ mod tests {
 
     #[test]
     fn reset_compacts_to_a_barrier() {
+        let _fp = fp_lock();
         let dir = tmpdir();
         let (mut wal, _, _) = Wal::recover(&dir, Durability::Batch).unwrap();
         for i in 1..=5 {
@@ -808,6 +822,7 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrips_and_detects_corruption() {
+        let _fp = fp_lock();
         use crate::relation::Schema;
         let dir = tmpdir();
         let mut edge = Relation::new(Schema::with_arity("edge", 2));
@@ -837,6 +852,7 @@ mod tests {
 
     #[test]
     fn aborted_snapshot_preserves_the_previous_snapshot() {
+        let _fp = fp_lock();
         use crate::relation::Schema;
         let dir = tmpdir();
         let mut edge = Relation::new(Schema::with_arity("edge", 2));

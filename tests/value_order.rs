@@ -1,0 +1,220 @@
+//! Recursive `MIN`/`MAX` in value order: each iteration's ∆ is only the
+//! lowest-valued bucket of the improved groups (`MAX`: the highest), the
+//! rest left pending for a later iteration.
+//!
+//! Pinned claims:
+//!
+//! 1. **Same fixpoint.** On long-diameter inputs, where value order defers
+//!    groups, the default run, `--no-fused-agg`, `Config::no_op()` and
+//!    `baselines::naive` compute the same relations: CC over directed
+//!    paths with ascending and descending ids, a small cluster feeding a
+//!    long path (and its 2^40-offset wide-id copy), SSSP over weighted
+//!    G(n, p) with non-negative weights and over a DAG with some negative
+//!    weights, and a `MAX` program.
+//! 2. **Guarded.** A program the planner refuses (a filter or a join on
+//!    the aggregated value) is evaluated in synchronous rounds: it defers
+//!    nothing, and still agrees with the other modes.
+//! 3. **Linear work on a path.** CC over a 2 000-vertex path labels every
+//!    vertex 0 while considering O(n · bucket) candidates, not the
+//!    Θ(n²) of synchronous rounds.
+
+use std::collections::BTreeSet;
+
+use recstep::{Config, Database, Engine, EvalStats, PbmeMode, Value};
+use recstep_baselines::naive::NaiveEngine;
+use recstep_bench::pipeline_workload;
+use recstep_graphgen::gnp::gnp;
+
+type Rows = BTreeSet<Vec<Value>>;
+
+/// Relations to load: `(name, arity, rows)`.
+type Loads = Vec<(&'static str, usize, Vec<Vec<Value>>)>;
+
+fn run(src: &str, loads: &Loads, rels: &[&str], cfg: Config) -> (Vec<Rows>, EvalStats) {
+    let engine = Engine::from_config(cfg.threads(2).pbme(PbmeMode::Off)).unwrap();
+    let mut db = Database::new().unwrap();
+    for (name, arity, rows) in loads {
+        db.load_relation(name, *arity, rows).unwrap();
+    }
+    let stats = engine.prepare(src).unwrap().run(&mut db).unwrap();
+    let rows = rels
+        .iter()
+        .map(|r| db.relation(r).unwrap().to_vec().into_iter().collect())
+        .collect();
+    (rows, stats)
+}
+
+fn naive(src: &str, loads: &Loads, rels: &[&str]) -> Vec<Rows> {
+    let mut naive = NaiveEngine::new();
+    for (name, _, rows) in loads {
+        naive.load(name, rows.iter().cloned());
+    }
+    naive.run_source(src).unwrap();
+    rels.iter()
+        .map(|r| naive.rows(r).unwrap().iter().cloned().collect())
+        .collect()
+}
+
+/// Default ≡ `--no-fused-agg` ≡ `Config::no_op()` ≡ naive; returns the
+/// default run's rows and statistics.
+fn agree(what: &str, src: &str, loads: &Loads, rels: &[&str]) -> (Vec<Rows>, EvalStats) {
+    let (rows, stats) = run(src, loads, rels, Config::default());
+    let (unfused, unfused_stats) = run(src, loads, rels, Config::default().fused_agg(false));
+    let (no_op, _) = run(src, loads, rels, Config::no_op());
+    assert_eq!(rows, naive(src, loads, rels), "{what}: default vs naive");
+    assert_eq!(unfused, rows, "{what}: --no-fused-agg");
+    assert_eq!(no_op, rows, "{what}: no_op");
+    // Both aggregation arms drain the same buckets.
+    assert_eq!(
+        stats.tuples_considered, unfused_stats.tuples_considered,
+        "{what}"
+    );
+    assert_eq!(
+        stats.agg_groups_deferred, unfused_stats.agg_groups_deferred,
+        "{what}"
+    );
+    assert!(rows[0].len() > 1, "{what}: empty result");
+    (rows, stats)
+}
+
+fn edges(rel: &'static str, arcs: impl IntoIterator<Item = (Value, Value)>) -> Loads {
+    vec![(rel, 2, arcs.into_iter().map(|(a, b)| vec![a, b]).collect())]
+}
+
+/// The arcs of a directed path over `n + 1` vertices, position `i` named
+/// `name(i)`.
+fn path(n: Value, name: impl Fn(Value) -> Value) -> Vec<(Value, Value)> {
+    (0..n).map(|i| (name(i), name(i + 1))).collect()
+}
+
+const CC_RELS: [&str; 3] = ["cc3", "cc2", "cc"];
+
+#[test]
+fn cc_over_paths_agrees_in_every_mode() {
+    for n in [33, 300] {
+        let (rows, stats) = agree(
+            &format!("ascending path {n}"),
+            recstep::programs::CC,
+            &edges("arc", path(n, |i| i)),
+            &CC_RELS,
+        );
+        assert!(rows[0].iter().all(|r| r[1] == 0), "every label is 0");
+        if n == 300 {
+            assert!(stats.agg_groups_deferred > 0, "a long path defers groups");
+        }
+        // Descending ids: every vertex already holds its final label, but
+        // the last one (id 0, no out-arc) which inherits 1.
+        let (rows, _) = agree(
+            &format!("descending path {n}"),
+            recstep::programs::CC,
+            &edges("arc", path(n, |i| n - i)),
+            &CC_RELS,
+        );
+        assert!(rows[0].iter().all(|r| r[1] == r[0].max(1)));
+    }
+}
+
+#[test]
+fn cluster_feeding_a_path_agrees_with_narrow_and_wide_ids() {
+    // A 24-vertex cluster whose vertex 0 feeds a 300-arc path, as CI's
+    // `lp` run; the wide copy spreads every id by 2^32 past 2^40, so no
+    // window covers the keys and every group hashes.
+    let mut arcs = pipeline_workload(24, 0.12, 300, 41);
+    arcs.push((0, 24));
+    type Naming = fn(Value) -> Value;
+    let namings: [(&str, Naming); 2] = [("narrow", |v| v), ("wide", |v| (1 << 40) + v * (1 << 32))];
+    for (layout, name) in namings {
+        let loads = edges("arc", arcs.iter().map(|&(a, b)| (name(a), name(b))));
+        let (_, stats) = agree(layout, recstep::programs::CC, &loads, &CC_RELS);
+        assert!(stats.agg_groups_deferred > 0, "{layout}: nothing deferred");
+        assert!(stats.iterations >= 300, "{layout}: {}", stats.iterations);
+    }
+}
+
+#[test]
+fn sssp_agrees_with_nonnegative_and_negative_weights() {
+    for seed in 0..3u64 {
+        let graph: Vec<(Value, Value)> = gnp(60, 0.06, seed)
+            .into_iter()
+            .map(|(a, b)| (a as Value, b as Value))
+            .collect();
+        // Non-negative weights over the whole graph, cycles included.
+        let weighted: Vec<Vec<Value>> = graph
+            .iter()
+            .map(|&(a, b)| vec![a, b, (a * 7 + b * 13) % 20])
+            .collect();
+        // Some negative weights, on the DAG of forward arcs only.
+        let dag: Vec<Vec<Value>> = graph
+            .iter()
+            .filter(|&&(a, b)| a < b)
+            .map(|&(a, b)| vec![a, b, (a * 7 + b * 13) % 20 - 6])
+            .collect();
+        let sources = vec![vec![0], vec![1], vec![2]];
+        for (what, arcs) in [("non-negative", weighted), ("negative DAG", dag)] {
+            let loads: Loads = vec![("arc", 3, arcs), ("id", 1, sources.clone())];
+            agree(
+                &format!("sssp {what}, seed {seed}"),
+                recstep::programs::SSSP,
+                &loads,
+                &["sssp2", "sssp"],
+            );
+        }
+    }
+}
+
+#[test]
+fn max_labels_propagate_in_value_order() {
+    // The highest id sits at the head of a 300-arc path, so every vertex
+    // ends labelled 300 and value order takes the highest labels first.
+    let src = "mx(x, MAX(x)) :- arc(x, _).\nmx(y, MAX(z)) :- mx(x, z), arc(x, y).";
+    let (rows, stats) = agree(
+        "MAX over a path",
+        src,
+        &edges("arc", path(300, |i| 300 - i)),
+        &["mx"],
+    );
+    assert!(rows[0].iter().all(|r| r[1] == 300));
+    assert!(stats.agg_groups_deferred > 0);
+}
+
+#[test]
+fn guard_refused_programs_run_in_synchronous_rounds() {
+    // A filter and a join on the aggregated value, both always true on
+    // this input: the planner refuses value order for them, so nothing is
+    // deferred, and the results still agree.
+    let nodes: Vec<Vec<Value>> = (0..=300).map(|v| vec![v]).collect();
+    for rule in [
+        "cc3(y, MIN(z)) :- cc3(x, z), arc(x, y), z >= 0.",
+        "cc3(y, MIN(z)) :- cc3(x, z), arc(x, y), node(z).",
+    ] {
+        let src = format!("cc3(x, MIN(x)) :- arc(x, _).\n{rule}");
+        let mut loads = edges("arc", path(300, |i| i));
+        loads.push(("node", 1, nodes.clone()));
+        let (rows, stats) = agree(rule, &src, &loads, &["cc3"]);
+        assert!(rows[0].iter().all(|r| r[1] == 0));
+        assert_eq!(stats.agg_groups_deferred, 0, "{rule}");
+        assert!(stats.iterations >= 300, "{rule}");
+    }
+}
+
+#[test]
+fn cc_over_a_2000_vertex_path_labels_every_vertex_0() {
+    // Closed form: arcs i → i + 1, so vertex v's label is min(0..=v) = 0.
+    let n = 2000;
+    let (rows, stats) = run(
+        recstep::programs::CC,
+        &edges("arc", path(n, |i| i)),
+        &["cc3"],
+        Config::default(),
+    );
+    assert_eq!(rows[0].len(), n as usize + 1);
+    assert!(rows[0].iter().all(|r| r[1] == 0), "a label is not 0");
+    assert!(stats.agg_groups_deferred > 0);
+    // Synchronous rounds consider Θ(n²) candidates (vertex v improves v
+    // times); value order takes buckets of about 32 per iteration.
+    assert!(
+        stats.tuples_considered < 64 * n as usize,
+        "{} candidates",
+        stats.tuples_considered
+    );
+}
