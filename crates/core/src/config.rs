@@ -106,8 +106,9 @@ pub struct Config {
     /// query service keeps a completed run's IDB relations and full-`R`
     /// indexes alive and answers version-bumped queries by incremental
     /// maintenance with two strategies, for recursive and non-recursive
-    /// strata alike (∆-seeded semi-naive re-entry for insertions,
-    /// Backward/Forward for deletions) instead of recompiling + rerunning
+    /// strata alike (∆-seeded semi-naive re-entry for insertions; for
+    /// deletions, the dead set off the PBME closure matrix on TC/SG
+    /// strata, Backward/Forward elsewhere) instead of recompiling + rerunning
     /// from scratch. `--no-incremental` is the ablation switch.
     pub incremental_views: bool,
     /// Worst-case optimal multiway joins: subqueries whose body is a

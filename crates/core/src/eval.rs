@@ -67,7 +67,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use recstep_bitmatrix::Condensation;
 use recstep_common::hash::{FxHashMap, FxHashSet};
 use recstep_common::lang::{AggFunc, Expr};
 use recstep_common::sched::CancelToken;
@@ -93,7 +92,7 @@ use recstep_exec::ExecCtx;
 use recstep_storage::{RelId, RelView, Relation, RunCatalog, Schema};
 
 use crate::config::{Config, OofMode, PbmeMode};
-use crate::pbme::{detect, fits_budget, matrix_columns, PbmePlan};
+use crate::pbme::{self, detect, fits_budget, matrix_columns, PbmePlan};
 use crate::stats::{EvalStats, StratumStats};
 
 mod bf;
@@ -699,12 +698,15 @@ impl<'d> EvalRun<'_, 'd> {
             };
             let mut handled = false;
             if let Some(plan) = pbme_plan {
-                handled = self.try_run_pbme(stratum, &plan, &mut stats)?;
+                handled = self.try_run_pbme(&plan, &mut stats)?;
                 if handled {
                     // PBME cleared and refilled the IDB: cached build
-                    // sides over it (if any) hold reassigned row ids.
+                    // sides over it (if any) hold reassigned row ids, and
+                    // the full-R index the base stratum carries covers
+                    // only its exit rows.
                     if let Some(id) = self.catalog.lookup(plan.idb()) {
                         jcache.invalidate(id);
+                        index_carry.remove(&id);
                     }
                 }
             }
@@ -797,78 +799,33 @@ impl<'d> EvalRun<'_, 'd> {
         stats
     }
 
-    /// Attempt PBME on a TC/SG-shaped stratum. Returns false (fall back to
-    /// tuples) when the Auto-mode budget check or id-domain check fails.
-    fn try_run_pbme(
-        &mut self,
-        _stratum: &CompiledStratum,
-        plan: &PbmePlan,
-        stats: &mut EvalStats,
-    ) -> Result<bool> {
+    /// Attempt PBME on a TC/SG-shaped stratum: close the IDB's exit rows
+    /// over the edge relation ([`pbme::close`]) and materialise the
+    /// matrix into the IDB. Returns false (fall back to tuples) when the
+    /// id-domain check or the Auto-mode budget check fails.
+    fn try_run_pbme(&mut self, plan: &PbmePlan, stats: &mut EvalStats) -> Result<bool> {
         let t = Instant::now();
-        let edge_id = match self.catalog.lookup(plan.edges()) {
-            Some(id) => id,
-            None => return Ok(false),
+        let Some(edge_id) = self.catalog.lookup(plan.edges()) else {
+            return Ok(false);
         };
         let idb_id = self
             .catalog
             .lookup(plan.idb())
             .expect("idb relation exists");
-        let edge_rel = self.catalog.rel(edge_id);
-        let idb_rel = self.catalog.rel(idb_id);
-        // Dense-integer domain required: every id in [0, u32::MAX).
-        let max_id = {
-            let mut m: Value = -1;
-            for rel in [edge_rel, idb_rel] {
-                for c in 0..2 {
-                    for &v in rel.col(c) {
-                        if v < 0 || v >= u32::MAX as Value {
-                            return Ok(false);
-                        }
-                        m = m.max(v);
-                    }
-                }
-            }
-            m
-        };
-        let n = (max_id + 1).max(1) as usize;
-        if self.cfg.pbme == PbmeMode::Auto
-            && !fits_budget(n, edge_rel.len(), idb_rel.len(), self.cfg.mem_budget_bytes)
-        {
+        let (edges, seeds) = (self.catalog.rel(edge_id), self.catalog.rel(idb_id));
+        let closure = pbme::close(
+            &self.ctx.pool,
+            plan,
+            pair_cols(edges),
+            pair_cols(seeds),
+            |n| self.pbme_fits(n, edges.len(), seeds.len()),
+            stats,
+        );
+        let Some(closure) = closure else {
             return Ok(false);
-        }
-        let pairs = |rel: &Relation, swap: bool| -> Vec<(u32, u32)> {
-            let (a, b) = (rel.col(0), rel.col(1));
-            (0..rel.len())
-                .map(|r| {
-                    if swap {
-                        (b[r] as u32, a[r] as u32)
-                    } else {
-                        (a[r] as u32, b[r] as u32)
-                    }
-                })
-                .collect()
         };
-        let (matrix, transpose_out) = match plan {
-            PbmePlan::Tc { mirrored, .. } => {
-                let edges = pairs(edge_rel, *mirrored);
-                let seeds = pairs(idb_rel, *mirrored);
-                let condensed = Condensation::new(n, &edges);
-                stats.pbme_components += condensed.components();
-                (condensed.close(&self.ctx.pool, &seeds), *mirrored)
-            }
-            PbmePlan::Sg { .. } => {
-                let edges = pairs(edge_rel, false);
-                let seeds = pairs(idb_rel, false);
-                (
-                    recstep_bitmatrix::sg_closure_seeded(&self.ctx.pool, n, &edges, Some(&seeds)),
-                    false,
-                )
-            }
-        };
-        stats.pbme_matrix_bytes = stats.pbme_matrix_bytes.max(matrix.heap_bytes());
         // Materialize the closure back into the stored relation.
-        let (cols, aggs) = matrix_columns(&self.ctx.pool, &matrix, transpose_out);
+        let (cols, aggs) = matrix_columns(&self.ctx.pool, &closure.matrix, closure.transposed);
         let rel = self.catalog.rel_mut(idb_id);
         rel.clear();
         rel.append_columns_with_aggs(cols, &aggs);
@@ -884,6 +841,13 @@ impl<'d> EvalRun<'_, 'd> {
             .peak_bytes
             .max(self.catalog.heap_bytes() + stats.pbme_matrix_bytes);
         Ok(true)
+    }
+
+    /// The paper's memory-fit rule for an `n`-vertex PBME matrix, checked
+    /// in [`PbmeMode::Auto`] only (`Force` skips it).
+    fn pbme_fits(&self, n: usize, edge_count: usize, seed_count: usize) -> bool {
+        self.cfg.pbme != PbmeMode::Auto
+            || fits_budget(n, edge_count, seed_count, self.cfg.mem_budget_bytes)
     }
 
     /// Tuple-based evaluation of one stratum (the Algorithm 1 inner loop).
@@ -1654,8 +1618,10 @@ type Batches = FxHashMap<String, Vec<Vec<Value>>>;
 enum Strategy {
     /// Its inputs only gained tuples.
     Seeded,
-    /// Its inputs lost tuples: Backward/Forward.
-    BackwardForward,
+    /// Its inputs lost tuples: retract the rows left without a
+    /// derivation ([`EvalRun::refresh_deletes`]), then seed from the
+    /// inserts.
+    Deletion,
 }
 
 /// What the passes maintaining one unit read, built by
@@ -1683,7 +1649,8 @@ fn cols_from_rows<'r>(
     rows: impl IntoIterator<Item = &'r Vec<Value>>,
 ) -> Vec<Vec<Value>> {
     let rows = rows.into_iter();
-    let mut cols = vec![Vec::with_capacity(rows.size_hint().0); arity];
+    let n = rows.size_hint().0;
+    let mut cols: Vec<Vec<Value>> = (0..arity).map(|_| Vec::with_capacity(n)).collect();
     for row in rows {
         for (c, &v) in row.iter().enumerate() {
             cols[c].push(v);
@@ -1732,13 +1699,17 @@ fn maintenance_units(prog: &CompiledProgram) -> Vec<Vec<&CompiledStratum>> {
 ///   changed scan position through the fused [`DeltaSink`], then a
 ///   recursive stratum's fixpoint re-enters with ∆ = the fresh rows only
 ///   ([`StratumEntry::Seeded`]);
-/// * **Backward/Forward** ([`bf`]) when an input lost tuples — each
-///   deletion candidate is checked for a surviving proof (one level deep
-///   for a non-recursive unit), only the unproved ones are retracted,
-///   and the unit is then ∆-seeded from the commit's inserts alone.
+/// * **deletion** when an input lost tuples ([`Self::refresh_deletes`])
+///   — the unit's dead set is retracted, and the unit is then ∆-seeded
+///   from the commit's inserts alone. A TC/SG-shaped unit whose matrix is
+///   small beside the view reads its dead set off the PBME closure of its
+///   post-commit exit rows ([`Self::matrix_dead`]); any other runs
+///   Backward/Forward ([`bf`]), which checks each deletion candidate for
+///   a surviving proof (one level deep for a non-recursive unit).
 ///
 /// Each builds its ∆ batches once ([`Self::maintenance_inputs`],
-/// `phase.dedup`); B/F's proof search is booked under `phase.eval`. Both
+/// `phase.dedup`); B/F's proof search is booked under `phase.eval`, the
+/// closure matrix under `phase.pbme`. Both
 /// end in [`Self::refixpoint`]: the pinned pass ([`Self::pinned_pass`])
 /// inside a ∆ stream (`phase.pipeline`), the fixpoint re-entry, and the
 /// shared tails [`Self::retract`], [`Self::merge_delta`] and
@@ -1814,7 +1785,7 @@ impl EvalRun<'_, '_> {
         let strategy = if minus.is_empty() {
             Strategy::Seeded
         } else {
-            Strategy::BackwardForward
+            Strategy::Deletion
         };
         Some(Inputs {
             strategy,
@@ -1906,7 +1877,7 @@ impl EvalRun<'_, '_> {
                 Strategy::Seeded => {
                     self.refixpoint(&unit, &inputs, FxHashMap::default(), deltas, &mut rs)?
                 }
-                Strategy::BackwardForward => self.refresh_bf(&unit, &inputs, deltas, &mut rs)?,
+                Strategy::Deletion => self.refresh_deletes(&unit, &inputs, deltas, &mut rs)?,
             }
         }
 
@@ -1925,7 +1896,7 @@ impl EvalRun<'_, '_> {
     /// re-enter a recursive stratum's fixpoint with ∆ = the fresh rows (a
     /// non-recursive one is complete after the pass) and publish each
     /// IDB's net change: the rows it gained that were not among its
-    /// `dead` (B/F-retracted) rows, and the `dead` rows not re-derived.
+    /// `dead` (retracted) rows, and the `dead` rows not re-derived.
     fn refixpoint(
         &mut self,
         unit: &[&CompiledStratum],
@@ -1964,8 +1935,6 @@ impl EvalRun<'_, '_> {
         view.view_tuples_seeded += seeded as u64;
         if inputs.strategy == Strategy::Seeded {
             view.view_seeded_strata += 1;
-        } else {
-            view.view_bf_strata += 1;
         }
         if rec.recursive {
             let entry = StratumEntry::Seeded(starts.clone());
@@ -1984,19 +1953,136 @@ impl EvalRun<'_, '_> {
         Ok(())
     }
 
-    /// Backward/Forward maintenance of a unit whose inputs lost tuples
-    /// ([`bf`]): every deletion candidate is checked for a surviving
-    /// proof, and only the unproved ones are retracted. The unit is then
-    /// ∆-seeded from the commit's inserts only, which also re-derives any
-    /// retracted row a same-commit insert proves again. The search is
-    /// booked under `phase.eval`, the retraction under `phase.merge`.
-    fn refresh_bf(
+    /// Maintenance of a unit whose inputs lost tuples: find its dead set
+    /// `D` — the stored IDB rows no derivation from the post-commit
+    /// inputs supports — retract it, and ∆-seed the unit from the
+    /// commit's inserts only, which re-derives any retracted row a
+    /// same-commit insert proves again. `D` comes from one of two routes:
+    ///
+    /// * **the closure matrix** ([`Self::matrix_dead`]) when the unit is
+    ///   TC- or SG-shaped and its matrix is small beside the view;
+    /// * **Backward/Forward** ([`Self::proof_search`]) otherwise.
+    ///
+    /// Both give the same `D`. The retraction is booked under
+    /// `phase.merge`.
+    fn refresh_deletes(
         &mut self,
         unit: &[&CompiledStratum],
         inputs: &Inputs,
         deltas: &mut RefreshDeltas,
         rs: &mut Refresh<'_>,
     ) -> Result<()> {
+        let rec = unit[unit.len() - 1];
+        let dead = match self.matrix_dead(unit, &mut rs.stats)? {
+            Some(dead) => {
+                rs.stats.view.view_matrix_strata += 1;
+                vec![dead]
+            }
+            None => {
+                let dead = self.proof_search(unit, inputs, rs)?;
+                rs.stats.view.view_bf_strata += 1;
+                dead
+            }
+        };
+        let mut dead_sets = FxHashMap::default();
+        for (idb, rows) in rec.idbs.iter().zip(dead) {
+            if !rows.is_empty() {
+                self.retract(rel_id(&self.catalog, &idb.rel)?, &rows, rs);
+                dead_sets.insert(idb.rel.clone(), rows.into_iter().collect());
+            }
+        }
+        self.refixpoint(unit, inputs, dead_sets, deltas, rs)
+    }
+
+    /// The dead set of a PBME-shaped unit ([`detect`] on its maintained
+    /// stratum), read off the closure matrix: the unit's exit rules,
+    /// evaluated over the post-commit catalog, seed the TC or SG closure
+    /// over the post-commit edge relation ([`pbme::close`]), and every
+    /// stored row of the IDB whose bit is clear is dead. No proof search
+    /// runs and no index is built. Booked under `phase.pbme`.
+    ///
+    /// Returns `None`, for Backward/Forward to run, under
+    /// [`PbmeMode::Off`], for any other unit, when an id falls outside
+    /// `[0, u32::MAX)`, when the matrix fails the paper's memory-fit rule
+    /// ([`Self::pbme_fits`]), or when it would have more words than
+    /// Backward/Forward's propagation index has rows: `n·⌈n/64⌉ > |I| +
+    /// |E|`, so a sparse view over many vertices keeps the proof search.
+    fn matrix_dead(
+        &self,
+        unit: &[&CompiledStratum],
+        stats: &mut EvalStats,
+    ) -> Result<Option<Vec<Vec<Value>>>> {
+        let rec = unit[unit.len() - 1];
+        let plan = match self.cfg.pbme {
+            PbmeMode::Off => None,
+            PbmeMode::Auto | PbmeMode::Force => detect(rec),
+        };
+        let Some(plan) = plan else {
+            return Ok(None);
+        };
+        let Some(edge_id) = self.catalog.lookup(plan.edges()) else {
+            return Ok(None);
+        };
+        let t = Instant::now();
+        let (edges, idb) = (
+            self.catalog.rel(edge_id),
+            self.catalog.rel(rel_id(&self.catalog, plan.idb())?),
+        );
+        let max_words = idb.len() + edges.len();
+        let words = |n: usize| n.saturating_mul(n.div_ceil(64));
+        // The edges' bounds alone fix a lower bound on `n`: a view the
+        // guard refuses skips its exit rules.
+        let n_edges = (0..2)
+            .filter_map(|c| edges.col_bounds(c))
+            .map(|(_, max)| usize::try_from(max.saturating_add(1)).unwrap_or(0))
+            .max()
+            .unwrap_or(0);
+        if words(n_edges) > max_words {
+            return Ok(None);
+        }
+        let mut seeds = vec![Vec::new(); 2];
+        for &stratum in &unit[..unit.len() - 1] {
+            for exit in stratum.idbs.iter().filter(|i| i.rel == plan.idb()) {
+                for sq in &exit.subqueries {
+                    let rows = self.eval_maintenance(
+                        stratum,
+                        sq,
+                        &ScanOverrides::default(),
+                        &SinkMode::Materialize,
+                    )?;
+                    append_cols(&mut seeds, rows);
+                }
+            }
+        }
+        let closure = pbme::close(
+            &self.ctx.pool,
+            &plan,
+            pair_cols(edges),
+            [&seeds[0], &seeds[1]],
+            |n| words(n) <= max_words && self.pbme_fits(n, edges.len(), seeds[0].len()),
+            stats,
+        );
+        let dead = closure.map(|closure| {
+            let (x, y) = (idb.col(0), idb.col(1));
+            (0..idb.len())
+                .filter(|&r| !closure.contains(x[r], y[r]))
+                .map(|r| vec![x[r], y[r]])
+                .collect()
+        });
+        stats.phase.pbme += t.elapsed();
+        Ok(dead)
+    }
+
+    /// Backward/Forward ([`bf`]): every deletion candidate of the unit is
+    /// checked for a surviving proof, and the unproved ones, per IDB of
+    /// its maintained stratum, are its dead set. The search is booked
+    /// under `phase.eval`.
+    fn proof_search(
+        &mut self,
+        unit: &[&CompiledStratum],
+        inputs: &Inputs,
+        rs: &mut Refresh<'_>,
+    ) -> Result<Vec<Vec<Vec<Value>>>> {
         let rec = unit[unit.len() - 1];
         let mut full = Vec::with_capacity(rec.idbs.len());
         for idb in &rec.idbs {
@@ -2013,16 +2099,8 @@ impl EvalRun<'_, '_> {
             dead
         });
         rs.stats.phase.eval += t_eval.elapsed();
-        let ids: Vec<RelId> = full.iter().map(|&(rel_id, _)| rel_id).collect();
         rs.indexes.extend(full);
-        let mut dead_sets = FxHashMap::default();
-        for ((rel_id, idb), rows) in ids.into_iter().zip(&rec.idbs).zip(dead?) {
-            if !rows.is_empty() {
-                self.retract(rel_id, &rows, rs);
-                dead_sets.insert(idb.rel.clone(), rows.into_iter().collect());
-            }
-        }
-        self.refixpoint(unit, inputs, dead_sets, deltas, rs)
+        dead
     }
 }
 
@@ -2086,6 +2164,11 @@ fn append_cols(dst: &mut [Vec<Value>], src: Vec<Vec<Value>>) {
             dst.append(&mut src);
         }
     }
+}
+
+/// A binary relation's two columns, as [`pbme::close`] takes them.
+fn pair_cols(rel: &Relation) -> [&[Value]; 2] {
+    [rel.col(0), rel.col(1)]
 }
 
 /// Record first-iteration build-side choices (OOF-NA freezing).
@@ -2654,4 +2737,69 @@ fn rel_id(catalog: &RunCatalog<'_>, name: &str) -> Result<RelId> {
     catalog
         .lookup(name)
         .ok_or_else(|| Error::exec(format!("unknown relation '{name}'")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Database, Engine};
+
+    /// A run over `catalog` with `engine`'s config and context.
+    fn run_over<'e, 'd>(engine: &'e Engine, catalog: RunCatalog<'d>) -> EvalRun<'e, 'd> {
+        let (cfg, ctx) = engine.parts();
+        EvalRun {
+            cfg,
+            ctx,
+            catalog,
+            cache: None,
+            cancel: None,
+            io: IoLedger::default(),
+        }
+    }
+
+    /// A carrying run whose TC stratum PBME refills hands back no full-R
+    /// index over the exit rows alone, so an insert refresh over what it
+    /// carried appends no duplicate and matches the closure.
+    #[test]
+    fn a_carrying_pbme_run_hands_back_no_stale_index() {
+        let engine =
+            Engine::from_config(Config::default().threads(2).pbme(PbmeMode::Force)).unwrap();
+        let prog = engine
+            .prepare("tc(x, y) :- arc(x, y).\ntc(x, y) :- tc(x, z), arc(z, y).")
+            .unwrap();
+        let mut db = Database::new().unwrap();
+        db.load_edges("arc", &[(0, 1), (1, 2), (2, 3)]).unwrap();
+        let mut carry = FxHashMap::default();
+        let mut run = run_over(&engine, RunCatalog::shared(db.catalog()));
+        let stats = run.run_carry(prog.compiled(), &mut carry).unwrap();
+        assert!(
+            stats.strata.iter().any(|s| s.pbme),
+            "PBME took the TC stratum"
+        );
+        for (name, index) in &carry {
+            let rel = run.catalog.rel(rel_id(&run.catalog, name).unwrap());
+            assert_eq!(index.rows(), rel.len(), "carried '{name}' trails it");
+        }
+        let overlay = run.catalog.into_overlay().unwrap();
+
+        // The shortcut re-derives tc(0,2) and tc(0,3), which only an index
+        // over the whole closure knows are already there.
+        db.load_edges("arc", &[(0, 2), (3, 4)]).unwrap();
+        let mut deltas = RefreshDeltas::default();
+        deltas
+            .plus
+            .insert("arc".into(), vec![vec![0, 2], vec![3, 4]]);
+        let mut run = run_over(&engine, RunCatalog::shared_with(db.catalog(), overlay));
+        run.run_refresh(prog.compiled(), &mut deltas, &mut carry)
+            .unwrap();
+        let mut rows = run
+            .catalog
+            .rel(rel_id(&run.catalog, "tc").unwrap())
+            .to_rows();
+        rows.sort();
+        let want: Vec<Vec<Value>> = (0..5)
+            .flat_map(|a| (a + 1..5).map(move |b| vec![a, b]))
+            .collect();
+        assert_eq!(rows, want);
+    }
 }

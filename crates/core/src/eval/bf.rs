@@ -1,8 +1,16 @@
 //! Backward/Forward maintenance under deletions (Motik, Nenov, Piro and
 //! Horrocks, *Incremental Update of Datalog Materialisation: the
-//! Backward/Forward Algorithm*, AAAI 2015) — with ∆-seeding, one of the
-//! two maintenance strategies, and the one for every unit whose inputs
-//! lost tuples, recursive or not.
+//! Backward/Forward Algorithm*, AAAI 2015): one of the two routes to the
+//! dead set of a unit whose inputs lost tuples, recursive or not.
+//!
+//! The other route reads the dead set off the PBME closure matrix
+//! (`EvalRun::matrix_dead`): a TC- or SG-shaped unit whose exit rows,
+//! over the post-commit inputs, close into a matrix of no more words
+//! than the `|I| + |E|` rows B/F's propagation index would hold, under a
+//! PBME mode other than `Off`, with ids in `[0, u32::MAX)` and the matrix
+//! within the memory budget. Every other unit runs the search below.
+//! Both routes give the same dead set, which the unit retracts before
+//! re-entering seeded from the commit's inserts.
 //!
 //! A deleted input fact only *might* take the facts it supports with it:
 //! on a dense cluster almost every one of them keeps another proof.

@@ -9,18 +9,23 @@
 //! available can fit both the bit matrix, as well as any additional index
 //! data structures used during evaluation."
 //!
-//! `matrix_columns` turns the closed matrix back into the IDB's two
-//! columns, row-parallel: per-row popcounts give every block of rows its
-//! offset, and each block fills its own disjoint slice of both columns.
+//! `close` is the one closure call behind both users of the matrix:
+//! scratch evaluation materialises it back into the IDB's two columns
+//! (`matrix_columns`: row-parallel, per-row popcounts give every block
+//! of rows its offset, and each block fills its own disjoint slice of
+//! both columns), and view maintenance tests the IDB's stored rows
+//! against it to find the rows a deletion left without a derivation.
 
 use std::sync::Mutex;
 
-use recstep_bitmatrix::BitMatrix;
+use recstep_bitmatrix::{BitMatrix, Condensation};
 use recstep_common::lang::Expr;
 use recstep_common::sched::ThreadPool;
 use recstep_common::Value;
 use recstep_datalog::{AtomVersion, CompiledStratum};
 use recstep_storage::ColAgg;
+
+use crate::stats::EvalStats;
 
 /// Matrix rows per block of the parallel matrix → column fill.
 const FILL_ROWS: usize = 64;
@@ -152,6 +157,80 @@ pub fn fits_budget(n: usize, edge_count: usize, seed_count: usize, budget_bytes:
     let matrix = recstep_bitmatrix::BitMatrix::bytes_for(n);
     let index = recstep_bitmatrix::tc::index_bytes_for(n, edge_count, seed_count);
     matrix.saturating_add(index) <= budget_bytes
+}
+
+/// A closed PBME matrix over the ids `0..n`.
+pub(crate) struct Closure {
+    pub(crate) matrix: BitMatrix,
+    /// Row `(x, y)` of the IDB is bit `(y, x)`: mirrored TC closes the
+    /// transposed graph.
+    pub(crate) transposed: bool,
+}
+
+impl Closure {
+    /// Whether the IDB row `(x, y)` is in the closure.
+    pub(crate) fn contains(&self, x: Value, y: Value) -> bool {
+        let n = self.matrix.n() as Value;
+        let (i, j) = if self.transposed { (y, x) } else { (x, y) };
+        (0..n).contains(&i) && (0..n).contains(&j) && self.matrix.get(i as usize, j as usize)
+    }
+}
+
+/// Close `seeds`, the IDB's exit rows, over `edges` as `plan` says: the
+/// fixpoint of its recursive rule from those rows, as a bit-matrix over
+/// the ids `0..n`, where `n` is one past the largest id. Both arguments
+/// are the relations' two columns. Returns `None`, for the caller to fall
+/// back to tuples, when an id falls outside `[0, u32::MAX)` or `admit(n)`
+/// refuses the matrix. Books the condensation's components and the
+/// matrix's bytes in `stats`.
+pub(crate) fn close(
+    pool: &ThreadPool,
+    plan: &PbmePlan,
+    edges: [&[Value]; 2],
+    seeds: [&[Value]; 2],
+    admit: impl FnOnce(usize) -> bool,
+    stats: &mut EvalStats,
+) -> Option<Closure> {
+    let mut max_id: Value = -1;
+    for &v in edges.iter().chain(&seeds).copied().flatten() {
+        if v < 0 || v >= u32::MAX as Value {
+            return None;
+        }
+        max_id = max_id.max(v);
+    }
+    let n = (max_id + 1).max(1) as usize;
+    if !admit(n) {
+        return None;
+    }
+    let pairs = |[a, b]: [&[Value]; 2], swap: bool| -> Vec<(u32, u32)> {
+        let pair = |(&a, &b): (&Value, &Value)| (a as u32, b as u32);
+        if swap {
+            b.iter().zip(a).map(pair).collect()
+        } else {
+            a.iter().zip(b).map(pair).collect()
+        }
+    };
+    let closure = match plan {
+        PbmePlan::Tc { mirrored, .. } => {
+            let condensed = Condensation::new(n, &pairs(edges, *mirrored));
+            stats.pbme_components += condensed.components();
+            Closure {
+                matrix: condensed.close(pool, &pairs(seeds, *mirrored)),
+                transposed: *mirrored,
+            }
+        }
+        PbmePlan::Sg { .. } => Closure {
+            matrix: recstep_bitmatrix::sg_closure_seeded(
+                pool,
+                n,
+                &pairs(edges, false),
+                Some(&pairs(seeds, false)),
+            ),
+            transposed: false,
+        },
+    };
+    stats.pbme_matrix_bytes = stats.pbme_matrix_bytes.max(closure.matrix.heap_bytes());
+    Some(closure)
 }
 
 /// One block's share of the output columns.

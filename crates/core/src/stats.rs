@@ -98,8 +98,9 @@ pub struct StratumStats {
 
 /// Incremental view maintenance accounting: how a standing materialized
 /// view absorbed `/facts` commits with its two strategies — ∆-seeded
-/// re-entries for insertions and Backward/Forward proof checks under
-/// deletions, for recursive and non-recursive strata alike — and full
+/// re-entries for insertions, and under deletions a dead set read off the
+/// closure matrix (TC/SG units) or found by Backward/Forward proof
+/// checks, for recursive and non-recursive strata alike — and full
 /// scratch recomputes when the program shape (aggregation, negation,
 /// inline facts) or a failed refresh forces the fallback.
 #[derive(Clone, Copy, Debug, Default)]
@@ -108,10 +109,17 @@ pub struct ViewStats {
     pub view_refreshes: u64,
     /// Strata re-entered from insertion-seeded deltas alone.
     pub view_seeded_strata: u64,
-    /// Strata maintained by Backward/Forward under deletions: deletion
-    /// candidates checked for a surviving proof, the unproved retracted,
-    /// the stratum re-entered seeded from the commit's inserts.
+    /// Units maintained under deletions whose Backward/Forward proof
+    /// search ran: deletion candidates checked for a surviving proof, the
+    /// unproved retracted, the stratum re-entered seeded from the commit's
+    /// inserts. Units whose dead set came off the closure matrix are
+    /// counted in `view_matrix_strata` instead.
     pub view_bf_strata: u64,
+    /// Units maintained under deletions whose dead set was read off the
+    /// PBME closure matrix (TC- and SG-shaped units, no proof search):
+    /// the IDB rows outside the closure of the post-commit exit rows
+    /// retracted, the stratum re-entered seeded from the commit's inserts.
+    pub view_matrix_strata: u64,
     /// Refreshes answered by a full from-scratch recompute instead
     /// (ineligible program shape, ineligible commit, or a failed refresh).
     pub view_fallbacks: u64,
@@ -119,7 +127,7 @@ pub struct ViewStats {
     /// seeds of a Backward/Forward stratum); the fixpoint re-entry's own
     /// ∆ rows are not counted.
     pub view_tuples_seeded: u64,
-    /// Tuples retracted by Backward/Forward maintenance.
+    /// Tuples retracted under deletions, by either route.
     pub view_tuples_retracted: u64,
 }
 
@@ -129,6 +137,7 @@ impl ViewStats {
         self.view_refreshes += other.view_refreshes;
         self.view_seeded_strata += other.view_seeded_strata;
         self.view_bf_strata += other.view_bf_strata;
+        self.view_matrix_strata += other.view_matrix_strata;
         self.view_fallbacks += other.view_fallbacks;
         self.view_tuples_seeded += other.view_tuples_seeded;
         self.view_tuples_retracted += other.view_tuples_retracted;

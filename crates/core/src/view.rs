@@ -11,13 +11,25 @@
 //!   new tuples only, riding the fused `DeltaSink` path (every candidate
 //!   probes the carried full-R index, so dedup + set-difference cost is
 //!   proportional to the delta, not to R);
-//! * **deletions** run Backward/Forward (Motik et al., AAAI 2015): every
-//!   tuple that loses a derivation is first searched for a surviving
-//!   proof — backward over the view minus what is already deleted, down
-//!   to surviving base facts, with proofs saturated forward — and only the
-//!   unproved ones are retracted; the strata then re-enter seeded from the
-//!   commit's inserts. A delete inside a strongly connected component
-//!   retracts nothing and keeps the carried full-R index.
+//! * **deletions** retract exactly the tuples left without a derivation
+//!   from the post-commit inputs, then re-enter the strata seeded from the
+//!   commit's inserts. That dead set comes from one of two routes:
+//!   - **the closure matrix** when the maintained stratum is TC- or
+//!     SG-shaped (`pbme::detect`): the unit's exit rules over the
+//!     post-commit inputs seed the PBME bit-matrix closure (paper §5.3),
+//!     and every stored row whose bit is clear is dead. A guard keeps the
+//!     route to views the matrix is small beside: the engine's PBME mode
+//!     is not `Off` (`--no-pbme`), the ids fit `[0, u32::MAX)`, the
+//!     matrix fits the memory budget, and its `n·⌈n/64⌉` words are no
+//!     more than the rows of the view and its edge relation together;
+//!   - **Backward/Forward** (Motik et al., AAAI 2015) otherwise: every
+//!     tuple that loses a derivation is first searched for a surviving
+//!     proof — backward over the view minus what is already deleted,
+//!     down to surviving base facts, with proofs saturated forward — and
+//!     only the unproved ones are retracted.
+//!
+//!   A delete inside a strongly connected component retracts nothing and
+//!   keeps the carried full-R index.
 //!
 //! The two strategies serve recursive and non-recursive strata alike: a
 //! non-recursive stratum's proof search is one level deep, and its seeded
@@ -75,10 +87,6 @@ fn config_eligible(cfg: &Config) -> bool {
 /// maintenance (see the module docs for the strategy per change shape).
 pub struct MaterializedView {
     prog: Arc<PreparedProgram>,
-    /// Engine config with PBME forced off while maintaining — the
-    /// bit-matrix path bypasses the index-carrying fixpoint that
-    /// maintenance re-enters. Scratch-only views keep the engine config.
-    cfg: Config,
     /// Run-local overlay holding the program's IDB results.
     out: Catalog,
     /// Stats of the operation that produced the current contents.
@@ -122,13 +130,8 @@ impl MaterializedView {
         cancel: Option<&CancelToken>,
     ) -> Result<Self> {
         let incremental = Self::eligible(&prog);
-        let mut cfg = prog.engine().config().clone();
-        if incremental {
-            cfg.pbme = PbmeMode::Off;
-        }
         let mut view = MaterializedView {
             prog,
-            cfg,
             out: Catalog::new(),
             stats: EvalStats::default(),
             view_stats: ViewStats::default(),
@@ -148,12 +151,19 @@ impl MaterializedView {
         self.indexes.clear();
         self.snapshots.clear();
         let compiled = self.prog.compiled();
-        let (_, ctx) = self.prog.engine().parts();
+        let (engine_cfg, ctx) = self.prog.engine().parts();
+        // A maintainable view is created on the tuple path: the bit-matrix
+        // path bypasses the index-carrying fixpoint whose indexes its
+        // refreshes carry. Its refreshes keep the engine's PBME mode.
+        let mut cfg = engine_cfg.clone();
+        if self.incremental {
+            cfg.pbme = PbmeMode::Off;
+        }
         let mut run = EvalRun {
-            cfg: &self.cfg,
+            cfg: &cfg,
             ctx,
             catalog: RunCatalog::shared(db.catalog()),
-            cache: self.cfg.shared_index_cache.then(|| &**db.index_cache()),
+            cache: cfg.shared_index_cache.then(|| &**db.index_cache()),
             cancel,
             io: IoLedger::default(),
         };
@@ -294,9 +304,9 @@ impl MaterializedView {
             return Ok(());
         }
 
-        let (_, ctx) = self.prog.engine().parts();
+        let (cfg, ctx) = self.prog.engine().parts();
         let mut run = EvalRun {
-            cfg: &self.cfg,
+            cfg,
             ctx,
             catalog: RunCatalog::shared_with(db.catalog(), mem::take(&mut self.out)),
             cache: None,
@@ -417,6 +427,13 @@ mod tests {
         rows
     }
 
+    /// An engine whose TC/SG deletes read their dead set off the closure
+    /// matrix (`PbmeMode::Auto`, the default) or run Backward/Forward
+    /// (`PbmeMode::Off`).
+    fn engine(threads: usize, pbme: PbmeMode) -> Engine {
+        Engine::from_config(Config::default().threads(threads).pbme(pbme)).unwrap()
+    }
+
     /// The maintained view must match a from-scratch run after each step.
     fn assert_matches_scratch(view: &MaterializedView, db: &Database, rels: &[&str]) {
         let scratch = view.program().run_shared(db).unwrap();
@@ -451,7 +468,7 @@ mod tests {
 
     #[test]
     fn tc_view_absorbs_deletes_via_backward_forward() {
-        let engine = Engine::builder().threads(2).build().unwrap();
+        let engine = engine(2, PbmeMode::Off);
         let prog = Arc::new(engine.prepare(TC).unwrap());
         let mut db = Database::new().unwrap();
         // A diamond plus a tail: deleting one diamond edge keeps paths
@@ -480,27 +497,36 @@ mod tests {
 
     #[test]
     fn cyclic_support_dies_with_its_last_proof() {
-        let engine = Engine::builder().threads(1).build().unwrap();
-        let prog = Arc::new(engine.prepare(TC).unwrap());
-        let mut db = Database::new().unwrap();
-        db.load_edges("arc", &[(0, 1), (1, 2), (2, 1)]).unwrap();
-        let mut view = MaterializedView::create(Arc::clone(&prog), &db).unwrap();
-        // tc(0,1) and tc(0,2) still "derive" each other through the 1⇄2
-        // cycle, but neither has a proof from a surviving arc.
-        let (ins, del) = commit(&mut db, &[], &[("arc", &[(0, 1)])]);
-        view.refresh(&db, &ins, &del).unwrap();
-        let rows = rows_sorted(&view.output(), "tc");
-        assert!(
-            !rows.contains(&vec![0, 1]) && !rows.contains(&vec![0, 2]),
-            "{rows:?}"
-        );
-        assert_eq!(view.view_stats().view_tuples_retracted, 2);
-        assert_matches_scratch(&view, &db, &["tc"]);
+        for pbme in [PbmeMode::Auto, PbmeMode::Off] {
+            let engine = engine(1, pbme);
+            let prog = Arc::new(engine.prepare(TC).unwrap());
+            let mut db = Database::new().unwrap();
+            db.load_edges("arc", &[(0, 1), (1, 2), (2, 1)]).unwrap();
+            let mut view = MaterializedView::create(Arc::clone(&prog), &db).unwrap();
+            // tc(0,1) and tc(0,2) still "derive" each other through the
+            // 1⇄2 cycle, but neither has a proof from a surviving arc.
+            let (ins, del) = commit(&mut db, &[], &[("arc", &[(0, 1)])]);
+            view.refresh(&db, &ins, &del).unwrap();
+            let rows = rows_sorted(&view.output(), "tc");
+            assert!(
+                !rows.contains(&vec![0, 1]) && !rows.contains(&vec![0, 2]),
+                "{pbme:?}: {rows:?}"
+            );
+            assert_eq!(view.view_stats().view_tuples_retracted, 2, "{pbme:?}");
+            let v = view.view_stats();
+            let by_matrix = pbme != PbmeMode::Off;
+            assert_eq!(
+                (v.view_matrix_strata, v.view_bf_strata),
+                (by_matrix as u64, !by_matrix as u64),
+                "{pbme:?}"
+            );
+            assert_matches_scratch(&view, &db, &["tc"]);
+        }
     }
 
     #[test]
     fn delete_inside_a_component_retracts_nothing_and_keeps_the_index() {
-        let engine = Engine::builder().threads(2).build().unwrap();
+        let engine = engine(2, PbmeMode::Off);
         let prog = Arc::new(engine.prepare(TC).unwrap());
         let mut db = Database::new().unwrap();
         // 0, 1 and 2 stay strongly connected without the 0→2 arc.
@@ -525,21 +551,69 @@ mod tests {
 
     #[test]
     fn same_commit_insert_is_the_surviving_proof() {
-        let engine = Engine::builder().threads(1).build().unwrap();
-        let prog = Arc::new(engine.prepare(TC).unwrap());
+        for pbme in [PbmeMode::Auto, PbmeMode::Off] {
+            let engine = engine(1, pbme);
+            let prog = Arc::new(engine.prepare(TC).unwrap());
+            let mut db = Database::new().unwrap();
+            db.load_edges("arc", &[(0, 1), (1, 2)]).unwrap();
+            let mut view = MaterializedView::create(Arc::clone(&prog), &db).unwrap();
+            // tc(0,2) loses its only proof (through 1→2) and gains one
+            // through the 0→2 arc inserted in the same commit: B/F proves
+            // it from the insert, and the matrix closes over it, so only
+            // tc(1,2) is retracted.
+            let (ins, del) = commit(&mut db, &[("arc", &[(0, 2)])], &[("arc", &[(1, 2)])]);
+            view.refresh(&db, &ins, &del).unwrap();
+            assert_eq!(view.stats().view.view_tuples_retracted, 1, "{pbme:?}");
+            assert_eq!(
+                rows_sorted(&view.output(), "tc"),
+                vec![vec![0, 1], vec![0, 2]]
+            );
+            assert_matches_scratch(&view, &db, &["tc"]);
+        }
+    }
+
+    #[test]
+    fn dense_component_deletes_read_the_matrix() {
+        let prog = Arc::new(engine(2, PbmeMode::Auto).prepare(TC).unwrap());
         let mut db = Database::new().unwrap();
-        db.load_edges("arc", &[(0, 1), (1, 2)]).unwrap();
+        // 0..6 are one complete component; 5→6→7 is a tail out of it.
+        let mut arcs: Vec<(Value, Value)> = (0..6)
+            .flat_map(|a| (0..6).filter(move |&b| b != a).map(move |b| (a, b)))
+            .collect();
+        arcs.extend([(5, 6), (6, 7)]);
+        db.load_edges("arc", &arcs).unwrap();
         let mut view = MaterializedView::create(Arc::clone(&prog), &db).unwrap();
-        // tc(0,2) loses its only proof (through 1→2) and gains one through
-        // the 0→2 arc inserted in the same commit: B/F proves it from the
-        // insert, so only tc(1,2) is retracted.
-        let (ins, del) = commit(&mut db, &[("arc", &[(0, 2)])], &[("arc", &[(1, 2)])]);
+        // Inside the component nothing dies; cutting the tail kills every
+        // row that reached 7.
+        for (gone, retracted) in [((0, 3), 0), ((6, 7), 7)] {
+            let (ins, del) = commit(&mut db, &[], &[("arc", &[gone])]);
+            view.refresh(&db, &ins, &del).unwrap();
+            let s = view.stats();
+            assert_eq!(s.view.view_matrix_strata, 1, "{gone:?}");
+            assert_eq!(s.view.view_bf_strata, 0, "{gone:?}");
+            assert_eq!(s.view.view_tuples_retracted, retracted, "{gone:?}");
+            // No proof search ran, so B/F built no lookup index.
+            assert_eq!(s.index.join_builds, 0, "{gone:?}");
+            assert!(s.phase.pbme > std::time::Duration::ZERO, "{gone:?}");
+            assert_matches_scratch(&view, &db, &["tc"]);
+        }
+        // Nothing was retracted by the first delete, so the carried full-R
+        // index survived it; the second retraction dropped it.
+        assert_eq!(view.stats().index.full_builds, 1);
+    }
+
+    #[test]
+    fn negative_ids_fall_back_to_backward_forward() {
+        let prog = Arc::new(engine(1, PbmeMode::Auto).prepare(TC).unwrap());
+        let mut db = Database::new().unwrap();
+        db.load_edges("arc", &[(-2, -1), (-1, 0), (0, 1), (-2, 0)])
+            .unwrap();
+        let mut view = MaterializedView::create(Arc::clone(&prog), &db).unwrap();
+        let (ins, del) = commit(&mut db, &[], &[("arc", &[(-1, 0)])]);
         view.refresh(&db, &ins, &del).unwrap();
-        assert_eq!(view.stats().view.view_tuples_retracted, 1);
-        assert_eq!(
-            rows_sorted(&view.output(), "tc"),
-            vec![vec![0, 1], vec![0, 2]]
-        );
+        let v = view.stats().view;
+        assert_eq!((v.view_matrix_strata, v.view_bf_strata), (0, 1));
+        assert_eq!(v.view_tuples_retracted, 2);
         assert_matches_scratch(&view, &db, &["tc"]);
     }
 
@@ -577,6 +651,10 @@ tc(x, y) :- tc(x, z), arc(z, y).";
                     .unwrap();
             });
             assert_eq!(view.stats().view.view_tuples_retracted, retracted);
+            // 5 001 vertices take a 395 079-word matrix, beside 10 001
+            // rows of view and arcs: the guard keeps Backward/Forward.
+            assert_eq!(view.stats().view.view_matrix_strata, 0);
+            assert_eq!(view.stats().view.view_bf_strata, 1);
             assert_matches_scratch(&view, &db, &["tc"]);
         }
         assert_eq!(view.output().row_count("tc"), 0);

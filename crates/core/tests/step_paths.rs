@@ -270,6 +270,9 @@ fn assert_refresh_time_booked(s: &EvalStats) {
     if s.view.view_bf_strata > 0 {
         assert!(p.eval > Duration::ZERO, "maintenance passes booked no eval");
     }
+    if s.view.view_matrix_strata > 0 {
+        assert!(p.pbme > Duration::ZERO, "the matrix route booked no pbme");
+    }
 }
 
 const VIEW_PROGRAM: &str = "tc(x, y) :- arc(x, y).\n\
@@ -277,15 +280,17 @@ const VIEW_PROGRAM: &str = "tc(x, y) :- arc(x, y).\n\
                             hop(x, y) :- tc(x, z), brc(z, y).";
 
 /// `view.{view_refreshes, view_seeded_strata, view_bf_strata,
-/// view_fallbacks, view_tuples_seeded, view_tuples_retracted},
+/// view_matrix_strata, view_fallbacks, view_tuples_seeded,
+/// view_tuples_retracted},
 /// tuples_considered, index.{full_builds, full_appends, build_rows,
 /// append_rows}, delta_probe_joins`.
-fn view_counters(s: &EvalStats) -> [u64; 12] {
+fn view_counters(s: &EvalStats) -> [u64; 13] {
     let v = &s.view;
     [
         v.view_refreshes,
         v.view_seeded_strata,
         v.view_bf_strata,
+        v.view_matrix_strata,
         v.view_fallbacks,
         v.view_tuples_seeded,
         v.view_tuples_retracted,
@@ -299,12 +304,12 @@ fn view_counters(s: &EvalStats) -> [u64; 12] {
 }
 
 /// Recorded refresh counters: an `arc` insert (∆-seeded `tc` and `hop`),
-/// an `arc` delete (Backward/Forward `tc` and `hop`), and a `brc` insert
-/// (∆-seeded `hop` only).
-const VIEW_PINS: [[u64; 12]; 3] = [
-    [1, 2, 0, 0, 29, 0, 371, 2, 6, 283, 160, 7],
-    [1, 0, 2, 0, 0, 154, 0, 2, 0, 238, 0, 0],
-    [1, 1, 0, 0, 1, 0, 1, 1, 0, 31, 0, 0],
+/// an `arc` delete (`tc`'s dead set off the closure matrix, `hop` by
+/// Backward/Forward), and a `brc` insert (∆-seeded `hop` only).
+const VIEW_PINS: [[u64; 13]; 3] = [
+    [1, 2, 0, 0, 0, 29, 0, 371, 2, 6, 283, 160, 7],
+    [1, 0, 1, 1, 0, 0, 154, 0, 2, 0, 238, 0, 0],
+    [1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 31, 0, 0],
 ];
 
 #[test]

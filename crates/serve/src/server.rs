@@ -703,6 +703,7 @@ impl ServerState {
                 ("view_refreshes", json::int(l.view.view_refreshes)),
                 ("view_seeded_strata", json::int(l.view.view_seeded_strata)),
                 ("view_bf_strata", json::int(l.view.view_bf_strata)),
+                ("view_matrix_strata", json::int(l.view.view_matrix_strata)),
                 ("view_fallbacks", json::int(l.view.view_fallbacks)),
                 ("total_us", json::int(l.total.as_micros())),
             ])

@@ -7,8 +7,10 @@
 //!    non-recursive tails) and random insert/delete sequences, a standing
 //!    [`MaterializedView`] equals a from-scratch `run_shared` after every
 //!    commit (proptest; case count tunable via `RECSTEP_PROPTEST_CASES`
-//!    for the CI fast mode) — and, under fixed commit scripts, for eleven
-//!    more shapes that reach both maintenance strategies.
+//!    for the CI fast mode) — and, under fixed commit scripts, for twelve
+//!    more shapes that reach both maintenance strategies and, under
+//!    deletions, both routes to the dead set: the closure matrix (the
+//!    default config) and Backward/Forward (`PbmeMode::Off`).
 //! 2. **Failure isolation**: a refresh that errors or panics (injected at
 //!    the `view::refresh` failpoint, grammar
 //!    `RECSTEP_FAILPOINTS="view::refresh=panic"`) never serves a
@@ -25,7 +27,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use proptest::prelude::*;
-use recstep::{Config, Database, MaterializedView, ServeConfig, Value};
+use recstep::{Config, Database, MaterializedView, PbmeMode, ServeConfig, Value};
 use recstep_bench::{assert_gate, ivm_ablations};
 use recstep_common::fail;
 use recstep_serve::client::{get, post};
@@ -207,7 +209,7 @@ proptest! {
 
 /// Maintenance shapes the proptest pool leaves out. `(source, base
 /// relations, derived relations)`.
-const SHAPES: [(&str, &[&str], &[&str]); 11] = [
+const SHAPES: [(&str, &[&str], &[&str]); 12] = [
     // One base atom at two body positions of a non-recursive rule.
     ("two(x, y) :- arc(x, z), arc(z, y).", &["arc"], &["two"]),
     // A three-atom non-recursive body.
@@ -269,7 +271,12 @@ const SHAPES: [(&str, &[&str], &[&str]); 11] = [
         &["arc", "brc"],
         &["u"],
     ),
+    // Mirrored TC: the closure runs on the transposed graph.
+    (MIRRORED_TC, &["arc"], &["tc"]),
 ];
+
+/// TC by left composition.
+const MIRRORED_TC: &str = "tc(x, y) :- arc(x, y).\ntc(x, y) :- arc(x, z), tc(z, y).";
 
 /// A fixed linear congruential generator for the commit scripts.
 struct Lcg(u64);
@@ -298,14 +305,27 @@ impl Lcg {
 
 /// Fixed commit scripts over a 7-value domain: after every commit of
 /// mixed inserts and deletes, each shape's view equals a from-scratch
-/// run, at one and two threads, and the scripts reach both maintenance
-/// strategies.
+/// run, at one and two threads, under the default config and under
+/// `PbmeMode::Off`. The scripts reach both maintenance strategies, and
+/// under deletions the closure-matrix route by default and never without
+/// PBME.
 #[test]
 fn maintenance_shapes_equal_scratch_after_fixed_commits() {
     let _serial = serial();
-    let (mut seeded, mut bf) = (0, 0);
+    for pbme in [PbmeMode::Auto, PbmeMode::Off] {
+        let counts = shapes_under(Config::default().pbme(pbme));
+        let (seeded, bf, matrix) = counts;
+        assert!(seeded > 0 && bf > 0, "{pbme:?}: {counts:?}");
+        assert_eq!(matrix > 0, pbme != PbmeMode::Off, "{pbme:?}: {counts:?}");
+    }
+}
+
+/// Run every shape's script under `cfg` at one and two threads; returns
+/// the seeded, Backward/Forward and matrix strata counted.
+fn shapes_under(cfg: Config) -> (u64, u64, u64) {
+    let (mut seeded, mut bf, mut matrix) = (0, 0, 0);
     for threads in [1, 2] {
-        let engine = recstep::Engine::builder().threads(threads).build().unwrap();
+        let engine = recstep::Engine::from_config(cfg.clone().threads(threads)).unwrap();
         for (si, &(src, rels, idbs)) in SHAPES.iter().enumerate() {
             let mut rng = Lcg(0x9e37_79b9_7f4a_7c15 ^ si as u64);
             let prog = Arc::new(engine.prepare(src).unwrap());
@@ -331,6 +351,7 @@ fn maintenance_shapes_equal_scratch_after_fixed_commits() {
                 let v = &view.stats().view;
                 seeded += v.view_seeded_strata;
                 bf += v.view_bf_strata;
+                matrix += v.view_matrix_strata;
                 let scratch = prog.run_shared(&db).unwrap();
                 let out = view.output();
                 for rel in idbs {
@@ -345,7 +366,80 @@ fn maintenance_shapes_equal_scratch_after_fixed_commits() {
             assert_eq!(view.view_stats().view_fallbacks, 0, "shape {si}");
         }
     }
-    assert!(seeded > 0 && bf > 0, "seeded {seeded}, B/F {bf}");
+    (seeded, bf, matrix)
+}
+
+/// The closure-matrix route on every shape it takes: mirrored TC, SG
+/// with an inequality in its exit rule and a tail reading it, and a TC
+/// whose exit rule joins `arc` with `brc`, losing rows from either. Each
+/// delete reads its dead set off the matrix, and the view equals scratch
+/// after every commit, at one and two threads.
+#[test]
+fn matrix_route_shapes_equal_scratch() {
+    let _serial = serial();
+    type Rows<'a> = &'a [(&'a str, (Value, Value))];
+    let batch = |rows: Rows<'_>| {
+        let mut by_rel: Vec<(String, Vec<Vec<Value>>)> = Vec::new();
+        for &(rel, (a, b)) in rows {
+            by_rel.push((rel.to_string(), vec![vec![a, b]]));
+        }
+        by_rel
+    };
+    let start: Rows<'_> = &[
+        ("arc", (0, 1)),
+        ("arc", (1, 2)),
+        ("arc", (2, 0)),
+        ("arc", (2, 3)),
+        ("arc", (3, 4)),
+        ("arc", (4, 5)),
+        ("arc", (1, 5)),
+        ("arc", (6, 1)),
+        ("brc", (0, 2)),
+        ("brc", (3, 3)),
+        ("brc", (5, 6)),
+        ("brc", (6, 6)),
+    ];
+    let shapes = [
+        (MIRRORED_TC, &["tc"][..]),
+        (SHAPES[8].0, &["sg", "cyc"]),
+        (SHAPES[3].0, &["p"]),
+    ];
+    // `(inserts, deletes)`, one commit each.
+    let commits: [(Rows<'_>, Rows<'_>); 5] = [
+        (&[], &[("arc", (2, 3))]),
+        (&[], &[("brc", (0, 2))]),
+        (&[("arc", (5, 0))], &[("arc", (0, 1)), ("brc", (5, 6))]),
+        (&[("brc", (1, 1))], &[("arc", (6, 1))]),
+        (&[("arc", (3, 4))], &[("arc", (3, 4))]),
+    ];
+    for threads in [1, 2] {
+        let engine = recstep::Engine::builder().threads(threads).build().unwrap();
+        for (src, idbs) in shapes {
+            let prog = Arc::new(engine.prepare(src).unwrap());
+            let mut db = Database::new().unwrap();
+            apply_commit(&mut db, &batch(start), &[]);
+            let mut view = MaterializedView::create(Arc::clone(&prog), &db).unwrap();
+            let mut deleted = 0;
+            for (i, &(ins, del)) in commits.iter().enumerate() {
+                let (inserts, deletes) = (batch(ins), batch(del));
+                apply_commit(&mut db, &inserts, &deletes);
+                view.refresh(&db, &inserts, &deletes).unwrap();
+                deleted += view.stats().view.view_tuples_retracted;
+                let scratch = prog.run_shared(&db).unwrap();
+                for rel in idbs {
+                    assert_eq!(
+                        rows_sorted(&view.output(), rel),
+                        rows_sorted(&scratch, rel),
+                        "{src:?} at {threads} threads diverged on '{rel}' after commit {i}"
+                    );
+                }
+            }
+            let v = view.view_stats();
+            assert!(v.view_matrix_strata >= 3, "{src:?}: {v:?}");
+            assert!(deleted > 0, "{src:?}: the deletes retract rows");
+            assert_eq!(v.view_fallbacks, 0, "{src:?}");
+        }
+    }
 }
 
 #[test]
