@@ -93,7 +93,12 @@ pub struct Condensation {
 impl Condensation {
     /// Condense `edges` over vertices `0..n`.
     pub fn new(n: usize, edges: &[(u32, u32)]) -> Self {
-        let arc = AdjIndex::new(n, edges);
+        Self::from_adjacency(AdjIndex::new(n, edges))
+    }
+
+    /// Condense the graph `arc` indexes, over its vertices.
+    pub fn from_adjacency(arc: AdjIndex) -> Self {
+        let n = arc.vertices();
         let (comp, count) = tarjan(&arc);
         let members = AdjIndex::new(
             count,

@@ -26,10 +26,13 @@ pub enum OofMode {
 pub enum PbmeMode {
     /// Never.
     Off,
-    /// Use it when the stratum matches the TC/SG pattern *and* the matrix
-    /// plus index fit the memory budget (the paper's build condition).
+    /// Use it when the stratum matches the TC/SG pattern, the matrix plus
+    /// index fit the memory budget (the paper's build condition) *and* the
+    /// matrix is worth building: its `n·⌈n/64⌉` words are no more than
+    /// the rows the tuple path holds (`pbme::worth`).
     Auto,
-    /// Use it whenever the pattern matches, regardless of the budget check.
+    /// Use it whenever the pattern matches, regardless of the budget and
+    /// cost checks.
     Force,
 }
 

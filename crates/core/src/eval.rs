@@ -92,7 +92,7 @@ use recstep_exec::ExecCtx;
 use recstep_storage::{RelId, RelView, Relation, RunCatalog, Schema};
 
 use crate::config::{Config, OofMode, PbmeMode};
-use crate::pbme::{self, detect, fits_budget, matrix_columns, PbmePlan};
+use crate::pbme::{self, detect, fits_budget, matrix_columns, PbmePlan, Rows};
 use crate::stats::{EvalStats, StratumStats};
 
 mod bf;
@@ -174,6 +174,10 @@ struct IdbState {
     /// fused dedup + set-difference pass. `None` until the first
     /// iteration, or always under `index_reuse = false`.
     full_index: Option<PersistentIndex>,
+    /// Schema of a monotonic head's per-iteration ∆R, built once.
+    delta_schema: Schema,
+    /// Schema of each subquery's temp table (`uie = false`), built once.
+    tmp_schemas: Vec<Schema>,
 }
 
 /// The shared (read-only) tier of the join cache: a borrow of the
@@ -802,7 +806,8 @@ impl<'d> EvalRun<'_, 'd> {
     /// Attempt PBME on a TC/SG-shaped stratum: close the IDB's exit rows
     /// over the edge relation ([`pbme::close`]) and materialise the
     /// matrix into the IDB. Returns false (fall back to tuples) when the
-    /// id-domain check or the Auto-mode budget check fails.
+    /// id-domain check or, in [`PbmeMode::Auto`], the memory-fit or the
+    /// cost rule fails.
     fn try_run_pbme(&mut self, plan: &PbmePlan, stats: &mut EvalStats) -> Result<bool> {
         let t = Instant::now();
         let Some(edge_id) = self.catalog.lookup(plan.edges()) else {
@@ -819,9 +824,15 @@ impl<'d> EvalRun<'_, 'd> {
             pair_cols(edges),
             pair_cols(seeds),
             |n| self.pbme_fits(n, edges.len(), seeds.len()),
+            match self.cfg.pbme {
+                PbmeMode::Auto => Rows::Estimated,
+                _ => Rows::Unchecked,
+            },
             stats,
         );
         let Some(closure) = closure else {
+            // A refusal's domain scan and sampled walks are PBME's time too.
+            stats.phase.pbme += t.elapsed();
             return Ok(false);
         };
         // Materialize the closure back into the stored relation.
@@ -937,6 +948,12 @@ impl<'d> EvalRun<'_, 'd> {
                     .map(|sq| vec![None; sq.joins.len()])
                     .collect(),
                 full_index: index_carry.remove(&rel_id),
+                delta_schema: Schema::with_arity(idb.delta_name.clone(), idb.arity),
+                tmp_schemas: idb
+                    .tmp_names
+                    .iter()
+                    .map(|name| Schema::with_arity(name.clone(), idb.arity))
+                    .collect(),
             });
         }
 
@@ -1475,7 +1492,7 @@ impl<'d> EvalRun<'_, 'd> {
                 }
                 // The dirty list's bucket is ∆R; the rest stays pending.
                 let improved = ms.map.take_improved(ms.bucket);
-                let delta = mono_delta(idb, ms, &improved);
+                let delta = mono_delta(&state.delta_schema, ms, &improved);
                 if agg_sink {
                     stats.agg_groups_improved += delta.len();
                 }
@@ -2004,9 +2021,10 @@ impl EvalRun<'_, '_> {
     /// Returns `None`, for Backward/Forward to run, under
     /// [`PbmeMode::Off`], for any other unit, when an id falls outside
     /// `[0, u32::MAX)`, when the matrix fails the paper's memory-fit rule
-    /// ([`Self::pbme_fits`]), or when it would have more words than
-    /// Backward/Forward's propagation index has rows: `n·⌈n/64⌉ > |I| +
-    /// |E|`, so a sparse view over many vertices keeps the proof search.
+    /// ([`Self::pbme_fits`]), or when the cost rule refuses it against
+    /// the rows Backward/Forward's propagation index holds
+    /// ([`pbme::worth`]`(n, |I| + |E|)`), so a sparse view over many
+    /// vertices keeps the proof search.
     fn matrix_dead(
         &self,
         unit: &[&CompiledStratum],
@@ -2028,8 +2046,7 @@ impl EvalRun<'_, '_> {
             self.catalog.rel(edge_id),
             self.catalog.rel(rel_id(&self.catalog, plan.idb())?),
         );
-        let max_words = idb.len() + edges.len();
-        let words = |n: usize| n.saturating_mul(n.div_ceil(64));
+        let rows = idb.len() + edges.len();
         // The edges' bounds alone fix a lower bound on `n`: a view the
         // guard refuses skips its exit rules.
         let n_edges = (0..2)
@@ -2037,7 +2054,7 @@ impl EvalRun<'_, '_> {
             .map(|(_, max)| usize::try_from(max.saturating_add(1)).unwrap_or(0))
             .max()
             .unwrap_or(0);
-        if words(n_edges) > max_words {
+        if !pbme::worth(n_edges, rows) {
             return Ok(None);
         }
         let mut seeds = vec![Vec::new(); 2];
@@ -2059,7 +2076,8 @@ impl EvalRun<'_, '_> {
             &plan,
             pair_cols(edges),
             [&seeds[0], &seeds[1]],
-            |n| words(n) <= max_words && self.pbme_fits(n, edges.len(), seeds[0].len()),
+            |n| self.pbme_fits(n, edges.len(), seeds[0].len()),
+            Rows::Known(rows),
             stats,
         );
         let dead = closure.map(|closure| {
@@ -2121,13 +2139,15 @@ fn note_sync(action: SyncAction, rows: usize, stats: &mut EvalStats) {
     }
 }
 
-/// ∆R of a monotonic head in head layout: one row per improved group of
-/// `improved`, flattened as `[group ‖ best]` rows, built column by column
-/// and appended in one piece.
-fn mono_delta(idb: &CompiledIdb, ms: &MonoState, improved: &[Value]) -> Relation {
+/// ∆R of a monotonic head in head layout (`schema`): one row per improved
+/// group of `improved`, flattened as `[group ‖ best]` rows, built column
+/// by column and appended in one piece.
+fn mono_delta(schema: &Schema, ms: &MonoState, improved: &[Value]) -> Relation {
     let g = ms.group_positions.len();
     let rows = improved.len() / (g + 1);
-    let mut cols: Vec<Vec<Value>> = (0..idb.arity).map(|_| Vec::with_capacity(rows)).collect();
+    let mut cols: Vec<Vec<Value>> = (0..schema.arity())
+        .map(|_| Vec::with_capacity(rows))
+        .collect();
     for (i, &pos) in ms
         .group_positions
         .iter()
@@ -2136,7 +2156,7 @@ fn mono_delta(idb: &CompiledIdb, ms: &MonoState, improved: &[Value]) -> Relation
     {
         cols[pos].extend(improved.iter().skip(i).step_by(g + 1));
     }
-    let mut delta = Relation::new(Schema::with_arity(idb.delta_name.clone(), idb.arity));
+    let mut delta = Relation::new(schema.clone());
     delta.append_columns(cols);
     delta
 }
@@ -2352,7 +2372,7 @@ fn eval_idb(
         } else {
             // Individual evaluation: materialize a per-subquery temp table,
             // then merge — the extra query + copy of Figure 4 (left).
-            let mut tmp = Relation::new(Schema::with_arity(idb.tmp_names[si].clone(), out_arity));
+            let mut tmp = Relation::new(states[idx].tmp_schemas[si].clone());
             tmp.append_columns(cols);
             for (c, dst) in unioned.iter_mut().enumerate() {
                 dst.extend_from_slice(tmp.col(c));

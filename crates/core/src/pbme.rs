@@ -7,7 +7,14 @@
 //! the matrix plus index fits the memory budget — the paper's rule: "We
 //! decide to build the bit-matrix data structure only if the memory
 //! available can fit both the bit matrix, as well as any additional index
-//! data structures used during evaluation."
+//! data structures used during evaluation." — *and* the matrix is worth
+//! building ([`worth`]): its `n·⌈n/64⌉` words are no more than the rows
+//! the tuple path would hold instead. A sparse graph over many vertices
+//! fits a large budget, yet its matrix is almost all zero words; the
+//! cost rule keeps it on the tuple path. For TC those rows are the edges
+//! plus a sampled estimate of the closure (`closure_rows`), taken
+//! before the condensation's Tarjan pass, so a refused matrix costs one
+//! adjacency index and at most 64 walks.
 //!
 //! `close` is the one closure call behind both users of the matrix:
 //! scratch evaluation materialises it back into the IDB's two columns
@@ -18,7 +25,7 @@
 
 use std::sync::Mutex;
 
-use recstep_bitmatrix::{BitMatrix, Condensation};
+use recstep_bitmatrix::{AdjIndex, BitMatrix, Condensation};
 use recstep_common::lang::Expr;
 use recstep_common::sched::ThreadPool;
 use recstep_common::Value;
@@ -29,6 +36,9 @@ use crate::stats::EvalStats;
 
 /// Matrix rows per block of the parallel matrix → column fill.
 const FILL_ROWS: usize = 64;
+
+/// Seed rows [`closure_rows`] walks from.
+const SAMPLE_SEEDS: usize = 64;
 
 /// A stratum PBME can take over.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -159,6 +169,74 @@ pub fn fits_budget(n: usize, edge_count: usize, seed_count: usize, budget_bytes:
     matrix.saturating_add(index) <= budget_bytes
 }
 
+/// The `u64` words of an `n`-vertex matrix: `n·⌈n/64⌉`.
+fn words(n: usize) -> usize {
+    n.saturating_mul(n.div_ceil(64))
+}
+
+/// The cost rule: a matrix over `n` vertices is worth building when its
+/// `n·⌈n/64⌉` words are no more than `rows`, the rows the tuple path
+/// holds instead (its result and the edge relation).
+pub fn worth(n: usize, rows: usize) -> bool {
+    words(n) <= rows
+}
+
+/// What [`close`]'s cost rule ([`worth`]) weighs the matrix against.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Rows {
+    /// Nothing: the matrix is built whatever its size
+    /// ([`PbmeMode::Force`](crate::PbmeMode::Force)).
+    Unchecked,
+    /// A count known up front: a maintained IDB's rows plus its edges'.
+    Known(usize),
+    /// The plan's estimate of the result plus the edges: for TC, |E| plus
+    /// [`closure_rows`]; for SG, |seeds| + |E|.
+    Estimated,
+}
+
+/// An estimate of the rows of the closure of `seeds` over the graph
+/// `arc` indexes (row `(s, t)` reaches every vertex a path of length ≥ 0
+/// leads to from `t`). Up to [`SAMPLE_SEEDS`] seeds taken at a fixed
+/// stride each walk `arc` from their target with a visited set, and the
+/// vertices the walks reach scale by `|seeds| / sampled`. Stops as soon
+/// as the estimate reaches `enough`, so a dense closure costs a walk or
+/// two. Exact when every seed reaches as many vertices as the sampled
+/// ones, and an over-estimate where seeds of one source reach the same
+/// vertices.
+pub(crate) fn closure_rows(arc: &AdjIndex, seeds: &[(u32, u32)], enough: usize) -> usize {
+    if seeds.is_empty() {
+        return 0;
+    }
+    let sampled = seeds.len().min(SAMPLE_SEEDS);
+    let estimate = |reached: usize| reached.saturating_mul(seeds.len()) / sampled;
+    // `seen[v] == k`: walk `k` reached `v`.
+    let mut seen = vec![u32::MAX; arc.vertices()];
+    let mut queue = Vec::new();
+    let mut reached = 0;
+    let stride = seeds.len() / sampled;
+    for (k, &(_, t)) in seeds.iter().step_by(stride).take(sampled).enumerate() {
+        if estimate(reached) >= enough {
+            break;
+        }
+        let k = k as u32;
+        seen[t as usize] = k;
+        queue.clear();
+        queue.push(t);
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            for &u in arc.neighbors(v) {
+                if seen[u as usize] != k {
+                    seen[u as usize] = k;
+                    queue.push(u);
+                }
+            }
+        }
+        reached += queue.len();
+    }
+    estimate(reached)
+}
+
 /// A closed PBME matrix over the ids `0..n`.
 pub(crate) struct Closure {
     pub(crate) matrix: BitMatrix,
@@ -180,15 +258,17 @@ impl Closure {
 /// fixpoint of its recursive rule from those rows, as a bit-matrix over
 /// the ids `0..n`, where `n` is one past the largest id. Both arguments
 /// are the relations' two columns. Returns `None`, for the caller to fall
-/// back to tuples, when an id falls outside `[0, u32::MAX)` or `admit(n)`
-/// refuses the matrix. Books the condensation's components and the
-/// matrix's bytes in `stats`.
+/// back to tuples, when an id falls outside `[0, u32::MAX)`, `admit(n)`
+/// (the memory-fit rule) refuses the matrix, or the cost rule ([`worth`])
+/// does against `rows`. Books the condensation's components and the
+/// matrix's bytes in `stats` when it builds the matrix.
 pub(crate) fn close(
     pool: &ThreadPool,
     plan: &PbmePlan,
     edges: [&[Value]; 2],
     seeds: [&[Value]; 2],
     admit: impl FnOnce(usize) -> bool,
+    rows: Rows,
     stats: &mut EvalStats,
 ) -> Option<Closure> {
     let mut max_id: Value = -1;
@@ -202,6 +282,14 @@ pub(crate) fn close(
     if !admit(n) {
         return None;
     }
+    let known = match (rows, plan) {
+        (Rows::Known(rows), _) => Some(rows),
+        (Rows::Estimated, PbmePlan::Sg { .. }) => Some(seeds[0].len() + edges[0].len()),
+        _ => None,
+    };
+    if known.is_some_and(|rows| !worth(n, rows)) {
+        return None;
+    }
     let pairs = |[a, b]: [&[Value]; 2], swap: bool| -> Vec<(u32, u32)> {
         let pair = |(&a, &b): (&Value, &Value)| (a as u32, b as u32);
         if swap {
@@ -212,10 +300,19 @@ pub(crate) fn close(
     };
     let closure = match plan {
         PbmePlan::Tc { mirrored, .. } => {
-            let condensed = Condensation::new(n, &pairs(edges, *mirrored));
+            let arc = AdjIndex::new(n, &pairs(edges, *mirrored));
+            let seeds = pairs(seeds, *mirrored);
+            if matches!(rows, Rows::Estimated) {
+                let e = arc.edges();
+                let enough = words(n).saturating_sub(e);
+                if !worth(n, e + closure_rows(&arc, &seeds, enough)) {
+                    return None;
+                }
+            }
+            let condensed = Condensation::from_adjacency(arc);
             stats.pbme_components += condensed.components();
             Closure {
-                matrix: condensed.close(pool, &pairs(seeds, *mirrored)),
+                matrix: condensed.close(pool, &seeds),
                 transposed: *mirrored,
             }
         }
@@ -439,6 +536,37 @@ mod tests {
         let pool = ThreadPool::new(2);
         let (data, aggs) = matrix_columns(&pool, &BitMatrix::new(70), false);
         assert!(data.iter().all(Vec::is_empty) && aggs.is_empty());
+    }
+
+    #[test]
+    fn closure_rows_is_exact_on_a_matching_and_stops_at_enough() {
+        // A matching 2i → 2i+1: each seed's target reaches only itself.
+        let matching: Vec<(u32, u32)> = (0..1000).map(|i| (2 * i, 2 * i + 1)).collect();
+        let arc = AdjIndex::new(2000, &matching);
+        assert_eq!(closure_rows(&arc, &matching, usize::MAX), 1000);
+        assert_eq!(closure_rows(&arc, &matching[..10], usize::MAX), 10);
+        assert_eq!(closure_rows(&arc, &[], usize::MAX), 0);
+        // A complete graph on 256 vertices: every walk reaches all 256.
+        let n = 256u32;
+        let dense: Vec<(u32, u32)> = (0..n).flat_map(|a| (0..n).map(move |b| (a, b))).collect();
+        let arc = AdjIndex::new(n as usize, &dense);
+        let full = closure_rows(&arc, &dense, usize::MAX);
+        assert_eq!(full, 256 * dense.len());
+        // One walk's share already reaches the matrix's 1 024 words.
+        let early = closure_rows(&arc, &dense, words(256));
+        assert_eq!(early, full / SAMPLE_SEEDS);
+        assert!(early >= words(256));
+        assert_eq!(closure_rows(&arc, &dense, 0), 0);
+    }
+
+    #[test]
+    fn worth_weighs_words_against_rows() {
+        assert!(worth(64, 64));
+        assert!(!worth(64, 63));
+        // 65 vertices take two words a row.
+        assert!(worth(65, 130));
+        assert!(!worth(65, 129));
+        assert!(worth(0, 0));
     }
 
     #[test]

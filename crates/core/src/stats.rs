@@ -29,7 +29,7 @@ pub struct PhaseTimes {
     /// writes no file (the I/O the paper's §5.2 store would do is counted
     /// in [`EvalStats::io_bytes`] instead). Kept for report compatibility.
     pub io: Duration,
-    /// Bit-matrix evaluation.
+    /// Bit-matrix evaluation, including the checks that refused a matrix.
     pub pbme: Duration,
 }
 
@@ -246,10 +246,12 @@ pub struct EvalStats {
     pub io_flushes: u64,
     /// Worker busy-time over the run (for CPU-utilization reporting).
     pub busy: Duration,
-    /// Bit-matrix bytes allocated, when PBME ran.
+    /// Bit-matrix bytes allocated, when PBME ran (0 when the memory-fit
+    /// or cost rule refused the matrix).
     pub pbme_matrix_bytes: usize,
     /// Strongly connected components of `arc` that PBME's TC closure ran
-    /// Algorithm 2 over (0 when no TC stratum took PBME).
+    /// Algorithm 2 over (0 when no TC stratum took PBME: the rules run
+    /// before the condensation).
     pub pbme_components: usize,
     /// Incremental view maintenance accounting (all zero outside the
     /// query service's standing materialized views).

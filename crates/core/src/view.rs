@@ -21,7 +21,8 @@
 //!     route to views the matrix is small beside: the engine's PBME mode
 //!     is not `Off` (`--no-pbme`), the ids fit `[0, u32::MAX)`, the
 //!     matrix fits the memory budget, and its `n·⌈n/64⌉` words are no
-//!     more than the rows of the view and its edge relation together;
+//!     more than the rows of the view and its edge relation together
+//!     (`pbme::worth`);
 //!   - **Backward/Forward** (Motik et al., AAAI 2015) otherwise: every
 //!     tuple that loses a derivation is first searched for a surviving
 //!     proof — backward over the view minus what is already deleted,
@@ -34,6 +35,13 @@
 //! The two strategies serve recursive and non-recursive strata alike: a
 //! non-recursive stratum's proof search is one level deep, and its seeded
 //! pass needs no fixpoint after it.
+//!
+//! Creating a view (and a fallback rebuild) is a scratch run under the
+//! engine's configuration, so a TC/SG stratum takes PBME exactly when a
+//! scratch query would (the memory-fit and cost rules of `pbme`). The
+//! bit-matrix path refills the IDB without the index-carrying fixpoint,
+//! so such a view starts without that IDB's full-R index, and the first
+//! refresh that needs it builds it.
 //!
 //! Views are owned by the query service (`recstep-serve`), which keeps a
 //! registry keyed by normalized program text next to its prepared-program
@@ -56,7 +64,7 @@ use recstep_datalog::plan::CompiledProgram;
 use recstep_exec::index::PersistentIndex;
 use recstep_storage::{Catalog, RunCatalog};
 
-use crate::config::{Config, PbmeMode};
+use crate::config::Config;
 use crate::db::{Database, RunOutput};
 use crate::eval::{EvalRun, IoLedger, RefreshDeltas};
 use crate::prepared::PreparedProgram;
@@ -151,16 +159,12 @@ impl MaterializedView {
         self.indexes.clear();
         self.snapshots.clear();
         let compiled = self.prog.compiled();
-        let (engine_cfg, ctx) = self.prog.engine().parts();
-        // A maintainable view is created on the tuple path: the bit-matrix
-        // path bypasses the index-carrying fixpoint whose indexes its
-        // refreshes carry. Its refreshes keep the engine's PBME mode.
-        let mut cfg = engine_cfg.clone();
-        if self.incremental {
-            cfg.pbme = PbmeMode::Off;
-        }
+        // Creation makes the scratch run's PBME choice. An IDB the
+        // bit-matrix path refilled carries no full-R index; the first
+        // refresh that needs one builds it.
+        let (cfg, ctx) = self.prog.engine().parts();
         let mut run = EvalRun {
-            cfg: &cfg,
+            cfg,
             ctx,
             catalog: RunCatalog::shared(db.catalog()),
             cache: cfg.shared_index_cache.then(|| &**db.index_cache()),
@@ -381,6 +385,7 @@ impl MaterializedView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PbmeMode;
     use crate::engine::Engine;
 
     const TC: &str = "tc(x, y) :- arc(x, y).\ntc(x, y) :- tc(x, z), arc(z, y).";
@@ -600,6 +605,62 @@ mod tests {
         // Nothing was retracted by the first delete, so the carried full-R
         // index survived it; the second retraction dropped it.
         assert_eq!(view.stats().index.full_builds, 1);
+    }
+
+    /// A complete 40-vertex component with a 31-arc tail: 72 vertices
+    /// take a 144-word matrix beside 1 591 arcs, so creation takes PBME.
+    #[test]
+    fn dense_tc_view_is_created_through_the_matrix() {
+        let prog = Arc::new(engine(2, PbmeMode::Auto).prepare(TC).unwrap());
+        let mut db = Database::new().unwrap();
+        let mut arcs: Vec<(Value, Value)> = (0..40)
+            .flat_map(|a| (0..40).filter(move |&b| b != a).map(move |b| (a, b)))
+            .collect();
+        arcs.extend((39..70).map(|i| (i, i + 1)));
+        db.load_edges("arc", &arcs).unwrap();
+        let mut view = MaterializedView::create(Arc::clone(&prog), &db).unwrap();
+        assert!(view.incremental());
+        assert!(view.stats().strata.iter().any(|s| s.pbme));
+        // PBME refilled `tc`, so creation carries no index for it.
+        assert!(!view.indexes.contains_key("tc"));
+        assert_matches_scratch(&view, &db, &["tc"]);
+        // The first insert builds `tc`'s full-R index, once, and the next
+        // appends to it. A delete that retracts rows drops it, so that
+        // commit's insert builds it again.
+        let commits = [
+            ((70, 71), None, 1),
+            ((71, 72), None, 0),
+            ((0, 72), Some((50, 51)), 1),
+        ];
+        for (k, (ins, del, builds)) in commits.into_iter().enumerate() {
+            let (ins, del) = commit(&mut db, &[("arc", &[ins])], &[("arc", del.as_slice())]);
+            view.refresh(&db, &ins, &del).unwrap();
+            let s = view.stats();
+            assert_eq!(s.view.view_fallbacks, 0, "commit {k}");
+            assert_eq!(s.index.full_builds, builds, "commit {k}");
+            assert!(view.indexes.contains_key("tc"), "commit {k}");
+            assert_matches_scratch(&view, &db, &["tc"]);
+        }
+    }
+
+    /// A matching `2i → 2i+1` over 4 000 vertices: 252 000 words beside
+    /// 4 000 rows of view and arcs, so the cost rule keeps creation on the
+    /// tuple path, which carries `tc`'s index to the first refresh.
+    #[test]
+    fn sparse_tc_view_is_created_on_the_tuple_path() {
+        let prog = Arc::new(engine(2, PbmeMode::Auto).prepare(TC).unwrap());
+        let mut db = Database::new().unwrap();
+        let arcs: Vec<(Value, Value)> = (0..2000).map(|i| (2 * i, 2 * i + 1)).collect();
+        db.load_edges("arc", &arcs).unwrap();
+        let mut view = MaterializedView::create(Arc::clone(&prog), &db).unwrap();
+        let s = view.stats();
+        assert!(!s.strata.iter().any(|s| s.pbme));
+        assert_eq!((s.pbme_matrix_bytes, s.pbme_components), (0, 0));
+        assert!(view.indexes.contains_key("tc"));
+        let (ins, del) = commit(&mut db, &[("arc", &[(1, 2)])], &[]);
+        view.refresh(&db, &ins, &del).unwrap();
+        assert_eq!(view.stats().index.full_builds, 0);
+        assert_matches_scratch(&view, &db, &["tc"]);
     }
 
     #[test]

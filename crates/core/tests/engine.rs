@@ -205,6 +205,122 @@ fn pbme_closes_planted_components_like_the_tuple_path() {
     }
 }
 
+/// Mirrored TC: the recursive IDB composed on the right of `arc`.
+const MIRRORED_TC: &str = "tc(x, y) :- arc(x, y).\ntc(x, y) :- arc(x, z), tc(z, y).";
+
+/// The `u64` words of an `n`-vertex PBME matrix.
+fn matrix_words(n: usize) -> usize {
+    n * n.div_ceil(64)
+}
+
+/// An order-free hash of one pair, summed into a relation's fingerprint.
+fn mix((x, y): (Value, Value)) -> u64 {
+    (x as u64 ^ (y as u64).rotate_left(32)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// A relation's row count and an order-free fingerprint of its pairs.
+fn fingerprint(db: &Database, name: &str) -> (usize, u64) {
+    let pairs = db.relation(name).unwrap().as_pairs().unwrap();
+    let sum = pairs.iter().fold(0u64, |s, &p| s.wrapping_add(mix(p)));
+    (pairs.len(), sum)
+}
+
+/// [`fingerprint`] of the transitive closure of `edges` over `0..n`, by
+/// one breadth-first search per vertex.
+fn tc_fingerprint(n: usize, edges: &[(Value, Value)]) -> (usize, u64) {
+    let mut out = vec![Vec::new(); n];
+    for &(a, b) in edges {
+        out[a as usize].push(b as usize);
+    }
+    let (mut rows, mut sum) = (0, 0u64);
+    let mut seen = vec![usize::MAX; n];
+    for s in 0..n {
+        let mut queue: Vec<usize> = Vec::new();
+        for &t in &out[s] {
+            if seen[t] != s {
+                seen[t] = s;
+                queue.push(t);
+            }
+        }
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            for &t in &out[v] {
+                if seen[t] != s {
+                    seen[t] = s;
+                    queue.push(t);
+                }
+            }
+        }
+        rows += queue.len();
+        sum = queue.iter().fold(sum, |acc, &t| {
+            acc.wrapping_add(mix((s as Value, t as Value)))
+        });
+    }
+    (rows, sum)
+}
+
+/// A matching `2i → 2i+1` over 20 000 vertices: its 50 MB matrix fits the
+/// default budget but holds 626 words per result row, so `Auto`'s cost
+/// rule keeps TC and mirrored TC on the tuple path, and no matrix is
+/// booked. `Force` skips the rule and still builds it.
+#[test]
+fn the_cost_rule_keeps_a_sparse_matching_on_the_tuple_path() {
+    let n = 20_000;
+    let edges: Vec<(Value, Value)> = (0..n as Value / 2).map(|i| (2 * i, 2 * i + 1)).collect();
+    assert!(matrix_words(n) > 600 * edges.len());
+    for src in [recstep::programs::TC, MIRRORED_TC] {
+        let (tuples, _) = run_on_edges(Config::default().pbme(PbmeMode::Off), &edges, src);
+        let expect = rel_pairs(&tuples, "tc");
+        assert_eq!(expect, edges.iter().copied().collect());
+        let (auto, stats) = run_on_edges(Config::default(), &edges, src);
+        assert!(
+            !stats.strata.iter().any(|s| s.pbme),
+            "Auto built the matrix"
+        );
+        assert_eq!(stats.pbme_matrix_bytes, 0);
+        assert_eq!(stats.pbme_components, 0);
+        assert_eq!(rel_pairs(&auto, "tc"), expect);
+        let (forced, stats) = run_on_edges(Config::default().pbme(PbmeMode::Force), &edges, src);
+        assert!(
+            stats.strata.iter().any(|s| s.pbme),
+            "Force skipped the matrix"
+        );
+        assert!(stats.pbme_matrix_bytes >= matrix_words(n) * 8);
+        assert_eq!(stats.pbme_components, n);
+        assert_eq!(rel_pairs(&forced, "tc"), expect);
+    }
+}
+
+/// Graphs with fewer edges than matrix words but closures many times
+/// larger: a 3 001-vertex path (3 000 arcs, 141 047 words, 4.5 M rows)
+/// and a 64×64 layered DAG (each vertex links to two of the next layer,
+/// 8 064 arcs against 262 144 words). `Auto` takes PBME for plain and
+/// mirrored TC alike, so the cost rule weighs the sampled closure, not
+/// |E| alone.
+#[test]
+fn the_cost_rule_takes_pbme_for_large_closures_over_few_edges() {
+    let path: Vec<(Value, Value)> = (0..3000).map(|i| (i, i + 1)).collect();
+    let layered: Vec<(Value, Value)> = (0..63 * 64)
+        .flat_map(|v| {
+            let next = (v / 64 + 1) * 64;
+            [(v, next + v % 64), (v, next + (v + 1) % 64)]
+        })
+        .collect();
+    for (what, edges, n) in [("path", &path, 3001), ("layered", &layered, 4096)] {
+        assert!(edges.len() < matrix_words(n), "{what}: |E| alone admits it");
+        let expect = tc_fingerprint(n, edges);
+        for src in [recstep::programs::TC, MIRRORED_TC] {
+            let (bits, stats) = run_on_edges(Config::default(), edges, src);
+            assert!(stats.strata.iter().any(|s| s.pbme), "{what}: Auto refused");
+            // Acyclic: every vertex is its own component.
+            assert_eq!(stats.pbme_components, n, "{what}");
+            assert_eq!(fingerprint(&bits, "tc"), expect, "{what}");
+        }
+    }
+    assert_eq!(tc_fingerprint(3001, &path).0, 3001 * 3000 / 2);
+}
+
 #[test]
 fn sg_all_engines_agree() {
     let edges = random_edges(30, 90, 3);

@@ -305,9 +305,12 @@ fn view_counters(s: &EvalStats) -> [u64; 13] {
 
 /// Recorded refresh counters: an `arc` insert (∆-seeded `tc` and `hop`),
 /// an `arc` delete (`tc`'s dead set off the closure matrix, `hop` by
-/// Backward/Forward), and a `brc` insert (∆-seeded `hop` only).
+/// Backward/Forward), and a `brc` insert (∆-seeded `hop` only). The view
+/// is created through PBME, which carries no index for `tc`, so the
+/// insert builds three full-R indexes: `tc`'s over its 175 rows among
+/// them.
 const VIEW_PINS: [[u64; 13]; 3] = [
-    [1, 2, 0, 0, 0, 29, 0, 371, 2, 6, 283, 160, 7],
+    [1, 2, 0, 0, 0, 29, 0, 371, 3, 6, 458, 160, 7],
     [1, 0, 1, 1, 0, 0, 154, 0, 2, 0, 238, 0, 0],
     [1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 31, 0, 0],
 ];
