@@ -92,7 +92,7 @@ use recstep_exec::ExecCtx;
 use recstep_storage::{RelId, RelView, Relation, RunCatalog, Schema};
 
 use crate::config::{Config, OofMode, PbmeMode};
-use crate::pbme::{self, detect, fits_budget, matrix_columns, PbmePlan, Rows};
+use crate::pbme::{self, detect, matrix_columns, Guard, PbmePlan};
 use crate::stats::{EvalStats, StratumStats};
 
 mod bf;
@@ -806,8 +806,7 @@ impl<'d> EvalRun<'_, 'd> {
     /// Attempt PBME on a TC/SG-shaped stratum: close the IDB's exit rows
     /// over the edge relation ([`pbme::close`]) and materialise the
     /// matrix into the IDB. Returns false (fall back to tuples) when the
-    /// id-domain check or, in [`PbmeMode::Auto`], the memory-fit or the
-    /// cost rule fails.
+    /// id-domain check or [`Self::pbme_guard`] refuses it.
     fn try_run_pbme(&mut self, plan: &PbmePlan, stats: &mut EvalStats) -> Result<bool> {
         let t = Instant::now();
         let Some(edge_id) = self.catalog.lookup(plan.edges()) else {
@@ -823,11 +822,7 @@ impl<'d> EvalRun<'_, 'd> {
             plan,
             pair_cols(edges),
             pair_cols(seeds),
-            |n| self.pbme_fits(n, edges.len(), seeds.len()),
-            match self.cfg.pbme {
-                PbmeMode::Auto => Rows::Estimated,
-                _ => Rows::Unchecked,
-            },
+            self.pbme_guard(None),
             stats,
         );
         let Some(closure) = closure else {
@@ -854,11 +849,18 @@ impl<'d> EvalRun<'_, 'd> {
         Ok(true)
     }
 
-    /// The paper's memory-fit rule for an `n`-vertex PBME matrix, checked
-    /// in [`PbmeMode::Auto`] only (`Force` skips it).
-    fn pbme_fits(&self, n: usize, edge_count: usize, seed_count: usize) -> bool {
-        self.cfg.pbme != PbmeMode::Auto
-            || fits_budget(n, edge_count, seed_count, self.cfg.mem_budget_bytes)
+    /// The rules [`pbme::close`] checks under the engine's PBME mode:
+    /// none under `Force`; under `Auto` the memory-fit rule and the cost
+    /// rule against `rows` (`None`: the plan's own estimate). `Off` never
+    /// reaches `close`: it matches no plan.
+    fn pbme_guard(&self, rows: Option<usize>) -> Guard {
+        match self.cfg.pbme {
+            PbmeMode::Auto => Guard::Auto {
+                budget: self.cfg.mem_budget_bytes,
+                rows,
+            },
+            PbmeMode::Off | PbmeMode::Force => Guard::Force,
+        }
     }
 
     /// Tuple-based evaluation of one stratum (the Algorithm 1 inner loop).
@@ -2020,8 +2022,8 @@ impl EvalRun<'_, '_> {
     ///
     /// Returns `None`, for Backward/Forward to run, under
     /// [`PbmeMode::Off`], for any other unit, when an id falls outside
-    /// `[0, u32::MAX)`, when the matrix fails the paper's memory-fit rule
-    /// ([`Self::pbme_fits`]), or when the cost rule refuses it against
+    /// `[0, u32::MAX)`, or when [`Self::pbme_guard`] refuses the matrix:
+    /// under `Auto`, the paper's memory-fit rule or the cost rule against
     /// the rows Backward/Forward's propagation index holds
     /// ([`pbme::worth`]`(n, |I| + |E|)`), so a sparse view over many
     /// vertices keeps the proof search.
@@ -2046,7 +2048,7 @@ impl EvalRun<'_, '_> {
             self.catalog.rel(edge_id),
             self.catalog.rel(rel_id(&self.catalog, plan.idb())?),
         );
-        let rows = idb.len() + edges.len();
+        let guard = self.pbme_guard(Some(idb.len() + edges.len()));
         // The edges' bounds alone fix a lower bound on `n`: a view the
         // guard refuses skips its exit rules.
         let n_edges = (0..2)
@@ -2054,7 +2056,7 @@ impl EvalRun<'_, '_> {
             .map(|(_, max)| usize::try_from(max.saturating_add(1)).unwrap_or(0))
             .max()
             .unwrap_or(0);
-        if !pbme::worth(n_edges, rows) {
+        if !guard.admits(n_edges, edges.len(), 0) {
             return Ok(None);
         }
         let mut seeds = vec![Vec::new(); 2];
@@ -2076,8 +2078,7 @@ impl EvalRun<'_, '_> {
             &plan,
             pair_cols(edges),
             [&seeds[0], &seeds[1]],
-            |n| self.pbme_fits(n, edges.len(), seeds[0].len()),
-            Rows::Known(rows),
+            guard,
             stats,
         );
         let dead = closure.map(|closure| {

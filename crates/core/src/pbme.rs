@@ -14,7 +14,11 @@
 //! cost rule keeps it on the tuple path. For TC those rows are the edges
 //! plus a sampled estimate of the closure (`closure_rows`), taken
 //! before the condensation's Tarjan pass, so a refused matrix costs one
-//! adjacency index and at most 64 walks.
+//! adjacency index and at most 64 walks. SG has no such estimate yet: a
+//! scratch SG run takes the fit rule alone, as its result is usually far
+//! larger than its seeds and edges (G(4 000, 0.001): 15.3 M rows against
+//! 64 k), and only a maintained view, whose rows are known, weighs it.
+//! `Guard` carries the engine's mode to `close`.
 //!
 //! `close` is the one closure call behind both users of the matrix:
 //! scratch evaluation materialises it back into the IDB's two columns
@@ -181,17 +185,34 @@ pub fn worth(n: usize, rows: usize) -> bool {
     words(n) <= rows
 }
 
-/// What [`close`]'s cost rule ([`worth`]) weighs the matrix against.
+/// The rules [`close`] checks before it builds a matrix.
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum Rows {
-    /// Nothing: the matrix is built whatever its size
+pub(crate) enum Guard {
+    /// None: the matrix is built whatever its size
     /// ([`PbmeMode::Force`](crate::PbmeMode::Force)).
-    Unchecked,
-    /// A count known up front: a maintained IDB's rows plus its edges'.
-    Known(usize),
-    /// The plan's estimate of the result plus the edges: for TC, |E| plus
-    /// [`closure_rows`]; for SG, |seeds| + |E|.
-    Estimated,
+    Force,
+    /// [`PbmeMode::Auto`](crate::PbmeMode::Auto): the paper's memory-fit
+    /// rule ([`fits_budget`]) against `budget` bytes, then the cost rule
+    /// ([`worth`]) against `rows`, the rows the tuple path holds instead.
+    /// `None` has the plan estimate them: for TC, |E| plus
+    /// [`closure_rows`]; SG has no estimate and takes the fit rule alone.
+    Auto { budget: usize, rows: Option<usize> },
+}
+
+impl Guard {
+    /// Whether an `n`-vertex matrix over `edge_count` edges and
+    /// `seed_count` seeds passes the fit rule and, where the rows are
+    /// known, the cost rule. Both are monotone in all three, so a lower
+    /// bound on them that fails refuses the matrix.
+    pub(crate) fn admits(self, n: usize, edge_count: usize, seed_count: usize) -> bool {
+        match self {
+            Guard::Force => true,
+            Guard::Auto { budget, rows } => {
+                fits_budget(n, edge_count, seed_count, budget)
+                    && rows.is_none_or(|rows| worth(n, rows))
+            }
+        }
+    }
 }
 
 /// An estimate of the rows of the closure of `seeds` over the graph
@@ -258,17 +279,15 @@ impl Closure {
 /// fixpoint of its recursive rule from those rows, as a bit-matrix over
 /// the ids `0..n`, where `n` is one past the largest id. Both arguments
 /// are the relations' two columns. Returns `None`, for the caller to fall
-/// back to tuples, when an id falls outside `[0, u32::MAX)`, `admit(n)`
-/// (the memory-fit rule) refuses the matrix, or the cost rule ([`worth`])
-/// does against `rows`. Books the condensation's components and the
+/// back to tuples, when an id falls outside `[0, u32::MAX)` or `guard`
+/// refuses the matrix. Books the condensation's components and the
 /// matrix's bytes in `stats` when it builds the matrix.
 pub(crate) fn close(
     pool: &ThreadPool,
     plan: &PbmePlan,
     edges: [&[Value]; 2],
     seeds: [&[Value]; 2],
-    admit: impl FnOnce(usize) -> bool,
-    rows: Rows,
+    guard: Guard,
     stats: &mut EvalStats,
 ) -> Option<Closure> {
     let mut max_id: Value = -1;
@@ -279,15 +298,7 @@ pub(crate) fn close(
         max_id = max_id.max(v);
     }
     let n = (max_id + 1).max(1) as usize;
-    if !admit(n) {
-        return None;
-    }
-    let known = match (rows, plan) {
-        (Rows::Known(rows), _) => Some(rows),
-        (Rows::Estimated, PbmePlan::Sg { .. }) => Some(seeds[0].len() + edges[0].len()),
-        _ => None,
-    };
-    if known.is_some_and(|rows| !worth(n, rows)) {
+    if !guard.admits(n, edges[0].len(), seeds[0].len()) {
         return None;
     }
     let pairs = |[a, b]: [&[Value]; 2], swap: bool| -> Vec<(u32, u32)> {
@@ -302,7 +313,7 @@ pub(crate) fn close(
         PbmePlan::Tc { mirrored, .. } => {
             let arc = AdjIndex::new(n, &pairs(edges, *mirrored));
             let seeds = pairs(seeds, *mirrored);
-            if matches!(rows, Rows::Estimated) {
+            if let Guard::Auto { rows: None, .. } = guard {
                 let e = arc.edges();
                 let enough = words(n).saturating_sub(e);
                 if !worth(n, e + closure_rows(&arc, &seeds, enough)) {

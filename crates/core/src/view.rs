@@ -19,10 +19,10 @@
 //!     post-commit inputs seed the PBME bit-matrix closure (paper §5.3),
 //!     and every stored row whose bit is clear is dead. A guard keeps the
 //!     route to views the matrix is small beside: the engine's PBME mode
-//!     is not `Off` (`--no-pbme`), the ids fit `[0, u32::MAX)`, the
-//!     matrix fits the memory budget, and its `n·⌈n/64⌉` words are no
-//!     more than the rows of the view and its edge relation together
-//!     (`pbme::worth`);
+//!     is not `Off` (`--no-pbme`), the ids fit `[0, u32::MAX)`, and
+//!     under `Auto` the matrix fits the memory budget and its
+//!     `n·⌈n/64⌉` words are no more than the rows of the view and its
+//!     edge relation together (`pbme::worth`); `Force` skips both;
 //!   - **Backward/Forward** (Motik et al., AAAI 2015) otherwise: every
 //!     tuple that loses a derivation is first searched for a surviving
 //!     proof — backward over the view minus what is already deleted,
@@ -607,8 +607,8 @@ mod tests {
         assert_eq!(view.stats().index.full_builds, 1);
     }
 
-    /// A complete 40-vertex component with a 31-arc tail: 72 vertices
-    /// take a 144-word matrix beside 1 591 arcs, so creation takes PBME.
+    /// A complete 40-vertex component with a 31-arc tail: 71 vertices
+    /// take a 142-word matrix beside 1 591 arcs, so creation takes PBME.
     #[test]
     fn dense_tc_view_is_created_through_the_matrix() {
         let prog = Arc::new(engine(2, PbmeMode::Auto).prepare(TC).unwrap());

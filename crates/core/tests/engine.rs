@@ -321,6 +321,67 @@ fn the_cost_rule_takes_pbme_for_large_closures_over_few_edges() {
     assert_eq!(tc_fingerprint(3001, &path).0, 3001 * 3000 / 2);
 }
 
+/// The sibling seeds and [`fingerprint`] of same generation over `edges`
+/// on `0..n`: a breadth-first search over vertex pairs from the sibling
+/// pairs, stepping `(a, b)` to every `(x, y)` with `a → x` and `b → y`.
+fn sg_fingerprint(n: usize, edges: &[(Value, Value)]) -> (usize, (usize, u64)) {
+    let mut out = vec![Vec::new(); n];
+    for &(a, b) in edges {
+        out[a as usize].push(b as usize);
+    }
+    let mut seen = vec![false; n * n];
+    let mut queue = Vec::new();
+    let mut visit = |x: usize, y: usize, queue: &mut Vec<(usize, usize)>| {
+        if !seen[x * n + y] {
+            seen[x * n + y] = true;
+            queue.push((x, y));
+        }
+    };
+    for kids in &out {
+        for &x in kids {
+            for &y in kids.iter().filter(|&&y| y != x) {
+                visit(x, y, &mut queue);
+            }
+        }
+    }
+    let seeds = queue.len();
+    let mut head = 0;
+    while let Some(&(a, b)) = queue.get(head) {
+        head += 1;
+        for &x in &out[a] {
+            for &y in &out[b] {
+                visit(x, y, &mut queue);
+            }
+        }
+    }
+    let sum = queue.iter().fold(0u64, |s, &(x, y)| {
+        s.wrapping_add(mix((x as Value, y as Value)))
+    });
+    (seeds, (queue.len(), sum))
+}
+
+/// Same generation over a G(1 000, 0.003)-shaped graph: its sibling
+/// seeds and arcs together are fewer than the matrix's 16 000 words, yet
+/// the result is many times larger. SG has no sampled estimate, so
+/// `Auto` takes PBME on the fit rule alone, as the paper does; weighing
+/// |seeds| + |E| refused this matrix.
+#[test]
+fn sg_takes_pbme_under_auto_on_a_sparse_random_graph() {
+    let n = 1000;
+    let edges: Vec<(Value, Value)> = random_edges(n as u64, 3000, 44)
+        .into_iter()
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let (seeds, expect) = sg_fingerprint(n, &edges);
+    assert!(seeds + edges.len() < matrix_words(n), "{seeds} seeds");
+    assert!(expect.0 > 10 * matrix_words(n), "{} rows", expect.0);
+    let (bits, stats) = run_on_edges(Config::default(), &edges, recstep::programs::SG);
+    assert!(stats.strata.iter().any(|s| s.pbme), "Auto refused");
+    assert!(stats.pbme_matrix_bytes >= matrix_words(n) * 8);
+    assert_eq!(fingerprint(&bits, "sg"), expect);
+}
+
 #[test]
 fn sg_all_engines_agree() {
     let edges = random_edges(30, 90, 3);
