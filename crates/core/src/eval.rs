@@ -170,9 +170,10 @@ struct IdbState {
     /// Frozen build-side choices per (subquery, join) for OOF-NA.
     frozen: Vec<Vec<Option<bool>>>,
     /// Persistent full-R membership index (whole-tuple keys): built once
-    /// for the stratum, appended after every merge, and probed by the
-    /// fused dedup + set-difference pass. `None` until the first
-    /// iteration, or always under `index_reuse = false`.
+    /// for the stratum and synced with R before each probe by the fused
+    /// dedup + set-difference pass ([`EvalRun::full_index`]), so it may
+    /// trail R by the last merge. `None` until the first iteration, or
+    /// always under `index_reuse = false`.
     full_index: Option<PersistentIndex>,
     /// Schema of a monotonic head's per-iteration ∆R, built once.
     delta_schema: Schema,
@@ -689,11 +690,14 @@ impl<'d> EvalRun<'_, 'd> {
 
         let mut jcache = self.join_cache(prog);
 
-        // Full-R indexes survive their stratum: stratification evaluates
-        // every IDB in exactly one stratum, so a carried index only ever
-        // needs an incremental sync (and the sync is defensive anyway).
-        // For TC-shaped programs this makes the whole run build the table
-        // exactly once — the base stratum builds, the recursive one grows.
+        // Full-R indexes survive their stratum: a relation's rows only grow
+        // between the rewrites that drop its index (a PBME refill, a mono
+        // rebuild), so a carried index only ever needs an incremental sync
+        // (and the sync is defensive anyway). For TC-shaped programs this
+        // makes the whole run build the table exactly once — the base
+        // stratum builds, the recursive one grows it before its first
+        // probe. An index no later probe reads stays as its last probe
+        // left it unless a hand-off below syncs it.
         let mut index_carry: FxHashMap<RelId, PersistentIndex> = FxHashMap::default();
         for stratum in &prog.strata {
             let pbme_plan = match self.cfg.pbme {
@@ -727,6 +731,7 @@ impl<'d> EvalRun<'_, 'd> {
         // A carrying caller (a materialized view) keeps the indexes alive
         // itself; hand them over instead of publishing.
         if let Some(out) = carry_out {
+            self.sync_indexes(&mut index_carry, &mut stats);
             for (rel_id, index) in index_carry.drain() {
                 out.insert(self.catalog.rel(rel_id).schema().name.clone(), index);
             }
@@ -745,16 +750,15 @@ impl<'d> EvalRun<'_, 'd> {
                     let Some(version) = self.catalog.shared_version(rel_id) else {
                         continue;
                     };
-                    if index.rows() != self.catalog.rel(rel_id).len() {
-                        continue; // trails the relation (e.g. a mono rebuild)
-                    }
                     let key = CacheKey {
                         rel: rel_id,
                         version,
                         cols: index.key_cols().to_vec(),
                     };
                     // Consumers probe the frozen result with a key-ordered
-                    // index; the chained one dies with the run.
+                    // index built from the relation itself. The chained
+                    // one only names the key columns, so it is not synced
+                    // (it may trail the last merge) and dies with the run.
                     let base = self.catalog.rel(rel_id).view();
                     let out = cache.get_or_build(&key, self.cfg.index_cache_budget_bytes, || {
                         SharedIndex::build(self.ctx, base, key.cols.clone())
@@ -1049,7 +1053,7 @@ impl<'d> EvalRun<'_, 'd> {
 
         // Monotonic aggregated IDBs: rebuild stored relation from the map.
         for (i, idb) in stratum.idbs.iter().enumerate() {
-            let state = &states[i];
+            let state = &mut states[i];
             if let Some(AggKind::Mono(ms)) = &state.agg {
                 let cols = head_columns(
                     idb.arity,
@@ -1061,16 +1065,18 @@ impl<'d> EvalRun<'_, 'd> {
                 rel.clear();
                 rel.append_columns(cols);
                 // The clear-and-refill reassigned row ids: any cached
-                // build side over this relation is stale even at equal
-                // length, so drop it before later strata can probe it.
+                // build side over this relation and its full-R index are
+                // stale even at equal length, so drop both before later
+                // strata can probe them.
                 jcache.invalidate(state.rel_id);
+                state.full_index = None;
                 self.io.dirty(state.rel_id, self.catalog.rel(state.rel_id));
             }
         }
 
-        // Hand the full-R indexes back for later strata that re-read these
-        // relations (they are frozen from here on, so the indexes stay
-        // valid; `append` double-checks defensively on reuse).
+        // Hand the full-R indexes back, possibly trailing the last merge,
+        // for a later stratum that derives the same relation (it syncs
+        // before its first probe) or a hand-off out of the run.
         for state in states {
             if let Some(index) = state.full_index {
                 index_carry.insert(state.rel_id, index);
@@ -1200,9 +1206,19 @@ impl<'d> EvalRun<'_, 'd> {
         stats.phase.index += t_index.elapsed();
     }
 
+    /// Sync every full-R index in `indexes` with its relation before they
+    /// leave the run (a view carries them into its next refresh).
+    fn sync_indexes(&self, indexes: &mut FxHashMap<RelId, PersistentIndex>, stats: &mut EvalStats) {
+        for (&rel_id, index) in indexes.iter_mut() {
+            self.sync_index(rel_id, index, stats);
+        }
+    }
+
     /// Relation `rel_id`'s whole-tuple full-R index, built on first use or
-    /// synced with the relation (a carried index may trail it), booked
-    /// under `phase.index`.
+    /// synced with the relation, booked under `phase.index`. Every probe
+    /// goes through here, and a merge leaves the index trailing, so this
+    /// and the hand-offs out of a run ([`Self::sync_indexes`]) are the
+    /// only places a full-R index is built or grown.
     fn full_index<'i>(
         &self,
         rel_id: RelId,
@@ -1232,8 +1248,8 @@ impl<'d> EvalRun<'_, 'd> {
     /// `phase.pipeline`; every considered row not kept is booked as
     /// skipped at source. On error `index` is left in place. The caller
     /// books `tuples_considered` and merges the fresh rows
-    /// ([`Self::merge_delta`]), whose index `append` performs any one-time
-    /// hashed rebuild the escapes call for.
+    /// ([`Self::merge_delta`]); the next sync's index `append` performs
+    /// any one-time hashed rebuild the escapes call for.
     fn stream_delta(
         &self,
         rel_id: RelId,
@@ -1291,14 +1307,15 @@ impl<'d> EvalRun<'_, 'd> {
         })
     }
 
-    /// `R ← R ⊎ ∆R` for relation `rel_id` (`phase.merge`); a full-R
-    /// `index` then appends the merged rows. Returns ∆R as the appended
-    /// row range of `R`.
+    /// `R ← R ⊎ ∆R` for relation `rel_id` (`phase.merge`). A full-R index
+    /// over `R` is left trailing: the next probe syncs it
+    /// ([`Self::full_index`]), and a non-recursive output that nothing
+    /// probes is never indexed. Returns ∆R as the appended row range of
+    /// `R`.
     fn merge_delta(
         &mut self,
         rel_id: RelId,
         fresh: Vec<Vec<Value>>,
-        index: Option<&mut PersistentIndex>,
         stats: &mut EvalStats,
     ) -> (usize, usize) {
         let t_merge = Instant::now();
@@ -1307,9 +1324,6 @@ impl<'d> EvalRun<'_, 'd> {
         rel.append_columns(fresh);
         let end = rel.len();
         stats.phase.merge += t_merge.elapsed();
-        if let Some(index) = index {
-            self.sync_index(rel_id, index, stats);
-        }
         self.io.dirty(rel_id, self.catalog.rel(rel_id));
         (start, end)
     }
@@ -1518,7 +1532,7 @@ impl<'d> EvalRun<'_, 'd> {
                     stats.agg_groups_improved += cols.first().map_or(0, Vec::len);
                 }
                 stats.phase.aggregate += t_agg.elapsed();
-                self.merge_delta(rel_id, cols, None, stats)
+                self.merge_delta(rel_id, cols, stats)
             }
             None if delta_sink || self.cfg.index_reuse && stratum.recursive => {
                 if delta_sink {
@@ -1527,9 +1541,9 @@ impl<'d> EvalRun<'_, 'd> {
                     // --- `--no-fused-pipeline`: Rδ ← dedup(Rt) and
                     // ∆R ← Rδ − R in one pass, draining `Rt` through the
                     // ∆ stream's sink against the persistent full-R index
-                    // (built once for the stratum, appended after every
-                    // merge). One query replaces the dedup INSERT and the
-                    // difference query of the rebuild path. ---
+                    // (built once for the stratum, synced here with the
+                    // previous merge). One query replaces the dedup INSERT
+                    // and the difference query of the rebuild path. ---
                     let index = self.full_index(rel_id, &mut state.full_index, stats);
                     let t_dedup = Instant::now();
                     let identity: Vec<Expr> = (0..idb.arity).map(Expr::Col).collect();
@@ -1546,11 +1560,12 @@ impl<'d> EvalRun<'_, 'd> {
                     rows = drained.out.cols;
                     scratch_bytes = drained.scratch_bytes;
                 }
-                // R ← R ⊎ ∆R: one shard append; the index appends it too.
+                // R ← R ⊎ ∆R: one shard append; the next probe syncs the
+                // index with it.
                 stats.fused_runs += 1;
-                let index = state.full_index.as_mut().expect("the sink pass built it");
-                let range = self.merge_delta(rel_id, rows, Some(&mut *index), stats);
+                let index = state.full_index.as_ref().expect("the sink pass built it");
                 let bytes = index.heap_bytes() + scratch_bytes;
+                let range = self.merge_delta(rel_id, rows, stats);
                 stats.index.bytes_peak = stats.index.bytes_peak.max(bytes);
                 stats.peak_bytes = stats.peak_bytes.max(self.catalog.heap_bytes() + bytes);
                 range
@@ -1595,7 +1610,7 @@ impl<'d> EvalRun<'_, 'd> {
                 // this path; that per-iteration rebuild is what
                 // `index_reuse` eliminates.
                 stats.index.full_builds += state.dsd.tables_built - builds_before;
-                self.merge_delta(rel_id, diff, None, stats)
+                self.merge_delta(rel_id, diff, stats)
             }
         };
         self.io
@@ -1900,6 +1915,7 @@ impl EvalRun<'_, '_> {
             }
         }
 
+        self.sync_indexes(&mut rs.indexes, &mut rs.stats);
         for (rel_id, index) in rs.indexes.drain() {
             carry.insert(self.catalog.rel(rel_id).schema().name.clone(), index);
         }
@@ -1941,8 +1957,7 @@ impl EvalRun<'_, '_> {
                 });
             let appended = streamed.map(|streamed| {
                 rs.stats.tuples_considered += streamed.considered;
-                let merged =
-                    self.merge_delta(rel_id, streamed.out.cols, index.as_mut(), &mut rs.stats);
+                let merged = self.merge_delta(rel_id, streamed.out.cols, &mut rs.stats);
                 merged.1 - merged.0
             });
             if let Some(index) = index {

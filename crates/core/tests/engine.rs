@@ -1237,3 +1237,74 @@ fn multi_atom_bodies_agree_with_no_op_and_naive() {
         }
     }
 }
+
+fn sorted_idb_rows(db: &Database, idb: &str) -> BTreeSet<Vec<Value>> {
+    db.relation(idb)
+        .map(|h| h.iter_rows().map(|r| r.to_vec()).collect())
+        .unwrap_or_default()
+}
+
+/// A full-R index is synced only before a probe reads it, so a stratum's
+/// last merge is never appended unless a later stratum derives the same
+/// relation. `triangle` is one non-recursive stratum: no append at all.
+/// A two-rule union is two strata (one per rule): the second appends the
+/// first's rows before its probe dedups against them, and its own rows
+/// are never appended.
+#[test]
+fn only_probed_rows_reach_a_full_r_index() {
+    const UNION: &str = "u(x, y) :- arc(x, y).\nu(x, y) :- arc(y, x).";
+    let edges = random_edges(40, 400, 45);
+    let distinct_arcs = edges.iter().collect::<HashSet<_>>().len();
+    for (name, src, appends, rows) in [
+        ("triangle", recstep::programs::TRIANGLE, 0, 0),
+        ("u", UNION, 1, distinct_arcs),
+    ] {
+        let (db, stats) = run_on_edges(Config::default(), &edges, src);
+        let (want, _) = run_on_edges(Config::no_op(), &edges, src);
+        let got = sorted_idb_rows(&db, name);
+        assert!(!got.is_empty(), "{name}: derived nothing");
+        assert_eq!(got, sorted_idb_rows(&want, name), "{name}: rows differ");
+        assert_eq!(stats.index.full_appends, appends, "{name}: full appends");
+        assert_eq!(stats.index.append_rows, rows, "{name}: appended rows");
+    }
+}
+
+/// `publish_idb_indexes` publishes every IDB's result whether or not its
+/// full-R index was synced after the last merge (TC's recursive stratum
+/// syncs it, TRIANGLE's one pass never does), and a following program
+/// that anti-joins the result probes the published index.
+#[test]
+fn published_results_serve_the_next_anti_join() {
+    let edges = random_edges(30, 240, 46);
+    for (name, src, probe) in [
+        (
+            "tc",
+            recstep::programs::TC,
+            "back(x, y) :- arc(x, y), !tc(y, x).",
+        ),
+        (
+            "triangle",
+            recstep::programs::TRIANGLE,
+            "open(x, y, z) :- arc(x, y), arc(y, z), !triangle(x, y, z).",
+        ),
+    ] {
+        let engine = engine(
+            Config::default()
+                .pbme(PbmeMode::Off)
+                .publish_idb_indexes(true),
+        );
+        let mut db = Database::new().unwrap();
+        db.load_edges("arc", &edges).unwrap();
+        let stats = engine.prepare(src).unwrap().run(&mut db).unwrap();
+        assert!(
+            !sorted_idb_rows(&db, name).is_empty(),
+            "{name}: derived nothing"
+        );
+        assert_eq!(stats.index.published, 1, "{name}: result not published");
+        let next = engine.prepare(probe).unwrap().run(&mut db).unwrap();
+        assert!(
+            next.index.cache_hits >= 1,
+            "{name}: the anti-join rebuilt the published index"
+        );
+    }
+}

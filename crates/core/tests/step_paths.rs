@@ -115,6 +115,13 @@ fn counters(s: &EvalStats) -> [u64; 18] {
 }
 
 /// Recorded counters per `(program, configuration)`.
+///
+/// A full-R index is synced only before a probe, so a stratum's last merge
+/// is appended only when a later stratum derives the same relation. `cc`'s
+/// `cc(x) :- cc2(_, x)` stratum and `ntc`'s `ntc` stratum (7 and 401 rows)
+/// are never appended; `ntc`'s second `node` stratum appends the 22
+/// targets the first one derived before it probes, but not the 2 sources
+/// it adds itself.
 #[rustfmt::skip]
 const PINS: &[(&str, &str, [u64; 18])] = &[
     ("tc", "default", [7, 14, 353, 7, 7, 0, 0, 0, 0, 178, 1, 6, 48, 175, 7, 2800, 1, 6]),
@@ -149,14 +156,14 @@ const PINS: &[(&str, &str, [u64; 18])] = &[
     ("sg", "no_eost", [6, 13, 2071, 5, 0, 0, 0, 0, 33136, 0, 1, 4, 134, 395, 6, 49904, 17, 11]),
     ("sg", "oof_full", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1, 11]),
     ("sg", "oof_none", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1, 11]),
-    ("cc", "default", [7, 14, 182, 1, 1, 6, 158, 67, 0, 17, 1, 1, 48, 7, 1, 824, 3, 4]),
+    ("cc", "default", [7, 14, 182, 1, 1, 6, 158, 67, 0, 17, 1, 0, 48, 0, 1, 824, 3, 4]),
     ("cc", "no_fused_pipeline", [7, 15, 182, 0, 0, 6, 158, 67, 192, 0, 0, 0, 48, 0, 1, 824, 3, 4]),
-    ("cc", "no_fused_agg", [7, 14, 182, 1, 1, 0, 0, 0, 2528, 17, 1, 1, 48, 7, 1, 824, 3, 4]),
+    ("cc", "no_fused_agg", [7, 14, 182, 1, 1, 0, 0, 0, 2528, 17, 1, 0, 48, 0, 1, 824, 3, 4]),
     ("cc", "no_index_reuse", [7, 15, 182, 0, 0, 6, 158, 67, 192, 0, 0, 0, 0, 0, 1, 824, 3, 0]),
     ("cc", "no_uie", [7, 22, 182, 0, 0, 0, 0, 0, 2720, 0, 0, 0, 48, 0, 1, 824, 3, 4]),
     ("cc", "no_eost", [7, 15, 182, 0, 0, 0, 0, 0, 2720, 0, 0, 0, 48, 0, 1, 4728, 18, 4]),
-    ("cc", "oof_full", [7, 14, 182, 1, 1, 6, 158, 67, 0, 17, 1, 1, 48, 7, 1, 824, 3, 4]),
-    ("cc", "oof_none", [7, 14, 182, 1, 1, 6, 158, 67, 0, 17, 1, 1, 48, 7, 1, 824, 3, 4]),
+    ("cc", "oof_full", [7, 14, 182, 1, 1, 6, 158, 67, 0, 17, 1, 0, 48, 0, 1, 824, 3, 4]),
+    ("cc", "oof_none", [7, 14, 182, 1, 1, 6, 158, 67, 0, 17, 1, 0, 48, 0, 1, 824, 3, 4]),
     ("count_sum", "default", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 456, 1, 0]),
     ("count_sum", "no_fused_pipeline", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 456, 1, 0]),
     ("count_sum", "no_fused_agg", [1, 2, 48, 0, 0, 0, 0, 0, 1152, 0, 0, 0, 0, 0, 0, 456, 1, 0]),
@@ -173,14 +180,14 @@ const PINS: &[(&str, &str, [u64; 18])] = &[
     ("min_group", "no_eost", [1, 2, 48, 0, 0, 0, 0, 0, 768, 0, 0, 0, 0, 0, 0, 1376, 3, 0]),
     ("min_group", "oof_full", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 304, 1, 0]),
     ("min_group", "oof_none", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 304, 1, 0]),
-    ("ntc", "default", [10, 20, 850, 10, 10, 0, 0, 0, 0, 250, 3, 9, 223, 600, 10, 9408, 3, 6]),
+    ("ntc", "default", [10, 20, 850, 10, 10, 0, 0, 0, 0, 250, 3, 7, 223, 197, 10, 9408, 3, 6]),
     ("ntc", "no_fused_pipeline", [10, 24, 850, 6, 0, 0, 0, 0, 12832, 0, 2, 5, 269, 129, 10, 9408, 3, 6]),
-    ("ntc", "no_fused_agg", [10, 20, 850, 10, 10, 0, 0, 0, 0, 250, 3, 9, 223, 600, 10, 9408, 3, 6]),
+    ("ntc", "no_fused_agg", [10, 20, 850, 10, 10, 0, 0, 0, 0, 250, 3, 7, 223, 197, 10, 9408, 3, 6]),
     ("ntc", "no_index_reuse", [10, 30, 850, 0, 0, 0, 0, 0, 12832, 0, 8, 0, 0, 0, 9, 9408, 3, 0]),
     ("ntc", "no_uie", [10, 34, 850, 6, 0, 0, 0, 0, 12832, 0, 2, 5, 269, 129, 10, 9408, 3, 6]),
     ("ntc", "no_eost", [10, 24, 850, 6, 0, 0, 0, 0, 12832, 0, 2, 5, 269, 129, 10, 39128, 31, 6]),
-    ("ntc", "oof_full", [10, 20, 850, 10, 10, 0, 0, 0, 0, 250, 3, 9, 223, 600, 10, 9408, 3, 6]),
-    ("ntc", "oof_none", [10, 20, 850, 10, 10, 0, 0, 0, 0, 250, 3, 9, 223, 600, 10, 9408, 3, 6]),
+    ("ntc", "oof_full", [10, 20, 850, 10, 10, 0, 0, 0, 0, 250, 3, 7, 223, 197, 10, 9408, 3, 6]),
+    ("ntc", "oof_none", [10, 20, 850, 10, 10, 0, 0, 0, 0, 250, 3, 7, 223, 197, 10, 9408, 3, 6]),
 ];
 
 /// Full-R index work must show up in the phase breakdown: persistent

@@ -16,8 +16,8 @@
 //!   runs). One key's matches are one contiguous run of gathered rows,
 //!   and a probe value outside the build side's bounds matches nothing;
 //! * a chained [`PersistentIndex`](crate::index::PersistentIndex) table —
-//!   build sides over relations that grow during the run, appended after
-//!   every merge: [`hash_join_prebuilt_sink`] and
+//!   build sides over relations that grow during the run, synced before
+//!   each probe: [`hash_join_prebuilt_sink`] and
 //!   [`anti_join_prebuilt_sink`] probe it.
 //!
 //! Which input is the build side is the caller's choice (`build_left`):
