@@ -78,13 +78,17 @@ pub struct Config {
     /// Applies when `uie` and `eost` are on. Off = group over a
     /// materialized `Rt` in a second pass (for ablations).
     pub fused_agg: bool,
-    /// Shared cross-run index cache: join build-side indexes over frozen
-    /// relations (EDBs, relations this program never derives) are
-    /// published into the database-owned [`recstep_exec::cache::IndexCache`]
-    /// keyed by `(relation, catalog version, key columns)`, so N runs over
-    /// one database — sequential or concurrent — build each such index
-    /// exactly once. Off = every run rebuilds its own indexes (the
-    /// pre-cache per-run behavior, kept for ablations).
+    /// Shared cross-run index cache: join and anti-join build-side indexes
+    /// over relations frozen for the reading stratum (EDBs, and IDBs a
+    /// lower stratum finished) are published into the database-owned
+    /// [`recstep_exec::cache::IndexCache`] keyed by `(relation, catalog
+    /// version, key columns)`, so N runs over one database — sequential
+    /// or concurrent — build each such index exactly once. An IDB's index
+    /// is keyed by its final version in that run; the next run's reset
+    /// bumps the version, so it never serves stale rows. Only exclusive
+    /// runs key IDBs this way: a shared-mode run keeps its IDBs' indexes
+    /// to itself. Off = every run rebuilds its own indexes (the pre-cache
+    /// per-run behavior, kept for ablations).
     pub shared_index_cache: bool,
     /// Resident-byte budget of the shared index cache. A publish that
     /// would exceed it evicts coldest entries first (scored by

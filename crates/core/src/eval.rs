@@ -64,6 +64,7 @@
 //! cross-run [`IndexCache`] (built once across runs, evicted under
 //! memory pressure); everything mutable stays run-local.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -76,15 +77,13 @@ use recstep_datalog::plan::{
 };
 use recstep_exec::agg::{AggCol, Bucket, ConcurrentMonoMap, GroupSink};
 use recstep_exec::cache::{CacheKey, IndexCache};
-use recstep_exec::chain::ChainTable;
 use recstep_exec::dedup::deduplicate;
 use recstep_exec::index::{OrderedIndex, PersistentIndex, SharedIndex, SyncAction};
 use recstep_exec::join::{
-    anti_join_prebuilt_sink, anti_join_sink, cross_join_sink, hash_join_prebuilt_sink,
-    hash_join_sink, index_anti_join_sink, index_join_sink, project_filter, project_filter_sink,
-    JoinSpec,
+    anti_join_sink, chained_join_sink, cross_join_sink, hash_join_sink, index_anti_join_sink,
+    index_join_sink, project_filter_sink, JoinSpec,
 };
-use recstep_exec::key::{KeyLayout, KeyMode};
+use recstep_exec::key::KeyLayout;
 use recstep_exec::setdiff::{set_difference, DsdState};
 use recstep_exec::sink::{AggSink, AggTarget, DeltaSink, DistinctSink, SinkMode, SinkSampler};
 use recstep_exec::wcoj::{wcoj_sink, WcojSpec};
@@ -202,36 +201,35 @@ struct FrozenIndex {
 /// Per-run cache of join/anti-join build sides, in two layouts.
 ///
 /// Keyed on `(relation, key columns)`; only unfiltered `Base`/`Full` scans
-/// of catalog relations are cacheable — their row ids are stable and
-/// append-only for a stratum's whole fixpoint.
+/// of catalog relations are cacheable. The scan's version picks the
+/// layout ([`frozen_scan`]):
 ///
-/// * **Frozen relations** — those the program never derives (EDBs) — get
-///   a key-ordered [`SharedIndex`]. With the database-owned
-///   [`IndexCache`] it is served from there: built at most once across
-///   all runs over the database (first builder wins, concurrent racers
-///   block on the publish and reuse), pinned by this run while probing,
-///   subject to spill-aware eviction (a dropped entry surfaces as a miss,
-///   i.e. a rebuild signal — never a dangling reference). Without the
-///   cache (`--no-shared-index-cache`, or a relation with no durable
-///   version) the run builds the same index and keeps it to itself. Any
-///   probe may use it: values outside its bounds match nothing.
-/// * **Growing relations** — the program's IDBs — get a chained
-///   [`PersistentIndex`], built once and appended the rows each merge
-///   adds (rebuilt hashed, once, when probe values escape its packed
-///   layout).
+/// * **`Base`** — an EDB or a lower stratum's finished IDB, frozen for the
+///   stratum (every rule deriving it ran before any rule reading it) —
+///   gets a key-ordered [`SharedIndex`]. With the database-owned
+///   [`IndexCache`] and a relation version that names durable contents it
+///   is served from there: built at most once across all runs over the
+///   database (first builder wins, concurrent racers block on the publish
+///   and reuse), pinned by this run while probing, subject to spill-aware
+///   eviction (a dropped entry surfaces as a miss, i.e. a rebuild signal —
+///   never a dangling reference). Otherwise (`--no-shared-index-cache`, or
+///   a relation with no durable version) the run builds the same index
+///   and keeps it to itself. Any probe may use it: values outside its
+///   bounds match nothing.
+/// * **`Full`** — one of the running stratum's own IDBs — gets a chained
+///   [`PersistentIndex`], built once and appended the rows each merge adds
+///   (rebuilt hashed, once, when probe values escape its packed layout).
+///   It is dropped when its stratum ends ([`JoinCache::end_stratum`]): no
+///   later stratum reads the relation as anything but `Base`.
 ///
-/// The cache lives for the whole run: relations are append-only between
-/// IDB resets, syncs rebuild defensively on any shrink, and the two
-/// mid-run clear-and-refill sites (monotonic-aggregate rebuilds, PBME
-/// materialization) explicitly [`JoinCache::invalidate`] their relation —
-/// an equal-length refill reassigns row ids without tripping the length
-/// check, so invalidation there is what makes cross-stratum reuse sound.
+/// So the cache needs no invalidation: a relation is cleared and refilled
+/// (a PBME refill, a monotonic-aggregate rebuild, a refresh's retraction)
+/// only by its own stratum and outside its fixpoint loop — when no chained
+/// index over it is held, and before any stratum that reads it frozen.
 /// Counters fold into [`EvalStats`] at run end.
 struct JoinCache<'c> {
     enabled: bool,
     shared: Option<SharedTier<'c>>,
-    /// Relations this run derives (its IDBs): their build sides grow.
-    mutable_ids: FxHashSet<RelId>,
     growing: FxHashMap<(RelId, Vec<usize>), PersistentIndex>,
     frozen: FxHashMap<(RelId, Vec<usize>), FrozenIndex>,
     builds: usize,
@@ -245,11 +243,7 @@ struct JoinCache<'c> {
 }
 
 impl<'c> JoinCache<'c> {
-    fn new(
-        enabled: bool,
-        shared: Option<(&'c IndexCache, usize)>,
-        mutable_ids: FxHashSet<RelId>,
-    ) -> Self {
+    fn new(enabled: bool, shared: Option<(&'c IndexCache, usize)>) -> Self {
         JoinCache {
             enabled,
             shared: shared.map(|(cache, budget)| SharedTier {
@@ -259,7 +253,6 @@ impl<'c> JoinCache<'c> {
                 misses: 0,
                 evictions: 0,
             }),
-            mutable_ids,
             growing: FxHashMap::default(),
             frozen: FxHashMap::default(),
             builds: 0,
@@ -285,15 +278,9 @@ impl<'c> JoinCache<'c> {
         }
     }
 
-    /// Whether `rel_id` is frozen for this run (never derived by it).
-    fn is_frozen(&self, rel_id: RelId) -> bool {
-        !self.mutable_ids.contains(&rel_id)
-    }
-
     /// A cacheable scan over a frozen relation: its id.
     fn frozen_rel(&self, catalog: &RunCatalog<'_>, scan: &ScanSpec) -> Option<RelId> {
-        self.cacheable(catalog, scan)
-            .filter(|&id| self.is_frozen(id))
+        self.cacheable(catalog, scan).filter(|_| frozen_scan(scan))
     }
 
     /// Whether this run holds an index under `key` over all `rows` of its
@@ -373,10 +360,10 @@ impl<'c> JoinCache<'c> {
         self.frozen[&key].index.index()
     }
 
-    /// A probe-ready chained `(table, key mode)` over growing `rel_id`'s
-    /// current rows, keyed on `cols`: built on first use and synchronized
-    /// incrementally, with the compact-key layout invalidated (hashed
-    /// rebuild, once) when probe values escape it.
+    /// A probe-ready chained index over growing `rel_id`'s current rows,
+    /// keyed on `cols`: built on first use and synchronized incrementally,
+    /// with the compact-key layout invalidated (hashed rebuild, once) when
+    /// probe values escape it.
     fn growing_index(
         &mut self,
         ctx: &ExecCtx,
@@ -385,7 +372,7 @@ impl<'c> JoinCache<'c> {
         cols: &[usize],
         probe: RelView<'_>,
         probe_cols: &[usize],
-    ) -> (&ChainTable, &KeyMode) {
+    ) -> &PersistentIndex {
         let t0 = Instant::now();
         let base = catalog.rel(rel_id).view();
         let key = (rel_id, cols.to_vec());
@@ -412,8 +399,7 @@ impl<'c> JoinCache<'c> {
             }
         }
         self.maintain += t0.elapsed();
-        let index = &self.growing[&key];
-        (index.table(), index.mode())
+        &self.growing[&key]
     }
 
     /// Heap bytes of the run's own indexes (shared snapshots are
@@ -436,17 +422,10 @@ impl<'c> JoinCache<'c> {
         self.shared.as_ref().map_or(0, |t| t.cache.resident_bytes())
     }
 
-    /// Drop every cached build side over `rel_id`.
-    ///
-    /// Required whenever a relation is *cleared and refilled* mid-run
-    /// (monotonic-aggregate rebuilds, PBME materialization): refilling
-    /// reassigns row ids, and a refill to an equal-or-larger length would
-    /// pass the length-based `sync_for_probe` check and serve stale
-    /// row-id mappings. The append-only contract the cache relies on
-    /// holds *between* these sites, not across them.
-    fn invalidate(&mut self, rel_id: RelId) {
-        self.growing.retain(|(id, _), _| *id != rel_id);
-        self.frozen.retain(|(id, _), _| *id != rel_id);
+    /// Drop the stratum's chained indexes: their relations are read as
+    /// `Base` from now on, through key-ordered indexes.
+    fn end_stratum(&mut self) {
+        self.growing.clear();
     }
 
     /// Memory-pressure spill: release this run's pins (mid-stratum drop —
@@ -688,7 +667,7 @@ impl<'d> EvalRun<'_, 'd> {
             }
         }
 
-        let mut jcache = self.join_cache(prog);
+        let mut jcache = self.join_cache();
 
         // Full-R indexes survive their stratum: a relation's rows only grow
         // between the rewrites that drop its index (a PBME refill, a mono
@@ -708,12 +687,9 @@ impl<'d> EvalRun<'_, 'd> {
             if let Some(plan) = pbme_plan {
                 handled = self.try_run_pbme(&plan, &mut stats)?;
                 if handled {
-                    // PBME cleared and refilled the IDB: cached build
-                    // sides over it (if any) hold reassigned row ids, and
-                    // the full-R index the base stratum carries covers
-                    // only its exit rows.
+                    // PBME cleared and refilled the IDB: the full-R index
+                    // the base stratum carries covers only its exit rows.
                     if let Some(id) = self.catalog.lookup(plan.idb()) {
-                        jcache.invalidate(id);
                         index_carry.remove(&id);
                     }
                 }
@@ -783,19 +759,11 @@ impl<'d> EvalRun<'_, 'd> {
         Ok(self.close(stats, t0, busy0))
     }
 
-    /// The run's join cache. Build-side tables persist across the whole
-    /// run (relations are append-only between IDB resets, and syncs
-    /// rebuild defensively on shrink); relations `prog` does not derive
-    /// are frozen and served from the database's shared cross-run cache.
-    fn join_cache(&self, prog: &CompiledProgram) -> JoinCache<'d> {
-        let mutable_ids: FxHashSet<RelId> = prog
-            .relations
-            .iter()
-            .filter(|d| d.is_idb)
-            .filter_map(|d| self.catalog.lookup(&d.name))
-            .collect();
+    /// The run's join cache, backed by the database's shared cross-run
+    /// cache when there is one.
+    fn join_cache(&self) -> JoinCache<'d> {
         let shared = self.cache.map(|c| (c, self.cfg.index_cache_budget_bytes));
-        JoinCache::new(self.cfg.index_reuse, shared, mutable_ids)
+        JoinCache::new(self.cfg.index_reuse, shared)
     }
 
     /// Close a run's statistics: wall time since `t0`, pool busy time
@@ -903,7 +871,7 @@ impl<'d> EvalRun<'_, 'd> {
                         )));
                     }
                     let (func, g) = (shape.funcs[0], shape.group_positions.len());
-                    let mut map = match self.agg_window(stratum, idb, &shape.group_positions, rel) {
+                    let mut map = match self.agg_window(idb, &shape.group_positions, rel) {
                         Some(layout) => ConcurrentMonoMap::with_window(func, g, layout)?,
                         None => ConcurrentMonoMap::new(func, g, rel.len())?,
                     };
@@ -1022,8 +990,8 @@ impl<'d> EvalRun<'_, 'd> {
                     })
                     .sum::<usize>();
             stats.peak_bytes = stats.peak_bytes.max(live);
-            // Running high-water mark: entries dropped later by
-            // `invalidate` or a pressure spill must still count toward
+            // Running high-water mark: entries dropped later by the
+            // stratum's end or a pressure spill must still count toward
             // the run's index peak (fold_into only sees what survived).
             stats.index.bytes_peak = stats
                 .index
@@ -1050,6 +1018,7 @@ impl<'d> EvalRun<'_, 'd> {
             }
         }
         stats.iterations += iterations;
+        jcache.end_stratum();
 
         // Monotonic aggregated IDBs: rebuild stored relation from the map.
         for (i, idb) in stratum.idbs.iter().enumerate() {
@@ -1064,11 +1033,8 @@ impl<'d> EvalRun<'_, 'd> {
                 let rel = self.catalog.rel_mut(state.rel_id);
                 rel.clear();
                 rel.append_columns(cols);
-                // The clear-and-refill reassigned row ids: any cached
-                // build side over this relation and its full-R index are
-                // stale even at equal length, so drop both before later
-                // strata can probe them.
-                jcache.invalidate(state.rel_id);
+                // The clear-and-refill reassigned row ids: the full-R
+                // index is stale even at equal length.
                 state.full_index = None;
                 self.io.dirty(state.rel_id, self.catalog.rel(state.rel_id));
             }
@@ -1126,13 +1092,12 @@ impl<'d> EvalRun<'_, 'd> {
     /// stored in `rel` (see [`ConcurrentMonoMap::with_window`]): the union
     /// of the cached min/max bounds of every subquery's group-column
     /// sources — scan columns of the flattened `[scan0 ‖ scan1 ‖ …]`
-    /// layout, skipping IDBs derived in this stratum, whose bounds are
+    /// layout, skipping scans that are not [`frozen_scan`], whose bounds are
     /// still moving — and of the rows already in R. Keys from skipped or
     /// computed sources that land outside it escape to the hashed table,
     /// so the window decides speed, never results.
     fn agg_window(
         &self,
-        stratum: &CompiledStratum,
         idb: &CompiledIdb,
         group_positions: &[usize],
         rel: &Relation,
@@ -1150,9 +1115,7 @@ impl<'d> EvalRun<'_, 'd> {
                     Expr::Col(c) => {
                         let (scan, col) = scan_of_column(sq, c);
                         let spec = &sq.scans[scan];
-                        let frozen = spec.version == AtomVersion::Base
-                            && stratum.idbs.iter().all(|i| i.rel != spec.rel);
-                        let id = self.catalog.lookup(&spec.rel).filter(|_| frozen);
+                        let id = self.catalog.lookup(&spec.rel).filter(|_| frozen_scan(spec));
                         id.map(|id| self.catalog.rel(id)).and_then(|src| {
                             expected_groups += src.len();
                             src.col_bounds(col)
@@ -1394,7 +1357,7 @@ impl<'d> EvalRun<'_, 'd> {
                 Some(match funcs[..] {
                     [func @ (AggFunc::Min | AggFunc::Max)] if g > 0 => {
                         let rel = self.catalog.rel(rel_id);
-                        PlainAgg::Best(match self.agg_window(stratum, idb, group_positions, rel) {
+                        PlainAgg::Best(match self.agg_window(idb, group_positions, rel) {
                             Some(layout) => ConcurrentMonoMap::with_window(func, g, layout)?,
                             None => ConcurrentMonoMap::new(func, g, 0)?,
                         })
@@ -1760,7 +1723,7 @@ impl EvalRun<'_, '_> {
         sink: &SinkMode<'_>,
     ) -> Result<Vec<Vec<Value>>> {
         let frozen = vec![None; sq.joins.len()];
-        let mut jcache = JoinCache::new(false, None, FxHashSet::default());
+        let mut jcache = JoinCache::new(false, None);
         // Maintenance passes are driven per changed scan position and not
         // per evaluation run, so their operator accounting is dropped.
         let mut tally = Tally::default();
@@ -1867,13 +1830,11 @@ impl EvalRun<'_, '_> {
 
     /// Retract `rows` (possibly none) from relation `rel_id`, whose
     /// contents change this refresh: row ids move, and an equal-sized
-    /// delete + append would fool a length-based sync, so cached build
-    /// sides over it and its carried full-R index are dropped. Booked
-    /// under `phase.merge`.
+    /// delete + append would fool a length-based sync, so its carried
+    /// full-R index is dropped. Booked under `phase.merge`.
     fn retract(&mut self, rel_id: RelId, rows: &[Vec<Value>], rs: &mut Refresh<'_>) {
         let t_merge = Instant::now();
         self.catalog.rel_mut(rel_id).delete_rows(rows);
-        rs.jcache.invalidate(rel_id);
         rs.indexes.remove(&rel_id);
         rs.stats.view.view_tuples_retracted += rows.len() as u64;
         rs.stats.phase.merge += t_merge.elapsed();
@@ -1898,7 +1859,7 @@ impl EvalRun<'_, '_> {
                 .drain()
                 .filter_map(|(name, index)| Some((self.catalog.lookup(&name)?, index)))
                 .collect(),
-            jcache: self.join_cache(prog),
+            jcache: self.join_cache(),
             stats: EvalStats::default(),
         };
         rs.stats.view.view_refreshes = 1;
@@ -2207,6 +2168,14 @@ fn pair_cols(rel: &Relation) -> [&[Value]; 2] {
     [rel.col(0), rel.col(1)]
 }
 
+/// Whether `scan` reads a relation frozen for its stratum: an EDB or a
+/// lower stratum's finished IDB (the planner's `Base`), never one of the
+/// stratum's own IDBs. The one rule behind a join build side's layout
+/// ([`JoinCache`]), the direction rule and [`EvalRun::agg_window`].
+fn frozen_scan(scan: &ScanSpec) -> bool {
+    scan.version == AtomVersion::Base
+}
+
 /// Record first-iteration build-side choices (OOF-NA freezing).
 fn freeze_choices(
     catalog: &RunCatalog<'_>,
@@ -2458,6 +2427,13 @@ fn eval_subquery<'a>(
             None => resolve_view(catalog, stratum, states, &scan.rel, scan.version),
         }
     };
+    let materialize = &SinkMode::Materialize;
+    // The flattened row's identity projection, built on first use: its
+    // first `w` columns serve any stage or filtered scan of width `w`.
+    let identity_cell = OnceCell::new();
+    let identity = |w: usize| -> &[Expr] {
+        &identity_cell.get_or_init(|| (0..sq.width).map(Expr::Col).collect::<Vec<_>>())[..w]
+    };
     // Materialize filtered scans; untouched scans stay zero-copy views.
     let mut filtered: Vec<Option<Vec<Vec<Value>>>> = Vec::with_capacity(sq.scans.len());
     for (i, scan) in sq.scans.iter().enumerate() {
@@ -2465,8 +2441,9 @@ fn eval_subquery<'a>(
         if scan.filters.is_empty() {
             filtered.push(None);
         } else {
-            let identity: Vec<Expr> = (0..scan.arity).map(Expr::Col).collect();
-            filtered.push(Some(project_filter(ctx, view, &identity, &scan.filters)));
+            let filters = &scan.filters;
+            let cols = project_filter_sink(ctx, view, identity(scan.arity), filters, materialize);
+            filtered.push(Some(cols));
         }
     }
     let view_of = |i: usize| -> Result<RelView<'_>> {
@@ -2511,7 +2488,7 @@ fn eval_subquery<'a>(
             let direct = sole
                 && wp.distinct_head
                 && matches!(sink, SinkMode::Delta(s) if s.filters_only_duplicates());
-            let walk_sink = if direct { &SinkMode::Materialize } else { sink };
+            let walk_sink = if direct { materialize } else { sink };
             let (cols, emitted) = wcoj_sink(&capped, &views, &spec, walk_sink);
             tally.wcoj_runs += 1;
             tally.wcoj_rows += emitted;
@@ -2532,22 +2509,16 @@ fn eval_subquery<'a>(
     }
 
     let has_neg = !sq.negations.is_empty();
-    let identity_of = |w: usize| -> Vec<Expr> { (0..w).map(Expr::Col).collect() };
 
     // Positive join chain.
     let mut acc: Vec<Vec<Value>>;
     if sq.scans.len() == 1 {
-        let (output, residual): (Vec<Expr>, &[_]) = if has_neg {
-            (identity_of(sq.width), sq.residual.as_slice())
+        let (output, stage_sink) = if has_neg {
+            (identity(sq.width), materialize)
         } else {
-            (sq.head_exprs.clone(), sq.residual.as_slice())
+            (sq.head_exprs.as_slice(), sink)
         };
-        let stage_sink = if has_neg {
-            &SinkMode::Materialize
-        } else {
-            sink
-        };
-        acc = project_filter_sink(ctx, view_of(0)?, &output, residual, stage_sink);
+        acc = project_filter_sink(ctx, view_of(0)?, output, &sq.residual, stage_sink);
     } else {
         acc = Vec::new();
         let mut width = sq.scans[0].arity;
@@ -2556,12 +2527,12 @@ fn eval_subquery<'a>(
             let left_is_first = ji == 0;
             let last = ji == sq.joins.len() - 1;
             let out_width = width + sq.scans[ji + 1].arity;
-            let (output, residual): (Vec<Expr>, &[_]) = if last && !has_neg {
-                (sq.head_exprs.clone(), sq.residual.as_slice())
+            let (output, residual) = if last && !has_neg {
+                (sq.head_exprs.as_slice(), sq.residual.as_slice())
             } else if last {
-                (identity_of(out_width), sq.residual.as_slice())
+                (identity(out_width), sq.residual.as_slice())
             } else {
-                (identity_of(out_width), &[])
+                (identity(out_width), &[][..])
             };
             let left_view = if left_is_first {
                 view_of(0)?
@@ -2586,10 +2557,10 @@ fn eval_subquery<'a>(
             let stage_sink = if last && !has_neg {
                 sink
             } else {
-                distinct_mode.as_ref().unwrap_or(&SinkMode::Materialize)
+                distinct_mode.as_ref().unwrap_or(materialize)
             };
             if join.left_keys.is_empty() {
-                acc = cross_join_sink(ctx, left_view, right, &output, residual, stage_sink);
+                acc = cross_join_sink(ctx, left_view, right, output, residual, stage_sink);
             } else {
                 // OOF: the direction rule, else the build side from
                 // current sizes (Selective / Full), or the frozen
@@ -2606,38 +2577,37 @@ fn eval_subquery<'a>(
                     left_keys: &join.left_keys,
                     right_keys: &join.right_keys,
                     build_left,
-                    output: &output,
+                    output,
                     residual,
                 };
                 // Serve the build side from the run's cache when it is an
-                // unfiltered catalog relation (EDBs and Full views of
-                // IDBs): built once, appended thereafter if it grows.
-                let cached = if build_left && left_is_first {
-                    jcache.cacheable(catalog, &sq.scans[0])
-                } else if !build_left {
-                    jcache.cacheable(catalog, &sq.scans[ji + 1])
+                // unfiltered catalog relation: key-ordered if frozen,
+                // chained (built once, appended as it grows) if it is one
+                // of the stratum's own IDBs.
+                let (build_view, build_cols, probe_view, probe_cols) = if build_left {
+                    (left_view, &join.left_keys, right, &join.right_keys)
                 } else {
-                    None
+                    (right, &join.right_keys, left_view, &join.left_keys)
                 };
-                let (build_cols, probe_view, probe_cols) = if build_left {
-                    (&join.left_keys, right, &join.right_keys)
+                // A left build side is a catalog scan at the first join only.
+                let build_scan = if build_left {
+                    left_is_first.then(|| &sq.scans[0])
                 } else {
-                    (&join.right_keys, left_view, &join.left_keys)
+                    Some(&sq.scans[ji + 1])
                 };
+                let cached = build_scan
+                    .and_then(|scan| Some((jcache.cacheable(catalog, scan)?, frozen_scan(scan))));
                 acc = match cached {
-                    Some(rel_id) if !left_view.is_empty() && !right.is_empty() => {
-                        if jcache.is_frozen(rel_id) {
-                            jcache.frozen_probes += 1;
-                            let index = jcache.frozen_index(ctx, catalog, rel_id, build_cols);
-                            index_join_sink(ctx, probe_view, index, &spec, stage_sink)
-                        } else {
-                            let (table, mode) = jcache.growing_index(
-                                ctx, catalog, rel_id, build_cols, probe_view, probe_cols,
-                            );
-                            hash_join_prebuilt_sink(
-                                ctx, left_view, right, &spec, table, mode, stage_sink,
-                            )
-                        }
+                    Some((rel_id, true)) if !left_view.is_empty() && !right.is_empty() => {
+                        jcache.frozen_probes += 1;
+                        let index = jcache.frozen_index(ctx, catalog, rel_id, build_cols);
+                        index_join_sink(ctx, probe_view, index, &spec, stage_sink)
+                    }
+                    Some((rel_id, false)) if !left_view.is_empty() && !right.is_empty() => {
+                        let index = jcache.growing_index(
+                            ctx, catalog, rel_id, build_cols, probe_view, probe_cols,
+                        );
+                        chained_join_sink(ctx, probe_view, index, build_view, &spec, stage_sink)
                     }
                     _ => hash_join_sink(ctx, left_view, right, &spec, stage_sink),
                 };
@@ -2672,51 +2642,28 @@ fn eval_subquery<'a>(
             base
         } else {
             let identity: Vec<Expr> = (0..neg.arity).map(Expr::Col).collect();
-            neg_filtered = project_filter(ctx, base, &identity, &neg.filters);
+            neg_filtered = project_filter_sink(ctx, base, &identity, &neg.filters, materialize);
             RelView::over(&neg_filtered)
         };
         let last = ni == sq.negations.len() - 1;
-        let output: Vec<Expr> = if last {
-            sq.head_exprs.clone()
+        let (output, stage_sink) = if last {
+            (sq.head_exprs.as_slice(), sink)
         } else {
-            identity_of(sq.width)
+            (identity(sq.width), materialize)
         };
-        let stage_sink = if last { sink } else { &SinkMode::Materialize };
         let acc_view = RelView::over(&acc);
-        // Anti-join build sides are always the negated (Base) relation:
-        // cacheable whenever unfiltered, same rules as join builds.
+        // Under stratified negation a negated atom reads a lower stratum
+        // (`Base`): frozen, so its unfiltered relation is served from a
+        // key-ordered index like any frozen join build side.
         let cached = if jcache.enabled && neg.filters.is_empty() {
             catalog.lookup(&neg.rel)
         } else {
             None
         };
         acc = match cached {
-            Some(rel_id)
-                if !acc_view.is_empty() && !neg_view.is_empty() && jcache.is_frozen(rel_id) =>
-            {
-                let index = jcache.frozen_index(ctx, catalog, rel_id, &neg.right_keys);
-                index_anti_join_sink(ctx, acc_view, &neg.left_keys, index, &output, stage_sink)
-            }
             Some(rel_id) if !acc_view.is_empty() && !neg_view.is_empty() => {
-                let (table, mode) = jcache.growing_index(
-                    ctx,
-                    catalog,
-                    rel_id,
-                    &neg.right_keys,
-                    acc_view,
-                    &neg.left_keys,
-                );
-                anti_join_prebuilt_sink(
-                    ctx,
-                    acc_view,
-                    neg_view,
-                    &neg.left_keys,
-                    &neg.right_keys,
-                    &output,
-                    table,
-                    mode,
-                    stage_sink,
-                )
+                let index = jcache.frozen_index(ctx, catalog, rel_id, &neg.right_keys);
+                index_anti_join_sink(ctx, acc_view, &neg.left_keys, index, output, stage_sink)
             }
             _ => anti_join_sink(
                 ctx,
@@ -2724,7 +2671,7 @@ fn eval_subquery<'a>(
                 neg_view,
                 &neg.left_keys,
                 &neg.right_keys,
-                &output,
+                output,
                 stage_sink,
             ),
         };

@@ -54,8 +54,9 @@ pub struct IndexStats {
     /// rebuild path's per-iteration dedup table).
     pub scratch_builds: usize,
     /// Join/anti-join build sides built into the run's cache: chained
-    /// indexes over growing relations, key-ordered ones over frozen
-    /// relations (the run's own, or shared-cache publishes it paid for).
+    /// indexes over a stratum's own IDBs, key-ordered ones over relations
+    /// frozen for the stratum — EDBs and lower strata's IDBs (the run's
+    /// own, or shared-cache publishes it paid for).
     pub join_builds: usize,
     /// Incremental appends into cached join build-side tables.
     pub join_appends: usize,

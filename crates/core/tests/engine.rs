@@ -1308,3 +1308,86 @@ fn published_results_serve_the_next_anti_join() {
         );
     }
 }
+
+/// `hop` is derived by a lower stratum, then read by `r`'s recursive one.
+const HOP: &str = "hop(x, y) :- arc(x, z), arc(z, y).";
+const HOP_R: &str = "r(x, y) :- hop(x, y).\nr(x, y) :- r(x, z), hop(z, y).";
+
+/// `idb` of `src` by the naive evaluator over `arc` = `edges`.
+fn naive_rows(src: &str, edges: &[(Value, Value)], idb: &str) -> BTreeSet<Vec<Value>> {
+    let mut naive = recstep_baselines::naive::NaiveEngine::new();
+    naive.load_edges("arc", edges);
+    naive.run_source(src).unwrap();
+    naive.rows(idb).cloned().unwrap_or_default()
+}
+
+/// A finished lower-stratum IDB is frozen for every stratum that reads
+/// it, exactly like an EDB: `r`'s recursive join builds on `hop`'s
+/// key-ordered index and probes it with each ∆, so the derived program
+/// books the `hop`-only program's probes plus those of the same `r` over
+/// `hop` loaded as an EDB.
+#[test]
+fn a_lower_stratum_idb_is_probed_like_an_edb() {
+    let edges = random_edges(60, 90, 47);
+    let derived = format!("{HOP}\n{HOP_R}");
+    let cfg = || Config::default().pbme(PbmeMode::Off);
+    let (db, stats) = run_on_edges(cfg(), &edges, &derived);
+    let rows = sorted_idb_rows(&db, "r");
+    assert!(rows.len() > 100, "r derived only {} rows", rows.len());
+    let (no_op, _) = run_on_edges(Config::no_op(), &edges, &derived);
+    assert_eq!(rows, sorted_idb_rows(&no_op, "r"), "no_op differs");
+    assert_eq!(rows, naive_rows(&derived, &edges, "r"), "naive differs");
+
+    let (hop_db, hop_stats) = run_on_edges(cfg(), &edges, HOP);
+    let hop = rel_pairs(&hop_db, "hop").into_iter().collect::<Vec<_>>();
+    let mut edb = Database::new().unwrap();
+    edb.load_edges("hop", &hop).unwrap();
+    let edb_stats = engine(cfg()).prepare(HOP_R).unwrap().run(&mut edb).unwrap();
+    assert_eq!(rows, sorted_idb_rows(&edb, "r"), "EDB hop differs");
+    assert!(
+        edb_stats.delta_probe_joins > 1,
+        "r probes hop every iteration"
+    );
+    assert_eq!(
+        stats.delta_probe_joins,
+        hop_stats.delta_probe_joins + edb_stats.delta_probe_joins,
+        "derived hop is probed unlike an EDB"
+    );
+}
+
+/// Two exclusive runs over one database, with an `arc` insert between
+/// them: each run's frozen indexes over IDBs it re-derived are keyed by
+/// their new versions, so the shared cache serves neither a stale `hop`
+/// to `r`'s join nor a stale `tc` to NTC's anti-join (whose `tc` PBME
+/// clears and refills).
+#[test]
+fn rerun_after_an_insert_serves_no_stale_frozen_index() {
+    let edges = random_edges(40, 70, 48);
+    let extra = random_edges(40, 12, 49);
+    let all: Vec<(Value, Value)> = edges.iter().chain(&extra).copied().collect();
+    let derived = format!("{HOP}\n{HOP_R}");
+    for (src, idb, pbme) in [
+        (derived.as_str(), "r", PbmeMode::Off),
+        (recstep::programs::NTC, "ntc", PbmeMode::Auto),
+    ] {
+        let prog = engine(Config::default().pbme(pbme)).prepare(src).unwrap();
+        let mut db = Database::new().unwrap();
+        db.load_edges("arc", &edges).unwrap();
+        for (run, arcs) in [("first", &edges), ("second", &all)] {
+            if run == "second" {
+                db.load_edges("arc", &extra).unwrap();
+            }
+            let stats = prog.run(&mut db).unwrap();
+            let want = naive_rows(src, arcs, idb);
+            assert!(!want.is_empty(), "{idb}: derived nothing");
+            assert_eq!(sorted_idb_rows(&db, idb), want, "{idb}: {run} run differs");
+            assert!(stats.index.cache_misses >= 1, "{idb}: no shared index");
+            if run == "second" {
+                assert_eq!(stats.index.cache_hits, 0, "{idb}: a stale index was hit");
+            }
+            if pbme == PbmeMode::Auto {
+                assert!(stats.strata.iter().any(|s| s.pbme), "PBME refills tc");
+            }
+        }
+    }
+}

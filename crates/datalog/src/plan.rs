@@ -20,7 +20,8 @@ use crate::ast::{AExpr, Atom, BodyTerm, HeadTerm, Literal, Rule};
 /// Which version of a relation a scan reads (Algorithm 1's views).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AtomVersion {
-    /// An EDB or an IDB of a lower stratum: always the full contents.
+    /// An EDB or an IDB of a lower stratum: always the full contents,
+    /// frozen for the stratum — served from a key-ordered index.
     Base,
     /// Full recursive relation (facts through iteration `t`).
     Full,

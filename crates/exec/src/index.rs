@@ -4,13 +4,15 @@
 //! * [`PersistentIndex`] — a CCK-GSCHT chain table pinned to a growing
 //!   relation's row ids and appended to across fixpoint iterations: the
 //!   full-`R` table a [`crate::sink::DeltaSink`] probes, and join build
-//!   sides over relations the running program derives.
+//!   sides over the running stratum's own IDBs
+//!   ([`crate::join::chained_join_sink`]).
 //! * [`OrderedIndex`] — the build rows counting-sorted by bucket and
 //!   gathered column-wise behind an offset array, so one key's matches
 //!   are one contiguous run. Every build side that is never appended to
 //!   uses it: the per-call builds of [`crate::join::hash_join_sink`] and
 //!   [`crate::join::anti_join_sink`], and every index over a relation
-//!   frozen for the run — [`SharedIndex`] wraps it for the cross-run
+//!   frozen for its stratum (an EDB, or a lower stratum's finished IDB) —
+//!   [`SharedIndex`] wraps it for the cross-run
 //!   [`crate::cache::IndexCache`], and a run without that cache keeps the
 //!   same layout to itself. Probe values outside the build side's bounds
 //!   match nothing, so a frozen index never rebuilds.
@@ -131,7 +133,8 @@ impl PersistentIndex {
         &self.mode
     }
 
-    /// The underlying chain table (for prebuilt-table probes).
+    /// The underlying chain table (probed by
+    /// [`crate::join::chained_join_sink`] and the fused sinks).
     pub fn table(&self) -> &ChainTable {
         &self.table
     }

@@ -7,39 +7,39 @@
 //! build-side choice (the knob OOF re-optimizes every iteration) is purely
 //! physical.
 //!
-//! Two build-side layouts serve the equi- and anti joins:
+//! A join's build side comes in one of two layouts, picked by whether its
+//! rows can still grow while it is probed:
 //!
-//! * a key-ordered [`OrderedIndex`] — every build side that is never
-//!   appended to: [`hash_join_sink`] and [`anti_join_sink`] build one per
-//!   call, and [`index_join_sink`] / [`index_anti_join_sink`] probe one
-//!   the caller keeps (a frozen relation's, cached across iterations and
-//!   runs). One key's matches are one contiguous run of gathered rows,
-//!   and a probe value outside the build side's bounds matches nothing;
-//! * a chained [`PersistentIndex`](crate::index::PersistentIndex) table —
-//!   build sides over relations that grow during the run, synced before
-//!   each probe: [`hash_join_prebuilt_sink`] and
-//!   [`anti_join_prebuilt_sink`] probe it.
+//! * a key-ordered [`OrderedIndex`] — every build side frozen while it is
+//!   probed: [`hash_join_sink`] and [`anti_join_sink`] build one per call,
+//!   and [`index_join_sink`] / [`index_anti_join_sink`] probe one the
+//!   caller keeps (an EDB's or a finished lower stratum's, cached across
+//!   iterations and runs). One key's matches are one contiguous run of
+//!   gathered rows, and a probe value outside the build side's bounds
+//!   matches nothing;
+//! * a chained [`PersistentIndex`] table — a build side over one of the
+//!   running stratum's own IDBs, synced before each probe:
+//!   [`chained_join_sink`] probes it. A negated atom always reads a lower
+//!   stratum, so anti joins only ever probe the key-ordered layout.
+//!
+//! Both join layouts run one probe loop, generic over the build side.
 //!
 //! Which input is the build side is the caller's choice (`build_left`):
 //! by size, or — in the engine — a frozen input whenever the stratum is
 //! recursive or that input's index is already resident (see
 //! `recstep-core`'s evaluation loop).
 //!
-//! Every producing operator additionally comes in a `*_sink` form taking a
-//! [`SinkMode`]: in `Delta` mode the worker offers each output row to a
-//! [`crate::sink::DeltaSink`] right at the probe site and buffers only
-//! fresh tuples — the fused streaming pipeline that stops materializing
-//! the UNION-ALL intermediate `Rt`. The plain forms are thin
-//! `Materialize` wrappers, so existing callers and the ablation path are
-//! untouched.
+//! Every producing operator takes a [`SinkMode`]: in `Delta` mode the
+//! worker offers each output row to a [`crate::sink::DeltaSink`] right at
+//! the probe site and buffers only fresh tuples — the fused streaming
+//! pipeline that stops materializing the UNION-ALL intermediate `Rt`;
+//! `Materialize` buffers every row.
 
 use recstep_common::Value;
 use recstep_storage::RelView;
 
-use crate::chain::ChainTable;
 use crate::expr::{eval_all, Expr, Predicate};
-use crate::index::OrderedIndex;
-use crate::key::KeyMode;
+use crate::index::{OrderedIndex, PersistentIndex};
 use crate::sink::SinkMode;
 use crate::util::{parallel_produce, CapGate};
 use crate::ExecCtx;
@@ -58,20 +58,12 @@ pub struct JoinSpec<'a> {
     pub residual: &'a [Predicate],
 }
 
-/// Hash equi-join of two views.
+/// Hash equi-join of two views into `sink`, over a key-ordered index
+/// built on the `spec.build_left` side for this call.
 ///
-/// Returns the projected output column-major. Duplicates are *not* removed —
-/// Algorithm 1 separates `uieval` from `dedup` (UNION ALL semantics).
-pub fn hash_join(
-    ctx: &ExecCtx,
-    left: RelView<'_>,
-    right: RelView<'_>,
-    spec: &JoinSpec<'_>,
-) -> Vec<Vec<Value>> {
-    hash_join_sink(ctx, left, right, spec, &SinkMode::Materialize)
-}
-
-/// [`hash_join`] with an output sink (the fused-pipeline entry point).
+/// Returns the projected output column-major. Duplicates are *not* removed
+/// under `Materialize` — Algorithm 1 separates `uieval` from `dedup`
+/// (UNION ALL semantics).
 pub fn hash_join_sink(
     ctx: &ExecCtx,
     left: RelView<'_>,
@@ -104,102 +96,124 @@ pub fn index_join_sink(
     spec: &JoinSpec<'_>,
     sink: &SinkMode<'_>,
 ) -> Vec<Vec<Value>> {
-    assert_eq!(spec.left_keys.len(), spec.right_keys.len());
-    let out_arity = spec.output.len();
-    if probe.is_empty() || index.is_empty() {
-        return vec![Vec::new(); out_arity];
-    }
-    let build = index.view();
-    let (left, right, probe_cols) = if spec.build_left {
-        debug_assert_eq!(index.key_cols(), spec.left_keys);
-        (build, probe, spec.right_keys)
-    } else {
-        debug_assert_eq!(index.key_cols(), spec.right_keys);
-        (probe, build, spec.left_keys)
-    };
-    let la = left.arity();
-    let width = la + right.arity();
-    let gate = CapGate::new(ctx.row_cap);
-    parallel_produce(
-        &ctx.pool,
-        probe.len(),
-        ctx.grain,
-        out_arity,
-        |range, buf| {
-            let Some(mut snapshot) = gate.start() else {
-                return;
-            };
-            let mut local = 0usize;
-            let mut considered = 0usize;
-            let mut scratch = Vec::new();
-            let mut out_row = Vec::new();
-            let mut row = vec![0 as Value; width];
-            for pr in range {
-                if gate.reached(&mut snapshot, &mut local) {
-                    break;
-                }
-                for br in index.matches(probe, pr, probe_cols, &mut scratch) {
-                    let (lr, rr) = if spec.build_left { (br, pr) } else { (pr, br) };
-                    #[allow(clippy::needless_range_loop)]
-                    for c in 0..la {
-                        row[c] = left.get(lr, c);
-                    }
-                    for c in 0..right.arity() {
-                        row[la + c] = right.get(rr, c);
-                    }
-                    if eval_all(spec.residual, &row)
-                        && sink.emit(spec.output, &row, buf, &mut out_row, &mut considered)
-                    {
-                        local += 1;
-                    }
-                }
-            }
-            sink.note_considered(considered);
-            gate.commit(local);
-        },
-    )
+    probe_join(ctx, probe, index, spec, sink)
 }
 
-/// Hash equi-join probing an already-built chain table over the build side
-/// (chosen by `spec.build_left`) — the reuse path for the persistent join
-/// indexes of growing relations, appended across fixpoint iterations —
-/// with an output sink: in
-/// `Delta` mode each probe match immediately probes the full-`R` index and
-/// races into the scratch table, so duplicate join outputs are never
-/// buffered.
+/// Equi-join probing a chained index over `build`, the build side
+/// (chosen by `spec.build_left`) — the reuse path for a stratum's own
+/// IDBs, whose join indexes are appended across fixpoint iterations.
 ///
-/// `table` must map node `i` to build-side row `i` for every build-side
-/// row, with keys produced by `mode` over the build-side key columns, and
-/// `mode` must be able to represent the probe side's key values (packed
-/// layouts are verified with `KeyLayout::covers` before reuse).
-pub fn hash_join_prebuilt_sink(
+/// `index` must cover every row of `build` (node `i` is row `i`), keyed
+/// on that side's join keys, and its key mode must represent the probe
+/// side's key values (the engine syncs it with
+/// [`PersistentIndex::sync_for_probe`] first). Under a hashed mode the
+/// build rows' keys are verified against the probe row.
+pub fn chained_join_sink(
     ctx: &ExecCtx,
-    left: RelView<'_>,
-    right: RelView<'_>,
+    probe: RelView<'_>,
+    index: &PersistentIndex,
+    build: RelView<'_>,
     spec: &JoinSpec<'_>,
-    table: &ChainTable,
-    mode: &KeyMode,
+    sink: &SinkMode<'_>,
+) -> Vec<Vec<Value>> {
+    debug_assert_eq!(index.rows(), build.len());
+    probe_join(ctx, probe, &Chained { index, build }, spec, sink)
+}
+
+/// How a build side lists the rows matching a probe row: the one thing
+/// the two index layouts do differently. [`probe_join`] is generic over
+/// it, so each layout gets its own statically dispatched probe loop.
+trait BuildSide: Sync {
+    /// The build rows; a match is a row position in this view.
+    fn rows(&self) -> RelView<'_>;
+
+    /// Call `each` with every build row whose key equals row `r`'s
+    /// `probe_cols` in `probe`.
+    fn for_each_match(
+        &self,
+        probe: RelView<'_>,
+        r: usize,
+        probe_cols: &[usize],
+        scratch: &mut Vec<Value>,
+        each: impl FnMut(usize),
+    );
+}
+
+impl BuildSide for OrderedIndex {
+    fn rows(&self) -> RelView<'_> {
+        self.view()
+    }
+
+    #[inline]
+    fn for_each_match(
+        &self,
+        probe: RelView<'_>,
+        r: usize,
+        probe_cols: &[usize],
+        scratch: &mut Vec<Value>,
+        each: impl FnMut(usize),
+    ) {
+        self.matches(probe, r, probe_cols, scratch).for_each(each);
+    }
+}
+
+/// A chained index with the rows its nodes number.
+struct Chained<'a> {
+    index: &'a PersistentIndex,
+    build: RelView<'a>,
+}
+
+impl BuildSide for Chained<'_> {
+    fn rows(&self) -> RelView<'_> {
+        self.build
+    }
+
+    #[inline]
+    fn for_each_match(
+        &self,
+        probe: RelView<'_>,
+        r: usize,
+        probe_cols: &[usize],
+        scratch: &mut Vec<Value>,
+        mut each: impl FnMut(usize),
+    ) {
+        let (mode, cols) = (self.index.mode(), self.index.key_cols());
+        let exact = mode.exact();
+        let key = mode.key_of(probe, r, probe_cols, scratch);
+        for node in self.index.table().iter_key(key) {
+            let br = node as usize;
+            if exact || keys_match(self.build, br, cols, probe, r, probe_cols) {
+                each(br);
+            }
+        }
+    }
+}
+
+/// The equi-join probe loop: every `probe` row lists its matches in
+/// `build` and assembles, filters and emits each flattened pair.
+fn probe_join(
+    ctx: &ExecCtx,
+    probe: RelView<'_>,
+    build: &impl BuildSide,
+    spec: &JoinSpec<'_>,
     sink: &SinkMode<'_>,
 ) -> Vec<Vec<Value>> {
     assert_eq!(spec.left_keys.len(), spec.right_keys.len());
     let out_arity = spec.output.len();
-    if left.is_empty() || right.is_empty() {
+    let rows = build.rows();
+    if probe.is_empty() || rows.is_empty() {
         return vec![Vec::new(); out_arity];
     }
-    let (build, probe, build_cols, probe_cols) = if spec.build_left {
-        (left, right, spec.left_keys, spec.right_keys)
+    let (left, right, probe_cols) = if spec.build_left {
+        (rows, probe, spec.right_keys)
     } else {
-        (right, left, spec.right_keys, spec.left_keys)
+        (probe, rows, spec.left_keys)
     };
-    debug_assert!(table.capacity() >= build.len());
-    let exact = mode.exact();
-    let la = left.arity();
-    let width = la + right.arity();
+    let (la, ra) = (left.arity(), right.arity());
     // Producers stop once `cap` rows are out; the caller reports outputs
     // reaching the cap as out-of-memory (see `CapGate`). In `Delta` mode
     // only fresh rows count — duplicates occupy no memory.
     let gate = CapGate::new(ctx.row_cap);
-
     parallel_produce(
         &ctx.pool,
         probe.len(),
@@ -213,32 +227,26 @@ pub fn hash_join_prebuilt_sink(
             let mut considered = 0usize;
             let mut scratch = Vec::new();
             let mut out_row = Vec::new();
-            let mut row = vec![0 as Value; width];
+            let mut row = vec![0 as Value; la + ra];
             for pr in range {
                 if gate.reached(&mut snapshot, &mut local) {
                     break;
                 }
-                let key = mode.key_of(probe, pr, probe_cols, &mut scratch);
-                for node in table.iter_key(key) {
-                    let br = node as usize;
-                    if !exact && !keys_match(build, br, build_cols, probe, pr, probe_cols) {
-                        continue;
-                    }
+                build.for_each_match(probe, pr, probe_cols, &mut scratch, |br| {
                     // Flatten into logical [left ‖ right] order.
                     let (lr, rr) = if spec.build_left { (br, pr) } else { (pr, br) };
-                    #[allow(clippy::needless_range_loop)]
-                    for c in 0..la {
-                        row[c] = left.get(lr, c);
+                    for (c, slot) in row[..la].iter_mut().enumerate() {
+                        *slot = left.get(lr, c);
                     }
-                    for c in 0..right.arity() {
-                        row[la + c] = right.get(rr, c);
+                    for (c, slot) in row[la..].iter_mut().enumerate() {
+                        *slot = right.get(rr, c);
                     }
                     if eval_all(spec.residual, &row)
                         && sink.emit(spec.output, &row, buf, &mut out_row, &mut considered)
                     {
                         local += 1;
                     }
-                }
+                });
             }
             sink.note_considered(considered);
             gate.commit(local);
@@ -247,29 +255,8 @@ pub fn hash_join_prebuilt_sink(
 }
 
 /// Anti join: rows of `left` with **no** key match in `right`, projected
-/// through `output` (expressions over the left row only). This implements
-/// negated body atoms under stratified negation.
-pub fn anti_join(
-    ctx: &ExecCtx,
-    left: RelView<'_>,
-    right: RelView<'_>,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    output: &[Expr],
-) -> Vec<Vec<Value>> {
-    anti_join_sink(
-        ctx,
-        left,
-        right,
-        left_keys,
-        right_keys,
-        output,
-        &SinkMode::Materialize,
-    )
-}
-
-/// [`anti_join`] with an output sink (the fused-pipeline entry point).
-#[allow(clippy::too_many_arguments)]
+/// through `output` (expressions over the left row only) into `sink`.
+/// This implements negated body atoms under stratified negation.
 pub fn anti_join_sink(
     ctx: &ExecCtx,
     left: RelView<'_>,
@@ -324,63 +311,8 @@ pub fn index_anti_join_sink(
     })
 }
 
-/// Anti join probing an already-built chain table over `right` (node `i` =
-/// right row `i`, keys by `mode` over `right_keys`) — the reuse path for
-/// negated relations that grow during the run — with an output sink. Same prerequisites
-/// as [`hash_join_prebuilt_sink`].
-#[allow(clippy::too_many_arguments)]
-pub fn anti_join_prebuilt_sink(
-    ctx: &ExecCtx,
-    left: RelView<'_>,
-    right: RelView<'_>,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    output: &[Expr],
-    table: &ChainTable,
-    mode: &KeyMode,
-    sink: &SinkMode<'_>,
-) -> Vec<Vec<Value>> {
-    let out_arity = output.len();
-    if left.is_empty() {
-        return vec![Vec::new(); out_arity];
-    }
-    if right.is_empty() {
-        return project_filter_sink(ctx, left, output, &[], sink);
-    }
-    debug_assert!(table.capacity() >= right.len());
-    let exact = mode.exact();
-    parallel_produce(&ctx.pool, left.len(), ctx.grain, out_arity, |range, buf| {
-        let mut scratch = Vec::new();
-        let mut out_row = Vec::new();
-        let mut considered = 0usize;
-        let mut row = Vec::new();
-        for lr in range {
-            let key = mode.key_of(left, lr, left_keys, &mut scratch);
-            let hit = table.iter_key(key).any(|node| {
-                exact || keys_match(right, node as usize, right_keys, left, lr, left_keys)
-            });
-            if !hit {
-                left.copy_row(lr, &mut row);
-                sink.emit(output, &row, buf, &mut out_row, &mut considered);
-            }
-        }
-        sink.note_considered(considered);
-    })
-}
-
 /// Cartesian product with residual predicates (for key-less body pairs such
-/// as `node(x), node(y)` in the complement-of-TC program).
-pub fn cross_join(
-    ctx: &ExecCtx,
-    left: RelView<'_>,
-    right: RelView<'_>,
-    output: &[Expr],
-    residual: &[Predicate],
-) -> Vec<Vec<Value>> {
-    cross_join_sink(ctx, left, right, output, residual, &SinkMode::Materialize)
-}
-
-/// [`cross_join`] with an output sink.
+/// as `node(x), node(y)` in the complement-of-TC program), into `sink`.
 pub fn cross_join_sink(
     ctx: &ExecCtx,
     left: RelView<'_>,
@@ -434,17 +366,8 @@ pub fn cross_join_sink(
     )
 }
 
-/// Projection + selection over a single view (single-atom rule bodies).
-pub fn project_filter(
-    ctx: &ExecCtx,
-    view: RelView<'_>,
-    output: &[Expr],
-    residual: &[Predicate],
-) -> Vec<Vec<Value>> {
-    project_filter_sink(ctx, view, output, residual, &SinkMode::Materialize)
-}
-
-/// [`project_filter`] with an output sink.
+/// Projection + selection over a single view (single-atom rule bodies,
+/// filtered scans) into `sink`.
 pub fn project_filter_sink(
     ctx: &ExecCtx,
     view: RelView<'_>,
@@ -493,6 +416,11 @@ mod tests {
         ExecCtx::with_threads(4)
     }
 
+    /// [`hash_join_sink`] into a materializing sink.
+    fn join(l: &Relation, r: &Relation, spec: &JoinSpec<'_>) -> Vec<Vec<Value>> {
+        hash_join_sink(&ctx(), l.view(), r.view(), spec, &SinkMode::Materialize)
+    }
+
     fn rows_of(cols: &[Vec<Value>]) -> HashSet<Vec<Value>> {
         (0..cols.first().map_or(0, Vec::len))
             .map(|r| cols.iter().map(|c| c[r]).collect())
@@ -518,7 +446,7 @@ mod tests {
             output: &[Expr::Col(0), Expr::Col(3)],
             residual: &[],
         };
-        let out = hash_join(&ctx(), tc.view(), a.view(), &spec);
+        let out = join(&tc, &a, &spec);
         let expect: HashSet<Vec<Value>> = [vec![1, 3], vec![1, 4], vec![2, 4], vec![2, 4]]
             .into_iter()
             .collect();
@@ -539,8 +467,8 @@ mod tests {
             output: &[Expr::Col(0), Expr::Col(3)],
             residual: &[],
         };
-        let a = hash_join(&ctx(), l.view(), r.view(), &mk(true));
-        let b = hash_join(&ctx(), l.view(), r.view(), &mk(false));
+        let a = join(&l, &r, &mk(true));
+        let b = join(&l, &r, &mk(false));
         assert_eq!(rows_of(&a), rows_of(&b));
         assert_eq!(a[0].len(), b[0].len());
     }
@@ -560,7 +488,7 @@ mod tests {
                 rhs: Expr::Col(3),
             }],
         };
-        let out = hash_join(&ctx(), a.view(), a.view(), &spec);
+        let out = join(&a, &a, &spec);
         let expect: HashSet<Vec<Value>> = [vec![3, 4], vec![4, 3]].into_iter().collect();
         assert_eq!(rows_of(&out), expect);
     }
@@ -582,7 +510,7 @@ mod tests {
             output: &[Expr::Col(2), Expr::Col(5)],
             residual: &[],
         };
-        let out = hash_join(&ctx(), l.view(), r.view(), &spec);
+        let out = join(&l, &r, &spec);
         let expect: HashSet<Vec<Value>> = [vec![10, 100], vec![30, 200]].into_iter().collect();
         assert_eq!(rows_of(&out), expect);
     }
@@ -604,7 +532,7 @@ mod tests {
             output: &[Expr::Col(1), Expr::Col(3)],
             residual: &[],
         };
-        let out = hash_join(&ctx(), l.view(), r.view(), &spec);
+        let out = join(&l, &r, &spec);
         let expect: HashSet<Vec<Value>> = [vec![1, 10], vec![2, 20]].into_iter().collect();
         assert_eq!(rows_of(&out), expect);
     }
@@ -620,9 +548,9 @@ mod tests {
             output: &[Expr::Col(0)],
             residual: &[],
         };
-        let out = hash_join(&ctx(), e.view(), a.view(), &spec);
+        let out = join(&e, &a, &spec);
         assert!(out[0].is_empty());
-        let out = hash_join(&ctx(), a.view(), e.view(), &spec);
+        let out = join(&a, &e, &spec);
         assert!(out[0].is_empty());
     }
 
@@ -633,13 +561,14 @@ mod tests {
             &[vec![1, 10], vec![2, 20], vec![3, 30]],
         );
         let r = Relation::from_rows(Schema::with_arity("r", 1), &[vec![2]]);
-        let out = anti_join(
+        let out = anti_join_sink(
             &ctx(),
             l.view(),
             r.view(),
             &[0],
             &[0],
             &[Expr::Col(0), Expr::Col(1)],
+            &SinkMode::Materialize,
         );
         let expect: HashSet<Vec<Value>> = [vec![1, 10], vec![3, 30]].into_iter().collect();
         assert_eq!(rows_of(&out), expect);
@@ -649,13 +578,14 @@ mod tests {
     fn anti_join_against_empty_right_is_projection() {
         let l = arc();
         let e = Relation::new(Schema::with_arity("e", 2));
-        let out = anti_join(
+        let out = anti_join_sink(
             &ctx(),
             l.view(),
             e.view(),
             &[0, 1],
             &[0, 1],
             &[Expr::Col(0)],
+            &SinkMode::Materialize,
         );
         assert_eq!(out[0].len(), 4);
     }
@@ -663,7 +593,7 @@ mod tests {
     #[test]
     fn cross_join_with_residual() {
         let n = Relation::from_rows(Schema::with_arity("n", 1), &[vec![1], vec![2], vec![3]]);
-        let out = cross_join(
+        let out = cross_join_sink(
             &ctx(),
             n.view(),
             n.view(),
@@ -673,6 +603,7 @@ mod tests {
                 op: CmpOp::Lt,
                 rhs: Expr::Col(1),
             }],
+            &SinkMode::Materialize,
         );
         let expect: HashSet<Vec<Value>> =
             [vec![1, 2], vec![1, 3], vec![2, 3]].into_iter().collect();
@@ -682,7 +613,7 @@ mod tests {
     #[test]
     fn project_filter_applies_exprs() {
         let a = arc();
-        let out = project_filter(
+        let out = project_filter_sink(
             &ctx(),
             a.view(),
             &[Expr::add(Expr::Col(0), Expr::Col(1))],
@@ -691,6 +622,7 @@ mod tests {
                 op: CmpOp::Gt,
                 rhs: Expr::Const(1),
             }],
+            &SinkMode::Materialize,
         );
         let mut sums = out[0].clone();
         sums.sort_unstable();
@@ -699,8 +631,7 @@ mod tests {
 
     #[test]
     fn delta_sink_join_emits_exactly_the_fresh_distinct_rows() {
-        use crate::index::PersistentIndex;
-        use crate::sink::{DeltaSink, SinkMode};
+        use crate::sink::DeltaSink;
         // tc ⋈ arc with a sink over base R: output must equal
         // dedup(join) − R, computed here via the materializing join.
         let ctx = ctx();
@@ -717,7 +648,7 @@ mod tests {
             output: &[Expr::Col(0), Expr::Col(3)],
             residual: &[],
         };
-        let materialized = hash_join(&ctx, tc.view(), a.view(), &spec);
+        let materialized = join(&tc, &a, &spec);
         let mut oracle = rows_of(&materialized);
         oracle.retain(|r| r != &vec![1, 3]);
 
@@ -733,7 +664,7 @@ mod tests {
 
     #[test]
     fn distinct_sink_keeps_one_row_per_live_value_in_the_full_layout() {
-        use crate::sink::{DistinctSink, SinkMode};
+        use crate::sink::DistinctSink;
         // The first join of a(x,z), b(z,w), c(w,y) read only at x and w:
         // many z per (x, w), one kept row each.
         let ctx = ctx();
@@ -750,7 +681,7 @@ mod tests {
             output: &[Expr::Col(0), Expr::Col(1), Expr::Col(2), Expr::Col(3)],
             residual: &[],
         };
-        let all = hash_join(&ctx, l.view(), r.view(), &spec);
+        let all = join(&l, &r, &spec);
         let live = [0, 3];
         let sink = DistinctSink::new(&live);
         let kept = hash_join_sink(&ctx, l.view(), r.view(), &spec, &SinkMode::Distinct(&sink));
@@ -770,8 +701,7 @@ mod tests {
 
     #[test]
     fn delta_sink_threads_through_anti_join_and_projection() {
-        use crate::index::PersistentIndex;
-        use crate::sink::{DeltaSink, SinkMode};
+        use crate::sink::DeltaSink;
         let ctx = ctx();
         let l = Relation::from_rows(
             Schema::with_arity("l", 2),
@@ -812,7 +742,7 @@ mod tests {
             output: &[Expr::Col(1), Expr::Col(3)],
             residual: &[],
         };
-        let out = hash_join(&ctx(), l.view(), r.view(), &spec);
+        let out = join(&l, &r, &spec);
         let mut oracle = 0usize;
         for i in 0..2000i64 {
             for j in 0..2000i64 {

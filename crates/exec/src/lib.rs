@@ -18,8 +18,8 @@
 //!   **chained**: a [`index::PersistentIndex`] is a CCK-GSCHT table pinned
 //!   to a relation's stable row ids, built once and appended across
 //!   fixpoint iterations (the full-`R` side a [`sink::DeltaSink`] probes,
-//!   and join build sides over relations the program derives). Build
-//!   sides that never grow are **key-ordered**: an [`index::OrderedIndex`]
+//!   and join build sides over the running stratum's own IDBs). Build
+//!   sides frozen while probed are **key-ordered**: an [`index::OrderedIndex`]
 //!   counting-sorts the rows by bucket (the packed key when its span is
 //!   dense, else `hash & mask`) and gathers them behind an offset array,
 //!   so one key's matches are one contiguous run; a probe value outside
@@ -31,8 +31,9 @@
 //! * [`join`] — parallel hash equi-join with residual predicates and
 //!   projection, cross join, and anti join (for stratified negation),
 //!   each over a key-ordered build side built per call or kept by the
-//!   caller, or over a growing relation's chained index; every producing
-//!   operator also has a `*_sink` form feeding a [`sink::SinkMode`];
+//!   caller; an equi-join may also probe a growing IDB's chained index
+//!   through the same probe loop. Every producing operator feeds a
+//!   [`sink::SinkMode`];
 //! * [`sink`] — the fused streaming delta pipeline: a [`sink::DeltaSink`]
 //!   probed at the operators' emit sites fuses dedup + set difference into
 //!   the join itself, so the UNION-ALL intermediate `Rt` never materializes

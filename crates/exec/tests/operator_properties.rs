@@ -8,8 +8,11 @@ use recstep_common::lang::{CmpOp, Expr, Predicate};
 use recstep_exec::agg::{group_aggregate, AggCol, Bucket};
 use recstep_exec::chain::ChainTable;
 use recstep_exec::expr::AggFunc;
-use recstep_exec::index::OrderedIndex;
-use recstep_exec::join::{anti_join, cross_join, hash_join, JoinSpec};
+use recstep_exec::index::{OrderedIndex, PersistentIndex};
+use recstep_exec::join::{
+    anti_join_sink, chained_join_sink, cross_join_sink, hash_join_sink, index_join_sink, JoinSpec,
+};
+use recstep_exec::sink::SinkMode;
 use recstep_exec::ExecCtx;
 use recstep_storage::{Relation, Schema};
 use std::collections::{BTreeMap, BTreeSet};
@@ -137,7 +140,7 @@ proptest! {
             output: &[Expr::Col(1), Expr::Col(3)],
             residual: &[],
         };
-        let out = hash_join(&ctx, l.view(), r.view(), &spec);
+        let out = hash_join_sink(&ctx, l.view(), r.view(), &spec, &SinkMode::Materialize);
         let mut got: Vec<Pair> =
             (0..out[0].len()).map(|i| (out[0][i], out[1][i])).collect();
         got.sort_unstable();
@@ -154,6 +157,64 @@ proptest! {
     }
 
     #[test]
+    fn chained_and_ordered_build_sides_match_nested_loop(
+        left in proptest::collection::vec((0i64..5, 0i64..4, -5i64..5), 0..120),
+        right in proptest::collection::vec((0i64..5, 0i64..4, -5i64..5), 0..120),
+        build_left in any::<bool>(),
+        wide in any::<bool>(),
+    ) {
+        // One join on two key columns, its build side served once by a
+        // chained index and once by a key-ordered one. `wide` spreads the
+        // keys 2^40 apart, so the two key columns span more than 64 bits:
+        // the chained index hashes and verifies keys, and the key-ordered
+        // one hashes its buckets.
+        let ctx = ExecCtx::with_threads(3);
+        let scale = if wide { 1i64 << 40 } else { 1 };
+        let rel = |rows: &[(i64, i64, i64)]| {
+            let mut r = Relation::new(Schema::with_arity("t", 3));
+            for &(a, b, v) in rows {
+                r.push_row(&[a * scale, b * scale, v]);
+            }
+            r
+        };
+        let (l, r) = (rel(&left), rel(&right));
+        let spec = JoinSpec {
+            left_keys: &[0, 1],
+            right_keys: &[0, 1],
+            build_left,
+            output: &[Expr::Col(2), Expr::Col(5)],
+            residual: &[],
+        };
+        let (build, probe) = if build_left { (&l, &r) } else { (&r, &l) };
+        let mut chained = PersistentIndex::build(&ctx, build.view(), vec![0, 1]);
+        // The engine's contract: the key mode must cover the probe keys.
+        chained.sync_for_probe(&ctx, build.view(), probe.view(), &[0, 1]);
+        if wide && !build.is_empty() {
+            prop_assert!(!chained.mode().exact(), "keys over 64 bits hash");
+        }
+        let ordered = OrderedIndex::build(&ctx, build.view(), vec![0, 1]);
+        let pairs = |out: Vec<Vec<i64>>| {
+            let mut got: Vec<Pair> = (0..out[0].len()).map(|i| (out[0][i], out[1][i])).collect();
+            got.sort_unstable();
+            got
+        };
+        let mut oracle: Vec<Pair> = Vec::new();
+        for &(la, lb, lv) in &left {
+            for &(ra, rb, rv) in &right {
+                if (la, lb) == (ra, rb) {
+                    oracle.push((lv, rv));
+                }
+            }
+        }
+        oracle.sort_unstable();
+        let sink = SinkMode::Materialize;
+        let out = chained_join_sink(&ctx, probe.view(), &chained, build.view(), &spec, &sink);
+        prop_assert_eq!(pairs(out), oracle.clone());
+        let out = index_join_sink(&ctx, probe.view(), &ordered, &spec, &sink);
+        prop_assert_eq!(pairs(out), oracle);
+    }
+
+    #[test]
     fn residual_prunes_exactly(
         rows in proptest::collection::vec((0i64..10, 0i64..10), 0..100),
     ) {
@@ -166,7 +227,7 @@ proptest! {
             output: &[Expr::Col(1), Expr::Col(3)],
             residual: &[Predicate { lhs: Expr::Col(1), op: CmpOp::Lt, rhs: Expr::Col(3) }],
         };
-        let out = hash_join(&ctx, l.view(), l.view(), &spec);
+        let out = hash_join_sink(&ctx, l.view(), l.view(), &spec, &SinkMode::Materialize);
         for i in 0..out[0].len() {
             prop_assert!(out[0][i] < out[1][i]);
         }
@@ -193,7 +254,15 @@ proptest! {
         for &k in &right_keys {
             r.push_row(&[k]);
         }
-        let out = anti_join(&ctx, l.view(), r.view(), &[0], &[0], &[Expr::Col(0), Expr::Col(1)]);
+        let out = anti_join_sink(
+            &ctx,
+            l.view(),
+            r.view(),
+            &[0],
+            &[0],
+            &[Expr::Col(0), Expr::Col(1)],
+            &SinkMode::Materialize,
+        );
         let keys: BTreeSet<i64> = right_keys.iter().copied().collect();
         let mut got: Vec<Pair> = (0..out[0].len()).map(|i| (out[0][i], out[1][i])).collect();
         got.sort_unstable();
@@ -211,7 +280,14 @@ proptest! {
         let ctx = ExecCtx::with_threads(2);
         let l = rel_of(&(0..ln as i64).map(|i| (i, i)).collect::<Vec<_>>());
         let r = rel_of(&(0..rn as i64).map(|i| (i, i)).collect::<Vec<_>>());
-        let out = cross_join(&ctx, l.view(), r.view(), &[Expr::Col(0), Expr::Col(2)], &[]);
+        let out = cross_join_sink(
+            &ctx,
+            l.view(),
+            r.view(),
+            &[Expr::Col(0), Expr::Col(2)],
+            &[],
+            &SinkMode::Materialize,
+        );
         prop_assert_eq!(out[0].len(), ln * rn);
     }
 

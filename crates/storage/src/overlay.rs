@@ -165,7 +165,7 @@ impl<'d> RunCatalog<'d> {
     pub fn shared_version(&self, id: RelId) -> Option<u64> {
         match self {
             // Exclusive mode: every id is a database id; the *caller*
-            // additionally excludes the IDBs it is about to mutate.
+            // asks only for relations no later step of its run mutates.
             RunCatalog::Exclusive(c) => Some(c.version(id)),
             RunCatalog::Shared(o) => {
                 if id < o.base.len() && !o.shadow.contains_key(&id) {
