@@ -1,90 +1,18 @@
 //! Evaluation statistics: the instrumentation behind the paper's figures.
+//!
+//! Every counter is declared once, in the `counters!` table below: its
+//! doc comment, its name, its type and its merge rule. The table
+//! generates the four counter structs, each struct's `merge` and each
+//! struct's `visit`, which yields one flat `(key, value)` pair per
+//! counter. `recstep --stats` prints those pairs one `key: value` line
+//! each, and the service's `/stats` reports them as its `lifetime`
+//! object. A key is the field's name. A `Duration` is read in whole
+//! microseconds under `<name>_us`, `strata` as its length, and a nested
+//! group (`phase`, `index`, `view`) inlines its own keys.
 
 use std::time::Duration;
 
 use recstep_exec::setdiff::SetDiffAlgo;
-
-/// Wall-clock time spent in each engine phase.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseTimes {
-    /// Rule-body evaluation (joins, projections) on the materializing path.
-    pub eval: Duration,
-    /// The fused streaming pipeline: rule-body evaluation with dedup + set
-    /// difference pushed into the operators' probe loops (replaces
-    /// `eval` + `dedup` + `setdiff` when the pipeline is fused).
-    pub pipeline: Duration,
-    /// Deduplication.
-    pub dedup: Duration,
-    /// Set difference.
-    pub setdiff: Duration,
-    /// Aggregation (group-by and monotonic absorb).
-    pub aggregate: Duration,
-    /// Merging ∆R into R.
-    pub merge: Duration,
-    /// `analyze()` statistics collection.
-    pub analyze: Duration,
-    /// Persistent-index maintenance (incremental appends, rehashes).
-    pub index: Duration,
-    /// Persistent-storage I/O. Always zero: evaluation is in-memory and
-    /// writes no file (the I/O the paper's §5.2 store would do is counted
-    /// in [`EvalStats::io_bytes`] instead). Kept for report compatibility.
-    pub io: Duration,
-    /// Bit-matrix evaluation, including the checks that refused a matrix.
-    pub pbme: Duration,
-}
-
-/// Hash-index build/append accounting: the rebuild-vs-incremental
-/// instrumentation behind the `index_reuse` ablation. With reuse on, the
-/// full-R table of each recursive IDB is built once and appended
-/// thereafter; with reuse off every iteration rebuilds it, and these
-/// counters make the difference directly plottable.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IndexStats {
-    /// Membership tables built from scratch for the dedup/set-difference
-    /// stage. With reuse on this counts persistent full-R index builds
-    /// (one per recursive IDB per stratum, plus at most one compact-key
-    /// invalidation rebuild); with reuse off it counts every table a set
-    /// difference rebuilt per iteration — OPSD builds on all of R, TPSD
-    /// on the smaller of Rδ/R plus the intersection, so the off-path
-    /// count is per-iteration table *builds*, not all of them R-sized.
-    pub full_builds: usize,
-    /// Incremental appends into persistent full-R indexes.
-    pub full_appends: usize,
-    /// Transient Rt-sized dedup tables (the fused pass's scratch, or the
-    /// rebuild path's per-iteration dedup table).
-    pub scratch_builds: usize,
-    /// Join/anti-join build sides built into the run's cache: chained
-    /// indexes over a stratum's own IDBs, key-ordered ones over relations
-    /// frozen for the stratum — EDBs and lower strata's IDBs (the run's
-    /// own, or shared-cache publishes it paid for).
-    pub join_builds: usize,
-    /// Incremental appends into cached join build-side tables.
-    pub join_appends: usize,
-    /// Joins that probed a cached build-side table without any insert.
-    pub join_reuses: usize,
-    /// Probes served by the shared cross-run index cache (an index some
-    /// earlier — possibly concurrent — run already built).
-    pub cache_hits: usize,
-    /// Shared-cache misses this run paid for by building (and publishing)
-    /// the index. Across N concurrent runs over one database, hits and
-    /// misses sum so that each frozen index is built exactly once.
-    pub cache_misses: usize,
-    /// Entries the shared cache evicted on this run's behalf (budget
-    /// pressure at publish time or the engine's pre-OOM spill).
-    pub cache_evictions: usize,
-    /// Resident bytes of the shared cache when the run finished.
-    pub cache_bytes: usize,
-    /// Final IDB result indexes this run published into the shared cache
-    /// (`publish_idb_indexes`): key-ordered whole-tuple indexes over the
-    /// results, for later programs that join against them frozen.
-    pub published: usize,
-    /// Rows inserted by from-scratch builds (persistent indexes only).
-    pub build_rows: usize,
-    /// Rows inserted by incremental appends (persistent indexes only).
-    pub append_rows: usize,
-    /// Peak bytes held by persistent indexes plus their scratch tables.
-    pub bytes_peak: usize,
-}
 
 /// Per-stratum observations.
 #[derive(Clone, Debug, Default)]
@@ -97,247 +25,326 @@ pub struct StratumStats {
     pub pbme: bool,
 }
 
-/// Incremental view maintenance accounting: how a standing materialized
-/// view absorbed `/facts` commits with its two strategies — ∆-seeded
-/// re-entries for insertions, and under deletions a dead set read off the
-/// closure matrix (TC/SG units) or found by Backward/Forward proof
-/// checks, for recursive and non-recursive strata alike — and full
-/// scratch recomputes when the program shape (aggregation, negation,
-/// inline facts) or a failed refresh forces the fallback.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ViewStats {
-    /// Incremental refreshes applied to a standing view.
-    pub view_refreshes: u64,
-    /// Strata re-entered from insertion-seeded deltas alone.
-    pub view_seeded_strata: u64,
-    /// Units maintained under deletions whose Backward/Forward proof
-    /// search ran: deletion candidates checked for a surviving proof, the
-    /// unproved retracted, the stratum re-entered seeded from the commit's
-    /// inserts. Units whose dead set came off the closure matrix are
-    /// counted in `view_matrix_strata` instead.
-    pub view_bf_strata: u64,
-    /// Units maintained under deletions whose dead set was read off the
-    /// PBME closure matrix (TC- and SG-shaped units, no proof search):
-    /// the IDB rows outside the closure of the post-commit exit rows
-    /// retracted, the stratum re-entered seeded from the commit's inserts.
-    pub view_matrix_strata: u64,
-    /// Refreshes answered by a full from-scratch recompute instead
-    /// (ineligible program shape, ineligible commit, or a failed refresh).
-    pub view_fallbacks: u64,
-    /// Fresh tuples appended by ∆-seeding passes (including the insert
-    /// seeds of a Backward/Forward stratum); the fixpoint re-entry's own
-    /// ∆ rows are not counted.
-    pub view_tuples_seeded: u64,
-    /// Tuples retracted under deletions, by either route.
-    pub view_tuples_retracted: u64,
+/// Folds `other`'s value of one table entry into `self`'s, by the
+/// entry's rule.
+macro_rules! merge_by {
+    (sum, $a:expr, $b:expr) => {
+        $a += $b
+    };
+    (time, $a:expr, $b:expr) => {
+        $a += $b
+    };
+    (max, $a:expr, $b:expr) => {
+        $a = $a.max($b)
+    };
+    (last, $a:expr, $b:expr) => {
+        $a = $b
+    };
+    (concat, $a:expr, $b:expr) => {
+        $a.extend($b.iter().cloned())
+    };
+    (nested, $a:expr, $b:expr) => {
+        $a.merge(&$b)
+    };
 }
 
-impl ViewStats {
-    /// Accumulate another operation's counters (lifetime aggregation).
-    pub fn merge(&mut self, other: &ViewStats) {
-        self.view_refreshes += other.view_refreshes;
-        self.view_seeded_strata += other.view_seeded_strata;
-        self.view_bf_strata += other.view_bf_strata;
-        self.view_matrix_strata += other.view_matrix_strata;
-        self.view_fallbacks += other.view_fallbacks;
-        self.view_tuples_seeded += other.view_tuples_seeded;
-        self.view_tuples_retracted += other.view_tuples_retracted;
+/// Hands one table entry to a `visit` callback as `(key, value)`.
+macro_rules! visit_by {
+    (time, $f:ident, $key:ident, $v:expr) => {
+        $f(concat!(stringify!($key), "_us"), $v.as_micros() as u64)
+    };
+    (concat, $f:ident, $key:ident, $v:expr) => {
+        $f(stringify!($key), $v.len() as u64)
+    };
+    (nested, $f:ident, $key:ident, $v:expr) => {
+        $v.visit($f)
+    };
+    ($rule:ident, $f:ident, $key:ident, $v:expr) => {
+        $f(stringify!($key), $v as u64)
+    };
+}
+
+/// The counter table. Each entry is `rule name: Type`, under its doc
+/// comment. The rules:
+///
+/// * `sum` — a counter: runs add up;
+/// * `time` — a `Duration` that adds up, visited as `<name>_us`;
+/// * `max` — a peak: the larger wins;
+/// * `last` — a gauge: the later run's snapshot wins;
+/// * `concat` — a list: runs append, visited as its length;
+/// * `nested` — a group of its own: merged and visited by its own table.
+macro_rules! counters {
+    ($(
+        $(#[$attr:meta])*
+        pub struct $name:ident {
+            $(
+                $(#[$fattr:meta])*
+                $rule:ident $field:ident: $ty:ty,
+            )*
+        }
+    )*) => {$(
+        $(#[$attr])*
+        pub struct $name {
+            $(
+                $(#[$fattr])*
+                pub $field: $ty,
+            )*
+        }
+
+        impl $name {
+            /// Fold another run's statistics into this accumulator, entry
+            /// by entry (the service's lifetime aggregate behind `/stats`):
+            /// counters and durations sum, peaks take the maximum, the
+            /// `cache_bytes` gauge takes the later snapshot, per-stratum
+            /// details concatenate. Plain field-wise work, no allocation
+            /// beyond the appended strata.
+            pub fn merge(&mut self, other: &$name) {
+                $(merge_by!($rule, self.$field, other.$field);)*
+            }
+
+            /// Hand every counter to `f` as a flat `(key, value)`, in
+            /// declaration order, with nested groups inlined.
+            pub fn visit(&self, f: &mut impl FnMut(&'static str, u64)) {
+                $(visit_by!($rule, f, $field, self.$field);)*
+            }
+        }
+    )*};
+}
+
+counters! {
+    /// Wall-clock time spent in each engine phase.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct PhaseTimes {
+        /// Rule-body evaluation (joins, projections) on the materializing path.
+        time eval: Duration,
+        /// The fused streaming pipeline: rule-body evaluation with dedup + set
+        /// difference pushed into the operators' probe loops (replaces
+        /// `eval` + `dedup` + `setdiff` when the pipeline is fused).
+        time pipeline: Duration,
+        /// Deduplication.
+        time dedup: Duration,
+        /// Set difference.
+        time setdiff: Duration,
+        /// Aggregation (group-by and monotonic absorb).
+        time aggregate: Duration,
+        /// Merging ∆R into R.
+        time merge: Duration,
+        /// `analyze()` statistics collection.
+        time analyze: Duration,
+        /// Persistent-index maintenance (incremental appends, rehashes).
+        time index: Duration,
+        /// Persistent-storage I/O. Always zero: evaluation is in-memory and
+        /// writes no file (the I/O the paper's §5.2 store would do is counted
+        /// in [`EvalStats::io_bytes`] instead). Kept for report compatibility.
+        time io: Duration,
+        /// Bit-matrix evaluation, including the checks that refused a matrix.
+        time pbme: Duration,
     }
-}
 
-/// Statistics of one `run` of the engine.
-#[derive(Clone, Debug, Default)]
-pub struct EvalStats {
-    /// End-to-end wall time.
-    pub total: Duration,
-    /// Phase breakdown.
-    pub phase: PhaseTimes,
-    /// Per-stratum details.
-    pub strata: Vec<StratumStats>,
-    /// Total fixpoint iterations across strata.
-    pub iterations: usize,
-    /// Queries issued to the backend (the per-query overhead UIE batches).
-    pub queries_issued: usize,
-    /// Tuples produced by rule evaluation before deduplication.
-    pub tuples_considered: usize,
-    /// Rows the non-final joins of multi-atom chains offered to their
-    /// project-then-dedup stage (set-semantic passes only; the planner's
-    /// `JoinStep::live`).
-    pub intermediate_rows_offered: usize,
-    /// Those rows the stages kept, one per distinct live value: what the
-    /// next join actually read.
-    pub intermediate_rows_kept: usize,
-    /// How often each set-difference algorithm ran.
-    pub opsd_runs: usize,
-    /// How often each set-difference algorithm ran.
-    pub tpsd_runs: usize,
-    /// Fused dedup+set-difference passes against a persistent index (the
-    /// `index_reuse` replacement for an OPSD/TPSD + dedup pair), whether
-    /// streaming or over a materialized `Rt`.
-    pub fused_runs: usize,
-    /// Fused *streaming* pipeline passes: `Rt` never materialized,
-    /// duplicates dropped at the operators' probe sites.
-    pub pipeline_runs: usize,
-    /// Candidate rows the streaming pipeline dropped at the probe site
-    /// (rows the materializing path would have buffered, merged, flushed
-    /// and re-scanned before discarding them).
-    pub rt_rows_skipped_at_source: usize,
-    /// Bytes those dropped rows would have occupied in a materialized `Rt`.
-    pub rt_bytes_never_materialized: usize,
-    /// Bytes of UNION-ALL (`Rt`) candidate columns materialized and merged
-    /// by the non-streaming path. Zero under the fused pipeline — the
-    /// acceptance signal that duplicates die at the probe site.
-    pub rt_merge_bytes: usize,
-    /// Joins that probed a frozen relation's key-ordered index with their
-    /// other input (a ∆, an intermediate, or a smaller relation) — the
-    /// direction rule's cost choice, kept index and all.
-    pub delta_probe_joins: usize,
-    /// Subquery evaluations dispatched to the generic worst-case optimal
-    /// join (cyclic bodies walked as one variable-ordered intersection
-    /// instead of a chain of binary joins).
-    pub wcoj_runs: usize,
-    /// Rows the WCOJ leaf enumeration emitted into its sink, pre-dedup —
-    /// one per distinct variable binding, never one per intermediate
-    /// row-combination.
-    pub wcoj_rows_emitted: usize,
-    /// Of those, rows a WCOJ subquery materialized without the sink
-    /// because they were provably distinct: a head keeping every variable,
-    /// an empty `R`, no sampler and no other subquery feeding the IDB.
-    pub wcoj_rows_direct: usize,
-    /// Group-at-source streaming aggregation passes: aggregated heads
-    /// whose produced rows were folded into concurrent aggregate state at
-    /// the probe site instead of materializing a pre-aggregation `Rt`.
-    pub agg_sink_runs: usize,
-    /// Those aggregation passes whose `MIN`/`MAX` map had a
-    /// direct-addressed window over compact group keys (keys outside it
-    /// still escape to the hashed table in the same pass).
-    pub agg_dense_sinks: usize,
-    /// Candidate rows the aggregation sink folded at source (rows the
-    /// materializing path would have buffered into `Rt`, merged, and
-    /// re-scanned by the group-by pass).
-    pub agg_rows_folded_at_source: usize,
-    /// Groups the aggregation sink emitted as ∆: strict improvements for
-    /// monotonic (recursive MIN/MAX) heads, all result groups for one-shot
-    /// group-by heads.
-    pub agg_groups_improved: usize,
-    /// Improved groups of value-ordered recursive `MIN`/`MAX` heads that
-    /// the drain right after their improvement left pending for a later
-    /// iteration (the ∆ took only the lowest-valued bucket); 0 when every
-    /// drain took all its improved groups.
-    pub agg_groups_deferred: usize,
-    /// Rows the sink-side reservoir handed to the OOF-FA statistics pass
-    /// in place of a full `Rt` re-scan (0 unless `--oof-fa` streams
-    /// through an aggregation sink).
-    pub sink_stat_samples: usize,
-    /// Bucket-directory doublings of the fused sinks' hash tables (the
-    /// scratch table of every `DeltaSink` pass plus the monotonic map of
-    /// every recursive aggregation pass), summed at flush: how many times
-    /// a pass outgrew the capacity its table started with. The tables
-    /// double in flight, so this costs allocation, never chain length.
-    pub sink_table_doublings: usize,
-    /// Hash-index build/append accounting (rebuild vs. incremental).
-    pub index: IndexStats,
-    /// Peak engine-estimated heap bytes (relations + operator tables).
-    pub peak_bytes: usize,
-    /// Bytes a per-query-commit store (paper §5.2) would have written in
-    /// this run — counted, not written. Zero for shared-mode runs.
-    pub io_bytes: u64,
-    /// Flushes that store would have performed in this run (one per
-    /// non-empty derived table under EOST).
-    pub io_flushes: u64,
-    /// Worker busy-time over the run (for CPU-utilization reporting).
-    pub busy: Duration,
-    /// Bit-matrix bytes allocated, when PBME ran (0 when the memory-fit
-    /// or cost rule refused the matrix).
-    pub pbme_matrix_bytes: usize,
-    /// Strongly connected components of `arc` that PBME's TC closure ran
-    /// Algorithm 2 over (0 when no TC stratum took PBME: the rules run
-    /// before the condensation).
-    pub pbme_components: usize,
-    /// Incremental view maintenance accounting (all zero outside the
-    /// query service's standing materialized views).
-    pub view: ViewStats,
-}
-
-impl PhaseTimes {
-    fn merge(&mut self, other: &PhaseTimes) {
-        self.eval += other.eval;
-        self.pipeline += other.pipeline;
-        self.dedup += other.dedup;
-        self.setdiff += other.setdiff;
-        self.aggregate += other.aggregate;
-        self.merge += other.merge;
-        self.analyze += other.analyze;
-        self.index += other.index;
-        self.io += other.io;
-        self.pbme += other.pbme;
+    /// Hash-index build/append accounting: the rebuild-vs-incremental
+    /// instrumentation behind the `index_reuse` ablation. With reuse on, the
+    /// full-R table of each recursive IDB is built once and appended
+    /// thereafter; with reuse off every iteration rebuilds it, and these
+    /// counters make the difference directly plottable.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct IndexStats {
+        /// Membership tables built from scratch for the dedup/set-difference
+        /// stage. With reuse on this counts persistent full-R index builds
+        /// (one per recursive IDB per stratum, plus at most one compact-key
+        /// invalidation rebuild); with reuse off it counts every table a set
+        /// difference rebuilt per iteration — OPSD builds on all of R, TPSD
+        /// on the smaller of Rδ/R plus the intersection, so the off-path
+        /// count is per-iteration table *builds*, not all of them R-sized.
+        sum full_builds: usize,
+        /// Incremental appends into persistent full-R indexes.
+        sum full_appends: usize,
+        /// Transient Rt-sized dedup tables (the fused pass's scratch, or the
+        /// rebuild path's per-iteration dedup table).
+        sum scratch_builds: usize,
+        /// Join/anti-join build sides built into the run's cache: chained
+        /// indexes over a stratum's own IDBs, key-ordered ones over relations
+        /// frozen for the stratum — EDBs and lower strata's IDBs (the run's
+        /// own, or shared-cache publishes it paid for).
+        sum join_builds: usize,
+        /// Incremental appends into cached join build-side tables.
+        sum join_appends: usize,
+        /// Joins that probed a cached build-side table without any insert.
+        sum join_reuses: usize,
+        /// Probes served by the shared cross-run index cache (an index some
+        /// earlier — possibly concurrent — run already built).
+        sum cache_hits: usize,
+        /// Shared-cache misses this run paid for by building (and publishing)
+        /// the index. Across N concurrent runs over one database, hits and
+        /// misses sum so that each frozen index is built exactly once.
+        sum cache_misses: usize,
+        /// Entries the shared cache evicted on this run's behalf (budget
+        /// pressure at publish time or the engine's pre-OOM spill).
+        sum cache_evictions: usize,
+        /// Resident bytes of the shared cache when the run finished.
+        last cache_bytes: usize,
+        /// Final IDB result indexes this run published into the shared cache
+        /// (`publish_idb_indexes`): key-ordered whole-tuple indexes over the
+        /// results, for later programs that join against them frozen.
+        sum published: usize,
+        /// Rows inserted by from-scratch builds (persistent indexes only).
+        sum build_rows: usize,
+        /// Rows inserted by incremental appends (persistent indexes only).
+        sum append_rows: usize,
+        /// Peak bytes held by persistent indexes plus their scratch tables.
+        max bytes_peak: usize,
     }
-}
 
-impl IndexStats {
-    fn merge(&mut self, other: &IndexStats) {
-        self.full_builds += other.full_builds;
-        self.full_appends += other.full_appends;
-        self.scratch_builds += other.scratch_builds;
-        self.join_builds += other.join_builds;
-        self.join_appends += other.join_appends;
-        self.join_reuses += other.join_reuses;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
-        // A gauge, not a counter: the later run's snapshot wins.
-        self.cache_bytes = other.cache_bytes;
-        self.published += other.published;
-        self.build_rows += other.build_rows;
-        self.append_rows += other.append_rows;
-        self.bytes_peak = self.bytes_peak.max(other.bytes_peak);
+    /// Incremental view maintenance accounting: how a standing materialized
+    /// view absorbed `/facts` commits with its two strategies — ∆-seeded
+    /// re-entries for insertions, and under deletions a dead set read off the
+    /// closure matrix (TC/SG units) or found by Backward/Forward proof
+    /// checks, for recursive and non-recursive strata alike — and full
+    /// scratch recomputes when the program shape (aggregation, negation,
+    /// inline facts) or a failed refresh forces the fallback.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct ViewStats {
+        /// Incremental refreshes applied to a standing view.
+        sum view_refreshes: u64,
+        /// Strata re-entered from insertion-seeded deltas alone.
+        sum view_seeded_strata: u64,
+        /// Units maintained under deletions whose Backward/Forward proof
+        /// search ran: deletion candidates checked for a surviving proof, the
+        /// unproved retracted, the stratum re-entered seeded from the commit's
+        /// inserts. Units whose dead set came off the closure matrix are
+        /// counted in `view_matrix_strata` instead.
+        sum view_bf_strata: u64,
+        /// Units maintained under deletions whose dead set was read off the
+        /// PBME closure matrix (TC- and SG-shaped units, no proof search):
+        /// the IDB rows outside the closure of the post-commit exit rows
+        /// retracted, the stratum re-entered seeded from the commit's inserts.
+        sum view_matrix_strata: u64,
+        /// Refreshes answered by a full from-scratch recompute instead
+        /// (ineligible program shape, ineligible commit, or a failed refresh).
+        sum view_fallbacks: u64,
+        /// Fresh tuples appended by ∆-seeding passes (including the insert
+        /// seeds of a Backward/Forward stratum); the fixpoint re-entry's own
+        /// ∆ rows are not counted.
+        sum view_tuples_seeded: u64,
+        /// Tuples retracted under deletions, by either route.
+        sum view_tuples_retracted: u64,
+    }
+
+    /// Statistics of one `run` of the engine.
+    #[derive(Clone, Debug, Default)]
+    pub struct EvalStats {
+        /// End-to-end wall time.
+        time total: Duration,
+        /// Phase breakdown.
+        nested phase: PhaseTimes,
+        /// Per-stratum details.
+        concat strata: Vec<StratumStats>,
+        /// Total fixpoint iterations across strata.
+        sum iterations: usize,
+        /// Queries issued to the backend (the per-query overhead UIE batches).
+        sum queries_issued: usize,
+        /// Tuples produced by rule evaluation before deduplication.
+        sum tuples_considered: usize,
+        /// Rows the non-final joins of multi-atom chains offered to their
+        /// project-then-dedup stage (set-semantic passes only; the planner's
+        /// `JoinStep::live`).
+        sum intermediate_rows_offered: usize,
+        /// Those rows the stages kept, one per distinct live value: what the
+        /// next join actually read.
+        sum intermediate_rows_kept: usize,
+        /// How often each set-difference algorithm ran.
+        sum opsd_runs: usize,
+        /// How often each set-difference algorithm ran.
+        sum tpsd_runs: usize,
+        /// Fused dedup+set-difference passes against a persistent index (the
+        /// `index_reuse` replacement for an OPSD/TPSD + dedup pair), whether
+        /// streaming or over a materialized `Rt`.
+        sum fused_runs: usize,
+        /// Fused *streaming* pipeline passes: `Rt` never materialized,
+        /// duplicates dropped at the operators' probe sites.
+        sum pipeline_runs: usize,
+        /// Candidate rows the streaming pipeline dropped at the probe site
+        /// (rows the materializing path would have buffered, merged, flushed
+        /// and re-scanned before discarding them).
+        sum rt_rows_skipped_at_source: usize,
+        /// Bytes those dropped rows would have occupied in a materialized `Rt`.
+        sum rt_bytes_never_materialized: usize,
+        /// Bytes of UNION-ALL (`Rt`) candidate columns materialized and merged
+        /// by the non-streaming path. Zero under the fused pipeline — the
+        /// acceptance signal that duplicates die at the probe site.
+        sum rt_merge_bytes: usize,
+        /// Joins that probed a frozen relation's key-ordered index with their
+        /// other input (a ∆, an intermediate, or a smaller relation) — the
+        /// direction rule's cost choice, kept index and all.
+        sum delta_probe_joins: usize,
+        /// Subquery evaluations dispatched to the generic worst-case optimal
+        /// join (cyclic bodies walked as one variable-ordered intersection
+        /// instead of a chain of binary joins).
+        sum wcoj_runs: usize,
+        /// Rows the WCOJ leaf enumeration emitted into its sink, pre-dedup —
+        /// one per distinct variable binding, never one per intermediate
+        /// row-combination.
+        sum wcoj_rows_emitted: usize,
+        /// Of those, rows a WCOJ subquery materialized without the sink
+        /// because they were provably distinct: a head keeping every variable,
+        /// an empty `R`, no sampler and no other subquery feeding the IDB.
+        sum wcoj_rows_direct: usize,
+        /// Group-at-source streaming aggregation passes: aggregated heads
+        /// whose produced rows were folded into concurrent aggregate state at
+        /// the probe site instead of materializing a pre-aggregation `Rt`.
+        sum agg_sink_runs: usize,
+        /// Those aggregation passes whose `MIN`/`MAX` map had a
+        /// direct-addressed window over compact group keys (keys outside it
+        /// still escape to the hashed table in the same pass).
+        sum agg_dense_sinks: usize,
+        /// Candidate rows the aggregation sink folded at source (rows the
+        /// materializing path would have buffered into `Rt`, merged, and
+        /// re-scanned by the group-by pass).
+        sum agg_rows_folded_at_source: usize,
+        /// Groups the aggregation sink emitted as ∆: strict improvements for
+        /// monotonic (recursive MIN/MAX) heads, all result groups for one-shot
+        /// group-by heads.
+        sum agg_groups_improved: usize,
+        /// Improved groups of value-ordered recursive `MIN`/`MAX` heads that
+        /// the drain right after their improvement left pending for a later
+        /// iteration (the ∆ took only the lowest-valued bucket); 0 when every
+        /// drain took all its improved groups.
+        sum agg_groups_deferred: usize,
+        /// Rows the sink-side reservoir handed to the OOF-FA statistics pass
+        /// in place of a full `Rt` re-scan (0 unless `--oof-fa` streams
+        /// through an aggregation sink).
+        sum sink_stat_samples: usize,
+        /// Bucket-directory doublings of the fused sinks' hash tables (the
+        /// scratch table of every `DeltaSink` pass plus the monotonic map of
+        /// every recursive aggregation pass), summed at flush: how many times
+        /// a pass outgrew the capacity its table started with. The tables
+        /// double in flight, so this costs allocation, never chain length.
+        sum sink_table_doublings: usize,
+        /// Hash-index build/append accounting (rebuild vs. incremental).
+        nested index: IndexStats,
+        /// Peak engine-estimated heap bytes (relations + operator tables).
+        max peak_bytes: usize,
+        /// Bytes a per-query-commit store (paper §5.2) would have written in
+        /// this run — counted, not written. Zero for shared-mode runs.
+        sum io_bytes: u64,
+        /// Flushes that store would have performed in this run (one per
+        /// non-empty derived table under EOST).
+        sum io_flushes: u64,
+        /// Worker busy-time over the run (for CPU-utilization reporting).
+        time busy: Duration,
+        /// Bit-matrix bytes allocated, when PBME ran (0 when the memory-fit
+        /// or cost rule refused the matrix).
+        max pbme_matrix_bytes: usize,
+        /// Strongly connected components of `arc` that PBME's TC closure ran
+        /// Algorithm 2 over (0 when no TC stratum took PBME: the rules run
+        /// before the condensation).
+        sum pbme_components: usize,
+        /// Incremental view maintenance accounting (all zero outside the
+        /// query service's standing materialized views).
+        nested view: ViewStats,
     }
 }
 
 impl EvalStats {
-    /// Fold another run's statistics into this accumulator — the
-    /// engine-lifetime aggregate view behind the service's `/stats`
-    /// endpoint (per-run reports only ever covered one evaluation).
-    /// Counters and durations sum, per-stratum details concatenate,
-    /// peaks take the maximum, and gauges (`index.cache_bytes`) take the
-    /// later run's snapshot.
-    pub fn merge(&mut self, other: &EvalStats) {
-        self.total += other.total;
-        self.phase.merge(&other.phase);
-        self.strata.extend(other.strata.iter().cloned());
-        self.iterations += other.iterations;
-        self.queries_issued += other.queries_issued;
-        self.tuples_considered += other.tuples_considered;
-        self.intermediate_rows_offered += other.intermediate_rows_offered;
-        self.intermediate_rows_kept += other.intermediate_rows_kept;
-        self.opsd_runs += other.opsd_runs;
-        self.tpsd_runs += other.tpsd_runs;
-        self.fused_runs += other.fused_runs;
-        self.pipeline_runs += other.pipeline_runs;
-        self.rt_rows_skipped_at_source += other.rt_rows_skipped_at_source;
-        self.rt_bytes_never_materialized += other.rt_bytes_never_materialized;
-        self.rt_merge_bytes += other.rt_merge_bytes;
-        self.delta_probe_joins += other.delta_probe_joins;
-        self.wcoj_runs += other.wcoj_runs;
-        self.wcoj_rows_emitted += other.wcoj_rows_emitted;
-        self.wcoj_rows_direct += other.wcoj_rows_direct;
-        self.agg_sink_runs += other.agg_sink_runs;
-        self.agg_dense_sinks += other.agg_dense_sinks;
-        self.agg_rows_folded_at_source += other.agg_rows_folded_at_source;
-        self.agg_groups_improved += other.agg_groups_improved;
-        self.agg_groups_deferred += other.agg_groups_deferred;
-        self.sink_stat_samples += other.sink_stat_samples;
-        self.sink_table_doublings += other.sink_table_doublings;
-        self.index.merge(&other.index);
-        self.peak_bytes = self.peak_bytes.max(other.peak_bytes);
-        self.io_bytes += other.io_bytes;
-        self.io_flushes += other.io_flushes;
-        self.busy += other.busy;
-        self.pbme_matrix_bytes = self.pbme_matrix_bytes.max(other.pbme_matrix_bytes);
-        self.pbme_components += other.pbme_components;
-        self.view.merge(&other.view);
-    }
-
     /// Record a set-difference algorithm choice.
     pub(crate) fn note_setdiff(&mut self, algo: SetDiffAlgo) {
         match algo {
@@ -429,6 +436,33 @@ mod tests {
         assert_eq!(acc.index.cache_bytes, 7, "gauge takes the later snapshot");
         assert_eq!(acc.index.bytes_peak, 60);
         assert_eq!(acc.strata.len(), 1);
+    }
+
+    #[test]
+    fn visit_yields_one_flat_key_per_counter() {
+        let mut s = EvalStats {
+            total: Duration::from_micros(1500),
+            iterations: 4,
+            ..Default::default()
+        };
+        s.phase.pbme = Duration::from_millis(2);
+        s.index.cache_hits = 5;
+        s.view.view_fallbacks = 6;
+        s.strata.push(StratumStats::default());
+        let mut seen = Vec::new();
+        s.visit(&mut |key, value| seen.push((key, value)));
+        let read = |key: &str| seen.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
+        assert_eq!(read("total_us"), Some(1500));
+        assert_eq!(read("pbme_us"), Some(2000));
+        assert_eq!(read("strata"), Some(1));
+        assert_eq!(read("iterations"), Some(4));
+        assert_eq!(read("cache_hits"), Some(5), "nested groups are inlined");
+        assert_eq!(read("view_fallbacks"), Some(6));
+        assert_eq!(read("total"), None, "a duration is keyed `<name>_us`");
+        let mut keys: Vec<_> = seen.iter().map(|(k, _)| *k).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), seen.len(), "keys are unique");
     }
 
     #[test]

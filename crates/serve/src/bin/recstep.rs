@@ -25,8 +25,8 @@
 //!   --index-cache-budget MB
 //!                     resident budget of the shared index cache
 //!                     [default: 2048]
-//!   --stats           print the evaluation statistics report (per-phase
-//!                     pipeline timers and shared-cache counters included)
+//!   --stats           print every evaluation statistic, one `key: value`
+//!                     line each (the keys of `/stats`'s `lifetime` object)
 //!
 //! Serve-mode options:
 //!   --addr HOST:PORT  listen address                 [default: 127.0.0.1:7171]
@@ -401,95 +401,8 @@ fn main() -> ExitCode {
                 println!("{name}: {rows} rows -> {}/{name}.csv", args.out.display());
             }
             if args.stats {
-                println!("\nstrata: {}", stats_out.strata.len());
-                println!("iterations: {}", stats_out.iterations);
-                println!("queries issued: {}", stats_out.queries_issued);
-                println!("tuples considered: {}", stats_out.tuples_considered);
-                println!(
-                    "chain intermediates: {} rows offered, {} kept",
-                    stats_out.intermediate_rows_offered, stats_out.intermediate_rows_kept
-                );
-                println!(
-                    "set difference: {} OPSD / {} TPSD / {} fused ({} streaming)",
-                    stats_out.opsd_runs,
-                    stats_out.tpsd_runs,
-                    stats_out.fused_runs,
-                    stats_out.pipeline_runs
-                );
-                println!(
-                    "fused pipeline: {} rows skipped at source, {} bytes never \
-                     materialized; rt merge bytes: {}",
-                    stats_out.rt_rows_skipped_at_source,
-                    stats_out.rt_bytes_never_materialized,
-                    stats_out.rt_merge_bytes
-                );
-                println!(
-                    "streaming aggregation: {} sink passes ({} dense), {} rows \
-                     folded at source, {} groups improved, {} sampled stat rows",
-                    stats_out.agg_sink_runs,
-                    stats_out.agg_dense_sinks,
-                    stats_out.agg_rows_folded_at_source,
-                    stats_out.agg_groups_improved,
-                    stats_out.sink_stat_samples
-                );
-                println!(
-                    "aggregation buckets: {} groups deferred",
-                    stats_out.agg_groups_deferred
-                );
-                println!(
-                    "sink tables: {} directory doublings",
-                    stats_out.sink_table_doublings
-                );
-                println!(
-                    "∆-probe joins: {} (frozen key-ordered indexes probed)",
-                    stats_out.delta_probe_joins
-                );
-                println!(
-                    "worst-case optimal joins: {} runs, {} rows emitted, {} direct",
-                    stats_out.wcoj_runs, stats_out.wcoj_rows_emitted, stats_out.wcoj_rows_direct
-                );
-                println!(
-                    "index tables: {} full builds / {} appends / {} scratch; \
-                     joins {} built / {} appended / {} reused; peak {} bytes",
-                    stats_out.index.full_builds,
-                    stats_out.index.full_appends,
-                    stats_out.index.scratch_builds,
-                    stats_out.index.join_builds,
-                    stats_out.index.join_appends,
-                    stats_out.index.join_reuses,
-                    stats_out.index.bytes_peak
-                );
-                println!(
-                    "shared index cache: {} hits / {} misses / {} evictions; \
-                     {} resident bytes ({} published)",
-                    stats_out.index.cache_hits,
-                    stats_out.index.cache_misses,
-                    stats_out.index.cache_evictions,
-                    stats_out.index.cache_bytes,
-                    stats_out.index.published
-                );
-                println!("peak bytes (engine estimate): {}", stats_out.peak_bytes);
-                println!(
-                    "io (counted, not written): {} bytes in {} flushes",
-                    stats_out.io_bytes, stats_out.io_flushes
-                );
-                println!("pbme: {}", stats_out.strata.iter().any(|s| s.pbme));
-                println!("pbme components: {}", stats_out.pbme_components);
-                let p = &stats_out.phase;
-                println!(
-                    "phase: pipeline {:?} / eval {:?} / dedup {:?} / setdiff {:?} / \
-                     aggregate {:?} / merge {:?} / analyze {:?} / index {:?} / pbme {:?}",
-                    p.pipeline,
-                    p.eval,
-                    p.dedup,
-                    p.setdiff,
-                    p.aggregate,
-                    p.merge,
-                    p.analyze,
-                    p.index,
-                    p.pbme
-                );
-                println!("total: {:?}", stats_out.total);
+                println!();
+                stats_out.visit(&mut |key, value| println!("{key}: {value}"));
             }
             ExitCode::SUCCESS
         }

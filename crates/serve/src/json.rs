@@ -27,14 +27,19 @@ pub enum Json {
     Obj(BTreeMap<String, Json>),
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, and a request body may hold millions of `[`,
+/// so deeper input is an error rather than a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 impl Json {
-    /// Parse a complete JSON document (trailing garbage is an error).
+    /// Parse a complete JSON document (trailing garbage is an error, and so
+    /// is nesting deeper than [`MAX_DEPTH`]).
     pub fn parse(src: &str) -> Result<Json, String> {
-        let bytes = src.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let v = parse_value(src, &mut pos, 0)?;
+        skip_ws(src.as_bytes(), &mut pos);
+        if pos != src.len() {
             return Err(format!("trailing bytes at offset {pos}"));
         }
         Ok(v)
@@ -103,13 +108,17 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => parse_str(b, pos).map(Json::Str),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at offset {pos}"
+        )),
+        Some(b'{') => parse_obj(s, pos, depth + 1),
+        Some(b'[') => parse_arr(s, pos, depth + 1),
+        Some(b'"') => parse_str(s, pos).map(Json::Str),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
@@ -146,58 +155,53 @@ fn parse_int(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|e| format!("bad integer '{text}': {e}"))
 }
 
-fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_str(s: &str, pos: &mut usize) -> Result<String, String> {
+    let b = s.as_bytes();
     debug_assert_eq!(b[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
     loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+        // Copy everything up to the next quote or backslash as one slice:
+        // both are ASCII, so the run ends on a char boundary of `s`.
+        let run = b[*pos..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\')
+            .ok_or("unterminated string")?;
+        out.push_str(&s[*pos..*pos + run]);
+        *pos += run;
+        if b[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
+        }
+        let esc = b.get(*pos + 1).ok_or("unterminated escape")?;
+        *pos += 2;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b't' => out.push('\t'),
+            b'r' => out.push('\r'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'u' => {
+                let hex = s
+                    .get(*pos..*pos + 4)
+                    .filter(|h| h.bytes().all(|c| c.is_ascii_hexdigit()))
+                    .ok_or("bad \\u escape")?;
+                let code = u32::from_str_radix(hex, 16).expect("four hex digits");
+                *pos += 4;
+                // Surrogate pairs are out of scope for this protocol;
+                // map them to the replacement character.
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
             }
-            Some(b'\\') => {
-                *pos += 1;
-                let esc = b.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .ok_or("truncated \\u escape")
-                            .and_then(|h| std::str::from_utf8(h).map_err(|_| "bad \\u escape"))?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape hex")?;
-                        *pos += 4;
-                        // Surrogate pairs are out of scope for this protocol;
-                        // map them to the replacement character.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("unknown escape '\\{}'", *other as char)),
-                }
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| "invalid utf-8 in string".to_string())?;
-                let c = rest.chars().next().expect("non-empty by match arm");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            other => return Err(format!("unknown escape '\\{}'", *other as char)),
         }
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(s: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -206,7 +210,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(s, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -219,7 +223,8 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(s: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     *pos += 1; // '{'
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -232,13 +237,13 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         if b.get(*pos) != Some(&b'"') {
             return Err(format!("expected object key at offset {pos}"));
         }
-        let key = parse_str(b, pos)?;
+        let key = parse_str(s, pos)?;
         skip_ws(b, pos);
         if b.get(*pos) != Some(&b':') {
             return Err(format!("expected ':' at offset {pos}"));
         }
         *pos += 1;
-        map.insert(key, parse_value(b, pos)?);
+        map.insert(key, parse_value(s, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -349,5 +354,80 @@ mod tests {
             Some(i64::MIN)
         );
         assert!(Json::parse("9223372036854775808").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        assert!(Json::parse(&deep).unwrap_err().contains("nesting deeper"));
+        let deep_obj = "{\"a\":".repeat(200_000);
+        assert!(Json::parse(&deep_obj).is_err());
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let past_cap = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&past_cap).is_err());
+    }
+
+    #[test]
+    fn long_mixed_string_roundtrips() {
+        let mut text = String::new();
+        while text.len() < 1 << 20 {
+            text.push_str("aé∆😀\"\\\n\t\u{1}/x");
+        }
+        let v = Json::Str(text);
+        let wire = v.to_string();
+        assert_eq!(Json::parse(&wire).unwrap(), v);
+        // Escapes the writer never emits decode too.
+        assert_eq!(
+            Json::parse(r#""\/\b\f\u00e9\u2206\ud83d""#).unwrap(),
+            Json::Str("/\u{8}\u{c}é∆\u{fffd}".into())
+        );
+        assert!(Json::parse(r#""\u+abc""#).is_err());
+        assert!(Json::parse(r#""\u00é""#).is_err());
+    }
+
+    /// Byte flips, truncations and insertions of structural bytes over
+    /// valid `/query` and `/facts` bodies: `parse` never panics, and every
+    /// document it accepts survives `to_string` → `parse` unchanged.
+    #[test]
+    fn mutated_bodies_never_panic_and_accepted_ones_roundtrip() {
+        let seeds = [
+            r#"{"program":"tc(x, y) :- arc(x, y).\ntc(x, y) :- tc(x, z), arc(z, y).","output":["tc"]}"#,
+            r#"{"program":"cc(x, MIN(x)) :- arc(x, _).","limit":10,"explain":false}"#,
+            r#"{"insert":{"arc":[[1,2],[2,3],[-4,9223372036854775807]]},"delete":{"arc":[[0,1]]}}"#,
+            r#"{"delete":{"blocked":[[7]]},"note":"é∆ \"q\" \\ \u0041","x":null}"#,
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let (mut accepted, mut rejected) = (0, 0);
+        for round in 0..4000 {
+            let mut bytes = seeds[round % seeds.len()].as_bytes().to_vec();
+            for _ in 0..1 + next(3) {
+                let at = next(bytes.len() + 1);
+                match next(3) {
+                    0 if at < bytes.len() => bytes[at] ^= 1 << next(8),
+                    1 => bytes.truncate(at),
+                    _ => bytes.insert(at, b"[{\"\\-"[next(5)]),
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            match Json::parse(&text) {
+                Ok(v) => {
+                    accepted += 1;
+                    let wire = v.to_string();
+                    assert_eq!(Json::parse(&wire).as_ref(), Ok(&v), "{text:?} -> {wire:?}");
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        assert!(
+            accepted >= 100 && rejected >= 100,
+            "{accepted} accepted, {rejected} rejected"
+        );
     }
 }

@@ -692,21 +692,9 @@ impl ServerState {
         };
         let lifetime = {
             let l = self.lifetime.lock();
-            json::obj(vec![
-                ("strata", json::int(l.strata.len())),
-                ("iterations", json::int(l.iterations)),
-                ("tuples_considered", json::int(l.tuples_considered)),
-                ("cache_hits", json::int(l.index.cache_hits)),
-                ("cache_misses", json::int(l.index.cache_misses)),
-                ("cache_evictions", json::int(l.index.cache_evictions)),
-                ("published", json::int(l.index.published)),
-                ("view_refreshes", json::int(l.view.view_refreshes)),
-                ("view_seeded_strata", json::int(l.view.view_seeded_strata)),
-                ("view_bf_strata", json::int(l.view.view_bf_strata)),
-                ("view_matrix_strata", json::int(l.view.view_matrix_strata)),
-                ("view_fallbacks", json::int(l.view.view_fallbacks)),
-                ("total_us", json::int(l.total.as_micros())),
-            ])
+            let mut pairs = Vec::new();
+            l.visit(&mut |key, value| pairs.push((key, json::int(value))));
+            json::obj(pairs)
         };
         let durability = {
             let dur = self.durability.lock();

@@ -1,12 +1,13 @@
 //! `docs/flags.md` is checked, not trusted: every public field of
-//! `Config`, `EvalStats`, `IndexStats` and `ViewStats` must appear (as `` `name` ``)
-//! in the flags table, and every CLI flag the binary parses must be
-//! mentioned there and in the binary's usage string — so a new toggle or
-//! counter cannot land undocumented.
+//! `Config` and every statistics key `EvalStats::visit` yields must appear
+//! (as `` `name` ``) in the flags tables, and every CLI flag the binary
+//! parses must be mentioned there and in the binary's usage string — so a
+//! new toggle or counter cannot land undocumented.
+
+use recstep::EvalStats;
 
 const FLAGS_MD: &str = include_str!("../docs/flags.md");
 const CONFIG_RS: &str = include_str!("../crates/core/src/config.rs");
-const STATS_RS: &str = include_str!("../crates/core/src/stats.rs");
 const BIN_RS: &str = include_str!("../crates/serve/src/bin/recstep.rs");
 
 /// Public field names of the struct named `name` in `src` (brace-counted,
@@ -60,15 +61,14 @@ fn every_config_field_is_documented() {
 
 #[test]
 fn every_stats_field_is_documented() {
-    for strukt in ["EvalStats", "IndexStats", "ViewStats"] {
-        let fields = pub_fields(STATS_RS, strukt);
-        assert!(!fields.is_empty(), "no fields parsed for {strukt}");
-        for f in fields {
-            assert!(
-                FLAGS_MD.contains(&format!("`{f}`")),
-                "{strukt} field `{f}` missing from docs/flags.md"
-            );
-        }
+    let mut keys = Vec::new();
+    EvalStats::default().visit(&mut |key, _| keys.push(key));
+    assert!(keys.len() >= 60, "visited stats keys: {keys:?}");
+    for key in keys {
+        assert!(
+            FLAGS_MD.contains(&format!("`{key}`")),
+            "stats key `{key}` missing from docs/flags.md"
+        );
     }
 }
 

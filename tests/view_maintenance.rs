@@ -22,15 +22,18 @@
 //!    incremental refresh against the scratch rerun; a ~1% insert delta
 //!    on the ≥ 20-iteration TC workload must clear the `ivm.tc_insert`
 //!    gate (`RECSTEP_SKIP_SPEEDUP_GATE=1` skips the assertion).
+//! 5. **Observability**: the service's `/stats` `lifetime` object carries
+//!    exactly the counter table's keys, with a view's maintenance counts.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use proptest::prelude::*;
-use recstep::{Config, Database, MaterializedView, PbmeMode, ServeConfig, Value};
+use recstep::{Config, Database, EvalStats, MaterializedView, PbmeMode, ServeConfig, Value};
 use recstep_bench::{assert_gate, ivm_ablations};
 use recstep_common::fail;
 use recstep_serve::client::{get, post};
+use recstep_serve::json::Json;
 use recstep_serve::Server;
 
 /// Failpoints are process-global and the bench test below takes
@@ -562,6 +565,58 @@ fn serve_panicking_refresh_never_serves_a_half_maintained_view() {
     assert!(counter(&stats, "view_hits") >= 1, "{stats}");
 
     server.shutdown();
+}
+
+/// `/stats`'s `lifetime` object is the counter table's walk: exactly the
+/// keys `EvalStats::visit` yields, each once, with the values a view's
+/// creation and one matrix-route delete booked.
+#[test]
+fn stats_lifetime_reports_every_counter() {
+    let _serial = serial();
+    let mut db = Database::new().unwrap();
+    db.load_edges("arc", &[(1, 2), (2, 3), (3, 4)]).unwrap();
+    let server = Server::start(
+        Config::default().threads(1),
+        ServeConfig::default().addr("127.0.0.1:0"),
+        db,
+    )
+    .unwrap();
+    let addr = server.addr();
+
+    let (status, body) = post(addr, "/query", &query_body(TC_JSON)).unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"total\":6"), "{body}");
+    let (status, body) = post(addr, "/facts", "{\"delete\":{\"arc\":[[3,4]]}}").unwrap();
+    assert_eq!(status, 200, "{body}");
+    let (status, stats) = get(addr, "/stats").unwrap();
+    assert_eq!(status, 200, "{stats}");
+    server.shutdown();
+
+    let mut keys = Vec::new();
+    EvalStats::default().visit(&mut |key, _| keys.push(key.to_string()));
+    let visited = keys.len();
+    keys.sort();
+    keys.dedup();
+    assert_eq!(keys.len(), visited, "a stats key is visited twice");
+    let stats = Json::parse(&stats).unwrap();
+    let Some(Json::Obj(lifetime)) = stats.get("lifetime") else {
+        panic!("no lifetime object in {stats}");
+    };
+    assert_eq!(lifetime.keys().cloned().collect::<Vec<_>>(), keys);
+    let read = |key: &str| lifetime[key].as_int().unwrap();
+    // Creation books two one-iteration strata: the exit rule's pass and
+    // the closure matrix. The delete is one refresh whose dead set comes
+    // off the matrix; its re-entry finds no inserts to seed and stops
+    // after one iteration.
+    assert_eq!(read("strata"), 3, "{stats}");
+    assert_eq!(read("iterations"), 3, "{stats}");
+    assert_eq!(read("view_refreshes"), 1, "{stats}");
+    assert_eq!(read("view_matrix_strata"), 1, "{stats}");
+    assert_eq!(read("view_bf_strata"), 0, "{stats}");
+    assert_eq!(read("view_tuples_retracted"), 3, "{stats}");
+    // The two keys perfbench's serve_mix reads.
+    assert_eq!(read("view_fallbacks"), 0, "{stats}");
+    assert!(lifetime.contains_key("cache_hits"), "{stats}");
 }
 
 #[test]
