@@ -1252,6 +1252,7 @@ impl<'d> EvalRun<'_, 'd> {
         }
         let out = eval(self, &SinkMode::Delta(&sink));
         stats.sink_table_doublings += sink.table_doublings();
+        stats.sink_windows += usize::from(sink.windowed());
         let mut out = out?;
         let overflow = sink.take_overflow();
         if !overflow.is_empty() {
@@ -1431,6 +1432,7 @@ impl<'d> EvalRun<'_, 'd> {
         stats.wcoj_rows_direct += out.tally.wcoj_direct;
         stats.intermediate_rows_offered += out.tally.stage_offered;
         stats.intermediate_rows_kept += out.tally.stage_kept;
+        stats.sink_windows += out.tally.stage_windows;
         stats.tuples_considered += considered;
         if self.cfg.oof == OofMode::None {
             freeze_choices(&self.catalog, jcache, stratum, idb, states, idx);
@@ -2287,6 +2289,8 @@ struct Tally {
     stage_offered: usize,
     /// Rows they kept (materialized for the next join).
     stage_kept: usize,
+    /// Those stages whose values were kept in a bit window.
+    stage_windows: usize,
 }
 
 /// Output of [`eval_idb`].
@@ -2548,9 +2552,21 @@ fn eval_subquery<'a>(
             capped.row_cap = (cfg.mem_budget_bytes / (output.len().max(1) * 8)).max(1);
             let ctx = &capped;
             // Set semantics downstream (a `Delta` sink): keep one row per
-            // distinct live value; the cap then counts survivors only.
+            // distinct live value; the cap then counts survivors only. A
+            // live column's values come from one scan column, whose
+            // source's cached bounds cover them (a filter only narrows).
             let distinct = match (&join.live, sink) {
-                (Some(live), SinkMode::Delta(_)) if !last => Some(DistinctSink::new(live)),
+                (Some(live), SinkMode::Delta(_)) if !last => {
+                    let bounds: Option<Vec<(Value, Value)>> = live
+                        .iter()
+                        .map(|&c| {
+                            let (scan, col) = scan_of_column(sq, c);
+                            source_of(scan).ok()?.cached_bounds(col)
+                        })
+                        .collect();
+                    let rows = left_view.len() + right.len();
+                    Some(DistinctSink::new(live, bounds.as_deref(), rows))
+                }
                 _ => None,
             };
             let distinct_mode = distinct.as_ref().map(SinkMode::Distinct);
@@ -2622,6 +2638,7 @@ fn eval_subquery<'a>(
             if let Some(d) = &distinct {
                 tally.stage_offered += d.considered();
                 tally.stage_kept += rows;
+                tally.stage_windows += usize::from(d.windowed());
             }
             let bytes = acc.iter().map(|c| c.len() * 8).sum::<usize>();
             if rows >= ctx.row_cap || bytes > cfg.mem_budget_bytes {

@@ -808,6 +808,11 @@ impl<'a> BackwardForward<'a> {
             self.m.rows(slot).copy_row(id as usize, &mut row);
             self.close(slot, &row);
             self.proved.insert((slot, hash_row(&row)));
+            // Only an open fact can be proved here: with none left, the
+            // instances this fact supports need not be enumerated.
+            if self.open.is_empty() {
+                continue;
+            }
             for &(r, p) in &self.uses[slot] {
                 let head = self.m.rules[r].head;
                 let mut found = Vec::new();

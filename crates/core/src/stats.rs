@@ -319,6 +319,11 @@ counters! {
         /// a pass outgrew the capacity its table started with. The tables
         /// double in flight, so this costs allocation, never chain length.
         sum sink_table_doublings: usize,
+        /// Set-sink passes served by a bit window instead of a hash table
+        /// (see `exec::sink`): `DeltaSink` passes whose full-R index keeps
+        /// a membership window of `R`, plus deduplicated chain stages
+        /// whose live columns pack narrowly. 0 when every key is wide.
+        sum sink_windows: usize,
         /// Hash-index build/append accounting (rebuild vs. incremental).
         nested index: IndexStats,
         /// Peak engine-estimated heap bytes (relations + operator tables).
@@ -352,26 +357,6 @@ impl EvalStats {
             SetDiffAlgo::Tpsd => self.tpsd_runs += 1,
         }
     }
-
-    /// Mean CPU utilization over the run: busy time divided by
-    /// `threads × wall`.
-    pub fn cpu_utilization(&self, threads: usize) -> f64 {
-        let denom = self.total.as_secs_f64() * threads.max(1) as f64;
-        if denom <= 0.0 {
-            return 0.0;
-        }
-        (self.busy.as_secs_f64() / denom).min(1.0)
-    }
-
-    /// CPU efficiency as defined in Appendix B: `1 / (t · n)` for runtime
-    /// `t` seconds on `n` cores.
-    pub fn cpu_efficiency(&self, threads: usize) -> f64 {
-        let t = self.total.as_secs_f64();
-        if t <= 0.0 {
-            return f64::INFINITY;
-        }
-        1.0 / (t * threads.max(1) as f64)
-    }
 }
 
 #[cfg(test)]
@@ -386,20 +371,6 @@ mod tests {
         s.note_setdiff(SetDiffAlgo::Tpsd);
         assert_eq!(s.opsd_runs, 2);
         assert_eq!(s.tpsd_runs, 1);
-    }
-
-    #[test]
-    fn utilization_bounded() {
-        let s = EvalStats {
-            total: Duration::from_secs(2),
-            busy: Duration::from_secs(6),
-            ..Default::default()
-        };
-        assert!((s.cpu_utilization(4) - 0.75).abs() < 1e-9);
-        // More busy than wall × threads clamps to 1.
-        assert_eq!(s.cpu_utilization(1), 1.0);
-        let zero = EvalStats::default();
-        assert_eq!(zero.cpu_utilization(4), 0.0);
     }
 
     #[test]
@@ -463,14 +434,5 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), seen.len(), "keys are unique");
-    }
-
-    #[test]
-    fn efficiency_definition() {
-        let s = EvalStats {
-            total: Duration::from_secs(10),
-            ..Default::default()
-        };
-        assert!((s.cpu_efficiency(5) - 0.02).abs() < 1e-9);
     }
 }

@@ -1391,3 +1391,71 @@ fn rerun_after_an_insert_serves_no_stale_frozen_index() {
         }
     }
 }
+
+/// The set sinks' bit windows are an access path, never a result: CSPA,
+/// and TC with PBME off, run over one fact set and over the same set with
+/// its odd ids shifted by 2^40, which spreads every packed key past any
+/// window. Both runs must agree modulo the shift and with the naive
+/// evaluator, consider the same candidates, and only the narrow run may
+/// take a window.
+#[test]
+fn bit_windows_change_speed_never_results() {
+    const SHIFT: Value = 1 << 40;
+    let shift = |v: Value| if v % 2 == 1 { v + SHIFT } else { v };
+    let unshift = |v: Value| if v >= SHIFT { v - SHIFT } else { v };
+    let mut rnd = lcg(61);
+    let mut pairs = |n: u64, m: usize| -> Vec<(Value, Value)> {
+        (0..m)
+            .map(|_| ((rnd() % n) as Value, (rnd() % n) as Value))
+            .collect()
+    };
+    let cases = [
+        (
+            recstep::programs::CSPA,
+            vec![("assign", pairs(30, 40)), ("dereference", pairs(30, 14))],
+        ),
+        (recstep::programs::TC, vec![("arc", pairs(60, 90))]),
+    ];
+    for (src, inputs) in cases {
+        let mut runs = Vec::new();
+        for wide in [false, true] {
+            let mut db = Database::new().unwrap();
+            let mut naive = recstep_baselines::naive::NaiveEngine::new();
+            for (rel, edges) in &inputs {
+                let edges: Vec<(Value, Value)> = edges
+                    .iter()
+                    .map(|&(a, b)| if wide { (shift(a), shift(b)) } else { (a, b) })
+                    .collect();
+                db.load_edges(rel, &edges).unwrap();
+                naive.load_edges(rel, &edges);
+            }
+            naive.run_source(src).unwrap();
+            let prog = engine(Config::default().pbme(PbmeMode::Off))
+                .prepare(src)
+                .unwrap();
+            let stats = prog.run(&mut db).unwrap();
+            let mut rows = BTreeSet::new();
+            for idb in prog.compiled().idb_names() {
+                let got = sorted_idb_rows(&db, idb);
+                assert!(!got.is_empty(), "{idb} is empty");
+                assert_eq!(
+                    &got,
+                    naive.rows(idb).unwrap(),
+                    "{idb} (wide {wide}) differs from naive"
+                );
+                rows.extend(got.into_iter().map(|r| {
+                    (
+                        idb.to_string(),
+                        r.into_iter().map(unshift).collect::<Vec<_>>(),
+                    )
+                }));
+            }
+            runs.push((rows, stats));
+        }
+        let (narrow, wide) = (&runs[0], &runs[1]);
+        assert_eq!(narrow.0, wide.0, "results differ modulo the shift");
+        assert_eq!(narrow.1.tuples_considered, wide.1.tuples_considered);
+        assert!(narrow.1.sink_windows > 0, "the narrow run takes windows");
+        assert_eq!(wide.1.sink_windows, 0, "no window spans 2^40");
+    }
+}

@@ -58,6 +58,16 @@
 //! [`PersistentIndex::append`], which inserts the new rows under their
 //! stable ids. Per-iteration work is `O(|Rt|)` — never `O(|R|)` — and the
 //! full-R table is built exactly once per stratum.
+//!
+//! A whole-tuple index under a narrow packed layout also keeps a
+//! membership [`BitWindow`] of `R` ([`PersistentIndex::window`]; the rule
+//! is [`BitWindow::worth`]): one bit per packed key, set by `build` and
+//! `append` for the rows they insert, created once when `R` grows dense
+//! enough, and dropped with the packed layout by the hashed rebuild (a
+//! shrink rebuild chooses it afresh). Membership in `R` is then one bit,
+//! and the sink keeps its winners in a bit window of its own, so neither a
+//! chain nor a scratch table is touched. Sinks only read this window: a
+//! pass that is dropped or fails leaves it as it was.
 
 use std::time::{Duration, Instant};
 
@@ -68,6 +78,7 @@ use recstep_storage::RelView;
 
 use crate::chain::ChainTable;
 use crate::key::{bounds_of, KeyLayout, KeyMode};
+use crate::sink::BitWindow;
 use crate::util::{next_pow2_at_least, parallel_fill};
 use crate::ExecCtx;
 
@@ -95,6 +106,9 @@ pub struct PersistentIndex {
     mode: KeyMode,
     cols: Vec<usize>,
     rows: usize,
+    /// Membership bits of the covered rows' packed keys: only for a
+    /// whole-tuple key under a packed layout [`BitWindow::worth`] accepts.
+    window: Option<BitWindow>,
 }
 
 impl PersistentIndex {
@@ -112,6 +126,7 @@ impl PersistentIndex {
             mode,
             cols,
             rows: 0,
+            window: None,
         };
         idx.insert_range(ctx, base, 0, n);
         idx
@@ -139,15 +154,33 @@ impl PersistentIndex {
         &self.table
     }
 
-    /// Approximate heap footprint in bytes.
+    /// The membership bit window of `R`, when the index keeps one: bit
+    /// `k` is set iff a covered row packs to `k` under
+    /// [`PersistentIndex::mode`]'s layout.
+    pub fn window(&self) -> Option<&BitWindow> {
+        self.window.as_ref()
+    }
+
+    /// Approximate heap footprint in bytes: the chain table and the bit
+    /// window.
     pub fn heap_bytes(&self) -> usize {
-        self.table.heap_bytes()
+        self.table.heap_bytes() + self.window.as_ref().map_or(0, BitWindow::heap_bytes)
     }
 
     /// Insert rows `from..to` of `base` under their row ids (multimap
-    /// semantics), growing node storage and doubling buckets as needed.
+    /// semantics), growing node storage and doubling buckets as needed,
+    /// and set their window bits. The window a whole-tuple packed index
+    /// first finds worth keeping at `to` rows is created here and takes
+    /// rows `0..from` too — once per index.
     fn insert_range(&mut self, ctx: &ExecCtx, base: RelView<'_>, from: usize, to: usize) {
         debug_assert_eq!(from, self.rows);
+        let mut start = from;
+        if let (None, KeyMode::Packed(layout)) = (&self.window, &self.mode) {
+            if self.cols.iter().copied().eq(0..base.arity()) && BitWindow::worth(layout, to) {
+                self.window = Some(BitWindow::new(layout.clone()));
+                start = 0;
+            }
+        }
         if to > from {
             self.table.grow_nodes(to);
             // Keep the load factor at ≤ 0.5 nodes per bucket, the same
@@ -156,28 +189,38 @@ impl PersistentIndex {
             if to * 2 > self.table.buckets() {
                 self.table.rehash(to * 2);
             }
+        }
+        if to > start {
             let mode = &self.mode;
             let cols = &self.cols;
-            let keys = parallel_fill(&ctx.pool, to - from, ctx.grain, 0u64, |i| {
+            let keys = parallel_fill(&ctx.pool, to - start, ctx.grain, 0u64, |i| {
                 let mut scratch = Vec::new();
-                mode.key_of(base, from + i, cols, &mut scratch)
+                mode.key_of(base, start + i, cols, &mut scratch)
             });
             let table = &self.table;
-            ctx.pool.parallel_for(to - from, ctx.grain, |range, _| {
+            let window = self.window.as_ref();
+            ctx.pool.parallel_for(to - start, ctx.grain, |range, _| {
                 for i in range {
-                    table.insert_multi((from + i) as u32, keys[i]);
+                    if start + i >= from {
+                        table.insert_multi((start + i) as u32, keys[i]);
+                    }
+                    if let Some(w) = window {
+                        w.insert(keys[i]);
+                    }
                 }
             });
         }
         self.rows = to;
     }
 
-    /// Discard the table and rebuild over all of `base` in hashed mode
-    /// (the one-time compact-key invalidation path).
-    fn rebuild_hashed(&mut self, ctx: &ExecCtx, base: RelView<'_>) {
+    /// Discard the table and the window and rebuild over all of `base`
+    /// under `mode` (hashed after a compact-key invalidation, chosen
+    /// afresh after a shrink).
+    fn rebuild(&mut self, ctx: &ExecCtx, base: RelView<'_>, mode: KeyMode) {
         let n = base.len();
-        self.mode = KeyMode::Hashed;
+        self.mode = mode;
         self.table = ChainTable::with_capacity(n, n * 2);
+        self.window = None;
         self.rows = 0;
         self.insert_range(ctx, base, 0, n);
     }
@@ -198,11 +241,7 @@ impl PersistentIndex {
     pub fn append(&mut self, ctx: &ExecCtx, base: RelView<'_>) -> SyncAction {
         let n = base.len();
         if n < self.rows {
-            let mode = KeyMode::for_view(base, &self.cols);
-            self.table = ChainTable::with_capacity(n, n * 2);
-            self.mode = mode;
-            self.rows = 0;
-            self.insert_range(ctx, base, 0, n);
+            self.rebuild(ctx, base, KeyMode::for_view(base, &self.cols));
             return SyncAction::Rebuilt;
         }
         if n == self.rows {
@@ -218,7 +257,7 @@ impl PersistentIndex {
             // iff some appended value escapes. For stored relations this
             // reads the O(1) incremental cache.
             if !self.mode_admits(&b) {
-                self.rebuild_hashed(ctx, base);
+                self.rebuild(ctx, base, KeyMode::Hashed);
                 return SyncAction::Rebuilt;
             }
         }
@@ -243,7 +282,7 @@ impl PersistentIndex {
         let action = self.append(ctx, base);
         if let Some(b) = bounds_of(probe, probe_cols) {
             if !self.mode_admits(&b) {
-                self.rebuild_hashed(ctx, base);
+                self.rebuild(ctx, base, KeyMode::Hashed);
                 return SyncAction::Rebuilt;
             }
         }
@@ -749,6 +788,31 @@ mod tests {
         let mut scratch = Vec::new();
         let key = idx.mode().key_of(base.view(), 1, &[0], &mut scratch);
         assert!(idx.table().contains(key, |n| n == 1));
+    }
+
+    #[test]
+    fn a_window_is_created_once_r_grows_dense_enough() {
+        // 10 + 10 bits: past the window floor, so two rows keep no window;
+        // 2 000 rows make a 128 KiB window worth it, and the append that
+        // crosses the line sets the bits of every row, old and new.
+        let ctx = ctx();
+        let mut base =
+            Relation::from_rows(Schema::with_arity("r", 2), &[vec![0, 0], vec![1023, 1023]]);
+        let mut idx = PersistentIndex::build(&ctx, base.view(), vec![0, 1]);
+        assert!(idx.mode().exact() && idx.window().is_none());
+        for i in 0..2000 {
+            base.push_row(&[i % 1000, i / 2]);
+        }
+        assert_eq!(idx.append(&ctx, base.view()), SyncAction::Appended(2000));
+        let KeyMode::Packed(layout) = idx.mode() else {
+            panic!("still packed")
+        };
+        let w = idx.window().expect("dense enough now");
+        let keys: HashSet<u64> = base.to_rows().iter().map(|r| layout.pack(r)).collect();
+        assert!((0..1u64 << 20).all(|k| w.contains(k) == keys.contains(&k)));
+        // A join index (not the whole tuple) never keeps one.
+        let join = PersistentIndex::build(&ctx, base.view(), vec![0]);
+        assert!(join.window().is_none());
     }
 
     #[test]

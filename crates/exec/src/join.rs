@@ -683,7 +683,7 @@ mod tests {
         };
         let all = join(&l, &r, &spec);
         let live = [0, 3];
-        let sink = DistinctSink::new(&live);
+        let sink = DistinctSink::new(&live, None, 0);
         let kept = hash_join_sink(&ctx, l.view(), r.view(), &spec, &SinkMode::Distinct(&sink));
         let project = |cols: &[Vec<Value>]| -> HashSet<Vec<Value>> {
             rows_of(cols)

@@ -38,12 +38,40 @@
 //! and only the columns a later stage reads matter there (the planner's
 //! `JoinStep::live`). When the subquery streams into a `DeltaSink` — set
 //! semantics all the way — each such stage offers its rows to a
-//! [`DistinctSink`] keyed on those columns, a [`GrowChainTable`] over no
-//! base index racing the same `insert_unique_row`, and only its winners
-//! materialize. A chain intermediate under a materializing sink stays
-//! Algorithm 1's UNION ALL, as the ablation arms that keep `Rt` expect.
-//! View maintenance needs no multiplicities: both of its strategies
-//! stream through a `DeltaSink`.
+//! [`DistinctSink`] keyed on those columns, over no base index, and only
+//! its winners materialize. A chain intermediate under a materializing
+//! sink stays Algorithm 1's UNION ALL, as the ablation arms that keep `Rt`
+//! expect. View maintenance needs no multiplicities: both of its
+//! strategies stream through a `DeltaSink`.
+//!
+//! ## Bit windows
+//!
+//! When a packed key is narrow, the packed key *is* the tuple and a set of
+//! tuples is a set of small integers — the dense case PBME makes a bit
+//! matrix of. Both set sinks then trade their hash table for a
+//! direct-addressed [`BitWindow`], one bit per packed key:
+//!
+//! * a [`DeltaSink`] over a full-`R` index that keeps a membership window
+//!   of `R` ([`PersistentIndex::window`]) asks that window whether the row
+//!   is in `R`, then `test_and_set`s the bit in a window of its own — the
+//!   pass's winners. No chain is walked, no row is stored, no
+//!   [`GrowChainTable`] is allocated;
+//! * a [`DistinctSink`] whose live columns pack narrowly — their layout
+//!   comes from the covering bounds of the stage's source scan columns —
+//!   does the same over its one window; keys its layout cannot pack fall
+//!   to a hashed table, and since a row packs or escapes as a whole, the
+//!   two never hold the same row.
+//!
+//! A sink never writes into the index's window, so a dropped or failed
+//! pass leaves no trace and many sinks may share one index. The pass's own
+//! window is allocated in 4 KiB pages on first touch, so a pass costs the
+//! pages its winners touch plus a directory of at most
+//! 2^([`BIT_WINDOW_MAX_BITS`] − 15) entries — never `O(|R|)` and never
+//! `O(2^bits)`. [`BitWindow::worth`] is the one rule for window vs. table:
+//! up to [`BIT_WINDOW_MAX_BITS`] bits, and the whole window (at least one
+//! page) no larger than twice the bytes a hashed table would spend on the
+//! expected rows — `|R|` for `R`'s window, the stage's input rows for a
+//! chain stage.
 //!
 //! [`SinkMode`] is the switch operators consume: `Materialize` preserves
 //! the UNION-ALL contract (every row is buffered), `Delta` streams rows
@@ -58,7 +86,8 @@
 //! ([`DeltaSink::with_sampler`]) mirrors every offered row into a
 //! reservoir the statistics pass consumes in place of an `Rt` re-scan.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 use recstep_common::hash::{hash_row, mix64};
@@ -69,7 +98,7 @@ use crate::agg::{ConcurrentMonoMap, GroupSink};
 use crate::chain::GrowChainTable;
 use crate::expr::Expr;
 use crate::index::PersistentIndex;
-use crate::key::KeyMode;
+use crate::key::{KeyLayout, KeyMode};
 use crate::util::ColBuf;
 
 /// How a producing operator disposes of its output rows.
@@ -161,16 +190,129 @@ impl SinkMode<'_> {
     }
 }
 
+/// Widest packed key a [`BitWindow`] addresses: 2^26 bits, 8 MiB once
+/// every page is touched, behind a directory of 2^11 pages.
+pub const BIT_WINDOW_MAX_BITS: u32 = 26;
+
+/// `log₂` of the bits per [`BitWindow`] page (4 KiB pages).
+const PAGE_BITS: u32 = 15;
+
+/// Words per [`BitWindow`] page.
+const PAGE_WORDS: usize = 1 << (PAGE_BITS - 6);
+
+type Page = [AtomicU64; PAGE_WORDS];
+
+/// A concurrent set of the packed keys of one [`KeyLayout`], one bit per
+/// key: the direct-addressed form of a set sink's table (see the module
+/// docs). Pages are allocated on first touch, so an empty or sparse
+/// window costs its directory and the pages in use, not `2^bits` bits.
+pub struct BitWindow {
+    layout: KeyLayout,
+    pages: Box<[OnceLock<Box<Page>>]>,
+}
+
+impl BitWindow {
+    /// An empty window over every packed key of `layout`. Panics when the
+    /// layout packs more than [`BIT_WINDOW_MAX_BITS`] bits —
+    /// [`BitWindow::worth`] never accepts such a layout.
+    pub fn new(layout: KeyLayout) -> Self {
+        let bits = layout.total_bits();
+        assert!(bits <= BIT_WINDOW_MAX_BITS, "bit window too wide");
+        let pages = (0..1usize << bits.saturating_sub(PAGE_BITS))
+            .map(|_| OnceLock::new())
+            .collect();
+        BitWindow { layout, pages }
+    }
+
+    /// Whether a window over `layout` is worth keeping for about `rows`
+    /// keys — the one rule for bit window vs. hashed table: at most
+    /// [`BIT_WINDOW_MAX_BITS`] bits, and the full window, in whole pages,
+    /// at most twice the bytes a hashed table would spend on `rows` rows
+    /// of the layout's width. So a window is never taken for fewer rows
+    /// than fill a page's worth of table (57 pairs).
+    pub fn worth(layout: &KeyLayout, rows: usize) -> bool {
+        let bits = layout.total_bits();
+        // A hashed row: its link, key and values, and two directory cells.
+        let hashed_bytes = rows.saturating_mul(4 + 8 + 8 * layout.width() + 2 * 4);
+        bits <= BIT_WINDOW_MAX_BITS
+            && (1usize << bits.max(PAGE_BITS)) / 8 <= hashed_bytes.saturating_mul(2)
+    }
+
+    /// The layout whose packed keys the window holds.
+    pub fn layout(&self) -> &KeyLayout {
+        &self.layout
+    }
+
+    /// The page cell holding `key`'s bit, and the bit's word in the page.
+    #[inline]
+    fn locate(&self, key: u64) -> (&OnceLock<Box<Page>>, usize) {
+        let key = key as usize;
+        (&self.pages[key >> PAGE_BITS], (key >> 6) & (PAGE_WORDS - 1))
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn allocate(cell: &OnceLock<Box<Page>>) -> &Page {
+        cell.get_or_init(|| Box::new([const { AtomicU64::new(0) }; PAGE_WORDS]))
+    }
+
+    /// Whether `key` (a packed key of the layout) is in the set.
+    #[inline]
+    pub fn contains(&self, key: u64) -> bool {
+        let (cell, word) = self.locate(key);
+        cell.get()
+            .is_some_and(|page| page[word].load(Ordering::Relaxed) & (1 << (key & 63)) != 0)
+    }
+
+    /// Add `key` (a packed key of the layout); `true` when it was absent.
+    /// Of concurrent inserts of one key exactly one returns `true`. A key
+    /// already present is answered by a plain load, so duplicates never
+    /// contend for the cache line. Bits are `Relaxed`: a bit publishes no
+    /// other data (a page is published by its `OnceLock`), and readers of
+    /// an index's window run after the pool join that ended its writes.
+    #[inline]
+    pub fn insert(&self, key: u64) -> bool {
+        let (cell, word) = self.locate(key);
+        let page = cell
+            .get()
+            .map(Box::as_ref)
+            .unwrap_or_else(|| Self::allocate(cell));
+        let word = &page[word];
+        let bit = 1 << (key & 63);
+        word.load(Ordering::Relaxed) & bit == 0 && word.fetch_or(bit, Ordering::Relaxed) & bit == 0
+    }
+
+    /// Heap footprint in bytes: the directory and the pages in use.
+    pub fn heap_bytes(&self) -> usize {
+        let touched = self.pages.iter().filter(|p| p.get().is_some()).count();
+        self.pages.len() * std::mem::size_of::<OnceLock<Box<Page>>>()
+            + touched * std::mem::size_of::<Page>()
+    }
+}
+
+/// Where a [`DeltaSink`] records the pass's winners.
+enum Winners<'a> {
+    /// Bit windows: `R`'s (owned by the index, only read here) and the
+    /// pass's own.
+    Window {
+        base: &'a BitWindow,
+        fresh: BitWindow,
+    },
+    /// The hashed scratch table, probing the index's chains for `R`.
+    Table(GrowChainTable),
+}
+
 /// Shared per-iteration state of one fused streaming pass: the full-`R`
-/// index to probe, the scratch table deduplicating candidates, and the
-/// overflow list for compact-key escapes.
+/// index to probe, the winners of the pass (a bit window, or a scratch
+/// table deduplicating candidates), and the overflow list for compact-key
+/// escapes.
 pub struct DeltaSink<'a> {
     index: &'a PersistentIndex,
     base: RelView<'a>,
     mode: KeyMode,
     exact: bool,
     arity: usize,
-    scratch: GrowChainTable,
+    winners: Winners<'a>,
     /// Rows escaping a packed key layout, flattened row-major (rare; at
     /// most one iteration per stratum sees any, right before the index's
     /// one-time hashed rebuild).
@@ -181,10 +323,12 @@ pub struct DeltaSink<'a> {
 
 impl<'a> DeltaSink<'a> {
     /// Sink probing `index` (whole-tuple keys over `base`, which must be
-    /// the relation the index covers). `capacity` is the scratch table's
-    /// initial capacity in rows — an allocation hint, not a cap and not a
-    /// tuning knob: the table grows in flight and its chain length does
-    /// not depend on it, so callers with no estimate of `|∆R|` pass 0.
+    /// the relation the index covers). When the index keeps a bit window
+    /// of `R`, the pass records its winners in a bit window too; otherwise
+    /// in a scratch table, whose initial capacity in rows is `capacity` —
+    /// an allocation hint, not a cap and not a tuning knob: the table
+    /// grows in flight and its chain length does not depend on it, so
+    /// callers with no estimate of `|∆R|` pass 0.
     pub fn new(index: &'a PersistentIndex, base: RelView<'a>, capacity: usize) -> Self {
         assert_eq!(
             index.rows(),
@@ -204,6 +348,17 @@ impl<'a> DeltaSink<'a> {
         } else {
             index.mode().clone()
         };
+        let winners = match index.window() {
+            Some(w) => Winners::Window {
+                base: w,
+                fresh: BitWindow::new(w.layout().clone()),
+            },
+            None => Winners::Table(GrowChainTable::new(
+                arity,
+                capacity,
+                capacity.saturating_mul(2),
+            )),
+        };
         let exact = mode.exact();
         DeltaSink {
             index,
@@ -211,7 +366,7 @@ impl<'a> DeltaSink<'a> {
             mode,
             exact,
             arity,
-            scratch: GrowChainTable::new(arity, capacity, capacity.saturating_mul(2)),
+            winners,
             overflow: Mutex::new(Vec::new()),
             considered: AtomicUsize::new(0),
             sampler: None,
@@ -242,15 +397,27 @@ impl<'a> DeltaSink<'a> {
             self.overflow.lock().extend_from_slice(row);
             return false;
         };
-        if !self.base.is_empty() {
-            let in_base = self.index.table().iter_key(key).any(|node| {
-                self.exact || (0..self.arity).all(|c| self.base.get(node as usize, c) == row[c])
-            });
-            if in_base {
-                return false;
+        match &self.winners {
+            Winners::Window { base, fresh } => !base.contains(key) && fresh.insert(key),
+            Winners::Table(scratch) => {
+                if !self.base.is_empty() {
+                    let in_base = self.index.table().iter_key(key).any(|node| {
+                        self.exact
+                            || (0..self.arity).all(|c| self.base.get(node as usize, c) == row[c])
+                    });
+                    if in_base {
+                        return false;
+                    }
+                }
+                scratch.insert_unique_row(key, row)
             }
         }
-        self.scratch.insert_unique_row(key, row)
+    }
+
+    /// True when this pass records its winners in a bit window (no scratch
+    /// table exists).
+    pub fn windowed(&self) -> bool {
+        matches!(self.winners, Winners::Window { .. })
     }
 
     /// Rows offered across all workers — `|Rt|` of the materializing
@@ -268,16 +435,24 @@ impl<'a> DeltaSink<'a> {
         self.base.is_empty() && self.sampler.is_none()
     }
 
-    /// Approximate scratch-table heap footprint: node chunks plus the
-    /// bucket directory (sentinels included).
+    /// Approximate heap footprint of the pass's winners: the scratch
+    /// table's node chunks plus its bucket directory (sentinels
+    /// included), or the pass's bit window.
     pub fn scratch_bytes(&self) -> usize {
-        self.scratch.heap_bytes()
+        match &self.winners {
+            Winners::Window { fresh, .. } => fresh.heap_bytes(),
+            Winners::Table(scratch) => scratch.heap_bytes(),
+        }
     }
 
     /// Times the scratch table's bucket directory doubled during this
-    /// pass — how far `|∆R|` outran the initial capacity.
+    /// pass — how far `|∆R|` outran the initial capacity (0 for a bit
+    /// window, which never grows).
     pub fn table_doublings(&self) -> usize {
-        self.scratch.doublings()
+        match &self.winners {
+            Winners::Window { .. } => 0,
+            Winners::Table(scratch) => scratch.doublings(),
+        }
     }
 
     /// Drain the compact-key escapes (row-major). May contain duplicates
@@ -288,23 +463,37 @@ impl<'a> DeltaSink<'a> {
     }
 }
 
-/// Shared state of one deduplicated chain stage: a [`GrowChainTable`]
-/// over the stage's live columns, raced by every morsel worker with the
-/// same `insert_unique_row` a [`DeltaSink`] uses, but over no base index —
-/// the intermediate is new by construction, only its duplicates die.
+/// Shared state of one deduplicated chain stage: the distinct values of
+/// the stage's live columns, raced by every morsel worker over no base
+/// index — the intermediate is new by construction, only its duplicates
+/// die. Values are kept in a [`BitWindow`] when their layout is narrow,
+/// and in a [`GrowChainTable`] (the same `insert_unique_row` a
+/// [`DeltaSink`] uses) when it is wide or a value escapes it.
 pub struct DistinctSink<'a> {
     live: &'a [usize],
-    table: GrowChainTable,
+    window: Option<BitWindow>,
+    /// Hashed values: all of them without a window, else the escapes
+    /// (allocated on the first).
+    table: OnceLock<GrowChainTable>,
     considered: AtomicUsize,
 }
 
 impl<'a> DistinctSink<'a> {
     /// Sink keeping one row per distinct value of the flattened columns
-    /// `live` (non-empty).
-    pub fn new(live: &'a [usize]) -> Self {
+    /// `live` (non-empty). `bounds`, when known, covers each live
+    /// column's values (per `live` entry) and `rows` estimates the
+    /// distinct values; [`BitWindow::worth`] decides from them whether a
+    /// bit window holds the values. Bounds that miss a value cost speed,
+    /// never results: such a value escapes to the hashed table.
+    pub fn new(live: &'a [usize], bounds: Option<&[(Value, Value)]>, rows: usize) -> Self {
+        let window = bounds
+            .and_then(KeyLayout::from_bounds)
+            .filter(|layout| BitWindow::worth(layout, rows))
+            .map(BitWindow::new);
         DistinctSink {
             live,
-            table: GrowChainTable::new(live.len(), 0, 0),
+            window,
+            table: OnceLock::new(),
             considered: AtomicUsize::new(0),
         }
     }
@@ -314,7 +503,19 @@ impl<'a> DistinctSink<'a> {
     /// concurrently.
     #[inline]
     pub fn offer(&self, key_row: &[Value]) -> bool {
-        self.table.insert_unique_row(hash_row(key_row), key_row)
+        if let Some(w) = &self.window {
+            if let Some(key) = w.layout().try_pack(key_row) {
+                return w.insert(key);
+            }
+        }
+        self.table
+            .get_or_init(|| GrowChainTable::new(self.live.len(), 0, 0))
+            .insert_unique_row(hash_row(key_row), key_row)
+    }
+
+    /// True when the stage's values are kept in a bit window.
+    pub fn windowed(&self) -> bool {
+        self.window.is_some()
     }
 
     /// Rows offered across all workers, duplicates included.
@@ -473,9 +674,16 @@ mod tests {
     #[test]
     fn offer_filters_base_members_and_duplicates() {
         let ctx = ctx();
-        let base = Relation::from_rows(Schema::with_arity("r", 2), &[vec![0, 0], vec![9, 90]]);
+        // A 41-bit first column: the tuple packs (exact keys) but is far
+        // too wide for a bit window, so the pass takes the scratch table.
+        let base = Relation::from_rows(
+            Schema::with_arity("r", 2),
+            &[vec![0, 0], vec![9, 90], vec![1 << 40, 1 << 20]],
+        );
         let idx = PersistentIndex::build(&ctx, base.view(), vec![0, 1]);
+        assert!(idx.mode().exact() && idx.window().is_none());
         let sink = DeltaSink::new(&idx, base.view(), 8);
+        assert!(!sink.windowed());
         assert!(!sink.offer(&[9, 90]), "already in R");
         assert!(sink.offer(&[3, 30]), "fresh");
         assert!(!sink.offer(&[3, 30]), "duplicate candidate");
@@ -486,6 +694,93 @@ mod tests {
         // Node chunk 0 (64 rows of 2 values) plus the 64-entry directory.
         assert!(sink.scratch_bytes() >= 64 * (4 + 8 + 16) + 64 * 4);
         assert_eq!(sink.table_doublings(), 0);
+    }
+
+    #[test]
+    fn offer_filters_base_members_and_duplicates_in_a_bit_window() {
+        let ctx = ctx();
+        // 7 + 7 bits over 62 rows: the index keeps R's membership bits,
+        // and the pass keeps its winners in a window of its own.
+        let mut rows = vec![vec![0, 0], vec![9, 90]];
+        rows.extend((20..80).map(|i| vec![i, i]));
+        let base = Relation::from_rows(Schema::with_arity("r", 2), &rows);
+        let idx = PersistentIndex::build(&ctx, base.view(), vec![0, 1]);
+        assert!(idx.window().is_some());
+        let sink = DeltaSink::new(&idx, base.view(), 8);
+        assert!(sink.windowed());
+        assert!(!sink.offer(&[9, 90]), "already in R");
+        assert!(sink.offer(&[3, 30]), "fresh");
+        assert!(!sink.offer(&[3, 30]), "duplicate candidate");
+        assert!(sink.offer(&[4, 40]));
+        SinkMode::Delta(&sink).note_considered(4);
+        assert_eq!(sink.considered(), 4);
+        assert!(sink.take_overflow().is_empty());
+        // One touched page behind a one-entry directory; no table at all.
+        assert_eq!(
+            sink.scratch_bytes(),
+            PAGE_WORDS * 8 + std::mem::size_of::<OnceLock<Box<Page>>>()
+        );
+        assert_eq!(sink.table_doublings(), 0);
+        // The sink only read R's window: a second pass starts afresh.
+        let again = DeltaSink::new(&idx, base.view(), 8);
+        assert!(again.offer(&[3, 30]));
+    }
+
+    #[test]
+    fn bit_window_rule_weighs_the_window_against_the_table() {
+        let layout = |bounds: &[(Value, Value)]| KeyLayout::from_bounds(bounds).unwrap();
+        // A window is at least one 4 KiB page: a pair table spends 36
+        // bytes a row, so 57 rows are the least a window serves.
+        let narrow = layout(&[(0, 99), (0, 99)]);
+        assert!(!BitWindow::worth(&narrow, 56));
+        assert!(BitWindow::worth(&narrow, 57));
+        // Offsets do not matter, only spans.
+        assert!(BitWindow::worth(
+            &layout(&[(1 << 40, (1 << 40) + 511)]),
+            100
+        ));
+        // 24 bits (2 MiB): taken once the table would spend over 1 MiB.
+        let wide = layout(&[(0, 4095), (0, 4095)]);
+        assert!(!BitWindow::worth(&wide, 29_000));
+        assert!(BitWindow::worth(&wide, 30_000));
+        // Past the cap: never, however many rows.
+        assert!(!BitWindow::worth(
+            &layout(&[(0, 1 << 14), (0, 1 << 14)]),
+            usize::MAX
+        ));
+        assert!(!BitWindow::worth(
+            &layout(&[(Value::MIN, Value::MAX)]),
+            usize::MAX
+        ));
+    }
+
+    #[test]
+    fn bit_window_pages_are_allocated_on_first_touch() {
+        let w = BitWindow::new(KeyLayout::from_bounds(&[(0, (1 << 20) - 1)]).unwrap());
+        let directory = 32 * std::mem::size_of::<OnceLock<Box<Page>>>();
+        assert_eq!(w.heap_bytes(), directory, "no page before an insert");
+        assert!(!w.contains(5));
+        assert!(w.insert(5));
+        assert!(!w.insert(5));
+        assert!(w.contains(5) && !w.contains(6));
+        assert!(w.insert((1 << 20) - 1));
+        assert_eq!(w.heap_bytes(), directory + 2 * PAGE_WORDS * 8);
+    }
+
+    #[test]
+    fn distinct_sink_windows_narrow_values_and_hashes_escapes() {
+        let live = [0, 1];
+        let sink = DistinctSink::new(&live, Some(&[(0, 9), (0, 9)]), 100);
+        assert!(sink.windowed());
+        assert!(sink.offer(&[3, 4]));
+        assert!(!sink.offer(&[3, 4]));
+        // Outside the bounds: kept in the hashed table, deduplicated there.
+        assert!(sink.offer(&[3, 400]));
+        assert!(!sink.offer(&[3, 400]));
+        assert!(sink.offer(&[4, 3]));
+        let unbounded = DistinctSink::new(&live, None, 0);
+        assert!(!unbounded.windowed());
+        assert!(unbounded.offer(&[3, 4]) && !unbounded.offer(&[3, 4]));
     }
 
     #[test]

@@ -666,4 +666,173 @@ proptest! {
         prop_assert_eq!(rows(windowed.to_columns(arity)), expect);
         prop_assert_eq!(rows(hashed.to_columns(arity)), expect);
     }
+
+    #[test]
+    fn delta_sink_fresh_and_overflow_are_candidates_minus_r(
+        base in proptest::collection::vec((0i64..12, 0i64..12), 60..200),
+        cand in proptest::collection::vec((-3i64..16, -3i64..16), 0..400),
+        shape in 0usize..3,
+    ) {
+        // Shape 0 packs into a bit window (R's membership bits and the
+        // pass's own: 8 bits, and 60 rows at least fill its page); shape
+        // 1 still packs, 48 bits wide, so the pass
+        // takes the scratch table; shape 2 hashes. Negative candidates
+        // escape R's packed bounds in shapes 0 and 1. Two threads offer;
+        // fresh rows and the overflow together must be exactly the
+        // candidates that are not in R, each fresh row once.
+        use std::sync::{Barrier, Mutex};
+        use recstep_exec::sink::DeltaSink;
+        let scale = [1i64, 1 << 20, 1 << 41][shape];
+        let scaled = |rows: &[Pair]| -> Vec<[i64; 2]> {
+            rows.iter().map(|&(a, b)| [a * scale, b * scale]).collect()
+        };
+        let base_rows = scaled(&base);
+        let cand_rows = scaled(&cand);
+        let mut r = Relation::new(Schema::with_arity("r", 2));
+        for row in &base_rows {
+            r.push_row(row);
+        }
+        let ctx = ExecCtx::with_threads(2);
+        let idx = PersistentIndex::build(&ctx, r.view(), vec![0, 1]);
+        prop_assert_eq!(idx.window().is_some(), shape == 0);
+        let sink = DeltaSink::new(&idx, r.view(), 0);
+        prop_assert_eq!(sink.windowed(), shape == 0);
+        let fresh = Mutex::new(Vec::new());
+        let chunks: Vec<&[[i64; 2]]> = cand_rows.chunks(cand_rows.len().div_ceil(2).max(1)).collect();
+        let start = Barrier::new(chunks.len());
+        std::thread::scope(|scope| {
+            for chunk in chunks {
+                let (sink, fresh, start) = (&sink, &fresh, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for row in chunk {
+                        if sink.offer(row) {
+                            fresh.lock().unwrap().push(row.to_vec());
+                        }
+                    }
+                });
+            }
+        });
+        let fresh = fresh.into_inner().unwrap();
+        let in_r: BTreeSet<Vec<i64>> = base_rows.iter().map(|r| r.to_vec()).collect();
+        let oracle: BTreeSet<Vec<i64>> = cand_rows
+            .iter()
+            .map(|r| r.to_vec())
+            .filter(|r| !in_r.contains(r))
+            .collect();
+        let fresh_set: BTreeSet<Vec<i64>> = fresh.iter().cloned().collect();
+        prop_assert_eq!(fresh_set.len(), fresh.len(), "a fresh row won twice");
+        let overflow: BTreeSet<Vec<i64>> = sink.take_overflow().into_iter().collect();
+        prop_assert!(fresh_set.is_disjoint(&overflow));
+        prop_assert!(overflow.iter().all(|r| r[0] < 0 || r[1] < 0), "only escapes overflow");
+        let got: BTreeSet<Vec<i64>> = fresh_set.union(&overflow).cloned().collect();
+        prop_assert_eq!(got, oracle);
+    }
+
+    #[test]
+    fn distinct_sink_keeps_each_live_value_once(
+        rows in proptest::collection::vec((0i64..10, -5i64..5, 0i64..14), 0..400),
+        shape in 0usize..3,
+    ) {
+        // Live columns 0 and 2 of three. Shape 0's bounds cover only part
+        // of column 2 (values 10..14 escape the window to the hashed
+        // table), shape 1 is spread past any window and shape 2 has no
+        // bounds at all. Two threads offer; the kept rows' live values
+        // must be the distinct live values, each once.
+        use std::sync::{Barrier, Mutex};
+        use recstep_exec::sink::DistinctSink;
+        let scale = if shape == 1 { 1i64 << 41 } else { 1 };
+        let rows: Vec<[i64; 3]> = rows.iter().map(|&(a, b, c)| [a * scale, b, c * scale]).collect();
+        let bounds = [(0, 9 * scale), (0, 9 * scale)];
+        let live = [0usize, 2];
+        let sink = DistinctSink::new(&live, (shape < 2).then_some(&bounds[..]), rows.len());
+        prop_assert_eq!(sink.windowed(), shape == 0);
+        let kept = Mutex::new(Vec::new());
+        let chunks: Vec<&[[i64; 3]]> = rows.chunks(rows.len().div_ceil(2).max(1)).collect();
+        let start = Barrier::new(chunks.len());
+        std::thread::scope(|scope| {
+            for chunk in chunks {
+                let (sink, kept, start) = (&sink, &kept, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for row in chunk {
+                        if sink.offer(&[row[0], row[2]]) {
+                            kept.lock().unwrap().push(vec![row[0], row[2]]);
+                        }
+                    }
+                });
+            }
+        });
+        let kept = kept.into_inner().unwrap();
+        let oracle: BTreeSet<Vec<i64>> = rows.iter().map(|r| vec![r[0], r[2]]).collect();
+        prop_assert_eq!(kept.len(), oracle.len(), "a live value was kept twice");
+        prop_assert_eq!(kept.into_iter().collect::<BTreeSet<_>>(), oracle);
+    }
+
+    #[test]
+    fn persistent_index_window_tracks_the_covered_rows(
+        first in proptest::collection::vec((0i64..8, 0i64..8), 1..100),
+        appends in proptest::collection::vec(proptest::collection::vec((0i64..8, 0i64..8), 0..40), 1..4),
+        refill in proptest::collection::vec((20i64..30, 0i64..3), 1..200),
+    ) {
+        // After every build and append the index keeps a window iff
+        // `BitWindow::worth` takes its layout for the covered rows (an
+        // append may cross that line), and the window's bits are exactly
+        // the covered rows' packed keys; an appended value escaping the
+        // layout drops the window with the packed mode; a shrink rebuild
+        // chooses the layout and the window afresh.
+        use recstep_exec::index::SyncAction;
+        use recstep_exec::key::KeyMode;
+        use recstep_exec::sink::BitWindow;
+        let ctx = ExecCtx::with_threads(2);
+        let check = |idx: &PersistentIndex, r: &Relation| -> Result<(), String> {
+            let KeyMode::Packed(layout) = idx.mode() else {
+                prop_assert!(idx.window().is_none(), "a window without a packed layout");
+                return Ok(());
+            };
+            prop_assert_eq!(idx.window().is_some(), BitWindow::worth(layout, r.len()));
+            let Some(w) = idx.window() else {
+                return Ok(());
+            };
+            let keys: BTreeSet<u64> = r.to_rows().iter().map(|row| layout.pack(row)).collect();
+            for key in 0..1u64 << layout.total_bits() {
+                prop_assert_eq!(w.contains(key), keys.contains(&key), "key {}", key);
+            }
+            Ok(())
+        };
+        let mut r = rel_of(&first);
+        let mut idx = PersistentIndex::build(&ctx, r.view(), vec![0, 1]);
+        check(&idx, &r)?;
+        let KeyMode::Packed(layout) = idx.mode().clone() else {
+            unreachable!("small values pack")
+        };
+        for batch in &appends {
+            // Keep the batch inside the layout so the window survives.
+            let fits: Vec<Pair> = batch
+                .iter()
+                .copied()
+                .filter(|&(a, b)| layout.try_pack(&[a, b]).is_some())
+                .collect();
+            for &(a, b) in &fits {
+                r.push_row(&[a, b]);
+            }
+            idx.append(&ctx, r.view());
+            prop_assert!(idx.mode().exact());
+            check(&idx, &r)?;
+        }
+        // One value past every layout: the hashed rebuild drops the window.
+        r.push_row(&[-1 << 50, 0]);
+        prop_assert_eq!(idx.append(&ctx, r.view()), SyncAction::Rebuilt);
+        prop_assert!(idx.window().is_none() && !idx.mode().exact());
+        // Cleared and refilled (fewer rows): the shrink rebuild packs the
+        // new bounds and keeps a window of them.
+        r.clear();
+        for &(a, b) in refill.iter().take(idx.rows() - 1) {
+            r.push_row(&[a, b]);
+        }
+        prop_assert_eq!(idx.append(&ctx, r.view()), SyncAction::Rebuilt);
+        prop_assert!(idx.mode().exact());
+        check(&idx, &r)?;
+        prop_assert!(idx.heap_bytes() >= idx.window().map_or(0, BitWindow::heap_bytes));
+    }
 }
