@@ -104,8 +104,14 @@ pub fn mix64(mut z: u64) -> u64 {
 /// compact-key trick "when the number of attributes of the tuple is small").
 #[inline]
 pub fn hash_row(row: &[i64]) -> u64 {
+    hash_values(row.iter().copied())
+}
+
+/// [`hash_row`] of the row `values` yields, without gathering it.
+#[inline]
+pub fn hash_values(values: impl IntoIterator<Item = i64>) -> u64 {
     let mut h = FxHasher::default();
-    for &v in row {
+    for v in values {
         h.write_i64(v);
     }
     mix64(h.finish())

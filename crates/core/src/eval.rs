@@ -64,7 +64,7 @@
 //! cross-run [`IndexCache`] (built once across runs, evicted under
 //! memory pressure); everything mutable stays run-local.
 
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -85,7 +85,9 @@ use recstep_exec::join::{
 };
 use recstep_exec::key::KeyLayout;
 use recstep_exec::setdiff::{set_difference, DsdState};
-use recstep_exec::sink::{AggSink, AggTarget, DeltaSink, DistinctSink, SinkMode, SinkSampler};
+use recstep_exec::sink::{
+    AggSink, AggTarget, DeltaSink, DistinctSink, SinkMode, SinkSampler, SinkScratch,
+};
 use recstep_exec::wcoj::{wcoj_sink, WcojSpec};
 use recstep_exec::ExecCtx;
 use recstep_storage::{RelId, RelView, Relation, RunCatalog, Schema};
@@ -107,15 +109,16 @@ mod bf;
 enum DeltaBuf {
     /// Rows `start..end` of the IDB's stored relation.
     Range(usize, usize),
-    /// Separately materialized rows (recursive aggregation).
-    Owned(Relation),
+    /// Separately materialized rows (recursive aggregation), column-major;
+    /// the columns are reused by a later iteration's ∆.
+    Owned(Vec<Vec<Value>>),
 }
 
 impl DeltaBuf {
     fn len(&self) -> usize {
         match self {
             DeltaBuf::Range(a, b) => b - a,
-            DeltaBuf::Owned(r) => r.len(),
+            DeltaBuf::Owned(cols) => cols.first().map_or(0, Vec::len),
         }
     }
 
@@ -128,14 +131,14 @@ impl DeltaBuf {
     fn heap_bytes(&self) -> usize {
         match self {
             DeltaBuf::Range(..) => 0,
-            DeltaBuf::Owned(r) => r.heap_bytes(),
+            DeltaBuf::Owned(cols) => cols.iter().map(|c| c.capacity() * 8).sum(),
         }
     }
 
     fn view<'a>(&'a self, rel: &'a Relation) -> RelView<'a> {
         match self {
             DeltaBuf::Range(a, b) => rel.range_view(*a, *b),
-            DeltaBuf::Owned(r) => r.view(),
+            DeltaBuf::Owned(cols) => RelView::over(cols),
         }
     }
 }
@@ -166,16 +169,18 @@ struct IdbState {
     dsd: DsdState,
     /// Aggregation handling for aggregated heads.
     agg: Option<AggKind>,
-    /// Frozen build-side choices per (subquery, join) for OOF-NA.
-    frozen: Vec<Vec<Option<bool>>>,
+    /// The IDB's subqueries, bound for the stratum.
+    bound: Vec<SqBinding>,
     /// Persistent full-R membership index (whole-tuple keys): built once
     /// for the stratum and synced with R before each probe by the fused
     /// dedup + set-difference pass ([`EvalRun::full_index`]), so it may
     /// trail R by the last merge. `None` until the first iteration, or
     /// always under `index_reuse = false`.
     full_index: Option<PersistentIndex>,
-    /// Schema of a monotonic head's per-iteration ∆R, built once.
-    delta_schema: Schema,
+    /// The ∆ stream's pass-local winners, kept from pass to pass.
+    scratch: SinkScratch,
+    /// The columns of an owned ∆ no peer reads any more, for the next one.
+    spare: Vec<Vec<Value>>,
     /// Schema of each subquery's temp table (`uie = false`), built once.
     tmp_schemas: Vec<Schema>,
 }
@@ -198,11 +203,30 @@ struct FrozenIndex {
     shared: bool,
 }
 
+/// One join-cache entry: a build side's relation and key columns, and its
+/// index once a probe has asked for it.
+struct CacheSlot<I> {
+    rel: RelId,
+    cols: Vec<usize>,
+    index: Option<I>,
+}
+
+/// Where a bound join's build side is cached ([`JoinCache::slot`]).
+#[derive(Clone, Copy)]
+enum Slot {
+    /// A key-ordered index over a frozen relation.
+    Frozen(usize),
+    /// A chained index over one of the running stratum's own IDBs.
+    Growing(usize),
+}
+
 /// Per-run cache of join/anti-join build sides, in two layouts.
 ///
 /// Keyed on `(relation, key columns)`; only unfiltered `Base`/`Full` scans
-/// of catalog relations are cacheable. The scan's version picks the
-/// layout ([`frozen_scan`]):
+/// of catalog relations are cacheable. Binding a stratum
+/// ([`SqBinding::new`]) reserves each cacheable build side's slot once,
+/// so a probe finds its index by slot number — no key is built or hashed
+/// per iteration. The scan's version picks the layout ([`frozen_scan`]):
 ///
 /// * **`Base`** — an EDB or a lower stratum's finished IDB, frozen for the
 ///   stratum (every rule deriving it ran before any rule reading it) —
@@ -230,8 +254,12 @@ struct FrozenIndex {
 struct JoinCache<'c> {
     enabled: bool,
     shared: Option<SharedTier<'c>>,
-    growing: FxHashMap<(RelId, Vec<usize>), PersistentIndex>,
-    frozen: FxHashMap<(RelId, Vec<usize>), FrozenIndex>,
+    /// Slots of frozen build sides; they outlive their stratum.
+    frozen: Vec<CacheSlot<FrozenIndex>>,
+    /// Slots of growing build sides; cleared when their stratum ends.
+    growing: Vec<CacheSlot<PersistentIndex>>,
+    /// Heap bytes of the run's own indexes, kept as they change.
+    own_bytes: usize,
     builds: usize,
     appends: usize,
     reuses: usize,
@@ -253,8 +281,9 @@ impl<'c> JoinCache<'c> {
                 misses: 0,
                 evictions: 0,
             }),
-            growing: FxHashMap::default(),
-            frozen: FxHashMap::default(),
+            frozen: Vec::new(),
+            growing: Vec::new(),
+            own_bytes: 0,
             builds: 0,
             appends: 0,
             reuses: 0,
@@ -265,72 +294,68 @@ impl<'c> JoinCache<'c> {
         }
     }
 
-    /// The relation a scan's build side may be served from the cache
-    /// for, if any.
-    fn cacheable(&self, catalog: &RunCatalog<'_>, scan: &ScanSpec) -> Option<RelId> {
-        if self.enabled
-            && scan.filters.is_empty()
-            && matches!(scan.version, AtomVersion::Base | AtomVersion::Full)
+    /// The slot serving `scan`'s rows as a build side keyed on `cols`, if
+    /// the scan is cacheable: an unfiltered `Base`/`Full` scan of a catalog
+    /// relation, with the cache enabled.
+    fn slot(&mut self, catalog: &RunCatalog<'_>, scan: &ScanSpec, cols: &[usize]) -> Option<Slot> {
+        if !self.enabled
+            || !scan.filters.is_empty()
+            || !matches!(scan.version, AtomVersion::Base | AtomVersion::Full)
         {
-            catalog.lookup(&scan.rel)
-        } else {
-            None
+            return None;
         }
+        let rel = catalog.lookup(&scan.rel)?;
+        Some(if frozen_scan(scan) {
+            Slot::Frozen(reserve(&mut self.frozen, rel, cols))
+        } else {
+            Slot::Growing(reserve(&mut self.growing, rel, cols))
+        })
     }
 
-    /// A cacheable scan over a frozen relation: its id.
-    fn frozen_rel(&self, catalog: &RunCatalog<'_>, scan: &ScanSpec) -> Option<RelId> {
-        self.cacheable(catalog, scan).filter(|_| frozen_scan(scan))
-    }
-
-    /// Whether this run holds an index under `key` over all `rows` of its
-    /// relation.
-    fn holds(&self, key: &(RelId, Vec<usize>), rows: usize) -> bool {
-        self.frozen.get(key).is_some_and(|f| f.index.rows() == rows)
-    }
-
-    /// Whether frozen `rel_id`'s index on `cols` exists already — held by
-    /// this run, or resident in the shared cache — so building on that
-    /// side costs nothing.
-    fn resident(&self, catalog: &RunCatalog<'_>, rel_id: RelId, cols: &[usize]) -> bool {
-        if self.holds(&(rel_id, cols.to_vec()), catalog.rel(rel_id).len()) {
+    /// Whether frozen slot `slot`'s index exists already — held by this
+    /// run over all of its relation, or resident in the shared cache — so
+    /// building on that side costs nothing.
+    fn resident(&self, catalog: &RunCatalog<'_>, slot: usize) -> bool {
+        let CacheSlot { rel, cols, index } = &self.frozen[slot];
+        let rows = catalog.rel(*rel).len();
+        if index.as_ref().is_some_and(|f| f.index.rows() == rows) {
             return true;
         }
-        match (&self.shared, catalog.shared_version(rel_id)) {
+        match (&self.shared, catalog.shared_version(*rel)) {
             (Some(tier), Some(version)) => tier.cache.contains(&CacheKey {
-                rel: rel_id,
+                rel: *rel,
                 version,
-                cols: cols.to_vec(),
+                cols: cols.clone(),
             }),
             _ => false,
         }
     }
 
-    /// The key-ordered index over frozen `rel_id`'s rows on `cols`: held
-    /// from an earlier probe, fetched (or built once) through the shared
-    /// cache, or built for this run alone without one.
+    /// The key-ordered index of frozen slot `slot`: held from an earlier
+    /// probe, fetched (or built once) through the shared cache, or built
+    /// for this run alone without one.
     fn frozen_index(
         &mut self,
         ctx: &ExecCtx,
         catalog: &RunCatalog<'_>,
-        rel_id: RelId,
-        cols: &[usize],
+        slot: usize,
     ) -> &OrderedIndex {
-        let t0 = Instant::now();
-        let base = catalog.rel(rel_id).view();
-        let key = (rel_id, cols.to_vec());
-        if self.holds(&key, base.len()) {
+        let CacheSlot { rel, cols, index } = &mut self.frozen[slot];
+        let base = catalog.rel(*rel).view();
+        if index.as_ref().is_some_and(|f| f.index.rows() == base.len()) {
+            // A held index costs nothing to reuse: not worth a clock read.
             self.reuses += 1;
         } else {
-            let held = match (self.shared.as_mut(), catalog.shared_version(rel_id)) {
+            let t0 = Instant::now();
+            let held = match (self.shared.as_mut(), catalog.shared_version(*rel)) {
                 (Some(tier), Some(version)) => {
                     let ckey = CacheKey {
-                        rel: rel_id,
+                        rel: *rel,
                         version,
-                        cols: cols.to_vec(),
+                        cols: cols.clone(),
                     };
                     let out = tier.cache.get_or_build(&ckey, tier.budget, || {
-                        SharedIndex::build(ctx, base, cols.to_vec())
+                        SharedIndex::build(ctx, base, cols.clone())
                     });
                     if out.built {
                         tier.misses += 1;
@@ -349,43 +374,42 @@ impl<'c> JoinCache<'c> {
                     self.builds += 1;
                     self.build_rows += base.len();
                     FrozenIndex {
-                        index: Arc::new(SharedIndex::build(ctx, base, cols.to_vec())),
+                        index: Arc::new(SharedIndex::build(ctx, base, cols.clone())),
                         shared: false,
                     }
                 }
             };
-            self.frozen.insert(key.clone(), held);
+            self.own_bytes += own_bytes(&held);
+            if let Some(old) = index.replace(held) {
+                self.own_bytes -= own_bytes(&old);
+            }
+            self.maintain += t0.elapsed();
         }
-        self.maintain += t0.elapsed();
-        self.frozen[&key].index.index()
+        index.as_ref().expect("just filled").index.index()
     }
 
-    /// A probe-ready chained index over growing `rel_id`'s current rows,
-    /// keyed on `cols`: built on first use and synchronized incrementally,
-    /// with the compact-key layout invalidated (hashed rebuild, once) when
-    /// probe values escape it.
+    /// A probe-ready chained index over growing slot `slot`'s relation:
+    /// built on first use and synchronized incrementally, with the
+    /// compact-key layout invalidated (hashed rebuild, once) when probe
+    /// values escape it.
     fn growing_index(
         &mut self,
         ctx: &ExecCtx,
         catalog: &RunCatalog<'_>,
-        rel_id: RelId,
-        cols: &[usize],
+        slot: usize,
         probe: RelView<'_>,
         probe_cols: &[usize],
     ) -> &PersistentIndex {
         let t0 = Instant::now();
-        let base = catalog.rel(rel_id).view();
-        let key = (rel_id, cols.to_vec());
-        let fresh = !self.growing.contains_key(&key);
+        let CacheSlot { rel, cols, index } = &mut self.growing[slot];
+        let base = catalog.rel(*rel).view();
+        let before = index.as_ref().map_or(0, PersistentIndex::heap_bytes);
+        let fresh = index.is_none();
         if fresh {
             self.builds += 1;
             self.build_rows += base.len();
-            self.growing.insert(
-                key.clone(),
-                PersistentIndex::build(ctx, base, cols.to_vec()),
-            );
         }
-        let index = self.growing.get_mut(&key).expect("present");
+        let index = index.get_or_insert_with(|| PersistentIndex::build(ctx, base, cols.clone()));
         match index.sync_for_probe(ctx, base, probe, probe_cols) {
             SyncAction::Reused if !fresh => self.reuses += 1,
             SyncAction::Reused => {}
@@ -398,23 +422,30 @@ impl<'c> JoinCache<'c> {
                 self.build_rows += base.len();
             }
         }
+        self.own_bytes = self.own_bytes + index.heap_bytes() - before;
         self.maintain += t0.elapsed();
-        &self.growing[&key]
+        index
     }
 
     /// Heap bytes of the run's own indexes (shared snapshots are
     /// accounted by the database cache's resident total).
     fn heap_bytes(&self) -> usize {
-        self.growing
-            .values()
-            .map(PersistentIndex::heap_bytes)
-            .sum::<usize>()
-            + self
-                .frozen
-                .values()
-                .filter(|f| !f.shared)
-                .map(|f| f.index.heap_bytes())
+        debug_assert_eq!(
+            self.own_bytes,
+            self.growing
+                .iter()
+                .filter_map(|s| s.index.as_ref())
+                .map(PersistentIndex::heap_bytes)
                 .sum::<usize>()
+                + self
+                    .frozen
+                    .iter()
+                    .filter_map(|s| s.index.as_ref())
+                    .map(own_bytes)
+                    .sum::<usize>(),
+            "the running index bytes drifted from the indexes held"
+        );
+        self.own_bytes
     }
 
     /// Resident bytes of the shared tier's backing cache (0 without one).
@@ -425,7 +456,9 @@ impl<'c> JoinCache<'c> {
     /// Drop the stratum's chained indexes: their relations are read as
     /// `Base` from now on, through key-ordered indexes.
     fn end_stratum(&mut self) {
-        self.growing.clear();
+        for slot in self.growing.drain(..) {
+            self.own_bytes -= slot.index.as_ref().map_or(0, PersistentIndex::heap_bytes);
+        }
     }
 
     /// Memory-pressure spill: release this run's pins (mid-stratum drop —
@@ -434,7 +467,11 @@ impl<'c> JoinCache<'c> {
     fn spill_for_pressure(&mut self, target: usize) -> usize {
         match self.shared.as_mut() {
             Some(tier) => {
-                self.frozen.retain(|_, f| !f.shared);
+                for slot in &mut self.frozen {
+                    if slot.index.as_ref().is_some_and(|f| f.shared) {
+                        slot.index = None;
+                    }
+                }
                 let (evicted, freed) = tier.cache.evict_to_fit(target);
                 tier.evictions += evicted;
                 freed
@@ -462,10 +499,166 @@ impl<'c> JoinCache<'c> {
     }
 }
 
+/// The slot of `slots` keyed `(rel, cols)`, reserved empty if new.
+fn reserve<I>(slots: &mut Vec<CacheSlot<I>>, rel: RelId, cols: &[usize]) -> usize {
+    match slots.iter().position(|s| s.rel == rel && s.cols == cols) {
+        Some(at) => at,
+        None => {
+            slots.push(CacheSlot {
+                rel,
+                cols: cols.to_vec(),
+                index: None,
+            });
+            slots.len() - 1
+        }
+    }
+}
+
+/// Bytes a held frozen index costs this run: its own builds only.
+fn own_bytes(held: &FrozenIndex) -> usize {
+    if held.shared {
+        0
+    } else {
+        held.index.heap_bytes()
+    }
+}
+
+/// Where one scan of a bound subquery reads its rows.
+#[derive(Clone, Copy)]
+enum Source {
+    /// A catalog relation, whole: a `Base` or `Full` scan, or any
+    /// position of a maintenance pass.
+    Rel(RelId),
+    /// Peer IDB `i`'s ∆ of the previous iteration.
+    Delta(usize),
+    /// Peer IDB `i`'s Old prefix.
+    Old(usize),
+    /// A maintenance pass's override for this position.
+    Pinned,
+}
+
+/// One join of a bound subquery.
+struct JoinBinding {
+    /// The cache slot of the left input as a build side: at the first
+    /// join only, when that scan is cacheable.
+    left: Option<Slot>,
+    /// The cache slot of the right input as a build side, when cacheable.
+    right: Option<Slot>,
+    /// The direction rule's build side ([`frozen_build_side`]), decided
+    /// on first use.
+    rule: OnceCell<Option<bool>>,
+    /// OOF-NA: the build side frozen after the first iteration.
+    frozen: Cell<Option<bool>>,
+    /// A deduplicated chain stage's values, kept from pass to pass.
+    distinct: RefCell<SinkScratch>,
+}
+
+/// A subquery bound to one run's catalog and one stratum: each scan's
+/// source, each join's cache slots and each negation's relation resolved
+/// once, so evaluating it looks up no name and builds no cache key.
+struct SqBinding {
+    scans: Vec<Source>,
+    joins: Vec<JoinBinding>,
+    /// Per negation: the negated relation, and its cache slot when
+    /// cacheable.
+    negs: Vec<(RelId, Option<usize>)>,
+}
+
+impl SqBinding {
+    /// Bind `sq` of `stratum`: its scans by version (`Delta`/`Old` read
+    /// the peer IDB's state) or, for a maintenance pass (`overrides`), as
+    /// the catalog's full relations except the overridden positions.
+    fn new(
+        catalog: &RunCatalog<'_>,
+        stratum: &CompiledStratum,
+        sq: &SubQuery,
+        jcache: &mut JoinCache<'_>,
+        overrides: Option<&ScanOverrides<'_>>,
+    ) -> Result<Self> {
+        let peer = |rel: &str, what: &str| {
+            stratum
+                .idbs
+                .iter()
+                .position(|i| i.rel == rel)
+                .ok_or_else(|| Error::exec(format!("no {what} state for '{rel}'")))
+        };
+        let scans = sq
+            .scans
+            .iter()
+            .enumerate()
+            .map(|(i, scan)| match overrides {
+                Some(ovr) if ovr.contains_key(&i) => Ok(Source::Pinned),
+                Some(_) => Ok(Source::Rel(rel_id(catalog, &scan.rel)?)),
+                None => Ok(match scan.version {
+                    AtomVersion::Base | AtomVersion::Full => {
+                        Source::Rel(rel_id(catalog, &scan.rel)?)
+                    }
+                    AtomVersion::Delta => Source::Delta(peer(&scan.rel, "delta")?),
+                    AtomVersion::Old => Source::Old(peer(&scan.rel, "old")?),
+                }),
+            })
+            .collect::<Result<_>>()?;
+        let joins = sq
+            .joins
+            .iter()
+            .enumerate()
+            .map(|(ji, join)| JoinBinding {
+                left: (ji == 0)
+                    .then(|| jcache.slot(catalog, &sq.scans[0], &join.left_keys))
+                    .flatten(),
+                right: jcache.slot(catalog, &sq.scans[ji + 1], &join.right_keys),
+                rule: OnceCell::new(),
+                frozen: Cell::new(None),
+                distinct: RefCell::default(),
+            })
+            .collect();
+        let negs = sq
+            .negations
+            .iter()
+            .map(|neg| {
+                let rel = rel_id(catalog, &neg.rel)?;
+                let cached = jcache.enabled && neg.filters.is_empty();
+                Ok((
+                    rel,
+                    cached.then(|| reserve(&mut jcache.frozen, rel, &neg.right_keys)),
+                ))
+            })
+            .collect::<Result<_>>()?;
+        Ok(SqBinding { scans, joins, negs })
+    }
+
+    /// The rows scan `i` reads (a maintenance override for a pinned one).
+    fn view<'a>(
+        &self,
+        i: usize,
+        catalog: &'a RunCatalog<'_>,
+        states: &'a [IdbState],
+        overrides: Option<&ScanOverrides<'a>>,
+    ) -> RelView<'a> {
+        match self.scans[i] {
+            Source::Rel(id) => catalog.rel(id).view(),
+            Source::Delta(p) => states[p].delta.view(catalog.rel(states[p].rel_id)),
+            Source::Old(p) => catalog.rel(states[p].rel_id).prefix_view(states[p].old_len),
+            Source::Pinned => overrides.expect("a pinned scan has an override")[&i],
+        }
+    }
+
+    /// Rows scan `i` reads.
+    fn rows(&self, i: usize, catalog: &RunCatalog<'_>, states: &[IdbState]) -> usize {
+        match self.scans[i] {
+            Source::Rel(id) => catalog.rel(id).len(),
+            Source::Delta(p) => states[p].delta.len(),
+            Source::Old(p) => states[p].old_len,
+            Source::Pinned => 0,
+        }
+    }
+}
+
 /// How an aggregated IDB is evaluated.
 enum AggKind {
-    /// Recursive aggregation: monotonic MIN/MAX map with improvement deltas.
-    Mono(MonoState),
+    /// Recursive aggregation: monotonic MIN/MAX map with improvement deltas
+    /// (boxed: the map is large beside the plain variant).
+    Mono(Box<MonoState>),
     /// Non-recursive aggregation: one parallel group-by pass.
     Plain {
         group_positions: Vec<usize>,
@@ -884,7 +1077,7 @@ impl<'d> EvalRun<'_, 'd> {
                     }
                     // Seeds are pre-existing facts, not this run's ∆.
                     let _ = map.take_improved(Bucket::Unbounded);
-                    Some(AggKind::Mono(MonoState {
+                    Some(AggKind::Mono(Box::new(MonoState {
                         map,
                         group_positions: shape.group_positions.clone(),
                         agg_position: shape.agg_positions[0],
@@ -893,7 +1086,7 @@ impl<'d> EvalRun<'_, 'd> {
                         } else {
                             Bucket::Unbounded
                         },
-                    }))
+                    })))
                 }
                 Some(shape) => {
                     if !rel.is_empty() {
@@ -910,19 +1103,21 @@ impl<'d> EvalRun<'_, 'd> {
                     })
                 }
             };
+            let bound = idb
+                .subqueries
+                .iter()
+                .map(|sq| SqBinding::new(&self.catalog, stratum, sq, jcache, None))
+                .collect::<Result<_>>()?;
             states.push(IdbState {
                 rel_id,
                 delta,
                 old_len: start,
                 dsd: DsdState::new(DSD_ALPHA),
                 agg,
-                frozen: idb
-                    .subqueries
-                    .iter()
-                    .map(|sq| vec![None; sq.joins.len()])
-                    .collect(),
+                bound,
                 full_index: index_carry.remove(&rel_id),
-                delta_schema: Schema::with_arity(idb.delta_name.clone(), idb.arity),
+                scratch: SinkScratch::default(),
+                spare: Vec::new(),
                 tmp_schemas: idb
                     .tmp_names
                     .iter()
@@ -931,7 +1126,34 @@ impl<'d> EvalRun<'_, 'd> {
             });
         }
 
+        // The memory budget's live bytes (how OOM is reported honestly):
+        // the catalog, the run's own join indexes, the shared cache's
+        // resident snapshots, the carried full-R indexes, and each IDB's
+        // ∆, full-R index and monotonic map. Within the loop only the
+        // stratum's own IDB relations change in the catalog and nothing
+        // touches the carried indexes, so the rest is summed once here and
+        // each boundary adds what can move.
+        let idb_bytes = |catalog: &RunCatalog<'_>, states: &[IdbState]| {
+            states
+                .iter()
+                .map(|s| catalog.rel(s.rel_id).heap_bytes())
+                .sum::<usize>()
+        };
+        let fixed_bytes = self.catalog.heap_bytes() - idb_bytes(&self.catalog, &states)
+            + index_carry
+                .values()
+                .map(PersistentIndex::heap_bytes)
+                .sum::<usize>();
+
         let mut iterations = 0usize;
+        // The paper keeps ∆R of the previous iteration alive while the
+        // current iteration's ∆R is being produced ("two temporary tables
+        // are created for each idb R", §4): every IDB of the stratum must
+        // read the *previous* deltas, so the new ones are staged and
+        // swapped in only after the full pass. Row-range deltas make this
+        // free — R is append-only until fixpoint, so a previously staged
+        // range stays valid while R grows.
+        let mut staged: Vec<DeltaBuf> = Vec::with_capacity(stratum.idbs.len());
         loop {
             if self.cancel.is_some_and(CancelToken::is_cancelled) {
                 return Err(Error::Cancelled);
@@ -940,44 +1162,32 @@ impl<'d> EvalRun<'_, 'd> {
             // error-path tests: one boundary per fixpoint iteration.
             recstep_common::fail_point!("eval::fixpoint");
             iterations += 1;
-            let mut all_empty = true;
-            // The paper keeps ∆R of the previous iteration alive while the
-            // current iteration's ∆R is being produced ("two temporary
-            // tables are created for each idb R", §4): every IDB of the
-            // stratum must read the *previous* deltas, so the new ones are
-            // staged and swapped in only after the full pass. Row-range
-            // deltas make this free — R is append-only until fixpoint, so
-            // a previously staged range stays valid while R grows.
+            for (i, idb) in stratum.idbs.iter().enumerate() {
+                let delta = self.step_idb(stratum, idb, i, &mut states, jcache, stats, seeded)?;
+                staged.push(delta);
+            }
+            let all_empty = staged.iter().all(DeltaBuf::is_empty);
             // Old moves with ∆ (a row-range ∆ starts where Old ends): a
             // peer stepped later in the pass must not see an earlier IDB's
             // Old grown over the ∆ it also reads as Delta, or every ∆×∆
-            // pair would be derived twice.
-            let mut staged: Vec<Option<DeltaBuf>> = (0..stratum.idbs.len()).map(|_| None).collect();
-            for (i, idb) in stratum.idbs.iter().enumerate() {
-                let delta = self.step_idb(stratum, idb, i, &mut states, jcache, stats, seeded)?;
-                if !delta.is_empty() {
-                    all_empty = false;
-                }
-                staged[i] = Some(delta);
-            }
-            for (state, new_delta) in states.iter_mut().zip(staged) {
-                let new_delta = new_delta.expect("every idb staged a delta");
+            // pair would be derived twice. An owned ∆ no peer reads any
+            // more lends its columns to the next.
+            for (state, new_delta) in states.iter_mut().zip(staged.drain(..)) {
                 if let DeltaBuf::Range(start, _) = new_delta {
                     state.old_len = start;
                 }
-                state.delta = new_delta;
+                if let DeltaBuf::Owned(cols) = std::mem::replace(&mut state.delta, new_delta) {
+                    state.spare = cols;
+                }
             }
-            // Memory budget check (how OOM is reported honestly). Persistent
-            // indexes — including the shared cache's resident snapshots —
-            // are live state and count against the budget.
+            // Memory budget check. Persistent indexes — including the
+            // shared cache's resident snapshots — are live state and count
+            // against the budget.
             let cache_resident = jcache.shared_resident_bytes();
-            let mut live = self.catalog.heap_bytes()
+            let mut live = fixed_bytes
+                + idb_bytes(&self.catalog, &states)
                 + jcache.heap_bytes()
                 + cache_resident
-                + index_carry
-                    .values()
-                    .map(PersistentIndex::heap_bytes)
-                    .sum::<usize>()
                 + states
                     .iter()
                     .map(|s| {
@@ -989,6 +1199,15 @@ impl<'d> EvalRun<'_, 'd> {
                             }
                     })
                     .sum::<usize>();
+            debug_assert_eq!(
+                fixed_bytes + idb_bytes(&self.catalog, &states),
+                self.catalog.heap_bytes()
+                    + index_carry
+                        .values()
+                        .map(PersistentIndex::heap_bytes)
+                        .sum::<usize>(),
+                "only the stratum's own relations change within its fixpoint"
+            );
             stats.peak_bytes = stats.peak_bytes.max(live);
             // Running high-water mark: entries dropped later by the
             // stratum's end or a pressure spill must still count toward
@@ -1178,52 +1397,58 @@ impl<'d> EvalRun<'_, 'd> {
     }
 
     /// Relation `rel_id`'s whole-tuple full-R index, built on first use or
-    /// synced with the relation, booked under `phase.index`. Every probe
-    /// goes through here, and a merge leaves the index trailing, so this
-    /// and the hand-offs out of a run ([`Self::sync_indexes`]) are the
-    /// only places a full-R index is built or grown.
+    /// synced with the relation, booked under `phase.index`, and the
+    /// instant it was ready (where a ∆ stream's pipeline time starts).
+    /// Every probe goes through here, and a merge leaves the index
+    /// trailing, so this and the hand-offs out of a run
+    /// ([`Self::sync_indexes`]) are the only places a full-R index is
+    /// built or grown.
     fn full_index<'i>(
         &self,
         rel_id: RelId,
         index: &'i mut Option<PersistentIndex>,
         stats: &mut EvalStats,
-    ) -> &'i mut PersistentIndex {
-        match index {
+    ) -> (&'i mut PersistentIndex, Instant) {
+        let t_index = Instant::now();
+        let rel = self.catalog.rel(rel_id);
+        let index = match index {
             Some(index) => {
-                self.sync_index(rel_id, index, stats);
+                note_sync(index.append(self.ctx, rel.view()), rel.len(), stats);
                 index
             }
             None => {
-                let t_index = Instant::now();
-                let rel = self.catalog.rel(rel_id);
                 note_sync(SyncAction::Rebuilt, rel.len(), stats);
                 let cols = (0..rel.arity()).collect();
-                let built = index.insert(PersistentIndex::build(self.ctx, rel.view(), cols));
-                stats.phase.index += t_index.elapsed();
-                built
+                index.insert(PersistentIndex::build(self.ctx, rel.view(), cols))
             }
-        }
+        };
+        let ready = Instant::now();
+        stats.phase.index += ready - t_index;
+        (index, ready)
     }
 
     /// One ∆-stream pass over relation `rel_id`, shared by the Delta sink
     /// of [`Self::step_idb`] and the view seed pass: [`Self::sink_pass`]
-    /// against the full-R `index` (built or synced first), booked under
+    /// into `scratch`, sized for `capacity` rows, against the full-R
+    /// `index` (built or synced first), booked under
     /// `phase.pipeline`; every considered row not kept is booked as
     /// skipped at source. On error `index` is left in place. The caller
     /// books `tuples_considered` and merges the fresh rows
     /// ([`Self::merge_delta`]); the next sync's index `append` performs
     /// any one-time hashed rebuild the escapes call for.
+    #[allow(clippy::too_many_arguments)]
     fn stream_delta(
         &self,
         rel_id: RelId,
         index: &mut Option<PersistentIndex>,
+        scratch: &mut SinkScratch,
+        capacity: usize,
         sampler: Option<&SinkSampler>,
         stats: &mut EvalStats,
         eval: impl FnOnce(&Self, &SinkMode<'_>) -> Result<EvalOut>,
     ) -> Result<Streamed> {
-        let index = self.full_index(rel_id, index, stats);
-        let t_pipe = Instant::now();
-        let streamed = self.sink_pass(rel_id, index, 0, sampler, stats, eval)?;
+        let (index, t_pipe) = self.full_index(rel_id, index, stats);
+        let streamed = self.sink_pass(rel_id, index, scratch, capacity, sampler, stats, eval)?;
         let skipped = streamed.considered - streamed.out.cols.first().map_or(0, Vec::len);
         stats.rt_rows_skipped_at_source += skipped;
         stats.rt_bytes_never_materialized += skipped * self.catalog.rel(rel_id).arity() * 8;
@@ -1232,21 +1457,25 @@ impl<'d> EvalRun<'_, 'd> {
     }
 
     /// `eval` streams every produced row through a [`DeltaSink`] probing
-    /// relation `rel_id`'s synced full-R `index` and a shared scratch table
-    /// presized for `capacity` rows, so only rows new w.r.t. `R` and each
-    /// other come out. The sink's compact-key escapes are new w.r.t. `R`
-    /// and the sink's winners (a tuple fits the packed layout iff each
-    /// value fits) and are deduplicated among themselves here.
+    /// relation `rel_id`'s synced full-R `index` and keeping its winners in
+    /// `scratch` (a table presized for `capacity` rows, or a bit window),
+    /// so only rows new w.r.t. `R` and each other come out. The sink's
+    /// compact-key escapes are new w.r.t. `R` and the sink's winners (a
+    /// tuple fits the packed layout iff each value fits) and are
+    /// deduplicated among themselves here.
+    #[allow(clippy::too_many_arguments)]
     fn sink_pass(
         &self,
         rel_id: RelId,
         index: &PersistentIndex,
+        scratch: &mut SinkScratch,
         capacity: usize,
         sampler: Option<&SinkSampler>,
         stats: &mut EvalStats,
         eval: impl FnOnce(&Self, &SinkMode<'_>) -> Result<EvalOut>,
     ) -> Result<Streamed> {
-        let mut sink = DeltaSink::new(index, self.catalog.rel(rel_id).view(), capacity);
+        let base = self.catalog.rel(rel_id).view();
+        let mut sink = DeltaSink::with_scratch(index, base, scratch, capacity);
         if let Some(s) = sampler {
             sink = sink.with_sampler(s);
         }
@@ -1344,7 +1573,8 @@ impl<'d> EvalRun<'_, 'd> {
         // statistics pass.
         let sampler = (self.cfg.oof == OofMode::Full && (delta_sink || agg_sink))
             .then(|| SinkSampler::new(idb.arity, SINK_SAMPLE_CAP));
-        let t_eval = Instant::now();
+        // The ∆ stream times itself ([`Self::stream_delta`]).
+        let t_eval = (!delta_sink).then(Instant::now);
         // A plain group-by head folds one pass into fresh state: a single
         // MIN/MAX into the CAS-on-best map (windowed when its keys pack
         // compactly), any other aggregate list into sharded partials.
@@ -1373,6 +1603,13 @@ impl<'d> EvalRun<'_, 'd> {
         } else {
             None
         };
+        // The ∆ stream's table starts sized for the previous ∆.
+        let capacity = states[idx].delta.len();
+        let mut scratch = if delta_sink {
+            std::mem::take(&mut states[idx].scratch)
+        } else {
+            SinkScratch::default()
+        };
 
         // --- Rt ← uieval(rules(R, s)), into the chosen sink. ---
         let mut eval = |this: &Self, sink: &SinkMode<'_>| {
@@ -1390,13 +1627,23 @@ impl<'d> EvalRun<'_, 'd> {
             )
         };
         let mut scratch_bytes = 0;
-        let (out, considered) = if delta_sink {
-            let streamed =
-                self.stream_delta(rel_id, &mut full_index, sampler.as_ref(), stats, eval);
+        // The Agg sink's pipeline ends where its aggregation tail starts:
+        // one clock read serves both.
+        let (out, considered, evaluated) = if delta_sink {
+            let streamed = self.stream_delta(
+                rel_id,
+                &mut full_index,
+                &mut scratch,
+                capacity,
+                sampler.as_ref(),
+                stats,
+                eval,
+            );
             states[idx].full_index = full_index;
+            states[idx].scratch = scratch;
             let streamed = streamed?;
             scratch_bytes = streamed.scratch_bytes;
-            (streamed.out, streamed.considered)
+            (streamed.out, streamed.considered, None)
         } else if agg_sink {
             let mono = match &states[idx].agg {
                 Some(AggKind::Mono(ms)) => Some(&ms.map),
@@ -1413,16 +1660,17 @@ impl<'d> EvalRun<'_, 'd> {
             let doublings = mono.map_or(0, ConcurrentMonoMap::table_doublings);
             let sink = AggSink::new(target, sampler.as_ref());
             let out = eval(self, &SinkMode::Agg(&sink))?;
-            stats.phase.pipeline += t_eval.elapsed();
+            let evaluated = Instant::now();
+            stats.phase.pipeline += evaluated - t_eval.expect("timed");
             if let Some(map) = mono {
                 stats.sink_table_doublings += map.table_doublings() - doublings;
             }
-            (out, sink.considered())
+            (out, sink.considered(), Some(evaluated))
         } else {
             let out = eval(self, &SinkMode::Materialize)?;
-            stats.phase.eval += t_eval.elapsed();
+            stats.phase.eval += t_eval.expect("timed").elapsed();
             let produced = out.cols.first().map_or(0, Vec::len);
-            (out, produced)
+            (out, produced, None)
         };
 
         // --- Statistics every sink shares. ---
@@ -1435,7 +1683,7 @@ impl<'d> EvalRun<'_, 'd> {
         stats.sink_windows += out.tally.stage_windows;
         stats.tuples_considered += considered;
         if self.cfg.oof == OofMode::None {
-            freeze_choices(&self.catalog, jcache, stratum, idb, states, idx);
+            freeze_choices(&self.catalog, jcache, stratum, states, idx);
         }
         if self.cfg.oof == OofMode::Full {
             self.analyze_rt(rel_id, sampler.as_ref(), &out.cols, stats);
@@ -1456,7 +1704,7 @@ impl<'d> EvalRun<'_, 'd> {
             stats.agg_sink_runs += 1;
             stats.agg_rows_folded_at_source += considered;
         }
-        let t_agg = Instant::now();
+        let t_agg = evaluated.unwrap_or_else(Instant::now);
         let (start, end) = match &mut state.agg {
             Some(AggKind::Mono(ms)) => {
                 if materialized {
@@ -1473,13 +1721,15 @@ impl<'d> EvalRun<'_, 'd> {
                 }
                 // The dirty list's bucket is ∆R; the rest stays pending.
                 let improved = ms.map.take_improved(ms.bucket);
-                let delta = mono_delta(&state.delta_schema, ms, &improved);
+                let spare = std::mem::take(&mut state.spare);
+                let delta = mono_delta(spare, &ms.group_positions, ms.agg_position, improved);
+                let rows = delta.first().map_or(0, Vec::len);
                 if agg_sink {
-                    stats.agg_groups_improved += delta.len();
+                    stats.agg_groups_improved += rows;
                 }
                 stats.agg_groups_deferred += ms.map.deferred();
                 stats.phase.aggregate += t_agg.elapsed();
-                self.io.temp(delta.view());
+                self.io.temp(RelView::over(&delta));
                 return Ok(DeltaBuf::Owned(delta));
             }
             Some(AggKind::Plain {
@@ -1509,18 +1759,25 @@ impl<'d> EvalRun<'_, 'd> {
                     // (built once for the stratum, synced here with the
                     // previous merge). One query replaces the dedup INSERT
                     // and the difference query of the rebuild path. ---
-                    let index = self.full_index(rel_id, &mut state.full_index, stats);
+                    let (index, _) = self.full_index(rel_id, &mut state.full_index, stats);
                     let t_dedup = Instant::now();
                     let identity: Vec<Expr> = (0..idb.arity).map(Expr::Col).collect();
                     let rt = RelView::over(&rows);
-                    let drained =
-                        self.sink_pass(rel_id, index, considered, None, stats, |this, sink| {
+                    let drained = self.sink_pass(
+                        rel_id,
+                        index,
+                        &mut state.scratch,
+                        considered,
+                        None,
+                        stats,
+                        |this, sink| {
                             Ok(EvalOut {
                                 cols: project_filter_sink(this.ctx, rt, &identity, &[], sink),
                                 queries: 0,
                                 tally: Tally::default(),
                             })
-                        })?;
+                        },
+                    )?;
                     stats.phase.dedup += t_dedup.elapsed();
                     rows = drained.out.cols;
                     scratch_bytes = drained.scratch_bytes;
@@ -1724,8 +1981,8 @@ impl EvalRun<'_, '_> {
         overrides: &ScanOverrides<'_>,
         sink: &SinkMode<'_>,
     ) -> Result<Vec<Vec<Value>>> {
-        let frozen = vec![None; sq.joins.len()];
         let mut jcache = JoinCache::new(false, None);
+        let bind = SqBinding::new(&self.catalog, stratum, sq, &mut jcache, Some(overrides))?;
         // Maintenance passes are driven per changed scan position and not
         // per evaluation run, so their operator accounting is dropped.
         let mut tally = Tally::default();
@@ -1735,8 +1992,8 @@ impl EvalRun<'_, '_> {
             &self.catalog,
             stratum,
             sq,
+            &bind,
             &[],
-            &frozen,
             &mut jcache,
             Some(overrides),
             sink,
@@ -1910,14 +2167,22 @@ impl EvalRun<'_, '_> {
             let rel_id = rel_id(&self.catalog, &idb.rel)?;
             starts.insert(rel_id, self.catalog.rel(rel_id).len());
             let mut index = rs.indexes.remove(&rel_id);
-            let streamed =
-                self.stream_delta(rel_id, &mut index, None, &mut rs.stats, |this, sink| {
+            let mut scratch = SinkScratch::default();
+            let streamed = self.stream_delta(
+                rel_id,
+                &mut index,
+                &mut scratch,
+                0,
+                None,
+                &mut rs.stats,
+                |this, sink| {
                     Ok(EvalOut {
                         cols: this.pinned_pass(unit, idb, &inputs.plus, sink)?,
                         queries: 0,
                         tally: Tally::default(),
                     })
-                });
+                },
+            );
             let appended = streamed.map(|streamed| {
                 rs.stats.tuples_considered += streamed.considered;
                 let merged = self.merge_delta(rel_id, streamed.out.cols, &mut rs.stats);
@@ -2118,26 +2383,23 @@ fn note_sync(action: SyncAction, rows: usize, stats: &mut EvalStats) {
     }
 }
 
-/// ∆R of a monotonic head in head layout (`schema`): one row per improved
-/// group of `improved`, flattened as `[group ‖ best]` rows, built column
-/// by column and appended in one piece.
-fn mono_delta(schema: &Schema, ms: &MonoState, improved: &[Value]) -> Relation {
-    let g = ms.group_positions.len();
-    let rows = improved.len() / (g + 1);
-    let mut cols: Vec<Vec<Value>> = (0..schema.arity())
-        .map(|_| Vec::with_capacity(rows))
-        .collect();
-    for (i, &pos) in ms
-        .group_positions
-        .iter()
-        .chain([&ms.agg_position])
-        .enumerate()
-    {
+/// ∆R of a monotonic head in head layout, written into the emptied
+/// columns `cols`: one row per improved group of `improved`, flattened as
+/// `[group ‖ best]` rows, the group values at `group_positions` and the
+/// best at `agg_position`.
+fn mono_delta(
+    mut cols: Vec<Vec<Value>>,
+    group_positions: &[usize],
+    agg_position: usize,
+    improved: &[Value],
+) -> Vec<Vec<Value>> {
+    let g = group_positions.len();
+    cols.resize_with(g + 1, Vec::new);
+    for (i, &pos) in group_positions.iter().chain([&agg_position]).enumerate() {
+        cols[pos].clear();
         cols[pos].extend(improved.iter().skip(i).step_by(g + 1));
     }
-    let mut delta = Relation::new(schema.clone());
-    delta.append_columns(cols);
-    delta
+    cols
 }
 
 /// Place grouped columns (`[group ‖ aggregates]`) at their head positions.
@@ -2183,51 +2445,61 @@ fn freeze_choices(
     catalog: &RunCatalog<'_>,
     jcache: &JoinCache<'_>,
     stratum: &CompiledStratum,
-    idb: &CompiledIdb,
-    states: &mut [IdbState],
+    states: &[IdbState],
     idx: usize,
 ) {
     // The direction rule, else sizes as of this iteration, decide once
     // and are kept.
-    for (si, sq) in idb.subqueries.iter().enumerate() {
-        for ji in 0..sq.joins.len() {
-            if states[idx].frozen[si][ji].is_none() {
-                let choice =
-                    frozen_build_side(jcache, catalog, stratum, sq, ji).unwrap_or_else(|| {
-                        let left_rows = estimate_left_rows(catalog, stratum, states, sq, ji);
-                        left_rows <= scan_rows(catalog, stratum, states, sq, ji + 1)
-                    });
-                states[idx].frozen[si][ji] = Some(choice);
+    for bind in &states[idx].bound {
+        for (ji, join) in bind.joins.iter().enumerate() {
+            if join.frozen.get().is_none() {
+                let choice = direction(jcache, catalog, stratum, join).unwrap_or_else(|| {
+                    let left_rows = (0..=ji)
+                        .map(|i| bind.rows(i, catalog, states))
+                        .max()
+                        .unwrap_or(0);
+                    left_rows <= bind.rows(ji + 1, catalog, states)
+                });
+                join.frozen.set(Some(choice));
             }
         }
     }
 }
 
-/// The direction rule: the build side of join `ji` of `sq` when exactly
-/// one input is a cacheable frozen relation and building on it is free
-/// over the stratum — it is recursive (the index then serves every
-/// iteration, probed by each ∆) or the index is already resident. `None`
-/// leaves the choice to sizes.
+/// The direction rule for a bound join, decided on its first use
+/// ([`frozen_build_side`]).
+fn direction(
+    jcache: &JoinCache<'_>,
+    catalog: &RunCatalog<'_>,
+    stratum: &CompiledStratum,
+    join: &JoinBinding,
+) -> Option<bool> {
+    *join
+        .rule
+        .get_or_init(|| frozen_build_side(jcache, catalog, stratum, join))
+}
+
+/// The direction rule: the build side of `join` when exactly one input is
+/// a cacheable frozen relation and building on it is free over the
+/// stratum — it is recursive (the index then serves every iteration,
+/// probed by each ∆) or the index is already resident. `None` leaves the
+/// choice to sizes.
 fn frozen_build_side(
     jcache: &JoinCache<'_>,
     catalog: &RunCatalog<'_>,
     stratum: &CompiledStratum,
-    sq: &SubQuery,
-    ji: usize,
+    join: &JoinBinding,
 ) -> Option<bool> {
-    let join = &sq.joins[ji];
-    let left = if ji == 0 {
-        jcache.frozen_rel(catalog, &sq.scans[0])
-    } else {
-        None
+    let frozen = |slot| match slot {
+        Some(Slot::Frozen(s)) => Some(s),
+        _ => None,
     };
-    let right = jcache.frozen_rel(catalog, &sq.scans[ji + 1]);
-    let (build_left, rel_id, cols) = match (left, right) {
-        (Some(id), None) => (true, id, &join.left_keys),
-        (None, Some(id)) => (false, id, &join.right_keys),
+    let (build_left, slot) = match (frozen(join.left), frozen(join.right)) {
+        (Some(s), None) => (true, s),
+        (None, Some(s)) => (false, s),
         _ => return None,
     };
-    (stratum.recursive || jcache.resident(catalog, rel_id, cols)).then_some(build_left)
+    (stratum.recursive || jcache.resident(catalog, slot)).then_some(build_left)
 }
 
 /// The scan of `sq` holding column `c` of the flattened layout, and the
@@ -2240,38 +2512,6 @@ fn scan_of_column(sq: &SubQuery, mut c: usize) -> (usize, usize) {
         c -= scan.arity;
     }
     unreachable!("flattened column beyond the subquery's width")
-}
-
-fn scan_rows(
-    catalog: &RunCatalog<'_>,
-    stratum: &CompiledStratum,
-    states: &[IdbState],
-    sq: &SubQuery,
-    scan_idx: usize,
-) -> usize {
-    let scan = &sq.scans[scan_idx];
-    let state = find_state(stratum, states, &scan.rel);
-    match scan.version {
-        AtomVersion::Base | AtomVersion::Full => catalog
-            .lookup(&scan.rel)
-            .map_or(0, |id| catalog.rel(id).len()),
-        AtomVersion::Delta => state.map_or(0, |s| s.delta.len()),
-        AtomVersion::Old => state.map_or(0, |s| s.old_len),
-    }
-}
-
-fn estimate_left_rows(
-    catalog: &RunCatalog<'_>,
-    stratum: &CompiledStratum,
-    states: &[IdbState],
-    sq: &SubQuery,
-    join_idx: usize,
-) -> usize {
-    // Rough estimate: the max scan size among already-joined atoms.
-    (0..=join_idx)
-        .map(|i| scan_rows(catalog, stratum, states, sq, i))
-        .max()
-        .unwrap_or(0)
 }
 
 /// Operator accounting carried out of subquery evaluation (folded into
@@ -2328,7 +2568,8 @@ fn eval_idb(
     seeded: bool,
 ) -> Result<EvalOut> {
     let out_arity = idb.arity;
-    let mut unioned: Vec<Vec<Value>> = vec![Vec::new(); out_arity];
+    // Filled by the first subquery that runs.
+    let mut unioned: Vec<Vec<Value>> = Vec::new();
     let mut queries = 0usize;
     let mut tally = Tally::default();
     // Seeded re-entry: subqueries with no ∆ scan re-derive only what the
@@ -2346,8 +2587,8 @@ fn eval_idb(
             catalog,
             stratum,
             sq,
+            &states[idx].bound[si],
             states,
-            &states[idx].frozen[si],
             jcache,
             None,
             sink,
@@ -2357,12 +2598,17 @@ fn eval_idb(
         if cfg.uie {
             // One unified query: results land in a single output buffer.
             // The first subquery's columns are moved, not copied.
-            append_cols(&mut unioned, cols);
+            if unioned.is_empty() {
+                unioned = cols;
+            } else {
+                append_cols(&mut unioned, cols);
+            }
         } else {
             // Individual evaluation: materialize a per-subquery temp table,
             // then merge — the extra query + copy of Figure 4 (left).
             let mut tmp = Relation::new(states[idx].tmp_schemas[si].clone());
             tmp.append_columns(cols);
+            unioned.resize_with(out_arity, Vec::new);
             for (c, dst) in unioned.iter_mut().enumerate() {
                 dst.extend_from_slice(tmp.col(c));
             }
@@ -2372,6 +2618,7 @@ fn eval_idb(
     if cfg.uie {
         queries += 1;
     }
+    unioned.resize_with(out_arity, Vec::new);
     Ok(EvalOut {
         cols: unioned,
         queries,
@@ -2409,8 +2656,8 @@ fn eval_subquery<'a>(
     catalog: &'a RunCatalog<'_>,
     stratum: &CompiledStratum,
     sq: &SubQuery,
+    bind: &SqBinding,
     states: &'a [IdbState],
-    frozen: &[Option<bool>],
     jcache: &mut JoinCache<'_>,
     overrides: Option<&ScanOverrides<'a>>,
     sink: &SinkMode<'_>,
@@ -2421,16 +2668,7 @@ fn eval_subquery<'a>(
         overrides.is_none() || !jcache.enabled,
         "maintenance passes must run with the join cache disabled"
     );
-    let source_of = |i: usize| -> Result<RelView<'a>> {
-        let scan = &sq.scans[i];
-        match overrides {
-            Some(ovr) => match ovr.get(&i) {
-                Some(v) => Ok(*v),
-                None => Ok(catalog.rel(rel_id(catalog, &scan.rel)?).view()),
-            },
-            None => resolve_view(catalog, stratum, states, &scan.rel, scan.version),
-        }
-    };
+    let source_of = |i: usize| bind.view(i, catalog, states, overrides);
     let materialize = &SinkMode::Materialize;
     // The flattened row's identity projection, built on first use: its
     // first `w` columns serve any stage or filtered scan of width `w`.
@@ -2438,22 +2676,23 @@ fn eval_subquery<'a>(
     let identity = |w: usize| -> &[Expr] {
         &identity_cell.get_or_init(|| (0..sq.width).map(Expr::Col).collect::<Vec<_>>())[..w]
     };
-    // Materialize filtered scans; untouched scans stay zero-copy views.
-    let mut filtered: Vec<Option<Vec<Vec<Value>>>> = Vec::with_capacity(sq.scans.len());
-    for (i, scan) in sq.scans.iter().enumerate() {
-        let view = source_of(i)?;
-        if scan.filters.is_empty() {
-            filtered.push(None);
-        } else {
-            let filters = &scan.filters;
-            let cols = project_filter_sink(ctx, view, identity(scan.arity), filters, materialize);
-            filtered.push(Some(cols));
-        }
-    }
-    let view_of = |i: usize| -> Result<RelView<'_>> {
-        match &filtered[i] {
-            Some(cols) => Ok(RelView::over(cols)),
-            None => source_of(i),
+    // Materialize filtered scans; untouched scans stay zero-copy views
+    // (and a body without filters allocates no list).
+    let filtered: Vec<Option<Vec<Vec<Value>>>> = if sq.scans.iter().any(|s| !s.filters.is_empty()) {
+        let filter = |(i, scan): (usize, &ScanSpec)| {
+            (!scan.filters.is_empty()).then(|| {
+                let output = identity(scan.arity);
+                project_filter_sink(ctx, source_of(i), output, &scan.filters, materialize)
+            })
+        };
+        sq.scans.iter().enumerate().map(filter).collect()
+    } else {
+        Vec::new()
+    };
+    let view_of = |i: usize| -> RelView<'_> {
+        match filtered.get(i) {
+            Some(Some(cols)) => RelView::over(cols),
+            _ => source_of(i),
         }
     };
 
@@ -2468,7 +2707,7 @@ fn eval_subquery<'a>(
         if let Some(wp) = &sq.wcoj {
             let mut views = Vec::with_capacity(sq.scans.len());
             for i in 0..sq.scans.len() {
-                views.push(view_of(i)?);
+                views.push(view_of(i));
             }
             // Same width-accurate materialization cap as the join chain:
             // the producer stops emitting past it and the post-check turns
@@ -2522,12 +2761,12 @@ fn eval_subquery<'a>(
         } else {
             (sq.head_exprs.as_slice(), sink)
         };
-        acc = project_filter_sink(ctx, view_of(0)?, output, &sq.residual, stage_sink);
+        acc = project_filter_sink(ctx, view_of(0), output, &sq.residual, stage_sink);
     } else {
         acc = Vec::new();
         let mut width = sq.scans[0].arity;
         for (ji, join) in sq.joins.iter().enumerate() {
-            let right = view_of(ji + 1)?;
+            let right = view_of(ji + 1);
             let left_is_first = ji == 0;
             let last = ji == sq.joins.len() - 1;
             let out_width = width + sq.scans[ji + 1].arity;
@@ -2539,7 +2778,7 @@ fn eval_subquery<'a>(
                 (identity(out_width), &[][..])
             };
             let left_view = if left_is_first {
-                view_of(0)?
+                view_of(0)
             } else {
                 RelView::over(&acc)
             };
@@ -2555,17 +2794,22 @@ fn eval_subquery<'a>(
             // distinct live value; the cap then counts survivors only. A
             // live column's values come from one scan column, whose
             // source's cached bounds cover them (a filter only narrows).
+            // The stage's window or table is the bound join's, kept from
+            // pass to pass.
+            let bound = &bind.joins[ji];
+            let mut stage_scratch = bound.distinct.borrow_mut();
             let distinct = match (&join.live, sink) {
                 (Some(live), SinkMode::Delta(_)) if !last => {
                     let bounds: Option<Vec<(Value, Value)>> = live
                         .iter()
                         .map(|&c| {
                             let (scan, col) = scan_of_column(sq, c);
-                            source_of(scan).ok()?.cached_bounds(col)
+                            source_of(scan).cached_bounds(col)
                         })
                         .collect();
                     let rows = left_view.len() + right.len();
-                    Some(DistinctSink::new(live, bounds.as_deref(), rows))
+                    let scratch = &mut *stage_scratch;
+                    Some(DistinctSink::new(live, bounds.as_deref(), rows, scratch))
                 }
                 _ => None,
             };
@@ -2582,11 +2826,11 @@ fn eval_subquery<'a>(
                 // current sizes (Selective / Full), or the frozen
                 // first-iteration choice (None).
                 let by_cost = || {
-                    frozen_build_side(jcache, catalog, stratum, sq, ji)
+                    direction(jcache, catalog, stratum, bound)
                         .unwrap_or(left_view.len() <= right.len())
                 };
                 let build_left = match cfg.oof {
-                    OofMode::None => frozen[ji].unwrap_or_else(by_cost),
+                    OofMode::None => bound.frozen.get().unwrap_or_else(by_cost),
                     _ => by_cost(),
                 };
                 let spec = JoinSpec {
@@ -2600,29 +2844,20 @@ fn eval_subquery<'a>(
                 // unfiltered catalog relation: key-ordered if frozen,
                 // chained (built once, appended as it grows) if it is one
                 // of the stratum's own IDBs.
-                let (build_view, build_cols, probe_view, probe_cols) = if build_left {
-                    (left_view, &join.left_keys, right, &join.right_keys)
+                let (build_view, probe_view, probe_cols, slot) = if build_left {
+                    (left_view, right, &join.right_keys, bound.left)
                 } else {
-                    (right, &join.right_keys, left_view, &join.left_keys)
+                    (right, left_view, &join.left_keys, bound.right)
                 };
-                // A left build side is a catalog scan at the first join only.
-                let build_scan = if build_left {
-                    left_is_first.then(|| &sq.scans[0])
-                } else {
-                    Some(&sq.scans[ji + 1])
-                };
-                let cached = build_scan
-                    .and_then(|scan| Some((jcache.cacheable(catalog, scan)?, frozen_scan(scan))));
-                acc = match cached {
-                    Some((rel_id, true)) if !left_view.is_empty() && !right.is_empty() => {
+                acc = match slot {
+                    Some(Slot::Frozen(slot)) if !left_view.is_empty() && !right.is_empty() => {
                         jcache.frozen_probes += 1;
-                        let index = jcache.frozen_index(ctx, catalog, rel_id, build_cols);
+                        let index = jcache.frozen_index(ctx, catalog, slot);
                         index_join_sink(ctx, probe_view, index, &spec, stage_sink)
                     }
-                    Some((rel_id, false)) if !left_view.is_empty() && !right.is_empty() => {
-                        let index = jcache.growing_index(
-                            ctx, catalog, rel_id, build_cols, probe_view, probe_cols,
-                        );
+                    Some(Slot::Growing(slot)) if !left_view.is_empty() && !right.is_empty() => {
+                        let index =
+                            jcache.growing_index(ctx, catalog, slot, probe_view, probe_cols);
                         chained_join_sink(ctx, probe_view, index, build_view, &spec, stage_sink)
                     }
                     _ => hash_join_sink(ctx, left_view, right, &spec, stage_sink),
@@ -2652,8 +2887,8 @@ fn eval_subquery<'a>(
     }
 
     // Negations as anti joins; the last one projects to the head.
-    for (ni, neg) in sq.negations.iter().enumerate() {
-        let base = resolve_view(catalog, stratum, states, &neg.rel, AtomVersion::Base)?;
+    for (ni, (neg, &(neg_rel, slot))) in sq.negations.iter().zip(&bind.negs).enumerate() {
+        let base = catalog.rel(neg_rel).view();
         let neg_filtered;
         let neg_view = if neg.filters.is_empty() {
             base
@@ -2672,14 +2907,9 @@ fn eval_subquery<'a>(
         // Under stratified negation a negated atom reads a lower stratum
         // (`Base`): frozen, so its unfiltered relation is served from a
         // key-ordered index like any frozen join build side.
-        let cached = if jcache.enabled && neg.filters.is_empty() {
-            catalog.lookup(&neg.rel)
-        } else {
-            None
-        };
-        acc = match cached {
-            Some(rel_id) if !acc_view.is_empty() && !neg_view.is_empty() => {
-                let index = jcache.frozen_index(ctx, catalog, rel_id, &neg.right_keys);
+        acc = match slot {
+            Some(slot) if !acc_view.is_empty() && !neg_view.is_empty() => {
+                let index = jcache.frozen_index(ctx, catalog, slot);
                 index_anti_join_sink(ctx, acc_view, &neg.left_keys, index, output, stage_sink)
             }
             _ => anti_join_sink(
@@ -2694,42 +2924,6 @@ fn eval_subquery<'a>(
         };
     }
     Ok(acc)
-}
-
-fn find_state<'a>(
-    stratum: &CompiledStratum,
-    states: &'a [IdbState],
-    rel: &str,
-) -> Option<&'a IdbState> {
-    stratum
-        .idbs
-        .iter()
-        .position(|i| i.rel == rel)
-        .map(|p| &states[p])
-}
-
-fn resolve_view<'a>(
-    catalog: &'a RunCatalog<'_>,
-    stratum: &CompiledStratum,
-    states: &'a [IdbState],
-    rel: &str,
-    version: AtomVersion,
-) -> Result<RelView<'a>> {
-    match version {
-        AtomVersion::Base | AtomVersion::Full => Ok(catalog.rel(rel_id(catalog, rel)?).view()),
-        AtomVersion::Delta => {
-            let state = find_state(stratum, states, rel)
-                .ok_or_else(|| Error::exec(format!("no delta state for '{rel}'")))?;
-            Ok(state.delta.view(catalog.rel(state.rel_id)))
-        }
-        AtomVersion::Old => {
-            let state = find_state(stratum, states, rel)
-                .ok_or_else(|| Error::exec(format!("no old state for '{rel}'")))?;
-            Ok(catalog
-                .rel(rel_id(catalog, rel)?)
-                .prefix_view(state.old_len))
-        }
-    }
 }
 
 /// Relation `name`'s id in `catalog`.

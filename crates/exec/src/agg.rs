@@ -226,10 +226,8 @@ const IN_WINDOW: u32 = 1 << 31;
 /// below 2^30 for slots and below 2^22 past [`IN_WINDOW`] for cells).
 const REQUEUED: u32 = 1 << 30;
 
-/// A [`Bucket::Lowest`] drain takes at least this many groups…
-const BUCKET_FLOOR: usize = 32;
-/// …or one in this many of the groups improved since the previous drain,
-/// if that is more.
+/// A [`Bucket::Lowest`] drain takes one in this many of the groups
+/// improved since the previous drain, and at least one.
 const BUCKET_DIVISOR: usize = 8;
 /// A chunk cut for a bucket of `need` is split exactly (one selection)
 /// up to `2 * need + CUT_SLACK` entries; a larger one is halved around a
@@ -244,9 +242,9 @@ pub enum Bucket {
     Unbounded,
     /// The lowest-valued (for `MAX`, highest-valued) pending groups: with
     /// `n` groups improved since the previous drain, the first
-    /// `T = max(BUCKET_FLOOR, ⌈n / BUCKET_DIVISOR⌉)` in value order plus
-    /// every group tied with the `T`-th. Which groups that is depends only
-    /// on the pending `(group, value)` pairs.
+    /// `T = max(1, ⌈n / BUCKET_DIVISOR⌉)` in value order plus every group
+    /// tied with the `T`-th. Which groups that is depends only on the
+    /// pending `(group, value)` pairs.
     Lowest,
 }
 
@@ -256,7 +254,7 @@ impl Bucket {
     fn size(self, improved: usize) -> usize {
         match self {
             Bucket::Unbounded => usize::MAX,
-            Bucket::Lowest => BUCKET_FLOOR.max(improved.div_ceil(BUCKET_DIVISOR)),
+            Bucket::Lowest => improved.div_ceil(BUCKET_DIVISOR).max(1),
         }
     }
 }
@@ -288,16 +286,28 @@ struct Chunk {
 /// A drain takes whole chunks from the bottom and cuts at most one, so a
 /// round costs O(∆ + bucket) plus the halvings of an oversized cut chunk
 /// (incremental quickselect), never a walk of the whole pending set.
+///
+/// Every vector a drain uses is kept for the next one — emptied chunks'
+/// entry lists in `spare`, the drain's `batch` and `taken` lists and its
+/// output rows — so a drain in steady state allocates nothing.
 #[derive(Default)]
 struct Pending {
     /// Key ranges, `lo` strictly descending.
     chunks: Vec<Chunk>,
+    /// Emptied entry lists, kept for the next chunk.
+    spare: Vec<Vec<Entry>>,
+    /// The groups the current drain popped off the dirty stack.
+    batch: Vec<Entry>,
+    /// The groups the current drain hands back.
+    taken: Vec<Entry>,
+    /// The last drain's rows, `[group ‖ value]` flattened.
+    drained: Vec<Value>,
+    /// A window cell's group key, unpacked while draining.
+    unpacked: Vec<Value>,
     /// Entries whose group still holds the entry's value.
     live: usize,
     /// Entries, stale ones included.
     stored: usize,
-    /// Groups the previous drain popped (a capacity hint).
-    last_batch: usize,
     /// Drains so far.
     drains: u32,
     /// Groups the previous drain popped and left pending.
@@ -305,40 +315,58 @@ struct Pending {
 }
 
 impl Pending {
-    /// File fresh entries (each live, one per group) into their chunks.
-    fn insert(&mut self, batch: Vec<Entry>) {
+    /// An empty entry list, recycled when one is spare.
+    fn fresh(&mut self) -> Vec<Entry> {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Keep `entries`' allocation for a later chunk.
+    fn recycle(&mut self, mut entries: Vec<Entry>) {
+        entries.clear();
+        self.spare.push(entries);
+    }
+
+    /// Drop every chunk (their entries are all stale), keeping the lists.
+    fn clear(&mut self) {
+        for chunk in self.chunks.drain(..) {
+            let mut entries = chunk.entries;
+            entries.clear();
+            self.spare.push(entries);
+        }
+        self.stored = 0;
+    }
+
+    /// File the fresh entries of `batch` (each live, one per group) into
+    /// their chunks.
+    fn insert(&mut self, batch: &[Entry]) {
         self.live += batch.len();
         self.stored += batch.len();
-        if self.chunks.is_empty() {
-            self.chunks.push(Chunk {
-                lo: Value::MIN,
-                entries: batch,
-            });
-            return;
-        }
-        for &e in &batch {
+        for &e in batch {
             let at = self.chunks.partition_point(|c| c.lo > e.key);
             if at == self.chunks.len() {
+                let entries = self.fresh();
                 self.chunks.push(Chunk {
                     lo: Value::MIN,
-                    entries: Vec::with_capacity(batch.len()),
+                    entries,
                 });
             }
             self.chunks[at].entries.push(e);
         }
     }
 
-    /// Remove and return the `need` lowest live entries plus every live
-    /// entry tied with the last of them (all of them when fewer are
-    /// live). `live(e)` tells a live entry from a stale one.
-    fn take(&mut self, mut need: usize, live: impl Fn(&Entry) -> bool) -> Vec<Entry> {
-        let mut out = Vec::with_capacity(need.min(self.live));
+    /// Move the `need` lowest live entries plus every live entry tied with
+    /// the last of them (all of them when fewer are live) to `out`.
+    /// `live(e)` tells a live entry from a stale one.
+    fn take(&mut self, mut need: usize, live: impl Fn(&Entry) -> bool, out: &mut Vec<Entry>) {
         if need >= self.live {
             for chunk in self.chunks.drain(..) {
-                out.extend(chunk.entries.into_iter().filter(&live));
+                let mut entries = chunk.entries;
+                out.extend(entries.iter().copied().filter(&live));
+                entries.clear();
+                self.spare.push(entries);
             }
             (self.live, self.stored) = (0, 0);
-            return out;
+            return;
         }
         while need > 0 {
             let Chunk { lo, mut entries } = self.chunks.pop().expect("live entries remain");
@@ -347,7 +375,7 @@ impl Pending {
             self.stored -= scanned - entries.len();
             if entries.len() <= need {
                 need -= entries.len();
-                self.take_all(&mut out, entries);
+                self.take_all(out, entries);
                 continue;
             }
             // The cut falls inside this chunk: split it three ways around
@@ -362,39 +390,38 @@ impl Pending {
                 sampled_median(&entries)
             };
             let (lt, gt) = partition3(&mut entries, pivot);
-            let high = entries.split_off(gt);
             if lt >= need {
                 // Everything wanted lies below the pivot: keep the rest as
-                // chunks of their own and cut the lower part next.
-                let eq = entries.split_off(lt);
-                self.push_chunk(pivot, eq.into_iter().chain(high).collect());
+                // a chunk of its own and cut the lower part next.
+                let mut rest = self.fresh();
+                rest.extend(entries.drain(lt..));
+                self.push_chunk(pivot, rest);
                 self.chunks.push(Chunk { lo, entries });
                 continue;
             }
+            let mut high = self.fresh();
+            high.extend(entries.drain(gt..));
             need = need.saturating_sub(entries.len());
-            self.take_all(&mut out, entries);
-            if !high.is_empty() {
-                // `pivot < MAX`: something lies above it.
-                self.push_chunk(pivot + 1, high);
-            }
+            self.take_all(out, entries);
+            // Non-empty only when `pivot < MAX`: something lies above it.
+            self.push_chunk(pivot.saturating_add(1), high);
         }
-        out
     }
 
     /// Move `entries` (all live) to `out`.
     fn take_all(&mut self, out: &mut Vec<Entry>, entries: Vec<Entry>) {
         self.live -= entries.len();
         self.stored -= entries.len();
-        if out.is_empty() {
-            *out = entries;
-        } else {
-            out.extend(entries);
-        }
+        out.extend_from_slice(&entries);
+        self.recycle(entries);
     }
 
-    /// Put back a non-empty chunk of live entries at the bottom.
+    /// Put back a chunk of live entries at the bottom (recycling an empty
+    /// one).
     fn push_chunk(&mut self, lo: Value, entries: Vec<Entry>) {
-        if !entries.is_empty() {
+        if entries.is_empty() {
+            self.recycle(entries);
+        } else {
             self.chunks.push(Chunk { lo, entries });
         }
     }
@@ -413,22 +440,24 @@ impl Pending {
     }
 
     fn heap_bytes(&self) -> usize {
-        self.chunks
-            .iter()
-            .map(|c| c.entries.capacity() * std::mem::size_of::<Entry>())
-            .sum()
+        let lists = self.chunks.iter().map(|c| &c.entries).chain(&self.spare);
+        let entries =
+            lists.map(Vec::capacity).sum::<usize>() + self.batch.capacity() + self.taken.capacity();
+        let values = self.drained.capacity() + self.unpacked.capacity();
+        entries * std::mem::size_of::<Entry>() + values * std::mem::size_of::<Value>()
     }
 }
 
 /// Median key of up to nine entries spread evenly over `entries`.
 fn sampled_median(entries: &[Entry]) -> Value {
     let step = (entries.len() / 9).max(1);
-    let mut sample: Vec<Value> = entries
-        .iter()
-        .step_by(step)
-        .take(9)
-        .map(|e| e.key)
-        .collect();
+    let mut sample = [0; 9];
+    let mut n = 0;
+    for (slot, e) in sample.iter_mut().zip(entries.iter().step_by(step)) {
+        *slot = e.key;
+        n += 1;
+    }
+    let sample = &mut sample[..n];
     let mid = sample.len() / 2;
     *sample.select_nth_unstable(mid).1
 }
@@ -554,8 +583,9 @@ pub struct ConcurrentMonoMap {
     dirty_head: AtomicU32,
     /// Published (reachable) groups.
     live: AtomicUsize,
-    /// Improved groups no drain has handed back yet (boxed, so that the
-    /// maps the engine keeps inline stay small).
+    /// Improved groups no drain has handed back yet, and the drain's
+    /// buffers (boxed, so that the maps the engine keeps inline stay
+    /// small).
     pending: Box<Pending>,
 }
 
@@ -822,11 +852,12 @@ impl ConcurrentMonoMap {
     /// ([`Self::deferred`]) until a later drain takes them. A pending
     /// group that improves again re-enters at its new value. Requires
     /// quiescence (`&mut`): call between parallel absorb phases. Costs
-    /// O(∆ + bucket), window or not.
-    pub fn take_improved(&mut self, bucket: Bucket) -> Vec<Value> {
+    /// O(∆ + bucket), window or not, and reuses the previous drain's
+    /// buffers: the rows are valid until the next drain.
+    pub fn take_improved(&mut self, bucket: Bucket) -> &[Value] {
         let mut pending = std::mem::take(&mut *self.pending);
         pending.drains = pending.drains.wrapping_add(1);
-        let mut batch = Vec::with_capacity(pending.last_batch);
+        let mut batch = std::mem::take(&mut pending.batch);
         let mut cur = self.dirty_head.swap(DIRTY_END, Ordering::Relaxed);
         while cur != DIRTY_END {
             if cur & REQUEUED != 0 {
@@ -842,36 +873,34 @@ impl ConcurrentMonoMap {
             cur = link.load(Ordering::Relaxed);
             link.store(DEFERRED, Ordering::Relaxed);
         }
-        pending.last_batch = batch.len();
         let need = bucket.size(batch.len());
         if pending.live == 0 {
             // Only stale entries (if any) are left.
-            pending.chunks.clear();
-            pending.stored = 0;
+            pending.clear();
         }
-        let taken = if pending.live == 0 && batch.len() <= need {
+        let mut taken = std::mem::take(&mut pending.taken);
+        if pending.live == 0 && batch.len() <= need {
             pending.deferred = 0;
-            batch
+            std::mem::swap(&mut taken, &mut batch);
         } else {
             // A pending entry is live while its group still holds its value.
             let live =
                 |e: &Entry| self.order_key(self.cells(e.id).0.load(Ordering::Relaxed)) == e.key;
-            let improved = batch.len();
-            pending.insert(batch);
-            let taken = pending.take(need, live);
-            pending.deferred =
-                improved - taken.iter().filter(|e| e.drain == pending.drains).count();
+            pending.insert(&batch);
+            pending.take(need, live, &mut taken);
+            let fresh = taken.iter().filter(|e| e.drain == pending.drains).count();
+            pending.deferred = batch.len() - fresh;
             pending.compact(live);
-            taken
-        };
-        *self.pending = pending;
-        let mut out = Vec::with_capacity(taken.len() * (self.group_arity + 1));
-        let mut key = Vec::with_capacity(self.group_arity);
-        for Entry { id, .. } in taken {
+        }
+        let out = &mut pending.drained;
+        out.clear();
+        out.reserve(taken.len() * (self.group_arity + 1));
+        for &Entry { id, .. } in &taken {
             match &self.window {
                 Some(w) if id & IN_WINDOW != 0 => {
-                    w.layout.unpack(u64::from(id & !IN_WINDOW), &mut key);
-                    out.extend_from_slice(&key);
+                    w.layout
+                        .unpack(u64::from(id & !IN_WINDOW), &mut pending.unpacked);
+                    out.extend_from_slice(&pending.unpacked);
                 }
                 _ => out.extend((0..self.group_arity).map(|c| self.groups.value(id, c))),
             }
@@ -879,7 +908,11 @@ impl ConcurrentMonoMap {
             out.push(best.load(Ordering::Relaxed));
             link.store(NOT_DIRTY, Ordering::Relaxed);
         }
-        out
+        batch.clear();
+        taken.clear();
+        (pending.batch, pending.taken) = (batch, taken);
+        *self.pending = pending;
+        &self.pending.drained
     }
 
     /// Groups that improved before the last [`Self::take_improved`] and
@@ -1368,7 +1401,7 @@ mod tests {
         assert!(m.absorb(&[1000], Value::MIN));
         assert!(!m.absorb(&[5], 4));
         assert_eq!(m.len(), 3);
-        let rows = |flat: Vec<Value>| -> Vec<Vec<Value>> {
+        let rows = |flat: &[Value]| -> Vec<Vec<Value>> {
             let mut rows: Vec<Vec<Value>> = flat.chunks(2).map(<[_]>::to_vec).collect();
             rows.sort_unstable();
             rows
@@ -1386,7 +1419,7 @@ mod tests {
             .flat_map(|r| [cols[0][r], cols[1][r]])
             .collect();
         assert_eq!(
-            rows(flat),
+            rows(&flat),
             vec![vec![5, 3], vec![12, 7], vec![25, 0], vec![1000, Value::MIN]]
         );
         assert!(m.heap_bytes() >= 16 * 16);
@@ -1433,7 +1466,7 @@ mod tests {
     }
 
     /// `(group, value)` rows of a drain, sorted.
-    fn drained_rows(flat: Vec<Value>) -> Vec<(Value, Value)> {
+    fn drained_rows(flat: &[Value]) -> Vec<(Value, Value)> {
         let mut rows: Vec<(Value, Value)> = flat.chunks(2).map(|r| (r[0], r[1])).collect();
         rows.sort_unstable();
         rows
@@ -1532,12 +1565,13 @@ mod tests {
                 let mut pending: Vec<(Value, Value)> = cands.clone();
                 let order = |&(_, v): &(Value, Value)| if func == AggFunc::Min { v } else { -v };
                 pending.sort_by_key(order);
-                // T = max(32, ⌈1000 / 8⌉) = 125: the 125th value's ten
-                // ties come along, so 130 groups.
+                // T = max(1, ⌈1000 / 8⌉) = 125: the 125th value's ten
+                // ties come along, so 130 groups. Later drains see no new
+                // improvement and take T = 1 plus its nine ties.
                 let mut improved: usize = 1000;
                 while !pending.is_empty() {
                     let rows = drained_rows(m.take_improved(Bucket::Lowest));
-                    let t = BUCKET_FLOOR.max(improved.div_ceil(BUCKET_DIVISOR));
+                    let t = improved.div_ceil(BUCKET_DIVISOR).max(1);
                     let cut = order(&pending[t.min(pending.len()) - 1]);
                     let split = pending.partition_point(|p| order(p) <= cut);
                     let mut expect: Vec<(Value, Value)> = pending.drain(..split).collect();

@@ -274,6 +274,8 @@ struct Chunks<C> {
     /// `log₂ base`.
     shift: u32,
     chunks: Box<[OnceLock<C>]>,
+    /// Total elements of the chunks allocated so far.
+    allocated: AtomicUsize,
 }
 
 impl<C> Chunks<C> {
@@ -283,6 +285,7 @@ impl<C> Chunks<C> {
             low: base - 1,
             shift: base.trailing_zeros(),
             chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
+            allocated: AtomicUsize::new(0),
         }
     }
 
@@ -311,15 +314,15 @@ impl<C> Chunks<C> {
     #[cold]
     #[inline(never)]
     fn allocate(&self, k: usize, make: impl FnOnce(usize) -> C) -> &C {
-        self.chunks[k].get_or_init(|| make(self.len_of(k)))
+        self.chunks[k].get_or_init(|| {
+            self.allocated.fetch_add(self.len_of(k), Ordering::Relaxed);
+            make(self.len_of(k))
+        })
     }
 
     /// Total elements of the chunks allocated so far.
     fn allocated(&self) -> usize {
-        (0..MAX_CHUNKS)
-            .filter(|&k| self.chunks[k].get().is_some())
-            .map(|k| self.len_of(k))
-            .sum()
+        self.allocated.load(Ordering::Relaxed)
     }
 }
 
@@ -470,6 +473,8 @@ pub struct GrowChainTable {
     /// incremented.
     level: AtomicU32,
     alloc: AtomicUsize,
+    /// Cells of the directory levels allocated so far.
+    cells: AtomicUsize,
 }
 
 impl GrowChainTable {
@@ -480,25 +485,10 @@ impl GrowChainTable {
     /// length stays O(1) regardless.
     pub fn new(width: usize, nodes_hint: usize, buckets_hint: usize) -> Self {
         assert!(width > 0, "GrowChainTable rows need at least one column");
-        let level = crate::util::next_pow2_at_least(buckets_hint, 64)
-            .trailing_zeros()
-            .min(MAX_LEVEL);
-        // The initial level's sentinels are linked here, in prefix order,
-        // while the list is still empty and private; deeper levels are
-        // linked lazily, sentinel by sentinel.
-        let last = (1usize << level) - 1;
-        let first: Box<[AtomicU32]> = (0..=last)
-            .map(|prefix| {
-                AtomicU32::new(if prefix == last {
-                    NIL
-                } else {
-                    SENT | sentinel_id(level, prefix + 1) as u32
-                })
-            })
-            .collect();
+        let level = Self::level_for(buckets_hint);
         let dir: Box<[OnceLock<Box<[AtomicU32]>>]> =
             (0..=MAX_LEVEL).map(|_| OnceLock::new()).collect();
-        let _ = dir[level as usize].set(first);
+        let _ = dir[level as usize].set(Self::linked_level(level).collect());
         GrowChainTable {
             width,
             nodes: Chunks::new(crate::util::next_pow2_at_least(nodes_hint, 64)),
@@ -506,7 +496,57 @@ impl GrowChainTable {
             base_level: level,
             level: AtomicU32::new(level),
             alloc: AtomicUsize::new(0),
+            cells: AtomicUsize::new(1 << level),
         }
+    }
+
+    /// Empty the table for reuse, its directory restarting at
+    /// `buckets_hint` buckets as in [`GrowChainTable::new`]. The node
+    /// chunks stay allocated, and so does the new base level when the
+    /// table had allocated it; every other level is freed. Costs the new
+    /// base level's buckets.
+    pub fn reset(&mut self, buckets_hint: usize) {
+        let level = Self::level_for(buckets_hint);
+        for (l, cells) in self.dir.iter_mut().enumerate() {
+            if l != level as usize {
+                cells.take();
+            }
+        }
+        match self.dir[level as usize].get_mut() {
+            Some(cells) => {
+                for (cell, link) in cells.iter_mut().zip(Self::linked_level(level)) {
+                    *cell = link;
+                }
+            }
+            None => {
+                let _ = self.dir[level as usize].set(Self::linked_level(level).collect());
+            }
+        }
+        self.base_level = level;
+        *self.level.get_mut() = level;
+        *self.alloc.get_mut() = 0;
+        *self.cells.get_mut() = 1 << level;
+    }
+
+    /// The directory level a table of `buckets_hint` buckets starts at.
+    fn level_for(buckets_hint: usize) -> u32 {
+        crate::util::next_pow2_at_least(buckets_hint, 64)
+            .trailing_zeros()
+            .min(MAX_LEVEL)
+    }
+
+    /// The cells of base level `level` with its sentinels linked, in
+    /// prefix order, into an empty list: deeper levels are linked lazily,
+    /// sentinel by sentinel.
+    fn linked_level(level: u32) -> impl Iterator<Item = AtomicU32> {
+        let last = (1usize << level) - 1;
+        (0..=last).map(move |prefix| {
+            AtomicU32::new(if prefix == last {
+                NIL
+            } else {
+                SENT | sentinel_id(level, prefix + 1) as u32
+            })
+        })
     }
 
     /// Values per stored row.
@@ -533,12 +573,7 @@ impl GrowChainTable {
     /// Approximate heap footprint in bytes: allocated node chunks plus
     /// allocated directory levels (whose cells are the sentinels).
     pub fn heap_bytes(&self) -> usize {
-        let cells: usize = self
-            .dir
-            .iter()
-            .filter_map(|l| l.get())
-            .map(|l| l.len())
-            .sum();
+        let cells = self.cells.load(Ordering::Relaxed);
         self.nodes.allocated() * (4 + 8 + self.width * 8) + cells * 4
     }
 
@@ -565,6 +600,7 @@ impl GrowChainTable {
     #[inline(never)]
     fn allocate_level(&self, level: u32) -> &[AtomicU32] {
         self.dir[level as usize].get_or_init(|| {
+            self.cells.fetch_add(1 << level, Ordering::Relaxed);
             (0..1usize << level)
                 .map(|_| AtomicU32::new(UNCLAIMED))
                 .collect()
@@ -1026,6 +1062,40 @@ mod tests {
         }
         // Levels 6..=9 of the directory are allocated: 64 + ... + 512 cells.
         assert!(t.heap_bytes() > 1000 * (4 + 8 + 16) + 960 * 4);
+    }
+
+    #[test]
+    fn a_reset_table_is_empty_and_sized_by_its_new_hint() {
+        let mut t = GrowChainTable::new(2, 1, 16);
+        for i in 0..1000i64 {
+            assert!(t.insert_unique_row(i as u64, &[i, i]));
+        }
+        assert_eq!(t.doublings(), 3);
+        // Sized for the 1000 rows the last use held: no doubling again.
+        t.reset(2000);
+        assert_eq!(
+            (t.buckets(), t.doublings(), t.slots_reserved()),
+            (2048, 0, 0)
+        );
+        assert!(!t.contains_row(7, &[7, 7]));
+        for i in (0..1000i64).rev() {
+            assert!(
+                t.insert_unique_row(i as u64, &[i, i]),
+                "row {i} is new again"
+            );
+            assert!(!t.insert_unique_row(i as u64, &[i, i]));
+        }
+        assert_eq!(t.doublings(), 0);
+        let mut visited = 0usize;
+        t.for_each_slot(|_| visited += 1);
+        assert_eq!(visited, 1000);
+        // Back down to the floor: only the new base level stays allocated
+        // beside the kept node chunks.
+        let chunks = t.heap_bytes() - 2048 * 4;
+        t.reset(0);
+        assert_eq!((t.buckets(), t.heap_bytes()), (64, chunks + 64 * 4));
+        assert!(t.insert_unique_row(5, &[5, 5]) && t.contains_row(5, &[5, 5]));
+        assert!(!t.contains_row(6, &[6, 6]));
     }
 
     #[test]

@@ -106,9 +106,8 @@ pub fn deduplicate(
                 (0..arity).all(|c| view.get(a as usize, c) == view.get(b as usize, c))
             };
             let cols = parallel_produce(&ctx.pool, n, ctx.grain, arity, |range, buf| {
-                let mut scratch = Vec::with_capacity(arity);
                 for r in range {
-                    let key = mode.key_of(view, r, &all_cols, &mut scratch);
+                    let key = mode.key_of(view, r, &all_cols);
                     let won = if exact {
                         table.insert_unique(r as u32, key, |_, _| true)
                     } else {

@@ -72,14 +72,14 @@
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use recstep_common::hash::hash_row;
+use recstep_common::hash::hash_values;
 use recstep_common::Value;
 use recstep_storage::RelView;
 
 use crate::chain::ChainTable;
 use crate::key::{bounds_of, KeyLayout, KeyMode};
 use crate::sink::BitWindow;
-use crate::util::{next_pow2_at_least, parallel_fill};
+use crate::util::next_pow2_at_least;
 use crate::ExecCtx;
 
 /// What a synchronization step ([`PersistentIndex::append`] /
@@ -191,21 +191,16 @@ impl PersistentIndex {
             }
         }
         if to > start {
-            let mode = &self.mode;
-            let cols = &self.cols;
-            let keys = parallel_fill(&ctx.pool, to - start, ctx.grain, 0u64, |i| {
-                let mut scratch = Vec::new();
-                mode.key_of(base, start + i, cols, &mut scratch)
-            });
-            let table = &self.table;
-            let window = self.window.as_ref();
+            let (mode, cols) = (&self.mode, &self.cols);
+            let (table, window) = (&self.table, self.window.as_ref());
             ctx.pool.parallel_for(to - start, ctx.grain, |range, _| {
-                for i in range {
-                    if start + i >= from {
-                        table.insert_multi((start + i) as u32, keys[i]);
+                for r in start + range.start..start + range.end {
+                    let key = mode.key_of(base, r, cols);
+                    if r >= from {
+                        table.insert_multi(r as u32, key);
                     }
                     if let Some(w) = window {
-                        w.insert(keys[i]);
+                        w.insert(key);
                     }
                 }
             });
@@ -225,11 +220,11 @@ impl PersistentIndex {
         self.insert_range(ctx, base, 0, n);
     }
 
-    /// True when rows whose key columns span `new_bounds` can be inserted
+    /// True when the values of `view`'s columns `cols` can be keyed
     /// without invalidating the current key mode.
-    fn mode_admits(&self, new_bounds: &[(Value, Value)]) -> bool {
+    fn mode_admits(&self, view: RelView<'_>, cols: &[usize]) -> bool {
         match &self.mode {
-            KeyMode::Packed(layout) => layout.covers(new_bounds),
+            KeyMode::Packed(layout) => layout.covers_view(view, cols),
             KeyMode::Hashed => true,
         }
     }
@@ -251,15 +246,13 @@ impl PersistentIndex {
             // Deferred mode choice: the index was created over an empty
             // relation; pick the mode from the first real rows.
             self.mode = KeyMode::for_view(base, &self.cols);
-        } else if let Some(b) = bounds_of(base, &self.cols) {
+        } else if !self.mode_admits(base, &self.cols) {
             // Whole-relation bounds decide invalidation exactly: already
             // indexed rows fit the layout, so the combined bounds escape
             // iff some appended value escapes. For stored relations this
             // reads the O(1) incremental cache.
-            if !self.mode_admits(&b) {
-                self.rebuild(ctx, base, KeyMode::Hashed);
-                return SyncAction::Rebuilt;
-            }
+            self.rebuild(ctx, base, KeyMode::Hashed);
+            return SyncAction::Rebuilt;
         }
         let added = n - self.rows;
         self.insert_range(ctx, base, self.rows, n);
@@ -280,11 +273,9 @@ impl PersistentIndex {
         probe_cols: &[usize],
     ) -> SyncAction {
         let action = self.append(ctx, base);
-        if let Some(b) = bounds_of(probe, probe_cols) {
-            if !self.mode_admits(&b) {
-                self.rebuild(ctx, base, KeyMode::Hashed);
-                return SyncAction::Rebuilt;
-            }
+        if !self.mode_admits(probe, probe_cols) {
+            self.rebuild(ctx, base, KeyMode::Hashed);
+            return SyncAction::Rebuilt;
         }
         action
     }
@@ -347,7 +338,6 @@ impl Buckets {
         view: RelView<'_>,
         r: usize,
         cols: &[usize],
-        scratch: &mut Vec<Value>,
     ) -> Option<usize> {
         match self {
             Buckets::Dense(shifts) => {
@@ -362,15 +352,12 @@ impl Buckets {
                 Some(key as usize)
             }
             Buckets::Hashed(mask) => {
-                scratch.clear();
-                for (&c, &(lo, hi)) in cols.iter().zip(bounds) {
-                    let v = view.get(r, c);
-                    if v < lo || v > hi {
-                        return None;
-                    }
-                    scratch.push(v);
-                }
-                Some(hash_row(scratch) as usize & mask)
+                let values = cols.iter().map(|&c| view.get(r, c));
+                let within = values
+                    .clone()
+                    .zip(bounds)
+                    .all(|(v, &(lo, hi))| lo <= v && v <= hi);
+                within.then(|| hash_values(values) as usize & mask)
             }
         }
     }
@@ -459,12 +446,11 @@ impl OrderedIndex {
         let parts: Vec<Mutex<(Vec<u32>, Vec<u32>)>> =
             (0..chunks).map(|_| Mutex::default()).collect();
         on_chunks(&|t| {
-            let mut scratch = Vec::new();
             let mut row_bucket = Vec::with_capacity(chunk(t).len());
             let mut sizes = vec![0u32; count];
             for r in chunk(t) {
                 let b = buckets
-                    .of(&bounds, base, r, &cols, &mut scratch)
+                    .of(&bounds, base, r, &cols)
                     .expect("build rows lie within their own bounds");
                 row_bucket.push(b as u32);
                 sizes[b] += 1;
@@ -551,10 +537,9 @@ impl OrderedIndex {
         probe: RelView<'s>,
         r: usize,
         probe_cols: &'s [usize],
-        scratch: &mut Vec<Value>,
     ) -> impl Iterator<Item = usize> + 's {
         debug_assert_eq!(probe_cols.len(), self.cols.len());
-        let run = match self.buckets.of(&self.bounds, probe, r, probe_cols, scratch) {
+        let run = match self.buckets.of(&self.bounds, probe, r, probe_cols) {
             Some(b) => self.offsets[b] as usize..self.offsets[b + 1] as usize,
             None => 0..0,
         };
@@ -572,14 +557,8 @@ impl OrderedIndex {
     /// Whether any build row's key equals row `r`'s `probe_cols` in
     /// `probe`.
     #[inline]
-    pub fn contains(
-        &self,
-        probe: RelView<'_>,
-        r: usize,
-        probe_cols: &[usize],
-        scratch: &mut Vec<Value>,
-    ) -> bool {
-        self.matches(probe, r, probe_cols, scratch).next().is_some()
+    pub fn contains(&self, probe: RelView<'_>, r: usize, probe_cols: &[usize]) -> bool {
+        self.matches(probe, r, probe_cols).next().is_some()
     }
 
     /// Heap footprint in bytes: the offsets and the gathered rows.
@@ -785,8 +764,7 @@ mod tests {
         );
         assert!(!idx.mode().exact());
         // Probing still finds the right nodes afterwards.
-        let mut scratch = Vec::new();
-        let key = idx.mode().key_of(base.view(), 1, &[0], &mut scratch);
+        let key = idx.mode().key_of(base.view(), 1, &[0]);
         assert!(idx.table().contains(key, |n| n == 1));
     }
 
@@ -824,8 +802,7 @@ mod tests {
         base.push_row(&[7]);
         assert_eq!(idx.append(&ctx, base.view()), SyncAction::Rebuilt);
         assert_eq!(idx.rows(), 1);
-        let mut scratch = Vec::new();
-        let key = idx.mode().key_of(base.view(), 0, &[0], &mut scratch);
+        let key = idx.mode().key_of(base.view(), 0, &[0]);
         assert!(idx.table().contains(key, |n| n == 0));
     }
 }

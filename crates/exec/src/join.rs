@@ -134,7 +134,6 @@ trait BuildSide: Sync {
         probe: RelView<'_>,
         r: usize,
         probe_cols: &[usize],
-        scratch: &mut Vec<Value>,
         each: impl FnMut(usize),
     );
 }
@@ -150,10 +149,9 @@ impl BuildSide for OrderedIndex {
         probe: RelView<'_>,
         r: usize,
         probe_cols: &[usize],
-        scratch: &mut Vec<Value>,
         each: impl FnMut(usize),
     ) {
-        self.matches(probe, r, probe_cols, scratch).for_each(each);
+        self.matches(probe, r, probe_cols).for_each(each);
     }
 }
 
@@ -174,12 +172,11 @@ impl BuildSide for Chained<'_> {
         probe: RelView<'_>,
         r: usize,
         probe_cols: &[usize],
-        scratch: &mut Vec<Value>,
         mut each: impl FnMut(usize),
     ) {
         let (mode, cols) = (self.index.mode(), self.index.key_cols());
         let exact = mode.exact();
-        let key = mode.key_of(probe, r, probe_cols, scratch);
+        let key = mode.key_of(probe, r, probe_cols);
         for node in self.index.table().iter_key(key) {
             let br = node as usize;
             if exact || keys_match(self.build, br, cols, probe, r, probe_cols) {
@@ -225,14 +222,13 @@ fn probe_join(
             };
             let mut local = 0usize;
             let mut considered = 0usize;
-            let mut scratch = Vec::new();
             let mut out_row = Vec::new();
             let mut row = vec![0 as Value; la + ra];
             for pr in range {
                 if gate.reached(&mut snapshot, &mut local) {
                     break;
                 }
-                build.for_each_match(probe, pr, probe_cols, &mut scratch, |br| {
+                build.for_each_match(probe, pr, probe_cols, |br| {
                     // Flatten into logical [left ‖ right] order.
                     let (lr, rr) = if spec.build_left { (br, pr) } else { (pr, br) };
                     for (c, slot) in row[..la].iter_mut().enumerate() {
@@ -297,12 +293,11 @@ pub fn index_anti_join_sink(
         return project_filter_sink(ctx, left, output, &[], sink);
     }
     parallel_produce(&ctx.pool, left.len(), ctx.grain, out_arity, |range, buf| {
-        let mut scratch = Vec::new();
         let mut out_row = Vec::new();
         let mut considered = 0usize;
         let mut row = Vec::new();
         for lr in range {
-            if !index.contains(left, lr, left_keys, &mut scratch) {
+            if !index.contains(left, lr, left_keys) {
                 left.copy_row(lr, &mut row);
                 sink.emit(output, &row, buf, &mut out_row, &mut considered);
             }
@@ -664,7 +659,7 @@ mod tests {
 
     #[test]
     fn distinct_sink_keeps_one_row_per_live_value_in_the_full_layout() {
-        use crate::sink::DistinctSink;
+        use crate::sink::{DistinctSink, SinkScratch};
         // The first join of a(x,z), b(z,w), c(w,y) read only at x and w:
         // many z per (x, w), one kept row each.
         let ctx = ctx();
@@ -683,7 +678,8 @@ mod tests {
         };
         let all = join(&l, &r, &spec);
         let live = [0, 3];
-        let sink = DistinctSink::new(&live, None, 0);
+        let mut scratch = SinkScratch::default();
+        let sink = DistinctSink::new(&live, None, 0, &mut scratch);
         let kept = hash_join_sink(&ctx, l.view(), r.view(), &spec, &SinkMode::Distinct(&sink));
         let project = |cols: &[Vec<Value>]| -> HashSet<Vec<Value>> {
             rows_of(cols)

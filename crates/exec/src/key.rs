@@ -8,7 +8,7 @@
 //! min/max spans (from table statistics) fit 64 bits together; wider tuples
 //! fall back to hashing with exact row comparison on collisions.
 
-use recstep_common::hash::{hash_row, mix64};
+use recstep_common::hash::{hash_row, hash_values, mix64};
 use recstep_common::Value;
 use recstep_storage::RelView;
 
@@ -21,6 +21,17 @@ pub struct KeySlot {
     pub bits: u32,
     /// Left shift of this column's slot within the packed word.
     pub shift: u32,
+}
+
+impl KeySlot {
+    /// Whether every value within `(lo, hi)` fits the slot.
+    fn covers(&self, (lo, hi): (Value, Value)) -> bool {
+        if lo < self.min {
+            return false;
+        }
+        let span = (hi as i128 - self.min as i128) as u128;
+        self.bits >= 64 || span < (1u128 << self.bits)
+    }
 }
 
 /// A packed layout mapping a tuple of columns onto one `u64`.
@@ -110,13 +121,23 @@ impl KeyLayout {
     /// one-time fall back to hashed keys.
     pub fn covers(&self, bounds: &[(Value, Value)]) -> bool {
         debug_assert_eq!(bounds.len(), self.slots.len());
-        self.slots.iter().zip(bounds).all(|(slot, &(lo, hi))| {
-            if lo < slot.min {
-                return false;
-            }
-            let span = (hi as i128 - slot.min as i128) as u128;
-            slot.bits >= 64 || span < (1u128 << slot.bits)
-        })
+        self.slots
+            .iter()
+            .zip(bounds)
+            .all(|(slot, &b)| slot.covers(b))
+    }
+
+    /// [`KeyLayout::covers`] of the bounds of `view`'s columns `cols`
+    /// (cached when the backing relation keeps them): whether every value
+    /// there fits. An empty view fits.
+    pub fn covers_view(&self, view: RelView<'_>, cols: &[usize]) -> bool {
+        debug_assert_eq!(cols.len(), self.slots.len());
+        view.is_empty()
+            || self
+                .slots
+                .iter()
+                .zip(cols)
+                .all(|(slot, &c)| slot.covers(col_bounds(view, c)))
     }
 
     /// Number of key columns.
@@ -251,22 +272,10 @@ impl KeyMode {
 
     /// Key of row `r`'s key columns in `view`.
     #[inline]
-    pub fn key_of(
-        &self,
-        view: RelView<'_>,
-        r: usize,
-        cols: &[usize],
-        scratch: &mut Vec<Value>,
-    ) -> u64 {
+    pub fn key_of(&self, view: RelView<'_>, r: usize, cols: &[usize]) -> u64 {
         match self {
             KeyMode::Packed(layout) => layout.pack_row(view, r, cols),
-            KeyMode::Hashed => {
-                scratch.clear();
-                for &c in cols {
-                    scratch.push(view.get(r, c));
-                }
-                hash_row(scratch)
-            }
+            KeyMode::Hashed => hash_values(cols.iter().map(|&c| view.get(r, c))),
         }
     }
 }
@@ -382,10 +391,9 @@ mod tests {
             &[vec![7, 8], vec![7, 8], vec![8, 7]],
         );
         for mode in [KeyMode::for_view(rel.view(), &[0, 1]), KeyMode::Hashed] {
-            let mut s = Vec::new();
-            let k0 = mode.key_of(rel.view(), 0, &[0, 1], &mut s);
-            let k1 = mode.key_of(rel.view(), 1, &[0, 1], &mut s);
-            let k2 = mode.key_of(rel.view(), 2, &[0, 1], &mut s);
+            let k0 = mode.key_of(rel.view(), 0, &[0, 1]);
+            let k1 = mode.key_of(rel.view(), 1, &[0, 1]);
+            let k2 = mode.key_of(rel.view(), 2, &[0, 1]);
             assert_eq!(k0, k1);
             assert_ne!(k0, k2);
         }
@@ -440,12 +448,11 @@ mod tests {
             &[vec![5, -3], vec![100, 7], vec![50, 0]],
         );
         for mode in [KeyMode::for_view(rel.view(), &[0, 1]), KeyMode::Hashed] {
-            let mut s = Vec::new();
             for r in 0..rel.len() {
                 let row = [rel.col(0)[r], rel.col(1)[r]];
                 assert_eq!(
                     mode.try_key_of_row(&row),
-                    Some(mode.key_of(rel.view(), r, &[0, 1], &mut s))
+                    Some(mode.key_of(rel.view(), r, &[0, 1]))
                 );
             }
         }

@@ -140,9 +140,8 @@ pub fn set_difference(
             let table = build_multi(ctx, build, &mode, &cols);
             let exact = mode.exact();
             let r = parallel_produce(&ctx.pool, probe.len(), ctx.grain, arity, |range, buf| {
-                let mut scratch = Vec::new();
                 for pr in range {
-                    let key = mode.key_of(probe, pr, &cols, &mut scratch);
+                    let key = mode.key_of(probe, pr, &cols);
                     let hit = table
                         .iter_key(key)
                         .any(|node| exact || rows_eq(build, node as usize, probe, pr, arity));
@@ -177,8 +176,7 @@ pub fn set_difference(
 fn build_multi(ctx: &ExecCtx, build: RelView<'_>, mode: &KeyMode, cols: &[usize]) -> ChainTable {
     let n = build.len();
     let keys = parallel_fill(&ctx.pool, n, ctx.grain, 0u64, |r| {
-        let mut scratch = Vec::new();
-        mode.key_of(build, r, cols, &mut scratch)
+        mode.key_of(build, r, cols)
     });
     let table = ChainTable::with_capacity(n, n * 2);
     ctx.pool.parallel_for(n, ctx.grain, |range, _| {
@@ -201,9 +199,8 @@ fn anti_probe(
     let table = build_multi(ctx, reject, mode, cols);
     let exact = mode.exact();
     parallel_produce(&ctx.pool, keep.len(), ctx.grain, arity, |range, buf| {
-        let mut scratch = Vec::new();
         for kr in range {
-            let key = mode.key_of(keep, kr, cols, &mut scratch);
+            let key = mode.key_of(keep, kr, cols);
             let hit = table
                 .iter_key(key)
                 .any(|node| exact || rows_eq(reject, node as usize, keep, kr, arity));

@@ -67,7 +67,10 @@
 //! window is allocated in 4 KiB pages on first touch, so a pass costs the
 //! pages its winners touch plus a directory of at most
 //! 2^([`BIT_WINDOW_MAX_BITS`] − 15) entries — never `O(|R|)` and never
-//! `O(2^bits)`. [`BitWindow::worth`] is the one rule for window vs. table:
+//! `O(2^bits)`. A caller running pass after pass keeps the window or
+//! table in a [`SinkScratch`], which the next pass empties instead of
+//! allocating anew (a table restarts at a directory sized for the
+//! caller's estimate, such as the previous ∆). [`BitWindow::worth`] is the one rule for window vs. table:
 //! up to [`BIT_WINDOW_MAX_BITS`] bits, and the whole window (at least one
 //! page) no larger than twice the bytes a hashed table would spend on the
 //! expected rows — `|R|` for `R`'s window, the stage's input rows for a
@@ -209,6 +212,8 @@ type Page = [AtomicU64; PAGE_WORDS];
 pub struct BitWindow {
     layout: KeyLayout,
     pages: Box<[OnceLock<Box<Page>>]>,
+    /// Pages allocated so far.
+    touched: AtomicUsize,
 }
 
 impl BitWindow {
@@ -221,7 +226,11 @@ impl BitWindow {
         let pages = (0..1usize << bits.saturating_sub(PAGE_BITS))
             .map(|_| OnceLock::new())
             .collect();
-        BitWindow { layout, pages }
+        BitWindow {
+            layout,
+            pages,
+            touched: AtomicUsize::new(0),
+        }
     }
 
     /// Whether a window over `layout` is worth keeping for about `rows`
@@ -252,8 +261,11 @@ impl BitWindow {
 
     #[cold]
     #[inline(never)]
-    fn allocate(cell: &OnceLock<Box<Page>>) -> &Page {
-        cell.get_or_init(|| Box::new([const { AtomicU64::new(0) }; PAGE_WORDS]))
+    fn allocate<'w>(&self, cell: &'w OnceLock<Box<Page>>) -> &'w Page {
+        cell.get_or_init(|| {
+            self.touched.fetch_add(1, Ordering::Relaxed);
+            Box::new([const { AtomicU64::new(0) }; PAGE_WORDS])
+        })
     }
 
     /// Whether `key` (a packed key of the layout) is in the set.
@@ -276,17 +288,87 @@ impl BitWindow {
         let page = cell
             .get()
             .map(Box::as_ref)
-            .unwrap_or_else(|| Self::allocate(cell));
+            .unwrap_or_else(|| self.allocate(cell));
         let word = &page[word];
         let bit = 1 << (key & 63);
         word.load(Ordering::Relaxed) & bit == 0 && word.fetch_or(bit, Ordering::Relaxed) & bit == 0
     }
 
+    /// Empty the window for reuse, keeping its pages: costs the
+    /// directory plus the pages in use.
+    pub fn clear(&mut self) {
+        for page in self.pages.iter_mut().filter_map(OnceLock::get_mut) {
+            for word in page.iter_mut() {
+                *word.get_mut() = 0;
+            }
+        }
+    }
+
     /// Heap footprint in bytes: the directory and the pages in use.
     pub fn heap_bytes(&self) -> usize {
-        let touched = self.pages.iter().filter(|p| p.get().is_some()).count();
         self.pages.len() * std::mem::size_of::<OnceLock<Box<Page>>>()
-            + touched * std::mem::size_of::<Page>()
+            + self.touched.load(Ordering::Relaxed) * std::mem::size_of::<Page>()
+    }
+}
+
+/// A set sink's pass-local storage — its bit window and hashed table —
+/// kept between passes: each pass empties what the previous one left, so
+/// once it has grown to what a pass holds a pass allocates nothing.
+#[derive(Default)]
+pub struct SinkScratch {
+    window: Option<BitWindow>,
+    /// Filled eagerly by a [`DeltaSink`], on first use by a
+    /// [`DistinctSink`].
+    table: OnceLock<GrowChainTable>,
+}
+
+impl SinkScratch {
+    /// An empty bit window over `layout`.
+    fn window(&mut self, layout: &KeyLayout) -> &BitWindow {
+        match &mut self.window {
+            Some(w) if w.layout() == layout => w.clear(),
+            slot => *slot = Some(BitWindow::new(layout.clone())),
+        }
+        self.window.as_ref().expect("just filled")
+    }
+
+    /// An empty hashed table of `width`-value rows, its directory sized
+    /// for `capacity` rows.
+    fn table(&mut self, width: usize, capacity: usize) -> &GrowChainTable {
+        let buckets = capacity.saturating_mul(2);
+        match self.table.get_mut() {
+            Some(t) if t.width() == width => t.reset(buckets),
+            _ => self.table = OnceLock::from(GrowChainTable::new(width, capacity, buckets)),
+        }
+        self.table.get().expect("just filled")
+    }
+
+    /// The hashed table of `width`-value rows, emptied, or an empty cell
+    /// for the first user to fill.
+    fn lazy_table(&mut self, width: usize) -> &OnceLock<GrowChainTable> {
+        match self.table.get_mut() {
+            Some(t) if t.width() == width => t.reset(0),
+            _ => self.table = OnceLock::new(),
+        }
+        &self.table
+    }
+}
+
+/// A [`DeltaSink`]'s winners store: its own, or lent by a [`SinkScratch`].
+enum Store<'a, T> {
+    Own(T),
+    Lent(&'a T),
+}
+
+impl<T> std::ops::Deref for Store<'_, T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        match self {
+            Store::Own(t) => t,
+            Store::Lent(t) => t,
+        }
     }
 }
 
@@ -296,10 +378,10 @@ enum Winners<'a> {
     /// pass's own.
     Window {
         base: &'a BitWindow,
-        fresh: BitWindow,
+        fresh: Store<'a, BitWindow>,
     },
     /// The hashed scratch table, probing the index's chains for `R`.
-    Table(GrowChainTable),
+    Table(Store<'a, GrowChainTable>),
 }
 
 /// Shared per-iteration state of one fused streaming pass: the full-`R`
@@ -330,6 +412,41 @@ impl<'a> DeltaSink<'a> {
     /// grows in flight and its chain length does not depend on it, so
     /// callers with no estimate of `|∆R|` pass 0.
     pub fn new(index: &'a PersistentIndex, base: RelView<'a>, capacity: usize) -> Self {
+        let winners = match index.window() {
+            Some(w) => Winners::Window {
+                base: w,
+                fresh: Store::Own(BitWindow::new(w.layout().clone())),
+            },
+            None => Winners::Table(Store::Own(GrowChainTable::new(
+                base.arity(),
+                capacity,
+                capacity.saturating_mul(2),
+            ))),
+        };
+        Self::over(index, base, winners)
+    }
+
+    /// [`DeltaSink::new`], keeping the pass's winners in `scratch`,
+    /// emptied first, instead of in storage of its own: a caller running
+    /// pass after pass reuses one window or table, which then costs what
+    /// the pass touches, not a fresh allocation.
+    pub fn with_scratch(
+        index: &'a PersistentIndex,
+        base: RelView<'a>,
+        scratch: &'a mut SinkScratch,
+        capacity: usize,
+    ) -> Self {
+        let winners = match index.window() {
+            Some(w) => Winners::Window {
+                base: w,
+                fresh: Store::Lent(scratch.window(w.layout())),
+            },
+            None => Winners::Table(Store::Lent(scratch.table(base.arity(), capacity))),
+        };
+        Self::over(index, base, winners)
+    }
+
+    fn over(index: &'a PersistentIndex, base: RelView<'a>, winners: Winners<'a>) -> Self {
         assert_eq!(
             index.rows(),
             base.len(),
@@ -347,17 +464,6 @@ impl<'a> DeltaSink<'a> {
             KeyMode::Hashed
         } else {
             index.mode().clone()
-        };
-        let winners = match index.window() {
-            Some(w) => Winners::Window {
-                base: w,
-                fresh: BitWindow::new(w.layout().clone()),
-            },
-            None => Winners::Table(GrowChainTable::new(
-                arity,
-                capacity,
-                capacity.saturating_mul(2),
-            )),
         };
         let exact = mode.exact();
         DeltaSink {
@@ -471,29 +577,40 @@ impl<'a> DeltaSink<'a> {
 /// [`DeltaSink`] uses) when it is wide or a value escapes it.
 pub struct DistinctSink<'a> {
     live: &'a [usize],
-    window: Option<BitWindow>,
+    window: Option<&'a BitWindow>,
     /// Hashed values: all of them without a window, else the escapes
     /// (allocated on the first).
-    table: OnceLock<GrowChainTable>,
+    table: &'a OnceLock<GrowChainTable>,
     considered: AtomicUsize,
 }
 
 impl<'a> DistinctSink<'a> {
     /// Sink keeping one row per distinct value of the flattened columns
-    /// `live` (non-empty). `bounds`, when known, covers each live
-    /// column's values (per `live` entry) and `rows` estimates the
-    /// distinct values; [`BitWindow::worth`] decides from them whether a
-    /// bit window holds the values. Bounds that miss a value cost speed,
-    /// never results: such a value escapes to the hashed table.
-    pub fn new(live: &'a [usize], bounds: Option<&[(Value, Value)]>, rows: usize) -> Self {
-        let window = bounds
+    /// `live` (non-empty), in `scratch`, emptied first (a caller running
+    /// pass after pass reuses one window or table). `bounds`, when known,
+    /// covers each live column's values (per `live` entry) and `rows`
+    /// estimates the distinct values; [`BitWindow::worth`] decides from
+    /// them whether a bit window holds the values. Bounds that miss a
+    /// value cost speed, never results: such a value escapes to the
+    /// hashed table.
+    pub fn new(
+        live: &'a [usize],
+        bounds: Option<&[(Value, Value)]>,
+        rows: usize,
+        scratch: &'a mut SinkScratch,
+    ) -> Self {
+        let layout = bounds
             .and_then(KeyLayout::from_bounds)
-            .filter(|layout| BitWindow::worth(layout, rows))
-            .map(BitWindow::new);
+            .filter(|layout| BitWindow::worth(layout, rows));
+        if let Some(layout) = &layout {
+            scratch.window(layout);
+        }
+        scratch.lazy_table(live.len());
+        let scratch = &*scratch;
         DistinctSink {
             live,
-            window,
-            table: OnceLock::new(),
+            window: layout.and(scratch.window.as_ref()),
+            table: &scratch.table,
             considered: AtomicUsize::new(0),
         }
     }
@@ -682,7 +799,8 @@ mod tests {
         );
         let idx = PersistentIndex::build(&ctx, base.view(), vec![0, 1]);
         assert!(idx.mode().exact() && idx.window().is_none());
-        let sink = DeltaSink::new(&idx, base.view(), 8);
+        let mut scratch = SinkScratch::default();
+        let sink = DeltaSink::with_scratch(&idx, base.view(), &mut scratch, 8);
         assert!(!sink.windowed());
         assert!(!sink.offer(&[9, 90]), "already in R");
         assert!(sink.offer(&[3, 30]), "fresh");
@@ -694,6 +812,13 @@ mod tests {
         // Node chunk 0 (64 rows of 2 values) plus the 64-entry directory.
         assert!(sink.scratch_bytes() >= 64 * (4 + 8 + 16) + 64 * 4);
         assert_eq!(sink.table_doublings(), 0);
+        // The next pass reuses the emptied table: last pass's winners are
+        // fresh again, and R's members still are not.
+        drop(sink);
+        let again = DeltaSink::with_scratch(&idx, base.view(), &mut scratch, 8);
+        assert!(again.offer(&[3, 30]));
+        assert!(!again.offer(&[3, 30]));
+        assert!(!again.offer(&[9, 90]), "already in R");
     }
 
     #[test]
@@ -706,7 +831,8 @@ mod tests {
         let base = Relation::from_rows(Schema::with_arity("r", 2), &rows);
         let idx = PersistentIndex::build(&ctx, base.view(), vec![0, 1]);
         assert!(idx.window().is_some());
-        let sink = DeltaSink::new(&idx, base.view(), 8);
+        let mut scratch = SinkScratch::default();
+        let sink = DeltaSink::with_scratch(&idx, base.view(), &mut scratch, 8);
         assert!(sink.windowed());
         assert!(!sink.offer(&[9, 90]), "already in R");
         assert!(sink.offer(&[3, 30]), "fresh");
@@ -721,9 +847,12 @@ mod tests {
             PAGE_WORDS * 8 + std::mem::size_of::<OnceLock<Box<Page>>>()
         );
         assert_eq!(sink.table_doublings(), 0);
-        // The sink only read R's window: a second pass starts afresh.
-        let again = DeltaSink::new(&idx, base.view(), 8);
+        // The sink only read R's window, and a second pass over the same
+        // scratch starts from an empty window of its own.
+        drop(sink);
+        let again = DeltaSink::with_scratch(&idx, base.view(), &mut scratch, 8);
         assert!(again.offer(&[3, 30]));
+        assert!(!again.offer(&[9, 90]), "still in R");
     }
 
     #[test]
@@ -770,7 +899,8 @@ mod tests {
     #[test]
     fn distinct_sink_windows_narrow_values_and_hashes_escapes() {
         let live = [0, 1];
-        let sink = DistinctSink::new(&live, Some(&[(0, 9), (0, 9)]), 100);
+        let mut scratch = SinkScratch::default();
+        let sink = DistinctSink::new(&live, Some(&[(0, 9), (0, 9)]), 100, &mut scratch);
         assert!(sink.windowed());
         assert!(sink.offer(&[3, 4]));
         assert!(!sink.offer(&[3, 4]));
@@ -778,9 +908,23 @@ mod tests {
         assert!(sink.offer(&[3, 400]));
         assert!(!sink.offer(&[3, 400]));
         assert!(sink.offer(&[4, 3]));
-        let unbounded = DistinctSink::new(&live, None, 0);
+        let mut scratch = SinkScratch::default();
+        let unbounded = DistinctSink::new(&live, None, 0, &mut scratch);
         assert!(!unbounded.windowed());
         assert!(unbounded.offer(&[3, 4]) && !unbounded.offer(&[3, 4]));
+        // Pass after pass over one scratch: each starts empty, window and
+        // escape table alike, and a pass without a window hashes into the
+        // same table.
+        let mut scratch = SinkScratch::default();
+        for pass in 0..3 {
+            let bounds: &[(Value, Value)] = &[(0, 9), (0, 9)];
+            let sink = DistinctSink::new(&live, (pass != 1).then_some(bounds), 100, &mut scratch);
+            assert_eq!(sink.windowed(), pass != 1, "pass {pass}");
+            for row in [[3, 4], [3, 400]] {
+                assert!(sink.offer(&row), "pass {pass}: {row:?} is new");
+                assert!(!sink.offer(&row), "pass {pass}: {row:?} again");
+            }
+        }
     }
 
     #[test]
@@ -896,7 +1040,12 @@ mod tests {
             assert_eq!(sampler.seen(), 3);
         }
         assert_eq!(map.get(&[1]), Some(7));
-        assert_eq!(map.take_improved(crate::agg::Bucket::Lowest).len(), 2 * 2);
+        // Two groups improved: a value-ordered drain takes ⌈2 / 8⌉ = 1,
+        // the lowest, and leaves the other for the next drain.
+        use crate::agg::Bucket;
+        assert_eq!(map.take_improved(Bucket::Lowest), [2, 3]);
+        assert_eq!(map.take_improved(Bucket::Lowest), [1, 7]);
+        assert!(map.take_improved(Bucket::Lowest).is_empty());
     }
 
     #[test]

@@ -95,11 +95,10 @@ proptest! {
             prop_assert!(index.dense(), "spans within 2 buckets a row are dense");
         }
         let view = index.view();
-        let mut scratch = Vec::new();
         let mut row = Vec::new();
         for pr in 0..p.len() {
             let mut got: Vec<Vec<i64>> = index
-                .matches(p.view(), pr, &probe_cols, &mut scratch)
+                .matches(p.view(), pr, &probe_cols)
                 .map(|pos| {
                     view.copy_row(pos, &mut row);
                     row.clone()
@@ -117,7 +116,7 @@ proptest! {
                 .collect();
             oracle.sort_unstable();
             prop_assert_eq!(
-                index.contains(p.view(), pr, &probe_cols, &mut scratch),
+                index.contains(p.view(), pr, &probe_cols),
                 !oracle.is_empty()
             );
             prop_assert_eq!(got, oracle);
@@ -611,7 +610,7 @@ proptest! {
         let mut hashed = ConcurrentMonoMap::new(func, arity, 2).unwrap();
         let mut sequential = BTreeMap::new();
         prop_assert!(windowed.has_window() && !hashed.has_window());
-        let drained = |flat: Vec<i64>| -> BTreeSet<Vec<i64>> {
+        let drained = |flat: &[i64]| -> BTreeSet<Vec<i64>> {
             flat.chunks(arity + 1).map(<[_]>::to_vec).collect()
         };
         for round in [&round1, &round2] {
@@ -740,12 +739,18 @@ proptest! {
         // bounds at all. Two threads offer; the kept rows' live values
         // must be the distinct live values, each once.
         use std::sync::{Barrier, Mutex};
-        use recstep_exec::sink::DistinctSink;
+        use recstep_exec::sink::{DistinctSink, SinkScratch};
         let scale = if shape == 1 { 1i64 << 41 } else { 1 };
         let rows: Vec<[i64; 3]> = rows.iter().map(|&(a, b, c)| [a * scale, b, c * scale]).collect();
         let bounds = [(0, 9 * scale), (0, 9 * scale)];
         let live = [0usize, 2];
-        let sink = DistinctSink::new(&live, (shape < 2).then_some(&bounds[..]), rows.len());
+        let mut scratch = SinkScratch::default();
+        let sink = DistinctSink::new(
+            &live,
+            (shape < 2).then_some(&bounds[..]),
+            rows.len(),
+            &mut scratch,
+        );
         prop_assert_eq!(sink.windowed(), shape == 0);
         let kept = Mutex::new(Vec::new());
         let chunks: Vec<&[[i64; 3]]> = rows.chunks(rows.len().div_ceil(2).max(1)).collect();

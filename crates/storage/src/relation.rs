@@ -173,9 +173,16 @@ impl Relation {
     pub fn append_columns(&mut self, data: Vec<Vec<Value>>) {
         // One pass over only the *new* values keeps the aggregates
         // incremental: cost is proportional to what is appended, never to
-        // what is stored.
-        let aggs: Vec<ColAgg> = data.iter().filter_map(|c| ColAgg::of(c)).collect();
-        self.append_with_aggs(data, &aggs);
+        // what is stored, and they fold in place.
+        self.append_with(data, |aggs, data| {
+            if aggs.is_empty() {
+                *aggs = data.iter().filter_map(|c| ColAgg::of(c)).collect();
+            } else {
+                for (agg, col) in aggs.iter_mut().zip(data) {
+                    agg.merge(&ColAgg::of(col).expect("appended columns hold rows"));
+                }
+            }
+        });
     }
 
     /// [`Relation::append_columns`] for a producer that already knows the
@@ -193,10 +200,19 @@ impl Relation {
             "stale aggregates handed to {}",
             self.schema.name
         );
-        self.append_with_aggs(data, aggs);
+        self.append_with(data, |own, data| {
+            assert_eq!(aggs.len(), data.len(), "one ColAgg per column");
+            fold_aggs(own, aggs);
+        });
     }
 
-    fn append_with_aggs(&mut self, data: Vec<Vec<Value>>, aggs: &[ColAgg]) {
+    /// Append `data` after checking its shape; `fold` folds the new
+    /// values' aggregates into the relation's when `data` holds rows.
+    fn append_with(
+        &mut self,
+        data: Vec<Vec<Value>>,
+        fold: impl FnOnce(&mut Vec<ColAgg>, &[Vec<Value>]),
+    ) {
         assert_eq!(
             data.len(),
             self.arity(),
@@ -210,8 +226,7 @@ impl Relation {
             self.schema.name
         );
         if n > 0 {
-            assert_eq!(aggs.len(), data.len(), "one ColAgg per column");
-            self.fold_aggs(aggs);
+            fold(&mut self.aggs, &data);
         }
         for (col, mut new) in self.cols.iter_mut().zip(data) {
             if col.is_empty() {
@@ -222,22 +237,11 @@ impl Relation {
         }
     }
 
-    /// Fold the aggregates of newly appended, non-empty columns in.
-    fn fold_aggs(&mut self, new: &[ColAgg]) {
-        if self.aggs.is_empty() {
-            self.aggs = new.to_vec();
-        } else {
-            for (agg, n) in self.aggs.iter_mut().zip(new) {
-                agg.merge(n);
-            }
-        }
-    }
-
     /// Append all rows of another relation (must have equal arity).
     pub fn append_relation(&mut self, other: &Relation) {
         assert_eq!(other.arity(), self.arity());
         if !other.is_empty() {
-            self.fold_aggs(&other.aggs);
+            fold_aggs(&mut self.aggs, &other.aggs);
         }
         for (col, new) in self.cols.iter_mut().zip(&other.cols) {
             col.extend_from_slice(new);
@@ -386,6 +390,18 @@ impl Relation {
             .iter()
             .map(|c| c.capacity() * std::mem::size_of::<Value>())
             .sum()
+    }
+}
+
+/// Fold the aggregates `new` of newly appended, non-empty columns into a
+/// relation's `aggs`.
+fn fold_aggs(aggs: &mut Vec<ColAgg>, new: &[ColAgg]) {
+    if aggs.is_empty() {
+        *aggs = new.to_vec();
+    } else {
+        for (agg, n) in aggs.iter_mut().zip(new) {
+            agg.merge(n);
+        }
     }
 }
 

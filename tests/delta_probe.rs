@@ -194,3 +194,33 @@ fn frozen_side_probes_agree_across_configurations_and_oracles() {
         }
     }
 }
+
+/// A ∆ stream's hashed winners table starts sized for the previous
+/// iteration's ∆ and is reused from pass to pass, so on a long chain of
+/// wide ids — no bit window applies — it almost never doubles in flight.
+/// (Started empty every pass, it doubled about 3.7 times per iteration.)
+#[test]
+fn a_wide_id_chain_grows_no_delta_table_per_iteration() {
+    let chain: Vec<Vec<Value>> = (0..PATH_ARCS)
+        .map(|i| vec![id(i, true), id(i + 1, true)])
+        .collect();
+    let case = Case {
+        name: "tc",
+        src: recstep::programs::TC,
+        inputs: vec![("arc", chain)],
+        outputs: &[("tc", 2)],
+    };
+    let (rows, stats) = recstep_rows(Config::default().pbme(PbmeMode::Off), &case);
+    let want: Rows = (0..=PATH_ARCS)
+        .flat_map(|a| (a + 1..=PATH_ARCS).map(move |b| vec![a, b]))
+        .collect();
+    assert_eq!(narrowed(&case, &rows), vec![want]);
+    assert_eq!(stats.sink_windows, 0, "wide ids leave no key narrow");
+    assert!(stats.iterations > PATH_ARCS as usize);
+    assert!(
+        stats.sink_table_doublings * 10 < stats.iterations,
+        "{} doublings over {} iterations",
+        stats.sink_table_doublings,
+        stats.iterations
+    );
+}
