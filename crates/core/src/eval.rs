@@ -185,6 +185,30 @@ struct IdbState {
     tmp_schemas: Vec<Schema>,
 }
 
+impl IdbState {
+    /// Heap bytes the state holds from one iteration to the next: its ∆,
+    /// full-R index and monotonic map, and the storage kept for the next
+    /// pass — the ∆ stream's scratch, the spare ∆ columns and each bound
+    /// join's distinct stage.
+    fn heap_bytes(&self) -> usize {
+        let distinct = self.bound.iter().flat_map(|sq| &sq.joins);
+        self.delta.heap_bytes()
+            + self
+                .full_index
+                .as_ref()
+                .map_or(0, PersistentIndex::heap_bytes)
+            + match &self.agg {
+                Some(AggKind::Mono(m)) => m.map.heap_bytes(),
+                _ => 0,
+            }
+            + self.scratch.heap_bytes()
+            + self.spare.iter().map(|c| c.capacity() * 8).sum::<usize>()
+            + distinct
+                .map(|j| j.distinct.borrow().heap_bytes())
+                .sum::<usize>()
+    }
+}
+
 /// The shared (read-only) tier of the join cache: a borrow of the
 /// database-owned [`IndexCache`] plus this run's hit/miss accounting.
 struct SharedTier<'c> {
@@ -258,8 +282,6 @@ struct JoinCache<'c> {
     frozen: Vec<CacheSlot<FrozenIndex>>,
     /// Slots of growing build sides; cleared when their stratum ends.
     growing: Vec<CacheSlot<PersistentIndex>>,
-    /// Heap bytes of the run's own indexes, kept as they change.
-    own_bytes: usize,
     builds: usize,
     appends: usize,
     reuses: usize,
@@ -283,7 +305,6 @@ impl<'c> JoinCache<'c> {
             }),
             frozen: Vec::new(),
             growing: Vec::new(),
-            own_bytes: 0,
             builds: 0,
             appends: 0,
             reuses: 0,
@@ -379,10 +400,7 @@ impl<'c> JoinCache<'c> {
                     }
                 }
             };
-            self.own_bytes += own_bytes(&held);
-            if let Some(old) = index.replace(held) {
-                self.own_bytes -= own_bytes(&old);
-            }
+            *index = Some(held);
             self.maintain += t0.elapsed();
         }
         index.as_ref().expect("just filled").index.index()
@@ -403,7 +421,6 @@ impl<'c> JoinCache<'c> {
         let t0 = Instant::now();
         let CacheSlot { rel, cols, index } = &mut self.growing[slot];
         let base = catalog.rel(*rel).view();
-        let before = index.as_ref().map_or(0, PersistentIndex::heap_bytes);
         let fresh = index.is_none();
         if fresh {
             self.builds += 1;
@@ -422,7 +439,6 @@ impl<'c> JoinCache<'c> {
                 self.build_rows += base.len();
             }
         }
-        self.own_bytes = self.own_bytes + index.heap_bytes() - before;
         self.maintain += t0.elapsed();
         index
     }
@@ -430,22 +446,13 @@ impl<'c> JoinCache<'c> {
     /// Heap bytes of the run's own indexes (shared snapshots are
     /// accounted by the database cache's resident total).
     fn heap_bytes(&self) -> usize {
-        debug_assert_eq!(
-            self.own_bytes,
-            self.growing
-                .iter()
-                .filter_map(|s| s.index.as_ref())
-                .map(PersistentIndex::heap_bytes)
+        let growing = self.growing.iter().filter_map(|s| s.index.as_ref());
+        let own_frozen = self.frozen.iter().filter_map(|s| s.index.as_ref());
+        growing.map(PersistentIndex::heap_bytes).sum::<usize>()
+            + own_frozen
+                .filter(|f| !f.shared)
+                .map(|f| f.index.heap_bytes())
                 .sum::<usize>()
-                + self
-                    .frozen
-                    .iter()
-                    .filter_map(|s| s.index.as_ref())
-                    .map(own_bytes)
-                    .sum::<usize>(),
-            "the running index bytes drifted from the indexes held"
-        );
-        self.own_bytes
     }
 
     /// Resident bytes of the shared tier's backing cache (0 without one).
@@ -456,9 +463,7 @@ impl<'c> JoinCache<'c> {
     /// Drop the stratum's chained indexes: their relations are read as
     /// `Base` from now on, through key-ordered indexes.
     fn end_stratum(&mut self) {
-        for slot in self.growing.drain(..) {
-            self.own_bytes -= slot.index.as_ref().map_or(0, PersistentIndex::heap_bytes);
-        }
+        self.growing.clear();
     }
 
     /// Memory-pressure spill: release this run's pins (mid-stratum drop —
@@ -511,15 +516,6 @@ fn reserve<I>(slots: &mut Vec<CacheSlot<I>>, rel: RelId, cols: &[usize]) -> usiz
             });
             slots.len() - 1
         }
-    }
-}
-
-/// Bytes a held frozen index costs this run: its own builds only.
-fn own_bytes(held: &FrozenIndex) -> usize {
-    if held.shared {
-        0
-    } else {
-        held.index.heap_bytes()
     }
 }
 
@@ -1128,8 +1124,9 @@ impl<'d> EvalRun<'_, 'd> {
 
         // The memory budget's live bytes (how OOM is reported honestly):
         // the catalog, the run's own join indexes, the shared cache's
-        // resident snapshots, the carried full-R indexes, and each IDB's
-        // ∆, full-R index and monotonic map. Within the loop only the
+        // resident snapshots, the carried full-R indexes, and what each
+        // IDB's state holds across iterations ([`IdbState::heap_bytes`]).
+        // Within the loop only the
         // stratum's own IDB relations change in the catalog and nothing
         // touches the carried indexes, so the rest is summed once here and
         // each boundary adds what can move.
@@ -1188,17 +1185,7 @@ impl<'d> EvalRun<'_, 'd> {
                 + idb_bytes(&self.catalog, &states)
                 + jcache.heap_bytes()
                 + cache_resident
-                + states
-                    .iter()
-                    .map(|s| {
-                        s.delta.heap_bytes()
-                            + s.full_index.as_ref().map_or(0, PersistentIndex::heap_bytes)
-                            + match &s.agg {
-                                Some(AggKind::Mono(m)) => m.map.heap_bytes(),
-                                _ => 0,
-                            }
-                    })
-                    .sum::<usize>();
+                + states.iter().map(IdbState::heap_bytes).sum::<usize>();
             debug_assert_eq!(
                 fixed_bytes + idb_bytes(&self.catalog, &states),
                 self.catalog.heap_bytes()
@@ -1629,7 +1616,7 @@ impl<'d> EvalRun<'_, 'd> {
         let mut scratch_bytes = 0;
         // The Agg sink's pipeline ends where its aggregation tail starts:
         // one clock read serves both.
-        let (out, considered, evaluated) = if delta_sink {
+        let (out, considered, mut t_agg) = if delta_sink {
             let streamed = self.stream_delta(
                 rel_id,
                 &mut full_index,
@@ -1687,6 +1674,8 @@ impl<'d> EvalRun<'_, 'd> {
         }
         if self.cfg.oof == OofMode::Full {
             self.analyze_rt(rel_id, sampler.as_ref(), &out.cols, stats);
+            // The analysis books its own time: aggregation starts after it.
+            t_agg = None;
         }
 
         // --- The sink's ∆R tail. ---
@@ -1704,7 +1693,7 @@ impl<'d> EvalRun<'_, 'd> {
             stats.agg_sink_runs += 1;
             stats.agg_rows_folded_at_source += considered;
         }
-        let t_agg = evaluated.unwrap_or_else(Instant::now);
+        let t_agg = t_agg.unwrap_or_else(Instant::now);
         let (start, end) = match &mut state.agg {
             Some(AggKind::Mono(ms)) => {
                 if materialized {

@@ -901,6 +901,44 @@ fn memory_budget_reports_oom() {
 }
 
 #[test]
+fn memory_budget_counts_what_a_chain_stage_keeps_between_passes() {
+    // Wide ids (2^40 + i·2^32) fit no bit window, so the chain stage of
+    // `r ⋈ a ⋈ b` dedups its k² distinct (x, z) pairs in a hashed table,
+    // which it keeps for its next pass: about 36 bytes a pair, while
+    // the relations hold 2k + 1 arcs and `r` reaches 2k rows.
+    let k: Value = 300;
+    let wide = |v: Value| (1 << 40) + v * (1 << 32);
+    let arcs = |pairs: Vec<(Value, Value)>| -> Vec<(Value, Value)> {
+        pairs.into_iter().map(|(a, b)| (wide(a), wide(b))).collect()
+    };
+    let chain = "r(x, y) :- e(x, y).\nr(x, w) :- r(x, y), a(y, z), b(z, w).";
+    let direct = "r(x, y) :- e(x, y).\nr(x, w) :- r(x, y), b(y, w).";
+    let run = |src: &str, budget: usize| {
+        let mut db = Database::new().unwrap();
+        db.load_edges("e", &arcs((0..k).map(|i| (1000 + i, 0)).collect()))
+            .unwrap();
+        db.load_edges("a", &arcs((0..k).map(|j| (0, 2000 + j)).collect()))
+            .unwrap();
+        db.load_edges("b", &arcs(vec![(2000, 5000), (0, 5000)]))
+            .unwrap();
+        let cfg = Config::default().pbme(PbmeMode::Off).mem_budget(budget);
+        let stats = engine(cfg).prepare(src).unwrap().run(&mut db);
+        stats.map(|s| (s, db.row_count("r")))
+    };
+    let (stats, rows) = run(chain, usize::MAX).unwrap();
+    assert_eq!(rows, 2 * k as usize);
+    assert_eq!(stats.intermediate_rows_kept, (k * k) as usize);
+    // Above the stage's own output (four columns, 32 bytes a pair,
+    // materialized within the pass) and everything else the run holds at
+    // an iteration boundary — the program without the stage fits — but
+    // below that plus the stage's kept table.
+    let budget = 40 * (k * k) as usize;
+    assert_eq!(run(direct, budget).unwrap().1, 2 * k as usize);
+    let err = run(chain, budget).unwrap_err();
+    assert!(err.to_string().contains("live >"), "{err}");
+}
+
+#[test]
 fn eost_defers_io_relative_to_per_query() {
     let edges = random_edges(30, 100, 8);
     let run = |eost: bool| {

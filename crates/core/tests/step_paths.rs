@@ -156,14 +156,14 @@ const PINS: &[(&str, &str, [u64; 18])] = &[
     ("sg", "no_eost", [6, 13, 2071, 5, 0, 0, 0, 0, 33136, 0, 1, 4, 134, 395, 6, 49904, 17, 11]),
     ("sg", "oof_full", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1, 11]),
     ("sg", "oof_none", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1, 11]),
-    ("cc", "default", [13, 26, 171, 1, 1, 12, 147, 60, 0, 17, 1, 0, 48, 0, 1, 824, 3, 10]),
-    ("cc", "no_fused_pipeline", [13, 27, 171, 0, 0, 12, 147, 60, 192, 0, 0, 0, 48, 0, 1, 824, 3, 10]),
-    ("cc", "no_fused_agg", [13, 26, 171, 1, 1, 0, 0, 0, 2352, 17, 1, 0, 48, 0, 1, 824, 3, 10]),
-    ("cc", "no_index_reuse", [13, 27, 171, 0, 0, 12, 147, 60, 192, 0, 0, 0, 0, 0, 1, 824, 3, 0]),
-    ("cc", "no_uie", [13, 40, 171, 0, 0, 0, 0, 0, 2544, 0, 0, 0, 48, 0, 1, 824, 3, 10]),
-    ("cc", "no_eost", [13, 27, 171, 0, 0, 0, 0, 0, 2544, 0, 0, 0, 48, 0, 1, 4440, 27, 10]),
-    ("cc", "oof_full", [13, 26, 171, 1, 1, 12, 147, 60, 0, 17, 1, 0, 48, 0, 1, 824, 3, 10]),
-    ("cc", "oof_none", [13, 26, 171, 1, 1, 12, 147, 60, 0, 17, 1, 0, 48, 0, 1, 824, 3, 10]),
+    ("cc", "default", [11, 22, 177, 1, 1, 10, 153, 63, 0, 17, 1, 0, 48, 0, 1, 824, 3, 8]),
+    ("cc", "no_fused_pipeline", [11, 23, 177, 0, 0, 10, 153, 63, 192, 0, 0, 0, 48, 0, 1, 824, 3, 8]),
+    ("cc", "no_fused_agg", [11, 22, 177, 1, 1, 0, 0, 0, 2448, 17, 1, 0, 48, 0, 1, 824, 3, 8]),
+    ("cc", "no_index_reuse", [11, 23, 177, 0, 0, 10, 153, 63, 192, 0, 0, 0, 0, 0, 1, 824, 3, 0]),
+    ("cc", "no_uie", [11, 34, 177, 0, 0, 0, 0, 0, 2640, 0, 0, 0, 48, 0, 1, 824, 3, 8]),
+    ("cc", "no_eost", [11, 23, 177, 0, 0, 0, 0, 0, 2640, 0, 0, 0, 48, 0, 1, 4584, 25, 8]),
+    ("cc", "oof_full", [11, 22, 177, 1, 1, 10, 153, 63, 0, 17, 1, 0, 48, 0, 1, 824, 3, 8]),
+    ("cc", "oof_none", [11, 22, 177, 1, 1, 10, 153, 63, 0, 17, 1, 0, 48, 0, 1, 824, 3, 8]),
     ("count_sum", "default", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 456, 1, 0]),
     ("count_sum", "no_fused_pipeline", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 456, 1, 0]),
     ("count_sum", "no_fused_agg", [1, 2, 48, 0, 0, 0, 0, 0, 1152, 0, 0, 0, 0, 0, 0, 456, 1, 0]),

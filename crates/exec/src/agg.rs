@@ -227,8 +227,12 @@ const IN_WINDOW: u32 = 1 << 31;
 const REQUEUED: u32 = 1 << 30;
 
 /// A [`Bucket::Lowest`] drain takes one in this many of the groups
-/// improved since the previous drain, and at least one.
+/// improved since the previous drain, and at least its adaptive width.
 const BUCKET_DIVISOR: usize = 8;
+/// A [`Bucket::Lowest`] drain's width doubles after a drain of which at
+/// most one in this many handed-back groups improved again, and halves
+/// otherwise.
+const REWORK_DIVISOR: usize = 8;
 /// A chunk cut for a bucket of `need` is split exactly (one selection)
 /// up to `2 * need + CUT_SLACK` entries; a larger one is halved around a
 /// sampled median first, so the part a later round cuts again stays small.
@@ -242,19 +246,29 @@ pub enum Bucket {
     Unbounded,
     /// The lowest-valued (for `MAX`, highest-valued) pending groups: with
     /// `n` groups improved since the previous drain, the first
-    /// `T = max(1, ⌈n / BUCKET_DIVISOR⌉)` in value order plus every group
-    /// tied with the `T`-th. Which groups that is depends only on the
-    /// pending `(group, value)` pairs.
+    /// `T = max(w, ⌈n / BUCKET_DIVISOR⌉)` in value order plus every group
+    /// tied with the `T`-th. The width `w` starts at 1 and adapts to the
+    /// rework the drains cause: it doubles after a drain whose handed-back
+    /// groups stayed final — at most one in [`REWORK_DIVISOR`] improved
+    /// again — and halves after one that handed back more non-final
+    /// values. So a path whose lowest group is the only final one is
+    /// relaxed about one vertex an iteration, while a sparse graph with
+    /// untied weights, where the lowest few hundred groups are final,
+    /// drains them together (∆-stepping with a width found by the drains
+    /// rather than set). Which groups a drain takes depends only on the
+    /// pending `(group, value)` pairs and on earlier drains, never on the
+    /// thread count.
     Lowest,
 }
 
 impl Bucket {
     /// Groups to take when `improved` groups improved since the previous
-    /// drain (ties with the last one come on top).
-    fn size(self, improved: usize) -> usize {
+    /// drain, at adaptive width `width` (ties with the last one come on
+    /// top).
+    fn size(self, improved: usize, width: usize) -> usize {
         match self {
             Bucket::Unbounded => usize::MAX,
-            Bucket::Lowest => improved.div_ceil(BUCKET_DIVISOR).max(1),
+            Bucket::Lowest => improved.div_ceil(BUCKET_DIVISOR).max(width),
         }
     }
 }
@@ -312,6 +326,13 @@ struct Pending {
     drains: u32,
     /// Groups the previous drain popped and left pending.
     deferred: usize,
+    /// Groups the previous drain handed back.
+    handed: usize,
+    /// Groups the map held at the previous drain.
+    groups: usize,
+    /// A [`Bucket::Lowest`] drain's adaptive width (see there); 0 before
+    /// the first drain, read as 1.
+    width: usize,
 }
 
 impl Pending {
@@ -858,10 +879,12 @@ impl ConcurrentMonoMap {
         let mut pending = std::mem::take(&mut *self.pending);
         pending.drains = pending.drains.wrapping_add(1);
         let mut batch = std::mem::take(&mut pending.batch);
+        let mut requeued = 0;
         let mut cur = self.dirty_head.swap(DIRTY_END, Ordering::Relaxed);
         while cur != DIRTY_END {
             if cur & REQUEUED != 0 {
                 pending.live -= 1;
+                requeued += 1;
             }
             let id = (cur & !REQUEUED) - 1;
             let (best, link) = self.cells(id);
@@ -873,7 +896,19 @@ impl ConcurrentMonoMap {
             cur = link.load(Ordering::Relaxed);
             link.store(DEFERRED, Ordering::Relaxed);
         }
-        let need = bucket.size(batch.len());
+        // The batch holds the groups created since the previous drain, the
+        // pending ones that improved again (requeued) and the rest: groups
+        // an earlier drain handed back at a value that was not final.
+        let groups = self.len();
+        let created = groups - pending.groups;
+        let reworked = batch.len().saturating_sub(requeued + created);
+        pending.groups = groups;
+        pending.width = match pending.handed {
+            0 => pending.width.max(1),
+            handed if reworked * REWORK_DIVISOR <= handed => pending.width.saturating_mul(2),
+            _ => (pending.width / 2).max(1),
+        };
+        let need = bucket.size(batch.len(), pending.width);
         if pending.live == 0 {
             // Only stale entries (if any) are left.
             pending.clear();
@@ -892,6 +927,7 @@ impl ConcurrentMonoMap {
             pending.deferred = batch.len() - fresh;
             pending.compact(live);
         }
+        pending.handed = taken.len();
         let out = &mut pending.drained;
         out.clear();
         out.reserve(taken.len() * (self.group_arity + 1));
@@ -1567,18 +1603,20 @@ mod tests {
                 pending.sort_by_key(order);
                 // T = max(1, ⌈1000 / 8⌉) = 125: the 125th value's ten
                 // ties come along, so 130 groups. Later drains see no new
-                // improvement and take T = 1 plus its nine ties.
-                let mut improved: usize = 1000;
+                // improvement, so no group they hand back improves again:
+                // the width doubles from 1 (T = 2, 4, 8, …), each drain
+                // taking the ties of its T-th value.
+                let (mut improved, mut width): (usize, usize) = (1000, 1);
                 while !pending.is_empty() {
                     let rows = drained_rows(m.take_improved(Bucket::Lowest));
-                    let t = improved.div_ceil(BUCKET_DIVISOR).max(1);
+                    let t = improved.div_ceil(BUCKET_DIVISOR).max(width);
                     let cut = order(&pending[t.min(pending.len()) - 1]);
                     let split = pending.partition_point(|p| order(p) <= cut);
                     let mut expect: Vec<(Value, Value)> = pending.drain(..split).collect();
                     expect.sort_unstable();
                     assert_eq!(rows, expect, "{func:?} windowed {windowed}");
                     assert_eq!(m.deferred(), if improved == 0 { 0 } else { pending.len() });
-                    improved = 0;
+                    (improved, width) = (0, if improved == 0 { width * 2 } else { 2 });
                 }
                 assert!(m.take_improved(Bucket::Lowest).is_empty());
             }
@@ -1594,6 +1632,23 @@ mod tests {
         assert_eq!(rows.len(), 130);
         assert!(rows.iter().all(|&(_, v)| v <= 12));
         assert_eq!(m.deferred(), 870);
+    }
+
+    #[test]
+    fn the_width_halves_when_handed_back_groups_improve_again() {
+        let mut m = bucket_map(AggFunc::Min, false, 64);
+        absorb_all(&m, &(0..64).map(|g| (g, g)).collect::<Vec<_>>(), 1);
+        let drain = |m: &mut ConcurrentMonoMap| drained_rows(m.take_improved(Bucket::Lowest));
+        // ⌈64 / 8⌉ = 8 groups; then, nothing having improved, width 2.
+        assert_eq!(drain(&mut m), (0..8).map(|g| (g, g)).collect::<Vec<_>>());
+        assert_eq!(drain(&mut m), [(8, 8), (9, 9)]);
+        // Both groups that drain handed back improve: the width halves
+        // to 1, and the lower of the two goes first.
+        absorb_all(&m, &[(8, -1), (9, -2)], 1);
+        assert_eq!(drain(&mut m), [(9, -2)]);
+        assert_eq!(m.deferred(), 1);
+        // No rework since: width 2 again.
+        assert_eq!(drain(&mut m), [(8, -1), (10, 10)]);
     }
 
     #[test]

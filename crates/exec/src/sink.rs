@@ -212,7 +212,10 @@ type Page = [AtomicU64; PAGE_WORDS];
 pub struct BitWindow {
     layout: KeyLayout,
     pages: Box<[OnceLock<Box<Page>>]>,
-    /// Pages allocated so far.
+    /// Zeroed pages [`BitWindow::clear`] took out of the directory, handed
+    /// out again before a new one is allocated.
+    spare: Mutex<Vec<Box<Page>>>,
+    /// Pages allocated so far, in the directory or spare.
     touched: AtomicUsize,
 }
 
@@ -229,6 +232,7 @@ impl BitWindow {
         BitWindow {
             layout,
             pages,
+            spare: Mutex::new(Vec::new()),
             touched: AtomicUsize::new(0),
         }
     }
@@ -263,8 +267,10 @@ impl BitWindow {
     #[inline(never)]
     fn allocate<'w>(&self, cell: &'w OnceLock<Box<Page>>) -> &'w Page {
         cell.get_or_init(|| {
-            self.touched.fetch_add(1, Ordering::Relaxed);
-            Box::new([const { AtomicU64::new(0) }; PAGE_WORDS])
+            self.spare.lock().pop().unwrap_or_else(|| {
+                self.touched.fetch_add(1, Ordering::Relaxed);
+                Box::new([const { AtomicU64::new(0) }; PAGE_WORDS])
+            })
         })
     }
 
@@ -294,17 +300,20 @@ impl BitWindow {
         word.load(Ordering::Relaxed) & bit == 0 && word.fetch_or(bit, Ordering::Relaxed) & bit == 0
     }
 
-    /// Empty the window for reuse, keeping its pages: costs the
-    /// directory plus the pages in use.
+    /// Empty the window for reuse, keeping its pages as spares: costs the
+    /// directory plus the pages in use, not every page ever allocated.
     pub fn clear(&mut self) {
-        for page in self.pages.iter_mut().filter_map(OnceLock::get_mut) {
+        let spare = self.spare.get_mut();
+        for mut page in self.pages.iter_mut().filter_map(OnceLock::take) {
             for word in page.iter_mut() {
                 *word.get_mut() = 0;
             }
+            spare.push(page);
         }
     }
 
-    /// Heap footprint in bytes: the directory and the pages in use.
+    /// Heap footprint in bytes: the directory and the pages held, spare
+    /// ones included.
     pub fn heap_bytes(&self) -> usize {
         self.pages.len() * std::mem::size_of::<OnceLock<Box<Page>>>()
             + self.touched.load(Ordering::Relaxed) * std::mem::size_of::<Page>()
@@ -323,6 +332,13 @@ pub struct SinkScratch {
 }
 
 impl SinkScratch {
+    /// Heap bytes held between passes: the bit window's directory and
+    /// pages, and the table's node chunks and directory.
+    pub fn heap_bytes(&self) -> usize {
+        self.window.as_ref().map_or(0, BitWindow::heap_bytes)
+            + self.table.get().map_or(0, GrowChainTable::heap_bytes)
+    }
+
     /// An empty bit window over `layout`.
     fn window(&mut self, layout: &KeyLayout) -> &BitWindow {
         match &mut self.window {
@@ -894,6 +910,27 @@ mod tests {
         assert!(w.contains(5) && !w.contains(6));
         assert!(w.insert((1 << 20) - 1));
         assert_eq!(w.heap_bytes(), directory + 2 * PAGE_WORDS * 8);
+    }
+
+    #[test]
+    fn a_cleared_window_is_empty_and_hands_its_pages_out_again() {
+        let mut w = BitWindow::new(KeyLayout::from_bounds(&[(0, (1 << 20) - 1)]).unwrap());
+        for page in 0..4 {
+            assert!(w.insert((page << PAGE_BITS) + 5));
+        }
+        let held = w.heap_bytes();
+        let in_use = |w: &BitWindow| w.pages.iter().filter(|p| p.get().is_some()).count();
+        w.clear();
+        assert_eq!(in_use(&w), 0, "a clear empties the directory");
+        assert!((0..4).all(|page| !w.contains((page << PAGE_BITS) + 5)));
+        // A later pass touching one page takes a zeroed spare, so the next
+        // clear costs that page alone.
+        assert!(w.insert(7));
+        assert!(!w.contains(5) && w.contains(7));
+        assert_eq!(in_use(&w), 1);
+        assert_eq!(w.heap_bytes(), held, "no page allocated past the spares");
+        w.clear();
+        assert!(!w.contains(7) && w.insert(5));
     }
 
     #[test]
