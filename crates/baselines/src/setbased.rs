@@ -214,12 +214,14 @@ impl SetEngine {
                 _ => monos.push(None),
             }
         }
+        // Exit rules (no ∆ scan) run on the first pass only.
+        let mut first = true;
         loop {
             stats.iterations += 1;
             let mut all_empty = true;
             let mut pending: Vec<(usize, usize)> = Vec::with_capacity(stratum.idbs.len());
             for (i, idb) in stratum.idbs.iter().enumerate() {
-                let candidates = self.eval_idb(stratum, idb)?;
+                let candidates = self.eval_idb(idb, first)?;
                 let range = self.absorb(idb, candidates, monos[i].as_mut())?;
                 if range.0 != range.1 {
                     all_empty = false;
@@ -245,6 +247,7 @@ impl SetEngine {
             if !stratum.recursive || all_empty {
                 break;
             }
+            first = false;
         }
         // Rebuild aggregated relations from their monotonic maps.
         for (i, idb) in stratum.idbs.iter().enumerate() {
@@ -376,9 +379,13 @@ impl SetEngine {
         Ok(())
     }
 
-    fn eval_idb(&self, _stratum: &CompiledStratum, idb: &CompiledIdb) -> Result<Vec<Vec<Value>>> {
+    fn eval_idb(&self, idb: &CompiledIdb, first: bool) -> Result<Vec<Vec<Value>>> {
         let mut out = Vec::new();
-        for sq in &idb.subqueries {
+        for sq in idb
+            .subqueries
+            .iter()
+            .filter(|sq| first || sq.delta_scan.is_some())
+        {
             out.extend(self.eval_subquery(sq)?);
         }
         Ok(out)

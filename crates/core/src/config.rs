@@ -115,8 +115,8 @@ pub struct Config {
     /// maintenance with two strategies, for recursive and non-recursive
     /// strata alike (∆-seeded semi-naive re-entry for insertions; for
     /// deletions, the dead set off the PBME closure matrix on TC/SG
-    /// strata, Backward/Forward elsewhere) instead of recompiling + rerunning
-    /// from scratch. `--no-incremental` is the ablation switch.
+    /// strata, Backward/Forward elsewhere) instead of rerunning from
+    /// scratch. `--no-incremental` is the ablation switch.
     pub incremental_views: bool,
     /// Worst-case optimal multiway joins: subqueries whose body is a
     /// *cyclic* join hypergraph (the triangle query, longer cycles) are

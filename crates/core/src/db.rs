@@ -127,9 +127,7 @@ impl Database {
 
     /// Catalog version of one relation (0 if it does not exist yet).
     ///
-    /// Every commit touching the relation bumps this; the query service
-    /// uses it to invalidate prepared programs per relation read rather
-    /// than on every `/facts` commit.
+    /// Every commit touching the relation bumps this.
     pub fn relation_version(&self, name: &str) -> u64 {
         self.catalog
             .lookup(name)

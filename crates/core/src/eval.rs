@@ -145,7 +145,9 @@ impl DeltaBuf {
 
 /// How a stratum's fixpoint is entered.
 ///
-/// A scratch entry is Algorithm 1's: ∆⁰R is everything already in `R`.
+/// A scratch entry is Algorithm 1's: ∆⁰R is everything already in `R`
+/// (its inline facts), and its first pass — the *exit pass* — is the only
+/// one that evaluates the subqueries without a ∆ scan (the exit rules).
 /// A seeded entry re-enters a *completed* fixpoint after new tuples were
 /// appended (incremental view maintenance): ∆⁰R covers only the rows from
 /// the recorded start, the prefix is the Old frontier, and delta-less
@@ -156,6 +158,19 @@ pub(crate) enum StratumEntry {
     Scratch,
     /// Re-entry with ∆⁰R = rows from the recorded start per relation.
     Seeded(FxHashMap<RelId, usize>),
+}
+
+/// What one pass of a stratum's fixpoint does beyond its ∆ subqueries.
+#[derive(Clone, Copy)]
+struct Pass {
+    /// The exit pass ([`StratumEntry`]): the subqueries without a ∆ scan
+    /// run, and a MIN/MAX head hands on every group it improved
+    /// ([`Bucket::Unbounded`]), whatever its value-order bucket.
+    exit: bool,
+    /// OOF-NA: freeze the build sides this pass picks. Every pass under
+    /// `OofMode::None` but an exit pass over an empty ∆⁰, whose ∆
+    /// subqueries see none of their recursive inputs.
+    freeze: bool,
 }
 
 /// Per-IDB mutable state across the iterations of one stratum.
@@ -858,14 +873,10 @@ impl<'d> EvalRun<'_, 'd> {
 
         let mut jcache = self.join_cache();
 
-        // Full-R indexes survive their stratum: a relation's rows only grow
-        // between the rewrites that drop its index (a PBME refill, a mono
-        // rebuild), so a carried index only ever needs an incremental sync
-        // (and the sync is defensive anyway). For TC-shaped programs this
-        // makes the whole run build the table exactly once — the base
-        // stratum builds, the recursive one grows it before its first
-        // probe. An index no later probe reads stays as its last probe
-        // left it unless a hand-off below syncs it.
+        // Full-R indexes outlive their stratum only to leave the run: each
+        // IDB is derived by one stratum, which builds its index on first
+        // probe and hands it back here as its last probe left it, for a
+        // hand-off below (which syncs it) or none.
         let mut index_carry: FxHashMap<RelId, PersistentIndex> = FxHashMap::default();
         for stratum in &prog.strata {
             let pbme_plan = match self.cfg.pbme {
@@ -874,14 +885,7 @@ impl<'d> EvalRun<'_, 'd> {
             };
             let mut handled = false;
             if let Some(plan) = pbme_plan {
-                handled = self.try_run_pbme(&plan, &mut stats)?;
-                if handled {
-                    // PBME cleared and refilled the IDB: the full-R index
-                    // the base stratum carries covers only its exit rows.
-                    if let Some(id) = self.catalog.lookup(plan.idb()) {
-                        index_carry.remove(&id);
-                    }
-                }
+                handled = self.try_run_pbme(stratum, &plan, &mut stats)?;
             }
             if !handled {
                 self.run_stratum(
@@ -964,25 +968,29 @@ impl<'d> EvalRun<'_, 'd> {
         stats
     }
 
-    /// Attempt PBME on a TC/SG-shaped stratum: close the IDB's exit rows
-    /// over the edge relation ([`pbme::close`]) and materialise the
-    /// matrix into the IDB. Returns false (fall back to tuples) when the
-    /// id-domain check or [`Self::pbme_guard`] refuses it.
-    fn try_run_pbme(&mut self, plan: &PbmePlan, stats: &mut EvalStats) -> Result<bool> {
+    /// Attempt PBME on TC/SG-shaped `stratum`: close the IDB's exit rows
+    /// ([`Self::pbme_seeds`]) over the edge relation ([`pbme::close`]) and
+    /// materialise the matrix into the IDB. Returns false (fall back to
+    /// tuples, which evaluate the exit rules again) when the id-domain
+    /// check or [`Self::pbme_guard`] refuses it.
+    fn try_run_pbme(
+        &mut self,
+        stratum: &CompiledStratum,
+        plan: &PbmePlan,
+        stats: &mut EvalStats,
+    ) -> Result<bool> {
         let t = Instant::now();
         let Some(edge_id) = self.catalog.lookup(plan.edges()) else {
             return Ok(false);
         };
-        let idb_id = self
-            .catalog
-            .lookup(plan.idb())
-            .expect("idb relation exists");
-        let (edges, seeds) = (self.catalog.rel(edge_id), self.catalog.rel(idb_id));
+        let idb_id = rel_id(&self.catalog, plan.idb())?;
+        let entry = self.catalog.rel(idb_id);
+        let seeds = self.pbme_seeds(stratum, vec![entry.col(0).to_vec(), entry.col(1).to_vec()])?;
         let closure = pbme::close(
             &self.ctx.pool,
             plan,
-            pair_cols(edges),
-            pair_cols(seeds),
+            pair_cols(self.catalog.rel(edge_id)),
+            [&seeds[0], &seeds[1]],
             self.pbme_guard(None),
             stats,
         );
@@ -991,6 +999,8 @@ impl<'d> EvalRun<'_, 'd> {
             stats.phase.pbme += t.elapsed();
             return Ok(false);
         };
+        // The closure is the stratum's one iteration, and its boundary.
+        recstep_common::fail_point!("eval::fixpoint");
         // Materialize the closure back into the stored relation.
         let (cols, aggs) = matrix_columns(&self.ctx.pool, &closure.matrix, closure.transposed);
         let rel = self.catalog.rel_mut(idb_id);
@@ -1008,6 +1018,23 @@ impl<'d> EvalRun<'_, 'd> {
             .peak_bytes
             .max(self.catalog.heap_bytes() + stats.pbme_matrix_bytes);
         Ok(true)
+    }
+
+    /// The rows PBME closes for `stratum` (a [`detect`]ed TC/SG stratum):
+    /// `entry`, its IDB's rows at entry, plus its exit subqueries — those
+    /// without a ∆ scan — evaluated over the catalog.
+    fn pbme_seeds(
+        &self,
+        stratum: &CompiledStratum,
+        mut entry: Vec<Vec<Value>>,
+    ) -> Result<Vec<Vec<Value>>> {
+        let exits = stratum.idbs[0].subqueries.iter();
+        for sq in exits.filter(|sq| sq.delta_scan.is_none()) {
+            let overrides = ScanOverrides::default();
+            let rows = self.eval_pinned(stratum, sq, &overrides, &SinkMode::Materialize)?;
+            append_cols(&mut entry, rows);
+        }
+        Ok(entry)
     }
 
     /// The rules [`pbme::close`] checks under the engine's PBME mode:
@@ -1033,14 +1060,14 @@ impl<'d> EvalRun<'_, 'd> {
         stats: &mut EvalStats,
         entry: StratumEntry,
     ) -> Result<()> {
-        let seeded = matches!(entry, StratumEntry::Seeded(_));
+        let scratch = matches!(entry, StratumEntry::Scratch);
         // Initialize per-IDB state.
         let mut states: Vec<IdbState> = Vec::with_capacity(stratum.idbs.len());
         for idb in &stratum.idbs {
             let rel_id = self.catalog.lookup(&idb.rel).expect("idb relation exists");
             let rel = self.catalog.rel(rel_id);
             // ∆R of iteration 0: from scratch, everything already in R
-            // (facts and earlier-strata results); re-entering a completed
+            // (its inline facts); re-entering a completed
             // fixpoint, only the rows appended since its recorded start —
             // everything before is the already-converged Old frontier.
             let start = match &entry {
@@ -1064,7 +1091,7 @@ impl<'d> EvalRun<'_, 'd> {
                         Some(layout) => ConcurrentMonoMap::with_window(func, g, layout)?,
                         None => ConcurrentMonoMap::new(func, g, rel.len())?,
                     };
-                    // Seed from facts already in R (earlier strata).
+                    // Seed from the facts already in R.
                     let mut group = Vec::with_capacity(g);
                     for r in 0..rel.len() {
                         group.clear();
@@ -1151,6 +1178,11 @@ impl<'d> EvalRun<'_, 'd> {
         // free — R is append-only until fixpoint, so a previously staged
         // range stays valid while R grows.
         let mut staged: Vec<DeltaBuf> = Vec::with_capacity(stratum.idbs.len());
+        let freeze = self.cfg.oof == OofMode::None;
+        let mut pass = Pass {
+            exit: scratch,
+            freeze: freeze && !(scratch && states.iter().all(|s| s.delta.is_empty())),
+        };
         loop {
             if self.cancel.is_some_and(CancelToken::is_cancelled) {
                 return Err(Error::Cancelled);
@@ -1160,9 +1192,13 @@ impl<'d> EvalRun<'_, 'd> {
             recstep_common::fail_point!("eval::fixpoint");
             iterations += 1;
             for (i, idb) in stratum.idbs.iter().enumerate() {
-                let delta = self.step_idb(stratum, idb, i, &mut states, jcache, stats, seeded)?;
+                let delta = self.step_idb(stratum, idb, i, &mut states, jcache, stats, pass)?;
                 staged.push(delta);
             }
+            pass = Pass {
+                exit: false,
+                freeze,
+            };
             let all_empty = staged.iter().all(DeltaBuf::is_empty);
             // Old moves with ∆ (a row-range ∆ starts where Old ends): a
             // peer stepped later in the pass must not see an earlier IDB's
@@ -1247,8 +1283,7 @@ impl<'d> EvalRun<'_, 'd> {
         }
 
         // Hand the full-R indexes back, possibly trailing the last merge,
-        // for a later stratum that derives the same relation (it syncs
-        // before its first probe) or a hand-off out of the run.
+        // for a hand-off out of the run or the next refresh.
         for state in states {
             if let Some(index) = state.full_index {
                 index_carry.insert(state.rel_id, index);
@@ -1270,8 +1305,9 @@ impl<'d> EvalRun<'_, 'd> {
     /// OOF-FA is *not* excluded: a [`SinkSampler`] attached to the sink
     /// mirrors every offered row, and the statistics pass reads the
     /// reservoir in place of an `Rt` re-scan. Non-recursive strata stream
-    /// too — their single pass dedups across rules at source the same
-    /// way. Aggregated heads take the Agg sink instead (see
+    /// too: every rule of an IDB runs in its one stratum, so their single
+    /// pass dedups across rules at source the same way, as does a
+    /// recursive stratum's exit pass. Aggregated heads take the Agg sink instead (see
     /// [`Self::fused_agg_applies`]).
     fn fused_applies(&self, state: &IdbState) -> bool {
         self.cfg.fused_pipeline
@@ -1551,7 +1587,7 @@ impl<'d> EvalRun<'_, 'd> {
         states: &mut [IdbState],
         jcache: &mut JoinCache<'_>,
         stats: &mut EvalStats,
-        seeded: bool,
+        pass: Pass,
     ) -> Result<DeltaBuf> {
         let rel_id = states[idx].rel_id;
         let delta_sink = self.fused_applies(&states[idx]);
@@ -1604,13 +1640,12 @@ impl<'d> EvalRun<'_, 'd> {
                 this.ctx,
                 this.cfg,
                 &this.catalog,
-                stratum,
                 idb,
                 states,
                 idx,
                 jcache,
                 sink,
-                seeded,
+                pass.exit,
             )
         };
         let mut scratch_bytes = 0;
@@ -1669,8 +1704,8 @@ impl<'d> EvalRun<'_, 'd> {
         stats.intermediate_rows_kept += out.tally.stage_kept;
         stats.sink_windows += out.tally.stage_windows;
         stats.tuples_considered += considered;
-        if self.cfg.oof == OofMode::None {
-            freeze_choices(&self.catalog, jcache, stratum, states, idx);
+        if pass.freeze {
+            freeze_choices(&self.catalog, jcache, idb, states, idx);
         }
         if self.cfg.oof == OofMode::Full {
             self.analyze_rt(rel_id, sampler.as_ref(), &out.cols, stats);
@@ -1709,7 +1744,12 @@ impl<'d> EvalRun<'_, 'd> {
                     }
                 }
                 // The dirty list's bucket is ∆R; the rest stays pending.
-                let improved = ms.map.take_improved(ms.bucket);
+                let bucket = if pass.exit {
+                    Bucket::Unbounded
+                } else {
+                    ms.bucket
+                };
+                let improved = ms.map.take_improved(bucket);
                 let spare = std::mem::take(&mut state.spare);
                 let delta = mono_delta(spare, &ms.group_positions, ms.agg_position, improved);
                 let rows = delta.first().map_or(0, Vec::len);
@@ -1858,7 +1898,7 @@ impl RefreshDeltas {
 /// Column-major ∆ batches by relation name.
 type Batches = FxHashMap<String, Vec<Vec<Value>>>;
 
-/// How a changed unit is maintained.
+/// How a changed stratum is maintained.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Strategy {
     /// Its inputs only gained tuples.
@@ -1869,10 +1909,10 @@ enum Strategy {
     Deletion,
 }
 
-/// What the passes maintaining one unit read, built by
+/// What the passes maintaining one stratum read, built by
 /// [`EvalRun::maintenance_inputs`]: the effective ∆ of its inputs (the
-/// body relations outside the maintained stratum's own IDBs). Every
-/// position not pinned to a ∆ batch reads the catalog.
+/// body relations outside its own IDBs). Every position not pinned to a
+/// ∆ batch reads the catalog.
 struct Inputs {
     strategy: Strategy,
     /// The changed inputs' inserted and deleted rows.
@@ -1904,53 +1944,24 @@ fn cols_from_rows<'r>(
     cols
 }
 
-/// What a refresh maintains, in evaluation order, each unit ending with
-/// its maintained stratum and holding every stratum that derives one of
-/// that stratum's IDBs. Strata are rule-level SCCs, so TC's `tc` spans
-/// `tc ← arc` and the recursive stratum, and an IDB that two
-/// non-recursive rules derive spans two strata: B/F must see both rules,
-/// or it retracts a tuple the other rule still derives. A stratum takes
-/// in the earlier non-recursive units that derive one of its IDBs; every
-/// reader of an IDB follows all the rules deriving it, so the merged unit
-/// still precedes them.
-fn maintenance_units(prog: &CompiledProgram) -> Vec<Vec<&CompiledStratum>> {
-    let mut units: Vec<Vec<&CompiledStratum>> = Vec::new();
-    for stratum in &prog.strata {
-        let shares = |s: &CompiledStratum| {
-            s.idbs
-                .iter()
-                .any(|i| stratum.idbs.iter().any(|own| own.rel == i.rel))
-        };
-        let mut unit: Vec<&CompiledStratum> = units
-            .extract_if(.., |u| {
-                let last = u[u.len() - 1];
-                !last.recursive && shares(last)
-            })
-            .flatten()
-            .collect();
-        unit.push(stratum);
-        units.push(unit);
-    }
-    units
-}
-
 /// Incremental view maintenance: the refresh driver behind
-/// [`crate::view::MaterializedView`]. A refresh walks the units of
-/// [`maintenance_units`] in order, maintaining each changed one against
-/// the deltas accumulated so far with one of two strategies — the same
-/// for recursive and non-recursive units:
+/// [`crate::view::MaterializedView`]. A refresh walks the strata in
+/// order, maintaining each changed one — every rule deriving its IDBs —
+/// against the deltas accumulated so far with one of two strategies, the
+/// same for recursive and non-recursive strata:
 ///
 /// * **∆-seeding** for insert-only changes — every rule runs once per
 ///   changed scan position through the fused [`DeltaSink`], then a
 ///   recursive stratum's fixpoint re-enters with ∆ = the fresh rows only
 ///   ([`StratumEntry::Seeded`]);
 /// * **deletion** when an input lost tuples ([`Self::refresh_deletes`])
-///   — the unit's dead set is retracted, and the unit is then ∆-seeded
-///   from the commit's inserts alone. A TC/SG-shaped unit whose matrix is
-///   small beside the view reads its dead set off the PBME closure of its
-///   post-commit exit rows ([`Self::matrix_dead`]); any other runs
-///   Backward/Forward ([`bf`]), which checks each deletion candidate for
-///   a surviving proof (one level deep for a non-recursive unit).
+///   — the stratum's dead set is retracted, and the stratum is then
+///   ∆-seeded from the commit's inserts alone. A TC/SG-shaped stratum
+///   whose matrix is small beside the view reads its dead set off the
+///   PBME closure of its post-commit exit rows ([`Self::matrix_dead`]);
+///   any other runs Backward/Forward ([`bf`]), which checks each deletion
+///   candidate for a surviving proof (one level deep for a non-recursive
+///   stratum).
 ///
 /// Each builds its ∆ batches once ([`Self::maintenance_inputs`],
 /// `phase.dedup`); B/F's proof search is booked under `phase.eval`, the
@@ -1960,10 +1971,10 @@ fn maintenance_units(prog: &CompiledProgram) -> Vec<Vec<&CompiledStratum>> {
 /// shared tails [`Self::retract`], [`Self::merge_delta`] and
 /// [`RefreshDeltas::publish`] (`phase.merge`).
 impl EvalRun<'_, '_> {
-    /// Evaluate one subquery as a maintenance pass: overridden positions
-    /// read the given views, everything else the catalog's full
-    /// relations, with the join cache disabled (see [`eval_subquery`]).
-    fn eval_maintenance(
+    /// Evaluate one subquery over the catalog's full relations, overridden
+    /// positions reading the given views, with the join cache disabled
+    /// (see [`eval_subquery`]): a maintenance pass, or PBME's exit rows.
+    fn eval_pinned(
         &self,
         stratum: &CompiledStratum,
         sq: &SubQuery,
@@ -1979,7 +1990,6 @@ impl EvalRun<'_, '_> {
             self.ctx,
             self.cfg,
             &self.catalog,
-            stratum,
             sq,
             &bind,
             &[],
@@ -1991,24 +2001,19 @@ impl EvalRun<'_, '_> {
         )
     }
 
-    /// Build the ∆ batches of the inputs of `unit` (see
-    /// [`maintenance_units`]) that changed, in one walk over its rule
-    /// bodies, and the strategy they call for. Returns `None` when no
-    /// input changed. Booked under `phase.dedup`.
+    /// Build the ∆ batches of the inputs of `stratum` that changed, in one
+    /// walk over its rule bodies, and the strategy they call for. Returns
+    /// `None` when no input changed. Booked under `phase.dedup`.
     fn maintenance_inputs(
         &self,
-        unit: &[&CompiledStratum],
+        stratum: &CompiledStratum,
         deltas: &RefreshDeltas,
         stats: &mut EvalStats,
     ) -> Option<Inputs> {
         let t_dedup = Instant::now();
-        let maintained = unit[unit.len() - 1];
-        let own: FxHashSet<&str> = maintained.idbs.iter().map(|i| i.rel.as_str()).collect();
+        let own: FxHashSet<&str> = stratum.idbs.iter().map(|i| i.rel.as_str()).collect();
         let mut scanned: Vec<(&str, usize)> = Vec::new();
-        let rules = unit
-            .iter()
-            .flat_map(|s| &s.idbs)
-            .flat_map(|i| &i.subqueries);
+        let rules = stratum.idbs.iter().flat_map(|i| &i.subqueries);
         for scan in rules.flat_map(|sq| &sq.scans) {
             let rel = scan.rel.as_str();
             if !own.contains(rel) && !scanned.iter().any(|&(r, _)| r == rel) {
@@ -2040,37 +2045,30 @@ impl EvalRun<'_, '_> {
     }
 
     /// The one rule-evaluation pass of maintenance: each rule deriving
-    /// `idb` in the strata of `unit` (deduplicated by rule — maintenance
-    /// reads full views, so a recursive rule's ∆ rewritings are one rule
-    /// here; non-recursive strata have one subquery per rule) is evaluated
-    /// into `sink` once per body position whose relation has a batch in
-    /// `pins`, pinned to it, every other position reading the catalog.
-    /// Returns the rows of every evaluation, appended.
+    /// `idb` of `stratum` (deduplicated by rule — maintenance reads full
+    /// views, so a recursive rule's ∆ rewritings are one rule here; an
+    /// exit rule has one subquery) is evaluated into `sink` once per body
+    /// position whose relation has a batch in `pins`, pinned to it, every
+    /// other position reading the catalog. Returns the rows of every
+    /// evaluation, appended.
     fn pinned_pass(
         &self,
-        unit: &[&CompiledStratum],
+        stratum: &CompiledStratum,
         idb: &CompiledIdb,
         pins: &Batches,
         sink: &SinkMode<'_>,
     ) -> Result<Vec<Vec<Value>>> {
         let mut out = vec![Vec::new(); idb.arity];
-        for &stratum in unit {
-            for rules in stratum.idbs.iter().filter(|i| i.rel == idb.rel) {
-                let mut seen_rules = FxHashSet::default();
-                for sq in rules
-                    .subqueries
-                    .iter()
-                    .filter(|sq| seen_rules.insert(sq.rule_idx))
-                {
-                    for (p, scan) in sq.scans.iter().enumerate() {
-                        let Some(batch) = pins.get(&scan.rel) else {
-                            continue;
-                        };
-                        let mut ovr = ScanOverrides::default();
-                        ovr.insert(p, RelView::over(batch));
-                        append_cols(&mut out, self.eval_maintenance(stratum, sq, &ovr, sink)?);
-                    }
-                }
+        let mut seen_rules = FxHashSet::default();
+        let rules = idb.subqueries.iter();
+        for sq in rules.filter(|sq| seen_rules.insert(sq.rule_idx)) {
+            for (p, scan) in sq.scans.iter().enumerate() {
+                let Some(batch) = pins.get(&scan.rel) else {
+                    continue;
+                };
+                let mut ovr = ScanOverrides::default();
+                ovr.insert(p, RelView::over(batch));
+                append_cols(&mut out, self.eval_pinned(stratum, sq, &ovr, sink)?);
             }
         }
         Ok(out)
@@ -2112,15 +2110,15 @@ impl EvalRun<'_, '_> {
         };
         rs.stats.view.view_refreshes = 1;
 
-        for unit in maintenance_units(prog) {
-            let Some(inputs) = self.maintenance_inputs(&unit, deltas, &mut rs.stats) else {
+        for stratum in &prog.strata {
+            let Some(inputs) = self.maintenance_inputs(stratum, deltas, &mut rs.stats) else {
                 continue;
             };
             match inputs.strategy {
                 Strategy::Seeded => {
-                    self.refixpoint(&unit, &inputs, FxHashMap::default(), deltas, &mut rs)?
+                    self.refixpoint(stratum, &inputs, FxHashMap::default(), deltas, &mut rs)?
                 }
-                Strategy::Deletion => self.refresh_deletes(&unit, &inputs, deltas, &mut rs)?,
+                Strategy::Deletion => self.refresh_deletes(stratum, &inputs, deltas, &mut rs)?,
             }
         }
 
@@ -2133,7 +2131,7 @@ impl EvalRun<'_, '_> {
     }
 
     /// Both strategies' shared tail: stream the commit's inserts' (`plus`)
-    /// derivations for every IDB of the stratum `unit` maintains, each
+    /// derivations for every IDB of `stratum`, each
     /// through its own ∆ stream ([`Self::stream_delta`]) against its
     /// carried full-R index, and append the winners (the sink dedups what
     /// positions reading current full views over-approximate); then
@@ -2143,16 +2141,15 @@ impl EvalRun<'_, '_> {
     /// `dead` (retracted) rows, and the `dead` rows not re-derived.
     fn refixpoint(
         &mut self,
-        unit: &[&CompiledStratum],
+        stratum: &CompiledStratum,
         inputs: &Inputs,
         mut dead: FxHashMap<String, FxHashSet<Vec<Value>>>,
         deltas: &mut RefreshDeltas,
         rs: &mut Refresh<'_>,
     ) -> Result<()> {
-        let rec = unit[unit.len() - 1];
         let mut starts = FxHashMap::default();
         let mut seeded = 0;
-        for idb in &rec.idbs {
+        for idb in &stratum.idbs {
             let rel_id = rel_id(&self.catalog, &idb.rel)?;
             starts.insert(rel_id, self.catalog.rel(rel_id).len());
             let mut index = rs.indexes.remove(&rel_id);
@@ -2166,7 +2163,7 @@ impl EvalRun<'_, '_> {
                 &mut rs.stats,
                 |this, sink| {
                     Ok(EvalOut {
-                        cols: this.pinned_pass(unit, idb, &inputs.plus, sink)?,
+                        cols: this.pinned_pass(stratum, idb, &inputs.plus, sink)?,
                         queries: 0,
                         tally: Tally::default(),
                     })
@@ -2187,9 +2184,15 @@ impl EvalRun<'_, '_> {
         if inputs.strategy == Strategy::Seeded {
             view.view_seeded_strata += 1;
         }
-        if rec.recursive {
+        if stratum.recursive {
             let entry = StratumEntry::Seeded(starts.clone());
-            self.run_stratum(rec, &mut rs.indexes, &mut rs.jcache, &mut rs.stats, entry)?;
+            self.run_stratum(
+                stratum,
+                &mut rs.indexes,
+                &mut rs.jcache,
+                &mut rs.stats,
+                entry,
+            )?;
         }
         let t_merge = Instant::now();
         for (rel_id, start) in starts {
@@ -2204,56 +2207,56 @@ impl EvalRun<'_, '_> {
         Ok(())
     }
 
-    /// Maintenance of a unit whose inputs lost tuples: find its dead set
+    /// Maintenance of a stratum whose inputs lost tuples: find its dead set
     /// `D` — the stored IDB rows no derivation from the post-commit
-    /// inputs supports — retract it, and ∆-seed the unit from the
+    /// inputs supports — retract it, and ∆-seed the stratum from the
     /// commit's inserts only, which re-derives any retracted row a
     /// same-commit insert proves again. `D` comes from one of two routes:
     ///
-    /// * **the closure matrix** ([`Self::matrix_dead`]) when the unit is
-    ///   TC- or SG-shaped and its matrix is small beside the view;
+    /// * **the closure matrix** ([`Self::matrix_dead`]) when the stratum
+    ///   is TC- or SG-shaped and its matrix is small beside the view;
     /// * **Backward/Forward** ([`Self::proof_search`]) otherwise.
     ///
     /// Both give the same `D`. The retraction is booked under
     /// `phase.merge`.
     fn refresh_deletes(
         &mut self,
-        unit: &[&CompiledStratum],
+        stratum: &CompiledStratum,
         inputs: &Inputs,
         deltas: &mut RefreshDeltas,
         rs: &mut Refresh<'_>,
     ) -> Result<()> {
-        let rec = unit[unit.len() - 1];
-        let dead = match self.matrix_dead(unit, &mut rs.stats)? {
+        let dead = match self.matrix_dead(stratum, &mut rs.stats)? {
             Some(dead) => {
                 rs.stats.view.view_matrix_strata += 1;
                 vec![dead]
             }
             None => {
-                let dead = self.proof_search(unit, inputs, rs)?;
+                let dead = self.proof_search(stratum, inputs, rs)?;
                 rs.stats.view.view_bf_strata += 1;
                 dead
             }
         };
         let mut dead_sets = FxHashMap::default();
-        for (idb, rows) in rec.idbs.iter().zip(dead) {
+        for (idb, rows) in stratum.idbs.iter().zip(dead) {
             if !rows.is_empty() {
                 self.retract(rel_id(&self.catalog, &idb.rel)?, &rows, rs);
                 dead_sets.insert(idb.rel.clone(), rows.into_iter().collect());
             }
         }
-        self.refixpoint(unit, inputs, dead_sets, deltas, rs)
+        self.refixpoint(stratum, inputs, dead_sets, deltas, rs)
     }
 
-    /// The dead set of a PBME-shaped unit ([`detect`] on its maintained
-    /// stratum), read off the closure matrix: the unit's exit rules,
-    /// evaluated over the post-commit catalog, seed the TC or SG closure
-    /// over the post-commit edge relation ([`pbme::close`]), and every
-    /// stored row of the IDB whose bit is clear is dead. No proof search
-    /// runs and no index is built. Booked under `phase.pbme`.
+    /// The dead set of a PBME-shaped stratum ([`detect`]), read off the
+    /// closure matrix: its exit rules, evaluated over the post-commit
+    /// catalog ([`Self::pbme_seeds`]; a view holds no inline facts), seed
+    /// the TC or SG closure over the post-commit edge relation
+    /// ([`pbme::close`]), and every stored row of the IDB whose bit is
+    /// clear is dead. No proof search runs and no index is built. Booked
+    /// under `phase.pbme`.
     ///
     /// Returns `None`, for Backward/Forward to run, under
-    /// [`PbmeMode::Off`], for any other unit, when an id falls outside
+    /// [`PbmeMode::Off`], for any other stratum, when an id falls outside
     /// `[0, u32::MAX)`, or when [`Self::pbme_guard`] refuses the matrix:
     /// under `Auto`, the paper's memory-fit rule or the cost rule against
     /// the rows Backward/Forward's propagation index holds
@@ -2261,13 +2264,12 @@ impl EvalRun<'_, '_> {
     /// vertices keeps the proof search.
     fn matrix_dead(
         &self,
-        unit: &[&CompiledStratum],
+        stratum: &CompiledStratum,
         stats: &mut EvalStats,
     ) -> Result<Option<Vec<Vec<Value>>>> {
-        let rec = unit[unit.len() - 1];
         let plan = match self.cfg.pbme {
             PbmeMode::Off => None,
-            PbmeMode::Auto | PbmeMode::Force => detect(rec),
+            PbmeMode::Auto | PbmeMode::Force => detect(stratum),
         };
         let Some(plan) = plan else {
             return Ok(None);
@@ -2291,20 +2293,7 @@ impl EvalRun<'_, '_> {
         if !guard.admits(n_edges, edges.len(), 0) {
             return Ok(None);
         }
-        let mut seeds = vec![Vec::new(); 2];
-        for &stratum in &unit[..unit.len() - 1] {
-            for exit in stratum.idbs.iter().filter(|i| i.rel == plan.idb()) {
-                for sq in &exit.subqueries {
-                    let rows = self.eval_maintenance(
-                        stratum,
-                        sq,
-                        &ScanOverrides::default(),
-                        &SinkMode::Materialize,
-                    )?;
-                    append_cols(&mut seeds, rows);
-                }
-            }
-        }
+        let seeds = self.pbme_seeds(stratum, vec![Vec::new(); 2])?;
         let closure = pbme::close(
             &self.ctx.pool,
             &plan,
@@ -2324,26 +2313,24 @@ impl EvalRun<'_, '_> {
         Ok(dead)
     }
 
-    /// Backward/Forward ([`bf`]): every deletion candidate of the unit is
-    /// checked for a surviving proof, and the unproved ones, per IDB of
-    /// its maintained stratum, are its dead set. The search is booked
-    /// under `phase.eval`.
+    /// Backward/Forward ([`bf`]): every deletion candidate of `stratum` is
+    /// checked for a surviving proof, and the unproved ones, per IDB, are
+    /// its dead set. The search is booked under `phase.eval`.
     fn proof_search(
         &mut self,
-        unit: &[&CompiledStratum],
+        stratum: &CompiledStratum,
         inputs: &Inputs,
         rs: &mut Refresh<'_>,
     ) -> Result<Vec<Vec<Vec<Value>>>> {
-        let rec = unit[unit.len() - 1];
-        let mut full = Vec::with_capacity(rec.idbs.len());
-        for idb in &rec.idbs {
+        let mut full = Vec::with_capacity(stratum.idbs.len());
+        for idb in &stratum.idbs {
             let rel_id = rel_id(&self.catalog, &idb.rel)?;
             let mut index = rs.indexes.remove(&rel_id);
             self.full_index(rel_id, &mut index, &mut rs.stats);
             full.push((rel_id, index.expect("full_index fills the slot")));
         }
         let t_eval = Instant::now();
-        let matcher = bf::Matcher::new(self.ctx, &self.catalog, unit, &full, &inputs.minus);
+        let matcher = bf::Matcher::new(self.ctx, &self.catalog, stratum, &full, &inputs.minus);
         let dead = matcher.map(|m| {
             let (dead, builds) = bf::BackwardForward::new(m).run();
             rs.stats.index.join_builds += builds;
@@ -2433,16 +2420,16 @@ fn frozen_scan(scan: &ScanSpec) -> bool {
 fn freeze_choices(
     catalog: &RunCatalog<'_>,
     jcache: &JoinCache<'_>,
-    stratum: &CompiledStratum,
+    idb: &CompiledIdb,
     states: &[IdbState],
     idx: usize,
 ) {
     // The direction rule, else sizes as of this iteration, decide once
     // and are kept.
-    for bind in &states[idx].bound {
+    for (sq, bind) in idb.subqueries.iter().zip(&states[idx].bound) {
         for (ji, join) in bind.joins.iter().enumerate() {
             if join.frozen.get().is_none() {
-                let choice = direction(jcache, catalog, stratum, join).unwrap_or_else(|| {
+                let choice = direction(jcache, catalog, sq, join).unwrap_or_else(|| {
                     let left_rows = (0..=ji)
                         .map(|i| bind.rows(i, catalog, states))
                         .max()
@@ -2455,28 +2442,28 @@ fn freeze_choices(
     }
 }
 
-/// The direction rule for a bound join, decided on its first use
+/// The direction rule for a join of `sq`, decided on its first use
 /// ([`frozen_build_side`]).
 fn direction(
     jcache: &JoinCache<'_>,
     catalog: &RunCatalog<'_>,
-    stratum: &CompiledStratum,
+    sq: &SubQuery,
     join: &JoinBinding,
 ) -> Option<bool> {
     *join
         .rule
-        .get_or_init(|| frozen_build_side(jcache, catalog, stratum, join))
+        .get_or_init(|| frozen_build_side(jcache, catalog, sq, join))
 }
 
-/// The direction rule: the build side of `join` when exactly one input is
-/// a cacheable frozen relation and building on it is free over the
-/// stratum — it is recursive (the index then serves every iteration,
-/// probed by each ∆) or the index is already resident. `None` leaves the
-/// choice to sizes.
+/// The direction rule: the build side of `join`, a join of `sq`, when
+/// exactly one input is a cacheable frozen relation and building on it is
+/// free over the stratum — `sq` has a ∆ scan (the index then serves every
+/// pass, probed by each ∆) or the index is already resident. An exit
+/// subquery runs once. `None` leaves the choice to sizes.
 fn frozen_build_side(
     jcache: &JoinCache<'_>,
     catalog: &RunCatalog<'_>,
-    stratum: &CompiledStratum,
+    sq: &SubQuery,
     join: &JoinBinding,
 ) -> Option<bool> {
     let frozen = |slot| match slot {
@@ -2488,7 +2475,7 @@ fn frozen_build_side(
         (None, Some(s)) => (false, s),
         _ => return None,
     };
-    (stratum.recursive || jcache.resident(catalog, slot)).then_some(build_left)
+    (sq.delta_scan.is_some() || jcache.resident(catalog, slot)).then_some(build_left)
 }
 
 /// The scan of `sq` holding column `c` of the flattened layout, and the
@@ -2548,23 +2535,23 @@ fn eval_idb(
     ctx: &ExecCtx,
     cfg: &Config,
     catalog: &RunCatalog<'_>,
-    stratum: &CompiledStratum,
     idb: &CompiledIdb,
     states: &[IdbState],
     idx: usize,
     jcache: &mut JoinCache<'_>,
     sink: &SinkMode<'_>,
-    seeded: bool,
+    exit_pass: bool,
 ) -> Result<EvalOut> {
     let out_arity = idb.arity;
     // Filled by the first subquery that runs.
     let mut unioned: Vec<Vec<Value>> = Vec::new();
     let mut queries = 0usize;
     let mut tally = Tally::default();
-    // Seeded re-entry: subqueries with no ∆ scan re-derive only what the
-    // maintenance seed pass already streamed; skipping them is what makes
-    // a small-delta refresh cost |∆|-ish, not |R|-ish.
-    let runs = |sq: &SubQuery| !seeded || sq.delta_scan.is_some();
+    // Subqueries with no ∆ scan (exit rules) run on the exit pass only:
+    // later passes would re-derive what it derived, and on a seeded
+    // re-entry the maintenance seed pass already streamed them — skipping
+    // them is what makes a small-delta refresh cost |∆|-ish, not |R|-ish.
+    let runs = |sq: &SubQuery| exit_pass || sq.delta_scan.is_some();
     let sole = idb.subqueries.iter().filter(|sq| runs(sq)).count() == 1;
     for (si, sq) in idb.subqueries.iter().enumerate() {
         if !runs(sq) {
@@ -2574,7 +2561,6 @@ fn eval_idb(
             ctx,
             cfg,
             catalog,
-            stratum,
             sq,
             &states[idx].bound[si],
             states,
@@ -2643,7 +2629,6 @@ fn eval_subquery<'a>(
     ctx: &ExecCtx,
     cfg: &Config,
     catalog: &'a RunCatalog<'_>,
-    stratum: &CompiledStratum,
     sq: &SubQuery,
     bind: &SqBinding,
     states: &'a [IdbState],
@@ -2815,8 +2800,7 @@ fn eval_subquery<'a>(
                 // current sizes (Selective / Full), or the frozen
                 // first-iteration choice (None).
                 let by_cost = || {
-                    direction(jcache, catalog, stratum, bound)
-                        .unwrap_or(left_view.len() <= right.len())
+                    direction(jcache, catalog, sq, bound).unwrap_or(left_view.len() <= right.len())
                 };
                 let build_left = match cfg.oof {
                     OofMode::None => bound.frozen.get().unwrap_or_else(by_cost),

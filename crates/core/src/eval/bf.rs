@@ -1,15 +1,15 @@
 //! Backward/Forward maintenance under deletions (Motik, Nenov, Piro and
 //! Horrocks, *Incremental Update of Datalog Materialisation: the
 //! Backward/Forward Algorithm*, AAAI 2015): one of the two routes to the
-//! dead set of a unit whose inputs lost tuples, recursive or not.
+//! dead set of a stratum whose inputs lost tuples, recursive or not.
 //!
 //! The other route reads the dead set off the PBME closure matrix
-//! (`EvalRun::matrix_dead`): a TC- or SG-shaped unit whose exit rows,
+//! (`EvalRun::matrix_dead`): a TC- or SG-shaped stratum whose exit rows,
 //! over the post-commit inputs, close into a matrix of no more words
 //! than the `|I| + |E|` rows B/F's propagation index would hold, under a
 //! PBME mode other than `Off`, with ids in `[0, u32::MAX)` and the matrix
-//! within the memory budget. Every other unit runs the search below.
-//! Both routes give the same dead set, which the unit retracts before
+//! within the memory budget. Every other stratum runs the search below.
+//! Both routes give the same dead set, which the stratum retracts before
 //! re-entering seeded from the commit's inserts.
 //!
 //! A deleted input fact only *might* take the facts it supports with it:
@@ -30,13 +30,14 @@
 //! * only a candidate left unproved enters `D`, and its deletion
 //!   propagates to the heads it supports over `I ∖ D`.
 //!
-//! The *cluster* is the IDBs of the maintained stratum, and `I` their
+//! The *cluster* is the IDBs of the maintained stratum, whose rules are
+//! every rule deriving them, and `I` their
 //! materialization before the commit. Inputs (base relations and lower
 //! strata) are read after it, so a proof may use a same-commit insert;
 //! what is deleted anyway is re-derived by the insert-seeded re-entry
 //! that follows. Deletion propagation also matches the commit's deleted
 //! input rows, so an instance with two deleted atoms is found from either
-//! of them. A non-recursive unit's rules read inputs only, so its proof
+//! of them. A non-recursive stratum's rules read inputs only, so its proof
 //! search is one level deep: a candidate is proved by any instance over
 //! surviving inputs of any rule deriving its IDB.
 //!
@@ -182,18 +183,16 @@ pub(super) struct Matcher<'a> {
 }
 
 impl<'a> Matcher<'a> {
-    /// A matcher over the rules of `unit` (see `maintenance_units`) whose
-    /// heads are IDBs of its maintained stratum, recursive or not:
-    /// `full[i]` is the synced whole-tuple index of that stratum's `i`-th
-    /// IDB, and `gone` the commit's deleted input rows by relation.
+    /// A matcher over the rules of `stratum`, recursive or not: `full[i]`
+    /// is the synced whole-tuple index of its `i`-th IDB, and `gone` the
+    /// commit's deleted input rows by relation.
     pub(super) fn new(
         ctx: &'a ExecCtx,
         catalog: &'a RunCatalog<'_>,
-        unit: &[&'a CompiledStratum],
+        stratum: &'a CompiledStratum,
         full: &'a [(RelId, PersistentIndex)],
         gone: &'a Batches,
     ) -> Result<Self> {
-        let rec = unit[unit.len() - 1];
         let mut m = Matcher {
             ctx,
             sources: Vec::new(),
@@ -205,7 +204,7 @@ impl<'a> Matcher<'a> {
             builds: 0,
         };
         let mut names: Vec<&str> = Vec::new();
-        for (idb, (id, index)) in rec.idbs.iter().zip(full) {
+        for (idb, (id, index)) in stratum.idbs.iter().zip(full) {
             let rows = catalog.rel(*id).view();
             names.push(&idb.rel);
             m.marks.push(vec![0; rows.len()]);
@@ -216,10 +215,7 @@ impl<'a> Matcher<'a> {
             });
         }
         let mut seen = Vec::new();
-        for idb in unit.iter().flat_map(|s| &s.idbs) {
-            let Some(head) = rec.idbs.iter().position(|i| i.rel == idb.rel) else {
-                continue;
-            };
+        for (head, idb) in stratum.idbs.iter().enumerate() {
             for sq in &idb.subqueries {
                 if seen.contains(&sq.rule_idx) {
                     continue;

@@ -82,16 +82,21 @@ impl PbmePlan {
     }
 }
 
-/// Match a recursive stratum against the TC and SG shapes.
+/// Match a recursive stratum against the TC and SG shapes: one IDB whose
+/// one subquery with a ∆ scan is the recursive rule of TC or SG, beside
+/// any exit subqueries (without a ∆ scan), whose rows seed the closure.
 pub fn detect(stratum: &CompiledStratum) -> Option<PbmePlan> {
     if !stratum.recursive || stratum.idbs.len() != 1 {
         return None;
     }
     let idb = &stratum.idbs[0];
-    if idb.agg.is_some() || idb.arity != 2 || idb.subqueries.len() != 1 {
+    if idb.agg.is_some() || idb.arity != 2 {
         return None;
     }
-    let sq = &idb.subqueries[0];
+    let mut recursive = idb.subqueries.iter().filter(|sq| sq.delta_scan.is_some());
+    let (Some(sq), None) = (recursive.next(), recursive.next()) else {
+        return None;
+    };
     let clean = sq.residual.is_empty()
         && sq.negations.is_empty()
         && sq
@@ -449,9 +454,9 @@ mod tests {
     #[test]
     fn detects_canonical_tc() {
         let strata = strata_of(recstep_datalog::programs::TC);
-        assert_eq!(detect(&strata[0]), None);
+        assert_eq!(strata.len(), 1);
         assert_eq!(
-            detect(&strata[1]),
+            detect(&strata[0]),
             Some(PbmePlan::Tc {
                 idb: "tc".into(),
                 edges: "arc".into(),
@@ -464,11 +469,27 @@ mod tests {
     fn detects_mirrored_tc() {
         let strata = strata_of("tc(x, y) :- arc(x, y).\ntc(x, y) :- arc(x, z), tc(z, y).");
         assert_eq!(
-            detect(&strata[1]),
+            detect(&strata[0]),
             Some(PbmePlan::Tc {
                 idb: "tc".into(),
                 edges: "arc".into(),
                 mirrored: true
+            })
+        );
+    }
+
+    #[test]
+    fn detects_tc_beside_several_exit_rules() {
+        let strata = strata_of(
+            "t(x, y) :- e(x, y).\nt(x, y) :- f(y, x), x != y.\nt(x, y) :- t(x, z), e(z, y).",
+        );
+        assert_eq!(strata.len(), 1);
+        assert_eq!(
+            detect(&strata[0]),
+            Some(PbmePlan::Tc {
+                idb: "t".into(),
+                edges: "e".into(),
+                mirrored: false
             })
         );
     }
@@ -497,6 +518,12 @@ mod tests {
         let strata = strata_of("t(x, y) :- e(x, y).\nt(x, y) :- t(x, z), e(z, y), x != y.");
         let rec = strata.iter().find(|s| s.recursive).unwrap();
         assert_eq!(detect(rec), None);
+        // Two recursive rules disqualify, whatever the exit rules.
+        let strata = strata_of(
+            "t(x, y) :- e(x, y).\nt(x, y) :- f(x, y).\n\
+             t(x, y) :- t(x, z), e(z, y).\nt(x, y) :- e(x, z), t(z, y).",
+        );
+        assert_eq!(detect(&strata[0]), None);
         // Mutual recursion disqualifies.
         let strata = strata_of(recstep_datalog::programs::CSPA);
         for s in &strata {

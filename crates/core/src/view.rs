@@ -15,7 +15,7 @@
 //!   from the post-commit inputs, then re-enter the strata seeded from the
 //!   commit's inserts. That dead set comes from one of two routes:
 //!   - **the closure matrix** when the maintained stratum is TC- or
-//!     SG-shaped (`pbme::detect`): the unit's exit rules over the
+//!     SG-shaped (`pbme::detect`): the stratum's exit rules over the
 //!     post-commit inputs seed the PBME bit-matrix closure (paper §5.3),
 //!     and every stored row whose bit is clear is dead. A guard keeps the
 //!     route to views the matrix is small beside: the engine's PBME mode
@@ -32,9 +32,10 @@
 //!   A delete inside a strongly connected component retracts nothing and
 //!   keeps the carried full-R index.
 //!
-//! The two strategies serve recursive and non-recursive strata alike: a
-//! non-recursive stratum's proof search is one level deep, and its seeded
-//! pass needs no fixpoint after it.
+//! The two strategies serve recursive and non-recursive strata alike, and
+//! each maintains one stratum at a time — every rule deriving its IDBs,
+//! exit rules included: a non-recursive stratum's proof search is one
+//! level deep, and its seeded pass needs no fixpoint after it.
 //!
 //! Creating a view (and a fallback rebuild) is a scratch run under the
 //! engine's configuration, so a TC/SG stratum takes PBME exactly when a
@@ -780,8 +781,8 @@ tc(x, y) :- tc(x, z), arc(z, y).";
     #[test]
     fn a_tuple_another_rule_derives_survives_its_rules_delete() {
         let engine = Engine::builder().threads(1).build().unwrap();
-        // Each non-recursive rule is a stratum of its own; B/F sees both
-        // rules of `u` only because one maintenance unit holds them.
+        // Both rules of `u` are one stratum, so B/F checks a deletion
+        // candidate against either rule's instances.
         let prog = Arc::new(
             engine
                 .prepare("u(x, y) :- arc(x, y).\nu(x, y) :- arc(x, z), brc(z, y).")

@@ -798,52 +798,78 @@ fn csda_long_chain_iterates_deeply() {
     );
 }
 
+/// Two IDBs of one recursive stratum, each reading the other.
+const MUTUAL: &str = "a(x, y) :- arc(x, y).\n\
+                      a(x, y) :- b(x, z), arc(z, y).\n\
+                      b(x, y) :- a(x, y).\n\
+                      b(x, y) :- b(x, z), a(z, y).";
+
+/// Every IDB of `src`, each config of the ablation table and the naive
+/// evaluator agree on: TC (with an inline `tc` fact the exit pass hands
+/// on with the exit rows), a two-rule union, a recursive IDB over the
+/// union, mutual recursion, stratified negation over a two-rule `node`,
+/// and CC with a second exit rule — the shapes whose exit and union rules
+/// run in their IDB's one stratum.
 #[test]
 fn every_ablation_config_produces_identical_results() {
-    let edges = random_edges(24, 70, 91);
-    let reference = {
-        let (db, _) = run_on_edges(
-            Config::default().pbme(PbmeMode::Off),
-            &edges,
-            recstep::programs::TC,
-        );
-        rel_pairs(&db, "tc")
-    };
+    const UNION: &str = "u(x, y) :- arc(x, y).\nu(x, y) :- arc(y, x).";
+    let tc_fact = format!("tc(100, 0).\n{}", recstep::programs::TC);
+    let over_union = format!("{UNION}\nr(x, y) :- u(x, y).\nr(x, y) :- r(x, z), u(z, y).");
+    let cc_two_exits = format!("{}cc3(y, MIN(y)) :- arc(_, y).\n", recstep::programs::CC);
+    let programs: [(&str, &str); 6] = [
+        ("tc+fact", &tc_fact),
+        ("union", UNION),
+        ("r over union", &over_union),
+        ("mutual", MUTUAL),
+        ("ntc", recstep::programs::NTC),
+        ("cc+exit", &cc_two_exits),
+    ];
+    let off = || Config::default().pbme(PbmeMode::Off);
     let configs: Vec<(&str, Config)> = vec![
-        ("no-uie", Config::default().uie(false).pbme(PbmeMode::Off)),
-        (
-            "oof-na",
-            Config::default().oof(OofMode::None).pbme(PbmeMode::Off),
-        ),
-        (
-            "oof-fa",
-            Config::default().oof(OofMode::Full).pbme(PbmeMode::Off),
-        ),
-        (
-            "opsd",
-            Config::default()
-                .setdiff(SetDiffStrategy::AlwaysOpsd)
-                .pbme(PbmeMode::Off),
-        ),
-        (
-            "tpsd",
-            Config::default()
-                .setdiff(SetDiffStrategy::AlwaysTpsd)
-                .pbme(PbmeMode::Off),
-        ),
-        ("no-eost", Config::default().eost(false).pbme(PbmeMode::Off)),
-        (
-            "generic-dedup",
-            Config::default()
-                .dedup(DedupImpl::Generic)
-                .pbme(PbmeMode::Off),
-        ),
+        ("default", Config::default()),
+        ("no-pbme", off()),
+        ("no-uie", off().uie(false)),
+        ("oof-na", off().oof(OofMode::None)),
+        ("oof-fa", off().oof(OofMode::Full)),
+        ("opsd", off().setdiff(SetDiffStrategy::AlwaysOpsd)),
+        ("tpsd", off().setdiff(SetDiffStrategy::AlwaysTpsd)),
+        ("no-eost", off().eost(false)),
+        ("generic-dedup", off().dedup(DedupImpl::Generic)),
+        ("no-index-reuse", off().index_reuse(false)),
+        ("no-fused-pipeline", off().fused_pipeline(false)),
+        ("no-fused-agg", off().fused_agg(false)),
+        ("no-wcoj", off().wcoj(false)),
         ("no-op", Config::no_op()),
         ("pbme", Config::default().pbme(PbmeMode::Force)),
     ];
-    for (name, cfg) in configs {
-        let (db, _) = run_on_edges(cfg, &edges, recstep::programs::TC);
-        assert_eq!(rel_pairs(&db, "tc"), reference, "config {name}");
+    let edges = random_edges(24, 70, 91);
+    for (prog_name, src) in programs {
+        let idbs: Vec<String> = engine(Config::default())
+            .prepare(src)
+            .unwrap()
+            .compiled()
+            .idb_names()
+            .map(String::from)
+            .collect();
+        let mut naive = recstep_baselines::naive::NaiveEngine::new();
+        naive.load_edges("arc", &edges);
+        naive.run_source(src).unwrap();
+        for idb in &idbs {
+            assert!(
+                naive.row_count(idb) > 0,
+                "{prog_name}: naive derives no '{idb}'"
+            );
+        }
+        for (cfg_name, cfg) in &configs {
+            let (db, _) = run_on_edges(cfg.clone(), &edges, src);
+            for idb in &idbs {
+                assert_eq!(
+                    &sorted_idb_rows(&db, idb),
+                    naive.rows(idb).unwrap(),
+                    "{prog_name} / {cfg_name}: '{idb}' differs from naive"
+                );
+            }
+        }
     }
 }
 
@@ -863,7 +889,11 @@ fn inline_facts_work() {
         rel_pairs(&db, "tc"),
         BTreeSet::from([(1, 2), (2, 3), (1, 3)])
     );
-    assert!(stats.queries_issued > 0);
+    // PBME closes TC's one stratum from the exit rule's rows over the
+    // inline arcs: no tuple query runs.
+    assert_eq!(stats.strata.len(), 1);
+    assert!(stats.strata[0].pbme);
+    assert_eq!(stats.queries_issued, 0);
 }
 
 #[test]
@@ -963,10 +993,13 @@ fn eost_defers_io_relative_to_per_query() {
 fn io_counters_describe_each_run_not_the_database_lifetime() {
     // TC over a 4-arc chain derives 10 pairs = 160 bytes. EOST flushes
     // `tc` once at fixpoint; per-query mode also flushes every temporary
-    // and every append. Re-running over the same database must report the
-    // same run, not a running total or nothing.
+    // and every append: each of the four passes that derive rows its `Rt`,
+    // its append and its ∆ (the exit pass drains its `Rt` through the
+    // full-R sink like every later pass, with no separate `Rδ`, and the
+    // fifth pass derives nothing). Re-running over the same
+    // database must report the same run, not a running total or nothing.
     let chain: Vec<(Value, Value)> = (0..4).map(|i| (i, i + 1)).collect();
-    for (eost, expected) in [(true, (160, 1)), (false, (544, 13))] {
+    for (eost, expected) in [(true, (160, 1)), (false, (480, 12))] {
         let mut db = Database::new().unwrap();
         db.load_edges("arc", &chain).unwrap();
         let tc = engine(Config::default().eost(eost).pbme(PbmeMode::Off))
@@ -1012,7 +1045,9 @@ fn stats_account_iterations_and_phases() {
         recstep::programs::TC,
     );
     assert!(stats.iterations >= 2);
-    assert_eq!(stats.strata.len(), 2);
+    // TC is one stratum: its exit pass and every recursive pass.
+    assert_eq!(stats.strata.len(), 1);
+    assert_eq!(stats.strata[0].iterations, stats.iterations);
     assert!(stats.total.as_nanos() > 0);
     assert!(stats.tuples_considered > 0);
     // Default config streams: all rule evaluation + dedup + set difference
@@ -1058,8 +1093,9 @@ fn arity_conflict_is_an_error() {
 fn explain_renders_sql_per_stratum() {
     let e = engine(Config::default());
     let sql = e.prepare(recstep::programs::TC).unwrap().explain_sql();
-    assert!(sql.contains("-- stratum 0 (non-recursive)"), "{sql}");
-    assert!(sql.contains("-- stratum 1 (recursive)"), "{sql}");
+    // TC's exit rule and recursive rule are one stratum.
+    assert!(sql.contains("-- stratum 0 (recursive)"), "{sql}");
+    assert!(!sql.contains("-- stratum 1"), "{sql}");
     assert!(sql.contains("INSERT INTO tc_mDelta"), "{sql}");
     assert!(sql.contains("tc_mDelta AS t0"), "{sql}");
     assert!(e.prepare("r(x, y) :- r(x, x).").is_err()); // unsafe head var
@@ -1283,19 +1319,18 @@ fn sorted_idb_rows(db: &Database, idb: &str) -> BTreeSet<Vec<Value>> {
 }
 
 /// A full-R index is synced only before a probe reads it, so a stratum's
-/// last merge is never appended unless a later stratum derives the same
+/// last merge is never appended, and no later stratum derives the same
 /// relation. `triangle` is one non-recursive stratum: no append at all.
-/// A two-rule union is two strata (one per rule): the second appends the
-/// first's rows before its probe dedups against them, and its own rows
-/// are never appended.
+/// A two-rule union is one stratum too: both rules stream into one sink
+/// in one pass, which dedups across them at source, so nothing is
+/// appended either.
 #[test]
 fn only_probed_rows_reach_a_full_r_index() {
     const UNION: &str = "u(x, y) :- arc(x, y).\nu(x, y) :- arc(y, x).";
     let edges = random_edges(40, 400, 45);
-    let distinct_arcs = edges.iter().collect::<HashSet<_>>().len();
     for (name, src, appends, rows) in [
         ("triangle", recstep::programs::TRIANGLE, 0, 0),
-        ("u", UNION, 1, distinct_arcs),
+        ("u", UNION, 0, 0),
     ] {
         let (db, stats) = run_on_edges(Config::default(), &edges, src);
         let (want, _) = run_on_edges(Config::no_op(), &edges, src);

@@ -116,52 +116,52 @@ fn counters(s: &EvalStats) -> [u64; 18] {
 
 /// Recorded counters per `(program, configuration)`.
 ///
-/// A full-R index is synced only before a probe, so a stratum's last merge
-/// is appended only when a later stratum derives the same relation. `cc`'s
-/// `cc(x) :- cc2(_, x)` stratum and `ntc`'s `ntc` stratum (7 and 401 rows)
-/// are never appended; `ntc`'s second `node` stratum appends the 22
-/// targets the first one derived before it probes, but not the 2 sources
-/// it adds itself.
+/// A full-R index is synced only before a probe, and each IDB is derived
+/// by one stratum, so a stratum's last merge is never appended: `cc`'s
+/// `cc(x) :- cc2(_, x)` stratum and `ntc`'s `node` and `ntc` strata (7, 24
+/// and 401 rows) never are. A recursive stratum's first pass evaluates
+/// its exit rules, and steps every IDB of the stratum (`mutual`'s `b`
+/// too, over empty ∆s).
 #[rustfmt::skip]
 const PINS: &[(&str, &str, [u64; 18])] = &[
     ("tc", "default", [7, 14, 353, 7, 7, 0, 0, 0, 0, 178, 1, 6, 48, 175, 7, 2800, 1, 6]),
-    ("tc", "no_fused_pipeline", [7, 15, 353, 6, 0, 0, 0, 0, 5648, 0, 1, 5, 94, 129, 7, 2800, 1, 6]),
+    ("tc", "no_fused_pipeline", [7, 14, 353, 7, 0, 0, 0, 0, 5648, 0, 1, 6, 48, 175, 7, 2800, 1, 6]),
     ("tc", "no_fused_agg", [7, 14, 353, 7, 7, 0, 0, 0, 0, 178, 1, 6, 48, 175, 7, 2800, 1, 6]),
     ("tc", "no_index_reuse", [7, 21, 353, 0, 0, 0, 0, 0, 5648, 0, 7, 0, 0, 0, 6, 2800, 1, 0]),
-    ("tc", "no_uie", [7, 22, 353, 6, 0, 0, 0, 0, 5648, 0, 1, 5, 94, 129, 7, 2800, 1, 6]),
-    ("tc", "no_eost", [7, 15, 353, 6, 0, 0, 0, 0, 5648, 0, 1, 5, 94, 129, 7, 11984, 19, 6]),
+    ("tc", "no_uie", [7, 23, 353, 7, 0, 0, 0, 0, 5648, 0, 1, 6, 48, 175, 7, 2800, 1, 6]),
+    ("tc", "no_eost", [7, 14, 353, 7, 0, 0, 0, 0, 5648, 0, 1, 6, 48, 175, 7, 11248, 18, 6]),
     ("tc", "oof_full", [7, 14, 353, 7, 7, 0, 0, 0, 0, 178, 1, 6, 48, 175, 7, 2800, 1, 6]),
     ("tc", "oof_none", [7, 14, 353, 7, 7, 0, 0, 0, 0, 178, 1, 6, 48, 175, 7, 2800, 1, 6]),
     ("nonlinear_tc", "default", [5, 10, 959, 5, 5, 0, 0, 0, 0, 784, 1, 4, 46, 175, 5, 2800, 1, 0]),
-    ("nonlinear_tc", "no_fused_pipeline", [5, 11, 959, 4, 0, 0, 0, 0, 15344, 0, 1, 3, 92, 129, 5, 2800, 1, 0]),
+    ("nonlinear_tc", "no_fused_pipeline", [5, 10, 959, 5, 0, 0, 0, 0, 15344, 0, 1, 4, 46, 175, 5, 2800, 1, 0]),
     ("nonlinear_tc", "no_fused_agg", [5, 10, 959, 5, 5, 0, 0, 0, 0, 784, 1, 4, 46, 175, 5, 2800, 1, 0]),
     ("nonlinear_tc", "no_index_reuse", [5, 15, 959, 0, 0, 0, 0, 0, 15344, 0, 5, 0, 0, 0, 5, 2800, 1, 0]),
-    ("nonlinear_tc", "no_uie", [5, 24, 959, 4, 0, 0, 0, 0, 15344, 0, 1, 3, 92, 129, 5, 2800, 1, 0]),
-    ("nonlinear_tc", "no_eost", [5, 11, 959, 4, 0, 0, 0, 0, 15344, 0, 1, 3, 92, 129, 5, 21680, 14, 0]),
+    ("nonlinear_tc", "no_uie", [5, 27, 959, 5, 0, 0, 0, 0, 15344, 0, 1, 4, 46, 175, 5, 2800, 1, 0]),
+    ("nonlinear_tc", "no_eost", [5, 10, 959, 5, 0, 0, 0, 0, 15344, 0, 1, 4, 46, 175, 5, 20944, 13, 0]),
     ("nonlinear_tc", "oof_full", [5, 10, 959, 5, 5, 0, 0, 0, 0, 784, 1, 4, 46, 175, 5, 2800, 1, 0]),
     ("nonlinear_tc", "oof_none", [5, 10, 959, 5, 5, 0, 0, 0, 0, 784, 1, 4, 46, 304, 5, 2800, 1, 0]),
-    ("mutual", "default", [7, 26, 1439, 13, 13, 0, 0, 0, 0, 1089, 2, 9, 48, 350, 13, 5600, 2, 4]),
-    ("mutual", "no_fused_pipeline", [7, 27, 1439, 12, 0, 0, 0, 0, 23024, 0, 2, 8, 94, 304, 13, 5600, 2, 4]),
-    ("mutual", "no_fused_agg", [7, 26, 1439, 13, 13, 0, 0, 0, 0, 1089, 2, 9, 48, 350, 13, 5600, 2, 4]),
-    ("mutual", "no_index_reuse", [7, 39, 1439, 0, 0, 0, 0, 0, 23024, 0, 11, 0, 0, 0, 11, 5600, 2, 0]),
-    ("mutual", "no_uie", [7, 64, 1439, 12, 0, 0, 0, 0, 23024, 0, 2, 8, 94, 304, 13, 5600, 2, 4]),
-    ("mutual", "no_eost", [7, 27, 1439, 12, 0, 0, 0, 0, 23024, 0, 2, 8, 94, 304, 13, 34960, 30, 4]),
-    ("mutual", "oof_full", [7, 26, 1439, 13, 13, 0, 0, 0, 0, 1089, 2, 9, 48, 350, 13, 5600, 2, 4]),
-    ("mutual", "oof_none", [7, 26, 1439, 13, 13, 0, 0, 0, 0, 1089, 2, 9, 144, 429, 13, 5600, 2, 4]),
+    ("mutual", "default", [7, 28, 1439, 14, 14, 0, 0, 0, 0, 1089, 2, 9, 48, 350, 14, 5600, 2, 4]),
+    ("mutual", "no_fused_pipeline", [7, 28, 1439, 14, 0, 0, 0, 0, 23024, 0, 2, 9, 48, 350, 14, 5600, 2, 4]),
+    ("mutual", "no_fused_agg", [7, 28, 1439, 14, 14, 0, 0, 0, 0, 1089, 2, 9, 48, 350, 14, 5600, 2, 4]),
+    ("mutual", "no_index_reuse", [7, 42, 1439, 0, 0, 0, 0, 0, 23024, 0, 11, 0, 0, 0, 11, 5600, 2, 0]),
+    ("mutual", "no_uie", [7, 72, 1439, 14, 0, 0, 0, 0, 23024, 0, 2, 9, 48, 350, 14, 5600, 2, 4]),
+    ("mutual", "no_eost", [7, 28, 1439, 14, 0, 0, 0, 0, 23024, 0, 2, 9, 48, 350, 14, 34224, 29, 4]),
+    ("mutual", "oof_full", [7, 28, 1439, 14, 14, 0, 0, 0, 0, 1089, 2, 9, 48, 350, 14, 5600, 2, 4]),
+    ("mutual", "oof_none", [7, 28, 1439, 14, 14, 0, 0, 0, 0, 1089, 2, 9, 144, 429, 14, 5600, 2, 4]),
     ("sg", "default", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1, 11]),
-    ("sg", "no_fused_pipeline", [6, 13, 2071, 5, 0, 0, 0, 0, 33136, 0, 1, 4, 134, 395, 6, 7696, 1, 11]),
+    ("sg", "no_fused_pipeline", [6, 12, 2071, 6, 0, 0, 0, 0, 33136, 0, 1, 5, 48, 481, 6, 7696, 1, 11]),
     ("sg", "no_fused_agg", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1, 11]),
     ("sg", "no_index_reuse", [6, 18, 2071, 0, 0, 0, 0, 0, 33136, 0, 6, 0, 0, 0, 6, 7696, 1, 0]),
-    ("sg", "no_uie", [6, 19, 2071, 5, 0, 0, 0, 0, 33136, 0, 1, 4, 134, 395, 6, 7696, 1, 11]),
-    ("sg", "no_eost", [6, 13, 2071, 5, 0, 0, 0, 0, 33136, 0, 1, 4, 134, 395, 6, 49904, 17, 11]),
+    ("sg", "no_uie", [6, 20, 2071, 6, 0, 0, 0, 0, 33136, 0, 1, 5, 48, 481, 6, 7696, 1, 11]),
+    ("sg", "no_eost", [6, 12, 2071, 6, 0, 0, 0, 0, 33136, 0, 1, 5, 48, 481, 6, 48528, 16, 11]),
     ("sg", "oof_full", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1, 11]),
     ("sg", "oof_none", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1, 11]),
     ("cc", "default", [11, 22, 177, 1, 1, 10, 153, 63, 0, 17, 1, 0, 48, 0, 1, 824, 3, 8]),
     ("cc", "no_fused_pipeline", [11, 23, 177, 0, 0, 10, 153, 63, 192, 0, 0, 0, 48, 0, 1, 824, 3, 8]),
     ("cc", "no_fused_agg", [11, 22, 177, 1, 1, 0, 0, 0, 2448, 17, 1, 0, 48, 0, 1, 824, 3, 8]),
     ("cc", "no_index_reuse", [11, 23, 177, 0, 0, 10, 153, 63, 192, 0, 0, 0, 0, 0, 1, 824, 3, 0]),
-    ("cc", "no_uie", [11, 34, 177, 0, 0, 0, 0, 0, 2640, 0, 0, 0, 48, 0, 1, 824, 3, 8]),
-    ("cc", "no_eost", [11, 23, 177, 0, 0, 0, 0, 0, 2640, 0, 0, 0, 48, 0, 1, 4584, 25, 8]),
+    ("cc", "no_uie", [11, 36, 177, 0, 0, 0, 0, 0, 2640, 0, 0, 0, 48, 0, 1, 824, 3, 8]),
+    ("cc", "no_eost", [11, 23, 177, 0, 0, 0, 0, 0, 2640, 0, 0, 0, 48, 0, 1, 4584, 24, 8]),
     ("cc", "oof_full", [11, 22, 177, 1, 1, 10, 153, 63, 0, 17, 1, 0, 48, 0, 1, 824, 3, 8]),
     ("cc", "oof_none", [11, 22, 177, 1, 1, 10, 153, 63, 0, 17, 1, 0, 48, 0, 1, 824, 3, 8]),
     ("count_sum", "default", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 456, 1, 0]),
@@ -180,14 +180,14 @@ const PINS: &[(&str, &str, [u64; 18])] = &[
     ("min_group", "no_eost", [1, 2, 48, 0, 0, 0, 0, 0, 768, 0, 0, 0, 0, 0, 0, 1376, 3, 0]),
     ("min_group", "oof_full", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 304, 1, 0]),
     ("min_group", "oof_none", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 304, 1, 0]),
-    ("ntc", "default", [10, 20, 850, 10, 10, 0, 0, 0, 0, 250, 3, 7, 223, 197, 10, 9408, 3, 6]),
-    ("ntc", "no_fused_pipeline", [10, 24, 850, 6, 0, 0, 0, 0, 12832, 0, 2, 5, 269, 129, 10, 9408, 3, 6]),
-    ("ntc", "no_fused_agg", [10, 20, 850, 10, 10, 0, 0, 0, 0, 250, 3, 7, 223, 197, 10, 9408, 3, 6]),
-    ("ntc", "no_index_reuse", [10, 30, 850, 0, 0, 0, 0, 0, 12832, 0, 8, 0, 0, 0, 9, 9408, 3, 0]),
-    ("ntc", "no_uie", [10, 34, 850, 6, 0, 0, 0, 0, 12832, 0, 2, 5, 269, 129, 10, 9408, 3, 6]),
-    ("ntc", "no_eost", [10, 24, 850, 6, 0, 0, 0, 0, 12832, 0, 2, 5, 269, 129, 10, 39128, 31, 6]),
-    ("ntc", "oof_full", [10, 20, 850, 10, 10, 0, 0, 0, 0, 250, 3, 7, 223, 197, 10, 9408, 3, 6]),
-    ("ntc", "oof_none", [10, 20, 850, 10, 10, 0, 0, 0, 0, 250, 3, 7, 223, 197, 10, 9408, 3, 6]),
+    ("ntc", "default", [9, 18, 850, 9, 9, 0, 0, 0, 0, 250, 3, 6, 223, 175, 9, 9408, 3, 6]),
+    ("ntc", "no_fused_pipeline", [9, 20, 850, 7, 0, 0, 0, 0, 12832, 0, 1, 6, 223, 175, 9, 9408, 3, 6]),
+    ("ntc", "no_fused_agg", [9, 18, 850, 9, 9, 0, 0, 0, 0, 250, 3, 6, 223, 175, 9, 9408, 3, 6]),
+    ("ntc", "no_index_reuse", [9, 27, 850, 0, 0, 0, 0, 0, 12832, 0, 7, 0, 0, 0, 8, 9408, 3, 0]),
+    ("ntc", "no_uie", [9, 33, 850, 7, 0, 0, 0, 0, 12832, 0, 1, 6, 223, 175, 9, 9408, 3, 6]),
+    ("ntc", "no_eost", [9, 20, 850, 7, 0, 0, 0, 0, 12832, 0, 1, 6, 223, 175, 9, 38256, 26, 6]),
+    ("ntc", "oof_full", [9, 18, 850, 9, 9, 0, 0, 0, 0, 250, 3, 6, 223, 175, 9, 9408, 3, 6]),
+    ("ntc", "oof_none", [9, 18, 850, 9, 9, 0, 0, 0, 0, 250, 3, 6, 223, 175, 9, 9408, 3, 6]),
 ];
 
 /// Full-R index work must show up in the phase breakdown: persistent

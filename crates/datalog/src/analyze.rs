@@ -1,10 +1,13 @@
 //! The rule analyzer (paper §4): IDB/EDB identification, safety and
 //! syntactic checks, dependency graph and stratification.
 //!
-//! Stratification follows the paper exactly: the dependency graph has one
-//! vertex per *rule* and an edge `(r, r')` whenever the head of `r` appears
-//! in the body of `r'`; strata are the strongly connected components in
-//! topological order (§3.1). Stratified negation additionally requires every
+//! Stratification follows the paper's Algorithm 1, which evaluates all the
+//! rules of an IDB in that IDB's stratum as one query: the dependency graph
+//! has one vertex per IDB *predicate* and an edge `(p, h)` whenever `p`
+//! appears in the body of a rule deriving `h`; strata are its strongly
+//! connected components in topological order (§3.1), each holding every
+//! rule whose head is in the component, so no IDB is derived by two
+//! strata. Stratified negation additionally requires every
 //! negated predicate to be fully defined in a strictly lower stratum (§3.3),
 //! and recursive aggregation is restricted to the monotonic `MIN`/`MAX`
 //! fragment over linear rules (§3.3 assumes convergent programs; this is the
@@ -31,14 +34,16 @@ pub struct PredInfo {
     pub agg_sig: Vec<Option<AggFunc>>,
 }
 
-/// One stratum: a strongly connected component of the rule dependency graph.
+/// One stratum: a strongly connected component of the predicate dependency
+/// graph and every rule deriving one of its predicates.
 #[derive(Clone, Debug)]
 pub struct Stratum {
     /// Indices into `Analysis::program.rules`, in original program order.
     pub rules: Vec<usize>,
-    /// Head predicates of this stratum's rules (deduplicated).
+    /// The component's predicates, in first-appearance order as a head.
     pub idbs: Vec<String>,
-    /// True when the stratum needs fixpoint iteration (SCC with a cycle).
+    /// True when the stratum needs fixpoint iteration: the component has
+    /// more than one predicate, or one of its rules reads its own head.
     pub recursive: bool,
 }
 
@@ -236,32 +241,36 @@ fn check_safety(program: &Program) -> Result<()> {
     Ok(())
 }
 
-/// Tarjan SCC over the rule dependency graph, returning strata in
-/// topological (evaluation) order.
+/// Tarjan SCC over the predicate dependency graph, returning strata in
+/// topological (evaluation) order, each holding every rule whose head is
+/// in its SCC.
 fn stratify(program: &Program) -> Result<Vec<Stratum>> {
-    let n = program.rules.len();
-    // head pred -> rules defining it
-    let mut defs: FxHashMap<&str, Vec<usize>> = FxHashMap::default();
-    for (i, rule) in program.rules.iter().enumerate() {
-        defs.entry(rule.head.pred.as_str()).or_default().push(i);
+    // One vertex per IDB, in first-appearance order as a rule head.
+    let mut preds: Vec<&str> = Vec::new();
+    let mut vertex: FxHashMap<&str, usize> = FxHashMap::default();
+    for rule in &program.rules {
+        let head = rule.head.pred.as_str();
+        if !vertex.contains_key(head) {
+            vertex.insert(head, preds.len());
+            preds.push(head);
+        }
     }
-    // Edge r -> r' if head(r) occurs in body(r') (positive or negated).
+    let n = preds.len();
+    // Edge p -> h if IDB p occurs in the body of a rule of h (positive or
+    // negated).
     let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut has_self_loop = vec![false; n];
-    for (j, rule) in program.rules.iter().enumerate() {
+    for rule in &program.rules {
+        let h = vertex[rule.head.pred.as_str()];
         for lit in &rule.body {
             let pred = match lit {
                 Literal::Pos(a) | Literal::Neg(a) => a.pred.as_str(),
                 Literal::Cmp { .. } => continue,
             };
-            if let Some(sources) = defs.get(pred) {
-                for &i in sources {
-                    if i == j {
-                        has_self_loop[j] = true;
-                    }
-                    if !succ[i].contains(&j) {
-                        succ[i].push(j);
-                    }
+            if let Some(&p) = vertex.get(pred) {
+                has_self_loop[h] |= p == h;
+                if !succ[p].contains(&h) {
+                    succ[p].push(h);
                 }
             }
         }
@@ -279,7 +288,9 @@ fn stratify(program: &Program) -> Result<Vec<Stratum>> {
         Enter(usize),
         Resume(usize, usize),
     }
-    for start in 0..n {
+    // Starting from the last predicate, the reversed emission order below
+    // keeps independent components in program order.
+    for start in (0..n).rev() {
         if index[start] != usize::MAX {
             continue;
         }
@@ -335,15 +346,12 @@ fn stratify(program: &Program) -> Result<Vec<Stratum>> {
     sccs.reverse();
     Ok(sccs
         .into_iter()
-        .map(|rules| {
-            let recursive = rules.len() > 1 || has_self_loop[rules[0]];
-            let mut idbs: Vec<String> = Vec::new();
-            for &r in &rules {
-                let h = &program.rules[r].head.pred;
-                if !idbs.contains(h) {
-                    idbs.push(h.clone());
-                }
-            }
+        .map(|comp| {
+            let recursive = comp.len() > 1 || has_self_loop[comp[0]];
+            let idbs: Vec<String> = comp.iter().map(|&p| preds[p].to_string()).collect();
+            let rules = (0..program.rules.len())
+                .filter(|&r| comp.contains(&vertex[program.rules[r].head.pred.as_str()]))
+                .collect();
             Stratum {
                 rules,
                 idbs,
@@ -385,6 +393,17 @@ fn check_aggregation(program: &Program, preds: &[PredInfo], strata: &[Stratum]) 
             .find(|p| p.name == name && p.agg_sig.iter().any(Option::is_some))
             .map(|p| &p.agg_sig)
     };
+    // A non-recursive stratum is one predicate; its aggregate is one
+    // group-by pass over one rule.
+    for st in strata.iter().filter(|s| !s.recursive && s.rules.len() > 1) {
+        let idb = &st.idbs[0];
+        if agg_of(idb).is_some() {
+            return Err(Error::analysis(format!(
+                "aggregated IDB '{idb}' is defined across strata with non-extremal \
+                 aggregation; this engine evaluates such heads in a single stratum"
+            )));
+        }
+    }
     for st in strata.iter().filter(|s| s.recursive) {
         let stratum_idbs: FxHashSet<&str> = st.idbs.iter().map(String::as_str).collect();
         for &r in &st.rules {
@@ -443,11 +462,11 @@ mod tests {
     }
 
     #[test]
-    fn tc_two_strata() {
+    fn tc_is_one_recursive_stratum() {
         let a = analyzed("tc(x, y) :- arc(x, y).\ntc(x, y) :- tc(x, z), arc(z, y).");
-        assert_eq!(a.strata.len(), 2);
-        assert!(!a.strata[0].recursive);
-        assert!(a.strata[1].recursive);
+        assert_eq!(a.strata.len(), 1);
+        assert!(a.strata[0].recursive);
+        assert_eq!(a.strata[0].rules, vec![0, 1]);
         assert_eq!(a.strata[0].idbs, vec!["tc"]);
         assert!(a.pred("tc").unwrap().is_idb);
         assert!(!a.pred("arc").unwrap().is_idb);
@@ -461,12 +480,11 @@ mod tests {
              p(x, y) :- q(x, z), e(z, y).\n\
              q(x, y) :- p(x, z), f(z, y).",
         );
-        // Base rule in its own stratum; p/q cycle shares one.
-        let rec: Vec<_> = a.strata.iter().filter(|s| s.recursive).collect();
-        assert_eq!(rec.len(), 1);
-        let mut idbs = rec[0].idbs.clone();
-        idbs.sort();
-        assert_eq!(idbs, vec!["p", "q"]);
+        // The p/q cycle and p's exit rule share one stratum.
+        assert_eq!(a.strata.len(), 1);
+        assert!(a.strata[0].recursive);
+        assert_eq!(a.strata[0].rules, vec![0, 1, 2]);
+        assert_eq!(a.strata[0].idbs, vec!["p", "q"]);
     }
 
     #[test]
@@ -491,15 +509,17 @@ mod tests {
     #[test]
     fn cspa_mutual_recursion_is_one_stratum() {
         let a = analyzed(crate::programs::CSPA);
-        let rec: Vec<_> = a.strata.iter().filter(|s| s.recursive).collect();
         assert_eq!(
-            rec.len(),
+            a.strata.len(),
             1,
-            "valueFlow/valueAlias/memoryAlias must share one SCC"
+            "valueFlow/valueAlias/memoryAlias and their five exit rules share one SCC"
         );
-        let mut idbs = rec[0].idbs.clone();
-        idbs.sort();
-        assert_eq!(idbs, vec!["memoryAlias", "valueAlias", "valueFlow"]);
+        assert!(a.strata[0].recursive);
+        assert_eq!(a.strata[0].rules, (0..10).collect::<Vec<_>>());
+        assert_eq!(
+            a.strata[0].idbs,
+            vec!["valueFlow", "memoryAlias", "valueAlias"]
+        );
     }
 
     #[test]
@@ -567,6 +587,34 @@ mod tests {
     }
 
     #[test]
+    fn non_recursive_union_is_one_stratum() {
+        let a = analyzed(
+            "u(x, y) :- arc(x, y).\n\
+             u(x, y) :- arc(y, x).\n\
+             r(x, y) :- u(x, y).\n\
+             r(x, y) :- r(x, z), u(z, y).",
+        );
+        assert_eq!(a.strata.len(), 2);
+        assert!(!a.strata[0].recursive);
+        assert_eq!(
+            (a.strata[0].rules.clone(), &a.strata[0].idbs[..]),
+            (vec![0, 1], &["u".to_string()][..])
+        );
+        assert!(a.strata[1].recursive);
+        assert_eq!(a.strata[1].rules, vec![2, 3]);
+    }
+
+    #[test]
+    fn non_recursive_multi_rule_aggregate_rejected() {
+        let err = analyze(parse("t(x, SUM(d)) :- a(x, d).\nt(x, SUM(d)) :- b(x, d).").unwrap())
+            .unwrap_err();
+        assert!(err.to_string().contains("single stratum"), "{err}");
+        // One rule, or a recursive MIN with an exit rule, is fine.
+        analyzed("t(x, SUM(d)) :- a(x, d).");
+        analyzed("t(x, MIN(d)) :- a(x, d).\nt(y, MIN(d)) :- t(x, d), e(x, y).");
+    }
+
+    #[test]
     fn nonlinear_recursive_aggregation_rejected() {
         let err = analyze(
             parse(
@@ -595,10 +643,10 @@ mod tests {
     #[test]
     fn andersen_strata_shape() {
         let a = analyzed(crate::programs::ANDERSEN);
-        // pointsTo's three recursive rules form one SCC.
-        let rec: Vec<_> = a.strata.iter().filter(|s| s.recursive).collect();
-        assert_eq!(rec.len(), 1);
-        assert_eq!(rec[0].rules.len(), 3);
-        assert_eq!(rec[0].idbs, vec!["pointsTo"]);
+        // pointsTo's three recursive rules and its exit rule: one stratum.
+        assert_eq!(a.strata.len(), 1);
+        assert!(a.strata[0].recursive);
+        assert_eq!(a.strata[0].rules, vec![0, 1, 2, 3]);
+        assert_eq!(a.strata[0].idbs, vec!["pointsTo"]);
     }
 }

@@ -6,7 +6,8 @@
 //! scanning occurrence `i` as `∆` (Delta), occurrences before it as the full
 //! relation (Full) and occurrences after it as the previous iteration's
 //! snapshot (Old) — the standard non-redundant rewriting for non-linear
-//! rules the paper references in §3.2. Plans are purely positional: variable
+//! rules the paper references in §3.2. A rule with no same-stratum IDB (an
+//! exit rule) yields one subquery without a ∆ scan. Plans are purely positional: variable
 //! names are resolved to flattened-row column indices here so the backend
 //! never sees names.
 
@@ -118,7 +119,9 @@ pub struct WcojPlan {
 pub struct SubQuery {
     /// Index of the originating rule in the program (provenance).
     pub rule_idx: usize,
-    /// Which scan is the ∆ occurrence (`None` in non-recursive strata).
+    /// Which scan is the ∆ occurrence: `None` for a rule that reads no IDB
+    /// of its own stratum — every rule of a non-recursive stratum, and the
+    /// exit rules of a recursive one, which run on its first pass only.
     pub delta_scan: Option<usize>,
     /// Positive atoms in body order.
     pub scans: Vec<ScanSpec>,
@@ -156,8 +159,8 @@ pub struct IdbAgg {
     pub value_order: bool,
 }
 
-/// All subqueries evaluating one IDB within one stratum (the unit the
-/// paper's UIE batches into a single query).
+/// All subqueries evaluating one IDB: every rule deriving it, in its one
+/// stratum (the unit the paper's UIE batches into a single query).
 #[derive(Clone, Debug)]
 pub struct CompiledIdb {
     /// Relation name.
@@ -812,19 +815,19 @@ mod tests {
     #[test]
     fn tc_plan_shape() {
         let p = compiled(crate::programs::TC);
-        assert_eq!(p.strata.len(), 2);
-        // Base stratum: single Base scan, projection only.
-        let base = &p.strata[0].idbs[0];
-        assert_eq!(base.rel, "tc");
-        assert_eq!(base.subqueries.len(), 1);
-        let sq = &base.subqueries[0];
+        assert_eq!(p.strata.len(), 1);
+        assert!(p.strata[0].recursive);
+        let tc = &p.strata[0].idbs[0];
+        assert_eq!(tc.rel, "tc");
+        assert_eq!(tc.subqueries.len(), 2);
+        // The exit rule: single Base scan, projection only, no ∆ scan.
+        let sq = &tc.subqueries[0];
+        assert_eq!(sq.delta_scan, None);
         assert_eq!(sq.scans.len(), 1);
         assert_eq!(sq.scans[0].version, AtomVersion::Base);
         assert_eq!(sq.head_exprs, vec![Expr::Col(0), Expr::Col(1)]);
-        // Recursive stratum: linear rule → one subquery, delta on tc.
-        let rec = &p.strata[1].idbs[0];
-        assert_eq!(rec.subqueries.len(), 1);
-        let sq = &rec.subqueries[0];
+        // The linear recursive rule → one subquery, delta on tc.
+        let sq = &tc.subqueries[1];
         assert_eq!(sq.delta_scan, Some(0));
         assert_eq!(sq.scans[0].version, AtomVersion::Delta);
         assert_eq!(sq.scans[1].version, AtomVersion::Base);
@@ -841,10 +844,13 @@ mod tests {
         let p = compiled(crate::programs::CSPA);
         let rec = p.strata.iter().find(|s| s.recursive).unwrap();
         let vf = rec.idbs.iter().find(|i| i.rel == "valueFlow").unwrap();
-        // Rules for valueFlow in the SCC: vf(x,y) :- assign(x,z), memoryAlias(z,y)
-        // (1 recursive atom) and vf(x,y) :- vf(x,z), vf(z,y) (2 recursive atoms)
-        // → 1 + 2 subqueries.
-        assert_eq!(vf.subqueries.len(), 3);
+        // Rules for valueFlow in the SCC: three exit rules (no recursive
+        // atom, one subquery each without a ∆ scan),
+        // vf(x,y) :- assign(x,z), memoryAlias(z,y) (1 recursive atom) and
+        // vf(x,y) :- vf(x,z), vf(z,y) (2 recursive atoms) → 3 + 1 + 2.
+        assert_eq!(vf.subqueries.len(), 6);
+        let exits = vf.subqueries.iter().filter(|s| s.delta_scan.is_none());
+        assert_eq!(exits.map(|s| s.rule_idx).collect::<Vec<_>>(), vec![0, 6, 7]);
         let nonlinear: Vec<&SubQuery> = vf
             .subqueries
             .iter()
@@ -929,15 +935,16 @@ mod tests {
         assert_eq!(agg.agg_positions, vec![1]);
         assert_eq!(agg.funcs, vec![AggFunc::Min]);
         // Pre-agg layout: group (y) then agg arg (z).
-        let sq = &cc3.subqueries[0];
-        assert_eq!(sq.head_exprs.len(), 2);
+        let sq = &cc3.subqueries[1];
+        assert_eq!(sq.delta_scan, Some(0));
+        assert_eq!(sq.head_exprs, vec![Expr::Col(3), Expr::Col(1)]);
     }
 
     #[test]
     fn sssp_arithmetic_in_agg_argument() {
         let p = compiled(crate::programs::SSSP);
         let rec = p.strata.iter().find(|s| s.recursive).unwrap();
-        let sq = &rec.idbs[0].subqueries[0];
+        let sq = &rec.idbs[0].subqueries[1];
         // head sssp2(y, MIN(d1+d2)): group y, agg arg d1+d2.
         assert_eq!(sq.head_exprs[0], Expr::Col(3)); // y in arc(x,y,d2)
         assert_eq!(sq.head_exprs[1], Expr::add(Expr::Col(1), Expr::Col(4)));
@@ -948,9 +955,11 @@ mod tests {
         let p = compiled(crate::programs::ANDERSEN);
         let rec = p.strata.iter().find(|s| s.recursive).unwrap();
         let pt = &rec.idbs[0];
-        // Rules: assign (1 rec atom) + load (2) + store (2) → 5 subqueries.
-        assert_eq!(pt.subqueries.len(), 5);
-        for sq in &pt.subqueries {
+        // Rules: the exit rule + assign (1 rec atom) + load (2) + store (2)
+        // → 6 subqueries, the first without a ∆ scan.
+        assert_eq!(pt.subqueries.len(), 6);
+        assert_eq!(pt.subqueries[0].delta_scan, None);
+        for sq in &pt.subqueries[1..] {
             assert!(sq.delta_scan.is_some());
             // Each join has at least one key (no cross joins in Andersen).
             for j in &sq.joins {

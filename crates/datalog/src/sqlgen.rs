@@ -228,7 +228,7 @@ mod tests {
         let sql = render_uie(&idb);
         assert_eq!(sql.matches("INSERT INTO").count(), 1);
         assert!(sql.starts_with("INSERT INTO pointsTo_mDelta"));
-        // 5 subqueries → 4 UNION ALLs.
+        // 6 subqueries (the exit rule's among them) → 5 UNION ALLs.
         assert_eq!(sql.matches("UNION ALL").count(), idb.subqueries.len() - 1);
         assert!(sql.contains("pointsTo_mDelta AS"));
         assert!(sql.ends_with(';'));
@@ -247,8 +247,8 @@ mod tests {
     #[test]
     fn select_renders_join_conditions_and_versions() {
         let p = compile(&analyze(parse(crate::programs::TC).unwrap()).unwrap()).unwrap();
-        let rec = &p.strata[1].idbs[0];
-        let sql = render_select(&rec.subqueries[0]);
+        let tc = &p.strata[0].idbs[0];
+        let sql = render_select(&tc.subqueries[1]);
         assert!(sql.contains("FROM tc_mDelta AS t0, arc AS t1"), "{sql}");
         assert!(sql.contains("WHERE t0.c1 = t1.c0"), "{sql}");
         assert!(sql.contains("SELECT t0.c0 AS c0, t1.c1 AS c1"), "{sql}");

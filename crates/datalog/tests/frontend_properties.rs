@@ -1,9 +1,12 @@
 //! Property tests of the frontend: total parsing (no panics on arbitrary
-//! input), display/parse roundtrips, and stratification invariants.
+//! input or on mutated programs), display/parse roundtrips, and
+//! stratification invariants.
 
 use proptest::prelude::*;
-use recstep_datalog::analyze::analyze;
+use recstep_datalog::analyze::{analyze, Analysis};
 use recstep_datalog::parser::parse;
+use recstep_datalog::plan::{compile, CompiledProgram};
+use recstep_datalog::programs;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -89,4 +92,161 @@ proptest! {
             prop_assert!(analysis.strata.iter().all(|s| !s.recursive));
         }
     }
+}
+
+/// Every benchmark program's text.
+const PROGRAMS: [(&str, &str); 11] = [
+    ("TC", programs::TC),
+    ("SG", programs::SG),
+    ("REACH", programs::REACH),
+    ("CC", programs::CC),
+    ("SSSP", programs::SSSP),
+    ("ANDERSEN", programs::ANDERSEN),
+    ("CSPA", programs::CSPA),
+    ("CSDA", programs::CSDA),
+    ("NTC", programs::NTC),
+    ("GTC", programs::GTC),
+    ("TRIANGLE", programs::TRIANGLE),
+];
+
+/// Each IDB is derived by exactly one compiled stratum, whose subqueries
+/// for it come from every rule with it as head.
+fn assert_one_stratum_per_idb(analysis: &Analysis, compiled: &CompiledProgram, what: &str) {
+    for name in compiled.idb_names() {
+        let owners: Vec<_> = compiled
+            .strata
+            .iter()
+            .flat_map(|s| &s.idbs)
+            .filter(|idb| idb.rel == name)
+            .collect();
+        assert_eq!(
+            owners.len(),
+            1,
+            "{what}: '{name}' derived by {} strata",
+            owners.len()
+        );
+        let mut from: Vec<usize> = owners[0].subqueries.iter().map(|sq| sq.rule_idx).collect();
+        from.dedup();
+        let rules: Vec<usize> = (0..analysis.program.rules.len())
+            .filter(|&r| analysis.program.rules[r].head.pred == name)
+            .collect();
+        assert_eq!(from, rules, "{what}: '{name}' misses some of its rules");
+    }
+}
+
+/// Parse, analyze and compile `src`; `None` at the first error.
+fn frontend(src: &str) -> Option<(Analysis, CompiledProgram)> {
+    let analysis = analyze(parse(src).ok()?).ok()?;
+    let compiled = compile(&analysis).ok()?;
+    Some((analysis, compiled))
+}
+
+#[test]
+fn every_benchmark_program_derives_each_idb_in_one_stratum() {
+    for (name, src) in PROGRAMS {
+        let (analysis, compiled) = frontend(src).expect(name);
+        assert_one_stratum_per_idb(&analysis, &compiled, name);
+    }
+    // The shapes rule-level strata used to split: an IDB's exit rules
+    // share its recursive stratum, and a union's rules share one pass.
+    let stratum_of = |src: &str, idb: &str| {
+        let (_, compiled) = frontend(src).unwrap();
+        let s = compiled
+            .strata
+            .into_iter()
+            .find(|s| s.idbs.iter().any(|i| i.rel == idb))
+            .unwrap();
+        let rels: Vec<String> = s.idbs.iter().map(|i| i.rel.clone()).collect();
+        let exits = s
+            .idbs
+            .iter()
+            .flat_map(|i| &i.subqueries)
+            .filter(|sq| sq.delta_scan.is_none())
+            .count();
+        (s.recursive, rels, exits)
+    };
+    let one = |rels: &[&str]| rels.iter().map(|r| r.to_string()).collect::<Vec<_>>();
+    assert_eq!(stratum_of(programs::TC, "tc"), (true, one(&["tc"]), 1));
+    assert_eq!(stratum_of(programs::SG, "sg"), (true, one(&["sg"]), 1));
+    assert_eq!(stratum_of(programs::CC, "cc3"), (true, one(&["cc3"]), 1));
+    assert_eq!(
+        stratum_of(programs::CSPA, "valueFlow"),
+        (true, one(&["valueFlow", "memoryAlias", "valueAlias"]), 5)
+    );
+    assert_eq!(
+        stratum_of(programs::NTC, "node"),
+        (false, one(&["node"]), 2)
+    );
+}
+
+/// A deterministic generator (64-bit LCG, high bits out).
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((self.0 >> 33) as usize) % n.max(1)
+    }
+}
+
+/// One hostile edit of `src`: a byte flip, a truncation, a deleted or
+/// duplicated line, or an inserted `(`, `)`, `!` or `MIN(`.
+fn mutate(src: &[u8], rng: &mut Lcg) -> Vec<u8> {
+    let mut out = src.to_vec();
+    let at = rng.below(out.len() + 1);
+    match rng.below(5) {
+        0 if !out.is_empty() => {
+            let i = at.min(out.len() - 1);
+            out[i] ^= 1 << rng.below(8);
+        }
+        1 => out.truncate(at),
+        2 | 3 => {
+            let lines: Vec<&[u8]> = src.split(|&b| b == b'\n').collect();
+            let l = rng.below(lines.len());
+            let mut edited: Vec<&[u8]> = lines.clone();
+            if rng.below(2) == 0 {
+                edited.remove(l);
+            } else {
+                edited.insert(l, lines[l]);
+            }
+            out = edited.join(&b'\n');
+        }
+        _ => {
+            let token: &[u8] = [&b"("[..], b")", b"!", b"MIN("][rng.below(4)];
+            out.splice(at..at, token.iter().copied());
+        }
+    }
+    out
+}
+
+/// The frontend survives hostile text: every seeded mutant of every
+/// benchmark program (one to three edits each) parses, analyzes and
+/// compiles to `Ok` or `Err`, never a panic, and whatever compiles still
+/// derives each IDB in exactly one stratum.
+#[test]
+fn mutated_programs_never_panic_the_frontend() {
+    let mut rng = Lcg(42);
+    let mut compiled = 0;
+    for (name, src) in PROGRAMS {
+        for _ in 0..300 {
+            let mut bytes = src.as_bytes().to_vec();
+            for _ in 0..1 + rng.below(3) {
+                bytes = mutate(&bytes, &mut rng);
+            }
+            let text = String::from_utf8_lossy(&bytes).into_owned();
+            let run = std::panic::catch_unwind(|| frontend(&text));
+            let Ok(outcome) = run else {
+                panic!("{name}: the frontend panicked on {text:?}");
+            };
+            if let Some((analysis, program)) = outcome {
+                assert_one_stratum_per_idb(&analysis, &program, &text);
+                compiled += 1;
+            }
+        }
+    }
+    // The loop must reach the planner, not only the parser's errors.
+    assert!(compiled > 100, "only {compiled} mutants compiled");
 }

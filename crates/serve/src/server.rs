@@ -6,9 +6,9 @@
 //!
 //! 1. **Prepared-program cache.** Programs are keyed by normalized source
 //!    text and compiled once ([`Engine::prepare`]); entries are LRU-evicted
-//!    past [`ServeConfig::prepared_capacity`] and carry the catalog version
-//!    of every relation they read, so a `/facts` commit invalidates exactly
-//!    the plans built over the written relations — the rest stay hot.
+//!    past [`ServeConfig::prepared_capacity`]. A plan depends on the text
+//!    and the engine's configuration only, so `/facts` commits never
+//!    invalidate one.
 //! 2. **Request batching.** Identical concurrent queries coalesce *before*
 //!    admission: the first requester becomes the leader and runs the
 //!    fixpoint; everyone else blocks on the in-flight entry and shares the
@@ -89,29 +89,13 @@ pub fn normalize_program(src: &str) -> String {
     out
 }
 
-/// One compiled program in the prepared cache.
+/// One compiled program in the prepared cache. A plan depends on the
+/// program text and the engine's configuration only, never on the data,
+/// so an entry never goes stale: `/facts` commits leave it in place.
 struct PreparedEntry {
     prog: Arc<PreparedProgram>,
-    /// Catalog version of every relation the program mentions, captured
-    /// at compile time. The entry is fresh while they all still match —
-    /// so a `/facts` commit to `edge` strands programs reading `edge`,
-    /// not a program that only reads `arc`.
-    reads: Vec<(String, u64)>,
     /// Last-use tick for LRU eviction.
     tick: u64,
-}
-
-/// The per-relation read set of a compiled program: every relation the
-/// plan mentions, paired with its current catalog version. Conservative
-/// (derived relations are listed too, and reset on every exclusive run),
-/// but exact enough to keep unrelated `/facts` commits from stranding
-/// prepared plans.
-fn plan_reads(prog: &PreparedProgram, db: &Database) -> Vec<(String, u64)> {
-    prog.compiled()
-        .relations
-        .iter()
-        .map(|r| (r.name.clone(), db.relation_version(&r.name)))
-        .collect()
 }
 
 /// Best-effort text of a panic payload (`&str` or `String` in practice;
@@ -391,36 +375,23 @@ impl ServerState {
         }
     }
 
-    /// Prepared-cache lookup: hit only when the text matches and every
-    /// relation the plan reads is still at the catalog version captured
-    /// at compile time — commits to relations the program never mentions
-    /// leave the entry fresh. Otherwise compile and (re)insert,
-    /// LRU-evicting past capacity. Compilation happens under the cache
-    /// lock — concurrent leaders of *different* programs serialize
-    /// briefly, while identical programs already coalesced upstream, so
-    /// each text compiles once.
+    /// Prepared-cache lookup: hit whenever the text matches. Otherwise
+    /// compile and insert, LRU-evicting past capacity. Compilation happens
+    /// under the cache lock — concurrent leaders of *different* programs
+    /// serialize briefly, while identical programs already coalesced
+    /// upstream, so each text compiles once.
     fn prepared_for(&self, norm: &str) -> recstep::Result<Arc<PreparedProgram>> {
         let mut cache = self.prepared.lock();
         cache.tick += 1;
         let tick = cache.tick;
         if let Some(entry) = cache.entries.get_mut(norm) {
-            let fresh = {
-                let db = self.db.read();
-                entry
-                    .reads
-                    .iter()
-                    .all(|(name, v)| db.relation_version(name) == *v)
-            };
-            if fresh {
-                entry.tick = tick;
-                self.counters.prepared_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(&entry.prog));
-            }
+            entry.tick = tick;
+            self.counters.prepared_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(&entry.prog));
         }
         let prog = Arc::new(self.engine.prepare(norm)?);
         self.counters.compiles.fetch_add(1, Ordering::Relaxed);
-        let reads = plan_reads(&prog, &self.db.read());
-        if !cache.entries.contains_key(norm) && cache.entries.len() >= cache.capacity {
+        if cache.entries.len() >= cache.capacity {
             if let Some(victim) = cache
                 .entries
                 .iter()
@@ -437,7 +408,6 @@ impl ServerState {
             norm.to_string(),
             PreparedEntry {
                 prog: Arc::clone(&prog),
-                reads,
                 tick,
             },
         );
@@ -531,7 +501,7 @@ impl ServerState {
 
     /// `/facts`: apply inserts and whole-tuple deletes in one
     /// [`recstep::Transaction`], then bump the data version so batched
-    /// results and prepared plans built over the old data go stale.
+    /// results computed over the old data go stale.
     ///
     /// With durability on, the order is WAL-before-apply: stage (all
     /// validation happens here) → append + fsync the commit record →
@@ -865,7 +835,12 @@ impl Server {
 
         let mut lifetime = EvalStats::default();
         let mut compiles = 0u64;
-        let mut warmed = Vec::new();
+        let view_capacity = cfg.prepared_capacity.max(1);
+        let mut prepared = PreparedCache {
+            entries: HashMap::new(),
+            tick: 0,
+            capacity: cfg.prepared_capacity.max(1),
+        };
         for path in &cfg.warmup {
             let src = std::fs::read_to_string(path)
                 .map_err(|e| Error::exec(format!("warmup {path}: {e}")))?;
@@ -874,24 +849,9 @@ impl Server {
             compiles += 1;
             let stats = prog.run(&mut db)?;
             lifetime.merge(&stats);
-            warmed.push((norm, prog));
-        }
-        // Read sets are captured after ALL warmup runs: each exclusive run
-        // bumps the versions of the relations it derives, so capturing
-        // eagerly would strand earlier entries on later runs' writes.
-        let view_capacity = cfg.prepared_capacity.max(1);
-        let mut prepared = PreparedCache {
-            entries: HashMap::new(),
-            tick: 0,
-            capacity: cfg.prepared_capacity.max(1),
-        };
-        for (norm, prog) in warmed {
             prepared.tick += 1;
             let tick = prepared.tick;
-            let reads = plan_reads(&prog, &db);
-            prepared
-                .entries
-                .insert(norm, PreparedEntry { prog, reads, tick });
+            prepared.entries.insert(norm, PreparedEntry { prog, tick });
         }
 
         let listener = TcpListener::bind(&cfg.addr)

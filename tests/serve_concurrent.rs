@@ -1,5 +1,5 @@
 //! Integration tests for the query service: compile-once under
-//! concurrency, request batching, `/facts` invalidation, warmup
+//! concurrency, request batching, `/facts` commits, warmup
 //! publication, load shedding and cooperative timeout — all driven
 //! deterministically by holding the admission semaphore from the test.
 
@@ -167,7 +167,7 @@ fn facts_commit_bumps_data_version_and_invalidates_prepared_entries() {
 }
 
 #[test]
-fn facts_commit_invalidates_only_plans_reading_the_written_relations() {
+fn facts_commit_leaves_every_prepared_plan_hot() {
     let mut db = neg_db();
     db.load_edges("arc", &[(1, 2), (2, 3)]).unwrap();
     let server = Server::start(
@@ -178,16 +178,15 @@ fn facts_commit_invalidates_only_plans_reading_the_written_relations() {
     .unwrap();
     let addr = server.addr();
 
-    // Two prepared plans over disjoint read sets.
+    // Two prepared plans, one per program text.
     assert_eq!(post(addr, "/query", &query_body(TC)).unwrap().0, 200);
     assert_eq!(post(addr, "/query", &query_body(NEG)).unwrap().0, 200);
     let (_, stats) = get(addr, "/stats").unwrap();
     assert_eq!(counter(&stats, "compiles"), 2, "{stats}");
+    let hits = counter(&stats, "prepared_hits");
 
-    // Commit to `node` only: the TC program reads `arc`/`tc`, never
-    // `node`, so its standing view absorbs the commit as a no-op and
-    // still answers directly; the negation plan (ineligible for a view)
-    // is stale and recompiles.
+    // Commit to `node`: the TC program never reads it, so its standing
+    // view absorbs the commit as a no-op and still answers directly.
     let (status, body) = post(addr, "/facts", "{\"insert\":{\"node\":[[65]]}}").unwrap();
     assert_eq!(status, 200, "{body}");
     assert_eq!(post(addr, "/query", &query_body(TC)).unwrap().0, 200);
@@ -195,6 +194,9 @@ fn facts_commit_invalidates_only_plans_reading_the_written_relations() {
     assert_eq!(counter(&stats, "compiles"), 2, "{stats}");
     assert_eq!(counter(&stats, "view_hits"), 1, "{stats}");
 
+    // The negation plan (ineligible for a view) reads `node`, yet a plan
+    // depends on the program text only: the cached one runs over the new
+    // data without a recompile.
     let (status, body) = post(addr, "/query", &query_body(NEG)).unwrap();
     assert_eq!(status, 200, "{body}");
     assert!(
@@ -202,7 +204,8 @@ fn facts_commit_invalidates_only_plans_reading_the_written_relations() {
         "node 65 is unblocked: {body}"
     );
     let (_, stats) = get(addr, "/stats").unwrap();
-    assert_eq!(counter(&stats, "compiles"), 3, "{stats}");
+    assert_eq!(counter(&stats, "compiles"), 2, "{stats}");
+    assert_eq!(counter(&stats, "prepared_hits"), hits + 1, "{stats}");
 
     server.shutdown();
 }

@@ -545,13 +545,15 @@ fn serve_panicking_refresh_never_serves_a_half_maintained_view() {
     let (_, stats) = get(addr, "/stats").unwrap();
     assert!(counter(&stats, "panics") >= 1, "{stats}");
 
-    // The next query recreates from scratch at the new version — the
-    // stale contents are unreachable.
+    // The next query recreates the view from scratch at the new version,
+    // from the cached plan (a plan never depends on the data) — the stale
+    // contents are unreachable.
     let (status, body) = post(addr, "/query", &query_body(TC_JSON)).unwrap();
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"total\":6"), "{body}");
     let (_, stats) = get(addr, "/stats").unwrap();
-    assert_eq!(counter(&stats, "compiles"), 2, "{stats}");
+    assert_eq!(counter(&stats, "compiles"), 1, "{stats}");
+    assert_eq!(counter(&stats, "prepared_hits"), 1, "{stats}");
 
     // The recreated view maintains normally again.
     let (status, body) = post(addr, "/facts", "{\"insert\":{\"arc\":[[4,5]]}}").unwrap();
@@ -560,7 +562,7 @@ fn serve_panicking_refresh_never_serves_a_half_maintained_view() {
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"total\":10"), "{body}");
     let (_, stats) = get(addr, "/stats").unwrap();
-    assert_eq!(counter(&stats, "compiles"), 2, "{stats}");
+    assert_eq!(counter(&stats, "compiles"), 1, "{stats}");
     assert!(counter(&stats, "view_refreshes") >= 1, "{stats}");
     assert!(counter(&stats, "view_hits") >= 1, "{stats}");
 
@@ -604,12 +606,12 @@ fn stats_lifetime_reports_every_counter() {
     };
     assert_eq!(lifetime.keys().cloned().collect::<Vec<_>>(), keys);
     let read = |key: &str| lifetime[key].as_int().unwrap();
-    // Creation books two one-iteration strata: the exit rule's pass and
-    // the closure matrix. The delete is one refresh whose dead set comes
+    // Creation books one one-iteration stratum: the closure matrix, seeded
+    // by the exit rule. The delete is one refresh whose dead set comes
     // off the matrix; its re-entry finds no inserts to seed and stops
     // after one iteration.
-    assert_eq!(read("strata"), 3, "{stats}");
-    assert_eq!(read("iterations"), 3, "{stats}");
+    assert_eq!(read("strata"), 2, "{stats}");
+    assert_eq!(read("iterations"), 2, "{stats}");
     assert_eq!(read("view_refreshes"), 1, "{stats}");
     assert_eq!(read("view_matrix_strata"), 1, "{stats}");
     assert_eq!(read("view_bf_strata"), 0, "{stats}");
@@ -620,7 +622,7 @@ fn stats_lifetime_reports_every_counter() {
 }
 
 #[test]
-fn no_incremental_ablation_restores_recompile_semantics() {
+fn no_incremental_ablation_reruns_the_prepared_plan() {
     let _serial = serial();
     let mut db = Database::new().unwrap();
     db.load_edges("arc", &[(1, 2), (2, 3)]).unwrap();
@@ -642,14 +644,16 @@ fn no_incremental_ablation_restores_recompile_semantics() {
     assert_eq!(counter(&stats, "view_hits"), 0, "{stats}");
     assert_eq!(counter(&stats, "view_refreshes"), 0, "{stats}");
 
-    // A commit forces the seed path: recompile + rerun.
+    // A commit forces a rerun of the prepared plan, which the commit
+    // leaves cached: no recompile.
     let (status, body) = post(addr, "/facts", "{\"insert\":{\"arc\":[[3,4]]}}").unwrap();
     assert_eq!(status, 200, "{body}");
     let (status, body) = post(addr, "/query", &query_body(TC_JSON)).unwrap();
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"total\":6"), "{body}");
     let (_, stats) = get(addr, "/stats").unwrap();
-    assert_eq!(counter(&stats, "compiles"), 2, "{stats}");
+    assert_eq!(counter(&stats, "compiles"), 1, "{stats}");
+    assert_eq!(counter(&stats, "prepared_hits"), 2, "{stats}");
     assert_eq!(counter(&stats, "view_hits"), 0, "{stats}");
 
     server.shutdown();
