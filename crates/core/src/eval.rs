@@ -164,8 +164,8 @@ pub(crate) enum StratumEntry {
 #[derive(Clone, Copy)]
 struct Pass {
     /// The exit pass ([`StratumEntry`]): the subqueries without a ∆ scan
-    /// run, and a MIN/MAX head hands on every group it improved
-    /// ([`Bucket::Unbounded`]), whatever its value-order bucket.
+    /// run. A MIN/MAX head drains the groups they improved like any
+    /// other: in value order when its head allows it.
     exit: bool,
     /// OOF-NA: freeze the build sides this pass picks. Every pass under
     /// `OofMode::None` but an exit pass over an empty ∆⁰, whose ∆
@@ -421,6 +421,37 @@ impl<'c> JoinCache<'c> {
         index.as_ref().expect("just filled").index.index()
     }
 
+    /// Frozen slot `slot`'s index ([`Self::frozen_index`]) with its one
+    /// row per key ([`OrderedIndex::first_rows`]) gathered, which a shared
+    /// entry's resident bytes then count: what a distinct exit scan reads.
+    fn first_rows(
+        &mut self,
+        ctx: &ExecCtx,
+        catalog: &RunCatalog<'_>,
+        slot: usize,
+    ) -> Arc<SharedIndex> {
+        self.frozen_index(ctx, catalog, slot);
+        let CacheSlot { rel, cols, index } = &self.frozen[slot];
+        let held = index.as_ref().expect("just held");
+        let index = Arc::clone(&held.index);
+        if !index.index().has_first_rows() {
+            let t0 = Instant::now();
+            index.index().first_rows();
+            if let (true, Some(tier), Some(version)) =
+                (held.shared, &self.shared, catalog.shared_version(*rel))
+            {
+                let key = CacheKey {
+                    rel: *rel,
+                    version,
+                    cols: cols.clone(),
+                };
+                tier.cache.recharge(&key, &index);
+            }
+            self.maintain += t0.elapsed();
+        }
+        index
+    }
+
     /// A probe-ready chained index over growing slot `slot`'s relation:
     /// built on first use and synchronized incrementally, with the
     /// compact-key layout invalidated (hashed rebuild, once) when probe
@@ -573,6 +604,10 @@ struct SqBinding {
     /// Per negation: the negated relation, and its cache slot when
     /// cacheable.
     negs: Vec<(RelId, Option<usize>)>,
+    /// A distinct exit scan ([`bind_distinct_scans`]): the frozen slot
+    /// keyed on the scan's live columns, and whether a ∆ subquery of the
+    /// stratum builds that index anyway.
+    distinct: Option<(usize, bool)>,
 }
 
 impl SqBinding {
@@ -635,7 +670,28 @@ impl SqBinding {
                 ))
             })
             .collect::<Result<_>>()?;
-        Ok(SqBinding { scans, joins, negs })
+        Ok(SqBinding {
+            scans,
+            joins,
+            negs,
+            distinct: None,
+        })
+    }
+
+    /// Whether `sq`, bound here, runs in a pass: without a ∆ scan on the
+    /// exit pass only, with one only while that ∆ holds rows (an empty ∆
+    /// derives nothing).
+    fn runs(
+        &self,
+        sq: &SubQuery,
+        catalog: &RunCatalog<'_>,
+        states: &[IdbState],
+        exit: bool,
+    ) -> bool {
+        match sq.delta_scan {
+            None => exit,
+            Some(d) => self.rows(d, catalog, states) > 0,
+        }
     }
 
     /// The rows scan `i` reads (a maintenance override for a pinned one).
@@ -1148,6 +1204,7 @@ impl<'d> EvalRun<'_, 'd> {
                     .collect(),
             });
         }
+        bind_distinct_scans(&self.catalog, stratum, &mut states, jcache);
 
         // The memory budget's live bytes (how OOM is reported honestly):
         // the catalog, the run's own join indexes, the shared cache's
@@ -1559,6 +1616,37 @@ impl<'d> EvalRun<'_, 'd> {
         recstep_exec::agg::group_aggregate(self.ctx, RelView::over(rt), &group_exprs, &aggs)
     }
 
+    /// ∆R of the MIN/MAX head of `state`: the bucket of its dirty list
+    /// its value order allows, the rest staying pending, booked under
+    /// `phase.aggregate` from `t_agg` (its groups count as improved at
+    /// source under the Agg sink, `counted`).
+    fn drain_mono(
+        &mut self,
+        state: &mut IdbState,
+        counted: bool,
+        t_agg: Instant,
+        stats: &mut EvalStats,
+    ) -> DeltaBuf {
+        let IdbState { agg, spare, .. } = state;
+        let Some(AggKind::Mono(ms)) = agg else {
+            unreachable!("a MIN/MAX head's state");
+        };
+        let improved = ms.map.take_improved(ms.bucket);
+        let delta = mono_delta(
+            std::mem::take(spare),
+            &ms.group_positions,
+            ms.agg_position,
+            improved,
+        );
+        if counted {
+            stats.agg_groups_improved += delta.first().map_or(0, Vec::len);
+        }
+        stats.agg_groups_deferred += ms.map.deferred();
+        stats.phase.aggregate += t_agg.elapsed();
+        self.io.temp(RelView::over(&delta));
+        DeltaBuf::Owned(delta)
+    }
+
     /// One Algorithm 1 step (lines 8–13) for one IDB: `Rt ← uieval` into
     /// the sink the gates pick, the statistics every sink shares, then that
     /// sink's ∆R tail.
@@ -1592,6 +1680,19 @@ impl<'d> EvalRun<'_, 'd> {
         let rel_id = states[idx].rel_id;
         let delta_sink = self.fused_applies(&states[idx]);
         let agg_sink = states[idx].agg.is_some() && self.fused_agg_applies();
+        let mut bound = idb.subqueries.iter().zip(&states[idx].bound);
+        if !bound.any(|(sq, b)| b.runs(sq, &self.catalog, states, pass.exit)) {
+            // Nothing to evaluate: no sink, index sync or query. A MIN/MAX
+            // head still hands on its next pending bucket.
+            let t_agg = Instant::now();
+            return Ok(match states[idx].agg {
+                Some(AggKind::Mono(_)) => self.drain_mono(&mut states[idx], agg_sink, t_agg, stats),
+                _ => {
+                    let len = self.catalog.rel(rel_id).len();
+                    DeltaBuf::Range(len, len)
+                }
+            });
+        }
         // OOF-FA: a streaming sink samples the would-be `Rt` for the
         // statistics pass.
         let sampler = (self.cfg.oof == OofMode::Full && (delta_sink || agg_sink))
@@ -1743,23 +1844,7 @@ impl<'d> EvalRun<'_, 'd> {
                         ms.map.absorb(&group, grouped[g][r]);
                     }
                 }
-                // The dirty list's bucket is ∆R; the rest stays pending.
-                let bucket = if pass.exit {
-                    Bucket::Unbounded
-                } else {
-                    ms.bucket
-                };
-                let improved = ms.map.take_improved(bucket);
-                let spare = std::mem::take(&mut state.spare);
-                let delta = mono_delta(spare, &ms.group_positions, ms.agg_position, improved);
-                let rows = delta.first().map_or(0, Vec::len);
-                if agg_sink {
-                    stats.agg_groups_improved += rows;
-                }
-                stats.agg_groups_deferred += ms.map.deferred();
-                stats.phase.aggregate += t_agg.elapsed();
-                self.io.temp(RelView::over(&delta));
-                return Ok(DeltaBuf::Owned(delta));
+                return Ok(self.drain_mono(state, agg_sink, t_agg, stats));
             }
             Some(AggKind::Plain {
                 group_positions,
@@ -2466,16 +2551,62 @@ fn frozen_build_side(
     sq: &SubQuery,
     join: &JoinBinding,
 ) -> Option<bool> {
+    let (build_left, slot) = frozen_side(join)?;
+    (sq.delta_scan.is_some() || jcache.resident(catalog, slot)).then_some(build_left)
+}
+
+/// The input of `join` that is a cacheable frozen relation, when exactly
+/// one is: whether it is the left one, and its frozen slot.
+fn frozen_side(join: &JoinBinding) -> Option<(bool, usize)> {
     let frozen = |slot| match slot {
         Some(Slot::Frozen(s)) => Some(s),
         _ => None,
     };
-    let (build_left, slot) = match (frozen(join.left), frozen(join.right)) {
-        (Some(s), None) => (true, s),
-        (None, Some(s)) => (false, s),
-        _ => return None,
-    };
-    (sq.delta_scan.is_some() || jcache.resident(catalog, slot)).then_some(build_left)
+    match (frozen(join.left), frozen(join.right)) {
+        (Some(s), None) => Some((true, s)),
+        (None, Some(s)) => Some((false, s)),
+        _ => None,
+    }
+}
+
+/// Bind the distinct exit scans of `stratum`. A subquery without a ∆ scan
+/// whose one scan reads a strict subset of its columns
+/// ([`SubQuery::scan_live`]) derives the same head rows from one row per
+/// distinct value of them, which the key-ordered index on those columns
+/// lists ([`OrderedIndex::first_rows`]). It reads that list when the
+/// index costs it nothing: a ∆ subquery of the stratum builds it by the
+/// direction rule ([`frozen_side`]), or it is resident when the exit
+/// subquery runs. A disabled join cache (`--no-index-reuse`, maintenance
+/// passes) binds none.
+fn bind_distinct_scans(
+    catalog: &RunCatalog<'_>,
+    stratum: &CompiledStratum,
+    states: &mut [IdbState],
+    jcache: &mut JoinCache<'_>,
+) {
+    if !jcache.enabled {
+        return;
+    }
+    let mut built = Vec::new();
+    for (idb, state) in stratum.idbs.iter().zip(&*states) {
+        for (sq, bind) in idb.subqueries.iter().zip(&state.bound) {
+            if sq.delta_scan.is_some() {
+                let sides = bind.joins.iter().filter_map(frozen_side);
+                built.extend(sides.map(|(_, slot)| slot));
+            }
+        }
+    }
+    for (idb, state) in stratum.idbs.iter().zip(states) {
+        for (sq, bind) in idb.subqueries.iter().zip(&mut state.bound) {
+            let (None, Some(live), [scan]) = (sq.delta_scan, &sq.scan_live, &sq.scans[..]) else {
+                continue;
+            };
+            if let Some(rel) = catalog.lookup(&scan.rel).filter(|_| frozen_scan(scan)) {
+                let slot = reserve(&mut jcache.frozen, rel, live);
+                bind.distinct = Some((slot, built.contains(&slot)));
+            }
+        }
+    }
 }
 
 /// The scan of `sq` holding column `c` of the flattened layout, and the
@@ -2551,10 +2682,12 @@ fn eval_idb(
     // later passes would re-derive what it derived, and on a seeded
     // re-entry the maintenance seed pass already streamed them — skipping
     // them is what makes a small-delta refresh cost |∆|-ish, not |R|-ish.
-    let runs = |sq: &SubQuery| exit_pass || sq.delta_scan.is_some();
-    let sole = idb.subqueries.iter().filter(|sq| runs(sq)).count() == 1;
+    // A ∆ subquery whose ∆ is empty derives nothing and is skipped too.
+    let bound = &states[idx].bound;
+    let runs = |si: usize| bound[si].runs(&idb.subqueries[si], catalog, states, exit_pass);
+    let sole = (0..idb.subqueries.len()).filter(|&si| runs(si)).count() == 1;
     for (si, sq) in idb.subqueries.iter().enumerate() {
-        if !runs(sq) {
+        if !runs(si) {
             continue;
         }
         let cols = eval_subquery(
@@ -2642,7 +2775,18 @@ fn eval_subquery<'a>(
         overrides.is_none() || !jcache.enabled,
         "maintenance passes must run with the join cache disabled"
     );
-    let source_of = |i: usize| bind.view(i, catalog, states, overrides);
+    // A distinct exit scan reads one row per key of its live columns off
+    // the frozen index a ∆ subquery builds anyway, or one already resident.
+    let distinct_rows = match bind.distinct {
+        Some((slot, built)) if built || jcache.resident(catalog, slot) => {
+            Some(jcache.first_rows(ctx, catalog, slot))
+        }
+        _ => None,
+    };
+    let source_of = |i: usize| match &distinct_rows {
+        Some(index) if i == 0 => index.index().first_rows(),
+        _ => bind.view(i, catalog, states, overrides),
+    };
     let materialize = &SinkMode::Materialize;
     // The flattened row's identity projection, built on first use: its
     // first `w` columns serve any stage or filtered scan of width `w`.

@@ -816,6 +816,8 @@ fn every_ablation_config_produces_identical_results() {
     let tc_fact = format!("tc(100, 0).\n{}", recstep::programs::TC);
     let over_union = format!("{UNION}\nr(x, y) :- u(x, y).\nr(x, y) :- r(x, z), u(z, y).");
     let cc_two_exits = format!("{}cc3(y, MIN(y)) :- arc(_, y).\n", recstep::programs::CC);
+    let with_cc = |rule: &str| format!("{}{rule}\n", recstep::programs::CC);
+    let cc_count = with_cc("outs(x, COUNT(x)) :- arc(x, _).");
     let programs: [(&str, &str); 6] = [
         ("tc+fact", &tc_fact),
         ("union", UNION),
@@ -870,6 +872,29 @@ fn every_ablation_config_produces_identical_results() {
                 );
             }
         }
+    }
+
+    // An exit scan reads one row per key only off an index that costs it
+    // nothing: no ∆ subquery builds `arc` on its target, so `cc+exit`'s
+    // `arc(_, y)` scans every arc and builds no index.
+    let stats = |src: &str| run_on_edges(off(), &edges, src).1;
+    let cc = stats(recstep::programs::CC);
+    assert_eq!(stats(&cc_two_exits).index.join_builds, cc.index.join_builds);
+    // Once CC's stratum has built `arc` on its source, a set-semantic rule
+    // reading only the source reads one row per source; a COUNT head
+    // still reads every arc row, under every configuration.
+    let extra = |src: &str| stats(src).tuples_considered - cc.tuples_considered;
+    let sources: BTreeSet<Value> = edges.iter().map(|e| e.0).collect();
+    assert_eq!(extra(&with_cc("srcs(x) :- arc(x, _).")), sources.len());
+    assert_eq!(extra(&cc_count), edges.len());
+    let mut degree: HashMap<Value, Value> = HashMap::new();
+    for &(x, _) in &edges {
+        *degree.entry(x).or_default() += 1;
+    }
+    let want: BTreeSet<Vec<Value>> = degree.into_iter().map(|(x, n)| vec![x, n]).collect();
+    for (cfg_name, cfg) in &configs {
+        let (db, _) = run_on_edges(cfg.clone(), &edges, &cc_count);
+        assert_eq!(sorted_idb_rows(&db, "outs"), want, "cc+count / {cfg_name}");
     }
 }
 

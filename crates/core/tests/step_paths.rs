@@ -120,15 +120,24 @@ fn counters(s: &EvalStats) -> [u64; 18] {
 /// by one stratum, so a stratum's last merge is never appended: `cc`'s
 /// `cc(x) :- cc2(_, x)` stratum and `ntc`'s `node` and `ntc` strata (7, 24
 /// and 401 rows) never are. A recursive stratum's first pass evaluates
-/// its exit rules, and steps every IDB of the stratum (`mutual`'s `b`
-/// too, over empty ∆s).
+/// its exit rules. A subquery whose ∆ is empty does not run, and an IDB
+/// none of whose subqueries runs is not stepped: `mutual`'s `b` on the
+/// first pass (`a`'s ∆ is still empty), and `a` on the second and on a
+/// later one, each time `b`'s ∆ is empty; TC's, SG's and nonlinear TC's ∆ subqueries on
+/// their first pass (only `no_uie`, which counts queries per subquery,
+/// shows those). A one-scan exit rule that reads a strict subset of its
+/// columns reads one row per distinct key off the index a ∆ subquery
+/// builds (or one resident): `cc3(x, MIN(x)) :- arc(x, _)` reads 19 rows
+/// for 48 arcs, and `ntc`'s `node(x) :- arc(x, y)` reads the 19 of the
+/// `arc` index TC's stratum built, but not under `no_index_reuse`. `cc`'s
+/// exit groups drain lowest-first, as later ones do.
 #[rustfmt::skip]
 const PINS: &[(&str, &str, [u64; 18])] = &[
     ("tc", "default", [7, 14, 353, 7, 7, 0, 0, 0, 0, 178, 1, 6, 48, 175, 7, 2800, 1, 6]),
     ("tc", "no_fused_pipeline", [7, 14, 353, 7, 0, 0, 0, 0, 5648, 0, 1, 6, 48, 175, 7, 2800, 1, 6]),
     ("tc", "no_fused_agg", [7, 14, 353, 7, 7, 0, 0, 0, 0, 178, 1, 6, 48, 175, 7, 2800, 1, 6]),
     ("tc", "no_index_reuse", [7, 21, 353, 0, 0, 0, 0, 0, 5648, 0, 7, 0, 0, 0, 6, 2800, 1, 0]),
-    ("tc", "no_uie", [7, 23, 353, 7, 0, 0, 0, 0, 5648, 0, 1, 6, 48, 175, 7, 2800, 1, 6]),
+    ("tc", "no_uie", [7, 21, 353, 7, 0, 0, 0, 0, 5648, 0, 1, 6, 48, 175, 7, 2800, 1, 6]),
     ("tc", "no_eost", [7, 14, 353, 7, 0, 0, 0, 0, 5648, 0, 1, 6, 48, 175, 7, 11248, 18, 6]),
     ("tc", "oof_full", [7, 14, 353, 7, 7, 0, 0, 0, 0, 178, 1, 6, 48, 175, 7, 2800, 1, 6]),
     ("tc", "oof_none", [7, 14, 353, 7, 7, 0, 0, 0, 0, 178, 1, 6, 48, 175, 7, 2800, 1, 6]),
@@ -136,34 +145,34 @@ const PINS: &[(&str, &str, [u64; 18])] = &[
     ("nonlinear_tc", "no_fused_pipeline", [5, 10, 959, 5, 0, 0, 0, 0, 15344, 0, 1, 4, 46, 175, 5, 2800, 1, 0]),
     ("nonlinear_tc", "no_fused_agg", [5, 10, 959, 5, 5, 0, 0, 0, 0, 784, 1, 4, 46, 175, 5, 2800, 1, 0]),
     ("nonlinear_tc", "no_index_reuse", [5, 15, 959, 0, 0, 0, 0, 0, 15344, 0, 5, 0, 0, 0, 5, 2800, 1, 0]),
-    ("nonlinear_tc", "no_uie", [5, 27, 959, 5, 0, 0, 0, 0, 15344, 0, 1, 4, 46, 175, 5, 2800, 1, 0]),
+    ("nonlinear_tc", "no_uie", [5, 23, 959, 5, 0, 0, 0, 0, 15344, 0, 1, 4, 46, 175, 5, 2800, 1, 0]),
     ("nonlinear_tc", "no_eost", [5, 10, 959, 5, 0, 0, 0, 0, 15344, 0, 1, 4, 46, 175, 5, 20944, 13, 0]),
     ("nonlinear_tc", "oof_full", [5, 10, 959, 5, 5, 0, 0, 0, 0, 784, 1, 4, 46, 175, 5, 2800, 1, 0]),
     ("nonlinear_tc", "oof_none", [5, 10, 959, 5, 5, 0, 0, 0, 0, 784, 1, 4, 46, 304, 5, 2800, 1, 0]),
-    ("mutual", "default", [7, 28, 1439, 14, 14, 0, 0, 0, 0, 1089, 2, 9, 48, 350, 14, 5600, 2, 4]),
-    ("mutual", "no_fused_pipeline", [7, 28, 1439, 14, 0, 0, 0, 0, 23024, 0, 2, 9, 48, 350, 14, 5600, 2, 4]),
-    ("mutual", "no_fused_agg", [7, 28, 1439, 14, 14, 0, 0, 0, 0, 1089, 2, 9, 48, 350, 14, 5600, 2, 4]),
-    ("mutual", "no_index_reuse", [7, 42, 1439, 0, 0, 0, 0, 0, 23024, 0, 11, 0, 0, 0, 11, 5600, 2, 0]),
-    ("mutual", "no_uie", [7, 72, 1439, 14, 0, 0, 0, 0, 23024, 0, 2, 9, 48, 350, 14, 5600, 2, 4]),
-    ("mutual", "no_eost", [7, 28, 1439, 14, 0, 0, 0, 0, 23024, 0, 2, 9, 48, 350, 14, 34224, 29, 4]),
-    ("mutual", "oof_full", [7, 28, 1439, 14, 14, 0, 0, 0, 0, 1089, 2, 9, 48, 350, 14, 5600, 2, 4]),
-    ("mutual", "oof_none", [7, 28, 1439, 14, 14, 0, 0, 0, 0, 1089, 2, 9, 144, 429, 14, 5600, 2, 4]),
+    ("mutual", "default", [7, 22, 1439, 11, 11, 0, 0, 0, 0, 1089, 2, 8, 48, 348, 11, 5600, 2, 4]),
+    ("mutual", "no_fused_pipeline", [7, 22, 1439, 11, 0, 0, 0, 0, 23024, 0, 2, 8, 48, 348, 11, 5600, 2, 4]),
+    ("mutual", "no_fused_agg", [7, 22, 1439, 11, 11, 0, 0, 0, 0, 1089, 2, 8, 48, 348, 11, 5600, 2, 4]),
+    ("mutual", "no_index_reuse", [7, 33, 1439, 0, 0, 0, 0, 0, 23024, 0, 11, 0, 0, 0, 11, 5600, 2, 0]),
+    ("mutual", "no_uie", [7, 49, 1439, 11, 0, 0, 0, 0, 23024, 0, 2, 8, 48, 348, 11, 5600, 2, 4]),
+    ("mutual", "no_eost", [7, 22, 1439, 11, 0, 0, 0, 0, 23024, 0, 2, 8, 48, 348, 11, 34224, 29, 4]),
+    ("mutual", "oof_full", [7, 22, 1439, 11, 11, 0, 0, 0, 0, 1089, 2, 8, 48, 348, 11, 5600, 2, 4]),
+    ("mutual", "oof_none", [7, 22, 1439, 11, 11, 0, 0, 0, 0, 1089, 2, 8, 144, 427, 11, 5600, 2, 4]),
     ("sg", "default", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1, 11]),
     ("sg", "no_fused_pipeline", [6, 12, 2071, 6, 0, 0, 0, 0, 33136, 0, 1, 5, 48, 481, 6, 7696, 1, 11]),
     ("sg", "no_fused_agg", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1, 11]),
     ("sg", "no_index_reuse", [6, 18, 2071, 0, 0, 0, 0, 0, 33136, 0, 6, 0, 0, 0, 6, 7696, 1, 0]),
-    ("sg", "no_uie", [6, 20, 2071, 6, 0, 0, 0, 0, 33136, 0, 1, 5, 48, 481, 6, 7696, 1, 11]),
+    ("sg", "no_uie", [6, 18, 2071, 6, 0, 0, 0, 0, 33136, 0, 1, 5, 48, 481, 6, 7696, 1, 11]),
     ("sg", "no_eost", [6, 12, 2071, 6, 0, 0, 0, 0, 33136, 0, 1, 5, 48, 481, 6, 48528, 16, 11]),
     ("sg", "oof_full", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1, 11]),
     ("sg", "oof_none", [6, 12, 1575, 6, 6, 0, 0, 0, 0, 1094, 1, 5, 48, 481, 6, 7696, 1, 11]),
-    ("cc", "default", [11, 22, 177, 1, 1, 10, 153, 63, 0, 17, 1, 0, 48, 0, 1, 824, 3, 8]),
-    ("cc", "no_fused_pipeline", [11, 23, 177, 0, 0, 10, 153, 63, 192, 0, 0, 0, 48, 0, 1, 824, 3, 8]),
-    ("cc", "no_fused_agg", [11, 22, 177, 1, 1, 0, 0, 0, 2448, 17, 1, 0, 48, 0, 1, 824, 3, 8]),
-    ("cc", "no_index_reuse", [11, 23, 177, 0, 0, 10, 153, 63, 192, 0, 0, 0, 0, 0, 1, 824, 3, 0]),
-    ("cc", "no_uie", [11, 36, 177, 0, 0, 0, 0, 0, 2640, 0, 0, 0, 48, 0, 1, 824, 3, 8]),
-    ("cc", "no_eost", [11, 23, 177, 0, 0, 0, 0, 0, 2640, 0, 0, 0, 48, 0, 1, 4584, 24, 8]),
-    ("cc", "oof_full", [11, 22, 177, 1, 1, 10, 153, 63, 0, 17, 1, 0, 48, 0, 1, 824, 3, 8]),
-    ("cc", "oof_none", [11, 22, 177, 1, 1, 10, 153, 63, 0, 17, 1, 0, 48, 0, 1, 824, 3, 8]),
+    ("cc", "default", [9, 18, 119, 1, 1, 8, 95, 49, 0, 17, 1, 0, 48, 0, 1, 824, 3, 6]),
+    ("cc", "no_fused_pipeline", [9, 19, 119, 0, 0, 8, 95, 49, 192, 0, 0, 0, 48, 0, 1, 824, 3, 6]),
+    ("cc", "no_fused_agg", [9, 18, 119, 1, 1, 0, 0, 0, 1520, 17, 1, 0, 48, 0, 1, 824, 3, 6]),
+    ("cc", "no_index_reuse", [9, 19, 148, 0, 0, 8, 124, 49, 192, 0, 0, 0, 0, 0, 1, 824, 3, 0]),
+    ("cc", "no_uie", [9, 28, 119, 0, 0, 0, 0, 0, 1712, 0, 0, 0, 48, 0, 1, 824, 3, 6]),
+    ("cc", "no_eost", [9, 19, 119, 0, 0, 0, 0, 0, 1712, 0, 0, 0, 48, 0, 1, 3432, 20, 6]),
+    ("cc", "oof_full", [9, 18, 119, 1, 1, 8, 95, 49, 0, 17, 1, 0, 48, 0, 1, 824, 3, 6]),
+    ("cc", "oof_none", [9, 18, 119, 1, 1, 8, 95, 49, 0, 17, 1, 0, 48, 0, 1, 824, 3, 6]),
     ("count_sum", "default", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 456, 1, 0]),
     ("count_sum", "no_fused_pipeline", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 456, 1, 0]),
     ("count_sum", "no_fused_agg", [1, 2, 48, 0, 0, 0, 0, 0, 1152, 0, 0, 0, 0, 0, 0, 456, 1, 0]),
@@ -180,14 +189,14 @@ const PINS: &[(&str, &str, [u64; 18])] = &[
     ("min_group", "no_eost", [1, 2, 48, 0, 0, 0, 0, 0, 768, 0, 0, 0, 0, 0, 0, 1376, 3, 0]),
     ("min_group", "oof_full", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 304, 1, 0]),
     ("min_group", "oof_none", [1, 2, 48, 0, 0, 1, 48, 19, 0, 0, 0, 0, 0, 0, 0, 304, 1, 0]),
-    ("ntc", "default", [9, 18, 850, 9, 9, 0, 0, 0, 0, 250, 3, 6, 223, 175, 9, 9408, 3, 6]),
-    ("ntc", "no_fused_pipeline", [9, 20, 850, 7, 0, 0, 0, 0, 12832, 0, 1, 6, 223, 175, 9, 9408, 3, 6]),
-    ("ntc", "no_fused_agg", [9, 18, 850, 9, 9, 0, 0, 0, 0, 250, 3, 6, 223, 175, 9, 9408, 3, 6]),
+    ("ntc", "default", [9, 18, 821, 9, 9, 0, 0, 0, 0, 221, 3, 6, 223, 175, 9, 9408, 3, 6]),
+    ("ntc", "no_fused_pipeline", [9, 20, 821, 7, 0, 0, 0, 0, 12600, 0, 1, 6, 223, 175, 9, 9408, 3, 6]),
+    ("ntc", "no_fused_agg", [9, 18, 821, 9, 9, 0, 0, 0, 0, 221, 3, 6, 223, 175, 9, 9408, 3, 6]),
     ("ntc", "no_index_reuse", [9, 27, 850, 0, 0, 0, 0, 0, 12832, 0, 7, 0, 0, 0, 8, 9408, 3, 0]),
-    ("ntc", "no_uie", [9, 33, 850, 7, 0, 0, 0, 0, 12832, 0, 1, 6, 223, 175, 9, 9408, 3, 6]),
-    ("ntc", "no_eost", [9, 20, 850, 7, 0, 0, 0, 0, 12832, 0, 1, 6, 223, 175, 9, 38256, 26, 6]),
-    ("ntc", "oof_full", [9, 18, 850, 9, 9, 0, 0, 0, 0, 250, 3, 6, 223, 175, 9, 9408, 3, 6]),
-    ("ntc", "oof_none", [9, 18, 850, 9, 9, 0, 0, 0, 0, 250, 3, 6, 223, 175, 9, 9408, 3, 6]),
+    ("ntc", "no_uie", [9, 31, 821, 7, 0, 0, 0, 0, 12600, 0, 1, 6, 223, 175, 9, 9408, 3, 6]),
+    ("ntc", "no_eost", [9, 20, 821, 7, 0, 0, 0, 0, 12600, 0, 1, 6, 223, 175, 9, 38024, 26, 6]),
+    ("ntc", "oof_full", [9, 18, 821, 9, 9, 0, 0, 0, 0, 221, 3, 6, 223, 175, 9, 9408, 3, 6]),
+    ("ntc", "oof_none", [9, 18, 821, 9, 9, 0, 0, 0, 0, 221, 3, 6, 223, 175, 9, 9408, 3, 6]),
 ];
 
 /// Full-R index work must show up in the phase breakdown: persistent

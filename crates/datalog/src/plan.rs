@@ -136,6 +136,14 @@ pub struct SubQuery {
     pub head_exprs: Vec<Expr>,
     /// Total width of the flattened layout (sum of scan arities).
     pub width: usize,
+    /// The [`JoinStep::live`] set of a one-scan body: the scan columns its
+    /// head, residual, scan filters and negation keys read, ascending,
+    /// when they are a strict subset of the scan's columns and the head is
+    /// set-semantic or aggregates with `MIN`/`MAX` only. Rows equal on
+    /// them then derive the same head rows (an aggregate over duplicates
+    /// of a `MIN`/`MAX` argument is unchanged), so a pass may read one row
+    /// per distinct value. `None` for every other body.
+    pub scan_live: Option<Vec<usize>>,
     /// Worst-case optimal evaluation plan, attached when the body is
     /// cyclic (the `wcoj` config flag picks between this and `joins` at
     /// run time, so one compiled program serves both ablation arms).
@@ -621,6 +629,7 @@ fn compile_subquery(
             &head_exprs,
         );
     }
+    let scan_live = scan_live_columns(rule, &scans, &residual, &negations, &head_exprs);
     Ok(SubQuery {
         rule_idx,
         delta_scan: delta_pos,
@@ -630,8 +639,43 @@ fn compile_subquery(
         negations,
         head_exprs,
         width,
+        scan_live,
         wcoj,
     })
+}
+
+/// [`SubQuery::scan_live`] of a one-scan body.
+fn scan_live_columns(
+    rule: &Rule,
+    scans: &[ScanSpec],
+    residual: &[Predicate],
+    negations: &[NegSpec],
+    head_exprs: &[Expr],
+) -> Option<Vec<usize>> {
+    let [scan] = scans else {
+        return None;
+    };
+    let idempotent = rule.head.terms.iter().all(|t| match t {
+        HeadTerm::Plain(_) => true,
+        HeadTerm::Agg { func, .. } => matches!(func, AggFunc::Min | AggFunc::Max),
+    });
+    if !idempotent {
+        return None;
+    }
+    let mut read = vec![false; scan.arity];
+    let mut mark = |c: usize| read[c] = true;
+    negations
+        .iter()
+        .flat_map(|n| &n.left_keys)
+        .for_each(|&c| mark(c));
+    scan.filters
+        .iter()
+        .chain(residual)
+        .flat_map(|p| [&p.lhs, &p.rhs])
+        .chain(head_exprs)
+        .for_each(|e| e.for_each_col(&mut mark));
+    let live: Vec<usize> = (0..scan.arity).filter(|&c| read[c]).collect();
+    (!live.is_empty() && live.len() < scan.arity).then_some(live)
 }
 
 /// Give every non-final step of a chain of three or more scans its
@@ -1206,6 +1250,39 @@ mod tests {
             live_sets(&p, "r"),
             vec![vec![Some(vec![0, 5]), Some(vec![0, 7]), None]]
         );
+    }
+
+    /// The one-scan live sets of `rel`'s subqueries, in order.
+    fn scan_live(src: &str, rel: &str) -> Vec<Option<Vec<usize>>> {
+        let p = compiled(src);
+        let idbs = p.strata.iter().flat_map(|s| &s.idbs);
+        let sqs = idbs.filter(|i| i.rel == rel).flat_map(|i| &i.subqueries);
+        sqs.map(|sq| sq.scan_live.clone()).collect()
+    }
+
+    #[test]
+    fn one_scan_bodies_record_the_columns_they_read() {
+        // CC's exit reads `arc`'s source only; its recursive rule joins.
+        assert_eq!(
+            scan_live(crate::programs::CC, "cc3"),
+            vec![Some(vec![0]), None]
+        );
+        assert_eq!(scan_live("r(y) :- arc(_, y).", "r"), vec![Some(vec![1])]);
+        // A filter, a residual or a negation key keeps its column live.
+        let p = "n(x) :- b(x).
+                 r(x) :- e(x, 3, w).
+                 r(x) :- e(x, y, y).
+                 r(x) :- e(x, y, w), w > 2.
+                 r(x) :- e(x, y, w), !n(y).";
+        let want = vec![Some(vec![0, 1]), None, Some(vec![0, 2]), Some(vec![0, 1])];
+        assert_eq!(scan_live(p, "r"), want, "the second reads every column");
+        // MIN/MAX heads qualify; a COUNT or SUM head counts duplicates.
+        assert_eq!(
+            scan_live("m(x, MAX(x)) :- e(x, _).", "m"),
+            vec![Some(vec![0])]
+        );
+        assert_eq!(scan_live("c(x, COUNT(x)) :- e(x, _).", "c"), vec![None]);
+        assert_eq!(scan_live("s(x, SUM(x)) :- e(x, _).", "s"), vec![None]);
     }
 
     #[test]

@@ -65,6 +65,8 @@ pub struct CacheKey {
 /// lock.
 struct Slot {
     cell: OnceLock<Arc<SharedIndex>>,
+    /// Bytes of the built index counted in the resident total.
+    charged: AtomicUsize,
     /// Logical tick of the last touch (monotone cache-wide counter, not
     /// wall time): smaller = colder.
     last_used: AtomicU64,
@@ -164,6 +166,7 @@ impl IndexCache {
                 .or_insert_with(|| {
                     Arc::new(Slot {
                         cell: OnceLock::new(),
+                        charged: AtomicUsize::new(0),
                         last_used: AtomicU64::new(0),
                     })
                 })
@@ -195,8 +198,7 @@ impl IndexCache {
                     map.insert(key.clone(), Arc::clone(&slot));
                 }
             }
-            self.resident
-                .fetch_add(index.heap_bytes(), Ordering::Relaxed);
+            self.charge(&slot, &index);
             // Older snapshots of the same (relation, cols) are garbage by
             // construction — collect them eagerly rather than waiting for
             // them to go cold.
@@ -209,6 +211,33 @@ impl IndexCache {
             built,
             evicted,
         }
+    }
+
+    /// Count `index`, resident under `key`, at its current size: it
+    /// grew a part built on first use
+    /// ([`crate::index::OrderedIndex::first_rows`]). Nothing happens when
+    /// the entry was evicted or replaced meanwhile.
+    pub fn recharge(&self, key: &CacheKey, index: &Arc<SharedIndex>) {
+        let map = self
+            .map
+            .lock()
+            .expect("no cache user panics holding the map");
+        let Some(slot) = map.get(key) else {
+            return;
+        };
+        if slot.cell.get().is_some_and(|held| Arc::ptr_eq(held, index)) {
+            self.charge(slot, index);
+        }
+    }
+
+    /// Count `index`, held by `slot`, at its current size in the resident
+    /// total. Called with the map locked, so a publish and a recharge of
+    /// one entry never interleave.
+    fn charge(&self, slot: &Slot, index: &SharedIndex) {
+        let bytes = index.heap_bytes();
+        let old = slot.charged.swap(bytes, Ordering::Relaxed);
+        self.resident.fetch_add(bytes, Ordering::Relaxed);
+        self.resident.fetch_sub(old, Ordering::Relaxed);
     }
 
     /// Drop unpinned entries with the same relation and key columns but a
@@ -234,8 +263,9 @@ impl IndexCache {
         let mut removed = 0;
         for k in stale {
             if let Some(slot) = map.remove(&k) {
-                if let Some(idx) = slot.cell.get() {
-                    self.resident.fetch_sub(idx.heap_bytes(), Ordering::Relaxed);
+                if slot.cell.get().is_some() {
+                    let bytes = slot.charged.load(Ordering::Relaxed);
+                    self.resident.fetch_sub(bytes, Ordering::Relaxed);
                     removed += 1;
                 }
             }
@@ -263,13 +293,14 @@ impl IndexCache {
                 if Arc::strong_count(idx) > 1 {
                     return None; // pinned by a live run
                 }
+                let bytes = slot.charged.load(Ordering::Relaxed);
                 let cost = idx.build_cost().as_nanos() as f64 + 1.0;
-                let score = idx.heap_bytes() as f64 / cost;
+                let score = bytes as f64 / cost;
                 Some((
                     k.clone(),
                     slot.last_used.load(Ordering::Relaxed),
                     score,
-                    idx.heap_bytes(),
+                    bytes,
                 ))
             })
             .collect();
@@ -329,6 +360,24 @@ mod tests {
         assert!(Arc::ptr_eq(&first.index, &second.index));
         assert_eq!(cache.len(), 1);
         assert!(cache.resident_bytes() > 0);
+    }
+
+    #[test]
+    fn a_lazily_grown_index_is_recharged_and_evicted_whole() {
+        let cache = IndexCache::new();
+        let k = key(0, 1);
+        let rows = [vec![1, 2], vec![1, 2], vec![3, 4]];
+        let out = cache.get_or_build(&k, usize::MAX, || shared_over(&rows));
+        let built = cache.resident_bytes();
+        assert_eq!(out.index.index().first_rows().len(), 2);
+        assert_eq!(cache.resident_bytes(), built, "not counted until recharged");
+        cache.recharge(&k, &out.index);
+        cache.recharge(&k, &out.index);
+        assert_eq!(cache.resident_bytes(), out.index.heap_bytes());
+        assert!(cache.resident_bytes() > built);
+        drop(out);
+        assert_eq!(cache.evict_all().0, 1);
+        assert_eq!(cache.resident_bytes(), 0);
     }
 
     #[test]

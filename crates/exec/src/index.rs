@@ -69,6 +69,7 @@
 //! chain nor a scratch table is touched. Sinks only read this window: a
 //! pass that is dropped or fails leaves it as it was.
 
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -403,6 +404,9 @@ pub struct OrderedIndex {
     offsets: Vec<u32>,
     /// Every column of the build rows, gathered in bucket order.
     data: Vec<Vec<Value>>,
+    /// One row per distinct key ([`OrderedIndex::first_rows`]), gathered
+    /// on first use.
+    firsts: OnceLock<Vec<Vec<Value>>>,
 }
 
 impl OrderedIndex {
@@ -425,6 +429,7 @@ impl OrderedIndex {
                 buckets: Buckets::Hashed(0),
                 offsets: vec![0, 0],
                 data: vec![Vec::new(); arity],
+                firsts: OnceLock::new(),
             };
         };
         assert!(n <= u32::MAX as usize, "an index addresses rows by u32");
@@ -498,6 +503,7 @@ impl OrderedIndex {
             buckets,
             offsets,
             data,
+            firsts: OnceLock::new(),
         }
     }
 
@@ -561,9 +567,53 @@ impl OrderedIndex {
         self.matches(probe, r, probe_cols).next().is_some()
     }
 
-    /// Heap footprint in bytes: the offsets and the gathered rows.
+    /// One row per distinct key, column-wise: the first row of each key's
+    /// run in [`OrderedIndex::view`] order, so the build side's first row
+    /// with that key. Under dense buckets these are the first rows of the
+    /// non-empty buckets; under hashed ones each bucket's rows are
+    /// deduplicated on the key. Gathered on the first call and kept.
+    pub fn first_rows(&self) -> RelView<'_> {
+        RelView::over(self.firsts.get_or_init(|| self.gather_first_rows()))
+    }
+
+    /// Whether [`OrderedIndex::first_rows`] has been gathered.
+    pub fn has_first_rows(&self) -> bool {
+        self.firsts.get().is_some()
+    }
+
+    fn gather_first_rows(&self) -> Vec<Vec<Value>> {
+        let same_key = |a: usize, b: usize| {
+            self.cols
+                .iter()
+                .all(|&c| self.data[c][a] == self.data[c][b])
+        };
+        let mut firsts: Vec<usize> = Vec::new();
+        for run in self.offsets.windows(2) {
+            let run = run[0] as usize..run[1] as usize;
+            match self.buckets {
+                Buckets::Dense(_) => firsts.extend(run.take(1)),
+                Buckets::Hashed(_) => {
+                    let bucket = firsts.len();
+                    for pos in run {
+                        if !firsts[bucket..].iter().any(|&f| same_key(f, pos)) {
+                            firsts.push(pos);
+                        }
+                    }
+                }
+            }
+        }
+        let gather = |col: &Vec<Value>| firsts.iter().map(|&p| col[p]).collect();
+        self.data.iter().map(gather).collect()
+    }
+
+    /// Heap footprint in bytes: the offsets, the gathered rows and the
+    /// first row of each key once gathered.
     pub fn heap_bytes(&self) -> usize {
-        self.offsets.len() * 4 + self.data.iter().map(|c| c.len() * 8).sum::<usize>()
+        let firsts = self
+            .firsts
+            .get()
+            .map_or(0, |cols| cols.iter().map(|c| c.len() * 8).sum::<usize>());
+        self.offsets.len() * 4 + self.data.iter().map(|c| c.len() * 8).sum::<usize>() + firsts
     }
 }
 
@@ -643,6 +693,53 @@ mod tests {
 
     fn rows_of(rel: &Relation) -> HashSet<Vec<Value>> {
         rel.to_rows().into_iter().collect()
+    }
+
+    /// The rows of [`OrderedIndex::first_rows`], sorted.
+    fn first_rows_of(ix: &OrderedIndex) -> Vec<Vec<Value>> {
+        let v = ix.first_rows();
+        let mut rows: Vec<Vec<Value>> = (0..v.len())
+            .map(|r| (0..v.arity()).map(|c| v.get(r, c)).collect())
+            .collect();
+        rows.sort();
+        rows
+    }
+
+    #[test]
+    fn first_rows_hold_one_row_per_key_in_either_layout() {
+        let ctx = ctx();
+        // Dense: keys 0..=2 on column 0, two of them with duplicates.
+        let rows = [[2, 7], [0, 1], [2, 8], [0, 3], [1, 5], [2, 9]].map(Vec::from);
+        let rel = Relation::from_rows(Schema::with_arity("r", 2), &rows);
+        let ix = OrderedIndex::build(&ctx, rel.view(), vec![0]);
+        assert!(ix.dense());
+        assert!(!ix.has_first_rows());
+        let bytes = ix.heap_bytes();
+        assert_eq!(first_rows_of(&ix), [[0, 1], [1, 5], [2, 7]].map(Vec::from));
+        assert!(ix.has_first_rows());
+        assert_eq!(ix.heap_bytes(), bytes + 3 * 2 * 8, "the list counts");
+
+        // Hashed: ids 2^50 apart, and a second key `k` found to share the
+        // first key's bucket, each key twice.
+        let wide = 1 << 50;
+        let mut k = wide;
+        let (ix, rows) = loop {
+            k += 1;
+            let rows = [[0, 1], [k, 2], [0, 3], [k, 4], [wide, 5], [wide, 6]].map(Vec::from);
+            let rel = Relation::from_rows(Schema::with_arity("r", 2), &rows);
+            let ix = OrderedIndex::build(&ctx, rel.view(), vec![0]);
+            let Buckets::Hashed(mask) = ix.buckets else {
+                panic!("a 2^50 span hashes");
+            };
+            let bucket = |v: Value| hash_values([v]) as usize & mask;
+            if bucket(k) == bucket(0) {
+                break (ix, rows);
+            }
+        };
+        assert_eq!(
+            first_rows_of(&ix),
+            [&rows[0], &rows[4], &rows[1]].map(Vec::clone)
+        );
     }
 
     /// One fused dedup + set-difference pass the way the engine runs it:

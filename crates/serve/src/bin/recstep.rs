@@ -63,13 +63,19 @@
 //! The program is compiled exactly once (`Engine::prepare`); evaluation
 //! and the `--explain` rendering both reuse that compilation. The service
 //! keeps that guarantee per program text via its prepared-program cache.
+//!
+//! A one-shot run writes through one locked stdout. A reader that closes
+//! the pipe early (`recstep … --stats | grep -q key`) ends it with exit
+//! code 0, its results already written; the service ignores a closed
+//! stdout and keeps serving.
 
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use recstep::io::run_datalog_file;
 use recstep::{
-    Config, Database, DedupImpl, Engine, OofMode, PbmeMode, ServeConfig, SetDiffStrategy,
+    Config, Database, DedupImpl, Engine, EvalStats, OofMode, PbmeMode, ServeConfig, SetDiffStrategy,
 };
 use recstep_serve::Server;
 
@@ -282,8 +288,12 @@ fn serve_main(args: Args, serve: ServeConfig) -> ExitCode {
             .data_dir
             .as_ref()
             .is_some_and(|d| recstep::wal::dir_has_state(Path::new(d)));
+    // Status lines only: a closed stdout must not stop the service. Each
+    // line takes the stdout lock for itself, none is held across start-up.
+    let mut out = io::stdout();
     if recovering {
-        println!(
+        let _ = writeln!(
+            out,
             "recovering from {} (skipping .facts preload)",
             serve.data_dir.as_deref().unwrap_or_default()
         );
@@ -291,7 +301,7 @@ fn serve_main(args: Args, serve: ServeConfig) -> ExitCode {
         match preload_facts_dir(&mut db, &args.facts) {
             Ok(loaded) => {
                 for (name, rows) in &loaded {
-                    println!("loaded {name}: {rows} facts");
+                    let _ = writeln!(out, "loaded {name}: {rows} facts");
                 }
             }
             Err(e) => {
@@ -307,7 +317,7 @@ fn serve_main(args: Args, serve: ServeConfig) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("recstep-serve listening on http://{}", server.addr());
+    let _ = writeln!(out, "recstep-serve listening on http://{}", server.addr());
     // Serve until the process is killed (the CI smoke test and systemd
     // both stop us with a signal; there is no in-band shutdown route).
     loop {
@@ -350,43 +360,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let mut out = io::stdout().lock();
     if args.explain {
-        println!(
-            "-- index_reuse: {}",
-            if engine.config().index_reuse {
-                "on (persistent incremental indexes)"
-            } else {
-                "off (per-iteration rebuild)"
-            }
-        );
-        println!(
-            "-- fused_pipeline: {}",
-            if engine.config().fused_pipeline {
-                "on (dedup/set-difference at the join probe; Rt never materialized; \
-                 SELECT DISTINCT chain stages deduped on the pipe)"
-            } else {
-                "off (materialize Rt, drain it through the sink in a second pass; \
-                 SELECT DISTINCT chain stages run as UNION ALL)"
-            }
-        );
-        println!(
-            "-- fused_agg: {}",
-            if engine.config().fused_agg {
-                "on (aggregated heads group at source; pre-agg Rt never materialized)"
-            } else {
-                "off (group over a materialized pre-aggregation Rt)"
-            }
-        );
-        println!(
-            "-- shared_index_cache: {}",
-            if engine.config().shared_index_cache {
-                "on (frozen-relation join indexes shared across runs)"
-            } else {
-                "off (per-run indexes)"
-            }
-        );
-        println!("{}", prepared.explain_sql());
-        return ExitCode::SUCCESS;
+        return exit_after(explain(&mut out, engine.config(), &prepared.explain_sql()));
     }
     let mut db = match Database::new() {
         Ok(db) => db,
@@ -396,18 +372,88 @@ fn main() -> ExitCode {
         }
     };
     match run_datalog_file(&prepared, &mut db, &args.facts, &args.out) {
-        Ok((stats_out, written)) => {
-            for (name, rows) in &written {
-                println!("{name}: {rows} rows -> {}/{name}.csv", args.out.display());
-            }
-            if args.stats {
-                println!();
-                stats_out.visit(&mut |key, value| println!("{key}: {value}"));
-            }
-            ExitCode::SUCCESS
+        Ok((stats, written)) => {
+            let stats = args.stats.then_some(&stats);
+            exit_after(report(&mut out, &written, &args.out, stats))
         }
         Err(e) => {
             eprintln!("recstep: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// A one-shot run's report: each `.output` relation written, then every
+/// statistic under `--stats`.
+fn report(
+    out: &mut impl Write,
+    written: &[(String, usize)],
+    dir: &Path,
+    stats: Option<&EvalStats>,
+) -> io::Result<()> {
+    for (name, rows) in written {
+        writeln!(out, "{name}: {rows} rows -> {}/{name}.csv", dir.display())?;
+    }
+    if let Some(stats) = stats {
+        writeln!(out)?;
+        let mut printed = Ok(());
+        stats.visit(&mut |key, value| {
+            if printed.is_ok() {
+                printed = writeln!(out, "{key}: {value}");
+            }
+        });
+        printed?;
+    }
+    out.flush()
+}
+
+/// The `--explain` rendering: the optimization toggles that shape the
+/// plan, then the generated SQL.
+fn explain(out: &mut impl Write, cfg: &Config, sql: &str) -> io::Result<()> {
+    let toggles = [
+        (
+            "index_reuse",
+            cfg.index_reuse,
+            "on (persistent incremental indexes)",
+            "off (per-iteration rebuild)",
+        ),
+        (
+            "fused_pipeline",
+            cfg.fused_pipeline,
+            "on (dedup/set-difference at the join probe; Rt never materialized; \
+             SELECT DISTINCT chain stages deduped on the pipe)",
+            "off (materialize Rt, drain it through the sink in a second pass; \
+             SELECT DISTINCT chain stages run as UNION ALL)",
+        ),
+        (
+            "fused_agg",
+            cfg.fused_agg,
+            "on (aggregated heads group at source; pre-agg Rt never materialized)",
+            "off (group over a materialized pre-aggregation Rt)",
+        ),
+        (
+            "shared_index_cache",
+            cfg.shared_index_cache,
+            "on (frozen-relation join indexes shared across runs)",
+            "off (per-run indexes)",
+        ),
+    ];
+    for (name, on, if_on, if_off) in toggles {
+        writeln!(out, "-- {name}: {}", if on { if_on } else { if_off })?;
+    }
+    writeln!(out, "{sql}")?;
+    out.flush()
+}
+
+/// The exit code of a one-shot run whose output is written: success, also
+/// when the reader closed stdout early (a broken pipe); any other write
+/// error fails.
+fn exit_after(written: io::Result<()>) -> ExitCode {
+    match written {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("recstep: writing stdout: {e}");
             ExitCode::FAILURE
         }
     }

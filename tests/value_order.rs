@@ -6,11 +6,15 @@
 //!
 //! 1. **Same fixpoint.** On long-diameter inputs, where value order defers
 //!    groups, the default run, `--no-fused-agg`, `Config::no_op()` and
-//!    `baselines::naive` compute the same relations: CC over directed
-//!    paths with ascending and descending ids, a small cluster feeding a
-//!    long path (and its 2^40-offset wide-id copy), SSSP over weighted
-//!    G(n, p) with non-negative weights and over a DAG with some negative
-//!    weights, and a `MAX` program.
+//!    `baselines::naive` compute the same relations, at 1 and 2 threads:
+//!    CC over directed paths with ascending and descending ids (up to
+//!    8 000 vertices, where every exit label is already final), a small
+//!    cluster feeding a long path (and its 2^40-offset wide-id copy), CC
+//!    with a second exit rule, SSSP over weighted G(n, p) with
+//!    non-negative weights and over a DAG with some negative weights, and
+//!    `MIN` and `MAX` labels over an RMAT graph with hub skew. The exit
+//!    pass drains its groups lowest-first too, and an exit rule reading
+//!    only `arc`'s source reads one row per source.
 //! 2. **Guarded.** A program the planner refuses (a filter or a join on
 //!    the aggregated value) is evaluated in synchronous rounds: it defers
 //!    nothing, and still agrees with the other modes.
@@ -28,14 +32,16 @@ use recstep::{Config, Database, Engine, EvalStats, PbmeMode, Value};
 use recstep_baselines::naive::NaiveEngine;
 use recstep_bench::pipeline_workload;
 use recstep_graphgen::gnp::gnp;
+use recstep_graphgen::rmat::rmat;
 
 type Rows = BTreeSet<Vec<Value>>;
 
 /// Relations to load: `(name, arity, rows)`.
 type Loads = Vec<(&'static str, usize, Vec<Vec<Value>>)>;
 
+/// Run `src` over `loads` under `cfg`, PBME off.
 fn run(src: &str, loads: &Loads, rels: &[&str], cfg: Config) -> (Vec<Rows>, EvalStats) {
-    let engine = Engine::from_config(cfg.threads(2).pbme(PbmeMode::Off)).unwrap();
+    let engine = Engine::from_config(cfg.pbme(PbmeMode::Off)).unwrap();
     let mut db = Database::new().unwrap();
     for (name, arity, rows) in loads {
         db.load_relation(name, *arity, rows).unwrap();
@@ -59,26 +65,37 @@ fn naive(src: &str, loads: &Loads, rels: &[&str]) -> Vec<Rows> {
         .collect()
 }
 
-/// Default ≡ `--no-fused-agg` ≡ `Config::no_op()` ≡ naive; returns the
-/// default run's rows and statistics.
+/// Default ≡ `--no-fused-agg` ≡ `Config::no_op()` ≡ naive, at 1 and 2
+/// threads; returns the default run's rows and statistics at 2.
 fn agree(what: &str, src: &str, loads: &Loads, rels: &[&str]) -> (Vec<Rows>, EvalStats) {
-    let (rows, stats) = run(src, loads, rels, Config::default());
-    let (unfused, unfused_stats) = run(src, loads, rels, Config::default().fused_agg(false));
-    let (no_op, _) = run(src, loads, rels, Config::no_op());
-    assert_eq!(rows, naive(src, loads, rels), "{what}: default vs naive");
-    assert_eq!(unfused, rows, "{what}: --no-fused-agg");
-    assert_eq!(no_op, rows, "{what}: no_op");
-    // Both aggregation arms drain the same buckets.
-    assert_eq!(
-        stats.tuples_considered, unfused_stats.tuples_considered,
-        "{what}"
-    );
-    assert_eq!(
-        stats.agg_groups_deferred, unfused_stats.agg_groups_deferred,
-        "{what}"
-    );
-    assert!(rows[0].len() > 1, "{what}: empty result");
-    (rows, stats)
+    let want = naive(src, loads, rels);
+    assert!(want[0].len() > 1, "{what}: empty result");
+    let mut at: Vec<EvalStats> = Vec::new();
+    for threads in [1, 2] {
+        let what = format!("{what}, {threads} threads");
+        let cfg = Config::default().threads(threads);
+        let (rows, stats) = run(src, loads, rels, cfg.clone());
+        let (unfused, unfused_stats) = run(src, loads, rels, cfg.fused_agg(false));
+        let (no_op, _) = run(src, loads, rels, Config::no_op().threads(threads));
+        assert_eq!(rows, want, "{what}: default vs naive");
+        assert_eq!(unfused, want, "{what}: --no-fused-agg");
+        assert_eq!(no_op, want, "{what}: no_op");
+        // Both aggregation arms drain the same buckets.
+        assert_eq!(
+            stats.tuples_considered, unfused_stats.tuples_considered,
+            "{what}"
+        );
+        assert_eq!(
+            stats.agg_groups_deferred, unfused_stats.agg_groups_deferred,
+            "{what}"
+        );
+        at.push(stats);
+    }
+    // The drains never depend on the thread count.
+    let [one, two] = &at[..] else { unreachable!() };
+    assert_eq!(one.iterations, two.iterations, "{what}: iterations");
+    assert_eq!(one.tuples_considered, two.tuples_considered, "{what}");
+    (want, at.pop().expect("two runs"))
 }
 
 fn edges(rel: &'static str, arcs: impl IntoIterator<Item = (Value, Value)>) -> Loads {
@@ -133,6 +150,56 @@ fn cluster_feeding_a_path_agrees_with_narrow_and_wide_ids() {
         assert!(stats.agg_groups_deferred > 0, "{layout}: nothing deferred");
         assert!(stats.iterations >= 300, "{layout}: {}", stats.iterations);
     }
+}
+
+#[test]
+fn cc_over_a_reversed_8000_vertex_path_keeps_its_exit_labels() {
+    // Vertex v's ancestors all have larger ids: every exit label is
+    // already final, but vertex 0's (it has no out-arc), which inherits 1.
+    let n = 8000;
+    let (rows, _) = agree(
+        "reversed path 8000",
+        recstep::programs::CC,
+        &edges("arc", path(n, |i| n - i)),
+        &CC_RELS,
+    );
+    assert_eq!(rows[0].len(), n as usize + 1);
+    assert!(rows[0].iter().all(|r| r[1] == r[0].max(1)));
+}
+
+#[test]
+fn cc_with_a_second_exit_rule_agrees() {
+    // The second exit reads `arc`'s target, whose index no ∆ subquery
+    // builds: it scans every arc, while the first reads one row per source.
+    let src = format!("{}cc3(y, MIN(y)) :- arc(_, y).\n", recstep::programs::CC);
+    let mut arcs = pipeline_workload(24, 0.12, 300, 41);
+    arcs.push((0, 24));
+    let (_, stats) = agree("two exits", &src, &edges("arc", arcs), &CC_RELS);
+    assert!(stats.agg_groups_deferred > 0);
+    let (rows, _) = agree(
+        "two exits, reversed path",
+        &src,
+        &edges("arc", path(300, |i| 300 - i)),
+        &CC_RELS,
+    );
+    assert!(
+        rows[0].iter().all(|r| r[1] == r[0]),
+        "vertex 0 labels itself"
+    );
+}
+
+#[test]
+fn min_and_max_labels_agree_over_a_skewed_rmat_graph() {
+    // RMAT's hubs give a few sources most of the arcs: the exit scan
+    // reads one row per source, and the hubs' labels reach most vertices
+    // in a few hops.
+    let arcs = rmat(1000, 6000, 7)
+        .into_iter()
+        .map(|(a, b)| (Value::from(a), Value::from(b)));
+    let loads = edges("arc", arcs);
+    agree("CC over RMAT", recstep::programs::CC, &loads, &CC_RELS);
+    let max = "mx(x, MAX(x)) :- arc(x, _).\nmx(y, MAX(z)) :- mx(x, z), arc(x, y).";
+    agree("MAX over RMAT", max, &loads, &["mx"]);
 }
 
 #[test]
@@ -209,7 +276,7 @@ fn sssp_over_a_sparse_grid_drains_many_groups_an_iteration() {
         recstep::programs::SSSP,
         &loads,
         &["sssp"],
-        Config::default(),
+        Config::default().threads(2),
     );
     assert_eq!(rows[0], oracle);
     assert_eq!(stats.iterations, 92, "iterations");
@@ -258,7 +325,7 @@ fn cc_over_a_2000_vertex_path_labels_every_vertex_0() {
         recstep::programs::CC,
         &edges("arc", path(n, |i| i)),
         &["cc3"],
-        Config::default(),
+        Config::default().threads(2),
     );
     assert_eq!(rows[0].len(), n as usize + 1);
     assert!(rows[0].iter().all(|r| r[1] == 0), "a label is not 0");
